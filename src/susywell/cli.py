@@ -48,7 +48,7 @@ from .spectral import (
     richardson_spectrum,
     well_spectrum_analytic,
 )
-from .states import parity_center, pt_asymmetry
+from .states import pt_asymmetry
 from .susy_core import (
     Family,
     Partner,
@@ -59,7 +59,7 @@ from .susy_core import (
     fundamental_cell,
     partner_field,
 )
-from .states import eval_wavefunction, probability_density, schrodinger_residual, WaveFunctionSpec
+from .states import probability_density, schrodinger_residual, WaveFunctionSpec
 
 FAMILY_TOKENS = {
     "cotangent_well": Family.COTANGENT_WELL,

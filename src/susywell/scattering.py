@@ -10,7 +10,9 @@ Segments come in three kinds:
   ConstantSegment   exact propagator, entire in k^2 = E - V, so the E = V
                     resonance goes through the sinc limit with no branch;
   FieldSegment      arbitrary complex profile, integrated as a product of
-                    thin constant slices at midpoint values;
+                    thin constant slices at midpoint values; the slice
+                    matrices are built as one batch and reduced by a
+                    blocked pairwise product (SLICE_BLOCK slices per block);
   PlaneBasisSegment local basis = the two closed-form plane states (right
                     and left movers with psi' = -W psi). For q != 0 the
                     pair solves no single potential, so this kind realizes
@@ -43,6 +45,7 @@ from .susy_core import (
 
 OVERFLOW_EXPONENT = 700.0
 WRONSKIAN_TOL = 1e-12
+SLICE_BLOCK = 4096  # slices per batch in a FieldSegment
 
 
 @dataclass(frozen=True)
@@ -97,33 +100,42 @@ class PiecewisePotential:
         object.__setattr__(self, "asymptotic", a.real)
 
 
-def _sincz(z: complex) -> complex:
-    # sin(z)/z, series below |z| = 1e-4 (covers the E = V resonance limit)
-    if abs(z) < 1e-4:
-        z2 = z * z
-        return 1.0 - z2 / 6.0 + z2 * z2 / 120.0
-    return cmath.sin(z) / z
+def _slice_propagators(values, width: float, energy: float) -> np.ndarray:
+    """Fundamental (psi, psi') matrices across constant slices, shape (m, 2, 2).
+
+    [[cos(kw), w sinc(kw)], [-k^2 w sinc(kw), cos(kw)]], k^2 = E - V, one
+    matrix per value. Entire in k^2: no branch choice, det = 1, and k -> 0
+    degenerates to the linear-solution pair [[1, w], [0, 1]]; cos and sinc go
+    to their series below |kw| = 1e-4 (covers the E = V resonance limit).
+    """
+    ksq = complex(energy) - np.asarray(values, dtype=np.complex128)
+    z = np.sqrt(ksq) * width
+    over = np.flatnonzero(np.abs(z.imag) > OVERFLOW_EXPONENT)
+    if over.size:
+        raise EvanescentOverflow(abs(z[over[0]].imag))
+    z2 = z * z
+    small = np.abs(z) < 1e-4
+    safe = np.where(small, 1.0, z)
+    cosz = np.where(small, 1.0 - z2 / 2.0 + z2 * z2 / 24.0, np.cos(z))
+    sfac = width * np.where(small, 1.0 - z2 / 6.0 + z2 * z2 / 120.0, np.sin(safe) / safe)
+    out = np.empty(z.shape + (2, 2), dtype=np.complex128)
+    out[:, 0, 0] = out[:, 1, 1] = cosz
+    out[:, 0, 1] = sfac
+    out[:, 1, 0] = -ksq * sfac
+    return out
 
 
 def _constant_propagator(value: complex, width: float, energy: float) -> np.ndarray:
-    """Fundamental (psi, psi') matrix across a constant segment.
+    return _slice_propagators([value], width, energy)[0]
 
-    [[cos(kw), w sinc(kw)], [-k^2 w sinc(kw), cos(kw)]], k^2 = E - V.
-    Entire in k^2: no branch choice, det = 1, and k -> 0 degenerates to the
-    linear-solution pair [[1, w], [0, 1]].
-    """
-    ksq = complex(energy) - complex(value)
-    kloc = cmath.sqrt(ksq)
-    z = kloc * width
-    if abs(z.imag) > OVERFLOW_EXPONENT:
-        raise EvanescentOverflow(abs(z.imag))
-    if abs(z) < 1e-4:
-        z2 = z * z
-        cosz = 1.0 - z2 / 2.0 + z2 * z2 / 24.0
-    else:
-        cosz = cmath.cos(z)
-    sfac = width * _sincz(z)
-    return np.array([[cosz, sfac], [-ksq * sfac, cosz]], dtype=np.complex128)
+
+def _ordered_product(stack: np.ndarray) -> np.ndarray:
+    """stack[-1] @ ... @ stack[0], reduced by pairwise matmul in log2(m) steps."""
+    while len(stack) > 1:
+        even = len(stack) - len(stack) % 2
+        pairs = stack[1:even:2] @ stack[0:even:2]
+        stack = np.concatenate([pairs, stack[even:]]) if even < len(stack) else pairs
+    return stack[0]
 
 
 def _field_propagator(segment: FieldSegment, a: float, b: float, energy: float) -> np.ndarray:
@@ -132,9 +144,11 @@ def _field_propagator(segment: FieldSegment, a: float, b: float, energy: float) 
     values = np.asarray(segment.field(mids), dtype=np.complex128)
     if values.shape != mids.shape:
         raise ValueError("segment field must return one value per slice midpoint")
+    # blocks bound the (m, 2, 2) temporaries; later slices multiply on the left
     out = np.eye(2, dtype=np.complex128)
-    for v in values:
-        out = _constant_propagator(v, width, energy) @ out
+    for start in range(0, len(values), SLICE_BLOCK):
+        block = _slice_propagators(values[start:start + SLICE_BLOCK], width, energy)
+        out = _ordered_product(block) @ out
     return out
 
 

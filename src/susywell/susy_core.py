@@ -215,9 +215,9 @@ def _partner_values(
     """Expanded closed forms of V_{1,2} for arbitrary alpha and constraint.
 
     Well families (f real, g = csc or sec, upper sign V1):
-        V_{1,2} = k(k -/+ alpha) g^2(alpha x) - k^2 - f^2
-                  + i(-/+ f' -+... ) with the trig cross term
-                  -2k cot(alpha x) f   (cotangent)  or  +2k tan(alpha x) f (tangent).
+        V_{1,2} = k(k -/+ alpha) g^2(alpha x) - k^2 - f^2 + i(-/+ f' + c),
+        with the trig cross term
+        c = -2k cot(alpha x) f   (cotangent)  or  c = +2k tan(alpha x) f   (tangent).
     Plane families:
         V_{1,2} = -k^2 + f^2 -/+ f' - 2ikf  (right; +2ikf for left).
     """

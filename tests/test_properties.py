@@ -1,0 +1,87 @@
+"""Property tests: transfer-matrix invariants over random complex structures."""
+
+from dataclasses import dataclass
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from susywell.scattering import (
+    ConstantSegment,
+    FieldSegment,
+    PiecewisePotential,
+    transfer_matrix,
+    transmission_reflection,
+)
+
+# roundoff in det M and in matrix products grows like eps |M|^2, so the
+# tolerances scale with |M|^2; |V| <= 8 keeps Im sqrt(E - V) <= sqrt(8)
+coefficient = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+energies = st.floats(0.1, 10.0)
+widths = st.floats(0.1, 2.0)
+frequencies = st.floats(-3.0, 3.0)
+
+
+@dataclass(frozen=True)
+class WaveField:
+    """V(x) = v0 + v1 e^{i beta x}: complex, non-PT-symmetric in general."""
+
+    v0: complex
+    v1: complex
+    beta: float
+
+    def __call__(self, x):
+        return self.v0 + self.v1 * np.exp(1j * self.beta * np.asarray(x))
+
+
+fields = st.builds(WaveField, coefficient, coefficient, frequencies)
+
+
+def det(m):
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(coefficient, min_size=1, max_size=4), width=widths,
+       energy=energies)
+def test_constant_stack_is_unimodular(values, width, energy):
+    bps = tuple(width * i for i in range(len(values) + 1))
+    m = transfer_matrix(PiecewisePotential(bps, [ConstantSegment(v) for v in values]),
+                        energy)
+    assert abs(det(m) - 1.0) < 1e-12 * max(1.0, np.max(np.abs(m)) ** 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=fields, slices=st.integers(1, 5000), width=widths, energy=energies)
+def test_field_segment_is_unimodular(field, slices, width, energy):
+    m = transfer_matrix(PiecewisePotential((0.0, width), (FieldSegment(field, slices),)),
+                        energy)
+    assert abs(det(m) - 1.0) < 1e-11 * max(1.0, np.max(np.abs(m)) ** 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=fields, left=st.integers(1, 5000), right=st.integers(1, 5000),
+       width=widths, energy=energies)
+def test_split_field_segment_composes(field, left, right, width, energy):
+    # cut at a slice boundary: both halves see the same midpoints as the whole
+    cut = width * left / (left + right)
+    whole = transfer_matrix(
+        PiecewisePotential((0.0, width), (FieldSegment(field, left + right),)), energy)
+    first = transfer_matrix(
+        PiecewisePotential((0.0, cut), (FieldSegment(field, left),)), energy)
+    second = transfer_matrix(
+        PiecewisePotential((cut, width), (FieldSegment(field, right),)), energy)
+    scale = max(1.0, np.max(np.abs(first)) * np.max(np.abs(second)))
+    assert np.max(np.abs(second @ first - whole)) < 1e-11 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=fields, slices=st.integers(1, 3000), width=widths, energy=energies)
+def test_transmission_independent_of_incidence_side(field, slices, width, energy):
+    # right incidence on V equals left incidence on the mirror image V(-x)
+    forward = PiecewisePotential((0.0, width), (FieldSegment(field, slices),))
+    mirror = PiecewisePotential((-width, 0.0),
+                                (FieldSegment(lambda x: field(-x), slices),))
+    t_left = transmission_reflection(forward, energy).t
+    t_right = transmission_reflection(mirror, energy).t
+    assert abs(t_left - t_right) < 1e-9 * max(1.0, abs(t_left))

@@ -1,5 +1,6 @@
 """Tests for the transfer-matrix machinery and the sweep plumbing."""
 
+import cmath
 import math
 
 import numpy as np
@@ -12,8 +13,10 @@ from susywell.scattering import (
     FieldSegment,
     PiecewisePotential,
     PlaneBasisSegment,
+    SLICE_BLOCK,
     SWEEP_HEADER,
     _constant_propagator,
+    _field_propagator,
     plane_partner_sweep,
     square_barrier_transmission,
     sweep_csv,
@@ -33,6 +36,19 @@ T_RESONANCE_V4_A1 = 0.5
 
 def barrier(v0=4.0, width=1.0):
     return PiecewisePotential((0.0, width), (ConstantSegment(v0),))
+
+
+def sequential_propagator(field, a, b, slices, energy):
+    """Reference: one scalar slice matrix at a time, later slices on the left."""
+    width = (b - a) / slices
+    values = field(a + width * (np.arange(slices) + 0.5))
+    out = np.eye(2, dtype=complex)
+    for v in values:
+        ksq = energy - complex(v)
+        z = cmath.sqrt(ksq) * width
+        sfac = width * cmath.sin(z) / z
+        out = np.array([[cmath.cos(z), sfac], [-ksq * sfac, cmath.cos(z)]]) @ out
+    return out
 
 
 class TestTransferMatrix:
@@ -184,6 +200,24 @@ class TestFieldSegments:
         sliced = transfer_matrix(
             PiecewisePotential((0.0, 1.3), (FieldSegment(field, 500),)), 1.0)
         assert np.max(np.abs(const - sliced)) < 1e-10
+
+    @pytest.mark.parametrize("slices", [1, 2, 3, SLICE_BLOCK - 1, SLICE_BLOCK,
+                                        SLICE_BLOCK + 1, 2 * SLICE_BLOCK + 1])
+    def test_batched_product_matches_sequential_loop(self, slices):
+        field = partner_field(SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0), Partner.V1)
+        got = _field_propagator(FieldSegment(field, slices), 0.0, 2.0, 1.5)
+        ref = sequential_propagator(field, 0.0, 2.0, slices, 1.5)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_evanescent_overflow_guard(self):
+        # one opaque slice in the last block is enough to refuse the segment
+        def field(x):
+            return np.where(x > 90.0, 1e12, 0.0)
+
+        pot = PiecewisePotential((0.0, 100.0),
+                                 (FieldSegment(field, 2 * SLICE_BLOCK + 1),))
+        with pytest.raises(EvanescentOverflow):
+            transfer_matrix(pot, 1.0)
 
     def test_slice_convergence_second_order(self):
         spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0)
