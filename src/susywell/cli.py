@@ -44,6 +44,7 @@ from .spectral import (
     discretize,
     eigenvalues,
     isospectral_check,
+    remainder_spectrum,
     richardson_extrapolate,
     richardson_spectrum,
     well_spectrum_analytic,
@@ -88,6 +89,11 @@ _EXTRA_KEYS = (
 _ALL_KEYS = frozenset(_FLAG_KEYS) | frozenset(_EXTRA_KEYS)
 
 _EPS_SWEEP = (1e-2, 1e-3, 1e-4)
+
+# Upper bound on the dense eigensolver's memory for the largest exploratory
+# grid. Its complex fallback holds the n x n complex128 matrix plus the copy
+# LAPACK works on: 2 * 16 n^2 bytes, so 1 GiB admits n up to 5792.
+DENSE_MEMORY_LIMIT = 1 << 30
 
 
 @dataclass
@@ -261,6 +267,12 @@ def _validate(cfg):
         raise ConfigError("format", "must be csv or json")
     if any(g < 16 for g in cfg.exploratory_grids):
         raise ConfigError("exploratory_grids", "each grid needs at least 16 points")
+    largest = max(cfg.exploratory_grids)
+    dense_bytes = 32 * largest ** 2
+    if dense_bytes > DENSE_MEMORY_LIMIT:
+        raise ConfigError("exploratory_grids",
+                          f"grid {largest} needs {dense_bytes / 2**30:.1f} GiB for the dense "
+                          f"eigensolver, over the {DENSE_MEMORY_LIMIT / 2**30:g} GiB limit")
     if (cfg.window_min is None) != (cfg.window_max is None):
         raise ConfigError("window_min", "window_min and window_max go together")
     if cfg.window_min is not None and cfg.window_min >= cfg.window_max:
@@ -346,7 +358,8 @@ def run_spectrum(cfg):
 
 
 def _spectrum_gated(cfg, spec, lo, hi):
-    """Real q=0 path: Richardson ladder against the exact box levels."""
+    """Real q=0 path: Richardson ladder against the exact box levels
+    (k + n alpha)^2 - k^2."""
     grids = (cfg.grid // 4, cfg.grid // 2, cfg.grid)
     scale = max(1.0, cfg.k ** 2)
     reports = {}
@@ -361,7 +374,7 @@ def _spectrum_gated(cfg, spec, lo, hi):
     click.echo("level   raw            extrapolated   exact")
     worst_raw = worst_rich = 0.0
     for m in range(cfg.count):
-        exact = cfg.k ** 2 * well_spectrum_analytic(m)
+        exact = remainder_spectrum(m, cfg.k, cfg.alpha)
         raw = reports["v1"].eigenvalues[m].real
         rich = reports["v1"].richardson_estimates[m]
         worst_raw = max(worst_raw, abs(raw - exact))

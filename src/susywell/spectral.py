@@ -3,8 +3,20 @@
 Three-point Laplacian on a uniform interior grid; Dirichlet walls are
 implicit in the truncation. Purely real diagonals go through the exact
 symmetric-tridiagonal solver (LAPACK bisection / inverse iteration);
-complex diagonals fall back to a dense general eigensolver that is
+complex diagonals go through a dense general eigensolver that is
 validated against the symmetric path on real cases.
+
+The dense path uses PT symmetry when the diagonal has it. With J the flip
+of the grid about its centre, a PT-symmetric H satisfies J H J = conj(H),
+and U = (I + iJ)/sqrt(2) makes M = U* H U real: its diagonal is Re d, its
+off-diagonals are the constant b, and -Im d is added along the
+anti-diagonal. The eigenvalues of M are those of H, at the cost of a real
+instead of a complex dense solve. Diagonals that are not PT-symmetric, as
+on an off-centre domain, take the complex dense solve. Either way the dense
+solve computes all n eigenvalues and no eigenvectors. The eigenvectors of
+the `count` selected levels come from two steps of inverse iteration on the
+original tridiagonal H, O(n) each; the reported eigenvalues are their
+Rayleigh quotients on H, and the residual gate is measured against H.
 """
 
 from __future__ import annotations
@@ -14,13 +26,17 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, eig, eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvals
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import ConvergenceFailure, InsufficientEigenvalues
 from .serialize import json_text
 
 # residual gate, scaled by the matrix norm (see eigenvalues())
 RESIDUAL_TOL = 1e-8
+# a diagonal within this distance of its PT mirror, relative to max|d|, is
+# PT-symmetric (sampling a symmetric potential at mirrored nodes leaves ~1e-13)
+PT_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -123,7 +139,9 @@ def eigenvalues(
     method: "auto" picks "symmetric" for purely real diagonals and "dense"
     otherwise; "symmetric" (exact tridiagonal bisection) refuses complex
     input; "dense" works for both and exists so the two paths can be
-    cross-validated on real cases.
+    cross-validated on real cases. "dense" selects the levels from all n
+    eigenvalues (of the real PT form when the diagonal allows it, see the
+    module docstring) and refines them by inverse iteration on H.
     """
     n = ham.grid.n_interior
     if not 1 <= count <= n:
@@ -146,19 +164,22 @@ def eigenvalues(
             ) from exc
         w = w.astype(np.complex128)
     elif method == "dense":
-        dense = np.diag(ham.diagonal)
-        band = np.full(n - 1, ham.off_diagonal)
-        dense[np.arange(n - 1), np.arange(1, n)] = band
-        dense[np.arange(1, n), np.arange(n - 1)] = band
+        dense = _pt_real_form(ham)
+        if dense is None:
+            dense = _tridiagonal_dense(ham.diagonal, ham.off_diagonal)
         try:
-            wall, vall = eig(dense)
+            wall = eigvals(dense, overwrite_a=True, check_finite=False)
         except LinAlgError as exc:
             raise ConvergenceFailure(
                 f"dense eigensolver failed: {exc}", {"n": n, "count": count}
             ) from exc
         order = np.lexsort((wall.imag, wall.real))[:count]
-        w = wall[order]
-        v = vall[:, order]
+        start = np.random.default_rng(0).standard_normal(n)  # fixed: reruns agree
+        vectors = [_inverse_iteration(ham, lam, start) for lam in wall[order]]
+        v = np.column_stack(vectors)
+        # Rayleigh quotients on the original H, which restore what the PT
+        # projection of the diagonal dropped (to first order)
+        w = np.array([np.vdot(vec, ham.matvec(vec)) for vec in vectors])
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -182,6 +203,54 @@ def eigenvalues(
         residuals=resid,
         scaled_residuals=scaled,
     )
+
+
+def _tridiagonal_dense(diagonal: np.ndarray, off_diagonal: float) -> np.ndarray:
+    idx = np.arange(diagonal.size)
+    dense = np.diag(diagonal)
+    dense[idx[:-1], idx[1:]] = off_diagonal
+    dense[idx[1:], idx[:-1]] = off_diagonal
+    return dense
+
+
+def _pt_real_form(ham: DiscretizedHamiltonian) -> np.ndarray | None:
+    """Real M = U* H U with U = (I + iJ)/sqrt(2), or None when the diagonal
+    is not PT-symmetric about the grid centre (within PT_TOL).
+
+    The diagonal is first projected onto its PT-symmetric part
+    (d + conj(d[::-1]))/2, which removes the sampling noise of the mirror
+    nodes; M is then built entry by entry without forming U.
+    """
+    d = ham.diagonal
+    mirror = d[::-1].conj()
+    if np.max(np.abs(d - mirror)) > PT_TOL * np.max(np.abs(d)):
+        return None
+    sym = 0.5 * (d + mirror)
+    dense = _tridiagonal_dense(sym.real, ham.off_diagonal)
+    idx = np.arange(d.size)
+    dense[idx, idx[::-1]] -= sym.imag
+    return dense
+
+
+def _inverse_iteration(
+    ham: DiscretizedHamiltonian, shift: complex, start: np.ndarray
+) -> np.ndarray:
+    """Unit eigenvector for the eigenvalue `shift` by two steps of inverse
+    iteration on the tridiagonal H (one O(n) LU factorization, two solves).
+
+    A pivot below eps ||H||_inf, as when the shift is an exact eigenvalue,
+    is raised to that size, so the solve amplifies the eigenvector instead
+    of failing.
+    """
+    band = np.full(ham.grid.n_interior - 1, ham.off_diagonal, dtype=np.complex128)
+    dl, d, du, du2, ipiv, _ = zgttrf(band, ham.diagonal - shift, band)
+    tiny = np.finfo(np.float64).eps * max(1.0, ham.norm_inf)
+    d[np.abs(d) < tiny] = tiny
+    vec = start.astype(np.complex128)
+    for _ in range(2):
+        vec, _ = zgttrs(dl, d, du, du2, ipiv, vec)
+        vec /= np.linalg.norm(vec)
+    return vec
 
 
 def richardson_extrapolate(spacings, values) -> float:
@@ -242,17 +311,18 @@ def well_spectrum_analytic(n: int) -> int:
     return n * (n + 2)
 
 
-def remainder_spectrum(n: int, k_base: float = 1.0) -> float:
-    """Energy of level n by telescoping the constant remainders.
+def remainder_spectrum(n: int, k_base: float = 1.0, alpha: float | None = None) -> float:
+    """Energy of level n of V1 by telescoping the constant remainders.
 
-    Sum_{j=1..n} alpha (alpha + 2 k_j), alpha = k_base,
-    k_j = k_base + (j-1) alpha. Exact integers for integer k_base.
+    Sum_{j=1..n} alpha (alpha + 2 k_j) with k_j = k_base + (j-1) alpha
+    telescopes to (k_base + n alpha)^2 - k_base^2, evaluated as
+    n alpha (2 k_base + n alpha). alpha defaults to k_base, where the
+    levels are k_base^2 n (n + 2): exact integers for integer k_base.
     """
     if n < 0:
         raise ValueError(f"level index must be >= 0, got {n!r}")
-    alpha = float(k_base)
-    ks = k_base + alpha * np.arange(n)
-    return float(np.sum(alpha * (alpha + 2.0 * ks)))
+    step = n * float(k_base if alpha is None else alpha)
+    return step * (2.0 * k_base + step)
 
 
 @dataclass(frozen=True)

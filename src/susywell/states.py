@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import DomainViolation, SingularPoint, StepTooLarge
 from .susy_core import (
@@ -192,6 +191,10 @@ def normalized(spec: WaveFunctionSpec, domain: Domain, mesh: int = 2001) -> Wave
     are not evaluable (log singularity under a vanishing envelope); their
     density limit is 0 and is substituted when evaluation refuses.
     """
+    # imported here, not at the top: scipy.integrate adds ~0.3 s to every
+    # import of the CLI, which never calls this function
+    from scipy.integrate import simpson
+
     if mesh < 3 or mesh % 2 == 0:
         raise ValueError(f"mesh must be odd and >= 3, got {mesh!r}")
     xs = np.linspace(domain.x_min, domain.x_max, mesh)

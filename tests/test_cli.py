@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 from click.testing import CliRunner
 
+import susywell.cli
 from susywell.cli import main
 
 FLUX_TOL = 1e-10
@@ -99,6 +104,14 @@ class TestSpectrum:
                                    "--out", str(tmp_path)])
         assert res.exit_code == 3
 
+    def test_gated_run_with_alpha_below_k(self, runner, tmp_path):
+        # the levels are (k + n alpha)^2 - k^2, not k^2 n (n + 2)
+        res = runner.invoke(main, ["spectrum", "--q", "0", "--alpha", "0.5",
+                                   "--count", "8", "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        v1 = read_json(tmp_path / "v1_spectrum.json")
+        assert v1["richardson_estimates"][2] == pytest.approx(3.0, abs=1e-6)
+
 
 class TestConfigHandling:
     def test_file_applies_and_flags_win(self, runner, tmp_path):
@@ -164,6 +177,28 @@ class TestConfigHandling:
         res = runner.invoke(main, ["figures",
                                    "--config", str(tmp_path / "absent.conf")])
         assert res.exit_code == 3
+
+    def test_dense_grid_over_memory_limit(self, runner, tmp_path):
+        # refused from the estimate (12 GiB), before any matrix is allocated
+        conf = tmp_path / "run.conf"
+        conf.write_text("exploratory_grids = 200, 20000\n")
+        start = time.perf_counter()
+        res = runner.invoke(main, ["spectrum", "--q", "2", "--config", str(conf),
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 3
+        assert "exploratory_grids" in res.output
+        assert time.perf_counter() - start < 1.0
+
+
+def test_cli_import_skips_scipy_integrate():
+    # a fresh interpreter, so no other test's imports count
+    src = os.path.dirname(os.path.dirname(susywell.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, susywell.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 class TestVerify:

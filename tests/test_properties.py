@@ -1,10 +1,12 @@
-"""Property tests: transfer-matrix invariants over random complex structures."""
+"""Property tests: transfer-matrix invariants over random complex structures,
+and the PT-real dense eigen path over random complex wells."""
 
 from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigvals
 
 from susywell.scattering import (
     ConstantSegment,
@@ -12,6 +14,21 @@ from susywell.scattering import (
     PiecewisePotential,
     transfer_matrix,
     transmission_reflection,
+)
+from susywell.spectral import (
+    RESIDUAL_TOL,
+    Grid1D,
+    _pt_real_form,
+    _tridiagonal_dense,
+    discretize,
+    eigenvalues,
+)
+from susywell.susy_core import (
+    WELL_FAMILIES,
+    Partner,
+    SuperpotentialSpec,
+    fundamental_cell,
+    partner_field,
 )
 
 # roundoff in det M and in matrix products grows like eps |M|^2, so the
@@ -85,3 +102,25 @@ def test_transmission_independent_of_incidence_side(field, slices, width, energy
     t_left = transmission_reflection(forward, energy).t
     t_right = transmission_reflection(mirror, energy).t
     assert abs(t_left - t_right) < 1e-9 * max(1.0, abs(t_left))
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(WELL_FAMILIES), partner=st.sampled_from(Partner),
+       k=st.floats(0.5, 3.0), q=st.floats(0.0, 3.0), edge=st.floats(1e-4, 0.2),
+       n=st.integers(32, 160))
+def test_pt_real_eigenvalues_match_complex_fallback(family, partner, k, q, edge, n):
+    spec = SuperpotentialSpec(family, k, q)
+    lo, hi = fundamental_cell(spec)
+    eps = edge * (hi - lo)
+    ham = discretize(partner_field(spec, partner), Grid1D(lo + eps, hi - eps, n))
+    assert _pt_real_form(ham) is not None
+    count = n // 4
+    rep = eigenvalues(ham, count, method="dense")
+    assert np.all(rep.scaled_residuals <= RESIDUAL_TOL)
+    # set-matched: conjugate pairs share a real part, so at the count
+    # boundary the two solvers may pick different members of a pair
+    full = eigvals(_tridiagonal_dense(ham.diagonal, ham.off_diagonal))
+    tol = 1e-10 * ham.norm_inf
+    assert max(np.min(np.abs(full - ev)) for ev in rep.eigenvalues) <= tol
+    lowest = np.sort(full.real)[:count]
+    assert np.max(np.abs(np.sort(rep.eigenvalues.real) - lowest)) <= tol

@@ -6,12 +6,17 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import eigvals
 
 from susywell.errors import InsufficientEigenvalues, SingularPoint
 from susywell.spectral import (
+    RESIDUAL_TOL,
     Grid1D,
     PTPhase,
     SpectrumReport,
+    _inverse_iteration,
+    _pt_real_form,
+    _tridiagonal_dense,
     discretize,
     eigenvalues,
     isospectral_check,
@@ -146,6 +151,27 @@ class TestEigenvalues:
         re = rep.eigenvalues.real
         assert np.all(np.diff(re) >= -1e-12)
 
+    def test_off_centre_domain_takes_complex_fallback(self):
+        spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
+        h = discretize(partner_field(spec, Partner.V1), Grid1D(0.05, math.pi - 0.3, 200))
+        assert _pt_real_form(h) is None
+        rep = eigenvalues(h, 6, method="dense")
+        assert np.all(rep.scaled_residuals <= RESIDUAL_TOL)
+        full = eigvals(_tridiagonal_dense(h.diagonal, h.off_diagonal))
+        lowest = full[np.lexsort((full.imag, full.real))[:6]]
+        assert np.max(np.abs(rep.eigenvalues - lowest)) < 1e-10 * h.norm_inf
+
+    def test_shift_on_a_diagonal_entry(self):
+        # odd n free box: H - d_0 I is exactly singular (its middle level is
+        # 2/h^2), so an unguarded banded solve stops on a zero pivot
+        h = discretize(free, Grid1D(0.0, math.pi, 31))
+        shift = h.diagonal[0]
+        vec = _inverse_iteration(h, shift, np.random.default_rng(0).standard_normal(31))
+        assert np.all(np.isfinite(vec))
+        assert np.linalg.norm(vec) == pytest.approx(1.0)
+        resid = np.linalg.norm(h.matvec(vec) - shift * vec) / h.norm_inf
+        assert resid <= RESIDUAL_TOL
+
 
 class TestConvergence:
     def test_second_order_in_spacing(self):
@@ -185,6 +211,15 @@ class TestLadders:
     @pytest.mark.parametrize("n,expect", [(0, 0.0), (1, 3.0), (3, 15.0)])
     def test_remainder_partial_sums(self, n, expect):
         assert remainder_spectrum(n, 1.0) == expect
+
+    @pytest.mark.parametrize("k,alpha", [(1.0, 0.5), (1.7, 1.7 / 3), (3.0, 0.75)])
+    def test_remainder_with_separate_step(self, k, alpha):
+        # telescoped sum of alpha (alpha + 2 k_j), k_j = k + (j-1) alpha
+        for n in range(12):
+            steps = sum(alpha * (alpha + 2 * (k + j * alpha)) for j in range(n))
+            assert remainder_spectrum(n, k, alpha) == pytest.approx(steps, rel=1e-13,
+                                                                    abs=1e-13)
+            assert remainder_spectrum(n, k, alpha) == pytest.approx((k + n * alpha) ** 2 - k ** 2)
 
     def test_telescoping_is_exact(self):
         for n in range(51):
