@@ -5,6 +5,7 @@ Modules:
   states      closed-form ground states, densities, PT and residual checks
   spectral    finite-difference spectra, Richardson refinement, ladders
   scattering  transfer matrices, thin-slice sweeps, barrier oracle
+  gates       the physics gates shared by the CLI and the acceptance test
   cli         reproducible figure/spectrum/verify/scatter commands
 """
 
@@ -23,7 +24,6 @@ from .errors import (
 from .susy_core import (
     Family,
     Partner,
-    PartnerPair,
     ShapeInvarianceResult,
     SuperpotentialSpec,
     check_shape_invariance,
@@ -35,39 +35,27 @@ from .susy_core import (
     fundamental_cell,
     partner_field,
     partner_from_superpotential,
-    partner_pair,
     remainder,
     singularity_distance,
-    superpotential_field,
 )
 from .states import (
-    Domain,
-    DomainKind,
     WaveFunctionSpec,
-    default_domain,
     eval_wavefunction,
-    normalized,
-    parity_center,
     probability_density,
     pt_asymmetry,
     schrodinger_residual,
-    superpose,
-    wavefunction_field,
 )
 from .spectral import (
     DiscretizedHamiltonian,
     Grid1D,
     IsospectralResult,
-    PTPhase,
     SpectrumReport,
     discretize,
     eigenvalues,
     isospectral_check,
-    reality_classification,
     remainder_spectrum,
     richardson_extrapolate,
     richardson_spectrum,
-    well_spectrum_analytic,
 )
 from .scattering import (
     ConstantSegment,

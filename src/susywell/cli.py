@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import click
-import numpy as np
 
+from . import gates
 from .errors import (
     ConfigError,
     ConvergenceFailure,
@@ -29,97 +29,26 @@ from .errors import (
     SliceTooCoarse,
     StepTooLarge,
 )
-from .scattering import (
-    SWEEP_HEADER,
-    ConstantSegment,
-    PiecewisePotential,
-    plane_partner_sweep,
-    square_barrier_transmission,
-    sweep_csv,
-    transmission_reflection,
-)
-from .serialize import csv_text, json_text, write_text
-from .spectral import (
-    Grid1D,
-    discretize,
-    eigenvalues,
-    isospectral_check,
-    remainder_spectrum,
-    richardson_extrapolate,
-    richardson_spectrum,
-    well_spectrum_analytic,
-)
-from .states import pt_asymmetry
+from .scattering import SWEEP_HEADER, plane_partner_sweep, sweep_csv, sweep_rows
+from .serialize import json_text, write_text
+from .spectral import remainder_spectrum, richardson_spectrum
 from .susy_core import (
     Family,
     Partner,
     SuperpotentialSpec,
     WELL_FAMILIES,
-    check_shape_invariance,
-    eval_partner,
     fundamental_cell,
     partner_field,
 )
-from .states import probability_density, schrodinger_residual, WaveFunctionSpec
 
-FAMILY_TOKENS = {
-    "cotangent_well": Family.COTANGENT_WELL,
-    "tangent_well": Family.TANGENT_WELL,
-    "plane_right": Family.PLANE_RIGHT,
-    "plane_left": Family.PLANE_LEFT,
-}
+FAMILY_TOKENS = {fam.value: fam for fam in Family}
 
 PARTNER_TOKENS = {"v1": Partner.V1, "v2": Partner.V2}
-
-# keys accepted in a config file; flags override these
-_FLAG_KEYS = ("family", "k", "q", "alpha", "epsilon", "grid", "count", "out", "format")
-_EXTRA_KEYS = (
-    "x_min",
-    "x_max",
-    "window_min",
-    "window_max",
-    "energies",
-    "slices",
-    "barrier_v0",
-    "barrier_width",
-    "exploratory_grids",
-    "negative_control",
-    "partner",
-)
-_ALL_KEYS = frozenset(_FLAG_KEYS) | frozenset(_EXTRA_KEYS)
-
-_EPS_SWEEP = (1e-2, 1e-3, 1e-4)
 
 # Upper bound on the dense eigensolver's memory for the largest exploratory
 # grid. Its complex fallback holds the n x n complex128 matrix plus the copy
 # LAPACK works on: 2 * 16 n^2 bytes, so 1 GiB admits n up to 5792.
 DENSE_MEMORY_LIMIT = 1 << 30
-
-
-@dataclass
-class RunConfig:
-    command: str
-    family: str = "cotangent_well"
-    k: float = 1.0
-    q: float = 0.0
-    alpha: float | None = None
-    epsilon: float = 1e-3
-    grid: int = 4000
-    count: int = 4
-    out: str = "."
-    fmt: str = "csv"
-    x_min: float | None = None
-    x_max: float | None = None
-    window_min: float | None = None
-    window_max: float | None = None
-    energies: tuple[float, ...] = ()
-    slices: int = 2000
-    barrier_v0: float = 4.0
-    barrier_width: float = 1.0
-    exploratory_grids: tuple[int, ...] = (200, 400, 800)
-    negative_control: bool = False
-    partner: str = "v1"
-    explicit: frozenset = field(default_factory=frozenset)
 
 
 def _parse_float(key, raw):
@@ -148,18 +77,55 @@ def _parse_bool(key, raw):
     raise ConfigError(key, f"expected true or false, got {raw!r}")
 
 
-def _parse_float_list(key, raw):
-    parts = [p.strip() for p in str(raw).split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(key, "expected a comma separated list of numbers")
-    return tuple(_parse_float(key, p) for p in parts)
+def _list_of(parse, what):
+    def parse_list(key, raw):
+        parts = [p.strip() for p in str(raw).split(",") if p.strip()]
+        if not parts:
+            raise ConfigError(key, f"expected a comma separated list of {what}")
+        return tuple(parse(key, p) for p in parts)
+    return parse_list
 
 
-def _parse_int_list(key, raw):
-    parts = [p.strip() for p in str(raw).split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(key, "expected a comma separated list of integers")
-    return tuple(_parse_int(key, p) for p in parts)
+def _parse_text(key, raw):
+    return str(raw).strip()
+
+
+def _parse_lower(key, raw):
+    return str(raw).strip().lower()
+
+
+# key: (parser, default, help of its flag). Keys without a help text are
+# read from a config file only. Flags override the file, the file overrides
+# the per-command defaults below, and those override the defaults here.
+CONFIG_KEYS = {
+    "family": (_parse_text, "cotangent_well", "Potential family name."),
+    "k": (_parse_float, 1.0, "Well depth scale."),
+    "q": (_parse_float, 0.0, "Imaginary coupling."),
+    "alpha": (_parse_float, None, "Ladder step, defaults to k."),
+    "epsilon": (_parse_float, 1e-3, "Edge truncation."),
+    "grid": (_parse_int, 4000, "Finest interior grid size."),
+    "count": (_parse_int, 4, "Number of levels."),
+    "out": (_parse_text, ".", "Output directory."),
+    "format": (_parse_lower, "csv", "csv or json."),
+    "x_min": (_parse_float, None, None),
+    "x_max": (_parse_float, None, None),
+    "window_min": (_parse_float, None, None),
+    "window_max": (_parse_float, None, None),
+    "energies": (_list_of(_parse_float, "numbers"), (), None),
+    "slices": (_parse_int, 2000, None),
+    "barrier_v0": (_parse_float, 4.0, None),
+    "barrier_width": (_parse_float, 1.0, None),
+    "exploratory_grids": (_list_of(_parse_int, "integers"), (200, 400, 800), None),
+    "negative_control": (_parse_bool, False, None),
+    "partner": (_parse_text, "v1", None),
+}
+
+_COMMAND_DEFAULTS = {
+    "figures": {"q": 2.0, "epsilon": 1e-3},
+    "spectrum": {"q": 0.0, "count": 4, "format": "json"},
+    "verify": {"format": "json"},
+    "scatter": {"q": 1.0, "family": "plane_right"},
+}
 
 
 def load_config_file(path):
@@ -178,62 +144,25 @@ def load_config_file(path):
             raise ConfigError("config", f"line {lineno}: expected key=value, got {text!r}")
         key, _, value = text.partition("=")
         key = key.strip()
-        if key not in _ALL_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(key, f"unknown config key (line {lineno})")
         entries[key] = value.strip()
     return entries
 
 
-_COMMAND_DEFAULTS = {
-    "figures": {"q": 2.0, "epsilon": 1e-3},
-    "spectrum": {"q": 0.0, "count": 4, "fmt": "json"},
-    "verify": {"fmt": "json"},
-    "scatter": {"q": 1.0, "family": "plane_right"},
-}
-
-
 def build_config(command, flags):
-    """Merge defaults, the config file, then explicit flags, and validate."""
-    cfg = RunConfig(command=command)
-    for key, value in _COMMAND_DEFAULTS.get(command, {}).items():
-        setattr(cfg, key, value)
+    """Merge defaults, the config file, then explicit flags, and validate.
 
-    file_entries = {}
-    if flags.get("config"):
-        file_entries = load_config_file(flags["config"])
-
-    explicit = set()
-
-    def apply(key, raw):
-        explicit.add(key)
-        if key in ("k", "q", "epsilon", "x_min", "x_max", "window_min", "window_max",
-                   "barrier_v0", "barrier_width"):
-            setattr(cfg, key, _parse_float(key, raw))
-        elif key == "alpha":
-            cfg.alpha = _parse_float(key, raw)
-        elif key in ("grid", "count", "slices"):
-            setattr(cfg, key, _parse_int(key, raw))
-        elif key == "energies":
-            cfg.energies = _parse_float_list(key, raw)
-        elif key == "exploratory_grids":
-            cfg.exploratory_grids = _parse_int_list(key, raw)
-        elif key == "negative_control":
-            cfg.negative_control = _parse_bool(key, raw)
-        elif key == "format":
-            cfg.fmt = str(raw).strip().lower()
-        elif key in ("family", "partner", "out"):
-            setattr(cfg, key, str(raw).strip())
-        else:  # pragma: no cover - _ALL_KEYS guards this
-            raise ConfigError(key, "unknown config key")
-
-    for key, raw in file_entries.items():
-        apply(key, raw)
-    for key in _FLAG_KEYS:
-        value = flags.get("fmt" if key == "format" else key)
-        if value is not None:
-            apply(key, value)
-
-    cfg.explicit = frozenset(explicit)
+    The result has one attribute per CONFIG_KEYS key, plus `command` and
+    `explicit`, the keys that the file or a flag set."""
+    cfg = SimpleNamespace(command=command, **{key: spec[1] for key, spec in CONFIG_KEYS.items()})
+    vars(cfg).update(_COMMAND_DEFAULTS.get(command, {}))
+    from_file = load_config_file(flags["config"]) if flags.get("config") else {}
+    from_flags = {key: value for key, value in flags.items()
+                  if key in CONFIG_KEYS and value is not None}
+    for key, raw in [*from_file.items(), *from_flags.items()]:
+        setattr(cfg, key, CONFIG_KEYS[key][0](key, raw))
+    cfg.explicit = frozenset(from_file) | frozenset(from_flags)
     _validate(cfg)
     return cfg
 
@@ -263,11 +192,17 @@ def _validate(cfg):
         raise ConfigError("slices", "must be at least 1")
     if cfg.barrier_width <= 0:
         raise ConfigError("barrier_width", "must be positive")
-    if cfg.fmt not in ("csv", "json"):
+    if cfg.format not in ("csv", "json"):
         raise ConfigError("format", "must be csv or json")
-    if any(g < 16 for g in cfg.exploratory_grids):
+    grids = cfg.exploratory_grids
+    if any(g < 16 for g in grids):
         raise ConfigError("exploratory_grids", "each grid needs at least 16 points")
-    largest = max(cfg.exploratory_grids)
+    if len(grids) < 2 or len(set(grids)) < len(grids):
+        raise ConfigError("exploratory_grids", "need at least two grid sizes, all different")
+    if cfg.command == "spectrum" and cfg.q != 0.0 and cfg.count > min(grids):
+        raise ConfigError("count", f"the smallest exploratory grid, {min(grids)}, "
+                                   f"cannot resolve {cfg.count} levels")
+    largest = max(grids)
     dense_bytes = 32 * largest ** 2
     if dense_bytes > DENSE_MEMORY_LIMIT:
         raise ConfigError("exploratory_grids",
@@ -299,37 +234,9 @@ def _out_path(cfg, name):
 
 def run_figures(cfg):
     """Write fig1.csv / fig2.csv: both well potentials plus real baselines."""
-    k = cfg.k
-    cell = math.pi / k
-    xs = np.linspace(cfg.epsilon, cell - cfg.epsilon, 1000)
-    cot = SuperpotentialSpec(Family.COTANGENT_WELL, k, cfg.q, cfg.alpha)
-    tan = SuperpotentialSpec(Family.TANGENT_WELL, k, cfg.q, cfg.alpha)
-    cot0 = SuperpotentialSpec(Family.COTANGENT_WELL, k, 0.0, cfg.alpha)
-    tan0 = SuperpotentialSpec(Family.TANGENT_WELL, k, 0.0, cfg.alpha)
-
-    v1c = eval_partner(cot, Partner.V1, xs)
-    v1t = eval_partner(tan, Partner.V1, xs)
-    v1_base = eval_partner(cot0, Partner.V1, xs).real
-    rows1 = [
-        [x, a.real, a.imag, b.real, b.imag, c]
-        for x, a, b, c in zip(xs, v1c, v1t, v1_base)
-    ]
-    write_text(_out_path(cfg, "fig1.csv"),
-               csv_text(["x", "V1_c_re", "V1_c_im", "V1_t_re", "V1_t_im", "V1_q0"], rows1))
-
-    v2c = eval_partner(cot, Partner.V2, xs)
-    v2t = eval_partner(tan, Partner.V2, xs)
-    v2c_base = eval_partner(cot0, Partner.V2, xs).real
-    v2t_base = eval_partner(tan0, Partner.V2, xs).real
-    rows2 = [
-        [x, a.real, a.imag, b.real, b.imag, c, d]
-        for x, a, b, c, d in zip(xs, v2c, v2t, v2c_base, v2t_base)
-    ]
-    write_text(_out_path(cfg, "fig2.csv"),
-               csv_text(["x", "V2_c_re", "V2_c_im", "V2_t_re", "V2_t_im", "V2_c_q0", "V2_t_q0"],
-                        rows2))
-    click.echo(f"wrote {_out_path(cfg, 'fig1.csv')}")
-    click.echo(f"wrote {_out_path(cfg, 'fig2.csv')}")
+    for name, text in gates.figure_tables(cfg.k, cfg.q, cfg.epsilon, cfg.alpha).items():
+        write_text(_out_path(cfg, name), text)
+        click.echo(f"wrote {_out_path(cfg, name)}")
     return True
 
 
@@ -341,83 +248,45 @@ def _natural_cell(cfg):
     spec = SuperpotentialSpec(FAMILY_TOKENS[cfg.family], cfg.k, cfg.q, cfg.alpha)
     if cfg.x_min is not None:
         return spec, cfg.x_min, cfg.x_max
-    cell = fundamental_cell(spec)
-    if cell is None:
-        raise ConfigError("x_min", "this family has no finite cell, set x_min and x_max")
-    return spec, cell[0], cell[1]
+    lo, hi = fundamental_cell(spec)  # a well family, see _validate
+    return spec, lo, hi
 
 
 def run_spectrum(cfg):
-    if cfg.fmt != "json":
+    if cfg.format != "json":
         raise ConfigError("format", "spectrum reports are always json")
     spec, lo, hi = _natural_cell(cfg)
     if cfg.q == 0.0:
-        return _spectrum_gated(cfg, spec, lo, hi)
+        return _spectrum_q0(cfg, spec, lo, hi)
     _spectrum_exploratory(cfg, spec, lo, hi)
     return True
 
 
-def _spectrum_gated(cfg, spec, lo, hi):
-    """Real q=0 path: Richardson ladder against the exact box levels
-    (k + n alpha)^2 - k^2."""
-    grids = (cfg.grid // 4, cfg.grid // 2, cfg.grid)
-    scale = max(1.0, cfg.k ** 2)
-    reports = {}
-    for which, name in ((Partner.V1, "v1"), (Partner.V2, "v2")):
-        rep = richardson_spectrum(partner_field(spec, which), lo, hi, cfg.count,
-                                  grids, method="auto")
-        reports[name] = rep
+def _spectrum_q0(cfg, spec, lo, hi):
+    """Real q=0 path: Richardson ladders of both partners, gated against the
+    exact box levels (k + n alpha)^2 - k^2, which hold on the natural cell
+    only; a custom x_min/x_max domain is recorded without a gate."""
+    v1, v2 = gates.q0_spectra(spec, (lo, hi), (cfg.count, cfg.count), cfg.grid)
+    for name, rep in (("v1", v1), ("v2", v2)):
         write_text(_out_path(cfg, f"{name}_spectrum.json"), rep.to_json())
         click.echo(f"wrote {_out_path(cfg, f'{name}_spectrum.json')}")
-
-    ok = True
+    if cfg.x_min is not None:
+        click.echo(f"custom domain [{lo:g}, {hi:g}]: spectra recorded, not gated")
+        return True
     click.echo("level   raw            extrapolated   exact")
-    worst_raw = worst_rich = 0.0
     for m in range(cfg.count):
-        exact = remainder_spectrum(m, cfg.k, cfg.alpha)
-        raw = reports["v1"].eigenvalues[m].real
-        rich = reports["v1"].richardson_estimates[m]
-        worst_raw = max(worst_raw, abs(raw - exact))
-        worst_rich = max(worst_rich, abs(rich - exact))
-        click.echo(f"{m:5d}   {raw:.10f}   {rich:.10f}   {exact:.10f}")
-    raw_ok = worst_raw < 1e-3 * scale
-    rich_ok = worst_rich < 1e-6 * scale
-    click.echo(f"{'PASS' if raw_ok else 'FAIL'} raw error {worst_raw:.3e}")
-    click.echo(f"{'PASS' if rich_ok else 'FAIL'} extrapolated error {worst_rich:.3e}")
-    iso = isospectral_check(reports["v1"], reports["v2"], shift=1, tol=1e-4 * scale)
-    click.echo(f"{'PASS' if iso.passed else 'FAIL'} partner ladder, "
-               f"{iso.matched} matched, max error {iso.max_error:.3e}")
-    ok = raw_ok and rich_ok and iso.passed
-    return ok
-
-
-def _sweep_block(field_fn, lo, hi, count, grids):
-    """Dense spectra on a ladder of grids plus a Richardson pass on Re(E)."""
-    per_grid = []
-    spacings = []
-    levels = []
-    for n in grids:
-        grid = Grid1D(lo, hi, n)
-        rep = eigenvalues(discretize(field_fn, grid), count, method="dense")
-        per_grid.append(rep.to_payload())
-        spacings.append(grid.spacing)
-        levels.append(rep.eigenvalues)
-    finest = levels[-1]
-    estimates = []
-    for j in range(count):
-        vals = [lv[j].real for lv in levels]
-        estimates.append(richardson_extrapolate(spacings, vals))
-    max_imag = max(float(np.max(np.abs(lv.imag))) for lv in levels)
-    return {
-        "per_grid": per_grid,
-        "richardson_real": estimates,
-        "max_imag_overall": max_imag,
-    }, finest
+        click.echo(f"{m:5d}   {v1.eigenvalues[m].real:.10f}   "
+                   f"{v1.richardson_estimates[m]:.10f}   "
+                   f"{remainder_spectrum(m, cfg.k, cfg.alpha):.10f}")
+    gate = gates.spectrum_q0(v1, v2, cfg.k, cfg.alpha)
+    click.echo(gate.line())
+    return gate.passed
 
 
 def _spectrum_exploratory(cfg, spec, lo, hi):
     """Complex q != 0 path: record spectra on shrinking edge truncations."""
-    eps_values = (cfg.epsilon,) if "epsilon" in cfg.explicit else _EPS_SWEEP
+    eps_values = (cfg.epsilon,) if "epsilon" in cfg.explicit else gates.EPS_SWEEP
+    grids = sorted(cfg.exploratory_grids)
     for eps in eps_values:
         if eps >= (hi - lo) / 4:
             raise ConfigError("epsilon", "truncation exceeds a quarter cell")
@@ -427,13 +296,14 @@ def _spectrum_exploratory(cfg, spec, lo, hi):
             "q": cfg.q,
             "epsilon": eps,
             "count": cfg.count,
-            "grids": list(cfg.exploratory_grids),
+            "grids": grids,
         }
         for which, name in ((Partner.V1, "v1"), (Partner.V2, "v2")):
-            block, _ = _sweep_block(partner_field(spec, which), lo + eps, hi - eps,
-                                    cfg.count, cfg.exploratory_grids)
-            payload[name] = block
-            click.echo(f"eps={eps:g} {name}: max |Im E| = {block['max_imag_overall']:.3e}")
+            rep = richardson_spectrum(partner_field(spec, which), lo + eps, hi - eps,
+                                      cfg.count, grids, method="dense")
+            payload[name] = rep.survey_payload()
+            click.echo(f"eps={eps:g} {name}: max |Im E| = "
+                       f"{payload[name]['max_imag_overall']:.3e}")
         path = _out_path(cfg, f"spectrum_eps_{eps:.0e}.json")
         write_text(path, json_text(payload) + "\n")
         click.echo(f"wrote {path}")
@@ -443,158 +313,23 @@ def _spectrum_exploratory(cfg, spec, lo, hi):
 # verify
 
 
-def _check(results, name, passed, detail):
-    results.append({"name": name, "passed": bool(passed), "detail": detail})
-    click.echo(f"{'PASS' if passed else 'FAIL'} {name} ({detail})")
-
-
 def run_verify(cfg):
-    """Run the gating suite end to end and write a machine readable report."""
-    results = []
-    freq = 2.0 if cfg.negative_control else 1.0
-
-    worst = 0.0
-    mean_err = 0.0
-    all_hold = True
-    for fam in Family:
-        for q in (0.0, 1.0, 2.0, 5.0):
-            for k in (1.0, 2.0, 3.0):
-                spec = SuperpotentialSpec(fam, k, q)
-                pts = _invariance_points(spec)
-                res = check_shape_invariance(spec, pts, constraint_frequency=freq)
-                all_hold = all_hold and res.holds
-                worst = max(worst, res.max_abs_deviation)
-                target = spec.alpha * (spec.alpha + 2 * k)
-                mean_err = max(mean_err, abs(res.mean - target) / max(1.0, abs(target)))
-    _check(results, "shape_invariance", all_hold and mean_err < 1e-10,
-           f"max deviation {worst:.3e}, mean error {mean_err:.3e}")
-
-    ctrl = check_shape_invariance(
-        SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0),
-        _invariance_points(SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)),
-        constraint_frequency=2.0)
-    _check(results, "negative_control_fails", not ctrl.holds,
-           f"perturbed deviation {ctrl.max_abs_deviation:.3e}")
-
-    worst = 0.0
-    for fam in Family:
-        spec = SuperpotentialSpec(fam, 1.0, 1.5)
-        wf = WaveFunctionSpec(fam, 1.0, 1.5)
-        pts = _residual_points(fam)
-        r = np.abs(schrodinger_residual(partner_field(spec, Partner.V1), wf, 0.0, pts))
-        worst = max(worst, float(np.max(r)))
-    _check(results, "ground_state_residual", worst < 1e-6, f"max residual {worst:.3e}")
-
-    worst = 0.0
-    for fam in WELL_FAMILIES:
-        base = WaveFunctionSpec(fam, 1.0, 0.0)
-        lo, hi = fundamental_cell(SuperpotentialSpec(fam, 1.0, 0.0))
-        pad = (hi - lo) / 100
-        xs = np.linspace(lo + pad, hi - pad, 2000)
-        rho0 = probability_density(base, xs)
-        for q in (1.0, 2.0, 5.0):
-            rho = probability_density(WaveFunctionSpec(fam, 1.0, q), xs)
-            worst = max(worst, float(np.max(np.abs(rho - rho0))))
-    _check(results, "density_equality", worst < 1e-12, f"max gap {worst:.3e}")
-
-    worst = 0.0
-    for fam in WELL_FAMILIES:
-        lo, hi = fundamental_cell(SuperpotentialSpec(fam, 1.0, 1.0))
-        span = hi - lo
-        window = np.linspace(lo + span / 10, hi - span / 10, 500)
-        centre = 0.5 * (lo + hi)
-        for q in (1.0, 2.0):
-            spec = SuperpotentialSpec(fam, 1.0, q)
-            for which in Partner:
-                asym = pt_asymmetry(partner_field(spec, which), centre, window)
-                worst = max(worst, asym)
-    _check(results, "pt_symmetry_wells", worst < 1e-12, f"max asymmetry {worst:.3e}")
-
-    spec0 = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 0.0)
-    rep1 = richardson_spectrum(partner_field(spec0, Partner.V1), 0.0, math.pi, 4,
-                               (1000, 2000, 4000))
-    rep2 = richardson_spectrum(partner_field(spec0, Partner.V2), 0.0, math.pi, 3,
-                               (1000, 2000, 4000))
-    raw_err = max(abs(rep1.eigenvalues[m].real - well_spectrum_analytic(m)) for m in range(4))
-    rich_err = max(abs(rep1.richardson_estimates[m] - well_spectrum_analytic(m))
-                   for m in range(4))
-    iso = isospectral_check(rep1, rep2, shift=1, tol=1e-4)
-    _check(results, "spectrum_q0",
-           raw_err < 1e-3 and rich_err < 1e-6 and iso.passed,
-           f"raw {raw_err:.3e}, extrapolated {rich_err:.3e}, ladder {iso.max_error:.3e}")
-
-    v0, width = cfg.barrier_v0, cfg.barrier_width
-    barrier = PiecewisePotential((0.0, width), (ConstantSegment(v0),))
-    flux_worst = 0.0
-    oracle_worst = 0.0
-    for mult in (0.1, 0.5, 2.0, 5.0, 10.0):
-        energy = mult * abs(v0)
-        res = transmission_reflection(barrier, energy)
-        flux_worst = max(flux_worst, abs(res.flux_defect))
-        ref = square_barrier_transmission(v0, width, energy)
-        oracle_worst = max(oracle_worst, abs(res.transmission - ref) / abs(ref))
-    _check(results, "flux_conservation", flux_worst < 1e-10, f"max defect {flux_worst:.3e}")
-    _check(results, "barrier_oracle", oracle_worst < 1e-8,
-           f"max relative gap {oracle_worst:.3e}")
-
-    text_a = _figure_probe(cfg)
-    text_b = _figure_probe(cfg)
-    _check(results, "figure_determinism", text_a == text_b,
-           f"{len(text_a)} bytes reproduced" if text_a == text_b else "reruns differ")
-
-    exploratory = _verify_exploratory(cfg)
+    """Run every gate and the non-gating survey; write verify.json."""
+    checks = gates.verify_gates(cfg.negative_control, cfg.barrier_v0, cfg.barrier_width)
+    for gate in checks:
+        click.echo(gate.line())
+    exploratory = gates.truncation_survey(cfg.exploratory_grids)
     for line in exploratory["notes"]:
         click.echo(f"INFO {line}")
 
-    passed = all(c["passed"] for c in results)
-    report = {"passed": passed, "checks": results, "exploratory": exploratory}
+    passed = all(gate.passed for gate in checks)
+    report = {"passed": passed, "checks": [gate._asdict() for gate in checks],
+              "exploratory": exploratory}
     path = _out_path(cfg, "verify.json")
     write_text(path, json_text(report) + "\n")
     click.echo(f"wrote {path}")
     click.echo("verify: PASS" if passed else "verify: FAIL")
     return passed
-
-
-def _invariance_points(spec):
-    cell = fundamental_cell(spec)
-    if cell is None:
-        return np.linspace(-3.0, 3.0, 1000)
-    pad = (cell[1] - cell[0]) / 50
-    return np.linspace(cell[0] + pad, cell[1] - pad, 1000)
-
-
-def _residual_points(fam):
-    if fam is Family.COTANGENT_WELL:
-        return np.linspace(0.4, math.pi - 0.4, 9)
-    if fam is Family.TANGENT_WELL:
-        return np.linspace(-math.pi / 2 + 0.4, math.pi / 2 - 0.4, 9)
-    return np.linspace(-2.0, 2.0, 9)
-
-
-def _figure_probe(cfg):
-    xs = np.linspace(1e-3, math.pi - 1e-3, 200)
-    spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
-    vals = eval_partner(spec, Partner.V1, xs)
-    rows = [[x, v.real, v.imag] for x, v in zip(xs, vals)]
-    return csv_text(["x", "re", "im"], rows)
-
-
-def _verify_exploratory(cfg):
-    """Non gating records: complex spectra under truncation, line asymmetry."""
-    spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
-    truncation = []
-    notes = []
-    for eps in _EPS_SWEEP:
-        block, finest = _sweep_block(partner_field(spec, Partner.V1), eps,
-                                     math.pi - eps, 4, cfg.exploratory_grids)
-        truncation.append({"epsilon": eps, "v1": block})
-        notes.append(f"eps={eps:g}: max |Im E| {block['max_imag_overall']:.3e}, "
-                     f"finest Re {['%.6f' % lv.real for lv in finest]}")
-    plane = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0)
-    xs = np.linspace(-2.0, 2.0, 500)
-    plane_asym = pt_asymmetry(partner_field(plane, Partner.V1), 0.0, xs)
-    notes.append(f"plane family asymmetry about 0: {plane_asym:.6f} (recorded, not gated)")
-    return {"truncation": truncation, "plane_asymmetry": plane_asym, "notes": notes}
 
 
 # ---------------------------------------------------------------------------
@@ -608,23 +343,14 @@ def run_scatter(cfg):
 
 
 def _scatter_barrier(cfg):
-    v0, width = cfg.barrier_v0, cfg.barrier_width
+    v0 = cfg.barrier_v0
     energies = cfg.energies or tuple(
         m * abs(v0) for m in (0.1, 0.25, 0.5, 0.75, 0.9, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0))
-    barrier = PiecewisePotential((0.0, width), (ConstantSegment(v0),))
-    rows = []
-    worst = 0.0
-    ok = True
-    for energy in energies:
-        res = transmission_reflection(barrier, energy)
-        ref = square_barrier_transmission(v0, width, energy)
-        gap = abs(res.transmission - ref) / max(abs(ref), 1e-300)
-        worst = max(worst, gap)
-        ok = ok and gap < 1e-8 and abs(res.flux_defect) < 1e-10
-        rows.append(res)
-    _write_sweep(cfg, rows)
-    click.echo(f"{'PASS' if ok else 'FAIL'} barrier sweep, max oracle gap {worst:.3e}")
-    return ok
+    results, checks = gates.barrier(v0, cfg.barrier_width, energies)
+    _write_sweep(cfg, results)
+    for gate in checks:
+        click.echo(gate.line())
+    return all(gate.passed for gate in checks)
 
 
 def _scatter_plane(cfg):
@@ -645,11 +371,8 @@ def _scatter_plane(cfg):
 
 
 def _write_sweep(cfg, results):
-    if cfg.fmt == "json":
-        payload = [dict(zip(SWEEP_HEADER,
-                            [r.energy, r.r.real, r.r.imag, r.t.real, r.t.imag,
-                             r.reflection, r.transmission, r.flux_defect]))
-                   for r in results]
+    if cfg.format == "json":
+        payload = [dict(zip(SWEEP_HEADER, row)) for row in sweep_rows(results)]
         path = _out_path(cfg, "scatter.json")
         write_text(path, json_text({"rows": payload}) + "\n")
     else:
@@ -683,21 +406,12 @@ def _execute(command, impl, flags):
 
 
 def shared_options(fn):
-    opts = [
-        click.option("--family", default=None, help="Potential family name."),
-        click.option("--k", type=float, default=None, help="Well depth scale."),
-        click.option("--q", type=float, default=None, help="Imaginary coupling."),
-        click.option("--alpha", type=float, default=None, help="Ladder step, defaults to k."),
-        click.option("--epsilon", type=float, default=None, help="Edge truncation."),
-        click.option("--grid", type=int, default=None, help="Finest interior grid size."),
-        click.option("--count", type=int, default=None, help="Number of levels."),
-        click.option("--out", default=None, help="Output directory."),
-        click.option("--format", "fmt", default=None, help="csv or json."),
-        click.option("--config", type=click.Path(), default=None,
-                     help="Flat key=value file, flags win over it."),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
+    fn = click.option("--config", type=click.Path(), default=None,
+                      help="Flat key=value file, flags win over it.")(fn)
+    for key, (parser, _, help_text) in reversed(CONFIG_KEYS.items()):
+        if help_text is not None:
+            kind = {_parse_float: float, _parse_int: int}.get(parser)
+            fn = click.option(f"--{key}", type=kind, default=None, help=help_text)(fn)
     return fn
 
 

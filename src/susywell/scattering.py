@@ -328,9 +328,9 @@ def plane_partner_sweep(
 SWEEP_HEADER = ["energy", "r_re", "r_im", "t_re", "t_im", "R", "T", "flux_defect"]
 
 
-def sweep_csv(results) -> str:
-    """CSV serialization of a sweep: one row per energy, LF endings."""
-    rows = [
+def sweep_rows(results) -> list[list[float]]:
+    """The SWEEP_HEADER values of a sweep, one row per energy."""
+    return [
         [
             res.energy,
             res.r.real,
@@ -343,4 +343,8 @@ def sweep_csv(results) -> str:
         ]
         for res in results
     ]
-    return csv_text(SWEEP_HEADER, rows)
+
+
+def sweep_csv(results) -> str:
+    """CSV serialization of a sweep: one row per energy, LF endings."""
+    return csv_text(SWEEP_HEADER, sweep_rows(results))

@@ -21,9 +21,7 @@ Rayleigh quotients on H, and the residual gate is measured against H.
 
 from __future__ import annotations
 
-import enum
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvals
@@ -108,7 +106,9 @@ class SpectrumReport:
     """Lowest eigenvalues (sorted by real part, then imaginary part).
 
     residuals are ||H v - lambda v|| / ||v|| per eigenpair; scaled_residuals
-    divide that by max(1, ||H||_inf), which is the gated quantity.
+    divide that by max(1, ||H||_inf), which is the gated quantity. A report
+    of richardson_spectrum keeps its single-grid reports in per_grid,
+    coarsest first.
     """
 
     eigenvalues: np.ndarray
@@ -117,6 +117,7 @@ class SpectrumReport:
     richardson_estimates: tuple[float, ...] = ()
     residuals: np.ndarray = field(default_factory=lambda: np.empty(0))
     scaled_residuals: np.ndarray = field(default_factory=lambda: np.empty(0))
+    per_grid: tuple["SpectrumReport", ...] = ()
 
     def to_payload(self) -> dict:
         return {
@@ -128,6 +129,15 @@ class SpectrumReport:
 
     def to_json(self) -> str:
         return json_text(self.to_payload()) + "\n"
+
+    def survey_payload(self) -> dict:
+        """Every grid's payload, the extrapolated real parts, and the largest
+        |Im E| over all grids."""
+        return {
+            "per_grid": [rep.to_payload() for rep in self.per_grid],
+            "richardson_real": list(self.richardson_estimates),
+            "max_imag_overall": max(rep.max_imag for rep in self.per_grid),
+        }
 
 
 def eigenvalues(
@@ -278,7 +288,8 @@ def richardson_spectrum(
     """Spectra on several grids plus Richardson-extrapolated estimates.
 
     The reported eigenvalues/residuals come from the finest grid; the
-    extrapolation acts on the real parts of each tracked level.
+    extrapolation acts on the real parts of each tracked level. The grids
+    are solved in ascending size and kept in per_grid.
     """
     sizes = sorted(int(n) for n in grid_sizes)
     if len(sizes) < 2:
@@ -293,22 +304,8 @@ def richardson_spectrum(
         richardson_extrapolate(spacings, [r.eigenvalues[j].real for r in reports])
         for j in range(count)
     )
-    finest = reports[-1]
-    return SpectrumReport(
-        eigenvalues=finest.eigenvalues,
-        max_imag=finest.max_imag,
-        grid_sizes_used=tuple(sizes),
-        richardson_estimates=estimates,
-        residuals=finest.residuals,
-        scaled_residuals=finest.scaled_residuals,
-    )
-
-
-def well_spectrum_analytic(n: int) -> int:
-    """n-th level of the unit box with the floor shifted to zero: n(n+2)."""
-    if n < 0:
-        raise ValueError(f"level index must be >= 0, got {n!r}")
-    return n * (n + 2)
+    return replace(reports[-1], grid_sizes_used=tuple(sizes), richardson_estimates=estimates,
+                   per_grid=tuple(reports))
 
 
 def remainder_spectrum(n: int, k_base: float = 1.0, alpha: float | None = None) -> float:
@@ -355,19 +352,3 @@ def isospectral_check(
     )
     max_error = float(np.max(diffs))
     return IsospectralResult(matched, max_error, bool(max_error <= tol))
-
-
-class PTPhase(enum.Enum):
-    UNBROKEN = "unbroken"
-    BROKEN = "broken"
-
-
-def reality_classification(report: SpectrumReport, tol: float | None = None) -> PTPhase:
-    """Unbroken when every reported eigenvalue is real within tolerance.
-
-    Default tolerance: 1e-6 * max(1, largest |Re lambda|).
-    """
-    if tol is None:
-        scale = max(1.0, float(np.max(np.abs(report.eigenvalues.real), initial=0.0)))
-        tol = 1e-6 * scale
-    return PTPhase.UNBROKEN if report.max_imag <= tol else PTPhase.BROKEN

@@ -16,7 +16,6 @@ where the log argument is positive.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -28,24 +27,6 @@ from .susy_core import (
     SuperpotentialSpec,
     singularity_distance,
 )
-
-
-class DomainKind(enum.Enum):
-    BOX = "box"
-    LINE = "line"
-
-
-@dataclass(frozen=True)
-class Domain:
-    """Sampling interval; Box carries Dirichlet walls, Line is open."""
-
-    x_min: float
-    x_max: float
-    kind: DomainKind = DomainKind.BOX
-
-    def __post_init__(self):
-        if not (self.x_min < self.x_max):
-            raise ValueError(f"empty domain [{self.x_min!r}, {self.x_max!r}]")
 
 
 @dataclass(frozen=True)
@@ -65,29 +46,6 @@ class WaveFunctionSpec:
         n = complex(self.norm)
         if not (math.isfinite(n.real) and math.isfinite(n.imag)):
             raise ValueError(f"norm must be finite, got {self.norm!r}")
-
-
-def default_domain(spec: WaveFunctionSpec) -> Domain:
-    """Natural cell of the family: (0, pi/k) box, symmetric tangent box,
-    or a finite sampling window on the line for the plane states."""
-    if spec.family is Family.COTANGENT_WELL:
-        return Domain(0.0, math.pi / spec.k, DomainKind.BOX)
-    if spec.family is Family.TANGENT_WELL:
-        half = math.pi / (2.0 * spec.k)
-        return Domain(-half, half, DomainKind.BOX)
-    span = 2.0 * math.pi / spec.k
-    return Domain(-span, span, DomainKind.LINE)
-
-
-def parity_center(domain: Domain) -> float:
-    """Reflection point for PT checks: box midpoint, or 0 on the line."""
-    if domain.kind is DomainKind.BOX:
-        return 0.5 * (domain.x_min + domain.x_max)
-    return 0.0
-
-
-def _ladder_spec(spec: WaveFunctionSpec) -> SuperpotentialSpec:
-    return SuperpotentialSpec(spec.family, spec.k, spec.q, spec.k)
 
 
 def eval_wavefunction(spec: WaveFunctionSpec, x, exclusion: float | None = None):
@@ -133,18 +91,6 @@ def _require_inside(xs: np.ndarray, lo: float, hi: float, exclusion: float, why:
         raise DomainViolation(float(flat[outside][0]), why)
 
 
-def wavefunction_field(spec: WaveFunctionSpec, exclusion: float | None = None):
-    """psi as a plain callable of position."""
-    return lambda x: eval_wavefunction(spec, x, exclusion)
-
-
-def superpose(a: complex, spec1: WaveFunctionSpec, b: complex, spec2: WaveFunctionSpec, x):
-    """a psi1(x) + b psi2(x). The two specs must share one domain; both
-    evaluations enforce their own cells, so a mismatch surfaces as
-    DomainViolation at the offending position."""
-    return a * eval_wavefunction(spec1, x) + b * eval_wavefunction(spec2, x)
-
-
 def probability_density(spec: WaveFunctionSpec, x):
     """|psi(x)|^2, computed from the full closed form (phase included)."""
     psi = eval_wavefunction(spec, x)
@@ -172,7 +118,7 @@ def schrodinger_residual(potential, spec: WaveFunctionSpec, energy: complex, x, 
         raise ValueError(f"step h must be positive, got {h!r}")
     xs = np.asarray(x, dtype=np.float64)
     if spec.family in (Family.COTANGENT_WELL, Family.TANGENT_WELL):
-        dist = float(np.min(singularity_distance(_ladder_spec(spec), xs)))
+        dist = float(np.min(singularity_distance(SuperpotentialSpec(spec.family, spec.k), xs)))
         if h > dist / 10.0:
             raise StepTooLarge(h, dist)
     psi_m = np.asarray(eval_wavefunction(spec, xs - h))
@@ -182,30 +128,3 @@ def schrodinger_residual(potential, spec: WaveFunctionSpec, energy: complex, x, 
     defect = -lap + (np.asarray(potential(xs)) - energy) * psi_0
     out = defect / np.maximum(np.abs(psi_0), 1e-30)
     return out.item() if np.ndim(x) == 0 else out
-
-
-def normalized(spec: WaveFunctionSpec, domain: Domain, mesh: int = 2001) -> WaveFunctionSpec:
-    """Rescale `norm` so that int |psi|^2 dx = 1 on the domain.
-
-    Composite Simpson on `mesh` points (odd). Well-family cell endpoints
-    are not evaluable (log singularity under a vanishing envelope); their
-    density limit is 0 and is substituted when evaluation refuses.
-    """
-    # imported here, not at the top: scipy.integrate adds ~0.3 s to every
-    # import of the CLI, which never calls this function
-    from scipy.integrate import simpson
-
-    if mesh < 3 or mesh % 2 == 0:
-        raise ValueError(f"mesh must be odd and >= 3, got {mesh!r}")
-    xs = np.linspace(domain.x_min, domain.x_max, mesh)
-    rho = np.empty(mesh, dtype=np.float64)
-    rho[1:-1] = np.asarray(probability_density(spec, xs[1:-1]), dtype=np.float64)
-    for idx in (0, mesh - 1):
-        try:
-            rho[idx] = float(probability_density(spec, float(xs[idx])))
-        except (SingularPoint, DomainViolation):
-            rho[idx] = 0.0
-    total = float(simpson(rho, x=xs))
-    if total <= 0:
-        raise ValueError("norm integral is not positive; domain too small?")
-    return WaveFunctionSpec(spec.family, spec.k, spec.q, spec.norm / math.sqrt(total))

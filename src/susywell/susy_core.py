@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,6 +85,13 @@ def default_exclusion(spec: SuperpotentialSpec) -> float:
     return 1e-6 * math.pi / spec.k
 
 
+def _nearest_pole(spec: SuperpotentialSpec, xs):
+    period = math.pi / spec.alpha
+    if spec.family is Family.COTANGENT_WELL:
+        return np.round(xs / period) * period
+    return (np.round(xs / period - 0.5) + 0.5) * period
+
+
 def singularity_distance(spec: SuperpotentialSpec, x) -> np.ndarray:
     """Distance from each x to the nearest pole of the family.
 
@@ -92,30 +99,20 @@ def singularity_distance(spec: SuperpotentialSpec, x) -> np.ndarray:
     at odd multiples of pi/(2 alpha). Plane families have none (inf).
     """
     xs = np.asarray(x, dtype=np.float64)
-    if spec.family is Family.COTANGENT_WELL:
-        period = math.pi / spec.alpha
-        return np.abs(xs - np.round(xs / period) * period)
-    if spec.family is Family.TANGENT_WELL:
-        period = math.pi / spec.alpha
-        nearest = (np.round(xs / period - 0.5) + 0.5) * period
-        return np.abs(xs - nearest)
-    return np.full_like(xs, np.inf)
+    if spec.family not in WELL_FAMILIES:
+        return np.full_like(xs, np.inf)
+    return np.abs(xs - _nearest_pole(spec, xs))
 
 
-def _guard_singularities(spec: SuperpotentialSpec, xs: np.ndarray, exclusion: float):
+def _guard_singularities(spec: SuperpotentialSpec, xs: np.ndarray, exclusion: float | None):
     if spec.family not in WELL_FAMILIES:
         return
+    if exclusion is None:
+        exclusion = default_exclusion(spec)
     bad = np.atleast_1d(singularity_distance(spec, xs) < exclusion)
     if bad.any():
         xb = float(np.atleast_1d(xs)[bad][0])
-        raise SingularPoint(xb, _nearest_pole(spec, xb))
-
-
-def _nearest_pole(spec: SuperpotentialSpec, x) -> float:
-    period = math.pi / spec.alpha
-    if spec.family is Family.COTANGENT_WELL:
-        return float(np.round(np.asarray(x) / period) * period)
-    return float((np.round(np.asarray(x) / period - 0.5) + 0.5) * period)
+        raise SingularPoint(xb, float(_nearest_pole(spec, xb)))
 
 
 def _scalar_like(x, values: np.ndarray):
@@ -165,8 +162,6 @@ def eval_superpotential(spec: SuperpotentialSpec, x, exclusion: float | None = N
 
     Raises SingularPoint within `exclusion` (default 1e-6 pi/k) of a pole.
     """
-    if exclusion is None:
-        exclusion = default_exclusion(spec)
     xs = np.asarray(x, dtype=np.float64)
     _guard_singularities(spec, xs, exclusion)
     k, a = spec.k, spec.alpha
@@ -187,8 +182,6 @@ def eval_superpotential_derivative(
     spec: SuperpotentialSpec, x, exclusion: float | None = None
 ):
     """Closed-form W'(x), used by the sign-convention identity V2 - V1 = 2W'."""
-    if exclusion is None:
-        exclusion = default_exclusion(spec)
     xs = np.asarray(x, dtype=np.float64)
     _guard_singularities(spec, xs, exclusion)
     k, a = spec.k, spec.alpha
@@ -204,13 +197,7 @@ def eval_superpotential_derivative(
 
 
 def _partner_values(
-    family: Family,
-    k: float,
-    alpha: float,
-    q: float,
-    which: Partner,
-    xs: np.ndarray,
-    frequency: float,
+    spec: SuperpotentialSpec, which: Partner, xs: np.ndarray, frequency: float
 ) -> np.ndarray:
     """Expanded closed forms of V_{1,2} for arbitrary alpha and constraint.
 
@@ -222,20 +209,19 @@ def _partner_values(
         V_{1,2} = -k^2 + f^2 -/+ f' - 2ikf  (right; +2ikf for left).
     """
     sgn = -1.0 if which is Partner.V1 else 1.0  # sign in front of f' / alpha
-    spec_f = SuperpotentialSpec(family, k, q, alpha)
-    f = np.asarray(constraint_function(spec_f, xs, frequency))
-    fp = _constraint_derivative(spec_f, xs, frequency)
-    if family is Family.COTANGENT_WELL:
-        s = np.sin(alpha * xs)
+    k, alpha = spec.k, spec.alpha
+    f = np.asarray(constraint_function(spec, xs, frequency))
+    fp = _constraint_derivative(spec, xs, frequency)
+    if spec.family in WELL_FAMILIES:
+        # g = 1/s with s = sin or cos; the cross term is 2k (t/s) f
+        if spec.family is Family.COTANGENT_WELL:
+            s, t = np.sin(alpha * xs), -np.cos(alpha * xs)
+        else:
+            s, t = np.cos(alpha * xs), np.sin(alpha * xs)
         g2 = 1.0 / s**2
-        cross = -2.0 * k * (np.cos(alpha * xs) / s) * f
+        cross = 2.0 * k * (t / s) * f
         return k * (k + sgn * alpha) * g2 - k**2 - f**2 + 1j * (sgn * fp + cross)
-    if family is Family.TANGENT_WELL:
-        c = np.cos(alpha * xs)
-        g2 = 1.0 / c**2
-        cross = 2.0 * k * (np.sin(alpha * xs) / c) * f
-        return k * (k + sgn * alpha) * g2 - k**2 - f**2 + 1j * (sgn * fp + cross)
-    if family is Family.PLANE_RIGHT:
+    if spec.family is Family.PLANE_RIGHT:
         return -(k**2) + f**2 - 2j * k * f + sgn * fp
     return -(k**2) + f**2 + 2j * k * f + sgn * fp
 
@@ -251,11 +237,9 @@ def eval_partner(
     with the analogous sec/tan forms for the tangent well, and the plane
     families give -k^2 + q^2 e^{-/+ 2ikx} + i q k (+/-1 - 2) e^{-/+ ikx}.
     """
-    if exclusion is None:
-        exclusion = default_exclusion(spec)
     xs = np.asarray(x, dtype=np.float64)
     _guard_singularities(spec, xs, exclusion)
-    v = _partner_values(spec.family, spec.k, spec.alpha, spec.q, which, xs, 1.0)
+    v = _partner_values(spec, which, xs, 1.0)
     return _scalar_like(x, v)
 
 
@@ -275,8 +259,6 @@ def partner_from_superpotential(
     """
     if h <= 0:
         raise ValueError(f"step h must be positive, got {h!r}")
-    if exclusion is None:
-        exclusion = default_exclusion(spec)
     xs = np.asarray(x, dtype=np.float64)
     if spec.family in WELL_FAMILIES:
         dist = singularity_distance(spec, xs)
@@ -300,21 +282,10 @@ def remainder(spec: SuperpotentialSpec, x, constraint_frequency: float = 1.0):
     constraint_frequency breaks the cancellation; that path is the
     negative control used by the verification suite.
     """
-    exclusion = default_exclusion(spec)
     xs = np.asarray(x, dtype=np.float64)
-    _guard_singularities(spec, xs, exclusion)
-    v2 = _partner_values(
-        spec.family, spec.k, spec.alpha, spec.q, Partner.V2, xs, constraint_frequency
-    )
-    v1_up = _partner_values(
-        spec.family,
-        spec.k + spec.alpha,
-        spec.alpha,
-        spec.q,
-        Partner.V1,
-        xs,
-        constraint_frequency,
-    )
+    _guard_singularities(spec, xs, None)
+    v2 = _partner_values(spec, Partner.V2, xs, constraint_frequency)
+    v1_up = _partner_values(spec.shifted(), Partner.V1, xs, constraint_frequency)
     return _scalar_like(x, v2 - v1_up)
 
 
@@ -350,11 +321,6 @@ def check_shape_invariance(
     return ShapeInvarianceResult(mean, dev, tol, bool(dev <= tol))
 
 
-def superpotential_field(spec: SuperpotentialSpec, exclusion: float | None = None):
-    """W as a plain callable of position (scalar or array)."""
-    return lambda x: eval_superpotential(spec, x, exclusion)
-
-
 def partner_field(
     spec: SuperpotentialSpec, which: Partner, exclusion: float | None = None
 ):
@@ -374,27 +340,3 @@ def fundamental_cell(spec: SuperpotentialSpec) -> tuple[float, float] | None:
         half = math.pi / (2.0 * spec.alpha)
         return (-half, half)
     return None
-
-
-@dataclass(frozen=True)
-class PartnerPair:
-    """Bundle of a spec with its two partner fields and pole positions."""
-
-    spec: SuperpotentialSpec
-    v1: object
-    v2: object
-    singularities: tuple[float, ...] = field(default_factory=tuple)
-
-
-def partner_pair(
-    spec: SuperpotentialSpec, exclusion: float | None = None
-) -> PartnerPair:
-    """Bundle both partners of one parameter set; singularities on the closed cell."""
-    cell = fundamental_cell(spec)
-    sings: tuple[float, ...] = () if cell is None else (cell[0], cell[1])
-    return PartnerPair(
-        spec,
-        partner_field(spec, Partner.V1, exclusion),
-        partner_field(spec, Partner.V2, exclusion),
-        sings,
-    )

@@ -1,67 +1,21 @@
-"""Acceptance gate: nine checks, one printed verdict line each.
+"""Acceptance gate: nine criteria, one printed verdict line each.
 
-Each test prints "ACCEPTANCE n: PASS" or "ACCEPTANCE n: FAIL" with the
-measured numbers, then asserts.  Check 9 is a recorded survey and always
-passes; everything else gates at the stated tolerances.
+Each criterion runs the gates of `susywell.gates` that `verify` runs,
+prints "ACCEPTANCE n: PASS" or "ACCEPTANCE n: FAIL" with their details,
+then asserts. The bounds live in the gates; the only one here is criterion
+1's run time. Criterion 9 is the recorded truncation survey and passes
+whenever the record is complete and finite.
 """
 
 import math
 import time
 
-import numpy as np
-import pytest
-from click.testing import CliRunner
-
-from susywell.cli import main
-from susywell.scattering import (
-    ConstantSegment,
-    PiecewisePotential,
-    square_barrier_transmission,
-    transmission_reflection,
-)
-from susywell.spectral import Grid1D, discretize, eigenvalues, richardson_spectrum
-from susywell.states import (
-    WaveFunctionSpec,
-    default_domain,
-    probability_density,
-    pt_asymmetry,
-    schrodinger_residual,
-)
-from susywell.susy_core import (
-    Family,
-    Partner,
-    SuperpotentialSpec,
-    check_shape_invariance,
-    eval_partner,
-    partner_field,
-)
-
-ALL_FAMILIES = (Family.COTANGENT_WELL, Family.TANGENT_WELL,
-                Family.PLANE_RIGHT, Family.PLANE_LEFT)
-WELL_FAMILIES = (Family.COTANGENT_WELL, Family.TANGENT_WELL)
-BOX_LEVELS = (0.0, 3.0, 8.0, 15.0, 24.0)
-
-RESIDUAL_POINTS = {
-    Family.COTANGENT_WELL: 1.0,
-    Family.TANGENT_WELL: 0.6,
-    Family.PLANE_RIGHT: 0.5,
-    Family.PLANE_LEFT: 0.5,
-}
-
-SHAPE_SAMPLES = {
-    Family.COTANGENT_WELL: np.linspace(0.05, math.pi - 0.05, 1000),
-    Family.TANGENT_WELL: np.linspace(-math.pi / 2 + 0.05,
-                                     math.pi / 2 - 0.05, 1000),
-    Family.PLANE_RIGHT: np.linspace(-3.0, 3.0, 1000),
-    Family.PLANE_LEFT: np.linspace(-3.0, 3.0, 1000),
-}
+from susywell import gates
 
 
-def flat_field(x):
-    return np.full(np.shape(x), -1.0, dtype=complex)
-
-
-def verdict(capsys, number, ok, detail):
+def verdict(capsys, number, checks):
+    ok = all(gate.passed for gate in checks)
+    detail = "; ".join(f"{gate.name}: {gate.detail}" for gate in checks)
     with capsys.disabled():
         print(f"ACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, detail
@@ -69,159 +23,51 @@ def verdict(capsys, number, ok, detail):
 
 def test_criterion_1_box_spectrum(capsys):
     t0 = time.perf_counter()
-    rep = eigenvalues(discretize(flat_field, Grid1D(0.0, math.pi, 4000)), 5)
-    raw_err = max(abs(ev.real - want)
-                  for ev, want in zip(rep.eigenvalues, BOX_LEVELS))
-    rich = richardson_spectrum(flat_field, 0.0, math.pi, 5, (1000, 2000, 4000))
-    rich_err = max(abs(est - want)
-                   for est, want in zip(rich.richardson_estimates, BOX_LEVELS))
+    gate = gates.spectrum_q0(*gates.q0_spectra())
     elapsed = time.perf_counter() - t0
-    ok = raw_err < 1e-3 and rich_err < 1e-6 and elapsed < 10.0
-    verdict(capsys, 1, ok,
-            f"raw err {raw_err:.2e} < 1e-3, extrapolated err {rich_err:.2e}"
-            f" < 1e-6, {elapsed:.1f}s < 10s")
+    timing = gates.Gate("run_time", elapsed < 10.0, elapsed, 10.0, f"{elapsed:.1f}s < 10s")
+    verdict(capsys, 1, [gate, timing])
 
 
 def test_criterion_2_partner_isospectrality(capsys):
-    grid = Grid1D(0.0, math.pi, 4000)
-    base = eigenvalues(discretize(flat_field, grid), 5)
-    v2 = partner_field(SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 0.0),
-                       Partner.V2)
-    partner = eigenvalues(discretize(v2, grid), 4)
-    err = max(abs(p.real - b.real)
-              for p, b in zip(partner.eigenvalues, base.eigenvalues[1:]))
-    ok = err < 1e-4
-    verdict(capsys, 2, ok, f"shifted-ladder err {err:.2e} < 1e-4 at n=4000")
+    verdict(capsys, 2, [gates.spectrum_q0(*gates.q0_spectra())])
 
 
 def test_criterion_3_shape_invariance(capsys):
-    worst_dev = 0.0
-    worst_mean = 0.0
-    for family in ALL_FAMILIES:
-        for q in (0.0, 1.0, 2.0, 5.0):
-            for k in (1.0, 2.0, 3.0):
-                spec = SuperpotentialSpec(family, k, q)
-                pts = SHAPE_SAMPLES[family] / k
-                res = check_shape_invariance(spec, pts)
-                worst_dev = max(worst_dev, res.max_abs_deviation)
-                worst_mean = max(worst_mean,
-                                 abs(res.mean - 3.0 * k * k))
-    control = check_shape_invariance(
-        SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0),
-        SHAPE_SAMPLES[Family.COTANGENT_WELL], constraint_frequency=2.0)
-    ok = (worst_dev < 1e-10 and worst_mean < 1e-10 * 27.0
-          and not control.holds and control.max_abs_deviation > 1.0)
-    verdict(capsys, 3, ok,
-            f"48 combos: deviation {worst_dev:.2e} < 1e-10, mean err "
-            f"{worst_mean:.2e}; detuned control deviation "
-            f"{control.max_abs_deviation:.2f} fails as required")
+    verdict(capsys, 3, [gates.shape_invariance(), gates.negative_control_fails()])
 
 
 def test_criterion_4_ground_state_annihilation(capsys):
-    worst_fine = 0.0
-    worst_ratio = math.inf
-    for family in ALL_FAMILIES:
-        wspec = WaveFunctionSpec(family, 1.0, 2.0)
-        pot = partner_field(SuperpotentialSpec(family, 1.0, 2.0), Partner.V1)
-        x = RESIDUAL_POINTS[family]
-        fine = abs(schrodinger_residual(pot, wspec, 0.0, x, h=1e-4))
-        coarse = abs(schrodinger_residual(pot, wspec, 0.0, x, h=1e-3))
-        worst_fine = max(worst_fine, fine)
-        worst_ratio = min(worst_ratio, coarse / fine)
-    ok = worst_fine < 1e-6 and worst_ratio > 10.0
-    verdict(capsys, 4, ok,
-            f"residual {worst_fine:.2e} < 1e-6 at h=1e-4; decay ratio "
-            f"{worst_ratio:.0f}x from h=1e-3 confirms second order")
+    verdict(capsys, 4, [gates.ground_state_residual()])
 
 
 def test_criterion_5_density_equality(capsys):
-    worst = 0.0
-    for family in WELL_FAMILIES:
-        dom = default_domain(WaveFunctionSpec(family, 1.0, 0.0))
-        pad = (dom.x_max - dom.x_min) / 1000
-        xs = np.linspace(dom.x_min + pad, dom.x_max - pad, 2000)
-        rho0 = probability_density(WaveFunctionSpec(family, 1.0, 0.0), xs)
-        for q in (1.0, 2.0, 5.0):
-            rhoq = probability_density(WaveFunctionSpec(family, 1.0, q), xs)
-            worst = max(worst, float(np.max(np.abs(rhoq - rho0))))
-    ok = worst < 1e-12
-    verdict(capsys, 5, ok,
-            f"max density difference {worst:.2e} < 1e-12 over 2000 points")
+    verdict(capsys, 5, [gates.density_equality()])
 
 
 def test_criterion_6_pt_symmetry(capsys):
-    xs = np.linspace(math.pi / 10, 9 * math.pi / 10, 500)
-    worst = 0.0
-    for q in (1.0, 2.0):
-        spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, q)
-        for which in (Partner.V1, Partner.V2):
-            worst = max(worst,
-                        pt_asymmetry(partner_field(spec, which),
-                                     math.pi / 2, xs))
-    ok = worst < 1e-12
-    verdict(capsys, 6, ok, f"well-partner asymmetry {worst:.2e} < 1e-12")
+    verdict(capsys, 6, [gates.pt_symmetry_wells()])
 
 
 def test_criterion_7_scattering_flux(capsys):
-    v0, width = 4.0, 1.0
-    pot = PiecewisePotential((0.0, width), (ConstantSegment(v0),))
-    worst_defect = 0.0
-    worst_rel = 0.0
-    for mult in (0.1, 0.5, 2.0, 5.0, 10.0):
-        res = transmission_reflection(pot, mult * v0)
-        ref = square_barrier_transmission(v0, width, mult * v0)
-        worst_defect = max(worst_defect, abs(res.flux_defect))
-        worst_rel = max(worst_rel, abs(res.transmission - ref) / ref)
-    ok = worst_defect < 1e-10 and worst_rel < 1e-8
-    verdict(capsys, 7, ok,
-            f"R+T defect {worst_defect:.2e} < 1e-10; oracle mismatch "
-            f"{worst_rel:.2e} < 1e-8 relative")
+    verdict(capsys, 7, list(gates.barrier()[1]))
 
 
-def test_criterion_8_figure_data(capsys, tmp_path):
-    runner = CliRunner()
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        out.mkdir()
-        res = runner.invoke(main, ["figures", "--out", str(out)])
-        assert res.exit_code == 0, res.output
-    identical = all((a / n).read_bytes() == (b / n).read_bytes()
-                    for n in ("fig1.csv", "fig2.csv"))
-
-    spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
-    mid = eval_partner(spec, Partner.V1, math.pi / 2)
-    mid_err = abs(mid - (-5.0 + 0.0j))
-
-    flat_col = [line.split(",")[5]
-                for line in (a / "fig1.csv").read_text().splitlines()[1:]]
-    flat_ok = all(float(v) == -1.0 for v in flat_col)
-
-    ok = identical and mid_err < 1e-12 and flat_ok
-    verdict(capsys, 8, ok,
-            f"reruns byte-identical: {identical}; midpoint value err "
-            f"{mid_err:.1e}; q=0 column pinned at -1: {flat_ok}")
+def test_criterion_8_figure_data(capsys):
+    verdict(capsys, 8, [gates.figure_determinism()])
 
 
 def test_criterion_9_truncation_survey(capsys):
     # recorded, not gated: the complex-well spectrum does not converge to a
     # real limit as the edge truncation shrinks, and the record shows it
-    field = partner_field(SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0),
-                          Partner.V1)
-    lines = []
-    records = []
-    for eps in (1e-2, 1e-3, 1e-4):
-        row = []
-        for n in (200, 400, 800):
-            rep = eigenvalues(discretize(field, Grid1D(eps, math.pi - eps, n)),
-                              4)
-            row.append(rep.max_imag)
-        records.extend(row)
-        lines.append(f"  eps={eps:.0e}: max |Im E| = "
-                     + ", ".join(f"{v:.2e}" for v in row))
+    survey = gates.truncation_survey()
+    blocks = [entry["v1"] for entry in survey["truncation"]]
+    records = [grid["max_imag"] for block in blocks for grid in block["per_grid"]]
     with capsys.disabled():
-        for line in lines:
-            print(line)
-    ok = all(math.isfinite(v) for v in records) and len(records) == 9
-    verdict(capsys, 9, ok,
-            "non-gating survey recorded; imaginary parts grow as the "
-            f"truncation shrinks (max {max(records):.2e})")
+        for line in survey["notes"]:
+            print(f"  {line}")
+    ok = len(records) == 9 and all(math.isfinite(v) for v in records)
+    gate = gates.Gate("truncation_survey", ok, max(records), math.inf,
+                      "non-gating survey recorded; imaginary parts grow as the "
+                      f"truncation shrinks (max {max(records):.2e})")
+    verdict(capsys, 9, [gate])

@@ -97,7 +97,9 @@ class TestSpectrum:
             assert set(block) == {"per_grid", "richardson_real",
                                   "max_imag_overall"}
             assert len(block["per_grid"]) == 3
-            assert block["max_imag_overall"] > 0.0
+        # v1 is PT-broken; the lowest v2 levels are the real 3, 8, 15, 24
+        assert payload["v1"]["max_imag_overall"] > 0.0
+        assert payload["v2"]["max_imag_overall"] < 1e-6
 
     def test_csv_format_refused(self, runner, tmp_path):
         res = runner.invoke(main, ["spectrum", "--format", "csv",
@@ -111,6 +113,41 @@ class TestSpectrum:
         assert res.exit_code == 0, res.output
         v1 = read_json(tmp_path / "v1_spectrum.json")
         assert v1["richardson_estimates"][2] == pytest.approx(3.0, abs=1e-6)
+
+
+    def test_custom_domain_recorded_not_gated(self, runner, tmp_path):
+        # the exact box levels hold on the natural cell only
+        conf = tmp_path / "run.conf"
+        conf.write_text("x_min=0.3\nx_max=2.8\n")
+        res = runner.invoke(main, ["spectrum", "--q", "0", "--config", str(conf),
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert "recorded, not gated" in res.output
+        assert "spectrum_q0" not in res.output
+        for name in ("v1", "v2"):
+            assert len(read_json(tmp_path / f"{name}_spectrum.json")["eigenvalues"]) == 4
+
+    def test_natural_cell_stays_gated(self, runner, tmp_path):
+        res = runner.invoke(main, ["spectrum", "--q", "0", "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert "PASS spectrum_q0" in res.output
+        # 8 levels with a finest grid of 1000 miss the raw bound
+        res = runner.invoke(main, ["spectrum", "--q", "0", "--count", "8", "--grid", "1000",
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 1, res.output
+        assert "FAIL spectrum_q0" in res.output
+
+    def test_unsorted_exploratory_grids_are_sorted(self, runner, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("exploratory_grids=64,32,48\n")
+        res = runner.invoke(main, ["spectrum", "--q", "2", "--epsilon", "1e-3",
+                                   "--config", str(conf), "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        payload = read_json(tmp_path / "spectrum_eps_1e-03.json")
+        assert payload["grids"] == [32, 48, 64]
+        for name in ("v1", "v2"):
+            sizes = [g["grid_sizes_used"] for g in payload[name]["per_grid"]]
+            assert sizes == [[32], [48], [64]]
 
 
 class TestConfigHandling:
@@ -178,6 +215,25 @@ class TestConfigHandling:
                                    "--config", str(tmp_path / "absent.conf")])
         assert res.exit_code == 3
 
+    def test_count_above_smallest_exploratory_grid(self, runner, tmp_path):
+        # refused before solving, not a ValueError from the eigensolver
+        conf = tmp_path / "run.conf"
+        conf.write_text("exploratory_grids=32,48,64\n")
+        res = runner.invoke(main, ["spectrum", "--q", "2", "--count", "50",
+                                   "--config", str(conf), "--out", str(tmp_path)])
+        assert res.exit_code == 3
+        assert "count" in res.output
+        assert not list(tmp_path.glob("spectrum_eps_*.json"))
+
+    @pytest.mark.parametrize("grids", ["200", "200,200,400"])
+    def test_exploratory_grids_need_two_sizes(self, runner, tmp_path, grids):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"exploratory_grids={grids}\n")
+        res = runner.invoke(main, ["spectrum", "--q", "2", "--config", str(conf),
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 3
+        assert "exploratory_grids" in res.output
+
     def test_dense_grid_over_memory_limit(self, runner, tmp_path):
         # refused from the estimate (12 GiB), before any matrix is allocated
         conf = tmp_path / "run.conf"
@@ -222,6 +278,26 @@ class TestVerify:
         assert report["passed"] is False
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["shape_invariance"]["passed"] is False
+
+
+    def test_checks_carry_measured_and_bound(self, runner, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("exploratory_grids=64,32,48\n")
+        res = runner.invoke(main, ["verify", "--config", str(conf), "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        report = read_json(tmp_path / "verify.json")
+        assert [c["name"] for c in report["checks"]] == [
+            "shape_invariance", "negative_control_fails", "ground_state_residual",
+            "density_equality", "pt_symmetry_wells", "spectrum_q0",
+            "flux_conservation", "barrier_oracle", "figure_determinism"]
+        for check in report["checks"]:
+            assert math.isfinite(check["measured"]) and math.isfinite(check["bound"])
+        # the survey's finest grid is 64, whatever the order of the list
+        for entry, note in zip(report["exploratory"]["truncation"],
+                               report["exploratory"]["notes"]):
+            finest = entry["v1"]["per_grid"][-1]
+            assert finest["grid_sizes_used"] == [64]
+            assert str(["%.6f" % ev[0] for ev in finest["eigenvalues"]]) in note
 
 
 class TestScatter:

@@ -12,19 +12,15 @@ from susywell.errors import InsufficientEigenvalues, SingularPoint
 from susywell.spectral import (
     RESIDUAL_TOL,
     Grid1D,
-    PTPhase,
-    SpectrumReport,
     _inverse_iteration,
     _pt_real_form,
     _tridiagonal_dense,
     discretize,
     eigenvalues,
     isospectral_check,
-    reality_classification,
     remainder_spectrum,
     richardson_extrapolate,
     richardson_spectrum,
-    well_spectrum_analytic,
 )
 from susywell.susy_core import Family, Partner, SuperpotentialSpec, partner_field
 
@@ -106,7 +102,7 @@ class TestEigenvalues:
 
     def test_shifted_box_levels(self):
         rep = richardson_spectrum(flat, 0.0, math.pi, 4, ACCEPTANCE_GRIDS)
-        expect = [well_spectrum_analytic(n) for n in range(4)]
+        expect = [remainder_spectrum(n) for n in range(4)]
         assert np.max(np.abs(rep.eigenvalues.real - expect)) < RAW_TOL
         assert np.max(np.abs(np.array(rep.richardson_estimates) - expect)) \
             < RICHARDSON_TOL
@@ -206,7 +202,7 @@ class TestConvergence:
 class TestLadders:
     @pytest.mark.parametrize("n,expect", [(0, 0), (1, 3), (4, 24)])
     def test_analytic_levels(self, n, expect):
-        assert well_spectrum_analytic(n) == expect
+        assert remainder_spectrum(n) == expect
 
     @pytest.mark.parametrize("n,expect", [(0, 0.0), (1, 3.0), (3, 15.0)])
     def test_remainder_partial_sums(self, n, expect):
@@ -223,7 +219,7 @@ class TestLadders:
 
     def test_telescoping_is_exact(self):
         for n in range(51):
-            assert remainder_spectrum(n, 1.0) == well_spectrum_analytic(n)
+            assert remainder_spectrum(n, 1.0) == n * (n + 2)
 
     def test_scaled_base(self):
         # first step at k_base=2: a(a+2k) = 4 + 8 = 12
@@ -261,29 +257,6 @@ class TestIsospectral:
         rep3 = eigenvalues(h, 3)
         with pytest.raises(InsufficientEigenvalues):
             isospectral_check(rep1, rep3, shift=1)
-
-
-class TestRealityClassification:
-    def test_real_spectrum(self):
-        rep = SpectrumReport(eigenvalues=np.array([0.0, 3.0, 8.0], dtype=complex),
-                             max_imag=0.0, grid_sizes_used=(100,))
-        assert reality_classification(rep) is PTPhase.UNBROKEN
-
-    def test_conjugate_pair(self):
-        rep = SpectrumReport(eigenvalues=np.array([1 + 0.5j, 1 - 0.5j]),
-                             max_imag=0.5, grid_sizes_used=(100,))
-        assert reality_classification(rep) is PTPhase.BROKEN
-
-    def test_truncated_complex_well_is_recorded(self):
-        # exploratory: no asserted phase, only that classification runs and
-        # is consistent with the recorded max_imag
-        spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
-        h = discretize(partner_field(spec, Partner.V1),
-                       Grid1D(1e-2, math.pi - 1e-2, 200))
-        rep = eigenvalues(h, 4, method="dense")
-        phase = reality_classification(rep)
-        tol = 1e-6 * max(1.0, float(np.max(np.abs(rep.eigenvalues.real))))
-        assert phase is (PTPhase.UNBROKEN if rep.max_imag <= tol else PTPhase.BROKEN)
 
 
 class TestReportSerialization:

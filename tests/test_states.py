@@ -8,24 +8,18 @@ from numpy.testing import assert_allclose
 
 from susywell.errors import DomainViolation, SingularPoint, StepTooLarge
 from susywell.states import (
-    Domain,
-    DomainKind,
     WaveFunctionSpec,
-    default_domain,
     eval_wavefunction,
-    normalized,
-    parity_center,
     probability_density,
     pt_asymmetry,
     schrodinger_residual,
-    superpose,
-    wavefunction_field,
 )
 from susywell.susy_core import (
     Family,
     Partner,
     SuperpotentialSpec,
     WELL_FAMILIES,
+    fundamental_cell,
     partner_field,
 )
 
@@ -87,27 +81,6 @@ class TestClosedForms:
         assert mags_hi[2] < mags_hi[1] < mags_hi[0]
 
 
-class TestSuperpose:
-    def test_zero_second_weight(self):
-        c = WaveFunctionSpec(Family.COTANGENT_WELL, 1.0, 2.0)
-        t = WaveFunctionSpec(Family.TANGENT_WELL, 1.0, 2.0)
-        x = 0.8
-        assert superpose(1.0, c, 0.0, t, x) == eval_wavefunction(c, x)
-
-    def test_counterpropagating_sum_at_origin(self):
-        r = WaveFunctionSpec(Family.PLANE_RIGHT, 1.0, 0.0)
-        l = WaveFunctionSpec(Family.PLANE_LEFT, 1.0, 0.0)
-        val = superpose(1.0, r, 1.0, l, 0.0)
-        assert_allclose([val.real, val.imag], [2.0, 0.0], atol=ATOL)
-
-    def test_well_pair_sum(self):
-        c = WaveFunctionSpec(Family.COTANGENT_WELL, 1.0, 2.0)
-        t = WaveFunctionSpec(Family.TANGENT_WELL, 1.0, 2.0)
-        x = math.pi / 4
-        expect = eval_wavefunction(c, x) + eval_wavefunction(t, x)
-        assert_allclose(superpose(1.0, c, 1.0, t, x), expect, atol=ATOL)
-
-
 class TestDensity:
     def test_cotangent_value(self):
         rho = probability_density(WaveFunctionSpec(Family.COTANGENT_WELL, 1.0, 5.0),
@@ -128,9 +101,9 @@ class TestDensity:
     @pytest.mark.parametrize("q", [1.0, 2.0, 5.0])
     def test_phase_invariance(self, family, q):
         # the coupling enters the state only through a unimodular phase
-        dom = default_domain(WaveFunctionSpec(family, 1.0, 0.0))
-        pad = (dom.x_max - dom.x_min) / 1000
-        xs = np.linspace(dom.x_min + pad, dom.x_max - pad, 2000)
+        x_min, x_max = fundamental_cell(SuperpotentialSpec(family, 1.0, 0.0))
+        pad = (x_max - x_min) / 1000
+        xs = np.linspace(x_min + pad, x_max - pad, 2000)
         rho0 = probability_density(WaveFunctionSpec(family, 1.0, 0.0), xs)
         rhoq = probability_density(WaveFunctionSpec(family, 1.0, q), xs)
         assert np.max(np.abs(rhoq - rho0)) < DENSITY_TOL
@@ -199,24 +172,8 @@ class TestParity:
         asym = pt_asymmetry(partner_field(spec, Partner.V1), 0.0, xs)
         assert asym > 0.1
 
-    def test_parity_center_values(self):
-        box = Domain(0.0, math.pi, DomainKind.BOX)
-        line = Domain(-5.0, 5.0, DomainKind.LINE)
-        assert parity_center(box) == pytest.approx(math.pi / 2)
-        assert parity_center(line) == 0.0
-
 
 class TestDomains:
-    def test_default_domains(self):
-        c = default_domain(WaveFunctionSpec(Family.COTANGENT_WELL, 2.0, 0.0))
-        assert (c.x_min, c.x_max, c.kind) == (0.0, pytest.approx(math.pi / 2),
-                                              DomainKind.BOX)
-        t = default_domain(WaveFunctionSpec(Family.TANGENT_WELL, 1.0, 0.0))
-        assert (t.x_min, t.x_max) == (pytest.approx(-math.pi / 2),
-                                      pytest.approx(math.pi / 2))
-        p = default_domain(WaveFunctionSpec(Family.PLANE_RIGHT, 1.0, 0.0))
-        assert p.kind is DomainKind.LINE
-
     def test_outside_cell_is_refused(self):
         spec = WaveFunctionSpec(Family.COTANGENT_WELL, 1.0, 2.0)
         with pytest.raises(DomainViolation):
@@ -230,25 +187,3 @@ class TestDomains:
             eval_wavefunction(spec, 0.0)
         with pytest.raises(SingularPoint):
             eval_wavefunction(spec, math.pi)
-
-    def test_field_wrapper_matches_pointwise(self):
-        spec = WaveFunctionSpec(Family.COTANGENT_WELL, 1.0, 2.0)
-        f = wavefunction_field(spec)
-        assert f(1.3) == eval_wavefunction(spec, 1.3)
-
-
-class TestNormalization:
-    def test_flat_well_norm_constant(self):
-        spec = WaveFunctionSpec(Family.COTANGENT_WELL, 1.0, 0.0)
-        unit = normalized(spec, default_domain(spec))
-        assert abs(unit.norm) == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-8)
-
-    @pytest.mark.parametrize("q", [0.0, 2.0])
-    def test_unit_integral(self, q):
-        from scipy.integrate import simpson
-        spec = WaveFunctionSpec(Family.COTANGENT_WELL, 1.0, q)
-        dom = default_domain(spec)
-        unit = normalized(spec, dom)
-        xs = np.linspace(dom.x_min + 1e-5, dom.x_max - 1e-5, 4001)
-        total = simpson(probability_density(unit, xs), x=xs)
-        assert total == pytest.approx(1.0, abs=1e-6)

@@ -20,7 +20,6 @@ from susywell.susy_core import (
     eval_superpotential_derivative,
     fundamental_cell,
     partner_from_superpotential,
-    partner_pair,
     remainder,
     singularity_distance,
 )
@@ -310,10 +309,3 @@ class TestGuardsAndGeometry:
         assert up.k == pytest.approx(3.0)
         assert up.q == spec.q
         assert up.alpha == spec.alpha
-
-    def test_partner_pair_carries_both_forms(self):
-        spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
-        pair = partner_pair(spec)
-        x = 1.1
-        assert pair.v1(x) == eval_partner(spec, Partner.V1, x)
-        assert pair.v2(x) == eval_partner(spec, Partner.V2, x)
