@@ -61,7 +61,6 @@ from .scattering import (
     ConstantSegment,
     FieldSegment,
     PiecewisePotential,
-    PlaneBasisSegment,
     ScatteringResult,
     plane_partner_sweep,
     square_barrier_transmission,

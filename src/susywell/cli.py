@@ -188,6 +188,9 @@ def _validate(cfg):
         raise ConfigError("count", "must be at least 1")
     if cfg.count > cfg.grid // 4:
         raise ConfigError("count", "coarsest grid cannot resolve that many levels")
+    if cfg.command == "spectrum" and cfg.q == 0.0 and cfg.x_min is None and cfg.count < 2:
+        raise ConfigError("count", "the q=0 ladder gate pairs V2 level j with V1 level j+1, "
+                                   "so it needs at least 2 levels")
     if cfg.slices < 1:
         raise ConfigError("slices", "must be at least 1")
     if cfg.barrier_width <= 0:
@@ -300,7 +303,7 @@ def _spectrum_exploratory(cfg, spec, lo, hi):
         }
         for which, name in ((Partner.V1, "v1"), (Partner.V2, "v2")):
             rep = richardson_spectrum(partner_field(spec, which), lo + eps, hi - eps,
-                                      cfg.count, grids, method="dense")
+                                      cfg.count, grids)
             payload[name] = rep.survey_payload()
             click.echo(f"eps={eps:g} {name}: max |Im E| = "
                        f"{payload[name]['max_imag_overall']:.3e}")

@@ -68,14 +68,16 @@ class EvanescentOverflow(SusywellError):
 
 
 class DegenerateMatch(SusywellError):
-    """Local basis at a matching point is numerically degenerate."""
+    """The free waves e^{+ik0 x}, e^{-ik0 x} outside a structure cannot be
+    matched: their Wronskian 2 k0 is below its guard (E near 0), or the
+    transfer-matrix entry M22 that r and t divide by vanishes."""
 
-    def __init__(self, determinant: complex, where: float):
-        self.determinant = determinant
+    def __init__(self, what: str, value: complex, bound: float, where: float):
+        self.value = value
         self.where = where
         super().__init__(
-            f"local basis determinant {determinant!r} at x={where!r} is below "
-            "the 1e-12 degeneracy guard"
+            f"free-wave matching at x={where!r} is degenerate: {what} = {value!r} "
+            f"is below {bound:g}"
         )
 
 

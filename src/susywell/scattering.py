@@ -1,23 +1,18 @@
 """Transfer-matrix scattering across piecewise 1-D structures.
 
-A structure is a list of breakpoints with one segment per interval and a
-real constant value outside. The matrix maps plane-wave coefficients
+A structure is a list of breakpoints with one segment per interval and
+V = 0 outside. The matrix maps plane-wave coefficients
 (A, B) of A e^{+ik0 x} + B e^{-ik0 x} on the left of the structure to the
 coefficients on the right (global phase convention, so an empty structure
 is the identity and adjacent structures compose by matrix product).
 
-Segments come in three kinds:
+Segments come in two kinds:
   ConstantSegment   exact propagator, entire in k^2 = E - V, so the E = V
                     resonance goes through the sinc limit with no branch;
   FieldSegment      arbitrary complex profile, integrated as a product of
                     thin constant slices at midpoint values; the slice
                     matrices are built as one batch and reduced by a
-                    blocked pairwise product (SLICE_BLOCK slices per block);
-  PlaneBasisSegment local basis = the two closed-form plane states (right
-                    and left movers with psi' = -W psi). For q != 0 the
-                    pair solves no single potential, so this kind realizes
-                    the interior superposition ansatz only; it is exact at
-                    q = 0 with E = k^2.
+                    blocked pairwise product (SLICE_BLOCK slices per block).
 
 Complex segment values model absorption/gain; |r|^2 + |t|^2 - 1 is
 reported per energy as flux_defect and vanishes only for real structures.
@@ -33,19 +28,15 @@ import numpy as np
 
 from .errors import DegenerateMatch, EvanescentOverflow, SliceTooCoarse
 from .serialize import csv_text
-from .states import WaveFunctionSpec, eval_wavefunction
-from .susy_core import (
-    Family,
-    PLANE_FAMILIES,
-    Partner,
-    SuperpotentialSpec,
-    eval_superpotential,
-    partner_field,
-)
+from .susy_core import PLANE_FAMILIES, Partner, SuperpotentialSpec, partner_field
 
 OVERFLOW_EXPONENT = 700.0
 WRONSKIAN_TOL = 1e-12
 SLICE_BLOCK = 4096  # slices per batch in a FieldSegment
+# plane_partner_sweep doubles the slice count at most MAX_DOUBLINGS times,
+# until T changes by at most STABILIZE_TOL
+STABILIZE_TOL = 1e-6
+MAX_DOUBLINGS = 6
 
 
 @dataclass(frozen=True)
@@ -64,22 +55,11 @@ class FieldSegment:
 
 
 @dataclass(frozen=True)
-class PlaneBasisSegment:
-    k: float
-    q: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.k) and self.k > 0):
-            raise ValueError(f"k must be finite and > 0, got {self.k!r}")
-
-
-@dataclass(frozen=True)
 class PiecewisePotential:
     """breakpoints (strictly ascending) and one segment per interval."""
 
     breakpoints: tuple[float, ...]
     segments: tuple
-    asymptotic: float = 0.0
 
     def __post_init__(self):
         bp = tuple(float(b) for b in self.breakpoints)
@@ -94,10 +74,6 @@ class PiecewisePotential:
                 f"{len(bp)} breakpoints require {len(bp) - 1} segments, "
                 f"got {len(self.segments)}"
             )
-        a = complex(self.asymptotic)
-        if a.imag != 0.0:
-            raise ValueError("asymptotic value must be real (free-wave regions)")
-        object.__setattr__(self, "asymptotic", a.real)
 
 
 def _slice_propagators(values, width: float, energy: float) -> np.ndarray:
@@ -152,57 +128,24 @@ def _field_propagator(segment: FieldSegment, a: float, b: float, energy: float) 
     return out
 
 
-def _plane_basis_matrix(segment: PlaneBasisSegment, x: float) -> np.ndarray:
-    right = WaveFunctionSpec(Family.PLANE_RIGHT, segment.k, segment.q)
-    left = WaveFunctionSpec(Family.PLANE_LEFT, segment.k, segment.q)
-    u1 = eval_wavefunction(right, x)
-    u2 = eval_wavefunction(left, x)
-    w1 = eval_superpotential(SuperpotentialSpec(Family.PLANE_RIGHT, segment.k, segment.q), x)
-    w2 = eval_superpotential(SuperpotentialSpec(Family.PLANE_LEFT, segment.k, segment.q), x)
-    return np.array([[u1, u2], [-w1 * u1, -w2 * u2]], dtype=np.complex128)
-
-
-def _inv2(m: np.ndarray, where: float) -> np.ndarray:
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det) < WRONSKIAN_TOL:
-        raise DegenerateMatch(det, where)
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=np.complex128) / det
-
-
-def _plane_basis_propagator(segment: PlaneBasisSegment, a: float, b: float) -> np.ndarray:
-    # check both edges so the degenerate point is reported where it occurs
-    mb = _plane_basis_matrix(segment, b)
-    det_b = mb[0, 0] * mb[1, 1] - mb[0, 1] * mb[1, 0]
-    if abs(det_b) < WRONSKIAN_TOL:
-        raise DegenerateMatch(det_b, b)
-    return mb @ _inv2(_plane_basis_matrix(segment, a), a)
-
-
 def transfer_matrix(potential: PiecewisePotential, energy: float) -> np.ndarray:
-    """2x2 matrix taking left (A, B) coefficients to right (A, B).
+    """2x2 matrix taking left (A, B) coefficients to right (A, B), det = 1.
 
-    Requires real energy above the asymptotic value. det = 1 for constant
-    and field segments; plane-basis segments are an ansatz and may break
-    unimodularity (documented above).
+    Requires a finite energy E > 0; the free waves outside have k0 = sqrt(E).
     """
     energy = float(energy)
-    if not math.isfinite(energy) or energy <= potential.asymptotic:
-        raise ValueError(
-            f"energy must be finite and above the asymptotic value "
-            f"{potential.asymptotic!r}, got {energy!r}"
-        )
-    k0 = math.sqrt(energy - potential.asymptotic)
-    if 2.0 * k0 < WRONSKIAN_TOL:
-        raise DegenerateMatch(2.0 * k0, potential.breakpoints[0])
-    wave = np.eye(2, dtype=np.complex128)
+    if not math.isfinite(energy) or energy <= 0.0:
+        raise ValueError(f"energy must be finite and positive, got {energy!r}")
+    k0 = math.sqrt(energy)
     bps = potential.breakpoints
+    if 2.0 * k0 < WRONSKIAN_TOL:
+        raise DegenerateMatch("Wronskian 2 k0", 2.0 * k0, WRONSKIAN_TOL, bps[0])
+    wave = np.eye(2, dtype=np.complex128)
     for seg, a, b in zip(potential.segments, bps, bps[1:]):
         if isinstance(seg, ConstantSegment):
             step = _constant_propagator(seg.value, b - a, energy)
         elif isinstance(seg, FieldSegment):
             step = _field_propagator(seg, a, b, energy)
-        elif isinstance(seg, PlaneBasisSegment):
-            step = _plane_basis_propagator(seg, a, b)
         else:
             raise TypeError(f"unknown segment kind {type(seg).__name__}")
         wave = step @ wave
@@ -243,7 +186,7 @@ def transmission_reflection(potential: PiecewisePotential, energy: float) -> Sca
     """Left-incidence amplitudes: r = -M21/M22, t = det M / M22."""
     m = transfer_matrix(potential, energy)
     if abs(m[1, 1]) < 1e-300:
-        raise DegenerateMatch(m[1, 1], potential.breakpoints[-1])
+        raise DegenerateMatch("M22", m[1, 1], 1e-300, potential.breakpoints[-1])
     r = -m[1, 0] / m[1, 1]
     t = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) / m[1, 1]
     defect = abs(r) ** 2 + abs(t) ** 2 - 1.0
@@ -282,15 +225,13 @@ def plane_partner_sweep(
     window: tuple[float, float],
     energies,
     slices: int = 2000,
-    stabilize_tol: float = 1e-6,
-    max_doublings: int = 6,
 ) -> list[ScatteringResult]:
     """Scatter free waves across a windowed plane-family partner.
 
     The complex partner potential is embedded in [x_a, x_b] with V = 0
     outside and integrated as thin constant slices; the slice count doubles
-    until T changes by <= stabilize_tol, else SliceTooCoarse. The closed
-    -form plane states never serve as asymptotic states here.
+    until T changes by <= STABILIZE_TOL, else SliceTooCoarse. The closed
+    -form plane states are never used as the free states outside.
     """
     if spec.family not in PLANE_FAMILIES:
         raise ValueError(f"sweep requires a plane family, got {spec.family}")
@@ -300,9 +241,7 @@ def plane_partner_sweep(
     field = partner_field(spec, which)
 
     def result_at(m: int, energy: float) -> ScatteringResult:
-        structure = PiecewisePotential(
-            (x_a, x_b), (FieldSegment(field, m),), asymptotic=0.0
-        )
+        structure = PiecewisePotential((x_a, x_b), (FieldSegment(field, m),))
         return transmission_reflection(structure, energy)
 
     out = []
@@ -311,10 +250,10 @@ def plane_partner_sweep(
         prev = result_at(m, float(energy))
         accepted = None
         change = math.inf
-        for _ in range(max(0, max_doublings) + 1):
+        for _ in range(MAX_DOUBLINGS + 1):
             nxt = result_at(2 * m, float(energy))
             change = abs(nxt.transmission - prev.transmission)
-            if change <= stabilize_tol:
+            if change <= STABILIZE_TOL:
                 accepted = nxt
                 break
             m *= 2

@@ -25,38 +25,35 @@ from .errors import DomainViolation, SingularPoint, StepTooLarge
 from .susy_core import (
     Family,
     SuperpotentialSpec,
+    default_exclusion,
     singularity_distance,
 )
 
 
 @dataclass(frozen=True)
 class WaveFunctionSpec:
-    """family, wave number k > 0, real q, overall constant `norm`."""
+    """family, wave number k > 0, real q."""
 
     family: Family
     k: float
     q: float = 0.0
-    norm: complex = 1.0 + 0j
 
     def __post_init__(self):
         if not (math.isfinite(self.k) and self.k > 0):
             raise ValueError(f"k must be finite and > 0, got {self.k!r}")
         if not math.isfinite(self.q):
             raise ValueError(f"q must be finite, got {self.q!r}")
-        n = complex(self.norm)
-        if not (math.isfinite(n.real) and math.isfinite(n.imag)):
-            raise ValueError(f"norm must be finite, got {self.norm!r}")
 
 
-def eval_wavefunction(spec: WaveFunctionSpec, x, exclusion: float | None = None):
-    """psi(x), complex. Scalar in, scalar out; arrays pass through.
+def eval_wavefunction(spec: WaveFunctionSpec, x):
+    """psi(x), complex, unnormalized. Scalar in, scalar out; arrays pass
+    through.
 
     Raises DomainViolation outside the family's fundamental cell (where
     the principal log would cross a branch cut) and SingularPoint within
-    the exclusion radius of the cell endpoints.
+    default_exclusion of the cell endpoints.
     """
-    if exclusion is None:
-        exclusion = 1e-6 * math.pi / spec.k
+    exclusion = default_exclusion(SuperpotentialSpec(spec.family, spec.k))
     xs = np.asarray(x, dtype=np.float64)
     k, q = spec.k, spec.q
     if spec.family is Family.COTANGENT_WELL:
@@ -64,18 +61,18 @@ def eval_wavefunction(spec: WaveFunctionSpec, x, exclusion: float | None = None)
         _require_inside(xs, lo, hi, exclusion, "csc(kx) - cot(kx) > 0 only on (0, pi/k)")
         # csc - cot = tan(kx/2), positive on the cell
         phase = np.exp(-1j * (q / k) * np.log(np.tan(0.5 * k * xs)))
-        out = spec.norm * np.sin(k * xs) * phase
+        out = np.sin(k * xs) * phase
     elif spec.family is Family.TANGENT_WELL:
         half = math.pi / (2.0 * k)
         _require_inside(
             xs, -half, half, exclusion, "sec(kx) + tan(kx) > 0 only on (-pi/2k, pi/2k)"
         )
         arg = (1.0 + np.sin(k * xs)) / np.cos(k * xs)  # sec + tan
-        out = spec.norm * np.cos(k * xs) * np.exp(-1j * (q / k) * np.log(arg))
+        out = np.cos(k * xs) * np.exp(-1j * (q / k) * np.log(arg))
     elif spec.family is Family.PLANE_RIGHT:
-        out = spec.norm * np.exp(1j * k * xs) * np.exp(-1j * (q / k) * np.exp(-1j * k * xs))
+        out = np.exp(1j * k * xs) * np.exp(-1j * (q / k) * np.exp(-1j * k * xs))
     else:
-        out = spec.norm * np.exp(-1j * k * xs) * np.exp(1j * (q / k) * np.exp(1j * k * xs))
+        out = np.exp(-1j * k * xs) * np.exp(1j * (q / k) * np.exp(1j * k * xs))
     return out.item() if np.ndim(x) == 0 else out
 
 

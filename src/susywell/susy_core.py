@@ -81,7 +81,7 @@ class SuperpotentialSpec:
 
 
 def default_exclusion(spec: SuperpotentialSpec) -> float:
-    """Default singularity exclusion radius, 1e-6 of the cell width pi/k."""
+    """Singularity exclusion radius, 1e-6 of the cell width pi/k."""
     return 1e-6 * math.pi / spec.k
 
 
@@ -104,12 +104,10 @@ def singularity_distance(spec: SuperpotentialSpec, x) -> np.ndarray:
     return np.abs(xs - _nearest_pole(spec, xs))
 
 
-def _guard_singularities(spec: SuperpotentialSpec, xs: np.ndarray, exclusion: float | None):
+def _guard_singularities(spec: SuperpotentialSpec, xs: np.ndarray):
     if spec.family not in WELL_FAMILIES:
         return
-    if exclusion is None:
-        exclusion = default_exclusion(spec)
-    bad = np.atleast_1d(singularity_distance(spec, xs) < exclusion)
+    bad = np.atleast_1d(singularity_distance(spec, xs) < default_exclusion(spec))
     if bad.any():
         xb = float(np.atleast_1d(xs)[bad][0])
         raise SingularPoint(xb, float(_nearest_pole(spec, xb)))
@@ -157,13 +155,13 @@ def _constraint_derivative(spec: SuperpotentialSpec, xs: np.ndarray, frequency: 
     return 1j * a * spec.q * np.exp(1j * a * xs)
 
 
-def eval_superpotential(spec: SuperpotentialSpec, x, exclusion: float | None = None):
+def eval_superpotential(spec: SuperpotentialSpec, x):
     """Value of W(x) for the family, complex.
 
-    Raises SingularPoint within `exclusion` (default 1e-6 pi/k) of a pole.
+    Raises SingularPoint within default_exclusion(spec) of a pole.
     """
     xs = np.asarray(x, dtype=np.float64)
-    _guard_singularities(spec, xs, exclusion)
+    _guard_singularities(spec, xs)
     k, a = spec.k, spec.alpha
     if spec.family is Family.COTANGENT_WELL:
         s = np.sin(a * xs)
@@ -178,12 +176,10 @@ def eval_superpotential(spec: SuperpotentialSpec, x, exclusion: float | None = N
     return _scalar_like(x, w + 0j)
 
 
-def eval_superpotential_derivative(
-    spec: SuperpotentialSpec, x, exclusion: float | None = None
-):
+def eval_superpotential_derivative(spec: SuperpotentialSpec, x):
     """Closed-form W'(x), used by the sign-convention identity V2 - V1 = 2W'."""
     xs = np.asarray(x, dtype=np.float64)
-    _guard_singularities(spec, xs, exclusion)
+    _guard_singularities(spec, xs)
     k, a = spec.k, spec.alpha
     if spec.family is Family.COTANGENT_WELL:
         s = np.sin(a * xs)
@@ -226,9 +222,7 @@ def _partner_values(
     return -(k**2) + f**2 + 2j * k * f + sgn * fp
 
 
-def eval_partner(
-    spec: SuperpotentialSpec, which: Partner, x, exclusion: float | None = None
-):
+def eval_partner(spec: SuperpotentialSpec, which: Partner, x):
     """Closed-form partner potential V1 or V2 at x.
 
     At alpha = k the cotangent pair reduces to
@@ -238,18 +232,12 @@ def eval_partner(
     families give -k^2 + q^2 e^{-/+ 2ikx} + i q k (+/-1 - 2) e^{-/+ ikx}.
     """
     xs = np.asarray(x, dtype=np.float64)
-    _guard_singularities(spec, xs, exclusion)
+    _guard_singularities(spec, xs)
     v = _partner_values(spec, which, xs, 1.0)
     return _scalar_like(x, v)
 
 
-def partner_from_superpotential(
-    spec: SuperpotentialSpec,
-    which: Partner,
-    x,
-    h: float = 1e-5,
-    exclusion: float | None = None,
-):
+def partner_from_superpotential(spec: SuperpotentialSpec, which: Partner, x, h: float = 1e-5):
     """V_{1,2} = W^2 -/+ W' with W' by central difference, step h.
 
     Cross-validation route for eval_partner; the two must agree to O(h^2).
@@ -265,10 +253,10 @@ def partner_from_superpotential(
         limit = float(np.min(dist)) / 10.0
         if h > limit:
             raise StepTooLarge(h, float(np.min(dist)))
-    w = np.asarray(eval_superpotential(spec, xs, exclusion))
+    w = np.asarray(eval_superpotential(spec, xs))
     wp = (
-        np.asarray(eval_superpotential(spec, xs + h, exclusion))
-        - np.asarray(eval_superpotential(spec, xs - h, exclusion))
+        np.asarray(eval_superpotential(spec, xs + h))
+        - np.asarray(eval_superpotential(spec, xs - h))
     ) / (2.0 * h)
     sgn = -1.0 if which is Partner.V1 else 1.0
     return _scalar_like(x, w**2 + sgn * wp)
@@ -283,7 +271,7 @@ def remainder(spec: SuperpotentialSpec, x, constraint_frequency: float = 1.0):
     negative control used by the verification suite.
     """
     xs = np.asarray(x, dtype=np.float64)
-    _guard_singularities(spec, xs, None)
+    _guard_singularities(spec, xs)
     v2 = _partner_values(spec, Partner.V2, xs, constraint_frequency)
     v1_up = _partner_values(spec.shifted(), Partner.V1, xs, constraint_frequency)
     return _scalar_like(x, v2 - v1_up)
@@ -295,21 +283,16 @@ class ShapeInvarianceResult:
 
     mean: complex
     max_abs_deviation: float
-    tolerance: float
     holds: bool
 
 
 def check_shape_invariance(
-    spec: SuperpotentialSpec,
-    sample_points,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
-    constraint_frequency: float = 1.0,
+    spec: SuperpotentialSpec, sample_points, constraint_frequency: float = 1.0
 ) -> ShapeInvarianceResult:
     """Test R(x) = const over sample_points.
 
-    Holds when max |R(x) - mean| <= max(rel_tol * |mean|, abs_tol); the
-    absolute floor covers mean ~ 0.
+    Holds when max |R(x) - mean| <= max(1e-10 |mean|, 1e-12); the absolute
+    floor covers mean ~ 0.
     """
     xs = np.asarray(sample_points, dtype=np.float64)
     if xs.size == 0:
@@ -317,15 +300,12 @@ def check_shape_invariance(
     r = np.asarray(remainder(spec, xs, constraint_frequency))
     mean = complex(np.mean(r))
     dev = float(np.max(np.abs(r - mean)))
-    tol = max(rel_tol * abs(mean), abs_tol)
-    return ShapeInvarianceResult(mean, dev, tol, bool(dev <= tol))
+    return ShapeInvarianceResult(mean, dev, bool(dev <= max(1e-10 * abs(mean), 1e-12)))
 
 
-def partner_field(
-    spec: SuperpotentialSpec, which: Partner, exclusion: float | None = None
-):
+def partner_field(spec: SuperpotentialSpec, which: Partner):
     """V1 or V2 as a plain callable of position (scalar or array)."""
-    return lambda x: eval_partner(spec, which, x, exclusion)
+    return lambda x: eval_partner(spec, which, x)
 
 
 def fundamental_cell(spec: SuperpotentialSpec) -> tuple[float, float] | None:

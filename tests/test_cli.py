@@ -225,6 +225,23 @@ class TestConfigHandling:
         assert "count" in res.output
         assert not list(tmp_path.glob("spectrum_eps_*.json"))
 
+    def test_single_level_cannot_be_gated(self, runner, tmp_path):
+        # the ladder pairs V2 level j with V1 level j + 1: refused before solving
+        res = runner.invoke(main, ["spectrum", "--q", "0", "--count", "1",
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 3, res.output
+        assert "count" in res.output
+        assert not list(tmp_path.glob("*_spectrum.json"))
+
+    def test_single_level_on_custom_domain_is_recorded(self, runner, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("x_min=0.3\nx_max=2.8\n")
+        res = runner.invoke(main, ["spectrum", "--q", "0", "--count", "1",
+                                   "--config", str(conf), "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        for name in ("v1", "v2"):
+            assert len(read_json(tmp_path / f"{name}_spectrum.json")["eigenvalues"]) == 1
+
     @pytest.mark.parametrize("grids", ["200", "200,200,400"])
     def test_exploratory_grids_need_two_sizes(self, runner, tmp_path, grids):
         conf = tmp_path / "run.conf"

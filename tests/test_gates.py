@@ -51,7 +51,7 @@ def test_figure_tables_are_what_figures_writes(tmp_path):
 
 def test_richardson_spectrum_keeps_grids_ascending():
     field = partner_field(SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0), Partner.V1)
-    rep = richardson_spectrum(field, 0.01, math.pi - 0.01, 3, (64, 32, 48), method="dense")
+    rep = richardson_spectrum(field, 0.01, math.pi - 0.01, 3, (64, 32, 48))
     assert rep.grid_sizes_used == (32, 48, 64)
     assert [r.grid_sizes_used for r in rep.per_grid] == [(32,), (48,), (64,)]
     assert (rep.eigenvalues == rep.per_grid[-1].eigenvalues).all()

@@ -115,7 +115,7 @@ def test_pt_real_eigenvalues_match_complex_fallback(family, partner, k, q, edge,
     ham = discretize(partner_field(spec, partner), Grid1D(lo + eps, hi - eps, n))
     assert _pt_real_form(ham) is not None
     count = n // 4
-    rep = eigenvalues(ham, count, method="dense")
+    rep = eigenvalues(ham, count)
     assert np.all(rep.scaled_residuals <= RESIDUAL_TOL)
     # set-matched: conjugate pairs share a real part, so at the count
     # boundary the two solvers may pick different members of a pair

@@ -12,7 +12,6 @@ from susywell.scattering import (
     ConstantSegment,
     FieldSegment,
     PiecewisePotential,
-    PlaneBasisSegment,
     SLICE_BLOCK,
     SWEEP_HEADER,
     _constant_propagator,
@@ -36,6 +35,11 @@ T_RESONANCE_V4_A1 = 0.5
 
 def barrier(v0=4.0, width=1.0):
     return PiecewisePotential((0.0, width), (ConstantSegment(v0),))
+
+
+def sliced(spec, window, slices):
+    """The V1 partner of spec on window as one FieldSegment, V = 0 outside."""
+    return PiecewisePotential(window, (FieldSegment(partner_field(spec, Partner.V1), slices),))
 
 
 def sequential_propagator(field, a, b, slices, energy):
@@ -87,9 +91,15 @@ class TestTransferMatrix:
         assert moved.transmission == pytest.approx(base.transmission, abs=1e-12)
         assert moved.reflection == pytest.approx(base.reflection, abs=1e-12)
 
-    def test_energy_below_asymptote_refused(self):
+    @pytest.mark.parametrize("energy", [-0.5, 0.0, math.nan])
+    def test_nonpositive_or_nan_energy_refused(self, energy):
         with pytest.raises(ValueError):
-            transfer_matrix(barrier(), -0.5)
+            transfer_matrix(barrier(), energy)
+
+    def test_vanishing_free_wave_wronskian(self):
+        # E = 1e-30 puts 2 k0 = 2e-15 below WRONSKIAN_TOL
+        with pytest.raises(DegenerateMatch):
+            transmission_reflection(barrier(), 1e-30)
 
     def test_ascending_breakpoints_enforced(self):
         with pytest.raises(ValueError):
@@ -100,11 +110,6 @@ class TestTransferMatrix:
     def test_segment_count_enforced(self):
         with pytest.raises(ValueError):
             PiecewisePotential((0.0, 1.0, 2.0), (ConstantSegment(1.0),))
-
-    def test_complex_asymptote_refused(self):
-        with pytest.raises(ValueError):
-            PiecewisePotential((0.0, 1.0), (ConstantSegment(1.0),),
-                               asymptotic=1.0 + 1.0j)
 
     def test_evanescent_overflow_guard(self):
         wide = PiecewisePotential((0.0, 100.0), (ConstantSegment(1e8),))
@@ -261,10 +266,8 @@ class TestPlaneFamilySweep:
         right = SuperpotentialSpec(Family.PLANE_RIGHT, k, 1.0)
         window = (-math.pi / k, math.pi / k)
         for E in (0.5, 1.7):
-            tl = plane_partner_sweep(left, Partner.V1, window, [E],
-                                     slices=20000, max_doublings=0)[0]
-            tr = plane_partner_sweep(right, Partner.V1, window, [E],
-                                     slices=20000, max_doublings=0)[0]
+            tl = transmission_reflection(sliced(left, window, 40000), E)
+            tr = transmission_reflection(sliced(right, window, 40000), E)
             assert abs(tl.transmission - tr.transmission) < 1e-8
 
     def test_left_right_mirrored_windows_agree_exactly(self):
@@ -274,11 +277,9 @@ class TestPlaneFamilySweep:
         left = SuperpotentialSpec(Family.PLANE_LEFT, k, 1.0)
         right = SuperpotentialSpec(Family.PLANE_RIGHT, k, 1.0)
         a, b = 0.3, 2.2
-        tl = plane_partner_sweep(left, Partner.V1, (a, b), [1.7],
-                                 slices=500, max_doublings=0)[0]
-        tr = plane_partner_sweep(right, Partner.V1,
-                                 (math.pi / k - b, math.pi / k - a), [1.7],
-                                 slices=500, max_doublings=0)[0]
+        tl = transmission_reflection(sliced(left, (a, b), 1000), 1.7)
+        tr = transmission_reflection(
+            sliced(right, (math.pi / k - b, math.pi / k - a), 1000), 1.7)
         assert abs(tl.transmission - tr.transmission) < 1e-12
 
     def test_conjugate_matrix_relation(self):
@@ -303,34 +304,7 @@ class TestPlaneFamilySweep:
     def test_slice_too_coarse(self):
         spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0)
         with pytest.raises(SliceTooCoarse):
-            plane_partner_sweep(spec, Partner.V1, (0.0, 2 * math.pi), [1.0],
-                                slices=16, stabilize_tol=0.0, max_doublings=0)
-
-
-class TestPlaneBasisSegments:
-    def test_transparent_at_matching_energy(self):
-        # q = 0 turns the basis into exact plane waves of the E = k^2 problem
-        pot = PiecewisePotential((0.0, 2.0), (PlaneBasisSegment(1.0, 0.0),))
-        m = transfer_matrix(pot, 1.0)
-        assert np.max(np.abs(m - np.eye(2))) < 1e-12
-
-    def test_composes_with_constant_segments(self):
-        pot = PiecewisePotential(
-            (0.0, 1.0, 2.0),
-            (ConstantSegment(0.0), PlaneBasisSegment(1.0, 0.0)))
-        res = transmission_reflection(pot, 1.0)
-        assert res.transmission == pytest.approx(1.0, abs=1e-10)
-
-    def test_degenerate_basis_detected(self):
-        # k + q sin(kx) vanishes at the right edge for k=1, q=-1, x=pi/2
-        pot = PiecewisePotential((0.0, math.pi / 2),
-                                 (PlaneBasisSegment(1.0, -1.0),))
-        with pytest.raises(DegenerateMatch):
-            transfer_matrix(pot, 1.0)
-
-    def test_invalid_wavenumber_refused(self):
-        with pytest.raises(ValueError):
-            PlaneBasisSegment(-1.0, 0.0)
+            plane_partner_sweep(spec, Partner.V1, (0.0, 2 * math.pi), [1.0], slices=1)
 
 
 class TestSweepSerialization:

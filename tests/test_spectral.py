@@ -12,6 +12,7 @@ from susywell.errors import InsufficientEigenvalues, SingularPoint
 from susywell.spectral import (
     RESIDUAL_TOL,
     Grid1D,
+    _dense_eigenpairs,
     _inverse_iteration,
     _pt_real_form,
     _tridiagonal_dense,
@@ -117,10 +118,10 @@ class TestEigenvalues:
     def test_real_and_dense_paths_agree(self):
         g = Grid1D(0.0, math.pi, 400)
         h = discretize(flat, g)
-        sym = eigenvalues(h, 5, method="symmetric")
-        dense = eigenvalues(h, 5, method="dense")
-        assert np.max(np.abs(sym.eigenvalues - dense.eigenvalues)) \
-            < PATH_AGREEMENT_TOL
+        assert h.is_real
+        sym = eigenvalues(h, 5)
+        dense, _ = _dense_eigenpairs(h, 5)
+        assert np.max(np.abs(sym.eigenvalues - dense)) < PATH_AGREEMENT_TOL
 
     def test_residual_gates(self):
         g = Grid1D(0.0, math.pi, 1000)
@@ -128,12 +129,6 @@ class TestEigenvalues:
         assert np.all(rep.scaled_residuals <= 1e-8)
         # on the well conditioned acceptance path the absolute form holds too
         assert np.all(rep.residuals <= 1e-8)
-
-    def test_symmetric_path_requires_real_diagonal(self):
-        spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
-        h = discretize(partner_field(spec, Partner.V1), Grid1D(0.1, math.pi - 0.1, 64))
-        with pytest.raises(ValueError):
-            eigenvalues(h, 3, method="symmetric")
 
     def test_count_bounds(self):
         h = discretize(free, Grid1D(0.0, math.pi, 32))
@@ -143,7 +138,7 @@ class TestEigenvalues:
     def test_eigenvalue_ordering(self):
         spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
         h = discretize(partner_field(spec, Partner.V1), Grid1D(0.01, math.pi - 0.01, 200))
-        rep = eigenvalues(h, 8, method="dense")
+        rep = eigenvalues(h, 8)
         re = rep.eigenvalues.real
         assert np.all(np.diff(re) >= -1e-12)
 
@@ -151,7 +146,7 @@ class TestEigenvalues:
         spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
         h = discretize(partner_field(spec, Partner.V1), Grid1D(0.05, math.pi - 0.3, 200))
         assert _pt_real_form(h) is None
-        rep = eigenvalues(h, 6, method="dense")
+        rep = eigenvalues(h, 6)
         assert np.all(rep.scaled_residuals <= RESIDUAL_TOL)
         full = eigvals(_tridiagonal_dense(h.diagonal, h.off_diagonal))
         lowest = full[np.lexsort((full.imag, full.real))[:6]]
@@ -232,7 +227,6 @@ class TestIsospectral:
         res = isospectral_check(rep, rep, shift=0)
         assert res.matched == 3
         assert res.max_error == 0.0
-        assert res.passed
 
     def test_partner_ladder(self):
         spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 0.0)
@@ -240,15 +234,14 @@ class TestIsospectral:
                                  4, ACCEPTANCE_GRIDS)
         v2 = richardson_spectrum(partner_field(spec, Partner.V2), 0.0, math.pi,
                                  3, ACCEPTANCE_GRIDS)
-        res = isospectral_check(v1, v2, shift=1, tol=1e-4)
-        assert res.passed
+        res = isospectral_check(v1, v2, shift=1)
+        assert res.max_error <= 1e-4
         assert res.matched == 3
 
     def test_offset_spectra_fail(self):
         v1 = richardson_spectrum(flat, 0.0, math.pi, 4, (500, 1000))
         v0 = richardson_spectrum(free, 0.0, math.pi, 4, (500, 1000))
-        res = isospectral_check(v1, v0, shift=0, tol=1e-4)
-        assert not res.passed
+        res = isospectral_check(v1, v0, shift=0)
         assert res.max_error == pytest.approx(1.0, abs=1e-2)
 
     def test_insufficient_levels(self):

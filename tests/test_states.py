@@ -52,12 +52,6 @@ class TestClosedForms:
         val = eval_wavefunction(WaveFunctionSpec(Family.PLANE_RIGHT, 1.0, 0.0), x0)
         assert_allclose([val.real, val.imag], [math.cos(x0), math.sin(x0)], atol=ATOL)
 
-    def test_norm_scales_linearly(self):
-        base = eval_wavefunction(WaveFunctionSpec(Family.TANGENT_WELL, 1.0, 1.0), 0.3)
-        scaled = eval_wavefunction(
-            WaveFunctionSpec(Family.TANGENT_WELL, 1.0, 1.0, norm=2.0 - 1.0j), 0.3)
-        assert_allclose(scaled, (2.0 - 1.0j) * base, atol=ATOL)
-
     def test_left_mover_conjugates_right_mover(self):
         xs = np.linspace(-2.0, 2.0, 101)
         right = eval_wavefunction(WaveFunctionSpec(Family.PLANE_RIGHT, 1.0, 1.5), xs)
