@@ -29,7 +29,13 @@ from .errors import (
     SliceTooCoarse,
     StepTooLarge,
 )
-from .scattering import SWEEP_HEADER, plane_partner_sweep, sweep_csv, sweep_rows
+from .scattering import (
+    SWEEP_HEADER,
+    WRONSKIAN_TOL,
+    plane_partner_sweep,
+    sweep_csv,
+    sweep_rows,
+)
 from .serialize import json_text, write_text
 from .spectral import remainder_spectrum, richardson_spectrum
 from .susy_core import (
@@ -224,6 +230,9 @@ def _validate(cfg):
     for e in cfg.energies:
         if e <= 0:
             raise ConfigError("energies", "scattering energies must be positive")
+        if 2.0 * math.sqrt(e) < WRONSKIAN_TOL:
+            raise ConfigError("energies", f"energy {e!r} is too small to match free waves: "
+                                          f"2 sqrt(E) is below {WRONSKIAN_TOL:g}")
 
 
 def _out_path(cfg, name):

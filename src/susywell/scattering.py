@@ -10,9 +10,16 @@ Segments come in two kinds:
   ConstantSegment   exact propagator, entire in k^2 = E - V, so the E = V
                     resonance goes through the sinc limit with no branch;
   FieldSegment      arbitrary complex profile, integrated as a product of
-                    thin constant slices at midpoint values; the slice
-                    matrices are built as one batch and reduced by a
-                    blocked pairwise product (SLICE_BLOCK slices per block).
+                    thin constant slices at midpoint values. A block of
+                    SLICE_BLOCK slices is four complex arrays, the entries
+                    (p, q, r, s) of [[p, q], [r, s]]; neighbours are
+                    multiplied entry-wise, later slice on the left, in
+                    log2(m) levels, and each block's product is folded
+                    into a running 2x2.
+
+plane_partner_sweep samples the partner once per slice count: the midpoints
+depend only on the window and the count, so every energy of one sweep
+reuses the same values.
 
 Complex segment values model absorption/gain; |r|^2 + |t|^2 - 1 is
 reported per energy as flux_defect and vanishes only for real structures.
@@ -76,42 +83,59 @@ class PiecewisePotential:
             )
 
 
-def _slice_propagators(values, width: float, energy: float) -> np.ndarray:
-    """Fundamental (psi, psi') matrices across constant slices, shape (m, 2, 2).
+def _slice_entries(values, width: float, energy: float):
+    """Entries (p, q, r, s) of the constant-slice (psi, psi') matrices [[p, q], [r, s]].
 
-    [[cos(kw), w sinc(kw)], [-k^2 w sinc(kw), cos(kw)]], k^2 = E - V, one
-    matrix per value. Entire in k^2: no branch choice, det = 1, and k -> 0
+    p = s = cos(kw), q = w sinc(kw), r = -k^2 w sinc(kw), k^2 = E - V, one
+    slice per value. Entire in k^2: no branch choice, det = 1, and k -> 0
     degenerates to the linear-solution pair [[1, w], [0, 1]]; cos and sinc go
-    to their series below |kw| = 1e-4 (covers the E = V resonance limit).
+    to their series below |kw| = 1e-4 (covers the E = V resonance limit),
+    evaluated at those slices only.
     """
     ksq = complex(energy) - np.asarray(values, dtype=np.complex128)
     z = np.sqrt(ksq) * width
     over = np.flatnonzero(np.abs(z.imag) > OVERFLOW_EXPONENT)
     if over.size:
         raise EvanescentOverflow(abs(z[over[0]].imag))
-    z2 = z * z
-    small = np.abs(z) < 1e-4
-    safe = np.where(small, 1.0, z)
-    cosz = np.where(small, 1.0 - z2 / 2.0 + z2 * z2 / 24.0, np.cos(z))
-    sfac = width * np.where(small, 1.0 - z2 / 6.0 + z2 * z2 / 120.0, np.sin(safe) / safe)
-    out = np.empty(z.shape + (2, 2), dtype=np.complex128)
-    out[:, 0, 0] = out[:, 1, 1] = cosz
-    out[:, 0, 1] = sfac
-    out[:, 1, 0] = -ksq * sfac
-    return out
+    small = np.flatnonzero(np.abs(z) < 1e-4)
+    safe = z
+    if small.size:
+        safe = z.copy()
+        safe[small] = 1.0
+    cosz = np.cos(z)
+    sinc = np.sin(safe) / safe
+    if small.size:
+        z2 = z[small] * z[small]
+        cosz[small] = 1.0 - z2 / 2.0 + z2 * z2 / 24.0
+        sinc[small] = 1.0 - z2 / 6.0 + z2 * z2 / 120.0
+    sfac = width * sinc
+    return cosz, sfac, -ksq * sfac, cosz
 
 
 def _constant_propagator(value: complex, width: float, energy: float) -> np.ndarray:
-    return _slice_propagators([value], width, energy)[0]
+    p, q, r, s = _slice_entries([value], width, energy)
+    return np.array([[p[0], q[0]], [r[0], s[0]]])
 
 
-def _ordered_product(stack: np.ndarray) -> np.ndarray:
-    """stack[-1] @ ... @ stack[0], reduced by pairwise matmul in log2(m) steps."""
-    while len(stack) > 1:
-        even = len(stack) - len(stack) % 2
-        pairs = stack[1:even:2] @ stack[0:even:2]
-        stack = np.concatenate([pairs, stack[even:]]) if even < len(stack) else pairs
-    return stack[0]
+def _ordered_product(p, q, r, s) -> tuple[complex, complex, complex, complex]:
+    """Entries of slice[-1] @ ... @ slice[0], reduced pairwise in log2(m) levels.
+
+    Each level multiplies neighbours entry-wise, the later slice on the left;
+    an odd last slice is carried to the next level unchanged.
+    """
+    while len(p) > 1:
+        even = len(p) - len(p) % 2
+        a, b = slice(1, even, 2), slice(0, even, 2)
+        pair = (
+            p[a] * p[b] + q[a] * r[b],
+            p[a] * q[b] + q[a] * s[b],
+            r[a] * p[b] + s[a] * r[b],
+            r[a] * q[b] + s[a] * s[b],
+        )
+        if even < len(p):
+            pair = tuple(np.append(new, old[even:]) for new, old in zip(pair, (p, q, r, s)))
+        p, q, r, s = pair
+    return complex(p[0]), complex(q[0]), complex(r[0]), complex(s[0])
 
 
 def _field_propagator(segment: FieldSegment, a: float, b: float, energy: float) -> np.ndarray:
@@ -120,12 +144,13 @@ def _field_propagator(segment: FieldSegment, a: float, b: float, energy: float) 
     values = np.asarray(segment.field(mids), dtype=np.complex128)
     if values.shape != mids.shape:
         raise ValueError("segment field must return one value per slice midpoint")
-    # blocks bound the (m, 2, 2) temporaries; later slices multiply on the left
-    out = np.eye(2, dtype=np.complex128)
+    # blocks bound the temporaries; later blocks multiply the running product on the left
+    p, q, r, s = 1.0 + 0j, 0j, 0j, 1.0 + 0j
     for start in range(0, len(values), SLICE_BLOCK):
-        block = _slice_propagators(values[start:start + SLICE_BLOCK], width, energy)
-        out = _ordered_product(block) @ out
-    return out
+        bp, bq, br, bs = _ordered_product(
+            *_slice_entries(values[start:start + SLICE_BLOCK], width, energy))
+        p, q, r, s = bp * p + bq * r, bp * q + bq * s, br * p + bs * r, br * q + bs * s
+    return np.array([[p, q], [r, s]])
 
 
 def transfer_matrix(potential: PiecewisePotential, energy: float) -> np.ndarray:
@@ -239,9 +264,20 @@ def plane_partner_sweep(
     if not x_a < x_b:
         raise ValueError(f"empty window [{x_a!r}, {x_b!r}]")
     field = partner_field(spec, which)
+    # the slice midpoints depend only on the window and the slice count, so
+    # every energy of the sweep reuses one sample of the partner per count;
+    # sampling in SLICE_BLOCK chunks keeps the partner's temporaries as small
+    # as the kernel's while the earlier samples are held
+    samples = {}
+
+    def sampled(mids):
+        if len(mids) not in samples:
+            samples[len(mids)] = np.concatenate(
+                [field(mids[i:i + SLICE_BLOCK]) for i in range(0, len(mids), SLICE_BLOCK)])
+        return samples[len(mids)]
 
     def result_at(m: int, energy: float) -> ScatteringResult:
-        structure = PiecewisePotential((x_a, x_b), (FieldSegment(field, m),))
+        structure = PiecewisePotential((x_a, x_b), (FieldSegment(sampled, m),))
         return transmission_reflection(structure, energy)
 
     out = []

@@ -251,6 +251,16 @@ class TestConfigHandling:
         assert res.exit_code == 3
         assert "exploratory_grids" in res.output
 
+    def test_energy_below_free_wave_matching(self, runner, tmp_path):
+        # 2 sqrt(1e-30) = 2e-15 is below WRONSKIAN_TOL: refused before any solve
+        conf = tmp_path / "run.conf"
+        conf.write_text("energies=1e-30\n")
+        res = runner.invoke(main, ["scatter", "--family", "barrier", "--config", str(conf),
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 3, res.output
+        assert "energies" in res.output
+        assert not (tmp_path / "scatter.csv").exists()
+
     def test_dense_grid_over_memory_limit(self, runner, tmp_path):
         # refused from the estimate (12 GiB), before any matrix is allocated
         conf = tmp_path / "run.conf"

@@ -68,6 +68,24 @@ def test_constant_stack_is_unimodular(values, width, energy):
     assert abs(det(m) - 1.0) < 1e-12 * max(1.0, np.max(np.abs(m)) ** 2)
 
 
+@settings(max_examples=60, deadline=None)
+@given(half=st.lists(st.tuples(coefficient, widths), min_size=1, max_size=3),
+       middle=st.none() | st.tuples(st.floats(-4.0, 4.0), widths), energy=energies)
+def test_pt_symmetric_stack_obeys_generalized_unitarity(half, middle, energy):
+    # V(c - x) = conj V(c + x) gives |T - 1| = sqrt(R_L R_R)
+    # (Ge, Chong & Stone, PRA 85 (2012) 023802)
+    mirrored = [(value.conjugate(), width) for value, width in reversed(half)]
+    stack = half + ([middle] if middle else []) + mirrored
+    bps = tuple(np.concatenate([[0.0], np.cumsum([width for _, width in stack])]))
+    m = transfer_matrix(PiecewisePotential(bps, [ConstantSegment(v) for v, _ in stack]),
+                        energy)
+    t, r_left, r_right = 1.0 / m[1, 1], -m[1, 0] / m[1, 1], m[0, 1] / m[1, 1]
+    transmission = abs(t) ** 2
+    geometric = abs(r_left) * abs(r_right)
+    gap = abs(abs(transmission - 1.0) - geometric)
+    assert gap <= 1e-12 * max(1.0, transmission, geometric)
+
+
 @settings(max_examples=40, deadline=None)
 @given(field=fields, slices=st.integers(1, 5000), width=widths, energy=energies)
 def test_field_segment_is_unimodular(field, slices, width, energy):

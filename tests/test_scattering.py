@@ -296,6 +296,16 @@ class TestPlaneFamilySweep:
             PiecewisePotential((-1.0, 1.0), (FieldSegment(left, 3000),)), 0.5)
         assert np.max(np.abs(ml - sx @ np.conj(mr) @ sx)) < 1e-12
 
+    def test_shared_samples_leave_results_unchanged(self):
+        # one sweep reuses each slice count's partner sample across energies;
+        # energies that double 0 to 3 times must match one-energy sweeps bit for bit
+        spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.5)
+        energies = [0.45, 0.6, 1.0, 1.2, 2.0]
+        window = (0.0, 2 * math.pi)
+        together = plane_partner_sweep(spec, Partner.V1, window, energies)
+        alone = [plane_partner_sweep(spec, Partner.V1, window, [E])[0] for E in energies]
+        assert together == alone
+
     def test_requires_plane_family(self):
         spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 1.0)
         with pytest.raises(ValueError):
