@@ -37,14 +37,13 @@ from .scattering import (
     sweep_rows,
 )
 from .serialize import json_text, write_text
-from .spectral import remainder_spectrum, richardson_spectrum
+from .spectral import remainder_spectrum
 from .susy_core import (
     Family,
     Partner,
     SuperpotentialSpec,
     WELL_FAMILIES,
     fundamental_cell,
-    partner_field,
 )
 
 FAMILY_TOKENS = {fam.value: fam for fam in Family}
@@ -52,8 +51,10 @@ FAMILY_TOKENS = {fam.value: fam for fam in Family}
 PARTNER_TOKENS = {"v1": Partner.V1, "v2": Partner.V2}
 
 # Upper bound on the dense eigensolver's memory for the largest exploratory
-# grid. Its complex fallback holds the n x n complex128 matrix plus the copy
-# LAPACK works on: 2 * 16 n^2 bytes, so 1 GiB admits n up to 5792.
+# grid. LAPACK works in place on one n x n matrix: 8 n^2 bytes for the real
+# PT form, 16 n^2 for the complex fallback. The rule charges 32 n^2, twice
+# the complex footprint, a margin kept so that the set of admitted grids
+# stays fixed: 1 GiB admits n up to 5792.
 DENSE_MEMORY_LIMIT = 1 << 30
 
 
@@ -215,8 +216,9 @@ def _validate(cfg):
     dense_bytes = 32 * largest ** 2
     if dense_bytes > DENSE_MEMORY_LIMIT:
         raise ConfigError("exploratory_grids",
-                          f"grid {largest} needs {dense_bytes / 2**30:.1f} GiB for the dense "
-                          f"eigensolver, over the {DENSE_MEMORY_LIMIT / 2**30:g} GiB limit")
+                          f"grid {largest} is charged {dense_bytes / 2**30:.1f} GiB (32 n^2 "
+                          f"bytes) for the dense eigensolver, over the "
+                          f"{DENSE_MEMORY_LIMIT / 2**30:g} GiB limit")
     if (cfg.window_min is None) != (cfg.window_max is None):
         raise ConfigError("window_min", "window_min and window_max go together")
     if cfg.window_min is not None and cfg.window_min >= cfg.window_max:
@@ -298,24 +300,14 @@ def _spectrum_q0(cfg, spec, lo, hi):
 def _spectrum_exploratory(cfg, spec, lo, hi):
     """Complex q != 0 path: record spectra on shrinking edge truncations."""
     eps_values = (cfg.epsilon,) if "epsilon" in cfg.explicit else gates.EPS_SWEEP
+    if max(eps_values) >= (hi - lo) / 4:
+        raise ConfigError("epsilon", "truncation exceeds a quarter cell")
     grids = sorted(cfg.exploratory_grids)
-    for eps in eps_values:
-        if eps >= (hi - lo) / 4:
-            raise ConfigError("epsilon", "truncation exceeds a quarter cell")
-        payload = {
-            "family": cfg.family,
-            "k": cfg.k,
-            "q": cfg.q,
-            "epsilon": eps,
-            "count": cfg.count,
-            "grids": grids,
-        }
-        for which, name in ((Partner.V1, "v1"), (Partner.V2, "v2")):
-            rep = richardson_spectrum(partner_field(spec, which), lo + eps, hi - eps,
-                                      cfg.count, grids)
-            payload[name] = rep.survey_payload()
-            click.echo(f"eps={eps:g} {name}: max |Im E| = "
-                       f"{payload[name]['max_imag_overall']:.3e}")
+    for eps, blocks in gates.truncation_survey(spec, (lo, hi), cfg.count, grids, eps_values):
+        for name, block in blocks.items():
+            click.echo(f"eps={eps:g} {name}: max |Im E| = {block['max_imag_overall']:.3e}")
+        payload = {"family": cfg.family, "k": cfg.k, "q": cfg.q, "epsilon": eps,
+                   "count": cfg.count, "grids": grids, **blocks}
         path = _out_path(cfg, f"spectrum_eps_{eps:.0e}.json")
         write_text(path, json_text(payload) + "\n")
         click.echo(f"wrote {path}")
@@ -326,11 +318,12 @@ def _spectrum_exploratory(cfg, spec, lo, hi):
 
 
 def run_verify(cfg):
-    """Run every gate and the non-gating survey; write verify.json."""
+    """Run every gate, record the non-gating pole coupling and plane
+    asymmetry, and write verify.json."""
     checks = gates.verify_gates(cfg.negative_control, cfg.barrier_v0, cfg.barrier_width)
     for gate in checks:
         click.echo(gate.line())
-    exploratory = gates.truncation_survey(cfg.exploratory_grids)
+    exploratory = gates.exploratory_record()
     for line in exploratory["notes"]:
         click.echo(f"INFO {line}")
 

@@ -53,6 +53,9 @@ MIDPOINT_TOL = 1e-12
 EPS_SWEEP = (1e-2, 1e-3, 1e-4)
 BARRIER_MULTIPLES = (0.1, 0.5, 2.0, 5.0, 10.0)
 Q0_SPEC = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 0.0)
+Q2_SPEC = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
+# Re g below this, with V1 ~ g/d^2 near a wall, predicts fall to centre
+FALL_TO_CENTRE = -0.25
 
 # ground_state_residual samples 9 points of each family at q = 1.5 and, at
 # q = 2, one interior point where it also measures the decay in h. There
@@ -277,21 +280,41 @@ def verify_gates(negative_control=False, v0=4.0, width=1.0):
     ]
 
 
-def truncation_survey(grids=(200, 400, 800)):
-    """Not a gate: dense spectra of V1 of the q = 2 cotangent well on cells
-    truncated by each of EPS_SWEEP, recorded because Im E does not settle
-    as the truncation shrinks; and the asymmetry of a plane partner."""
-    field = susy_core.partner_field(SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0),
-                                    Partner.V1)
-    truncation = []
-    notes = []
-    for eps in EPS_SWEEP:
-        rep = spectral.richardson_spectrum(field, eps, math.pi - eps, 4, grids)
-        block = rep.survey_payload()
-        truncation.append({"epsilon": eps, "v1": block})
-        notes.append(f"eps={eps:g}: max |Im E| {block['max_imag_overall']:.3e}, "
-                     f"finest Re {['%.6f' % ev.real for ev in rep.eigenvalues]}")
+def truncation_survey(spec=Q2_SPEC, cell=None, count=4, grids=(200, 400, 800),
+                      eps_values=EPS_SWEEP):
+    """Not a gate: Richardson spectra of V1 and V2 on the cell (the natural
+    one by default) truncated by each of eps_values, recorded because at
+    q != 0 they do not converge as the truncation shrinks (see
+    exploratory_record). Yields (eps, {"v1": block, "v2": block}) per
+    truncation as it is solved, each block a survey_payload."""
+    lo, hi = cell or susy_core.fundamental_cell(spec)
+    for eps in eps_values:
+        yield eps, {
+            which.name.lower(): spectral.richardson_spectrum(
+                susy_core.partner_field(spec, which), lo + eps, hi - eps, count, grids,
+            ).survey_payload()
+            for which in Partner
+        }
+
+
+def exploratory_record():
+    """Not a gate: the pole coupling g of V1 of the q = 2 cotangent well,
+    which says whether its truncated-box spectra can converge, and the
+    asymmetry of a plane partner. `spectrum` records those spectra; a note
+    names the command."""
+    spec = Q2_SPEC
+    g = susy_core.pole_coupling(spec)
+    falls = g.real < FALL_TO_CENTRE
+    coupling = {"family": spec.family.value, "k": spec.k, "q": spec.q, "alpha": spec.alpha,
+                "lower_wall": [g.real, g.imag], "upper_wall": [g.real, -g.imag],
+                "re_g": g.real, "fall_to_centre": falls}
     plane = susy_core.partner_field(SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0), Partner.V1)
     plane_asym = states.pt_asymmetry(plane, 0.0, np.linspace(-2.0, 2.0, 500))
-    notes.append(f"plane family asymmetry about 0: {plane_asym:.6f} (recorded, not gated)")
-    return {"truncation": truncation, "plane_asymmetry": plane_asym, "notes": notes}
+    notes = [
+        f"V1 ~ g/d^2 at distance d from the walls: g = {g.real:g}{g.imag:+g}i at the lower "
+        f"wall, its conjugate at the upper; Re g {'<' if falls else '>='} {FALL_TO_CENTRE:g}, "
+        f"so fall to centre is {'predicted' if falls else 'not predicted'}",
+        f"truncated-box spectra: susywell spectrum --family {spec.family.value} --q {spec.q:g}",
+        f"plane family asymmetry about 0: {plane_asym:.6f} (recorded, not gated)",
+    ]
+    return {"pole_coupling": coupling, "plane_asymmetry": plane_asym, "notes": notes}

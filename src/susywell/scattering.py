@@ -208,12 +208,17 @@ class ScatteringResult:
 
 
 def transmission_reflection(potential: PiecewisePotential, energy: float) -> ScatteringResult:
-    """Left-incidence amplitudes: r = -M21/M22, t = det M / M22."""
+    """Left-incidence amplitudes: r = -M21/M22, t = det M / M22 = 1/M22.
+
+    det M = 1 holds by construction (every slice and the free-wave matching
+    are unimodular), so t is not rebuilt from det M: its four entries grow
+    like 1/k0, and as E -> 0 the determinant would come out of cancellation.
+    """
     m = transfer_matrix(potential, energy)
     if abs(m[1, 1]) < 1e-300:
         raise DegenerateMatch("M22", m[1, 1], 1e-300, potential.breakpoints[-1])
     r = -m[1, 0] / m[1, 1]
-    t = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) / m[1, 1]
+    t = 1.0 / m[1, 1]
     defect = abs(r) ** 2 + abs(t) ** 2 - 1.0
     return ScatteringResult(energy, complex(r), complex(t), float(defect))
 

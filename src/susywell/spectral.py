@@ -215,8 +215,11 @@ def _dense_eigenpairs(ham: DiscretizedHamiltonian, count: int):
 
 
 def _tridiagonal_dense(diagonal: np.ndarray, off_diagonal: float) -> np.ndarray:
+    """The tridiagonal matrix, dense and in Fortran order, so that LAPACK
+    works on it in place instead of on a transposed copy."""
     idx = np.arange(diagonal.size)
-    dense = np.diag(diagonal)
+    dense = np.zeros((diagonal.size, diagonal.size), dtype=diagonal.dtype, order="F")
+    dense[idx, idx] = diagonal
     dense[idx[:-1], idx[1:]] = off_diagonal
     dense[idx[1:], idx[:-1]] = off_diagonal
     return dense

@@ -303,6 +303,20 @@ def check_shape_invariance(
     return ShapeInvarianceResult(mean, dev, bool(dev <= max(1e-10 * abs(mean), 1e-12)))
 
 
+def pole_coupling(spec: SuperpotentialSpec) -> complex:
+    """g in V1 ~ g / d^2 at distance d inside the lower wall of a well's
+    cell; the upper wall has conj(g).
+
+    g = (k - iq)(k - alpha - iq) / alpha^2 for both wells. Where Re g < -1/4
+    a Dirichlet wall at d = epsilon admits states with E ~ -1/epsilon^2
+    (fall to centre, Case, Phys. Rev. 80 (1950) 797), so box spectra do not
+    converge as the truncation shrinks.
+    """
+    if spec.family not in WELL_FAMILIES:
+        raise ValueError(f"pole coupling needs a well family, got {spec.family}")
+    return (spec.k - 1j * spec.q) * (spec.k - spec.alpha - 1j * spec.q) / spec.alpha**2
+
+
 def partner_field(spec: SuperpotentialSpec, which: Partner):
     """V1 or V2 as a plain callable of position (scalar or array)."""
     return lambda x: eval_partner(spec, which, x)

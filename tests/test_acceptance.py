@@ -3,8 +3,8 @@
 Each criterion runs the gates of `susywell.gates` that `verify` runs,
 prints "ACCEPTANCE n: PASS" or "ACCEPTANCE n: FAIL" with their details,
 then asserts. The bounds live in the gates; the only one here is criterion
-1's run time. Criterion 9 is the recorded truncation survey and passes
-whenever the record is complete and finite.
+1's run time. Criterion 9 is the truncation survey that `spectrum --q 2`
+records, and passes whenever the record is complete and finite.
 """
 
 import math
@@ -59,13 +59,15 @@ def test_criterion_8_figure_data(capsys):
 
 def test_criterion_9_truncation_survey(capsys):
     # recorded, not gated: the complex-well spectrum does not converge to a
-    # real limit as the edge truncation shrinks, and the record shows it
-    survey = gates.truncation_survey()
-    blocks = [entry["v1"] for entry in survey["truncation"]]
-    records = [grid["max_imag"] for block in blocks for grid in block["per_grid"]]
+    # real limit as the edge truncation shrinks (Re g < -1/4 at its walls,
+    # fall to centre), and the record shows it
+    v1 = {eps: blocks["v1"] for eps, blocks in gates.truncation_survey()}
+    records = [grid["max_imag"] for block in v1.values() for grid in block["per_grid"]]
     with capsys.disabled():
-        for line in survey["notes"]:
-            print(f"  {line}")
+        for eps, block in v1.items():
+            finest = ["%.6f" % ev[0] for ev in block["per_grid"][-1]["eigenvalues"]]
+            print(f"  eps={eps:g}: max |Im E| {block['max_imag_overall']:.3e}, "
+                  f"finest Re {finest}")
     ok = len(records) == 9 and all(math.isfinite(v) for v in records)
     gate = gates.Gate("truncation_survey", ok, max(records), math.inf,
                       "non-gating survey recorded; imaginary parts grow as the "

@@ -12,7 +12,9 @@ import pytest
 from click.testing import CliRunner
 
 import susywell.cli
+from susywell import gates
 from susywell.cli import main
+from susywell.serialize import json_text
 
 FLUX_TOL = 1e-10
 
@@ -149,6 +151,22 @@ class TestSpectrum:
             sizes = [g["grid_sizes_used"] for g in payload[name]["per_grid"]]
             assert sizes == [[32], [48], [64]]
 
+    def test_survey_writes_what_the_acceptance_survey_records(self, runner, tmp_path):
+        # the default sweep of three truncations, finest grid 64 whatever the
+        # order of the list; V1 is the survey of acceptance criterion 9
+        conf = tmp_path / "run.conf"
+        conf.write_text("exploratory_grids=64,32,48\n")
+        res = runner.invoke(main, ["spectrum", "--family", "cotangent_well", "--q", "2",
+                                   "--config", str(conf), "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert len(list(tmp_path.glob("spectrum_eps_*.json"))) == 3
+        for eps, blocks in gates.truncation_survey(grids=(32, 48, 64)):
+            payload = read_json(tmp_path / f"spectrum_eps_{eps:.0e}.json")
+            assert {name: payload[name] for name in blocks} == json.loads(json_text(blocks))
+            assert payload["v1"]["per_grid"][-1]["grid_sizes_used"] == [64]
+            assert (f"eps={eps:g} v1: max |Im E| = "
+                    f"{blocks['v1']['max_imag_overall']:.3e}") in res.output
+
 
 class TestConfigHandling:
     def test_file_applies_and_flags_win(self, runner, tmp_path):
@@ -261,6 +279,15 @@ class TestConfigHandling:
         assert "energies" in res.output
         assert not (tmp_path / "scatter.csv").exists()
 
+    def test_barrier_near_zero_energy_passes(self, runner, tmp_path):
+        # t = 1/M22 keeps T accurate where det M / M22 lost it to cancellation
+        conf = tmp_path / "run.conf"
+        conf.write_text("energies=1e-8\n")
+        res = runner.invoke(main, ["scatter", "--family", "barrier", "--config", str(conf),
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert "PASS barrier_oracle" in res.output
+
     def test_dense_grid_over_memory_limit(self, runner, tmp_path):
         # refused from the estimate (12 GiB), before any matrix is allocated
         conf = tmp_path / "run.conf"
@@ -294,7 +321,16 @@ class TestVerify:
         names = {c["name"] for c in report["checks"]}
         assert "negative_control_fails" in names
         assert "flux_conservation" in names
-        assert "exploratory" in report
+        # the truncated-box spectra come from `spectrum --q 2`, not verify
+        exploratory = report["exploratory"]
+        assert "truncation" not in exploratory
+        coupling = exploratory["pole_coupling"]
+        assert coupling["lower_wall"] == [-4.0, -2.0]
+        assert coupling["upper_wall"] == [-4.0, 2.0]
+        assert coupling["re_g"] == -4.0 and coupling["fall_to_centre"] is True
+        assert "susywell spectrum --family cotangent_well --q 2" in " ".join(exploratory["notes"])
+        assert "INFO truncated-box spectra: susywell spectrum --family cotangent_well --q 2" \
+            in res.output
 
     def test_negative_control_flips_exit_code(self, runner, tmp_path):
         conf = tmp_path / "broken.conf"
@@ -308,9 +344,7 @@ class TestVerify:
 
 
     def test_checks_carry_measured_and_bound(self, runner, tmp_path):
-        conf = tmp_path / "run.conf"
-        conf.write_text("exploratory_grids=64,32,48\n")
-        res = runner.invoke(main, ["verify", "--config", str(conf), "--out", str(tmp_path)])
+        res = runner.invoke(main, ["verify", "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
         report = read_json(tmp_path / "verify.json")
         assert [c["name"] for c in report["checks"]] == [
@@ -319,12 +353,6 @@ class TestVerify:
             "flux_conservation", "barrier_oracle", "figure_determinism"]
         for check in report["checks"]:
             assert math.isfinite(check["measured"]) and math.isfinite(check["bound"])
-        # the survey's finest grid is 64, whatever the order of the list
-        for entry, note in zip(report["exploratory"]["truncation"],
-                               report["exploratory"]["notes"]):
-            finest = entry["v1"]["per_grid"][-1]
-            assert finest["grid_sizes_used"] == [64]
-            assert str(["%.6f" % ev[0] for ev in finest["eigenvalues"]]) in note
 
 
 class TestScatter:

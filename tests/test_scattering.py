@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from susywell.errors import DegenerateMatch, EvanescentOverflow, SliceTooCoarse
+from susywell.gates import ORACLE_TOL
 from susywell.scattering import (
     ConstantSegment,
     FieldSegment,
@@ -180,6 +181,15 @@ class TestBarrierOracle:
         assert abs(res.flux_defect) < 1e-10
         ref = square_barrier_transmission(v0, width, energy)
         assert res.transmission == pytest.approx(ref, rel=ORACLE_RTOL)
+
+    @pytest.mark.parametrize("energy", [1e-8, 1e-12, 1e-16, 1e-20])
+    def test_oracle_near_zero_energy(self, energy):
+        # the entries of M grow like 1/k0; t = 1/M22 does not rebuild
+        # det M = 1 from them by cancellation
+        res = transmission_reflection(barrier(4.0, 1.0), energy)
+        ref = square_barrier_transmission(4.0, 1.0, energy)
+        assert abs(res.transmission - ref) / ref < ORACLE_TOL
+        assert abs(res.flux_defect) < 1e-10
 
     def test_two_segment_structure_conserves_flux(self):
         pot = PiecewisePotential((0.0, 1.0, 2.0),

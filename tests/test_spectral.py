@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,21 @@ class TestEigenvalues:
         full = eigvals(_tridiagonal_dense(h.diagonal, h.off_diagonal))
         lowest = full[np.lexsort((full.imag, full.real))[:6]]
         assert np.max(np.abs(rep.eigenvalues - lowest)) < 1e-10 * h.norm_inf
+
+    def test_dense_solve_works_in_place(self):
+        # the real PT form is built in Fortran order, so LAPACK solves it
+        # without a transposed copy: one 8 n^2 matrix is allocated, not two
+        n = 400
+        spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
+        h = discretize(partner_field(spec, Partner.V1), Grid1D(1e-3, math.pi - 1e-3, n))
+        assert _pt_real_form(h).flags.f_contiguous
+        tracemalloc.start()
+        try:
+            _dense_eigenpairs(h, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
 
     def test_shift_on_a_diagonal_entry(self):
         # odd n free box: H - d_0 I is exactly singular (its middle level is

@@ -20,6 +20,7 @@ from susywell.susy_core import (
     eval_superpotential_derivative,
     fundamental_cell,
     partner_from_superpotential,
+    pole_coupling,
     remainder,
     singularity_distance,
 )
@@ -309,3 +310,26 @@ class TestGuardsAndGeometry:
         assert up.k == pytest.approx(3.0)
         assert up.q == spec.q
         assert up.alpha == spec.alpha
+
+
+class TestPoleCoupling:
+    @pytest.mark.parametrize("family", WELL_FAMILIES)
+    @pytest.mark.parametrize("k,q,alpha,lower", [
+        (1.0, 2.0, 1.0, -4 - 2j),
+        (1.7, 0.5, 0.5, 7.16 - 5.8j),
+        (3.0, 1.0, 1.0, 5 - 5j),
+    ])
+    def test_closed_form_matches_the_wall_limit(self, family, k, q, alpha, lower):
+        spec = SuperpotentialSpec(family, k, q, alpha)
+        g = pole_coupling(spec)
+        assert g == pytest.approx(lower, rel=1e-12)
+        lo, hi = fundamental_cell(spec)
+        d = 1e-5
+        # V1 ~ g/d^2 up to O(d^2) relative: no 1/d term at either wall
+        assert d * d * eval_partner(spec, Partner.V1, lo + d) == pytest.approx(g, rel=1e-8)
+        assert d * d * eval_partner(spec, Partner.V1, hi - d) == pytest.approx(
+            g.conjugate(), rel=1e-8)
+
+    def test_plane_family_refused(self):
+        with pytest.raises(ValueError):
+            pole_coupling(SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0))
