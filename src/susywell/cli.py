@@ -204,21 +204,24 @@ def _validate(cfg):
         raise ConfigError("barrier_width", "must be positive")
     if cfg.format not in ("csv", "json"):
         raise ConfigError("format", "must be csv or json")
-    grids = cfg.exploratory_grids
-    if any(g < 16 for g in grids):
-        raise ConfigError("exploratory_grids", "each grid needs at least 16 points")
-    if len(grids) < 2 or len(set(grids)) < len(grids):
-        raise ConfigError("exploratory_grids", "need at least two grid sizes, all different")
-    if cfg.command == "spectrum" and cfg.q != 0.0 and cfg.count > min(grids):
-        raise ConfigError("count", f"the smallest exploratory grid, {min(grids)}, "
-                                   f"cannot resolve {cfg.count} levels")
-    largest = max(grids)
-    dense_bytes = 32 * largest ** 2
-    if dense_bytes > DENSE_MEMORY_LIMIT:
-        raise ConfigError("exploratory_grids",
-                          f"grid {largest} is charged {dense_bytes / 2**30:.1f} GiB (32 n^2 "
-                          f"bytes) for the dense eigensolver, over the "
-                          f"{DENSE_MEMORY_LIMIT / 2**30:g} GiB limit")
+    if cfg.command == "spectrum" and cfg.q != 0.0:
+        # the truncation survey is the only reader of exploratory_grids,
+        # and it solves each grid with the dense eigensolver
+        grids = cfg.exploratory_grids
+        if any(g < 16 for g in grids):
+            raise ConfigError("exploratory_grids", "each grid needs at least 16 points")
+        if len(grids) < 2 or len(set(grids)) < len(grids):
+            raise ConfigError("exploratory_grids", "need at least two grid sizes, all different")
+        if cfg.count > min(grids):
+            raise ConfigError("count", f"the smallest exploratory grid, {min(grids)}, "
+                                       f"cannot resolve {cfg.count} levels")
+        largest = max(grids)
+        dense_bytes = 32 * largest ** 2
+        if dense_bytes > DENSE_MEMORY_LIMIT:
+            raise ConfigError("exploratory_grids",
+                              f"grid {largest} is charged {dense_bytes / 2**30:.1f} GiB "
+                              f"(32 n^2 bytes) for the dense eigensolver, over the "
+                              f"{DENSE_MEMORY_LIMIT / 2**30:g} GiB limit")
     if (cfg.window_min is None) != (cfg.window_max is None):
         raise ConfigError("window_min", "window_min and window_max go together")
     if cfg.window_min is not None and cfg.window_min >= cfg.window_max:

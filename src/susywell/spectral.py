@@ -1,31 +1,44 @@
 """Finite-difference spectra of the partner potentials on a box.
 
 Three-point Laplacian on a uniform interior grid; Dirichlet walls are
-implicit in the truncation. Purely real diagonals go through the exact
-symmetric-tridiagonal solver (LAPACK bisection / inverse iteration);
-complex diagonals go through a dense general eigensolver that is
-validated against the symmetric path on real cases.
+implicit in the truncation. Both eigen paths locate the lowest levels,
+refine each one by O(n) inverse iteration on the tridiagonal H, and report
+its Rayleigh quotient on H; the residual gate is measured against H.
 
-The dense path uses PT symmetry when the diagonal has it. With J the flip
-of the grid about its centre, a PT-symmetric H satisfies J H J = conj(H),
-and U = (I + iJ)/sqrt(2) makes M = U* H U real: its diagonal is Re d, its
-off-diagonals are the constant b, and -Im d is added along the
-anti-diagonal. The eigenvalues of M are those of H, at the cost of a real
-instead of a complex dense solve. Diagonals that are not PT-symmetric, as
-on an off-centre domain, take the complex dense solve. Either way the dense
-solve computes all n eigenvalues and no eigenvectors. The eigenvectors of
-the `count` selected levels come from two steps of inverse iteration on the
-original tridiagonal H, O(n) each; the reported eigenvalues are their
-Rayleigh quotients on H, and the residual gate is measured against H.
+Purely real diagonals take the symmetric path. Sturm bisection (LAPACK
+stebz) to the coarse width BRACKET_TOL places each of the `count` lowest
+levels, and the level above them, in a bracket; the Sturm counts decide
+which levels are the lowest. Inverse iteration starts from each bracket
+midpoint and then shifts to the latest Rayleigh quotient while that stays
+in the bracket. It stops when the Rayleigh quotient lies in its bracket,
+the Kato-Temple bound |r|^2 / gap, with gap the distance to the
+neighbouring brackets, certifies it to eps ||H||_inf (Parlett, The
+Symmetric Eigenvalue Problem, 1998, sections 10.5-10.6), and the residual
+r has come down to the rounding level sqrt(n) eps ||H||_inf. A level that
+is not certified within MAX_SOLVES solves raises ConvergenceFailure.
+
+Complex diagonals take the dense path, which is validated against the
+symmetric path on real cases. It uses PT symmetry when the diagonal has it.
+With J the flip of the grid about its centre, a PT-symmetric H satisfies
+J H J = conj(H), and U = (I + iJ)/sqrt(2) makes M = U* H U real: its
+diagonal is Re d, its off-diagonals are the constant b, and -Im d is added
+along the anti-diagonal. The eigenvalues of M are those of H, at the cost of
+a real instead of a complex dense solve. Diagonals that are not
+PT-symmetric, as on an off-centre domain, take the complex dense solve.
+Either way the dense solve computes all n eigenvalues and no eigenvectors,
+and each selected level is refined by two steps of inverse iteration from
+its dense eigenvalue; the Rayleigh quotients restore what the PT projection
+of the diagonal dropped.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvals
-from scipy.linalg.lapack import zgttrf, zgttrs
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import ConvergenceFailure, InsufficientEigenvalues
 from .serialize import json_text
@@ -35,6 +48,10 @@ RESIDUAL_TOL = 1e-8
 # a diagonal within this distance of its PT mirror, relative to max|d|, is
 # PT-symmetric (sampling a symmetric potential at mirrored nodes leaves ~1e-13)
 PT_TOL = 1e-11
+# absolute width to which Sturm bisection locates the symmetric levels
+BRACKET_TOL = 1e-2
+# inverse iteration solves allowed per symmetric level before it must be certified
+MAX_SOLVES = 6
 
 
 @dataclass(frozen=True)
@@ -77,11 +94,21 @@ class DiscretizedHamiltonian:
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.diagonal)) + 2.0 * abs(self.off_diagonal))
 
+    @property
+    def pivot_floor(self) -> float:
+        """eps max(1, ||H||_inf): the smallest pivot inverse iteration keeps
+        and the accuracy to which a symmetric level is certified."""
+        return float(np.finfo(np.float64).eps * max(1.0, self.norm_inf))
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diagonal * v
-        out[:-1] += self.off_diagonal * v[1:]
-        out[1:] += self.off_diagonal * v[:-1]
-        return out
+        return _matvec(self.diagonal, self.off_diagonal, v)
+
+
+def _matvec(diagonal: np.ndarray, off_diagonal: float, v: np.ndarray) -> np.ndarray:
+    out = diagonal * v
+    out[:-1] += off_diagonal * v[1:]
+    out[1:] += off_diagonal * v[:-1]
+    return out
 
 
 def discretize(potential, grid: Grid1D) -> DiscretizedHamiltonian:
@@ -144,25 +171,14 @@ def eigenvalues(ham: DiscretizedHamiltonian, count: int) -> SpectrumReport:
     """The `count` eigenvalues of smallest real part, with eigenvectors
     checked against the residual gate.
 
-    A purely real diagonal takes the exact symmetric-tridiagonal solver
-    (bisection); any other takes the dense path of _dense_eigenpairs.
+    A purely real diagonal takes the certified symmetric path of
+    _symmetric_eigenpairs, any other the dense path of _dense_eigenpairs.
     """
     n = ham.grid.n_interior
     if not 1 <= count <= n:
         raise ValueError(f"count must be in [1, {n}], got {count!r}")
     if ham.is_real:
-        try:
-            w, v = eigh_tridiagonal(
-                ham.diagonal.real,
-                np.full(n - 1, ham.off_diagonal),
-                select="i",
-                select_range=(0, count - 1),
-            )
-        except LinAlgError as exc:
-            raise ConvergenceFailure(
-                f"tridiagonal eigensolver failed: {exc}", {"n": n, "count": count}
-            ) from exc
-        w = w.astype(np.complex128)
+        w, v = _symmetric_eigenpairs(ham, count)
     else:
         w, v = _dense_eigenpairs(ham, count)
 
@@ -187,6 +203,76 @@ def eigenvalues(ham: DiscretizedHamiltonian, count: int) -> SpectrumReport:
         residuals=resid,
         scaled_residuals=scaled,
     )
+
+
+def _symmetric_eigenpairs(ham: DiscretizedHamiltonian, count: int):
+    """(w, v) of the `count` lowest levels of a real H, each certified to
+    eps max(1, ||H||_inf) (see the module docstring).
+
+    Bisection places level j within tol/2 of its centre c_j, so the bracket
+    [c_j - tol, c_j + tol] holds it with room for the rounding of the Sturm
+    counts. Centres closer than 4 tol are located again at a sixteenth of
+    their spacing, but not below 8 eps ||H||_inf. If rho_j lies in its
+    bracket and |r|^2 <= eps ||H|| gap, gap > eps ||H|| being the distance
+    from rho_j to the brackets of levels j - 1 and j + 1, then |r| < gap, so
+    the level within |r| of rho_j is level j and no other level lies in
+    that interval; Kato-Temple then gives |lambda_j - rho_j| <= |r|^2 / gap.
+    The residual bound sqrt(n) eps ||H|| asks the same of the vector, which
+    the certificate alone accepts with a residual up to sqrt(eps ||H|| gap).
+    """
+    n = ham.grid.n_interior
+    diagonal = ham.diagonal.real
+    floor = ham.pivot_floor
+    located = min(count + 1, n)
+    tol = BRACKET_TOL
+    centres = _bisect(diagonal, ham.off_diagonal, located, tol)
+    closest = np.min(np.diff(centres), initial=np.inf)
+    if closest < 4 * tol:
+        tol = max(closest / 16, 8 * floor)
+        centres = _bisect(diagonal, ham.off_diagonal, located, tol)
+    # the edges facing level j: the top of bracket j - 1 and the bottom of j + 1
+    below = np.concatenate(([-np.inf], centres[:count - 1] + tol))
+    above = np.concatenate((centres[1:] - tol, [np.inf]))[:count]
+    start = np.random.default_rng(0).standard_normal(n)  # fixed: reruns agree
+    w = np.empty(count)
+    v = np.empty((n, count))
+    for j in range(count):
+        shift, vec = centres[j], start
+        for _ in range(MAX_SOLVES):
+            vec = _inverse_step(diagonal, ham.off_diagonal, shift, vec, floor)
+            hv = _matvec(diagonal, ham.off_diagonal, vec)
+            rho = float(vec @ hv)
+            resid = float(np.linalg.norm(hv - rho * vec))
+            gap = min(rho - below[j], above[j] - rho)
+            in_bracket = abs(rho - centres[j]) <= tol
+            if (in_bracket and gap > floor and resid**2 <= floor * gap
+                    and resid <= math.sqrt(n) * floor):
+                break
+            if in_bracket:
+                shift = rho
+        else:
+            raise ConvergenceFailure(
+                f"level {j} not certified after {MAX_SOLVES} inverse iteration solves",
+                {"n": n, "count": count, "level": j, "bracket_tol": tol,
+                 "rayleigh_quotient": rho, "residual": resid, "gap": gap,
+                 "method": "symmetric"},
+            )
+        w[j] = rho
+        v[:, j] = vec
+    return w.astype(np.complex128), v
+
+
+def _bisect(diagonal: np.ndarray, off_diagonal: float, levels: int, tol: float):
+    """Centres of the `levels` lowest eigenvalues by Sturm bisection to tol."""
+    try:
+        return eigh_tridiagonal(
+            diagonal, np.full(diagonal.size - 1, off_diagonal), eigvals_only=True,
+            select="i", select_range=(0, levels - 1), tol=tol,
+        )
+    except LinAlgError as exc:
+        raise ConvergenceFailure(
+            f"tridiagonal bisection failed: {exc}", {"n": diagonal.size, "levels": levels}
+        ) from exc
 
 
 def _dense_eigenpairs(ham: DiscretizedHamiltonian, count: int):
@@ -248,20 +334,29 @@ def _inverse_iteration(
     ham: DiscretizedHamiltonian, shift: complex, start: np.ndarray
 ) -> np.ndarray:
     """Unit eigenvector for the eigenvalue `shift` by two steps of inverse
-    iteration on the tridiagonal H (one O(n) LU factorization, two solves).
-
-    A pivot below eps ||H||_inf, as when the shift is an exact eigenvalue,
-    is raised to that size, so the solve amplifies the eigenvector instead
-    of failing.
-    """
-    band = np.full(ham.grid.n_interior - 1, ham.off_diagonal, dtype=np.complex128)
-    dl, d, du, du2, ipiv, _ = zgttrf(band, ham.diagonal - shift, band)
-    tiny = np.finfo(np.float64).eps * max(1.0, ham.norm_inf)
-    d[np.abs(d) < tiny] = tiny
-    vec = start.astype(np.complex128)
+    iteration on the complex tridiagonal H."""
+    vec = start
     for _ in range(2):
-        vec, _ = zgttrs(dl, d, du, du2, ipiv, vec)
-        vec /= np.linalg.norm(vec)
+        vec = _inverse_step(ham.diagonal, ham.off_diagonal, shift, vec, ham.pivot_floor)
+    return vec
+
+
+def _inverse_step(diagonal, off_diagonal, shift, rhs, pivot_floor):
+    """The unit solution of (H - shift) x = rhs, H the tridiagonal matrix
+    with this diagonal, by one O(n) LU factorization and solve: dgttrf for a
+    real diagonal and shift, zgttrf otherwise.
+
+    A pivot below pivot_floor, as when the shift is an exact eigenvalue, is
+    raised to that size, so the solve amplifies the eigenvector instead of
+    failing.
+    """
+    shifted = diagonal - shift
+    band = np.full(shifted.size - 1, off_diagonal, dtype=shifted.dtype)
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (shifted,))
+    dl, d, du, du2, ipiv, _ = gttrf(band, shifted, band)
+    d[np.abs(d) < pivot_floor] = pivot_floor
+    vec, _ = gttrs(dl, d, du, du2, ipiv, rhs.astype(shifted.dtype))
+    vec /= np.linalg.norm(vec)
     return vec
 
 

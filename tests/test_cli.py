@@ -299,6 +299,14 @@ class TestConfigHandling:
         assert "exploratory_grids" in res.output
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("argv", [["verify"], ["scatter", "--family", "barrier"]])
+    def test_exploratory_grids_bind_only_the_survey(self, runner, tmp_path, argv):
+        # only spectrum at q != 0 runs the survey, so only it checks the grids
+        conf = tmp_path / "run.conf"
+        conf.write_text("exploratory_grids = 200, 20000\n")
+        res = runner.invoke(main, argv + ["--config", str(conf), "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+
 
 def test_cli_import_skips_scipy_integrate():
     # a fresh interpreter, so no other test's imports count

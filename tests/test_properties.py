@@ -1,12 +1,13 @@
 """Property tests: transfer-matrix invariants over random complex structures,
-and the PT-real dense eigen path over random complex wells."""
+the PT-real dense eigen path over random complex wells, and the certified
+symmetric eigen path over random real wells."""
 
 from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigvals
+from scipy.linalg import eigh_tridiagonal, eigvals
 
 from susywell.scattering import (
     ConstantSegment,
@@ -142,3 +143,27 @@ def test_pt_real_eigenvalues_match_complex_fallback(family, partner, k, q, edge,
     assert max(np.min(np.abs(full - ev)) for ev in rep.eigenvalues) <= tol
     lowest = np.sort(full.real)[:count]
     assert np.max(np.abs(np.sort(rep.eigenvalues.real) - lowest)) <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(WELL_FAMILIES), partner=st.sampled_from(Partner),
+       k=st.floats(0.5, 3.0), ratio=st.sampled_from((1.0, 0.5, 1 / 3, 0.25)),
+       bumps=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3),
+       n=st.integers(32, 400), count=st.integers(1, 8))
+def test_symmetric_levels_match_full_bisection(family, partner, k, ratio, bumps, n, count):
+    # a real well plus a smooth perturbation that vanishes at the walls
+    spec = SuperpotentialSpec(family, k, 0.0, k * ratio)
+    lo, hi = fundamental_cell(spec)
+    well = partner_field(spec, partner)
+
+    def perturbed(x):
+        phase = np.pi * (np.asarray(x) - lo) / (hi - lo)
+        return well(x) + k * k * sum(c * np.sin((m + 1) * phase) for m, c in enumerate(bumps))
+
+    ham = discretize(perturbed, Grid1D(lo, hi, n))
+    assert ham.is_real
+    rep = eigenvalues(ham, count)
+    reference = eigh_tridiagonal(ham.diagonal.real, np.full(n - 1, ham.off_diagonal),
+                                 eigvals_only=True, select="i", select_range=(0, count - 1))
+    bound = 4 * np.finfo(np.float64).eps * ham.norm_inf
+    assert np.max(np.abs(rep.eigenvalues.real - reference)) <= bound

@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import eigvals
+from scipy.linalg import eigh_tridiagonal, eigvals
 
-from susywell.errors import InsufficientEigenvalues, SingularPoint
+from susywell.errors import ConvergenceFailure, InsufficientEigenvalues, SingularPoint
 from susywell.spectral import (
     RESIDUAL_TOL,
     Grid1D,
@@ -24,7 +24,14 @@ from susywell.spectral import (
     richardson_extrapolate,
     richardson_spectrum,
 )
-from susywell.susy_core import Family, Partner, SuperpotentialSpec, partner_field
+from susywell.susy_core import (
+    WELL_FAMILIES,
+    Family,
+    Partner,
+    SuperpotentialSpec,
+    fundamental_cell,
+    partner_field,
+)
 
 RAW_TOL = 1e-3
 RICHARDSON_TOL = 1e-6
@@ -178,6 +185,43 @@ class TestEigenvalues:
         assert np.linalg.norm(vec) == pytest.approx(1.0)
         resid = np.linalg.norm(h.matvec(vec) - shift * vec) / h.norm_inf
         assert resid <= RESIDUAL_TOL
+
+
+class TestSymmetricCertificate:
+    @pytest.mark.parametrize("family", WELL_FAMILIES)
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.2, 3.0])
+    @pytest.mark.parametrize("n", [1000, 2000, 4000, 8000])
+    def test_levels_match_the_finite_difference_closed_form(self, family, k, n):
+        # at alpha = k and q = 0, V1 is the constant -k^2 on the cell, so the
+        # three-point levels are (4/h^2) sin^2(m pi / 2(n+1)) - k^2, m = 1, 2, ...
+        spec = SuperpotentialSpec(family, k, 0.0)
+        grid = Grid1D(*fundamental_cell(spec), n)
+        ham = discretize(partner_field(spec, Partner.V1), grid)
+        rep = eigenvalues(ham, 8)
+        m = np.arange(1, 9)
+        exact = 4.0 / grid.spacing ** 2 * np.sin(m * np.pi / (2 * (n + 1))) ** 2 - k * k
+        eps = np.finfo(np.float64).eps
+        assert np.max(np.abs(rep.eigenvalues.real - exact)) <= 0.25 * eps * ham.norm_inf
+
+    @pytest.mark.parametrize("height", [150.0, 5000.0])
+    def test_split_double_well_levels(self, height):
+        # a barrier of this height in the middle of the box pairs the levels:
+        # at 150 the lowest pair splits by 9e-7 of the gap to the next pair and
+        # is resolved; at 5000 the split is below the rounding of H, and the
+        # pair is either returned right or refused, never returned wrong
+        def double_well(x):
+            return np.where(np.abs(np.asarray(x)) < 0.5, height, 0.0).astype(complex)
+
+        ham = discretize(double_well, Grid1D(-2.0, 2.0, 399))
+        reference = eigh_tridiagonal(ham.diagonal.real, np.full(398, ham.off_diagonal),
+                                     eigvals_only=True, select="i", select_range=(0, 3))
+        bound = 4 * np.finfo(np.float64).eps * ham.norm_inf
+        try:
+            rep = eigenvalues(ham, 4)
+        except ConvergenceFailure:
+            assert height > 150.0
+            return
+        assert np.max(np.abs(rep.eigenvalues.real - reference)) <= bound
 
 
 class TestConvergence:
