@@ -39,7 +39,6 @@ from .susy_core import (
     singularity_distance,
 )
 from .states import (
-    WaveFunctionSpec,
     eval_wavefunction,
     probability_density,
     pt_asymmetry,

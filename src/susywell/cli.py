@@ -187,7 +187,11 @@ def _validate(cfg):
         raise ConfigError("k", "must be positive")
     if cfg.alpha is not None and cfg.alpha <= 0:
         raise ConfigError("alpha", "must be positive")
-    if cfg.epsilon <= 0 or cfg.epsilon >= math.pi / cfg.k / 4:
+    if cfg.epsilon <= 0:
+        raise ConfigError("epsilon", "must be positive")
+    # figures tabulates (epsilon, pi/k - epsilon); spectrum at q != 0 checks
+    # its own cell, and no other command reads epsilon
+    if cfg.command == "figures" and cfg.epsilon >= math.pi / cfg.k / 4:
         raise ConfigError("epsilon", "must lie in (0, cell/4)")
     if cfg.grid < 64:
         raise ConfigError("grid", "need at least 64 interior points")

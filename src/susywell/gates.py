@@ -26,7 +26,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import scattering, serialize, spectral, states, susy_core
-from .states import WaveFunctionSpec
 from .susy_core import WELL_FAMILIES, Family, Partner, SuperpotentialSpec
 
 # remainder V2(k) - V1(k + alpha): deviation from its mean (absolute), and
@@ -126,8 +125,7 @@ def negative_control_fails():
 
 
 def _residual(fam, q, xs, h):
-    pot = susy_core.partner_field(SuperpotentialSpec(fam, 1.0, q), Partner.V1)
-    return np.abs(states.schrodinger_residual(pot, WaveFunctionSpec(fam, 1.0, q), 0.0, xs, h=h))
+    return np.abs(states.schrodinger_residual(SuperpotentialSpec(fam, 1.0, q), 0.0, xs, h=h))
 
 
 def ground_state_residual():
@@ -153,13 +151,14 @@ def density_equality():
     on the cell padded by 1/100 and by 1/1000 of its width."""
     worst = 0.0
     for fam in WELL_FAMILIES:
-        lo, hi = susy_core.fundamental_cell(SuperpotentialSpec(fam, 1.0))
+        base = SuperpotentialSpec(fam, 1.0)
+        lo, hi = susy_core.fundamental_cell(base)
         span = hi - lo
         xs = np.union1d(np.linspace(lo + span / 100, hi - span / 100, 2000),
                         np.linspace(lo + span / 1000, hi - span / 1000, 2000))
-        rho0 = states.probability_density(WaveFunctionSpec(fam, 1.0, 0.0), xs)
+        rho0 = states.probability_density(base, xs)
         for q in (1.0, 2.0, 5.0):
-            rho = states.probability_density(WaveFunctionSpec(fam, 1.0, q), xs)
+            rho = states.probability_density(SuperpotentialSpec(fam, 1.0, q), xs)
             worst = max(worst, float(np.max(np.abs(rho - rho0))))
     return Gate("density_equality", worst < DENSITY_TOL, worst, DENSITY_TOL,
                 f"max gap {worst:.3e}")

@@ -132,10 +132,10 @@ def discretize(potential, grid: Grid1D) -> DiscretizedHamiltonian:
 class SpectrumReport:
     """Lowest eigenvalues (sorted by real part, then imaginary part).
 
-    residuals are ||H v - lambda v|| / ||v|| per eigenpair; scaled_residuals
-    divide that by max(1, ||H||_inf), which is the gated quantity. A report
-    of richardson_spectrum keeps its single-grid reports in per_grid,
-    coarsest first.
+    residuals are ||H v - lambda v|| per eigenpair, v a unit vector;
+    scaled_residuals divide that by max(1, ||H||_inf), which is the gated
+    quantity. A report of richardson_spectrum keeps its single-grid reports
+    in per_grid, coarsest first.
     """
 
     eigenvalues: np.ndarray
@@ -168,8 +168,8 @@ class SpectrumReport:
 
 
 def eigenvalues(ham: DiscretizedHamiltonian, count: int) -> SpectrumReport:
-    """The `count` eigenvalues of smallest real part, with eigenvectors
-    checked against the residual gate.
+    """The `count` eigenvalues of smallest real part, each held to the
+    residual gate by the residual its eigen path reports.
 
     A purely real diagonal takes the certified symmetric path of
     _symmetric_eigenpairs, any other the dense path of _dense_eigenpairs.
@@ -178,16 +178,9 @@ def eigenvalues(ham: DiscretizedHamiltonian, count: int) -> SpectrumReport:
     if not 1 <= count <= n:
         raise ValueError(f"count must be in [1, {n}], got {count!r}")
     if ham.is_real:
-        w, v = _symmetric_eigenpairs(ham, count)
+        w, resid = _symmetric_eigenpairs(ham, count)
     else:
-        w, v = _dense_eigenpairs(ham, count)
-
-    resid = np.empty(count)
-    for j in range(count):
-        vec = v[:, j].astype(np.complex128)
-        resid[j] = float(
-            np.linalg.norm(ham.matvec(vec) - w[j] * vec) / np.linalg.norm(vec)
-        )
+        w, resid = _dense_eigenpairs(ham, count)
     scaled = resid / max(1.0, ham.norm_inf)
     if np.any(scaled > RESIDUAL_TOL):
         worst = float(np.max(scaled))
@@ -206,8 +199,8 @@ def eigenvalues(ham: DiscretizedHamiltonian, count: int) -> SpectrumReport:
 
 
 def _symmetric_eigenpairs(ham: DiscretizedHamiltonian, count: int):
-    """(w, v) of the `count` lowest levels of a real H, each certified to
-    eps max(1, ||H||_inf) (see the module docstring).
+    """(w, residuals) of the `count` lowest levels of a real H, each
+    certified to eps max(1, ||H||_inf) (see the module docstring).
 
     Bisection places level j within tol/2 of its centre c_j, so the bracket
     [c_j - tol, c_j + tol] holds it with room for the rounding of the Sturm
@@ -235,7 +228,7 @@ def _symmetric_eigenpairs(ham: DiscretizedHamiltonian, count: int):
     above = np.concatenate((centres[1:] - tol, [np.inf]))[:count]
     start = np.random.default_rng(0).standard_normal(n)  # fixed: reruns agree
     w = np.empty(count)
-    v = np.empty((n, count))
+    residuals = np.empty(count)
     for j in range(count):
         shift, vec = centres[j], start
         for _ in range(MAX_SOLVES):
@@ -258,8 +251,8 @@ def _symmetric_eigenpairs(ham: DiscretizedHamiltonian, count: int):
                  "method": "symmetric"},
             )
         w[j] = rho
-        v[:, j] = vec
-    return w.astype(np.complex128), v
+        residuals[j] = resid
+    return w.astype(np.complex128), residuals
 
 
 def _bisect(diagonal: np.ndarray, off_diagonal: float, levels: int, tol: float):
@@ -276,11 +269,11 @@ def _bisect(diagonal: np.ndarray, off_diagonal: float, levels: int, tol: float):
 
 
 def _dense_eigenpairs(ham: DiscretizedHamiltonian, count: int):
-    """(w, v) of the `count` levels of smallest real part, selected from all
-    n eigenvalues (of the real PT form when the diagonal allows it, see the
-    module docstring) and refined by inverse iteration on H. Works for real
-    diagonals too, which is how it is cross-validated against the symmetric
-    solver."""
+    """(w, residuals) of the `count` levels of smallest real part, selected
+    from all n eigenvalues (of the real PT form when the diagonal allows it,
+    see the module docstring) and refined by two steps of inverse iteration
+    on H. Works for real diagonals too, which is how it is cross-validated
+    against the symmetric solver."""
     n = ham.grid.n_interior
     dense = _pt_real_form(ham)
     if dense is None:
@@ -293,11 +286,18 @@ def _dense_eigenpairs(ham: DiscretizedHamiltonian, count: int):
         ) from exc
     order = np.lexsort((wall.imag, wall.real))[:count]
     start = np.random.default_rng(0).standard_normal(n)  # fixed: reruns agree
-    vectors = [_inverse_iteration(ham, lam, start) for lam in wall[order]]
-    # Rayleigh quotients on the original H, which restore what the PT
-    # projection of the diagonal dropped (to first order)
-    w = np.array([np.vdot(vec, ham.matvec(vec)) for vec in vectors])
-    return w, np.column_stack(vectors)
+    w = np.empty(count, dtype=np.complex128)
+    residuals = np.empty(count)
+    for j, shift in enumerate(wall[order]):
+        vec = start
+        for _ in range(2):
+            vec = _inverse_step(ham.diagonal, ham.off_diagonal, shift, vec, ham.pivot_floor)
+        hv = ham.matvec(vec)
+        # the Rayleigh quotient on the original H restores what the PT
+        # projection of the diagonal dropped (to first order)
+        w[j] = np.vdot(vec, hv)
+        residuals[j] = np.linalg.norm(hv - w[j] * vec)
+    return w, residuals
 
 
 def _tridiagonal_dense(diagonal: np.ndarray, off_diagonal: float) -> np.ndarray:
@@ -328,17 +328,6 @@ def _pt_real_form(ham: DiscretizedHamiltonian) -> np.ndarray | None:
     idx = np.arange(d.size)
     dense[idx, idx[::-1]] -= sym.imag
     return dense
-
-
-def _inverse_iteration(
-    ham: DiscretizedHamiltonian, shift: complex, start: np.ndarray
-) -> np.ndarray:
-    """Unit eigenvector for the eigenvalue `shift` by two steps of inverse
-    iteration on the complex tridiagonal H."""
-    vec = start
-    for _ in range(2):
-        vec = _inverse_step(ham.diagonal, ham.off_diagonal, shift, vec, ham.pivot_floor)
-    return vec
 
 
 def _inverse_step(diagonal, off_diagonal, shift, rhs, pivot_floor):

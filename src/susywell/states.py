@@ -1,7 +1,8 @@
 """Closed-form zero-energy states of the V1 partners, and field utilities.
 
-All wave functions are the unbroken-SUSY ground states psi = exp(-int W dx)
-of their family's V1 at alpha = k:
+A ground state is psi = exp(-int W dx), the unbroken-SUSY zero mode of V1,
+for the W of a SuperpotentialSpec at alpha = k (the only step at which these
+closed forms hold; other steps raise ValueError):
 
     cotangent well  psi = A sin(kx) exp{-i (q/k) ln[csc(kx) - cot(kx)]}
     tangent well    psi = B cos(kx) exp{-i (q/k) ln[sec(kx) + tan(kx)]}
@@ -10,42 +11,39 @@ of their family's V1 at alpha = k:
 
 For real q the q-dependent factor of the well states is a pure phase, so
 |psi|^2 is q-independent (sin^2 / cos^2 envelopes). Logarithms are taken on
-the principal branch only; evaluation refuses to leave the fundamental cell
-where the log argument is positive.
+the principal branch only; evaluation refuses to leave the spec's
+fundamental_cell, where the log argument is positive.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DomainViolation, SingularPoint, StepTooLarge
+from .errors import DomainViolation, SingularPoint
 from .susy_core import (
     Family,
+    Partner,
     SuperpotentialSpec,
+    _check_step,
     default_exclusion,
-    singularity_distance,
+    eval_partner,
+    fundamental_cell,
 )
 
-
-@dataclass(frozen=True)
-class WaveFunctionSpec:
-    """family, wave number k > 0, real q."""
-
-    family: Family
-    k: float
-    q: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.k) and self.k > 0):
-            raise ValueError(f"k must be finite and > 0, got {self.k!r}")
-        if not math.isfinite(self.q):
-            raise ValueError(f"q must be finite, got {self.q!r}")
+# why a well state is refused outside its cell
+_LOG_DOMAINS = {
+    Family.COTANGENT_WELL: "csc(kx) - cot(kx) > 0 only on (0, pi/k)",
+    Family.TANGENT_WELL: "sec(kx) + tan(kx) > 0 only on (-pi/2k, pi/2k)",
+}
 
 
-def eval_wavefunction(spec: WaveFunctionSpec, x):
+def _require_ground_state(spec: SuperpotentialSpec):
+    if spec.alpha != spec.k:
+        raise ValueError(
+            f"closed-form ground states need alpha = k, got alpha={spec.alpha!r}, k={spec.k!r}")
+
+
+def eval_wavefunction(spec: SuperpotentialSpec, x):
     """psi(x), complex, unnormalized. Scalar in, scalar out; arrays pass
     through.
 
@@ -53,20 +51,16 @@ def eval_wavefunction(spec: WaveFunctionSpec, x):
     the principal log would cross a branch cut) and SingularPoint within
     default_exclusion of the cell endpoints.
     """
-    exclusion = default_exclusion(SuperpotentialSpec(spec.family, spec.k))
+    _require_ground_state(spec)
     xs = np.asarray(x, dtype=np.float64)
     k, q = spec.k, spec.q
+    if spec.family in _LOG_DOMAINS:
+        _require_inside(spec, xs)
     if spec.family is Family.COTANGENT_WELL:
-        lo, hi = 0.0, math.pi / k
-        _require_inside(xs, lo, hi, exclusion, "csc(kx) - cot(kx) > 0 only on (0, pi/k)")
         # csc - cot = tan(kx/2), positive on the cell
         phase = np.exp(-1j * (q / k) * np.log(np.tan(0.5 * k * xs)))
         out = np.sin(k * xs) * phase
     elif spec.family is Family.TANGENT_WELL:
-        half = math.pi / (2.0 * k)
-        _require_inside(
-            xs, -half, half, exclusion, "sec(kx) + tan(kx) > 0 only on (-pi/2k, pi/2k)"
-        )
         arg = (1.0 + np.sin(k * xs)) / np.cos(k * xs)  # sec + tan
         out = np.cos(k * xs) * np.exp(-1j * (q / k) * np.log(arg))
     elif spec.family is Family.PLANE_RIGHT:
@@ -76,19 +70,20 @@ def eval_wavefunction(spec: WaveFunctionSpec, x):
     return out.item() if np.ndim(x) == 0 else out
 
 
-def _require_inside(xs: np.ndarray, lo: float, hi: float, exclusion: float, why: str):
+def _require_inside(spec: SuperpotentialSpec, xs: np.ndarray):
+    lo, hi = fundamental_cell(spec)
     flat = np.atleast_1d(xs)
-    near = np.minimum(np.abs(flat - lo), np.abs(flat - hi)) < exclusion
+    near = np.minimum(np.abs(flat - lo), np.abs(flat - hi)) < default_exclusion(spec)
     if near.any():
         xb = float(flat[near][0])
         edge = lo if abs(xb - lo) < abs(xb - hi) else hi
         raise SingularPoint(xb, edge)
     outside = (flat <= lo) | (flat >= hi)
     if outside.any():
-        raise DomainViolation(float(flat[outside][0]), why)
+        raise DomainViolation(float(flat[outside][0]), _LOG_DOMAINS[spec.family])
 
 
-def probability_density(spec: WaveFunctionSpec, x):
+def probability_density(spec: SuperpotentialSpec, x):
     """|psi(x)|^2, computed from the full closed form (phase included)."""
     psi = eval_wavefunction(spec, x)
     return np.abs(psi) ** 2 if np.ndim(x) else abs(psi) ** 2
@@ -105,23 +100,21 @@ def pt_asymmetry(field, center: float, sample_points) -> float:
     return float(np.max(np.abs(reflected - np.conj(direct))))
 
 
-def schrodinger_residual(potential, spec: WaveFunctionSpec, energy: complex, x, h: float = 1e-4):
-    """Normalized defect of -psi'' + V psi = E psi at x.
+def schrodinger_residual(spec: SuperpotentialSpec, energy: complex, x, h: float = 1e-4):
+    """Normalized defect of -psi'' + V1 psi = E psi at x, with V1 the
+    spec's own partner.
 
     psi'' by the three-point central difference with step h; the defect is
     divided by max(|psi(x)|, 1e-30). Decays as O(h^2) where psi is smooth.
+    Raises StepTooLarge when h exceeds 1/10 of the distance to a pole.
     """
-    if h <= 0:
-        raise ValueError(f"step h must be positive, got {h!r}")
+    _require_ground_state(spec)
     xs = np.asarray(x, dtype=np.float64)
-    if spec.family in (Family.COTANGENT_WELL, Family.TANGENT_WELL):
-        dist = float(np.min(singularity_distance(SuperpotentialSpec(spec.family, spec.k), xs)))
-        if h > dist / 10.0:
-            raise StepTooLarge(h, dist)
+    _check_step(spec, xs, h)
     psi_m = np.asarray(eval_wavefunction(spec, xs - h))
     psi_0 = np.asarray(eval_wavefunction(spec, xs))
     psi_p = np.asarray(eval_wavefunction(spec, xs + h))
     lap = (psi_m - 2.0 * psi_0 + psi_p) / h**2
-    defect = -lap + (np.asarray(potential(xs)) - energy) * psi_0
+    defect = -lap + (np.asarray(eval_partner(spec, Partner.V1, xs)) - energy) * psi_0
     out = defect / np.maximum(np.abs(psi_0), 1e-30)
     return out.item() if np.ndim(x) == 0 else out

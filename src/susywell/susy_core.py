@@ -104,6 +104,16 @@ def singularity_distance(spec: SuperpotentialSpec, x) -> np.ndarray:
     return np.abs(xs - _nearest_pole(spec, xs))
 
 
+def _check_step(spec: SuperpotentialSpec, xs: np.ndarray, h: float):
+    """Refuse a central-difference step h <= 0 (ValueError), or one above
+    1/10 of the distance from xs to the nearest pole (StepTooLarge)."""
+    if h <= 0:
+        raise ValueError(f"step h must be positive, got {h!r}")
+    dist = float(np.min(singularity_distance(spec, xs), initial=np.inf))
+    if h > dist / 10.0:
+        raise StepTooLarge(h, dist)
+
+
 def _guard_singularities(spec: SuperpotentialSpec, xs: np.ndarray):
     if spec.family not in WELL_FAMILIES:
         return
@@ -245,14 +255,8 @@ def partner_from_superpotential(spec: SuperpotentialSpec, which: Partner, x, h: 
     pole, and SingularPoint when any stencil point falls inside the
     exclusion radius.
     """
-    if h <= 0:
-        raise ValueError(f"step h must be positive, got {h!r}")
     xs = np.asarray(x, dtype=np.float64)
-    if spec.family in WELL_FAMILIES:
-        dist = singularity_distance(spec, xs)
-        limit = float(np.min(dist)) / 10.0
-        if h > limit:
-            raise StepTooLarge(h, float(np.min(dist)))
+    _check_step(spec, xs, h)
     w = np.asarray(eval_superpotential(spec, xs))
     wp = (
         np.asarray(eval_superpotential(spec, xs + h))

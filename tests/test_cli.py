@@ -228,6 +228,21 @@ class TestConfigHandling:
                                    "--out", str(tmp_path)])
         assert res.exit_code == 3
 
+    @pytest.mark.parametrize("args,code", [
+        (["verify", "--epsilon", "1"], 0),
+        (["scatter", "--family", "barrier", "--epsilon", "1"], 0),
+        (["spectrum", "--q", "0", "--epsilon", "1"], 0),
+        # a 2 pi wide cell at alpha = 0.5, so 0.9 is inside its quarter
+        (["spectrum", "--q", "2", "--alpha", "0.5", "--epsilon", "0.9"], 0),
+        (["spectrum", "--q", "2", "--alpha", "2", "--epsilon", "0.5"], 3),
+    ], ids=["verify", "scatter", "spectrum-q0", "spectrum-wide-cell", "spectrum-narrow-cell"])
+    def test_epsilon_bound_only_where_read(self, runner, tmp_path, args, code):
+        # figures keeps the pi/(4k) bound (test_oversized_epsilon)
+        conf = tmp_path / "run.conf"
+        conf.write_text("exploratory_grids=32,48,64\n")
+        res = runner.invoke(main, [*args, "--config", str(conf), "--out", str(tmp_path)])
+        assert res.exit_code == code, res.output
+
     def test_missing_config_file(self, runner, tmp_path):
         res = runner.invoke(main, ["figures",
                                    "--config", str(tmp_path / "absent.conf")])

@@ -1,6 +1,7 @@
 """Property tests: transfer-matrix invariants over random complex structures,
-the PT-real dense eigen path over random complex wells, and the certified
-symmetric eigen path over random real wells."""
+the PT-real dense eigen path over random complex wells, the certified
+symmetric eigen path over random real wells, and the finite-difference
+partners over random superpotentials."""
 
 from dataclasses import dataclass
 
@@ -26,10 +27,15 @@ from susywell.spectral import (
 )
 from susywell.susy_core import (
     WELL_FAMILIES,
+    Family,
     Partner,
     SuperpotentialSpec,
+    eval_partner,
+    eval_superpotential,
+    eval_superpotential_derivative,
     fundamental_cell,
     partner_field,
+    partner_from_superpotential,
 )
 
 # roundoff in det M and in matrix products grows like eps |M|^2, so the
@@ -167,3 +173,22 @@ def test_symmetric_levels_match_full_bisection(family, partner, k, ratio, bumps,
                                  eigvals_only=True, select="i", select_range=(0, count - 1))
     bound = 4 * np.finfo(np.float64).eps * ham.norm_inf
     assert np.max(np.abs(rep.eigenvalues.real - reference)) <= bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=st.sampled_from(Family), partner=st.sampled_from(Partner),
+       k=st.floats(0.5, 3.0), q=st.floats(-3.0, 3.0), ratio=st.floats(0.25, 2.0),
+       u=st.floats(0.0, 1.0))
+def test_finite_difference_partners_match_closed_forms(family, partner, k, q, ratio, u):
+    # W^2 -/+ W' with W' by central difference against the expanded closed
+    # forms, on the middle 80% of a well's cell or on [-5, 5] for a plane
+    spec = SuperpotentialSpec(family, k, q, k * ratio)
+    cell = fundamental_cell(spec)
+    if cell is None:
+        x = -5.0 + 10.0 * u
+    else:
+        x = cell[0] + (0.1 + 0.8 * u) * (cell[1] - cell[0])
+    h = 1e-4 / spec.alpha
+    gap = abs(partner_from_superpotential(spec, partner, x, h=h) - eval_partner(spec, partner, x))
+    scale = abs(eval_superpotential(spec, x)) ** 2 + abs(eval_superpotential_derivative(spec, x))
+    assert gap <= 1e-6 * max(1.0, scale)

@@ -1,6 +1,7 @@
 """Tests for ground states, densities, parity checks, and the residual probe."""
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from susywell.errors import DomainViolation, SingularPoint, StepTooLarge
 from susywell.states import (
-    WaveFunctionSpec,
     eval_wavefunction,
     probability_density,
     pt_asymmetry,
@@ -37,35 +37,35 @@ RESIDUAL_POINTS = {
 
 class TestClosedForms:
     def test_flat_ground_state_is_sine(self):
-        val = eval_wavefunction(WaveFunctionSpec(Family.COTANGENT_WELL, 1.0, 0.0),
+        val = eval_wavefunction(SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 0.0),
                                 math.pi / 2)
         assert_allclose([val.real, val.imag], [1.0, 0.0], atol=ATOL)
 
     def test_phase_factor_is_unity_at_midpoint(self):
         # the log argument csc - cot equals 1 there, so the phase collapses
-        val = eval_wavefunction(WaveFunctionSpec(Family.COTANGENT_WELL, 1.0, 2.0),
+        val = eval_wavefunction(SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0),
                                 math.pi / 2)
         assert_allclose([val.real, val.imag], [1.0, 0.0], atol=ATOL)
 
     def test_plane_wave_reduction(self):
         x0 = 0.77
-        val = eval_wavefunction(WaveFunctionSpec(Family.PLANE_RIGHT, 1.0, 0.0), x0)
+        val = eval_wavefunction(SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 0.0), x0)
         assert_allclose([val.real, val.imag], [math.cos(x0), math.sin(x0)], atol=ATOL)
 
     def test_left_mover_conjugates_right_mover(self):
         xs = np.linspace(-2.0, 2.0, 101)
-        right = eval_wavefunction(WaveFunctionSpec(Family.PLANE_RIGHT, 1.0, 1.5), xs)
-        left = eval_wavefunction(WaveFunctionSpec(Family.PLANE_LEFT, 1.0, 1.5), xs)
+        right = eval_wavefunction(SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.5), xs)
+        left = eval_wavefunction(SuperpotentialSpec(Family.PLANE_LEFT, 1.0, 1.5), xs)
         assert_allclose(left, np.conj(right), atol=ATOL)
 
     def test_tangent_nonzero_at_box_edge(self):
         # the tangent-family state does not satisfy a Dirichlet condition at 0;
         # its envelope is cos
-        val = eval_wavefunction(WaveFunctionSpec(Family.TANGENT_WELL, 1.0, 3.0), 0.0)
+        val = eval_wavefunction(SuperpotentialSpec(Family.TANGENT_WELL, 1.0, 3.0), 0.0)
         assert abs(val - 1.0) < ATOL
 
     def test_dirichlet_decay_toward_edges(self):
-        spec = WaveFunctionSpec(Family.COTANGENT_WELL, 1.0, 2.0)
+        spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
         mags = [abs(eval_wavefunction(spec, eps)) for eps in (1e-2, 1e-3, 1e-4)]
         assert mags[0] < 2e-2
         assert mags[1] < mags[0] / 5
@@ -77,18 +77,18 @@ class TestClosedForms:
 
 class TestDensity:
     def test_cotangent_value(self):
-        rho = probability_density(WaveFunctionSpec(Family.COTANGENT_WELL, 1.0, 5.0),
+        rho = probability_density(SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 5.0),
                                   math.pi / 3)
         assert rho == pytest.approx(0.75, abs=DENSITY_TOL)
 
     def test_tangent_value(self):
-        rho = probability_density(WaveFunctionSpec(Family.TANGENT_WELL, 1.0, 3.0),
+        rho = probability_density(SuperpotentialSpec(Family.TANGENT_WELL, 1.0, 3.0),
                                   math.pi / 4)
         assert rho == pytest.approx(0.5, abs=DENSITY_TOL)
 
     def test_plane_wave_is_flat(self):
         xs = np.linspace(-2.0, 2.0, 64)
-        rho = probability_density(WaveFunctionSpec(Family.PLANE_RIGHT, 1.0, 0.0), xs)
+        rho = probability_density(SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 0.0), xs)
         assert_allclose(rho, 1.0, atol=DENSITY_TOL)
 
     @pytest.mark.parametrize("family", WELL_FAMILIES)
@@ -98,48 +98,48 @@ class TestDensity:
         x_min, x_max = fundamental_cell(SuperpotentialSpec(family, 1.0, 0.0))
         pad = (x_max - x_min) / 1000
         xs = np.linspace(x_min + pad, x_max - pad, 2000)
-        rho0 = probability_density(WaveFunctionSpec(family, 1.0, 0.0), xs)
-        rhoq = probability_density(WaveFunctionSpec(family, 1.0, q), xs)
+        rho0 = probability_density(SuperpotentialSpec(family, 1.0, 0.0), xs)
+        rhoq = probability_density(SuperpotentialSpec(family, 1.0, q), xs)
         assert np.max(np.abs(rhoq - rho0)) < DENSITY_TOL
 
 
 class TestResidual:
     def test_flat_case(self):
-        spec = WaveFunctionSpec(Family.COTANGENT_WELL, 1.0, 0.0)
-        pot = partner_field(SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 0.0),
-                            Partner.V1)
-        assert abs(schrodinger_residual(pot, spec, 0.0, 1.0, h=1e-4)) < RESIDUAL_TOL
+        spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 0.0)
+        assert abs(schrodinger_residual(spec, 0.0, 1.0, h=1e-4)) < RESIDUAL_TOL
 
     @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("q", [1.0, 2.0])
     def test_annihilation_all_families(self, family, q):
-        spec = WaveFunctionSpec(family, 1.0, q)
-        pot = partner_field(SuperpotentialSpec(family, 1.0, q), Partner.V1)
+        spec = SuperpotentialSpec(family, 1.0, q)
         x = RESIDUAL_POINTS[family]
-        assert abs(schrodinger_residual(pot, spec, 0.0, x, h=1e-4)) < RESIDUAL_TOL
+        assert abs(schrodinger_residual(spec, 0.0, x, h=1e-4)) < RESIDUAL_TOL
 
     @pytest.mark.parametrize("family", list(Family))
     def test_second_order_decay(self, family):
-        spec = WaveFunctionSpec(family, 1.0, 2.0)
-        pot = partner_field(SuperpotentialSpec(family, 1.0, 2.0), Partner.V1)
+        spec = SuperpotentialSpec(family, 1.0, 2.0)
         x = RESIDUAL_POINTS[family]
-        r_coarse = abs(schrodinger_residual(pot, spec, 0.0, x, h=1e-3))
-        r_fine = abs(schrodinger_residual(pot, spec, 0.0, x, h=1e-4))
+        r_coarse = abs(schrodinger_residual(spec, 0.0, x, h=1e-3))
+        r_fine = abs(schrodinger_residual(spec, 0.0, x, h=1e-4))
         # exact scaling is 100x; roundoff eats part of it at the fine step
         assert r_fine < r_coarse / 10
 
     def test_wrong_energy_leaves_residual(self):
-        spec = WaveFunctionSpec(Family.COTANGENT_WELL, 1.0, 0.0)
-        pot = partner_field(SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 0.0),
-                            Partner.V1)
-        assert abs(schrodinger_residual(pot, spec, 2.5, 1.0, h=1e-4)) > 1.0
+        spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 0.0)
+        assert abs(schrodinger_residual(spec, 2.5, 1.0, h=1e-4)) > 1.0
 
-    def test_step_guard_near_pole(self):
-        spec = WaveFunctionSpec(Family.COTANGENT_WELL, 1.0, 1.0)
-        pot = partner_field(SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 1.0),
-                            Partner.V1)
-        with pytest.raises(StepTooLarge):
-            schrodinger_residual(pot, spec, 0.0, 0.005, h=1e-3)
+    @pytest.mark.parametrize("family,x,h,outcome", [
+        (Family.COTANGENT_WELL, 0.005, 1e-3, pytest.raises(StepTooLarge)),
+        (Family.COTANGENT_WELL, 0.01, 0.005, pytest.raises(StepTooLarge)),
+        (Family.COTANGENT_WELL, 1.0, 0.0, pytest.raises(ValueError)),
+        (Family.PLANE_RIGHT, 0.01, -1e-4, pytest.raises(ValueError)),
+        (Family.PLANE_RIGHT, 0.01, 0.5, nullcontext()),
+        (Family.PLANE_LEFT, 0.01, 2.0, nullcontext()),
+    ], ids=["pole", "pole-wide-step", "zero", "negative", "plane", "plane-wide"])
+    def test_step_guard_near_pole(self, family, x, h, outcome):
+        # the guard is shared with partner_from_superpotential; planes have no pole
+        with outcome:
+            schrodinger_residual(SuperpotentialSpec(family, 1.0, 1.0), 0.0, x, h=h)
 
 
 class TestParity:
@@ -168,15 +168,27 @@ class TestParity:
 
 
 class TestDomains:
+    @pytest.mark.parametrize("call", [
+        lambda spec: eval_wavefunction(spec, 1.0),
+        lambda spec: probability_density(spec, 1.0),
+        lambda spec: schrodinger_residual(spec, 0.0, 1.0),
+    ], ids=["wavefunction", "density", "residual"])
+    @pytest.mark.parametrize("family", [Family.COTANGENT_WELL, Family.PLANE_RIGHT])
+    def test_ground_states_need_alpha_equal_k(self, call, family):
+        # the closed forms are the alpha = k zero modes
+        with pytest.raises(ValueError, match="alpha = k"):
+            call(SuperpotentialSpec(family, 1.0, 2.0, alpha=0.5))
+
+
     def test_outside_cell_is_refused(self):
-        spec = WaveFunctionSpec(Family.COTANGENT_WELL, 1.0, 2.0)
+        spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
         with pytest.raises(DomainViolation):
             eval_wavefunction(spec, -0.5)
         with pytest.raises(DomainViolation):
             eval_wavefunction(spec, 3.5)
 
     def test_endpoint_is_singular(self):
-        spec = WaveFunctionSpec(Family.COTANGENT_WELL, 1.0, 2.0)
+        spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
         with pytest.raises(SingularPoint):
             eval_wavefunction(spec, 0.0)
         with pytest.raises(SingularPoint):

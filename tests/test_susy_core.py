@@ -1,6 +1,7 @@
 """Tests for the superpotential layer: closed forms, partners, the ladder."""
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -292,10 +293,17 @@ class TestGuardsAndGeometry:
         plane = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0)
         assert math.isinf(singularity_distance(plane, 5.0))
 
-    def test_step_too_large_near_pole(self):
-        spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 1.0)
-        with pytest.raises(StepTooLarge):
-            partner_from_superpotential(spec, Partner.V1, 0.01, h=0.005)
+    @pytest.mark.parametrize("family,x,h,outcome", [
+        (Family.COTANGENT_WELL, 0.01, 0.005, pytest.raises(StepTooLarge)),
+        (Family.COTANGENT_WELL, 1.0, 0.0, pytest.raises(ValueError)),
+        (Family.PLANE_RIGHT, 0.01, -1e-4, pytest.raises(ValueError)),
+        (Family.PLANE_RIGHT, 0.01, 0.5, nullcontext()),
+        (Family.PLANE_LEFT, 0.01, 2.0, nullcontext()),
+    ], ids=["pole", "zero", "negative", "plane", "plane-wide"])
+    def test_step_too_large_near_pole(self, family, x, h, outcome):
+        # the guard is shared with states.schrodinger_residual; planes have no pole
+        with outcome:
+            partner_from_superpotential(SuperpotentialSpec(family, 1.0, 1.0), Partner.V1, x, h=h)
 
     def test_fundamental_cells(self):
         assert fundamental_cell(SuperpotentialSpec(Family.COTANGENT_WELL, 2.0, 0.0)) \
