@@ -5,17 +5,26 @@ implicit in the truncation. Both eigen paths locate the lowest levels,
 refine each one by O(n) inverse iteration on the tridiagonal H, and report
 its Rayleigh quotient on H; the residual gate is measured against H.
 
-Purely real diagonals take the symmetric path. Sturm bisection (LAPACK
-stebz) to the coarse width BRACKET_TOL places each of the `count` lowest
-levels, and the level above them, in a bracket; the Sturm counts decide
-which levels are the lowest. Inverse iteration starts from each bracket
+Purely real diagonals take the symmetric path, which first puts each of
+the `count` lowest levels in a bracket that holds no other level. With a
+prediction of the levels, as richardson_spectrum makes for every grid of a
+ladder after the first, the brackets are the cells between cuts placed
+midway between consecutive predicted levels and half the last predicted
+spacing above the top one; one Sturm count per cut (LAPACK stebz over a
+value range, with a tolerance as wide as the range, so that it counts
+and does not bisect) confirms that exactly j levels lie below cut j. Without a
+prediction, or when a count disagrees, Sturm bisection (stebz) to the
+coarse width BRACKET_TOL places each level, and the level above them, in a
+bracket. Inverse iteration starts from the predicted level or the bracket
 midpoint and then shifts to the latest Rayleigh quotient while that stays
 in the bracket. It stops when the Rayleigh quotient lies in its bracket,
 the Kato-Temple bound |r|^2 / gap, with gap the distance to the
 neighbouring brackets, certifies it to eps ||H||_inf (Parlett, The
 Symmetric Eigenvalue Problem, 1998, sections 10.5-10.6), and the residual
-r has come down to the rounding level sqrt(n) eps ||H||_inf. A level that
-is not certified within MAX_SOLVES solves raises ConvergenceFailure.
+r has come down to the rounding level sqrt(n) eps ||H||_inf. A predicted
+bracket whose level is not certified within MAX_SOLVES solves sends the
+grid to bisection; a bisected level that is not certified raises
+ConvergenceFailure.
 
 Complex diagonals take the dense path, which is validated against the
 symmetric path on real cases. It uses PT symmetry when the diagonal has it.
@@ -29,6 +38,9 @@ Either way the dense solve computes all n eigenvalues and no eigenvectors,
 and each selected level is refined by two steps of inverse iteration from
 its dense eigenvalue; the Rayleigh quotients restore what the PT projection
 of the diagonal dropped.
+
+scipy.linalg is imported by the functions that solve, not by the module, so
+importing susywell (or its CLI) loads no scipy until a spectrum is solved.
 """
 
 from __future__ import annotations
@@ -37,8 +49,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvals
-from scipy.linalg.lapack import get_lapack_funcs
+from numpy.linalg import LinAlgError
 
 from .errors import ConvergenceFailure, InsufficientEigenvalues
 from .serialize import json_text
@@ -167,18 +178,23 @@ class SpectrumReport:
         }
 
 
-def eigenvalues(ham: DiscretizedHamiltonian, count: int) -> SpectrumReport:
+def eigenvalues(ham: DiscretizedHamiltonian, count: int, *, guess=None) -> SpectrumReport:
     """The `count` eigenvalues of smallest real part, each held to the
     residual gate by the residual its eigen path reports.
 
     A purely real diagonal takes the certified symmetric path of
     _symmetric_eigenpairs, any other the dense path of _dense_eigenpairs.
+    guess, `count` predicted levels, lets the symmetric path confirm
+    brackets by Sturm counts instead of bisecting for them; the dense path
+    does not use it.
     """
     n = ham.grid.n_interior
     if not 1 <= count <= n:
         raise ValueError(f"count must be in [1, {n}], got {count!r}")
+    if guess is not None and np.shape(guess) != (count,):
+        raise ValueError(f"guess must hold {count} levels, got shape {np.shape(guess)}")
     if ham.is_real:
-        w, resid = _symmetric_eigenpairs(ham, count)
+        w, resid = _symmetric_eigenpairs(ham, count, guess)
     else:
         w, resid = _dense_eigenpairs(ham, count)
     scaled = resid / max(1.0, ham.norm_inf)
@@ -198,46 +214,68 @@ def eigenvalues(ham: DiscretizedHamiltonian, count: int) -> SpectrumReport:
     )
 
 
-def _symmetric_eigenpairs(ham: DiscretizedHamiltonian, count: int):
+def _symmetric_eigenpairs(ham: DiscretizedHamiltonian, count: int, guess=None):
     """(w, residuals) of the `count` lowest levels of a real H, each
     certified to eps max(1, ||H||_inf) (see the module docstring).
 
-    Bisection places level j within tol/2 of its centre c_j, so the bracket
-    [c_j - tol, c_j + tol] holds it with room for the rounding of the Sturm
-    counts. Centres closer than 4 tol are located again at a sixteenth of
-    their spacing, but not below 8 eps ||H||_inf. If rho_j lies in its
-    bracket and |r|^2 <= eps ||H|| gap, gap > eps ||H|| being the distance
-    from rho_j to the brackets of levels j - 1 and j + 1, then |r| < gap, so
-    the level within |r| of rho_j is level j and no other level lies in
-    that interval; Kato-Temple then gives |lambda_j - rho_j| <= |r|^2 / gap.
-    The residual bound sqrt(n) eps ||H|| asks the same of the vector, which
-    the certificate alone accepts with a residual up to sqrt(eps ||H|| gap).
+    A guess whose cuts the Sturm counts confirm gives level j the cell
+    between cuts j and j + 1, counted from 1 (level 0's cell is unbounded
+    below). Otherwise bisection places level j within tol/2 of its centre
+    c_j, so the bracket [c_j - tol, c_j + tol] holds it with room for the
+    rounding of the Sturm counts; centres closer than 4 tol are located
+    again at a sixteenth of their spacing, but not below 8 eps ||H||_inf.
     """
-    n = ham.grid.n_interior
     diagonal = ham.diagonal.real
-    floor = ham.pivot_floor
-    located = min(count + 1, n)
+    if guess is not None:
+        guess = np.asarray(guess, dtype=float)
+        cuts = _confirmed_cuts(diagonal, ham.off_diagonal, guess)
+        if cuts is not None:
+            try:
+                return _certify(ham, guess, np.concatenate(([-np.inf], cuts)), cuts)
+            except ConvergenceFailure:
+                pass  # bisect this grid after all
+    located = min(count + 1, ham.grid.n_interior)
     tol = BRACKET_TOL
     centres = _bisect(diagonal, ham.off_diagonal, located, tol)
     closest = np.min(np.diff(centres), initial=np.inf)
     if closest < 4 * tol:
-        tol = max(closest / 16, 8 * floor)
+        tol = max(closest / 16, 8 * ham.pivot_floor)
         centres = _bisect(diagonal, ham.off_diagonal, located, tol)
-    # the edges facing level j: the top of bracket j - 1 and the bottom of j + 1
-    below = np.concatenate(([-np.inf], centres[:count - 1] + tol))
-    above = np.concatenate((centres[1:] - tol, [np.inf]))[:count]
+    return _certify(ham, centres[:count], centres - tol, centres[:count] + tol)
+
+
+def _certify(ham: DiscretizedHamiltonian, starts, lower, upper):
+    """(w, residuals) of the levels j < len(starts), level j in its bracket
+    [lower[j], upper[j]] and the other levels outside it, below upper[j - 1]
+    and above lower[j + 1] (inf where there is none); inverse iteration on
+    level j starts from the shift starts[j].
+
+    If rho_j lies in its bracket and |r|^2 <= eps ||H|| gap, gap > eps ||H||
+    being the distance from rho_j to the neighbouring edges, then |r| < gap,
+    so the level within |r| of rho_j is level j and no other level lies in
+    that interval; Kato-Temple then gives |lambda_j - rho_j| <= |r|^2 / gap.
+    The residual bound sqrt(n) eps ||H|| asks the same of the vector, which
+    the certificate alone accepts with a residual up to sqrt(eps ||H|| gap).
+    Raises ConvergenceFailure for a level not certified within MAX_SOLVES.
+    """
+    n = ham.grid.n_interior
+    count = len(starts)
+    diagonal = ham.diagonal.real
+    floor = ham.pivot_floor
+    below = np.concatenate(([-np.inf], upper[:count - 1]))
+    above = np.concatenate((lower[1:], [np.inf]))[:count]
     start = np.random.default_rng(0).standard_normal(n)  # fixed: reruns agree
     w = np.empty(count)
     residuals = np.empty(count)
     for j in range(count):
-        shift, vec = centres[j], start
+        shift, vec = starts[j], start
         for _ in range(MAX_SOLVES):
             vec = _inverse_step(diagonal, ham.off_diagonal, shift, vec, floor)
             hv = _matvec(diagonal, ham.off_diagonal, vec)
             rho = float(vec @ hv)
             resid = float(np.linalg.norm(hv - rho * vec))
             gap = min(rho - below[j], above[j] - rho)
-            in_bracket = abs(rho - centres[j]) <= tol
+            in_bracket = lower[j] <= rho <= upper[j]
             if (in_bracket and gap > floor and resid**2 <= floor * gap
                     and resid <= math.sqrt(n) * floor):
                 break
@@ -246,7 +284,8 @@ def _symmetric_eigenpairs(ham: DiscretizedHamiltonian, count: int):
         else:
             raise ConvergenceFailure(
                 f"level {j} not certified after {MAX_SOLVES} inverse iteration solves",
-                {"n": n, "count": count, "level": j, "bracket_tol": tol,
+                {"n": n, "count": count, "level": j,
+                 "bracket": [float(lower[j]), float(upper[j])],
                  "rayleigh_quotient": rho, "residual": resid, "gap": gap,
                  "method": "symmetric"},
             )
@@ -255,8 +294,38 @@ def _symmetric_eigenpairs(ham: DiscretizedHamiltonian, count: int):
     return w.astype(np.complex128), residuals
 
 
+def _confirmed_cuts(diagonal: np.ndarray, off_diagonal: float, guess: np.ndarray):
+    """Cuts midway between consecutive predicted levels and half the last
+    predicted spacing above the top one, or None unless the guess has at
+    least two finite, increasing levels and the Sturm count of cut j
+    (1-based) is exactly j.
+
+    Each count is one stebz value-range call on (min d - 2|b|, cut], whose
+    lower end lies below every level (Gershgorin), with a tolerance as wide
+    as that range, so stebz stops at the counts instead of bisecting.
+    """
+    spacing = np.diff(guess)
+    if guess.size < 2 or not (np.all(np.isfinite(guess)) and np.all(spacing > 0)):
+        return None
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    (stebz,) = get_lapack_funcs(("stebz",), (diagonal,))
+    band = np.full(diagonal.size - 1, off_diagonal)
+    bottom = float(np.min(diagonal)) - 2.0 * abs(off_diagonal)
+    cuts = np.append(guess[:-1] + spacing / 2, guess[-1] + spacing[-1] / 2)
+    for j, cut in enumerate(cuts, 1):
+        if cut <= bottom:
+            return None
+        below, *_, info = stebz(diagonal, band, 1, bottom, cut, 0, 0, cut - bottom, "E")
+        if info or below != j:
+            return None
+    return cuts
+
+
 def _bisect(diagonal: np.ndarray, off_diagonal: float, levels: int, tol: float):
     """Centres of the `levels` lowest eigenvalues by Sturm bisection to tol."""
+    from scipy.linalg import eigh_tridiagonal
+
     try:
         return eigh_tridiagonal(
             diagonal, np.full(diagonal.size - 1, off_diagonal), eigvals_only=True,
@@ -274,6 +343,8 @@ def _dense_eigenpairs(ham: DiscretizedHamiltonian, count: int):
     see the module docstring) and refined by two steps of inverse iteration
     on H. Works for real diagonals too, which is how it is cross-validated
     against the symmetric solver."""
+    from scipy.linalg import eigvals
+
     n = ham.grid.n_interior
     dense = _pt_real_form(ham)
     if dense is None:
@@ -339,6 +410,8 @@ def _inverse_step(diagonal, off_diagonal, shift, rhs, pivot_floor):
     raised to that size, so the solve amplifies the eigenvector instead of
     failing.
     """
+    from scipy.linalg.lapack import get_lapack_funcs
+
     shifted = diagonal - shift
     band = np.full(shifted.size - 1, off_diagonal, dtype=shifted.dtype)
     gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (shifted,))
@@ -374,7 +447,8 @@ def richardson_spectrum(
 
     The reported eigenvalues/residuals come from the finest grid; the
     extrapolation acts on the real parts of each tracked level. The grids
-    are solved in ascending size and kept in per_grid.
+    are solved in ascending size and kept in per_grid; each grid after the
+    first is handed the levels that the coarser grids predict for it.
     """
     sizes = sorted(int(n) for n in grid_sizes)
     if len(sizes) < 2:
@@ -383,7 +457,8 @@ def richardson_spectrum(
     spacings = []
     for n in sizes:
         grid = Grid1D(x_min, x_max, n)
-        reports.append(eigenvalues(discretize(potential, grid), count))
+        guess = _predicted_levels(spacings, reports, grid.spacing) if reports else None
+        reports.append(eigenvalues(discretize(potential, grid), count, guess=guess))
         spacings.append(grid.spacing)
     estimates = tuple(
         richardson_extrapolate(spacings, [r.eigenvalues[j].real for r in reports])
@@ -391,6 +466,17 @@ def richardson_spectrum(
     )
     return replace(reports[-1], grid_sizes_used=tuple(sizes), richardson_estimates=estimates,
                    per_grid=tuple(reports))
+
+
+def _predicted_levels(spacings, reports, h: float) -> np.ndarray:
+    """Real parts of the levels at spacing h: those of the last grid, or,
+    after two grids, the fit c0 + c2 h^2 through the last two (the model of
+    richardson_extrapolate, evaluated at h instead of 0)."""
+    last = reports[-1].eigenvalues.real
+    if len(reports) == 1:
+        return last
+    h1, h2 = spacings[-2:]
+    return last + (reports[-2].eigenvalues.real - last) * (h * h - h2 * h2) / (h1 * h1 - h2 * h2)
 
 
 def remainder_spectrum(n: int, k_base: float = 1.0, alpha: float | None = None) -> float:

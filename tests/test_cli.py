@@ -334,6 +334,32 @@ def test_cli_import_skips_scipy_integrate():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("argv", [
+    [],
+    ["figures"],
+    ["scatter", "--family", "barrier"],
+    ["scatter", "--family", "plane_right"],
+])
+def test_commands_without_spectra_load_no_scipy(tmp_path, argv):
+    # scipy.linalg is imported where a spectrum is solved, so importing the
+    # CLI loads no scipy, and commands that solve no spectrum never load it
+    src = os.path.dirname(os.path.dirname(susywell.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys\n"
+            "from susywell.cli import main\n"
+            "try:\n"
+            "    if sys.argv[1:]:\n"
+            "        main(sys.argv[1:], standalone_mode=False)\n"
+            "finally:\n"
+            "    print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    if argv:
+        argv = argv + ["--out", str(tmp_path)]
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
 class TestVerify:
     def test_full_gate_passes(self, runner, tmp_path):
         res = runner.invoke(main, ["verify", "--out", str(tmp_path)])

@@ -1,7 +1,8 @@
 """Property tests: transfer-matrix invariants over random complex structures,
 the PT-real dense eigen path over random complex wells, the certified
-symmetric eigen path over random real wells, and the finite-difference
-partners over random superpotentials."""
+symmetric eigen path over random real wells, with and without a prediction
+of the levels, and the finite-difference partners over random
+superpotentials."""
 
 from dataclasses import dataclass
 
@@ -151,12 +152,7 @@ def test_pt_real_eigenvalues_match_complex_fallback(family, partner, k, q, edge,
     assert np.max(np.abs(np.sort(rep.eigenvalues.real) - lowest)) <= tol
 
 
-@settings(max_examples=60, deadline=None)
-@given(family=st.sampled_from(WELL_FAMILIES), partner=st.sampled_from(Partner),
-       k=st.floats(0.5, 3.0), ratio=st.sampled_from((1.0, 0.5, 1 / 3, 0.25)),
-       bumps=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3),
-       n=st.integers(32, 400), count=st.integers(1, 8))
-def test_symmetric_levels_match_full_bisection(family, partner, k, ratio, bumps, n, count):
+def _perturbed_well(family, partner, k, ratio, bumps, n):
     # a real well plus a smooth perturbation that vanishes at the walls
     spec = SuperpotentialSpec(family, k, 0.0, k * ratio)
     lo, hi = fundamental_cell(spec)
@@ -168,11 +164,44 @@ def test_symmetric_levels_match_full_bisection(family, partner, k, ratio, bumps,
 
     ham = discretize(perturbed, Grid1D(lo, hi, n))
     assert ham.is_real
+    return ham
+
+
+def _lowest_levels(ham, count):
+    return eigh_tridiagonal(ham.diagonal.real, np.full(ham.grid.n_interior - 1, ham.off_diagonal),
+                            eigvals_only=True, select="i", select_range=(0, count - 1))
+
+
+real_wells = dict(
+    family=st.sampled_from(WELL_FAMILIES), partner=st.sampled_from(Partner),
+    k=st.floats(0.5, 3.0), ratio=st.sampled_from((1.0, 0.5, 1 / 3, 0.25)),
+    bumps=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=3),
+    n=st.integers(32, 400), count=st.integers(1, 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**real_wells)
+def test_symmetric_levels_match_full_bisection(family, partner, k, ratio, bumps, n, count):
+    ham = _perturbed_well(family, partner, k, ratio, bumps, n)
     rep = eigenvalues(ham, count)
-    reference = eigh_tridiagonal(ham.diagonal.real, np.full(n - 1, ham.off_diagonal),
-                                 eigvals_only=True, select="i", select_range=(0, count - 1))
     bound = 4 * np.finfo(np.float64).eps * ham.norm_inf
-    assert np.max(np.abs(rep.eigenvalues.real - reference)) <= bound
+    assert np.max(np.abs(rep.eigenvalues.real - _lowest_levels(ham, count))) <= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(**real_wells, skip=st.integers(0, 2),
+       spread=st.sampled_from((0.0, 1e-9, 1e-3, 0.3, 3.0, 1e3)),
+       offsets=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8), ordered=st.booleans())
+def test_symmetric_levels_match_full_bisection_for_any_prediction(
+        family, partner, k, ratio, bumps, n, count, skip, spread, offsets, ordered):
+    # a prediction anywhere from exact to arbitrary, starting at level skip
+    # instead of level 0: confirmed or refuted, it must not move the levels
+    ham = _perturbed_well(family, partner, k, ratio, bumps, n)
+    levels = _lowest_levels(ham, count + skip)
+    guess = levels[skip:] + spread * np.array(offsets[:count])
+    rep = eigenvalues(ham, count, guess=np.sort(guess) if ordered else guess)
+    bound = 4 * np.finfo(np.float64).eps * ham.norm_inf
+    assert np.max(np.abs(rep.eigenvalues.real - levels[:count])) <= bound
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal, eigvals
 
+from susywell import spectral
 from susywell.errors import ConvergenceFailure, InsufficientEigenvalues, SingularPoint
 from susywell.spectral import (
     RESIDUAL_TOL,
@@ -224,6 +225,84 @@ class TestSymmetricCertificate:
             assert height > 150.0
             return
         assert np.max(np.abs(rep.eigenvalues.real - reference)) <= bound
+
+
+class TestPredictedBrackets:
+    """A prediction of the levels is confirmed by one Sturm count per cut;
+    any prediction the counts or the certificate refute falls back to
+    bisection and gives the same levels."""
+
+    SPEC = SuperpotentialSpec(Family.COTANGENT_WELL, 2.2, 0.0, 1.1)
+
+    @pytest.fixture
+    def bisections(self, monkeypatch):
+        calls = []
+        bisect = spectral._bisect
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return bisect(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_bisect", counted)
+        return calls
+
+    def ham(self, n=1000):
+        lo, hi = fundamental_cell(self.SPEC)
+        return discretize(partner_field(self.SPEC, Partner.V1), Grid1D(lo, hi, n))
+
+    def test_ladder_bisects_only_its_first_grid(self, bisections):
+        lo, hi = fundamental_cell(self.SPEC)
+        field = partner_field(self.SPEC, Partner.V1)
+        rep = richardson_spectrum(field, lo, hi, 8, (1000, 2000, 4000))
+        assert len(bisections) == 1
+        eps = np.finfo(np.float64).eps
+        for n, primed in zip((1000, 2000, 4000), rep.per_grid):
+            ham = discretize(field, Grid1D(lo, hi, n))
+            plain = eigenvalues(ham, 8)
+            assert np.max(np.abs(primed.eigenvalues - plain.eigenvalues)) <= eps * ham.norm_inf
+
+    def test_confirmed_prediction_skips_bisection(self, bisections):
+        ham = self.ham()
+        plain = eigenvalues(ham, 8)
+        bisections.clear()
+        primed = eigenvalues(ham, 8, guess=plain.eigenvalues.real + 1e-3)
+        assert bisections == []
+        eps = np.finfo(np.float64).eps
+        assert np.max(np.abs(primed.eigenvalues - plain.eigenvalues)) <= eps * ham.norm_inf
+
+    @pytest.mark.parametrize("case", ["off_by_one_level", "skips_a_level", "not_increasing",
+                                      "count_one", "cut_on_a_level"])
+    def test_refuted_prediction_falls_back(self, bisections, case):
+        ham = self.ham()
+        eps = np.finfo(np.float64).eps
+        levels = eigh_tridiagonal(ham.diagonal.real, np.full(999, ham.off_diagonal),
+                                  eigvals_only=True, select="i", select_range=(0, 9))
+        count = 1 if case == "count_one" else 8
+        guess = {
+            "off_by_one_level": levels[1:9],
+            "skips_a_level": np.concatenate((levels[:1], levels[2:9])),
+            "not_increasing": np.concatenate((levels[1::-1], levels[2:8])),
+            "count_one": levels[:1],
+            # cut 1 a quarter of eps ||H|| above level 0: no room to certify it
+            "cut_on_a_level": np.concatenate((
+                [2 * levels[0] - levels[1]], [levels[1] + 0.5 * eps * ham.norm_inf],
+                levels[2:8])),
+        }[case]
+        primed = eigenvalues(ham, count, guess=guess)
+        assert len(bisections) == 1
+        plain = eigenvalues(ham, count)
+        assert np.max(np.abs(primed.eigenvalues - plain.eigenvalues)) <= eps * ham.norm_inf
+
+    def test_guess_is_keyword_only(self):
+        ham = self.ham()
+        guess = eigenvalues(ham, 8).eigenvalues.real
+        with pytest.raises(TypeError):
+            eigenvalues(ham, 8, guess)
+
+    def test_guess_must_hold_count_levels(self):
+        ham = self.ham()
+        with pytest.raises(ValueError, match="guess"):
+            eigenvalues(ham, 8, guess=np.arange(7.0))
 
 
 class TestConvergence:
