@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import click
 
-from . import gates
+from . import gates, scattering, spectral
 from .errors import (
     ConfigError,
     ConvergenceFailure,
@@ -32,12 +32,10 @@ from .errors import (
 from .scattering import (
     SWEEP_HEADER,
     WRONSKIAN_TOL,
-    plane_partner_sweep,
     sweep_csv,
     sweep_rows,
 )
 from .serialize import json_text, write_text
-from .spectral import remainder_spectrum
 from .susy_core import (
     Family,
     Partner,
@@ -298,7 +296,7 @@ def _spectrum_q0(cfg, spec, lo, hi):
     for m in range(cfg.count):
         click.echo(f"{m:5d}   {v1.eigenvalues[m].real:.10f}   "
                    f"{v1.richardson_estimates[m]:.10f}   "
-                   f"{remainder_spectrum(m, cfg.k, cfg.alpha):.10f}")
+                   f"{spectral.remainder_spectrum(m, cfg.k, cfg.alpha):.10f}")
     gate = gates.spectrum_q0(v1, v2, cfg.k, cfg.alpha)
     click.echo(gate.line())
     return gate.passed
@@ -373,8 +371,8 @@ def _scatter_plane(cfg):
         window = (0.0, 2 * math.pi / cfg.k)
     energies = cfg.energies or tuple(
         m * cfg.k ** 2 for m in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0))
-    results = plane_partner_sweep(spec, PARTNER_TOKENS[cfg.partner], window,
-                                  energies, slices=cfg.slices)
+    results = scattering.plane_partner_sweep(spec, PARTNER_TOKENS[cfg.partner], window,
+                                             energies, slices=cfg.slices)
     _write_sweep(cfg, results)
     for res in results:
         click.echo(f"E={res.energy:g}: T={res.transmission:.6f} R={res.reflection:.6f} "

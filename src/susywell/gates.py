@@ -298,8 +298,9 @@ def truncation_survey(spec=Q2_SPEC, cell=None, count=4, grids=(200, 400, 800),
 
 def exploratory_record():
     """Not a gate: the pole coupling g of V1 of the q = 2 cotangent well,
-    which says whether its truncated-box spectra can converge, and the
-    asymmetry of a plane partner. `spectrum` records those spectra; a note
+    which says whether its truncated-box spectra can converge, and the PT
+    asymmetry of V1 of a plane partner about pi/(2 alpha), where both plane
+    families are PT-symmetric. `spectrum` records those spectra; a note
     names the command."""
     spec = Q2_SPEC
     g = susy_core.pole_coupling(spec)
@@ -307,13 +308,16 @@ def exploratory_record():
     coupling = {"family": spec.family.value, "k": spec.k, "q": spec.q, "alpha": spec.alpha,
                 "lower_wall": [g.real, g.imag], "upper_wall": [g.real, -g.imag],
                 "re_g": g.real, "fall_to_centre": falls}
-    plane = susy_core.partner_field(SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0), Partner.V1)
-    plane_asym = states.pt_asymmetry(plane, 0.0, np.linspace(-2.0, 2.0, 500))
+    plane_spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0)
+    centre = math.pi / (2 * plane_spec.alpha)
+    plane = susy_core.partner_field(plane_spec, Partner.V1)
+    plane_asym = states.pt_asymmetry(plane, centre, centre + np.linspace(-2.0, 2.0, 500))
     notes = [
         f"V1 ~ g/d^2 at distance d from the walls: g = {g.real:g}{g.imag:+g}i at the lower "
         f"wall, its conjugate at the upper; Re g {'<' if falls else '>='} {FALL_TO_CENTRE:g}, "
         f"so fall to centre is {'predicted' if falls else 'not predicted'}",
         f"truncated-box spectra: susywell spectrum --family {spec.family.value} --q {spec.q:g}",
-        f"plane family asymmetry about 0: {plane_asym:.6f} (recorded, not gated)",
+        f"plane family PT asymmetry about pi/(2 alpha) = {centre:.6f}: {plane_asym:.3e} "
+        f"(recorded, not gated)",
     ]
     return {"pole_coupling": coupling, "plane_asymmetry": plane_asym, "notes": notes}

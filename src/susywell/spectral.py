@@ -10,10 +10,14 @@ the `count` lowest levels in a bracket that holds no other level. With a
 prediction of the levels, as richardson_spectrum makes for every grid of a
 ladder after the first, the brackets are the cells between cuts placed
 midway between consecutive predicted levels and half the last predicted
-spacing above the top one; one Sturm count per cut (LAPACK stebz over a
-value range, with a tolerance as wide as the range, so that it counts
-and does not bisect) confirms that exactly j levels lie below cut j. Without a
-prediction, or when a count disagrees, Sturm bisection (stebz) to the
+spacing above the top one. One Sturm count at the top cut (LAPACK stebz
+over a value range, with a tolerance as wide as the range, so that it
+counts and does not bisect) must find exactly `count` levels below it, so
+the `count` cells hold `count` levels between them. The certificate of
+inverse iteration (below) then puts a level in every cell, so each cell
+holds exactly one, and the level in cell j is level j. A wrong prediction
+leaves some cell empty, and the level of an empty cell cannot be certified. Without a prediction, or
+when the count or a certificate refutes it, Sturm bisection (stebz) to the
 coarse width BRACKET_TOL places each level, and the level above them, in a
 bracket. Inverse iteration starts from the predicted level or the bracket
 midpoint and then shifts to the latest Rayleigh quotient while that stays
@@ -24,7 +28,10 @@ Symmetric Eigenvalue Problem, 1998, sections 10.5-10.6), and the residual
 r has come down to the rounding level sqrt(n) eps ||H||_inf. A predicted
 bracket whose level is not certified within MAX_SOLVES solves sends the
 grid to bisection; a bisected level that is not certified raises
-ConvergenceFailure.
+ConvergenceFailure. Each solve is one LAPACK gtsv call; a shift on an exact
+eigenvalue, where gtsv meets a zero pivot, is solved again by gttrf with
+its small pivots raised (see _inverse_step). Every level starts from the
+same seeded random vector, drawn once.
 
 Complex diagonals take the dense path, which is validated against the
 symmetric path on real cases. It uses PT symmetry when the diagonal has it.
@@ -218,11 +225,12 @@ def _symmetric_eigenpairs(ham: DiscretizedHamiltonian, count: int, guess=None):
     """(w, residuals) of the `count` lowest levels of a real H, each
     certified to eps max(1, ||H||_inf) (see the module docstring).
 
-    A guess whose cuts the Sturm counts confirm gives level j the cell
+    A guess whose top cut the Sturm count confirms gives level j the cell
     between cuts j and j + 1, counted from 1 (level 0's cell is unbounded
-    below). Otherwise bisection places level j within tol/2 of its centre
-    c_j, so the bracket [c_j - tol, c_j + tol] holds it with room for the
-    rounding of the Sturm counts; centres closer than 4 tol are located
+    below), and _certify proves that each cell holds its level. Otherwise
+    bisection places level j within tol/2 of its centre c_j, so the bracket
+    [c_j - tol, c_j + tol] holds it with room for the rounding of the Sturm
+    counts; centres closer than 4 tol are located
     again at a sixteenth of their spacing, but not below 8 eps ||H||_inf.
     """
     diagonal = ham.diagonal.real
@@ -257,6 +265,13 @@ def _certify(ham: DiscretizedHamiltonian, starts, lower, upper):
     The residual bound sqrt(n) eps ||H|| asks the same of the vector, which
     the certificate alone accepts with a residual up to sqrt(eps ||H|| gap).
     Raises ConvergenceFailure for a level not certified within MAX_SOLVES.
+
+    For the cells of a confirmed prediction, the one Sturm count at the top
+    cut says only that they hold len(starts) levels between them, not one
+    each. The test above suffices: a certified cell holds a level within
+    |r| < gap of rho_j, so len(starts) certified cells hold one level each,
+    and cell j holds level j. An empty cell cannot be certified, since a
+    residual below the gap would put a level inside it.
     """
     n = ham.grid.n_interior
     count = len(starts)
@@ -264,7 +279,7 @@ def _certify(ham: DiscretizedHamiltonian, starts, lower, upper):
     floor = ham.pivot_floor
     below = np.concatenate(([-np.inf], upper[:count - 1]))
     above = np.concatenate((lower[1:], [np.inf]))[:count]
-    start = np.random.default_rng(0).standard_normal(n)  # fixed: reruns agree
+    start = _start_vector(n)
     w = np.empty(count)
     residuals = np.empty(count)
     for j in range(count):
@@ -297,12 +312,15 @@ def _certify(ham: DiscretizedHamiltonian, starts, lower, upper):
 def _confirmed_cuts(diagonal: np.ndarray, off_diagonal: float, guess: np.ndarray):
     """Cuts midway between consecutive predicted levels and half the last
     predicted spacing above the top one, or None unless the guess has at
-    least two finite, increasing levels and the Sturm count of cut j
-    (1-based) is exactly j.
+    least two finite, increasing levels and the Sturm count of the top cut
+    is exactly the number of predicted levels.
 
-    Each count is one stebz value-range call on (min d - 2|b|, cut], whose
-    lower end lies below every level (Gershgorin), with a tolerance as wide
-    as that range, so stebz stops at the counts instead of bisecting.
+    Only the top cut is counted. That the cells below it hold one level
+    each is left to the certificate of _certify, which refutes any cell
+    that holds none. The count is one stebz value-range call on
+    (min d - 2|b|, top cut], whose lower end lies below every level
+    (Gershgorin), with a tolerance as wide as that range, so stebz stops at
+    the count instead of bisecting.
     """
     spacing = np.diff(guess)
     if guess.size < 2 or not (np.all(np.isfinite(guess)) and np.all(spacing > 0)):
@@ -310,15 +328,15 @@ def _confirmed_cuts(diagonal: np.ndarray, off_diagonal: float, guess: np.ndarray
     from scipy.linalg.lapack import get_lapack_funcs
 
     (stebz,) = get_lapack_funcs(("stebz",), (diagonal,))
-    band = np.full(diagonal.size - 1, off_diagonal)
     bottom = float(np.min(diagonal)) - 2.0 * abs(off_diagonal)
     cuts = np.append(guess[:-1] + spacing / 2, guess[-1] + spacing[-1] / 2)
-    for j, cut in enumerate(cuts, 1):
-        if cut <= bottom:
-            return None
-        below, *_, info = stebz(diagonal, band, 1, bottom, cut, 0, 0, cut - bottom, "E")
-        if info or below != j:
-            return None
+    top = cuts[-1]
+    if top <= bottom:
+        return None
+    band = np.full(diagonal.size - 1, off_diagonal)
+    below, *_, info = stebz(diagonal, band, 1, bottom, top, 0, 0, top - bottom, "E")
+    if info or below != guess.size:
+        return None
     return cuts
 
 
@@ -356,7 +374,7 @@ def _dense_eigenpairs(ham: DiscretizedHamiltonian, count: int):
             f"dense eigensolver failed: {exc}", {"n": n, "count": count}
         ) from exc
     order = np.lexsort((wall.imag, wall.real))[:count]
-    start = np.random.default_rng(0).standard_normal(n)  # fixed: reruns agree
+    start = _start_vector(n)
     w = np.empty(count, dtype=np.complex128)
     residuals = np.empty(count)
     for j, shift in enumerate(wall[order]):
@@ -403,23 +421,41 @@ def _pt_real_form(ham: DiscretizedHamiltonian) -> np.ndarray | None:
 
 def _inverse_step(diagonal, off_diagonal, shift, rhs, pivot_floor):
     """The unit solution of (H - shift) x = rhs, H the tridiagonal matrix
-    with this diagonal, by one O(n) LU factorization and solve: dgttrf for a
-    real diagonal and shift, zgttrf otherwise.
+    with this diagonal, by one O(n) LAPACK solve with partial pivoting:
+    dgtsv for a real diagonal and shift, zgtsv otherwise.
 
-    A pivot below pivot_floor, as when the shift is an exact eigenvalue, is
-    raised to that size, so the solve amplifies the eigenvector instead of
-    failing.
+    gtsv stops on an exactly zero pivot, as when the shift is an exact
+    eigenvalue. The solve is then redone by gttrf and gttrs with every pivot
+    below pivot_floor raised to that size, so that it amplifies the
+    eigenvector instead of failing.
     """
     from scipy.linalg.lapack import get_lapack_funcs
 
     shifted = diagonal - shift
     band = np.full(shifted.size - 1, off_diagonal, dtype=shifted.dtype)
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (shifted,))
-    dl, d, du, du2, ipiv, _ = gttrf(band, shifted, band)
-    d[np.abs(d) < pivot_floor] = pivot_floor
-    vec, _ = gttrs(dl, d, du, du2, ipiv, rhs.astype(shifted.dtype))
+    rhs = rhs.astype(shifted.dtype)
+    gtsv, gttrf, gttrs = get_lapack_funcs(("gtsv", "gttrf", "gttrs"), (shifted,))
+    *_, vec, info = gtsv(band, shifted, band, rhs)
+    if info > 0:
+        dl, d, du, du2, ipiv, _ = gttrf(band, shifted, band)
+        d[np.abs(d) < pivot_floor] = pivot_floor
+        vec, _ = gttrs(dl, d, du, du2, ipiv, rhs)
     vec /= np.linalg.norm(vec)
     return vec
+
+
+_START = np.empty(0)
+
+
+def _start_vector(n: int) -> np.ndarray:
+    """The first n entries of the seeded draw default_rng(0).standard_normal,
+    read-only. A prefix of a longer draw equals the length-n draw, so the
+    longest draw so far serves every smaller n, and reruns agree."""
+    global _START
+    if _START.size < n:
+        _START = np.random.default_rng(0).standard_normal(n)
+        _START.flags.writeable = False
+    return _START[:n]
 
 
 def richardson_extrapolate(spacings, values) -> float:

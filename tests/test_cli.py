@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import susywell.cli
-from susywell import gates
+from susywell import gates, scattering, spectral
 from susywell.cli import main
 from susywell.serialize import json_text
 
@@ -85,6 +85,17 @@ class TestSpectrum:
         assert v1["max_imag"] == 0.0
         assert [ev[0] for ev in v2["eigenvalues"][:2]] == pytest.approx(
             [3.0, 8.0], abs=1e-3)
+
+    def test_exact_levels_come_through_the_spectral_module(self, runner, tmp_path,
+                                                           monkeypatch):
+        # a patch of the module attribute reaches the printed table and the gate
+        exact = spectral.remainder_spectrum
+        monkeypatch.setattr(spectral, "remainder_spectrum", lambda *args: exact(*args) + 1.0)
+        res = runner.invoke(main, ["spectrum", "--q", "0", "--grid", "1000",
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 1, res.output
+        level0 = next(line for line in res.output.splitlines() if line.startswith("    0   "))
+        assert level0.endswith("   1.0000000000")
 
     def test_exploratory_complex_run(self, runner, tmp_path):
         res = runner.invoke(main, [
@@ -433,6 +444,21 @@ class TestScatter:
         assert len(rows) == 7
         # complex potential: the defect is a record, not a gate
         assert any(abs(float(r["flux_defect"])) > 1e-3 for r in rows)
+
+    def test_plane_sweep_comes_through_the_scattering_module(self, runner, tmp_path,
+                                                             monkeypatch):
+        calls = []
+        sweep = scattering.plane_partner_sweep
+
+        def counted(spec, *args, **kwargs):
+            calls.append(spec.family.value)
+            return sweep(spec, *args, **kwargs)
+
+        monkeypatch.setattr(scattering, "plane_partner_sweep", counted)
+        res = runner.invoke(main, ["scatter", "--family", "plane_right",
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert calls == ["plane_right"]
 
     def test_well_family_refused(self, runner, tmp_path):
         res = runner.invoke(main, ["scatter", "--family", "cotangent_well",

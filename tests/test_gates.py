@@ -58,3 +58,11 @@ def test_richardson_spectrum_keeps_grids_ascending():
     payload = rep.survey_payload()
     assert payload["max_imag_overall"] == max(r.max_imag for r in rep.per_grid)
     assert payload["richardson_real"] == list(rep.richardson_estimates)
+
+
+def test_plane_asymmetry_is_measured_about_the_pt_centre():
+    # both plane families are PT-symmetric about pi/(2 alpha); about x = 0
+    # the same partner reads 2.0
+    record = gates.exploratory_record()
+    assert record["plane_asymmetry"] < gates.ASYMMETRY_TOL
+    assert "pi/(2 alpha)" in record["notes"][-1]

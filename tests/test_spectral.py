@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal, eigvals
+from scipy.linalg.lapack import get_lapack_funcs
 
 from susywell import spectral
 from susywell.errors import ConvergenceFailure, InsufficientEigenvalues, SingularPoint
@@ -176,14 +177,21 @@ class TestEigenvalues:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * n * n
 
-    def test_shift_on_a_diagonal_entry(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_shift_on_a_diagonal_entry(self, dtype):
         # odd n free box: H - d_0 I is exactly singular (its middle level is
-        # 2/h^2), so an unguarded banded solve stops on a zero pivot
+        # 2/h^2), so gtsv stops on a zero pivot, for the real symmetric path
+        # and the complex dense one alike, and the pivot-floor solve takes over
         h = discretize(free, Grid1D(0.0, math.pi, 31))
-        shift = h.diagonal[0]
+        diagonal = h.diagonal.real.astype(dtype)
+        shift = diagonal[0]
+        band = np.full(30, h.off_diagonal, dtype=dtype)
+        (gtsv,) = get_lapack_funcs(("gtsv",), (diagonal,))
+        assert gtsv(band, diagonal - shift, band, np.ones(31, dtype=dtype))[-1] > 0
         vec = np.random.default_rng(0).standard_normal(31)
         for _ in range(2):
-            vec = _inverse_step(h.diagonal, h.off_diagonal, shift, vec, h.pivot_floor)
+            vec = _inverse_step(diagonal, h.off_diagonal, shift, vec, h.pivot_floor)
+        assert vec.dtype == dtype
         assert np.all(np.isfinite(vec))
         assert np.linalg.norm(vec) == pytest.approx(1.0)
         resid = np.linalg.norm(h.matvec(vec) - shift * vec) / h.norm_inf
@@ -228,9 +236,9 @@ class TestSymmetricCertificate:
 
 
 class TestPredictedBrackets:
-    """A prediction of the levels is confirmed by one Sturm count per cut;
-    any prediction the counts or the certificate refute falls back to
-    bisection and gives the same levels."""
+    """A prediction of the levels is confirmed by one Sturm count at the top
+    cut and a certificate in every cell; any prediction the count or the
+    certificates refute falls back to bisection and gives the same levels."""
 
     SPEC = SuperpotentialSpec(Family.COTANGENT_WELL, 2.2, 0.0, 1.1)
 
@@ -271,7 +279,7 @@ class TestPredictedBrackets:
         assert np.max(np.abs(primed.eigenvalues - plain.eigenvalues)) <= eps * ham.norm_inf
 
     @pytest.mark.parametrize("case", ["off_by_one_level", "skips_a_level", "not_increasing",
-                                      "count_one", "cut_on_a_level"])
+                                      "count_one", "cut_on_a_level", "cells_misassigned"])
     def test_refuted_prediction_falls_back(self, bisections, case):
         ham = self.ham()
         eps = np.finfo(np.float64).eps
@@ -287,6 +295,11 @@ class TestPredictedBrackets:
             "cut_on_a_level": np.concatenate((
                 [2 * levels[0] - levels[1]], [levels[1] + 0.5 * eps * ham.norm_inf],
                 levels[2:8])),
+            # the top count is right, but cell 0 holds levels 0 and 1 and
+            # cell 1 holds none, so no level of cell 1 can be certified
+            "cells_misassigned": np.concatenate((
+                [levels[1], levels[1] + 0.6 * (levels[2] - levels[1]),
+                 levels[2] + 0.01 * (levels[2] - levels[1])], levels[3:8])),
         }[case]
         primed = eigenvalues(ham, count, guess=guess)
         assert len(bisections) == 1
