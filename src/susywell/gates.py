@@ -236,14 +236,15 @@ def figure_tables(k, q, epsilon, alpha=None):
     bases = [SuperpotentialSpec(fam, k, 0.0, alpha) for fam in WELL_FAMILIES]
     tables = {}
     for which, base_names in ((Partner.V1, ["V1_q0"]), (Partner.V2, ["V2_c_q0", "V2_t_q0"])):
-        header, columns = ["x"], [xs]
+        # Python floats: iterating the arrays would build a numpy scalar per number
+        header, columns = ["x"], [xs.tolist()]
         for spec, tag in zip(wells, ("c", "t")):
             values = susy_core.eval_partner(spec, which, xs)
             header += [f"{which.name}_{tag}_re", f"{which.name}_{tag}_im"]
-            columns += [values.real, values.imag]
+            columns += [values.real.tolist(), values.imag.tolist()]
         for spec, name in zip(bases, base_names):
             header.append(name)
-            columns.append(susy_core.eval_partner(spec, which, xs).real)
+            columns.append(susy_core.eval_partner(spec, which, xs).real.tolist())
         tables[f"fig{which.value}.csv"] = serialize.csv_text(header, zip(*columns))
     return tables
 

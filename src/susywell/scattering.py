@@ -15,7 +15,14 @@ Segments come in two kinds:
                     (p, q, r, s) of [[p, q], [r, s]]; neighbours are
                     multiplied entry-wise, later slice on the left, in
                     log2(m) levels, and each block's product is folded
-                    into a running 2x2.
+                    into a running 2x2, refused with EvanescentOverflow
+                    once it leaves the double range.
+
+Both kinds go through one slice kernel with two ranges of u = k^2 w^2:
+|u| <= SERIES_MAX takes six-term series of cos and sinc in u, exact to
+rounding (truncation ~ 9e-18) and free of sqrt; plane slices at moderate
+q lie there. Thicker slices take np.cos and np.sin of z = sqrt(k^2) w,
+each refused with EvanescentOverflow above |Im z| = 700.
 
 plane_partner_sweep samples the partner once per slice count: the midpoints
 depend only on the window and the count, so every energy of one sweep
@@ -38,12 +45,19 @@ from .serialize import csv_text
 from .susy_core import PLANE_FAMILIES, Partner, SuperpotentialSpec, partner_field
 
 OVERFLOW_EXPONENT = 700.0
+_OVERFLOW_GROWTH = math.exp(OVERFLOW_EXPONENT)
 WRONSKIAN_TOL = 1e-12
 SLICE_BLOCK = 4096  # slices per batch in a FieldSegment
 # plane_partner_sweep doubles the slice count at most MAX_DOUBLINGS times,
 # until T changes by at most STABILIZE_TOL
 STABILIZE_TOL = 1e-6
 MAX_DOUBLINGS = 6
+# a slice with |k^2 w^2| <= SERIES_MAX takes the six-term series of cos and
+# sinc, whose truncation SERIES_MAX^6 / 12! ~ 9e-18 is below rounding
+SERIES_MAX = 0.04
+# Horner coefficients of u^5 .. u^0: (-1)^n / (2n)! and (-1)^n / (2n + 1)!
+_COS_TERMS = tuple((-1) ** n / math.factorial(2 * n) for n in range(5, -1, -1))
+_SINC_TERMS = tuple((-1) ** n / math.factorial(2 * n + 1) for n in range(5, -1, -1))
 
 
 @dataclass(frozen=True)
@@ -83,31 +97,55 @@ class PiecewisePotential:
             )
 
 
+def _series(u):
+    """cos z and sinc z of z^2 = u: six terms each, by Horner's rule in u."""
+    out = []
+    for terms in (_COS_TERMS, _SINC_TERMS):
+        acc = u * terms[0]
+        for term in terms[1:-1]:
+            acc += term
+            acc *= u
+        acc += terms[-1]
+        out.append(acc)
+    return out
+
+
+def _trig(ksq, width: float):
+    """cos z and sinc z of z = sqrt(k^2) w, refusing |Im z| > OVERFLOW_EXPONENT."""
+    z = np.sqrt(ksq) * width
+    over = np.flatnonzero(np.abs(z.imag) > OVERFLOW_EXPONENT)
+    if over.size:
+        raise EvanescentOverflow(abs(z[over[0]].imag))
+    return np.cos(z), np.sin(z) / z
+
+
 def _slice_entries(values, width: float, energy: float):
     """Entries (p, q, r, s) of the constant-slice (psi, psi') matrices [[p, q], [r, s]].
 
     p = s = cos(kw), q = w sinc(kw), r = -k^2 w sinc(kw), k^2 = E - V, one
     slice per value. Entire in k^2: no branch choice, det = 1, and k -> 0
-    degenerates to the linear-solution pair [[1, w], [0, 1]]; cos and sinc go
-    to their series below |kw| = 1e-4 (covers the E = V resonance limit),
-    evaluated at those slices only.
+    degenerates to the linear-solution pair [[1, w], [0, 1]] exactly.
+
+    Two ranges of u = k^2 w^2 = z^2, each evaluated at its own slices only:
+      |u| <= SERIES_MAX   cos z and sinc z as six-term series in u, exact to
+                          rounding (truncation <= SERIES_MAX^6 / 12! ~ 9e-18);
+                          no sqrt and no branch. Plane slices at moderate q
+                          and the E = V resonance of a barrier take it.
+      |u| >  SERIES_MAX   np.cos and np.sin of z = sqrt(k^2) w (|z| > 0.2),
+                          with the EvanescentOverflow guard on |Im z|.
     """
     ksq = complex(energy) - np.asarray(values, dtype=np.complex128)
-    z = np.sqrt(ksq) * width
-    over = np.flatnonzero(np.abs(z.imag) > OVERFLOW_EXPONENT)
-    if over.size:
-        raise EvanescentOverflow(abs(z[over[0]].imag))
-    small = np.flatnonzero(np.abs(z) < 1e-4)
-    safe = z
-    if small.size:
-        safe = z.copy()
-        safe[small] = 1.0
-    cosz = np.cos(z)
-    sinc = np.sin(safe) / safe
-    if small.size:
-        z2 = z[small] * z[small]
-        cosz[small] = 1.0 - z2 / 2.0 + z2 * z2 / 24.0
-        sinc[small] = 1.0 - z2 / 6.0 + z2 * z2 / 120.0
+    u = ksq * (width * width)
+    thin = np.abs(u) <= SERIES_MAX
+    if thin.all():
+        cosz, sinc = _series(u)
+    elif not thin.any():
+        cosz, sinc = _trig(ksq, width)
+    else:
+        thick = ~thin
+        cosz, sinc = np.empty_like(u), np.empty_like(u)
+        cosz[thick], sinc[thick] = _trig(ksq[thick], width)
+        cosz[thin], sinc[thin] = _series(u[thin])
     sfac = width * sinc
     return cosz, sfac, -ksq * sfac, cosz
 
@@ -147,9 +185,18 @@ def _field_propagator(segment: FieldSegment, a: float, b: float, energy: float) 
     # blocks bound the temporaries; later blocks multiply the running product on the left
     p, q, r, s = 1.0 + 0j, 0j, 0j, 1.0 + 0j
     for start in range(0, len(values), SLICE_BLOCK):
-        bp, bq, br, bs = _ordered_product(
-            *_slice_entries(values[start:start + SLICE_BLOCK], width, energy))
+        stop = start + SLICE_BLOCK
+        # slices that each pass the |Im z| guard can still overflow together;
+        # the check below refuses such a product instead of warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            bp, bq, br, bs = _ordered_product(*_slice_entries(values[start:stop], width, energy))
         p, q, r, s = bp * p + bq * r, bp * q + bq * s, br * p + bs * r, br * q + bs * s
+        # |Re| + |Im| per entry, since abs() of a complex raises near the float
+        # limit; `not <=` refuses inf and nan too
+        if not sum(abs(v.real) + abs(v.imag) for v in (p, q, r, s)) <= _OVERFLOW_GROWTH:
+            # the accumulated exponent: sum of the per-slice |Im z| so far
+            z = np.sqrt(complex(energy) - values[:stop]) * width
+            raise EvanescentOverflow(float(np.sum(np.abs(z.imag))))
     return np.array([[p, q], [r, s]])
 
 
@@ -193,10 +240,14 @@ def transfer_matrix(potential: PiecewisePotential, energy: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScatteringResult:
+    """Left-incidence r and t at one energy, with the right-incidence
+    reflection r_right (not a SWEEP_HEADER column)."""
+
     energy: float
     r: complex
     t: complex
     flux_defect: float
+    r_right: complex
 
     @property
     def reflection(self) -> float:
@@ -208,7 +259,8 @@ class ScatteringResult:
 
 
 def transmission_reflection(potential: PiecewisePotential, energy: float) -> ScatteringResult:
-    """Left-incidence amplitudes: r = -M21/M22, t = det M / M22 = 1/M22.
+    """Amplitudes r = -M21/M22 and t = det M / M22 = 1/M22 for incidence from
+    the left, and r_right = M12/M22 for incidence from the right.
 
     det M = 1 holds by construction (every slice and the free-wave matching
     are unimodular), so t is not rebuilt from det M: its four entries grow
@@ -220,7 +272,8 @@ def transmission_reflection(potential: PiecewisePotential, energy: float) -> Sca
     r = -m[1, 0] / m[1, 1]
     t = 1.0 / m[1, 1]
     defect = abs(r) ** 2 + abs(t) ** 2 - 1.0
-    return ScatteringResult(energy, complex(r), complex(t), float(defect))
+    return ScatteringResult(energy, complex(r), complex(t), float(defect),
+                            complex(m[0, 1] / m[1, 1]))
 
 
 def square_barrier_transmission(v0: float, width: float, energy: float) -> float:

@@ -14,11 +14,14 @@ import numpy as np
 
 
 def format_number(v) -> str:
+    # float first: it is the common case, and np.float64 is a float
+    if isinstance(v, float):
+        return "%.17g" % v
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    return f"{float(v):.17g}"
+    return "%.17g" % float(v)
 
 
 def json_text(obj, indent: int = 0) -> str:
@@ -49,7 +52,7 @@ def csv_text(header: list[str], rows) -> str:
     """Comma-separated, header row, LF line endings, trailing newline."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(format_number(v) if not isinstance(v, str) else v for v in row))
+        lines.append(",".join([v if isinstance(v, str) else format_number(v) for v in row]))
     return "\n".join(lines) + "\n"
 
 

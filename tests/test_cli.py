@@ -460,6 +460,13 @@ class TestScatter:
         assert res.exit_code == 0, res.output
         assert calls == ["plane_right"]
 
+    def test_accumulated_overflow_exits_2(self, runner, tmp_path):
+        res = runner.invoke(main, ["scatter", "--family", "plane_right", "--q", "200",
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert "convergence failure: evanescent exponent" in res.output
+        assert "exceeds the overflow guard" in res.output
+
     def test_well_family_refused(self, runner, tmp_path):
         res = runner.invoke(main, ["scatter", "--family", "cotangent_well",
                                    "--out", str(tmp_path)])

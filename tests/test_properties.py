@@ -7,6 +7,7 @@ superpotentials."""
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, eigvals
@@ -85,13 +86,29 @@ def test_pt_symmetric_stack_obeys_generalized_unitarity(half, middle, energy):
     mirrored = [(value.conjugate(), width) for value, width in reversed(half)]
     stack = half + ([middle] if middle else []) + mirrored
     bps = tuple(np.concatenate([[0.0], np.cumsum([width for _, width in stack])]))
-    m = transfer_matrix(PiecewisePotential(bps, [ConstantSegment(v) for v, _ in stack]),
-                        energy)
-    t, r_left, r_right = 1.0 / m[1, 1], -m[1, 0] / m[1, 1], m[0, 1] / m[1, 1]
-    transmission = abs(t) ** 2
-    geometric = abs(r_left) * abs(r_right)
-    gap = abs(abs(transmission - 1.0) - geometric)
-    assert gap <= 1e-12 * max(1.0, transmission, geometric)
+    res = transmission_reflection(
+        PiecewisePotential(bps, [ConstantSegment(v) for v, _ in stack]), energy)
+    geometric = abs(res.r) * abs(res.r_right)
+    gap = abs(abs(res.transmission - 1.0) - geometric)
+    assert gap <= 1e-12 * max(1.0, res.transmission, geometric)
+
+
+@pytest.mark.parametrize("slices", [256, 4096])
+@pytest.mark.parametrize("family", [Family.PLANE_RIGHT, Family.PLANE_LEFT])
+@pytest.mark.parametrize("partner", list(Partner))
+@pytest.mark.parametrize("k, q, alpha", [(1.0, 1.5, 1.0), (1.7, 0.8, 0.5), (2.0, 1.0, 3.1)])
+def test_plane_partner_obeys_generalized_unitarity(k, q, alpha, partner, family, slices):
+    # a window centred at pi/(2 alpha), the plane partners' PT centre, is a
+    # PT-symmetric scatterer; its midpoint slices mirror each other, so
+    # |T - 1| = sqrt(R_L R_R) holds at any slice count
+    centre = np.pi / (2 * alpha)
+    field = partner_field(SuperpotentialSpec(family, k, q, alpha), partner)
+    structure = PiecewisePotential((centre - np.pi, centre + np.pi),
+                                   (FieldSegment(field, slices),))
+    for energy in (0.3, 0.8, 2.0, 4.0):
+        res = transmission_reflection(structure, energy)
+        gap = abs(abs(res.transmission - 1.0) - abs(res.r) * abs(res.r_right))
+        assert gap <= 1e-11
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,10 +13,13 @@ from susywell.scattering import (
     ConstantSegment,
     FieldSegment,
     PiecewisePotential,
+    SERIES_MAX,
     SLICE_BLOCK,
     SWEEP_HEADER,
     _constant_propagator,
     _field_propagator,
+    _series,
+    _slice_entries,
     plane_partner_sweep,
     square_barrier_transmission,
     sweep_csv,
@@ -116,6 +119,37 @@ class TestTransferMatrix:
         wide = PiecewisePotential((0.0, 100.0), (ConstantSegment(1e8),))
         with pytest.raises(EvanescentOverflow):
             transfer_matrix(wide, 1.0)
+
+
+class TestSliceKernel:
+    def test_series_matches_numpy_trig(self):
+        # the real u axis on both sides of 0 and the circle |u| = SERIES_MAX
+        axis = np.geomspace(1e-12, SERIES_MAX, 200)
+        circle = SERIES_MAX * np.exp(2j * np.pi * np.arange(64) / 64)
+        u = np.concatenate([axis, -axis, circle]).astype(complex)
+        z = np.sqrt(u)
+        cosz, sinc = _series(u)
+        assert np.max(np.abs(cosz / np.cos(z) - 1.0)) <= 1e-15
+        assert np.max(np.abs(sinc / (np.sin(z) / z) - 1.0)) <= 1e-15
+
+    def test_mixed_block_matches_single_slices(self):
+        # thin slices (series) beside |u| >> 1 ones (trig) in one block,
+        # E = V among them; no warning of any kind
+        width, energy = 0.01, 2.0
+        values = np.array([2.0, 1e6, 2.5 + 1j, -1e6, 3.0 - 2e4j, 1.0, 2.0 + 1e5j])
+        with np.errstate(all="raise"):
+            block = _slice_entries(values, width, energy)
+            alone = [_slice_entries([v], width, energy) for v in values]
+        u = np.abs((energy - values) * width ** 2)
+        assert np.any(u <= SERIES_MAX) and np.any(u > 10.0)
+        for i, entries in enumerate(alone):
+            assert [e[i] for e in block] == [e[0] for e in entries]
+
+    def test_resonance_slice_is_exact(self):
+        # E = V: the linear-solution pair, exactly
+        w = 0.37
+        m = _constant_propagator(4.0, w, 4.0)
+        assert np.array_equal(m, np.array([[1.0, w], [0.0, 1.0]]))
 
 
 class TestBarrierOracle:
@@ -233,6 +267,17 @@ class TestFieldSegments:
                                  (FieldSegment(field, 2 * SLICE_BLOCK + 1),))
         with pytest.raises(EvanescentOverflow):
             transfer_matrix(pot, 1.0)
+
+    def test_accumulated_overflow_guard(self):
+        # at q = 200 no slice reaches |Im z| = 700, but their product would
+        # overflow: refused at the first slice count, with no RuntimeWarning
+        spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 200.0)
+        width = 2 * math.pi / 2000
+        values = partner_field(spec, Partner.V1)(width * (np.arange(2000) + 0.5))
+        assert np.max(np.abs((np.sqrt(0.25 - values) * width).imag)) < 1.0
+        with pytest.raises(EvanescentOverflow) as err:
+            plane_partner_sweep(spec, Partner.V1, (0.0, 2 * math.pi), [0.25], slices=2000)
+        assert err.value.exponent > 700.0
 
     def test_slice_convergence_second_order(self):
         spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0)
