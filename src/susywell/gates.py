@@ -33,9 +33,11 @@ from .susy_core import WELL_FAMILIES, Family, Partner, SuperpotentialSpec
 SHAPE_TOL = 1e-10
 # the detuned remainder must deviate by more than this
 CONTROL_MIN = 1.0
-# |-psi'' + V1 psi| / |psi| at E = 0, central difference with h = 1e-4
+# |-psi'' + V1 psi| / |psi| at E = 0, the Richardson combination
+# (4 R(h/2) - R(h)) / 3 of the central-difference residuals R at h = 2e-3
 RESIDUAL_TOL = 1e-6
-# that residual at h = 1e-3 over h = 1e-4; second order gives about 100
+RESIDUAL_STEP = 2e-3
+# the residual at h = 1e-3 over h = 1e-4; second order gives about 100
 DECAY_MIN = 10.0
 DENSITY_TOL = 1e-12
 ASYMMETRY_TOL = 1e-12
@@ -56,11 +58,13 @@ Q2_SPEC = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
 # Re g below this, with V1 ~ g/d^2 near a wall, predicts fall to centre
 FALL_TO_CENTRE = -0.25
 
-# ground_state_residual samples 9 points of each family at q = 1.5 and, at
-# q = 2, one interior point where it also measures the decay in h. There
-# the h = 1e-4 residual is still truncation error; where |psi| is small it
-# sits at the roundoff floor (about eps/h^2 = 2e-8), and its ratio to the
-# h = 1e-3 residual says nothing about the order.
+# ground_state_residual samples 9 points of each family at q = 1.5 and 2,
+# and at q = 2 one interior point where it also measures the decay in h.
+# There the h = 1e-4 residual is still truncation error; where |psi| is
+# small it sits at the roundoff floor (about eps/h^2 = 2e-8), and its ratio
+# to the h = 1e-3 residual says nothing about the order. The gated residual
+# cancels the h^2 term instead, from steps large enough (2e-3 and 1e-3) to
+# keep the roundoff of the second difference near 1e-9.
 _DECAY_POINTS = {
     Family.COTANGENT_WELL: 1.0,
     Family.TANGENT_WELL: 0.6,
@@ -125,24 +129,28 @@ def negative_control_fails():
 
 
 def _residual(fam, q, xs, h):
-    return np.abs(states.schrodinger_residual(SuperpotentialSpec(fam, 1.0, q), 0.0, xs, h=h))
+    return states.schrodinger_residual(SuperpotentialSpec(fam, 1.0, q), 0.0, xs, h=h)
 
 
 def ground_state_residual():
     """The closed-form ground state solves its own V1 at E = 0 for every
-    family: at q = 1.5 on 9 points 0.4 inside the cell (or across [-2, 2]),
-    and at q = 2 on the decay point, where its error is of second order."""
+    family, at q = 1.5 and 2 on 9 points 0.4 inside the cell (or across
+    [-2, 2]), measured by the Richardson combination of two steps; and at
+    q = 2 on the decay point the plain residual is of second order."""
     worst, decay = 0.0, math.inf
     for fam in Family:
         cell = susy_core.fundamental_cell(SuperpotentialSpec(fam, 1.0))
-        lo, hi = (cell[0] + 0.4, cell[1] - 0.4) if cell else (-2.0, 2.0)
+        xs = np.linspace(*((cell[0] + 0.4, cell[1] - 0.4) if cell else (-2.0, 2.0)), 9)
+        for q in (1.5, 2.0):
+            rich = (4 * _residual(fam, q, xs, RESIDUAL_STEP / 2)
+                    - _residual(fam, q, xs, RESIDUAL_STEP)) / 3
+            worst = max(worst, float(np.max(np.abs(rich))))
         x0 = _DECAY_POINTS[fam]
-        fine = float(_residual(fam, 2.0, x0, 1e-4))
-        worst = max(worst, fine, float(np.max(_residual(fam, 1.5, np.linspace(lo, hi, 9), 1e-4))))
-        decay = min(decay, float(_residual(fam, 2.0, x0, 1e-3)) / fine)
+        decay = min(decay, abs(_residual(fam, 2.0, x0, 1e-3)) / abs(_residual(fam, 2.0, x0, 1e-4)))
     return Gate("ground_state_residual", worst < RESIDUAL_TOL and decay > DECAY_MIN,
                 worst, RESIDUAL_TOL,
-                f"max residual {worst:.3e} at h=1e-4, decay ratio {decay:.0f} from h=1e-3 "
+                f"max residual {worst:.3e} by Richardson from h={RESIDUAL_STEP:g} and "
+                f"{RESIDUAL_STEP / 2:g}, decay ratio {decay:.0f} from h=1e-3 to 1e-4 "
                 f"(needs > {DECAY_MIN:g})")
 
 
@@ -183,11 +191,19 @@ def pt_symmetry_wells():
 
 def q0_spectra(spec=Q0_SPEC, cell=None, counts=(5, 4), grid=4000):
     """Richardson spectra of V1 and V2, counts[0] and counts[1] levels, on
-    the grids grid/4, grid/2 and grid of the natural cell, or of `cell`."""
-    lo, hi = cell or susy_core.fundamental_cell(spec)
+    the grids grid/4, grid/2 and grid of the natural cell, or of `cell`.
+
+    On the natural cell the coarsest grid is handed the ladder that
+    spectrum_q0 gates, V1 level m at (k + m alpha)^2 - k^2 and V2 level m at
+    V1 level m + 1, as its guess; any other cell is bisected."""
+    natural = susy_core.fundamental_cell(spec)
+    lo, hi = cell or natural
     grids = (grid // 4, grid // 2, grid)
     return tuple(
-        spectral.richardson_spectrum(susy_core.partner_field(spec, which), lo, hi, n, grids)
+        spectral.richardson_spectrum(
+            susy_core.partner_field(spec, which), lo, hi, n, grids,
+            guess=[spectral.remainder_spectrum(m + which.value - 1, spec.k, spec.alpha)
+                   for m in range(n)] if (lo, hi) == natural else None)
         for which, n in zip(Partner, counts))
 
 

@@ -22,7 +22,9 @@ Both kinds go through one slice kernel with two ranges of u = k^2 w^2:
 |u| <= SERIES_MAX takes six-term series of cos and sinc in u, exact to
 rounding (truncation ~ 9e-18) and free of sqrt; plane slices at moderate
 q lie there. Thicker slices take np.cos and np.sin of z = sqrt(k^2) w,
-each refused with EvanescentOverflow above |Im z| = 700.
+each refused with EvanescentOverflow above |Im z| = 700. transfer_matrix
+refuses the same way a product of segments that leaves the double range,
+with the exponent summed over the segments so far.
 
 plane_partner_sweep samples the partner once per slice count: the midpoints
 depend only on the window and the count, so every energy of one sweep
@@ -176,12 +178,34 @@ def _ordered_product(p, q, r, s) -> tuple[complex, complex, complex, complex]:
     return complex(p[0]), complex(q[0]), complex(r[0]), complex(s[0])
 
 
-def _field_propagator(segment: FieldSegment, a: float, b: float, energy: float) -> np.ndarray:
+def _slice_values(segment, a: float, b: float):
+    """(values, width) of the slices of a segment on [a, b]: one slice for a
+    ConstantSegment, the field at the slice midpoints for a FieldSegment."""
+    if isinstance(segment, ConstantSegment):
+        return np.array([segment.value], dtype=np.complex128), b - a
     width = (b - a) / segment.slices
     mids = a + width * (np.arange(segment.slices) + 0.5)
     values = np.asarray(segment.field(mids), dtype=np.complex128)
     if values.shape != mids.shape:
         raise ValueError("segment field must return one value per slice midpoint")
+    return values, width
+
+
+def _exponent(values, width: float, energy: float) -> float:
+    """The evanescent exponent of a run of slices: the sum of their |Im z|,
+    z = sqrt(E - V) w."""
+    return float(np.sum(np.abs((np.sqrt(complex(energy) - values) * width).imag)))
+
+
+def _in_range(*entries) -> bool:
+    """|Re| + |Im| summed over the entries is at most _OVERFLOW_GROWTH.
+    Python complex entries: abs() of a complex raises near the float limit,
+    numpy scalars warn, and `not <=` refuses inf and nan too."""
+    return sum(abs(v.real) + abs(v.imag) for v in entries) <= _OVERFLOW_GROWTH
+
+
+def _field_propagator(segment: FieldSegment, a: float, b: float, energy: float) -> np.ndarray:
+    values, width = _slice_values(segment, a, b)
     # blocks bound the temporaries; later blocks multiply the running product on the left
     p, q, r, s = 1.0 + 0j, 0j, 0j, 1.0 + 0j
     for start in range(0, len(values), SLICE_BLOCK):
@@ -191,12 +215,8 @@ def _field_propagator(segment: FieldSegment, a: float, b: float, energy: float) 
         with np.errstate(over="ignore", invalid="ignore"):
             bp, bq, br, bs = _ordered_product(*_slice_entries(values[start:stop], width, energy))
         p, q, r, s = bp * p + bq * r, bp * q + bq * s, br * p + bs * r, br * q + bs * s
-        # |Re| + |Im| per entry, since abs() of a complex raises near the float
-        # limit; `not <=` refuses inf and nan too
-        if not sum(abs(v.real) + abs(v.imag) for v in (p, q, r, s)) <= _OVERFLOW_GROWTH:
-            # the accumulated exponent: sum of the per-slice |Im z| so far
-            z = np.sqrt(complex(energy) - values[:stop]) * width
-            raise EvanescentOverflow(float(np.sum(np.abs(z.imag))))
+        if not _in_range(p, q, r, s):
+            raise EvanescentOverflow(_exponent(values[:stop], width, energy))
     return np.array([[p, q], [r, s]])
 
 
@@ -213,14 +233,20 @@ def transfer_matrix(potential: PiecewisePotential, energy: float) -> np.ndarray:
     if 2.0 * k0 < WRONSKIAN_TOL:
         raise DegenerateMatch("Wronskian 2 k0", 2.0 * k0, WRONSKIAN_TOL, bps[0])
     wave = np.eye(2, dtype=np.complex128)
-    for seg, a, b in zip(potential.segments, bps, bps[1:]):
+    for i, (seg, a, b) in enumerate(zip(potential.segments, bps, bps[1:])):
         if isinstance(seg, ConstantSegment):
             step = _constant_propagator(seg.value, b - a, energy)
         elif isinstance(seg, FieldSegment):
             step = _field_propagator(seg, a, b, energy)
         else:
             raise TypeError(f"unknown segment kind {type(seg).__name__}")
-        wave = step @ wave
+        # segments that each pass their overflow guard can overflow together
+        with np.errstate(over="ignore", invalid="ignore"):
+            wave = step @ wave
+        if not _in_range(*wave.ravel().tolist()):
+            raise EvanescentOverflow(sum(
+                _exponent(*_slice_values(done, lo, hi), energy)
+                for done, lo, hi in zip(potential.segments[:i + 1], bps, bps[1:])))
     first, last = bps[0], bps[-1]
     e_first = cmath.exp(1j * k0 * first)
     e_last = cmath.exp(1j * k0 * last)

@@ -7,8 +7,7 @@ its Rayleigh quotient on H; the residual gate is measured against H.
 
 Purely real diagonals take the symmetric path, which first puts each of
 the `count` lowest levels in a bracket that holds no other level. With a
-prediction of the levels, as richardson_spectrum makes for every grid of a
-ladder after the first, the brackets are the cells between cuts placed
+prediction of the levels, the brackets are the cells between cuts placed
 midway between consecutive predicted levels and half the last predicted
 spacing above the top one. One Sturm count at the top cut (LAPACK stebz
 over a value range, with a tolerance as wide as the range, so that it
@@ -30,8 +29,20 @@ bracket whose level is not certified within MAX_SOLVES solves sends the
 grid to bisection; a bisected level that is not certified raises
 ConvergenceFailure. Each solve is one LAPACK gtsv call; a shift on an exact
 eigenvalue, where gtsv meets a zero pivot, is solved again by gttrf with
-its small pivots raised (see _inverse_step). Every level starts from the
-same seeded random vector, drawn once.
+its small pivots raised (see _inverse_step).
+
+The predictions of a richardson_spectrum ladder: its coarsest grid takes
+the guess of its caller, which for the q = 0 wells on their natural cell is
+the closed-form ladder (k + m alpha)^2 - k^2 (gates.q0_spectra); a custom
+domain gives none and bisects. Each finer grid takes the levels that the
+coarser grids predict for it (see _predicted_levels), and each of its
+levels starts inverse iteration from the coarser grid's eigenvector of that
+level, interpolated onto the new nodes. Bisected levels, on the coarsest
+grid or after a refuted prediction, start from one seeded random vector,
+drawn once. No prediction can change a level: the certificate holds
+whatever the cell's start and shift, so a returned level is within
+eps max(1, ||H||_inf) of the matrix level, guessed or bisected, and a
+wrong prediction only costs the bisection it was meant to save.
 
 Complex diagonals take the dense path, which is validated against the
 symmetric path on real cases. It uses PT symmetry when the diagonal has it.
@@ -153,7 +164,10 @@ class SpectrumReport:
     residuals are ||H v - lambda v|| per eigenpair, v a unit vector;
     scaled_residuals divide that by max(1, ||H||_inf), which is the gated
     quantity. A report of richardson_spectrum keeps its single-grid reports
-    in per_grid, coarsest first.
+    in per_grid, coarsest first. vectors holds the unit eigenvectors of a
+    single-grid report of the symmetric path, one array per level (None
+    otherwise); richardson_spectrum passes them to the next grid and keeps
+    none in its reports, and no payload holds them.
     """
 
     eigenvalues: np.ndarray
@@ -163,6 +177,7 @@ class SpectrumReport:
     residuals: np.ndarray = field(default_factory=lambda: np.empty(0))
     scaled_residuals: np.ndarray = field(default_factory=lambda: np.empty(0))
     per_grid: tuple["SpectrumReport", ...] = ()
+    vectors: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
 
     def to_payload(self) -> dict:
         return {
@@ -185,25 +200,31 @@ class SpectrumReport:
         }
 
 
-def eigenvalues(ham: DiscretizedHamiltonian, count: int, *, guess=None) -> SpectrumReport:
+def eigenvalues(ham: DiscretizedHamiltonian, count: int, *, guess=None,
+                vectors=None) -> SpectrumReport:
     """The `count` eigenvalues of smallest real part, each held to the
     residual gate by the residual its eigen path reports.
 
     A purely real diagonal takes the certified symmetric path of
     _symmetric_eigenpairs, any other the dense path of _dense_eigenpairs.
     guess, `count` predicted levels, lets the symmetric path confirm
-    brackets by Sturm counts instead of bisecting for them; the dense path
-    does not use it.
+    brackets by Sturm counts instead of bisecting for them, and vectors,
+    one start vector per level, starts inverse iteration on each predicted
+    level (see _resampled: a vector may come from a grid of another size on
+    the same interval); the dense path uses neither.
     """
     n = ham.grid.n_interior
     if not 1 <= count <= n:
         raise ValueError(f"count must be in [1, {n}], got {count!r}")
     if guess is not None and np.shape(guess) != (count,):
         raise ValueError(f"guess must hold {count} levels, got shape {np.shape(guess)}")
+    if vectors is not None and (len(vectors) != count
+                                or len({np.size(vec) for vec in vectors}) != 1):
+        raise ValueError(f"vectors must hold {count} start vectors of one length")
     if ham.is_real:
-        w, resid = _symmetric_eigenpairs(ham, count, guess)
+        w, resid, vecs = _symmetric_eigenpairs(ham, count, guess, vectors)
     else:
-        w, resid = _dense_eigenpairs(ham, count)
+        (w, resid), vecs = _dense_eigenpairs(ham, count), None
     scaled = resid / max(1.0, ham.norm_inf)
     if np.any(scaled > RESIDUAL_TOL):
         worst = float(np.max(scaled))
@@ -218,16 +239,18 @@ def eigenvalues(ham: DiscretizedHamiltonian, count: int, *, guess=None) -> Spect
         grid_sizes_used=(n,),
         residuals=resid,
         scaled_residuals=scaled,
+        vectors=vecs,
     )
 
 
-def _symmetric_eigenpairs(ham: DiscretizedHamiltonian, count: int, guess=None):
-    """(w, residuals) of the `count` lowest levels of a real H, each
-    certified to eps max(1, ||H||_inf) (see the module docstring).
+def _symmetric_eigenpairs(ham: DiscretizedHamiltonian, count: int, guess=None, vectors=None):
+    """(w, residuals, eigenvectors) of the `count` lowest levels of a real
+    H, each certified to eps max(1, ||H||_inf) (see the module docstring).
 
     A guess whose top cut the Sturm count confirms gives level j the cell
     between cuts j and j + 1, counted from 1 (level 0's cell is unbounded
-    below), and _certify proves that each cell holds its level. Otherwise
+    below), and _certify proves that each cell holds its level, starting
+    inverse iteration from vectors when given. Otherwise
     bisection places level j within tol/2 of its centre c_j, so the bracket
     [c_j - tol, c_j + tol] holds it with room for the rounding of the Sturm
     counts; centres closer than 4 tol are located
@@ -239,7 +262,7 @@ def _symmetric_eigenpairs(ham: DiscretizedHamiltonian, count: int, guess=None):
         cuts = _confirmed_cuts(diagonal, ham.off_diagonal, guess)
         if cuts is not None:
             try:
-                return _certify(ham, guess, np.concatenate(([-np.inf], cuts)), cuts)
+                return _certify(ham, guess, np.concatenate(([-np.inf], cuts)), cuts, vectors)
             except ConvergenceFailure:
                 pass  # bisect this grid after all
     located = min(count + 1, ham.grid.n_interior)
@@ -252,11 +275,13 @@ def _symmetric_eigenpairs(ham: DiscretizedHamiltonian, count: int, guess=None):
     return _certify(ham, centres[:count], centres - tol, centres[:count] + tol)
 
 
-def _certify(ham: DiscretizedHamiltonian, starts, lower, upper):
-    """(w, residuals) of the levels j < len(starts), level j in its bracket
-    [lower[j], upper[j]] and the other levels outside it, below upper[j - 1]
-    and above lower[j + 1] (inf where there is none); inverse iteration on
-    level j starts from the shift starts[j].
+def _certify(ham: DiscretizedHamiltonian, shifts, lower, upper, vectors=None):
+    """(w, residuals, eigenvectors) of the levels j < len(shifts), level j
+    in its bracket [lower[j], upper[j]] and the other levels outside it,
+    below upper[j - 1] and above lower[j + 1] (inf where there is none);
+    inverse iteration on level j starts from the shift shifts[j] and from
+    vectors[j] resampled onto the grid, or the seeded _start_vector without
+    vectors.
 
     If rho_j lies in its bracket and |r|^2 <= eps ||H|| gap, gap > eps ||H||
     being the distance from rho_j to the neighbouring edges, then |r| < gap,
@@ -267,23 +292,24 @@ def _certify(ham: DiscretizedHamiltonian, starts, lower, upper):
     Raises ConvergenceFailure for a level not certified within MAX_SOLVES.
 
     For the cells of a confirmed prediction, the one Sturm count at the top
-    cut says only that they hold len(starts) levels between them, not one
+    cut says only that they hold len(shifts) levels between them, not one
     each. The test above suffices: a certified cell holds a level within
-    |r| < gap of rho_j, so len(starts) certified cells hold one level each,
+    |r| < gap of rho_j, so len(shifts) certified cells hold one level each,
     and cell j holds level j. An empty cell cannot be certified, since a
     residual below the gap would put a level inside it.
     """
     n = ham.grid.n_interior
-    count = len(starts)
+    count = len(shifts)
     diagonal = ham.diagonal.real
     floor = ham.pivot_floor
     below = np.concatenate(([-np.inf], upper[:count - 1]))
     above = np.concatenate((lower[1:], [np.inf]))[:count]
-    start = _start_vector(n)
+    starts = [_start_vector(n)] * count if vectors is None else _resampled(vectors, ham.grid)
     w = np.empty(count)
     residuals = np.empty(count)
-    for j in range(count):
-        shift, vec = starts[j], start
+    eigenvectors = []
+    for j, vec in enumerate(starts):
+        shift = shifts[j]
         for _ in range(MAX_SOLVES):
             vec = _inverse_step(diagonal, ham.off_diagonal, shift, vec, floor)
             hv = _matvec(diagonal, ham.off_diagonal, vec)
@@ -306,7 +332,23 @@ def _certify(ham: DiscretizedHamiltonian, starts, lower, upper):
             )
         w[j] = rho
         residuals[j] = resid
-    return w.astype(np.complex128), residuals
+        eigenvectors.append(vec)
+    return w.astype(np.complex128), residuals, tuple(eigenvectors)
+
+
+def _resampled(vectors, grid: Grid1D):
+    """Each of vectors, sampled on the m interior nodes of a uniform grid of
+    grid's interval and zero at its walls, linearly interpolated onto the
+    nodes of grid (the same values when m = n), one at a time, so that no
+    second set of vectors is held."""
+    m = len(vectors[0])
+    # node i of grid lies at t = i h / h_m, between nodes floor(t) and floor(t) + 1 of m
+    weight = np.arange(1, grid.n_interior + 1) * ((m + 1) / (grid.n_interior + 1))
+    left = weight.astype(np.intp)
+    weight -= left
+    for vector in vectors:
+        padded = np.concatenate(([0.0], vector, [0.0]))
+        yield padded[left] * (1.0 - weight) + padded[left + 1] * weight
 
 
 def _confirmed_cuts(diagonal: np.ndarray, off_diagonal: float, guess: np.ndarray):
@@ -478,23 +520,31 @@ def richardson_spectrum(
     x_max: float,
     count: int,
     grid_sizes,
+    *,
+    guess=None,
 ) -> SpectrumReport:
     """Spectra on several grids plus Richardson-extrapolated estimates.
 
     The reported eigenvalues/residuals come from the finest grid; the
     extrapolation acts on the real parts of each tracked level. The grids
-    are solved in ascending size and kept in per_grid; each grid after the
-    first is handed the levels that the coarser grids predict for it.
+    are solved in ascending size and kept in per_grid. guess, `count`
+    predicted levels, is handed to the coarsest grid; each grid after the
+    first is handed the levels that the coarser grids predict for it and
+    the coarser grid's eigenvectors as start vectors (see eigenvalues).
     """
     sizes = sorted(int(n) for n in grid_sizes)
     if len(sizes) < 2:
         raise ValueError("need at least two grid sizes")
     reports = []
     spacings = []
+    vectors = None
     for n in sizes:
         grid = Grid1D(x_min, x_max, n)
-        guess = _predicted_levels(spacings, reports, grid.spacing) if reports else None
-        reports.append(eigenvalues(discretize(potential, grid), count, guess=guess))
+        if reports:
+            guess = _predicted_levels(spacings, reports, grid.spacing)
+        rep = eigenvalues(discretize(potential, grid), count, guess=guess, vectors=vectors)
+        vectors = rep.vectors
+        reports.append(replace(rep, vectors=None))
         spacings.append(grid.spacing)
     estimates = tuple(
         richardson_extrapolate(spacings, [r.eigenvalues[j].real for r in reports])

@@ -140,29 +140,26 @@ def constraint_function(spec: SuperpotentialSpec, x, frequency: float = 1.0):
     cancellation and is never part of the physical families.
     """
     xs = np.asarray(x, dtype=np.float64)
-    a = frequency * spec.alpha
-    if spec.family is Family.COTANGENT_WELL:
-        out = spec.q / np.sin(a * xs) + 0j
-    elif spec.family is Family.TANGENT_WELL:
-        out = spec.q / np.cos(a * xs) + 0j
-    elif spec.family is Family.PLANE_RIGHT:
-        out = spec.q * np.exp(-1j * a * xs)
-    else:
-        out = spec.q * np.exp(1j * a * xs)
-    return _scalar_like(x, out)
+    return _scalar_like(x, _constraint_terms(spec, xs, frequency)[0])
 
 
-def _constraint_derivative(spec: SuperpotentialSpec, xs: np.ndarray, frequency: float):
+def _constraint_terms(spec: SuperpotentialSpec, xs: np.ndarray, frequency: float):
+    """(f, f', sin(a x), cos(a x)) with a = frequency alpha, each trig
+    function evaluated once; the plane families give (f, f', None, None)
+    from one exp(-/+ i a x)."""
     a = frequency * spec.alpha
-    if spec.family is Family.COTANGENT_WELL:
-        # d/dx [q csc(ax)] = -q a csc(ax) cot(ax)
-        return -spec.q * a * np.cos(a * xs) / np.sin(a * xs) ** 2 + 0j
-    if spec.family is Family.TANGENT_WELL:
+    if spec.family in WELL_FAMILIES:
+        sin, cos = np.sin(a * xs), np.cos(a * xs)
+        if spec.family is Family.COTANGENT_WELL:
+            # d/dx [q csc(ax)] = -q a csc(ax) cot(ax)
+            return spec.q / sin + 0j, -spec.q * a * cos / sin ** 2 + 0j, sin, cos
         # d/dx [q sec(ax)] = q a sec(ax) tan(ax)
-        return spec.q * a * np.sin(a * xs) / np.cos(a * xs) ** 2 + 0j
+        return spec.q / cos + 0j, spec.q * a * sin / cos ** 2 + 0j, sin, cos
     if spec.family is Family.PLANE_RIGHT:
-        return -1j * a * spec.q * np.exp(-1j * a * xs)
-    return 1j * a * spec.q * np.exp(1j * a * xs)
+        wave = np.exp(-1j * a * xs)
+        return spec.q * wave, -1j * a * spec.q * wave, None, None
+    wave = np.exp(1j * a * xs)
+    return spec.q * wave, 1j * a * spec.q * wave, None, None
 
 
 def eval_superpotential(spec: SuperpotentialSpec, x):
@@ -198,7 +195,7 @@ def eval_superpotential_derivative(spec: SuperpotentialSpec, x):
         c = np.cos(a * xs)
         wp = k * a / c**2 + 1j * spec.q * a * np.sin(a * xs) / c**2
     else:
-        wp = _constraint_derivative(spec, xs, 1.0)
+        wp = _constraint_terms(spec, xs, 1.0)[1]
     return _scalar_like(x, wp + 0j)
 
 
@@ -216,14 +213,18 @@ def _partner_values(
     """
     sgn = -1.0 if which is Partner.V1 else 1.0  # sign in front of f' / alpha
     k, alpha = spec.k, spec.alpha
-    f = np.asarray(constraint_function(spec, xs, frequency))
-    fp = _constraint_derivative(spec, xs, frequency)
+    f, fp, sin, cos = _constraint_terms(spec, xs, frequency)
+    # at a scalar x, f ** 2 of a 0-d array and of a numpy scalar can differ in the last bit
+    f = np.asarray(f)
     if spec.family in WELL_FAMILIES:
+        if frequency != 1.0:
+            # the negative control detunes the constraint, not the well
+            sin, cos = np.sin(alpha * xs), np.cos(alpha * xs)
         # g = 1/s with s = sin or cos; the cross term is 2k (t/s) f
         if spec.family is Family.COTANGENT_WELL:
-            s, t = np.sin(alpha * xs), -np.cos(alpha * xs)
+            s, t = sin, -cos
         else:
-            s, t = np.cos(alpha * xs), np.sin(alpha * xs)
+            s, t = cos, sin
         g2 = 1.0 / s**2
         cross = 2.0 * k * (t / s) * f
         return k * (k + sgn * alpha) * g2 - k**2 - f**2 + 1j * (sgn * fp + cross)

@@ -17,6 +17,14 @@ def test_detuned_remainder_fails_shape_invariance():
     assert gate.measured > gate.bound
 
 
+def test_ground_state_residual_measures_the_claim_not_the_step():
+    # the plain h = 1e-4 residual reads up to 9.9e-7 at q = 2 against the
+    # 1e-6 bound; the Richardson pair cancels its h^2 term
+    gate = gates.ground_state_residual()
+    assert gate.passed, gate.detail
+    assert gate.measured < 1e-2 * gate.bound
+
+
 def test_spectrum_q0_fails_a_misaligned_ladder():
     v1, v2 = gates.q0_spectra(counts=(4, 3), grid=1000)
     assert gates.spectrum_q0(v1, v2).passed

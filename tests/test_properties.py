@@ -1,7 +1,7 @@
 """Property tests: transfer-matrix invariants over random complex structures,
 the PT-real dense eigen path over random complex wells, the certified
 symmetric eigen path over random real wells, with and without a prediction
-of the levels, and the finite-difference partners over random
+of the levels and with any start vectors, and the finite-difference partners over random
 superpotentials."""
 
 from dataclasses import dataclass
@@ -205,18 +205,43 @@ def test_symmetric_levels_match_full_bisection(family, partner, k, ratio, bumps,
     assert np.max(np.abs(rep.eigenvalues.real - _lowest_levels(ham, count))) <= bound
 
 
+def _start_vectors(ham, count, kind, seed):
+    # start vectors for the levels: none (the seeded one), random, the exact
+    # eigenvectors, random ones orthogonal to their level's eigenvector, or
+    # the eigenvector of the level above (orthogonal and itself an eigenvector)
+    if kind == "seeded":
+        return None
+    _, exact = eigh_tridiagonal(ham.diagonal.real,
+                                np.full(ham.grid.n_interior - 1, ham.off_diagonal),
+                                select="i", select_range=(0, count))
+    exact = exact.T
+    noise = np.random.default_rng(seed).standard_normal((count, ham.grid.n_interior))
+    if kind == "random":
+        return noise
+    if kind == "exact":
+        return exact[:count]
+    if kind == "orthogonal":
+        return noise - np.sum(noise * exact[:count], axis=1)[:, None] * exact[:count]
+    return exact[1:]
+
+
 @settings(max_examples=60, deadline=None)
 @given(**real_wells, skip=st.integers(0, 2),
        spread=st.sampled_from((0.0, 1e-9, 1e-3, 0.3, 3.0, 1e3)),
-       offsets=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8), ordered=st.booleans())
+       offsets=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8), ordered=st.booleans(),
+       start=st.sampled_from(("seeded", "random", "exact", "orthogonal", "neighbour")),
+       seed=st.integers(0, 2**32 - 1))
 def test_symmetric_levels_match_full_bisection_for_any_prediction(
-        family, partner, k, ratio, bumps, n, count, skip, spread, offsets, ordered):
+        family, partner, k, ratio, bumps, n, count, skip, spread, offsets, ordered, start,
+        seed):
     # a prediction anywhere from exact to arbitrary, starting at level skip
-    # instead of level 0: confirmed or refuted, it must not move the levels
+    # instead of level 0, with any start vectors: confirmed or refuted, it
+    # must not move the levels
     ham = _perturbed_well(family, partner, k, ratio, bumps, n)
     levels = _lowest_levels(ham, count + skip)
     guess = levels[skip:] + spread * np.array(offsets[:count])
-    rep = eigenvalues(ham, count, guess=np.sort(guess) if ordered else guess)
+    rep = eigenvalues(ham, count, guess=np.sort(guess) if ordered else guess,
+                      vectors=_start_vectors(ham, count, start, seed))
     bound = 4 * np.finfo(np.float64).eps * ham.norm_inf
     assert np.max(np.abs(rep.eigenvalues.real - levels[:count])) <= bound
 

@@ -120,6 +120,17 @@ class TestTransferMatrix:
         with pytest.raises(EvanescentOverflow):
             transfer_matrix(wide, 1.0)
 
+    @pytest.mark.parametrize("first", [ConstantSegment(160001.0),
+                                       FieldSegment(lambda x: np.full(np.shape(x), 160001.0), 7)])
+    def test_overflow_across_segments(self, first):
+        # kappa w = 400 per slab passes each segment's guard, but the product
+        # of the two would overflow: refused with the summed exponent (a
+        # RuntimeWarning would fail the test, see pyproject.toml)
+        pot = PiecewisePotential((0.0, 1.0, 2.0), (first, ConstantSegment(160001.0)))
+        with pytest.raises(EvanescentOverflow) as err:
+            transfer_matrix(pot, 1.0)
+        assert err.value.exponent == pytest.approx(800.0)
+
 
 class TestSliceKernel:
     def test_series_matches_numpy_trig(self):

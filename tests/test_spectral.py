@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal, eigvals
 from scipy.linalg.lapack import get_lapack_funcs
 
-from susywell import spectral
+from susywell import gates, spectral
 from susywell.errors import ConvergenceFailure, InsufficientEigenvalues, SingularPoint
 from susywell.spectral import (
     RESIDUAL_TOL,
@@ -305,6 +305,71 @@ class TestPredictedBrackets:
         assert len(bisections) == 1
         plain = eigenvalues(ham, count)
         assert np.max(np.abs(primed.eigenvalues - plain.eigenvalues)) <= eps * ham.norm_inf
+
+    @pytest.mark.parametrize("family", WELL_FAMILIES)
+    @pytest.mark.parametrize("ratio", [1.0, 0.5])
+    def test_natural_cell_ladder_bisects_no_grid(self, bisections, family, ratio):
+        # the closed-form ladder seeds the coarsest grid, the coarser grids
+        # seed the finer ones
+        spec = SuperpotentialSpec(family, 2.2, 0.0, 2.2 * ratio)
+        v1, v2 = gates.q0_spectra(spec, counts=(6, 6), grid=2000)
+        assert bisections == []
+        assert gates.spectrum_q0(v1, v2, spec.k, spec.alpha).passed
+
+    def test_custom_domain_ladder_bisects_its_first_grid(self, bisections):
+        spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 0.0)
+        gates.q0_spectra(spec, (0.3, 2.8), counts=(4, 4), grid=2000)
+        # one bisection per partner's ladder, on its coarsest grid
+        assert len(bisections) == 2
+
+    @pytest.mark.parametrize("case", ["half_a_spacing_up", "skips_a_level", "alpha_ignored"])
+    def test_wrong_ladder_guess_keeps_every_grid(self, bisections, monkeypatch, case):
+        lo, hi = fundamental_cell(self.SPEC)
+        k, alpha = self.SPEC.k, self.SPEC.alpha
+        field = partner_field(self.SPEC, Partner.V1)
+        grids = (500, 1000, 2000)
+        exact = np.array([remainder_spectrum(m, k, alpha) for m in range(9)])
+        if case == "alpha_ignored":
+            # q0_spectra's guess from a ladder that steps by k instead of alpha
+            monkeypatch.setattr(spectral, "remainder_spectrum",
+                                lambda m, k_base=1.0, alpha=None: remainder_spectrum(m, k_base))
+            primed = gates.q0_spectra(self.SPEC, counts=(8, 8), grid=2000)[0]
+        else:
+            guess = {"half_a_spacing_up": exact[:8] + np.diff(exact) / 2,
+                     "skips_a_level": np.delete(exact, 1)}[case]
+            primed = richardson_spectrum(field, lo, hi, 8, grids, guess=guess)
+        plain = richardson_spectrum(field, lo, hi, 8, grids)
+        eps = np.finfo(np.float64).eps
+        for n, a, b in zip(grids, primed.per_grid, plain.per_grid):
+            norm = discretize(field, Grid1D(lo, hi, n)).norm_inf
+            assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) <= 2 * eps * norm
+
+    def test_ladder_reports_keep_no_vectors(self):
+        lo, hi = fundamental_cell(self.SPEC)
+        rep = richardson_spectrum(partner_field(self.SPEC, Partner.V1), lo, hi, 4,
+                                  (500, 1000, 2000))
+        assert rep.vectors is None
+        assert all(grid_rep.vectors is None for grid_rep in rep.per_grid)
+        assert [vec.shape for vec in eigenvalues(self.ham(), 4).vectors] == [(1000,)] * 4
+
+    def test_resampled_vectors_follow_the_mode(self):
+        # sin(m pi (x - lo) / L) vanishes at both walls; linear interpolation
+        # from the coarse nodes is good to (m pi h / L)^2 / 8, and a vector
+        # resampled onto its own grid keeps its values
+        coarse, fine = Grid1D(0.5, 3.0, 250), Grid1D(0.5, 3.0, 1000)
+        modes = np.arange(1, 4) * np.pi / 2.5
+        moved = list(spectral._resampled(np.sin(np.outer(modes, coarse.points - 0.5)), fine))
+        for mode, vec in zip(modes, moved):
+            bound = (mode * coarse.spacing) ** 2 / 8
+            assert np.max(np.abs(vec - np.sin(mode * (fine.points - 0.5)))) <= bound
+        assert np.array_equal(list(spectral._resampled(moved, fine)), moved)
+
+    def test_vectors_must_be_one_per_level_of_one_length(self):
+        ham = self.ham()
+        guess = eigenvalues(ham, 8).eigenvalues.real
+        for vectors in (np.ones((7, 1000)), [np.ones(1000)] * 7 + [np.ones(999)]):
+            with pytest.raises(ValueError, match="vectors"):
+                eigenvalues(ham, 8, guess=guess, vectors=vectors)
 
     def test_guess_is_keyword_only(self):
         ham = self.ham()
