@@ -27,14 +27,12 @@ from .susy_core import (
     ShapeInvarianceResult,
     SuperpotentialSpec,
     check_shape_invariance,
-    constraint_function,
     default_exclusion,
     eval_partner,
     eval_superpotential,
     eval_superpotential_derivative,
     fundamental_cell,
     partner_field,
-    partner_from_superpotential,
     remainder,
     singularity_distance,
 )

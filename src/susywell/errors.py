@@ -58,12 +58,15 @@ class InsufficientEigenvalues(SusywellError):
 
 
 class EvanescentOverflow(SusywellError):
-    """Exponential growth across a segment would overflow double precision."""
+    """Exponential growth across a structure would overflow double precision:
+    one slice with |Im z| above 700, or a product of slices, or its match to
+    the free waves, beyond e^700."""
 
     def __init__(self, exponent: float):
         self.exponent = exponent
         super().__init__(
-            f"evanescent exponent {exponent!r} exceeds the overflow guard (700)"
+            f"evanescent exponent {exponent!r} exceeds the overflow guard: the "
+            "transfer matrix would leave the double range"
         )
 
 

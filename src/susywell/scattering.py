@@ -6,25 +6,22 @@ V = 0 outside. The matrix maps plane-wave coefficients
 coefficients on the right (global phase convention, so an empty structure
 is the identity and adjacent structures compose by matrix product).
 
-Segments come in two kinds:
-  ConstantSegment   exact propagator, entire in k^2 = E - V, so the E = V
-                    resonance goes through the sinc limit with no branch;
-  FieldSegment      arbitrary complex profile, integrated as a product of
-                    thin constant slices at midpoint values. A block of
-                    SLICE_BLOCK slices is four complex arrays, the entries
-                    (p, q, r, s) of [[p, q], [r, s]]; neighbours are
-                    multiplied entry-wise, later slice on the left, in
-                    log2(m) levels, and each block's product is folded
-                    into a running 2x2, refused with EvanescentOverflow
-                    once it leaves the double range.
+Segments come in two kinds, both sliced by one loop: a ConstantSegment is
+one slice of its full width, whose propagator is entire in k^2 = E - V, so
+the E = V resonance goes through the sinc limit with no branch; a
+FieldSegment is an arbitrary complex profile taken as a product of thin
+constant slices at midpoint values. A block of SLICE_BLOCK slices is four
+complex arrays, the entries (p, q, r, s) of [[p, q], [r, s]]; neighbours are
+multiplied entry-wise, later slice on the left, in log2(m) levels, and each
+block's product is folded into one running 2x2 across all segments.
 
-Both kinds go through one slice kernel with two ranges of u = k^2 w^2:
+Every slice goes through one kernel with two ranges of u = k^2 w^2:
 |u| <= SERIES_MAX takes six-term series of cos and sinc in u, exact to
 rounding (truncation ~ 9e-18) and free of sqrt; plane slices at moderate
 q lie there. Thicker slices take np.cos and np.sin of z = sqrt(k^2) w,
 each refused with EvanescentOverflow above |Im z| = 700. transfer_matrix
-refuses the same way a product of segments that leaves the double range,
-with the exponent summed over the segments so far.
+refuses the same way a running product, or its free-wave match, that
+leaves the double range, with the exponent summed over the slices so far.
 
 plane_partner_sweep samples the partner once per slice count: the midpoints
 depend only on the window and the count, so every energy of one sweep
@@ -49,7 +46,7 @@ from .susy_core import PLANE_FAMILIES, Partner, SuperpotentialSpec, partner_fiel
 OVERFLOW_EXPONENT = 700.0
 _OVERFLOW_GROWTH = math.exp(OVERFLOW_EXPONENT)
 WRONSKIAN_TOL = 1e-12
-SLICE_BLOCK = 4096  # slices per batch in a FieldSegment
+SLICE_BLOCK = 4096  # slices per block of the transfer_matrix loop
 # plane_partner_sweep doubles the slice count at most MAX_DOUBLINGS times,
 # until T changes by at most STABILIZE_TOL
 STABILIZE_TOL = 1e-6
@@ -152,11 +149,6 @@ def _slice_entries(values, width: float, energy: float):
     return cosz, sfac, -ksq * sfac, cosz
 
 
-def _constant_propagator(value: complex, width: float, energy: float) -> np.ndarray:
-    p, q, r, s = _slice_entries([value], width, energy)
-    return np.array([[p[0], q[0]], [r[0], s[0]]])
-
-
 def _ordered_product(p, q, r, s) -> tuple[complex, complex, complex, complex]:
     """Entries of slice[-1] @ ... @ slice[0], reduced pairwise in log2(m) levels.
 
@@ -183,6 +175,8 @@ def _slice_values(segment, a: float, b: float):
     ConstantSegment, the field at the slice midpoints for a FieldSegment."""
     if isinstance(segment, ConstantSegment):
         return np.array([segment.value], dtype=np.complex128), b - a
+    if not isinstance(segment, FieldSegment):
+        raise TypeError(f"unknown segment kind {type(segment).__name__}")
     width = (b - a) / segment.slices
     mids = a + width * (np.arange(segment.slices) + 0.5)
     values = np.asarray(segment.field(mids), dtype=np.complex128)
@@ -204,26 +198,15 @@ def _in_range(*entries) -> bool:
     return sum(abs(v.real) + abs(v.imag) for v in entries) <= _OVERFLOW_GROWTH
 
 
-def _field_propagator(segment: FieldSegment, a: float, b: float, energy: float) -> np.ndarray:
-    values, width = _slice_values(segment, a, b)
-    # blocks bound the temporaries; later blocks multiply the running product on the left
-    p, q, r, s = 1.0 + 0j, 0j, 0j, 1.0 + 0j
-    for start in range(0, len(values), SLICE_BLOCK):
-        stop = start + SLICE_BLOCK
-        # slices that each pass the |Im z| guard can still overflow together;
-        # the check below refuses such a product instead of warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            bp, bq, br, bs = _ordered_product(*_slice_entries(values[start:stop], width, energy))
-        p, q, r, s = bp * p + bq * r, bp * q + bq * s, br * p + bs * r, br * q + bs * s
-        if not _in_range(p, q, r, s):
-            raise EvanescentOverflow(_exponent(values[:stop], width, energy))
-    return np.array([[p, q], [r, s]])
-
-
 def transfer_matrix(potential: PiecewisePotential, energy: float) -> np.ndarray:
     """2x2 matrix taking left (A, B) coefficients to right (A, B), det = 1.
 
     Requires a finite energy E > 0; the free waves outside have k0 = sqrt(E).
+    The slices of all segments are multiplied SLICE_BLOCK at a time and each
+    block is folded into one running product, later blocks on the left. A
+    running product that leaves the double range, or its match to the free
+    waves, is refused with EvanescentOverflow, the exponent summed over every
+    slice folded so far.
     """
     energy = float(energy)
     if not math.isfinite(energy) or energy <= 0.0:
@@ -232,21 +215,24 @@ def transfer_matrix(potential: PiecewisePotential, energy: float) -> np.ndarray:
     bps = potential.breakpoints
     if 2.0 * k0 < WRONSKIAN_TOL:
         raise DegenerateMatch("Wronskian 2 k0", 2.0 * k0, WRONSKIAN_TOL, bps[0])
-    wave = np.eye(2, dtype=np.complex128)
-    for i, (seg, a, b) in enumerate(zip(potential.segments, bps, bps[1:])):
-        if isinstance(seg, ConstantSegment):
-            step = _constant_propagator(seg.value, b - a, energy)
-        elif isinstance(seg, FieldSegment):
-            step = _field_propagator(seg, a, b, energy)
-        else:
-            raise TypeError(f"unknown segment kind {type(seg).__name__}")
-        # segments that each pass their overflow guard can overflow together
-        with np.errstate(over="ignore", invalid="ignore"):
-            wave = step @ wave
-        if not _in_range(*wave.ravel().tolist()):
-            raise EvanescentOverflow(sum(
-                _exponent(*_slice_values(done, lo, hi), energy)
-                for done, lo, hi in zip(potential.segments[:i + 1], bps, bps[1:])))
+    folded = []  # (values, width) of each block, so a refusal samples no field again
+
+    def overflow():
+        return EvanescentOverflow(sum(_exponent(run, w, energy) for run, w in folded))
+
+    p, q, r, s = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    for seg, a, b in zip(potential.segments, bps, bps[1:]):
+        values, width = _slice_values(seg, a, b)
+        for start in range(0, len(values), SLICE_BLOCK):
+            block = values[start:start + SLICE_BLOCK]
+            # slices that each pass the |Im z| guard can still overflow
+            # together; the check below refuses such a product instead of warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                bp, bq, br, bs = _ordered_product(*_slice_entries(block, width, energy))
+            p, q, r, s = bp * p + bq * r, bp * q + bq * s, br * p + bs * r, br * q + bs * s
+            folded.append((block, width))
+            if not _in_range(p, q, r, s):
+                raise overflow()
     first, last = bps[0], bps[-1]
     e_first = cmath.exp(1j * k0 * first)
     e_last = cmath.exp(1j * k0 * last)
@@ -261,7 +247,12 @@ def transfer_matrix(potential: PiecewisePotential, energy: float) -> np.ndarray:
         ],
         dtype=np.complex128,
     )
-    return from_psi @ wave @ to_psi
+    # from_psi grows like 1/k0, so an in-range product can still overflow here
+    with np.errstate(over="ignore", invalid="ignore"):
+        matched = from_psi @ np.array([[p, q], [r, s]]) @ to_psi
+    if not _in_range(*matched.ravel().tolist()):
+        raise overflow()
+    return matched
 
 
 @dataclass(frozen=True)

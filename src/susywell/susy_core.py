@@ -128,21 +128,6 @@ def _scalar_like(x, values: np.ndarray):
     return values.item() if np.ndim(x) == 0 else values
 
 
-def constraint_function(spec: SuperpotentialSpec, x, frequency: float = 1.0):
-    """Constraint amplitude f(x) entering the imaginary part of W.
-
-    f_c = q csc(alpha x), f_t = q sec(alpha x),
-    f = q exp(-i alpha x) (right-moving plane),
-    f = q exp(+i alpha x) (left-moving plane; sign forced by k -> -k).
-
-    frequency != 1 rescales the argument (f_c -> q csc(frequency alpha x),
-    etc.); it exists as the negative control that breaks the remainder
-    cancellation and is never part of the physical families.
-    """
-    xs = np.asarray(x, dtype=np.float64)
-    return _scalar_like(x, _constraint_terms(spec, xs, frequency)[0])
-
-
 def _constraint_terms(spec: SuperpotentialSpec, xs: np.ndarray, frequency: float):
     """(f, f', sin(a x), cos(a x)) with a = frequency alpha, each trig
     function evaluated once; the plane families give (f, f', None, None)
@@ -246,25 +231,6 @@ def eval_partner(spec: SuperpotentialSpec, which: Partner, x):
     _guard_singularities(spec, xs)
     v = _partner_values(spec, which, xs, 1.0)
     return _scalar_like(x, v)
-
-
-def partner_from_superpotential(spec: SuperpotentialSpec, which: Partner, x, h: float = 1e-5):
-    """V_{1,2} = W^2 -/+ W' with W' by central difference, step h.
-
-    Cross-validation route for eval_partner; the two must agree to O(h^2).
-    Raises StepTooLarge when h exceeds 1/10 of the distance to the nearest
-    pole, and SingularPoint when any stencil point falls inside the
-    exclusion radius.
-    """
-    xs = np.asarray(x, dtype=np.float64)
-    _check_step(spec, xs, h)
-    w = np.asarray(eval_superpotential(spec, xs))
-    wp = (
-        np.asarray(eval_superpotential(spec, xs + h))
-        - np.asarray(eval_superpotential(spec, xs - h))
-    ) / (2.0 * h)
-    sgn = -1.0 if which is Partner.V1 else 1.0
-    return _scalar_like(x, w**2 + sgn * wp)
 
 
 def remainder(spec: SuperpotentialSpec, x, constraint_frequency: float = 1.0):

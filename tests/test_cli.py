@@ -467,6 +467,18 @@ class TestScatter:
         assert "convergence failure: evanescent exponent" in res.output
         assert "exceeds the overflow guard" in res.output
 
+    def test_free_wave_match_overflow_exits_2(self, runner, tmp_path):
+        # kappa w = 690 passes the slice guards, but the match to the free
+        # waves at E = 1e-20 would overflow: a convergence failure, not a gate
+        conf = tmp_path / "run.conf"
+        conf.write_text("barrier_v0=476100\nbarrier_width=1\nenergies=1e-20\n")
+        res = runner.invoke(main, ["scatter", "--family", "barrier", "--config", str(conf),
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert "convergence failure: evanescent exponent" in res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+
     def test_well_family_refused(self, runner, tmp_path):
         res = runner.invoke(main, ["scatter", "--family", "cotangent_well",
                                    "--out", str(tmp_path)])

@@ -1,8 +1,8 @@
 """Property tests: transfer-matrix invariants over random complex structures,
 the PT-real dense eigen path over random complex wells, the certified
 symmetric eigen path over random real wells, with and without a prediction
-of the levels and with any start vectors, and the finite-difference partners over random
-superpotentials."""
+of the levels and with any start vectors, and the factorized partners W^2 -/+ W' over
+random superpotentials."""
 
 from dataclasses import dataclass
 
@@ -37,7 +37,6 @@ from susywell.susy_core import (
     eval_superpotential_derivative,
     fundamental_cell,
     partner_field,
-    partner_from_superpotential,
 )
 
 # roundoff in det M and in matrix products grows like eps |M|^2, so the
@@ -250,16 +249,18 @@ def test_symmetric_levels_match_full_bisection_for_any_prediction(
 @given(family=st.sampled_from(Family), partner=st.sampled_from(Partner),
        k=st.floats(0.5, 3.0), q=st.floats(-3.0, 3.0), ratio=st.floats(0.25, 2.0),
        u=st.floats(0.0, 1.0))
-def test_finite_difference_partners_match_closed_forms(family, partner, k, q, ratio, u):
-    # W^2 -/+ W' with W' by central difference against the expanded closed
-    # forms, on the middle 80% of a well's cell or on [-5, 5] for a plane
+def test_factorized_partners_match_closed_forms(family, partner, k, q, ratio, u):
+    # W^2 -/+ W' from the closed-form W and W' against the expanded closed
+    # forms at any alpha, on the middle 80% of a well's cell or on [-5, 5]
+    # for a plane: the same function two ways, so equal to roundoff (5 eps
+    # was the largest gap over 60,000 random draws)
     spec = SuperpotentialSpec(family, k, q, k * ratio)
     cell = fundamental_cell(spec)
     if cell is None:
         x = -5.0 + 10.0 * u
     else:
         x = cell[0] + (0.1 + 0.8 * u) * (cell[1] - cell[0])
-    h = 1e-4 / spec.alpha
-    gap = abs(partner_from_superpotential(spec, partner, x, h=h) - eval_partner(spec, partner, x))
-    scale = abs(eval_superpotential(spec, x)) ** 2 + abs(eval_superpotential_derivative(spec, x))
-    assert gap <= 1e-6 * max(1.0, scale)
+    w, wp = eval_superpotential(spec, x), eval_superpotential_derivative(spec, x)
+    sign = -1.0 if partner is Partner.V1 else 1.0
+    gap = abs(w ** 2 + sign * wp - eval_partner(spec, partner, x))
+    assert gap <= 32 * np.finfo(np.float64).eps * max(1.0, abs(w) ** 2 + abs(wp))

@@ -16,8 +16,6 @@ from susywell.scattering import (
     SERIES_MAX,
     SLICE_BLOCK,
     SWEEP_HEADER,
-    _constant_propagator,
-    _field_propagator,
     _series,
     _slice_entries,
     plane_partner_sweep,
@@ -46,8 +44,10 @@ def sliced(spec, window, slices):
     return PiecewisePotential(window, (FieldSegment(partner_field(spec, Partner.V1), slices),))
 
 
-def sequential_propagator(field, a, b, slices, energy):
-    """Reference: one scalar slice matrix at a time, later slices on the left."""
+def sequential_transfer_matrix(field, a, b, slices, energy):
+    """Reference: one scalar slice matrix at a time, later slices on the left,
+    matched to the free waves e^{+-ik0 x} at a and b by inverting their
+    (psi, psi') matrix."""
     width = (b - a) / slices
     values = field(a + width * (np.arange(slices) + 0.5))
     out = np.eye(2, dtype=complex)
@@ -56,7 +56,13 @@ def sequential_propagator(field, a, b, slices, energy):
         z = cmath.sqrt(ksq) * width
         sfac = width * cmath.sin(z) / z
         out = np.array([[cmath.cos(z), sfac], [-ksq * sfac, cmath.cos(z)]]) @ out
-    return out
+    k0 = math.sqrt(energy)
+
+    def free(x):
+        e = cmath.exp(1j * k0 * x)
+        return np.array([[e, 1 / e], [1j * k0 * e, -1j * k0 / e]])
+
+    return np.linalg.inv(free(b)) @ out @ free(a)
 
 
 class TestTransferMatrix:
@@ -66,9 +72,9 @@ class TestTransferMatrix:
         assert np.max(np.abs(m - np.eye(2))) < MATRIX_TOL
 
     def test_zero_width_propagator_is_identity(self):
-        # the container refuses degenerate breakpoints, but the segment
-        # propagator itself degrades continuously to the identity
-        m = _constant_propagator(4.0, 0.0, 1.0)
+        # the container refuses degenerate breakpoints, but the slice
+        # kernel itself degrades continuously to the identity
+        m = np.reshape(_slice_entries([4.0], 0.0, 1.0), (2, 2))
         assert np.max(np.abs(m - np.eye(2))) == 0.0
 
     def test_unimodular(self):
@@ -120,16 +126,32 @@ class TestTransferMatrix:
         with pytest.raises(EvanescentOverflow):
             transfer_matrix(wide, 1.0)
 
-    @pytest.mark.parametrize("first", [ConstantSegment(160001.0),
-                                       FieldSegment(lambda x: np.full(np.shape(x), 160001.0), 7)])
-    def test_overflow_across_segments(self, first):
-        # kappa w = 400 per slab passes each segment's guard, but the product
-        # of the two would overflow: refused with the summed exponent (a
-        # RuntimeWarning would fail the test, see pyproject.toml)
-        pot = PiecewisePotential((0.0, 1.0, 2.0), (first, ConstantSegment(160001.0)))
+    @pytest.mark.parametrize("first,second", [
+        (ConstantSegment(160001.0), ConstantSegment(160001.0)),
+        (FieldSegment(lambda x: np.full(np.shape(x), 160001.0), 7), ConstantSegment(160001.0)),
+        (ConstantSegment(160001.0), FieldSegment(lambda x: np.full(np.shape(x), 160001.0), 7)),
+    ], ids=["constant-constant", "field-constant", "constant-field"])
+    def test_overflow_across_segments(self, first, second):
+        # kappa w = 400 per slab passes each slice's guard, but the product
+        # of the two would overflow: refused with the exponent summed over
+        # both (a RuntimeWarning would fail the test, see pyproject.toml)
+        pot = PiecewisePotential((0.0, 1.0, 2.0), (first, second))
         with pytest.raises(EvanescentOverflow) as err:
             transfer_matrix(pot, 1.0)
         assert err.value.exponent == pytest.approx(800.0)
+
+    def test_overflow_in_free_wave_match(self):
+        # kappa w = 690 passes the running-product guard, but matching to the
+        # free waves multiplies by ~1/k0 = 1e10: refused, with no RuntimeWarning
+        pot = PiecewisePotential((0.0, 1.0), (ConstantSegment(690.0 ** 2),))
+        with pytest.raises(EvanescentOverflow) as err:
+            transfer_matrix(pot, 1e-20)
+        assert err.value.exponent == pytest.approx(690.0)
+
+    def test_unknown_segment_kind_refused(self):
+        pot = PiecewisePotential((0.0, 1.0), (4.0,))
+        with pytest.raises(TypeError):
+            transfer_matrix(pot, 1.0)
 
 
 class TestSliceKernel:
@@ -159,7 +181,7 @@ class TestSliceKernel:
     def test_resonance_slice_is_exact(self):
         # E = V: the linear-solution pair, exactly
         w = 0.37
-        m = _constant_propagator(4.0, w, 4.0)
+        m = np.reshape(_slice_entries([4.0], w, 4.0), (2, 2))
         assert np.array_equal(m, np.array([[1.0, w], [0.0, 1.0]]))
 
 
@@ -251,6 +273,19 @@ class TestBarrierOracle:
 
 
 class TestFieldSegments:
+    @pytest.mark.parametrize("value,width,energy", [
+        (4.0, 1.0, 1.0), (4.0, 0.1, 4.0), (2.5 + 1j, 1.3, 0.7), (-5.0, 0.05, 2.0)])
+    def test_constant_segment_is_one_field_slice(self, value, width, energy):
+        # both kinds go through the one slice loop: bit for bit the same
+        def field(x):
+            return np.full(np.shape(x), value, dtype=complex)
+
+        const = transfer_matrix(PiecewisePotential((0.2, 0.2 + width), (ConstantSegment(value),)),
+                                energy)
+        one = transfer_matrix(PiecewisePotential((0.2, 0.2 + width), (FieldSegment(field, 1),)),
+                              energy)
+        assert np.array_equal(const, one)
+
     def test_thin_slices_match_exact_constant(self):
         const = transfer_matrix(barrier(2.5, 1.3), 1.0)
 
@@ -265,8 +300,8 @@ class TestFieldSegments:
                                         SLICE_BLOCK + 1, 2 * SLICE_BLOCK + 1])
     def test_batched_product_matches_sequential_loop(self, slices):
         field = partner_field(SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0), Partner.V1)
-        got = _field_propagator(FieldSegment(field, slices), 0.0, 2.0, 1.5)
-        ref = sequential_propagator(field, 0.0, 2.0, slices, 1.5)
+        got = transfer_matrix(PiecewisePotential((0.0, 2.0), (FieldSegment(field, slices),)), 1.5)
+        ref = sequential_transfer_matrix(field, 0.0, 2.0, slices, 1.5)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_evanescent_overflow_guard(self):

@@ -137,7 +137,7 @@ class TestResidual:
         (Family.PLANE_LEFT, 0.01, 2.0, nullcontext()),
     ], ids=["pole", "pole-wide-step", "zero", "negative", "plane", "plane-wide"])
     def test_step_guard_near_pole(self, family, x, h, outcome):
-        # the guard is shared with partner_from_superpotential; planes have no pole
+        # the finite-difference step guard of susy_core; planes have no pole
         with outcome:
             schrodinger_residual(SuperpotentialSpec(family, 1.0, 1.0), 0.0, x, h=h)
 
