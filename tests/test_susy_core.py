@@ -12,6 +12,7 @@ from susywell.susy_core import (
     Partner,
     SuperpotentialSpec,
     WELL_FAMILIES,
+    _constraint_terms,
     check_shape_invariance,
     default_exclusion,
     eval_partner,
@@ -40,6 +41,19 @@ SAMPLES = {
 def samples_for(spec):
     pts = SAMPLES[spec.family]
     return pts / spec.k if spec.k != 1.0 else pts
+
+
+def difference_partner(spec, which, x, h):
+    # W^2 -/+ W' with W' by central difference, step h: an independent
+    # reference for the closed forms of eval_partner, exact to O(h^2)
+    wp = (eval_superpotential(spec, x + h) - eval_superpotential(spec, x - h)) / (2 * h)
+    sign = -1.0 if which is Partner.V1 else 1.0
+    return eval_superpotential(spec, x) ** 2 + sign * wp
+
+
+def constraint(spec, x):
+    # the amplitude f(x) in the imaginary part of W, at the physical frequency
+    return _constraint_terms(spec, np.asarray(x, dtype=np.float64), 1.0)[0].item()
 
 
 class TestSuperpotentialValues:
@@ -160,6 +174,51 @@ class TestPartnerValues:
         for which in Partner:
             assert_allclose(eval_partner(left, which, xs),
                             eval_partner(right, which, math.pi / k - xs), atol=ATOL)
+
+
+class TestNumericCrossValidation:
+    def test_flat_case(self):
+        spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 0.0)
+        val = difference_partner(spec, Partner.V1, math.pi / 2, h=1e-5)
+        assert abs(val - (-1.0)) < 1e-8
+
+    def test_cotangent_matches_closed_form(self):
+        spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
+        num = difference_partner(spec, Partner.V1, 1.0, h=1e-5)
+        assert abs(num - eval_partner(spec, Partner.V1, 1.0)) < 1e-6
+
+    def test_plane_left_matches_closed_form(self):
+        spec = SuperpotentialSpec(Family.PLANE_LEFT, 2.0, 1.0)
+        num = difference_partner(spec, Partner.V2, 0.3, h=1e-5)
+        assert abs(num - eval_partner(spec, Partner.V2, 0.3)) < 1e-6
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("which", list(Partner))
+    def test_second_order_in_step(self, family, which):
+        spec = SuperpotentialSpec(family, 1.0, 1.5)
+        x = 0.9 if family is Family.COTANGENT_WELL else 0.4
+        exact = eval_partner(spec, which, x)
+        errs = [abs(difference_partner(spec, which, x, h=h) - exact)
+                for h in (1e-3, 1e-4, 1e-5)]
+        # each tenfold step refinement must buy close to two digits
+        assert errs[0] < 1e-4
+        assert errs[1] < errs[0] / 10
+        assert errs[2] < errs[1] / 5
+
+
+class TestConstraint:
+    def test_cotangent_value(self):
+        val = constraint(SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0), math.pi / 2)
+        assert_allclose([val.real, val.imag], [2.0, 0.0], atol=ATOL)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_zero_coupling_vanishes(self, family):
+        spec = SuperpotentialSpec(family, 1.0, 0.0)
+        assert abs(constraint(spec, 0.4)) == 0.0
+
+    def test_plane_right_at_origin(self):
+        val = constraint(SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0), 0.0)
+        assert_allclose([val.real, val.imag], [1.0, 0.0], atol=ATOL)
 
 
 class TestRemainder:
