@@ -27,9 +27,14 @@ Symmetric Eigenvalue Problem, 1998, sections 10.5-10.6), and the residual
 r has come down to the rounding level sqrt(n) eps ||H||_inf. A predicted
 bracket whose level is not certified within MAX_SOLVES solves sends the
 grid to bisection; a bisected level that is not certified raises
-ConvergenceFailure. Each solve is one LAPACK gtsv call; a shift on an exact
-eigenvalue, where gtsv meets a zero pivot, is solved again by gttrf with
-its small pivots raised (see _inverse_step).
+ConvergenceFailure. Either eigen path prepares one solver per grid
+(_shifted_solver): it looks up the LAPACK routines once, and the one
+off-diagonal band it is given also serves the Sturm counts and bisections
+of the symmetric path. Each solve is then one LAPACK gtsv call on
+diagonal - shift and a normalization; a shift on an exact eigenvalue, where
+gtsv meets a zero pivot, is solved again by gttrf with its small pivots
+raised, and a solution whose squared norm overflows is scaled by its
+largest entry before it is normalized.
 
 The predictions of a richardson_spectrum ladder: its coarsest grid takes
 the guess of its caller, which for the q = 0 wells on their natural cell is
@@ -65,6 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -119,7 +125,7 @@ class DiscretizedHamiltonian:
     def is_real(self) -> bool:
         return bool(np.all(self.diagonal.imag == 0.0))
 
-    @property
+    @cached_property
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.diagonal)) + 2.0 * abs(self.off_diagonal))
 
@@ -135,8 +141,9 @@ class DiscretizedHamiltonian:
 
 def _matvec(diagonal: np.ndarray, off_diagonal: float, v: np.ndarray) -> np.ndarray:
     out = diagonal * v
-    out[:-1] += off_diagonal * v[1:]
-    out[1:] += off_diagonal * v[:-1]
+    coupled = off_diagonal * v
+    out[:-1] += coupled[1:]
+    out[1:] += coupled[:-1]
     return out
 
 
@@ -150,8 +157,9 @@ def discretize(potential, grid: Grid1D) -> DiscretizedHamiltonian:
     values = np.asarray(potential(xs), dtype=np.complex128)
     if values.shape != xs.shape:
         raise ValueError("potential must return one value per grid node")
-    if not np.all(np.isfinite(values.real) & np.isfinite(values.imag)):
-        bad = int(np.flatnonzero(~np.isfinite(values.real) | ~np.isfinite(values.imag))[0])
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0])
         raise ValueError(f"potential not finite at grid node x={float(xs[bad])!r}")
     h = grid.spacing
     return DiscretizedHamiltonian(grid, 2.0 / h**2 + values, -1.0 / h**2)
@@ -256,32 +264,35 @@ def _symmetric_eigenpairs(ham: DiscretizedHamiltonian, count: int, guess=None, v
     counts; centres closer than 4 tol are located
     again at a sixteenth of their spacing, but not below 8 eps ||H||_inf.
     """
-    diagonal = ham.diagonal.real
+    diagonal = np.ascontiguousarray(ham.diagonal.real)
+    band = np.full(diagonal.size - 1, ham.off_diagonal)
+    solve = _shifted_solver(diagonal, band, ham.pivot_floor)
     if guess is not None:
         guess = np.asarray(guess, dtype=float)
-        cuts = _confirmed_cuts(diagonal, ham.off_diagonal, guess)
+        cuts = _confirmed_cuts(diagonal, band, guess)
         if cuts is not None:
             try:
-                return _certify(ham, guess, np.concatenate(([-np.inf], cuts)), cuts, vectors)
+                return _certify(ham, solve, guess, np.concatenate(([-np.inf], cuts)), cuts,
+                                vectors)
             except ConvergenceFailure:
                 pass  # bisect this grid after all
     located = min(count + 1, ham.grid.n_interior)
     tol = BRACKET_TOL
-    centres = _bisect(diagonal, ham.off_diagonal, located, tol)
+    centres = _bisect(diagonal, band, located, tol)
     closest = np.min(np.diff(centres), initial=np.inf)
     if closest < 4 * tol:
         tol = max(closest / 16, 8 * ham.pivot_floor)
-        centres = _bisect(diagonal, ham.off_diagonal, located, tol)
-    return _certify(ham, centres[:count], centres - tol, centres[:count] + tol)
+        centres = _bisect(diagonal, band, located, tol)
+    return _certify(ham, solve, centres[:count], centres - tol, centres[:count] + tol)
 
 
-def _certify(ham: DiscretizedHamiltonian, shifts, lower, upper, vectors=None):
+def _certify(ham: DiscretizedHamiltonian, solve, shifts, lower, upper, vectors=None):
     """(w, residuals, eigenvectors) of the levels j < len(shifts), level j
     in its bracket [lower[j], upper[j]] and the other levels outside it,
     below upper[j - 1] and above lower[j + 1] (inf where there is none);
-    inverse iteration on level j starts from the shift shifts[j] and from
-    vectors[j] resampled onto the grid, or the seeded _start_vector without
-    vectors.
+    inverse iteration on level j solves with solve, the grid's
+    _shifted_solver, and starts from the shift shifts[j] and from vectors[j]
+    resampled onto the grid, or the seeded _start_vector without vectors.
 
     If rho_j lies in its bracket and |r|^2 <= eps ||H|| gap, gap > eps ||H||
     being the distance from rho_j to the neighbouring edges, then |r| < gap,
@@ -311,10 +322,11 @@ def _certify(ham: DiscretizedHamiltonian, shifts, lower, upper, vectors=None):
     for j, vec in enumerate(starts):
         shift = shifts[j]
         for _ in range(MAX_SOLVES):
-            vec = _inverse_step(diagonal, ham.off_diagonal, shift, vec, floor)
+            vec = solve(shift, vec)
             hv = _matvec(diagonal, ham.off_diagonal, vec)
             rho = float(vec @ hv)
-            resid = float(np.linalg.norm(hv - rho * vec))
+            hv -= rho * vec
+            resid = math.sqrt(hv @ hv)
             gap = min(rho - below[j], above[j] - rho)
             in_bracket = lower[j] <= rho <= upper[j]
             if (in_bracket and gap > floor and resid**2 <= floor * gap
@@ -346,12 +358,13 @@ def _resampled(vectors, grid: Grid1D):
     weight = np.arange(1, grid.n_interior + 1) * ((m + 1) / (grid.n_interior + 1))
     left = weight.astype(np.intp)
     weight -= left
+    right, keep = left + 1, 1.0 - weight
     for vector in vectors:
         padded = np.concatenate(([0.0], vector, [0.0]))
-        yield padded[left] * (1.0 - weight) + padded[left + 1] * weight
+        yield padded.take(left) * keep + padded.take(right) * weight
 
 
-def _confirmed_cuts(diagonal: np.ndarray, off_diagonal: float, guess: np.ndarray):
+def _confirmed_cuts(diagonal: np.ndarray, band: np.ndarray, guess: np.ndarray):
     """Cuts midway between consecutive predicted levels and half the last
     predicted spacing above the top one, or None unless the guess has at
     least two finite, increasing levels and the Sturm count of the top cut
@@ -362,7 +375,7 @@ def _confirmed_cuts(diagonal: np.ndarray, off_diagonal: float, guess: np.ndarray
     that holds none. The count is one stebz value-range call on
     (min d - 2|b|, top cut], whose lower end lies below every level
     (Gershgorin), with a tolerance as wide as that range, so stebz stops at
-    the count instead of bisecting.
+    the count instead of bisecting. band is the constant off-diagonal b.
     """
     spacing = np.diff(guess)
     if guess.size < 2 or not (np.all(np.isfinite(guess)) and np.all(spacing > 0)):
@@ -370,25 +383,25 @@ def _confirmed_cuts(diagonal: np.ndarray, off_diagonal: float, guess: np.ndarray
     from scipy.linalg.lapack import get_lapack_funcs
 
     (stebz,) = get_lapack_funcs(("stebz",), (diagonal,))
-    bottom = float(np.min(diagonal)) - 2.0 * abs(off_diagonal)
+    bottom = float(np.min(diagonal)) - 2.0 * abs(float(band[0]))
     cuts = np.append(guess[:-1] + spacing / 2, guess[-1] + spacing[-1] / 2)
     top = cuts[-1]
     if top <= bottom:
         return None
-    band = np.full(diagonal.size - 1, off_diagonal)
     below, *_, info = stebz(diagonal, band, 1, bottom, top, 0, 0, top - bottom, "E")
     if info or below != guess.size:
         return None
     return cuts
 
 
-def _bisect(diagonal: np.ndarray, off_diagonal: float, levels: int, tol: float):
-    """Centres of the `levels` lowest eigenvalues by Sturm bisection to tol."""
+def _bisect(diagonal: np.ndarray, band: np.ndarray, levels: int, tol: float):
+    """Centres of the `levels` lowest eigenvalues by Sturm bisection to tol,
+    band being the off-diagonal."""
     from scipy.linalg import eigh_tridiagonal
 
     try:
         return eigh_tridiagonal(
-            diagonal, np.full(diagonal.size - 1, off_diagonal), eigvals_only=True,
+            diagonal, band, eigvals_only=True,
             select="i", select_range=(0, levels - 1), tol=tol,
         )
     except LinAlgError as exc:
@@ -417,12 +430,14 @@ def _dense_eigenpairs(ham: DiscretizedHamiltonian, count: int):
         ) from exc
     order = np.lexsort((wall.imag, wall.real))[:count]
     start = _start_vector(n)
+    band = np.full(n - 1, ham.off_diagonal, dtype=ham.diagonal.dtype)
+    solve = _shifted_solver(ham.diagonal, band, ham.pivot_floor)
     w = np.empty(count, dtype=np.complex128)
     residuals = np.empty(count)
     for j, shift in enumerate(wall[order]):
         vec = start
         for _ in range(2):
-            vec = _inverse_step(ham.diagonal, ham.off_diagonal, shift, vec, ham.pivot_floor)
+            vec = solve(shift, vec)
         hv = ham.matvec(vec)
         # the Rayleigh quotient on the original H restores what the PT
         # projection of the diagonal dropped (to first order)
@@ -461,10 +476,12 @@ def _pt_real_form(ham: DiscretizedHamiltonian) -> np.ndarray | None:
     return dense
 
 
-def _inverse_step(diagonal, off_diagonal, shift, rhs, pivot_floor):
-    """The unit solution of (H - shift) x = rhs, H the tridiagonal matrix
-    with this diagonal, by one O(n) LAPACK solve with partial pivoting:
-    dgtsv for a real diagonal and shift, zgtsv otherwise.
+def _shifted_solver(diagonal: np.ndarray, band: np.ndarray, pivot_floor: float):
+    """solve(shift, rhs): the unit solution of (H - shift) x = rhs, H the
+    tridiagonal matrix with this diagonal and the constant off-diagonal
+    band, by one O(n) LAPACK solve with partial pivoting: dgtsv for a real
+    diagonal, zgtsv for a complex one. The routines are looked up once per
+    grid, and every solve reuses band.
 
     gtsv stops on an exactly zero pivot, as when the shift is an exact
     eigenvalue. The solve is then redone by gttrf and gttrs with every pivot
@@ -473,16 +490,38 @@ def _inverse_step(diagonal, off_diagonal, shift, rhs, pivot_floor):
     """
     from scipy.linalg.lapack import get_lapack_funcs
 
-    shifted = diagonal - shift
-    band = np.full(shifted.size - 1, off_diagonal, dtype=shifted.dtype)
-    rhs = rhs.astype(shifted.dtype)
-    gtsv, gttrf, gttrs = get_lapack_funcs(("gtsv", "gttrf", "gttrs"), (shifted,))
-    *_, vec, info = gtsv(band, shifted, band, rhs)
-    if info > 0:
-        dl, d, du, du2, ipiv, _ = gttrf(band, shifted, band)
-        d[np.abs(d) < pivot_floor] = pivot_floor
-        vec, _ = gttrs(dl, d, du, du2, ipiv, rhs)
-    vec /= np.linalg.norm(vec)
+    gtsv, gttrf, gttrs = get_lapack_funcs(("gtsv", "gttrf", "gttrs"), (diagonal,))
+
+    def solve(shift, rhs: np.ndarray) -> np.ndarray:
+        *_, vec, info = gtsv(band, diagonal - shift, band, rhs, overwrite_d=True)
+        if info > 0:
+            dl, d, du, du2, ipiv, _ = gttrf(band, diagonal - shift, band)
+            d[np.abs(d) < pivot_floor] = pivot_floor
+            vec, _ = gttrs(dl, d, du, du2, ipiv, rhs)
+        return _normalized(vec)
+
+    return solve
+
+
+def _norm(vec: np.ndarray) -> float:
+    """||vec||_2 as np.linalg.norm computes it: sqrt(v . v) for a real vector,
+    the same bits without its call overhead, and np.linalg.norm itself for
+    a complex one (vdot rounds differently)."""
+    if np.iscomplexobj(vec):
+        return float(np.linalg.norm(vec))
+    return math.sqrt(vec @ vec)
+
+
+def _normalized(vec: np.ndarray) -> np.ndarray:
+    """vec scaled in place to unit norm. A vector whose squared norm
+    overflows, as from a shift within rounding of an eigenvalue, is first
+    divided by its largest entry."""
+    with np.errstate(over="ignore"):
+        norm = _norm(vec)
+    if not math.isfinite(norm):
+        vec /= np.max(np.abs(vec))
+        norm = _norm(vec)
+    vec /= norm
     return vec
 
 
@@ -506,12 +545,19 @@ def richardson_extrapolate(spacings, values) -> float:
     Solves the small Vandermonde system value(h) = c0 + c2 h^2 + c4 h^4 + ...
     exactly, so non-dyadic spacing ratios are handled without bias.
     """
+    return _extrapolated(spacings, [values])[0]
+
+
+def _extrapolated(spacings, rows) -> list[float]:
+    """richardson_extrapolate of each row of values, all rows in one
+    stacked solve (row by row, the same LAPACK calls as one row at a time)."""
     hs = np.asarray(spacings, dtype=np.float64)
-    vals = np.asarray(values, dtype=np.float64)
-    if hs.size != vals.size or hs.size < 2:
+    vals = np.asarray(rows, dtype=np.float64)
+    if vals.shape[1:] != hs.shape or hs.size < 2:
         raise ValueError("need matching spacing/value lists of length >= 2")
     system = np.vander(hs**2, hs.size, increasing=True)
-    return float(np.linalg.solve(system, vals)[0])
+    stacked = np.broadcast_to(system, (len(vals), *system.shape))
+    return np.linalg.solve(stacked, vals[..., None])[:, 0, 0].tolist()
 
 
 def richardson_spectrum(
@@ -546,10 +592,7 @@ def richardson_spectrum(
         vectors = rep.vectors
         reports.append(replace(rep, vectors=None))
         spacings.append(grid.spacing)
-    estimates = tuple(
-        richardson_extrapolate(spacings, [r.eigenvalues[j].real for r in reports])
-        for j in range(count)
-    )
+    estimates = tuple(_extrapolated(spacings, np.transpose([r.eigenvalues.real for r in reports])))
     return replace(reports[-1], grid_sizes_used=tuple(sizes), richardson_estimates=estimates,
                    per_grid=tuple(reports))
 

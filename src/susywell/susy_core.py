@@ -130,16 +130,16 @@ def _scalar_like(x, values: np.ndarray):
 
 def _constraint_terms(spec: SuperpotentialSpec, xs: np.ndarray, frequency: float):
     """(f, f', sin(a x), cos(a x)) with a = frequency alpha, each trig
-    function evaluated once; the plane families give (f, f', None, None)
-    from one exp(-/+ i a x)."""
+    function evaluated once, f and f' real; the plane families give
+    (f, f', None, None), complex, from one exp(-/+ i a x)."""
     a = frequency * spec.alpha
     if spec.family in WELL_FAMILIES:
         sin, cos = np.sin(a * xs), np.cos(a * xs)
         if spec.family is Family.COTANGENT_WELL:
             # d/dx [q csc(ax)] = -q a csc(ax) cot(ax)
-            return spec.q / sin + 0j, -spec.q * a * cos / sin ** 2 + 0j, sin, cos
+            return spec.q / sin, -spec.q * a * cos / sin ** 2, sin, cos
         # d/dx [q sec(ax)] = q a sec(ax) tan(ax)
-        return spec.q / cos + 0j, spec.q * a * sin / cos ** 2 + 0j, sin, cos
+        return spec.q / cos, spec.q * a * sin / cos ** 2, sin, cos
     if spec.family is Family.PLANE_RIGHT:
         wave = np.exp(-1j * a * xs)
         return spec.q * wave, -1j * a * spec.q * wave, None, None
@@ -193,6 +193,8 @@ def _partner_values(
         V_{1,2} = k(k -/+ alpha) g^2(alpha x) - k^2 - f^2 + i(-/+ f' + c),
         with the trig cross term
         c = -2k cot(alpha x) f   (cotangent)  or  c = +2k tan(alpha x) f   (tangent).
+    Both parts are evaluated in float64 and written into one complex array;
+    a zero imaginary part is +0, as complex arithmetic would leave it.
     Plane families:
         V_{1,2} = -k^2 + f^2 -/+ f' - 2ikf  (right; +2ikf for left).
     """
@@ -212,7 +214,11 @@ def _partner_values(
             s, t = cos, sin
         g2 = 1.0 / s**2
         cross = 2.0 * k * (t / s) * f
-        return k * (k + sgn * alpha) * g2 - k**2 - f**2 + 1j * (sgn * fp + cross)
+        values = np.empty(f.shape, dtype=np.complex128)
+        values.real = k * (k + sgn * alpha) * g2 - k**2 - f**2
+        # + 0.0 turns -0 into +0 (at q = 0 the products are signed zeros)
+        values.imag = sgn * fp + cross + 0.0
+        return values
     if spec.family is Family.PLANE_RIGHT:
         return -(k**2) + f**2 - 2j * k * f + sgn * fp
     return -(k**2) + f**2 + 2j * k * f + sgn * fp

@@ -57,6 +57,13 @@ def test_figure_tables_are_what_figures_writes(tmp_path):
         assert (tmp_path / name).read_text() == text
 
 
+@pytest.mark.parametrize("k, alpha", [(1.0, None), (1.3, 0.5)])
+def test_figure_tables_at_zero_coupling_print_no_negative_zero(k, alpha):
+    for text in gates.figure_tables(k, 0.0, 1e-3, alpha).values():
+        fields = [f for line in text.splitlines()[1:] for f in line.split(",")]
+        assert "-0" not in fields
+
+
 def test_richardson_spectrum_keeps_grids_ascending():
     field = partner_field(SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0), Partner.V1)
     rep = richardson_spectrum(field, 0.01, math.pi - 0.01, 3, (64, 32, 48))

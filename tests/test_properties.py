@@ -151,6 +151,18 @@ def test_transmission_independent_of_incidence_side(field, slices, width, energy
        k=st.floats(0.5, 3.0), q=st.floats(0.0, 3.0), edge=st.floats(1e-4, 0.2),
        n=st.integers(32, 160))
 def test_pt_real_eigenvalues_match_complex_fallback(family, partner, k, q, edge, n):
+    _check_against_complex_eigvals(family, partner, k, q, edge, n)
+
+
+def test_dense_path_normalizes_an_overflowing_solution():
+    # a near-zero coupling makes the PT-real levels exact to rounding, and
+    # inverse iteration from one of them returns a vector whose squared norm
+    # overflows; it is scaled by its largest entry before it is normalized
+    _check_against_complex_eigvals(Family.COTANGENT_WELL, Partner.V2, 1.2870049651575746,
+                                   1.2411808812401817e-280, 1e-4, 65)
+
+
+def _check_against_complex_eigvals(family, partner, k, q, edge, n):
     spec = SuperpotentialSpec(family, k, q)
     lo, hi = fundamental_cell(spec)
     eps = edge * (hi - lo)

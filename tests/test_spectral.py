@@ -7,8 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import eigh_tridiagonal, eigvals
-from scipy.linalg.lapack import get_lapack_funcs
+from scipy.linalg import eigh_tridiagonal, eigvals, lapack
 
 from susywell import gates, spectral
 from susywell.errors import ConvergenceFailure, InsufficientEigenvalues, SingularPoint
@@ -16,8 +15,8 @@ from susywell.spectral import (
     RESIDUAL_TOL,
     Grid1D,
     _dense_eigenpairs,
-    _inverse_step,
     _pt_real_form,
+    _shifted_solver,
     _tridiagonal_dense,
     discretize,
     eigenvalues,
@@ -186,16 +185,50 @@ class TestEigenvalues:
         diagonal = h.diagonal.real.astype(dtype)
         shift = diagonal[0]
         band = np.full(30, h.off_diagonal, dtype=dtype)
-        (gtsv,) = get_lapack_funcs(("gtsv",), (diagonal,))
+        (gtsv,) = lapack.get_lapack_funcs(("gtsv",), (diagonal,))
         assert gtsv(band, diagonal - shift, band, np.ones(31, dtype=dtype))[-1] > 0
+        solve = _shifted_solver(diagonal, band, h.pivot_floor)
         vec = np.random.default_rng(0).standard_normal(31)
         for _ in range(2):
-            vec = _inverse_step(diagonal, h.off_diagonal, shift, vec, h.pivot_floor)
+            vec = solve(shift, vec)
         assert vec.dtype == dtype
         assert np.all(np.isfinite(vec))
         assert np.linalg.norm(vec) == pytest.approx(1.0)
         resid = np.linalg.norm(h.matvec(vec) - shift * vec) / h.norm_inf
         assert resid <= RESIDUAL_TOL
+
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    def test_lapack_routines_are_looked_up_once_per_grid(self, monkeypatch, q):
+        # a guessed symmetric call looks up stebz for its Sturm count and
+        # gtsv/gttrf/gttrs for its solver, the dense path its solver's three;
+        # neither looks them up again per solve, whatever the solve count
+        lookup = lapack.get_lapack_funcs
+        calls = {"lookups": 0, "solves": 0}
+
+        def counted_solve(gtsv):
+            def solve(*args, **kwargs):
+                calls["solves"] += 1
+                return gtsv(*args, **kwargs)
+            return solve
+
+        def counted_lookup(names, *args, **kwargs):
+            calls["lookups"] += 1
+            funcs = lookup(names, *args, **kwargs)
+            return [counted_solve(f) if name == "gtsv" else f for name, f in zip(names, funcs)]
+
+        monkeypatch.setattr(lapack, "get_lapack_funcs", counted_lookup)
+        spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, q)
+        lo, hi = fundamental_cell(spec)
+        ham = discretize(partner_field(spec, Partner.V1), Grid1D(lo + 0.05, hi - 0.05, 400))
+        per_call = []
+        for count in (2, 8):
+            calls.update(lookups=0, solves=0)
+            eigenvalues(ham, count, guess=[remainder_spectrum(m) for m in range(count)])
+            per_call.append(dict(calls))
+        assert per_call[0]["lookups"] == per_call[1]["lookups"]
+        assert per_call[1]["solves"] > per_call[0]["solves"] >= 2
+        if q == 0:
+            assert per_call[0]["lookups"] == 2
 
 
 class TestSymmetricCertificate:

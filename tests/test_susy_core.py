@@ -136,6 +136,21 @@ class TestPartnerValues:
         diff = eval_partner(spec, Partner.V2, xs) - eval_partner(spec, Partner.V1, xs)
         assert_allclose(diff, 2.0 * wp, atol=IDENTITY_TOL)
 
+    @pytest.mark.parametrize("family", WELL_FAMILIES)
+    @pytest.mark.parametrize("which", list(Partner))
+    @pytest.mark.parametrize("alpha", [None, 0.6])
+    def test_zero_coupling_imaginary_part_is_positive_zero(self, family, which, alpha):
+        # at q = 0 the imaginary parts sum signed zeros (f' and the cross term
+        # change sign across the cell); they are +0, so no table prints -0
+        spec = SuperpotentialSpec(family, 1.3, 0.0, alpha)
+        lo, hi = fundamental_cell(spec)
+        xs = np.linspace(lo, hi, 203)[1:-1]
+        vals = eval_partner(spec, which, xs)
+        assert np.all(vals.imag == 0.0)
+        assert not np.any(np.signbit(vals.imag))
+        assert not any(math.copysign(1.0, eval_partner(spec, which, x).imag) < 0
+                       for x in xs[::20].tolist())
+
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_zero_coupling_partners_are_real(self, family):
         spec = SuperpotentialSpec(family, 2.0, 0.0)
