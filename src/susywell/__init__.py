@@ -2,8 +2,9 @@
 
 Modules:
   susy_core   superpotential families, partner potentials, shape invariance
-  states      closed-form ground states, densities, PT and residual checks
-  spectral    finite-difference spectra, Richardson refinement, ladders
+  states      closed-form ground states and ladder energies, densities,
+              PT and residual checks
+  spectral    finite-difference spectra, Richardson refinement
   scattering  transfer matrices, thin-slice sweeps, barrier oracle
   gates       the physics gates shared by the CLI and the acceptance test
   cli         reproducible figure/spectrum/verify/scatter commands
@@ -40,6 +41,7 @@ from .states import (
     eval_wavefunction,
     probability_density,
     pt_asymmetry,
+    remainder_spectrum,
     schrodinger_residual,
 )
 from .spectral import (
@@ -50,7 +52,6 @@ from .spectral import (
     discretize,
     eigenvalues,
     isospectral_check,
-    remainder_spectrum,
     richardson_extrapolate,
     richardson_spectrum,
 )

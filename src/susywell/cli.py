@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import click
 
-from . import gates, scattering, spectral
+from . import gates, scattering, states
 from .errors import (
     ConfigError,
     ConvergenceFailure,
@@ -296,7 +296,7 @@ def _spectrum_q0(cfg, spec, lo, hi):
     for m in range(cfg.count):
         click.echo(f"{m:5d}   {v1.eigenvalues[m].real:.10f}   "
                    f"{v1.richardson_estimates[m]:.10f}   "
-                   f"{spectral.remainder_spectrum(m, cfg.k, cfg.alpha):.10f}")
+                   f"{states.remainder_spectrum(m, cfg.k, cfg.alpha):.10f}")
     gate = gates.spectrum_q0(v1, v2, cfg.k, cfg.alpha)
     click.echo(gate.line())
     return gate.passed

@@ -58,13 +58,16 @@ Q2_SPEC = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
 # Re g below this, with V1 ~ g/d^2 near a wall, predicts fall to centre
 FALL_TO_CENTRE = -0.25
 
-# ground_state_residual samples 9 points of each family at q = 1.5 and 2,
-# and at q = 2 one interior point where it also measures the decay in h.
-# There the h = 1e-4 residual is still truncation error; where |psi| is
-# small it sits at the roundoff floor (about eps/h^2 = 2e-8), and its ratio
-# to the h = 1e-3 residual says nothing about the order. The gated residual
-# cancels the h^2 term instead, from steps large enough (2e-3 and 1e-3) to
-# keep the roundoff of the second difference near 1e-9.
+# ground_state_residual samples 9 points of each family at alpha = k and 2k
+# and q = 1.5 and 2, and at alpha = k, q = 2 one interior point where it
+# also measures the decay in h. There the h = 1e-4 residual is still
+# truncation error; where |psi| is small it sits at the roundoff floor
+# (about eps/h^2 = 2e-8), and its ratio to the h = 1e-3 residual says
+# nothing about the order. The gated residual cancels the h^2 term instead,
+# from steps large enough (2e-3 and 1e-3) to keep the roundoff of the
+# second difference near 1e-9. No step below k is sampled: at alpha = k/2
+# the points 0.4 inside the wider cell sit where |psi| is about 0.04, and
+# the residual, divided by |psi|, reads 1.9e-8.
 _DECAY_POINTS = {
     Family.COTANGENT_WELL: 1.0,
     Family.TANGENT_WELL: 0.6,
@@ -102,7 +105,6 @@ def shape_invariance(constraint_frequency=1.0):
     every family, q in {0, 1, 2, 5} and k in {1, 2, 3}. A constraint
     frequency other than 1 detunes the remainder, and the gate must fail."""
     worst = mean_err = 0.0
-    holds = True
     for fam in Family:
         for q in (0.0, 1.0, 2.0, 5.0):
             for k in (1.0, 2.0, 3.0):
@@ -110,10 +112,9 @@ def shape_invariance(constraint_frequency=1.0):
                 res = susy_core.check_shape_invariance(
                     spec, _shape_samples(spec), constraint_frequency=constraint_frequency)
                 target = spec.alpha * (spec.alpha + 2 * k)
-                holds = holds and res.holds
                 worst = max(worst, res.max_abs_deviation)
                 mean_err = max(mean_err, abs(res.mean - target) / max(1.0, abs(target)))
-    passed = holds and worst < SHAPE_TOL and mean_err < SHAPE_TOL
+    passed = worst < SHAPE_TOL and mean_err < SHAPE_TOL
     return Gate("shape_invariance", passed, worst, SHAPE_TOL,
                 f"48 cases: max deviation {worst:.3e}, mean error {mean_err:.3e}")
 
@@ -124,29 +125,32 @@ def negative_control_fails():
     spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
     res = susy_core.check_shape_invariance(spec, _shape_samples(spec), constraint_frequency=2.0)
     dev = res.max_abs_deviation
-    return Gate("negative_control_fails", not res.holds and dev > CONTROL_MIN, dev, CONTROL_MIN,
+    return Gate("negative_control_fails", dev > CONTROL_MIN, dev, CONTROL_MIN,
                 f"detuned deviation {dev:.3e} must exceed {CONTROL_MIN:g}")
 
 
-def _residual(fam, q, xs, h):
-    return states.schrodinger_residual(SuperpotentialSpec(fam, 1.0, q), 0.0, xs, h=h)
+def _residual(spec, xs, h):
+    return states.schrodinger_residual(spec, 0.0, xs, h=h)
 
 
 def ground_state_residual():
     """The closed-form ground state solves its own V1 at E = 0 for every
-    family, at q = 1.5 and 2 on 9 points 0.4 inside the cell (or across
-    [-2, 2]), measured by the Richardson combination of two steps; and at
-    q = 2 on the decay point the plain residual is of second order."""
+    family at k = 1, with alpha = k and alpha = 2k, at q = 1.5 and 2 on 9
+    points 0.4 inside the cell (or across [-2, 2]), measured by the
+    Richardson combination of two steps; and at alpha = k, q = 2 on the
+    decay point the plain residual is of second order."""
     worst, decay = 0.0, math.inf
     for fam in Family:
-        cell = susy_core.fundamental_cell(SuperpotentialSpec(fam, 1.0))
-        xs = np.linspace(*((cell[0] + 0.4, cell[1] - 0.4) if cell else (-2.0, 2.0)), 9)
-        for q in (1.5, 2.0):
-            rich = (4 * _residual(fam, q, xs, RESIDUAL_STEP / 2)
-                    - _residual(fam, q, xs, RESIDUAL_STEP)) / 3
-            worst = max(worst, float(np.max(np.abs(rich))))
-        x0 = _DECAY_POINTS[fam]
-        decay = min(decay, abs(_residual(fam, 2.0, x0, 1e-3)) / abs(_residual(fam, 2.0, x0, 1e-4)))
+        for alpha in (1.0, 2.0):
+            cell = susy_core.fundamental_cell(SuperpotentialSpec(fam, 1.0, alpha=alpha))
+            xs = np.linspace(*((cell[0] + 0.4, cell[1] - 0.4) if cell else (-2.0, 2.0)), 9)
+            for q in (1.5, 2.0):
+                spec = SuperpotentialSpec(fam, 1.0, q, alpha)
+                rich = (4 * _residual(spec, xs, RESIDUAL_STEP / 2)
+                        - _residual(spec, xs, RESIDUAL_STEP)) / 3
+                worst = max(worst, float(np.max(np.abs(rich))))
+        spec, x0 = SuperpotentialSpec(fam, 1.0, 2.0), _DECAY_POINTS[fam]
+        decay = min(decay, abs(_residual(spec, x0, 1e-3)) / abs(_residual(spec, x0, 1e-4)))
     return Gate("ground_state_residual", worst < RESIDUAL_TOL and decay > DECAY_MIN,
                 worst, RESIDUAL_TOL,
                 f"max residual {worst:.3e} by Richardson from h={RESIDUAL_STEP:g} and "
@@ -202,7 +206,7 @@ def q0_spectra(spec=Q0_SPEC, cell=None, counts=(5, 4), grid=4000):
     return tuple(
         spectral.richardson_spectrum(
             susy_core.partner_field(spec, which), lo, hi, n, grids,
-            guess=[spectral.remainder_spectrum(m + which.value - 1, spec.k, spec.alpha)
+            guess=[states.remainder_spectrum(m + which.value - 1, spec.k, spec.alpha)
                    for m in range(n)] if (lo, hi) == natural else None)
         for which, n in zip(Partner, counts))
 
@@ -212,7 +216,7 @@ def spectrum_q0(v1, v2, k=1.0, alpha=None):
     raw on the finest grid and extrapolated, and V2 level j is V1 level
     j + 1 (the partners are isospectral but for the ground state)."""
     scale = max(1.0, k * k)
-    exact = [spectral.remainder_spectrum(m, k, alpha) for m in range(len(v1.eigenvalues))]
+    exact = [states.remainder_spectrum(m, k, alpha) for m in range(len(v1.eigenvalues))]
     raw = max(abs(ev.real - e) for ev, e in zip(v1.eigenvalues, exact))
     rich = max(abs(est - e) for est, e in zip(v1.richardson_estimates, exact))
     iso = spectral.isospectral_check(v1, v2, shift=1)

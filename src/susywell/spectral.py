@@ -38,13 +38,13 @@ largest entry before it is normalized.
 
 The predictions of a richardson_spectrum ladder: its coarsest grid takes
 the guess of its caller, which for the q = 0 wells on their natural cell is
-the closed-form ladder (k + m alpha)^2 - k^2 (gates.q0_spectra); a custom
-domain gives none and bisects. Each finer grid takes the levels that the
-coarser grids predict for it (see _predicted_levels), and each of its
-levels starts inverse iteration from the coarser grid's eigenvector of that
-level, interpolated onto the new nodes. Bisected levels, on the coarsest
-grid or after a refuted prediction, start from one seeded random vector,
-drawn once. No prediction can change a level: the certificate holds
+the closed-form ladder (k + m alpha)^2 - k^2 of states.remainder_spectrum
+(gates.q0_spectra); a custom domain gives none and bisects. Each finer
+grid takes the levels that the coarser grids predict for it (see
+_predicted_levels), and each of its levels starts inverse iteration from
+the coarser grid's eigenvector of that level, interpolated onto the new
+nodes. Bisected levels, on the coarsest grid or after a refuted
+prediction, start from one seeded random vector, drawn once. No prediction can change a level: the certificate holds
 whatever the cell's start and shift, so a returned level is within
 eps max(1, ||H||_inf) of the matrix level, guessed or bisected, and a
 wrong prediction only costs the bisection it was meant to save.
@@ -606,20 +606,6 @@ def _predicted_levels(spacings, reports, h: float) -> np.ndarray:
         return last
     h1, h2 = spacings[-2:]
     return last + (reports[-2].eigenvalues.real - last) * (h * h - h2 * h2) / (h1 * h1 - h2 * h2)
-
-
-def remainder_spectrum(n: int, k_base: float = 1.0, alpha: float | None = None) -> float:
-    """Energy of level n of V1 by telescoping the constant remainders.
-
-    Sum_{j=1..n} alpha (alpha + 2 k_j) with k_j = k_base + (j-1) alpha
-    telescopes to (k_base + n alpha)^2 - k_base^2, evaluated as
-    n alpha (2 k_base + n alpha). alpha defaults to k_base, where the
-    levels are k_base^2 n (n + 2): exact integers for integer k_base.
-    """
-    if n < 0:
-        raise ValueError(f"level index must be >= 0, got {n!r}")
-    step = n * float(k_base if alpha is None else alpha)
-    return step * (2.0 * k_base + step)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,21 @@
-"""Closed-form zero-energy states of the V1 partners, and field utilities.
+"""Closed-form bound-state data of the V1 partners, and field utilities.
 
 A ground state is psi = exp(-int W dx), the unbroken-SUSY zero mode of V1,
-for the W of a SuperpotentialSpec at alpha = k (the only step at which these
-closed forms hold; other steps raise ValueError):
+for the W of a SuperpotentialSpec at any step a = alpha > 0:
 
-    cotangent well  psi = A sin(kx) exp{-i (q/k) ln[csc(kx) - cot(kx)]}
-    tangent well    psi = B cos(kx) exp{-i (q/k) ln[sec(kx) + tan(kx)]}
-    plane, right    psi = N exp(+ikx) exp{-i (q/k) exp(-ikx)}
-    plane, left     psi = N exp(-ikx) exp{+i (q/k) exp(+ikx)}
+    cotangent well  psi = sin(ax)^(k/a) exp{-i (q/a) ln tan(ax/2)}
+    tangent well    psi = cos(ax)^(k/a) exp{-i (q/a) ln[(1 + sin ax)/cos ax]}
+    plane, right    psi = exp(+ikx) exp{-i (q/a) exp(-iax)}
+    plane, left     psi = exp(-ikx) exp{+i (q/a) exp(+iax)}
 
 For real q the q-dependent factor of the well states is a pure phase, so
-|psi|^2 is q-independent (sin^2 / cos^2 envelopes). Logarithms are taken on
+|psi|^2 is q-independent (powers of sin^2 / cos^2). Logarithms are taken on
 the principal branch only; evaluation refuses to leave the spec's
 fundamental_cell, where the log argument is positive.
+
+Level n of V1 is E_n = (k + n alpha)^2 - k^2 (remainder_spectrum), the
+ladder of a shape-invariant pair (Cooper, Khare & Sukhatme, Phys. Rep. 251
+(1995) 267); psi is its level 0.
 """
 
 from __future__ import annotations
@@ -32,15 +35,9 @@ from .susy_core import (
 
 # why a well state is refused outside its cell
 _LOG_DOMAINS = {
-    Family.COTANGENT_WELL: "csc(kx) - cot(kx) > 0 only on (0, pi/k)",
-    Family.TANGENT_WELL: "sec(kx) + tan(kx) > 0 only on (-pi/2k, pi/2k)",
+    Family.COTANGENT_WELL: "csc(alpha x) - cot(alpha x) > 0 only on (0, pi/alpha)",
+    Family.TANGENT_WELL: "sec(alpha x) + tan(alpha x) > 0 only on (-pi/2alpha, pi/2alpha)",
 }
-
-
-def _require_ground_state(spec: SuperpotentialSpec):
-    if spec.alpha != spec.k:
-        raise ValueError(
-            f"closed-form ground states need alpha = k, got alpha={spec.alpha!r}, k={spec.k!r}")
 
 
 def eval_wavefunction(spec: SuperpotentialSpec, x):
@@ -51,22 +48,21 @@ def eval_wavefunction(spec: SuperpotentialSpec, x):
     the principal log would cross a branch cut) and SingularPoint within
     default_exclusion of the cell endpoints.
     """
-    _require_ground_state(spec)
     xs = np.asarray(x, dtype=np.float64)
-    k, q = spec.k, spec.q
-    if spec.family in _LOG_DOMAINS:
-        _require_inside(spec, xs)
-    if spec.family is Family.COTANGENT_WELL:
-        # csc - cot = tan(kx/2), positive on the cell
-        phase = np.exp(-1j * (q / k) * np.log(np.tan(0.5 * k * xs)))
-        out = np.sin(k * xs) * phase
-    elif spec.family is Family.TANGENT_WELL:
-        arg = (1.0 + np.sin(k * xs)) / np.cos(k * xs)  # sec + tan
-        out = np.cos(k * xs) * np.exp(-1j * (q / k) * np.log(arg))
-    elif spec.family is Family.PLANE_RIGHT:
-        out = np.exp(1j * k * xs) * np.exp(-1j * (q / k) * np.exp(-1j * k * xs))
+    k, q, a = spec.k, spec.q, spec.alpha
+    if spec.family is Family.PLANE_RIGHT:
+        out = np.exp(1j * k * xs) * np.exp(-1j * (q / a) * np.exp(-1j * a * xs))
+    elif spec.family is Family.PLANE_LEFT:
+        out = np.exp(-1j * k * xs) * np.exp(1j * (q / a) * np.exp(1j * a * xs))
     else:
-        out = np.exp(-1j * k * xs) * np.exp(1j * (q / k) * np.exp(1j * k * xs))
+        _require_inside(spec, xs)
+        if spec.family is Family.COTANGENT_WELL:
+            # csc - cot = tan(ax/2), positive on the cell
+            envelope, log_arg = np.sin(a * xs), np.tan(0.5 * a * xs)
+        else:
+            envelope = np.cos(a * xs)
+            log_arg = (1.0 + np.sin(a * xs)) / envelope  # sec + tan
+        out = envelope ** (k / a) * np.exp(-1j * (q / a) * np.log(log_arg))
     return out.item() if np.ndim(x) == 0 else out
 
 
@@ -108,7 +104,6 @@ def schrodinger_residual(spec: SuperpotentialSpec, energy: complex, x, h: float 
     divided by max(|psi(x)|, 1e-30). Decays as O(h^2) where psi is smooth.
     Raises StepTooLarge when h exceeds 1/10 of the distance to a pole.
     """
-    _require_ground_state(spec)
     xs = np.asarray(x, dtype=np.float64)
     _check_step(spec, xs, h)
     psi_m = np.asarray(eval_wavefunction(spec, xs - h))
@@ -118,3 +113,17 @@ def schrodinger_residual(spec: SuperpotentialSpec, energy: complex, x, h: float 
     defect = -lap + (np.asarray(eval_partner(spec, Partner.V1, xs)) - energy) * psi_0
     out = defect / np.maximum(np.abs(psi_0), 1e-30)
     return out.item() if np.ndim(x) == 0 else out
+
+
+def remainder_spectrum(n: int, k_base: float = 1.0, alpha: float | None = None) -> float:
+    """Energy of level n of V1 by telescoping the constant remainders.
+
+    Sum_{j=1..n} alpha (alpha + 2 k_j) with k_j = k_base + (j-1) alpha
+    telescopes to (k_base + n alpha)^2 - k_base^2, evaluated as
+    n alpha (2 k_base + n alpha). alpha defaults to k_base, where the
+    levels are k_base^2 n (n + 2): exact integers for integer k_base.
+    """
+    if n < 0:
+        raise ValueError(f"level index must be >= 0, got {n!r}")
+    step = n * float(k_base if alpha is None else alpha)
+    return step * (2.0 * k_base + step)

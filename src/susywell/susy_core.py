@@ -54,8 +54,8 @@ class SuperpotentialSpec:
     k: real well/wave number, k > 0.
     q: real amplitude of the imaginary constraint term (any sign).
     alpha: parameter step used by the shape-invariance ladder; stored
-        independently of k and defaulting to k (the closed-form wave
-        functions and the constant remainder 3k^2 arise at alpha = k).
+        independently of k and defaulting to k (where the constant
+        remainder alpha(alpha + 2k) is 3k^2).
     """
 
     family: Family
@@ -260,24 +260,20 @@ class ShapeInvarianceResult:
 
     mean: complex
     max_abs_deviation: float
-    holds: bool
 
 
 def check_shape_invariance(
     spec: SuperpotentialSpec, sample_points, constraint_frequency: float = 1.0
 ) -> ShapeInvarianceResult:
-    """Test R(x) = const over sample_points.
-
-    Holds when max |R(x) - mean| <= max(1e-10 |mean|, 1e-12); the absolute
-    floor covers mean ~ 0.
+    """Mean of R(x) over sample_points and its largest deviation from
+    it; the caller holds the deviation to its own bound (gates.SHAPE_TOL).
     """
     xs = np.asarray(sample_points, dtype=np.float64)
     if xs.size == 0:
         raise ValueError("sample_points must be non-empty")
     r = np.asarray(remainder(spec, xs, constraint_frequency))
     mean = complex(np.mean(r))
-    dev = float(np.max(np.abs(r - mean)))
-    return ShapeInvarianceResult(mean, dev, bool(dev <= max(1e-10 * abs(mean), 1e-12)))
+    return ShapeInvarianceResult(mean, float(np.max(np.abs(r - mean))))
 
 
 def pole_coupling(spec: SuperpotentialSpec) -> complex:

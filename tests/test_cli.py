@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import susywell.cli
-from susywell import gates, scattering, spectral
+from susywell import gates, scattering, states
 from susywell.cli import main
 from susywell.serialize import json_text
 
@@ -86,11 +86,11 @@ class TestSpectrum:
         assert [ev[0] for ev in v2["eigenvalues"][:2]] == pytest.approx(
             [3.0, 8.0], abs=1e-3)
 
-    def test_exact_levels_come_through_the_spectral_module(self, runner, tmp_path,
-                                                           monkeypatch):
+    def test_exact_levels_come_through_the_states_module(self, runner, tmp_path,
+                                                         monkeypatch):
         # a patch of the module attribute reaches the printed table and the gate
-        exact = spectral.remainder_spectrum
-        monkeypatch.setattr(spectral, "remainder_spectrum", lambda *args: exact(*args) + 1.0)
+        exact = states.remainder_spectrum
+        monkeypatch.setattr(states, "remainder_spectrum", lambda *args: exact(*args) + 1.0)
         res = runner.invoke(main, ["spectrum", "--q", "0", "--grid", "1000",
                                    "--out", str(tmp_path)])
         assert res.exit_code == 1, res.output

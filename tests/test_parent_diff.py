@@ -1,0 +1,57 @@
+"""Tests for the comparison step of tools/parent_diff.py (no CLI runs)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "parent_diff.py"
+_SPEC = importlib.util.spec_from_file_location("parent_diff", _PATH)
+parent_diff = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(parent_diff)
+
+CODES = {name: 0 for name, _ in parent_diff.COMMANDS}
+
+
+def write(root, files):
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+
+
+@pytest.fixture
+def roots(tmp_path):
+    base, head = tmp_path / "base", tmp_path / "head"
+    shared = {"verify/verify.json": "{}\n", "figures/fig1.csv": "x\n1\n"}
+    write(base, shared)
+    write(head, shared)
+    return base, head
+
+
+def test_identical_outputs_report_nothing(roots):
+    assert parent_diff.differences(*roots, CODES, CODES) == []
+
+
+def test_every_kind_of_difference_is_reported(roots):
+    base, head = roots
+    write(base, {"figures/fig2.csv": "x\n"})
+    write(head, {"figures/fig1.csv": "x\n2\n", "spectrum_q2/extra.json": "[]\n"})
+    head_codes = dict(CODES, verify=1)
+    found = parent_diff.differences(base, head, CODES, head_codes)
+    assert found == [
+        ("verify", "exit code 0 at base, 1 here"),
+        ("figures/fig1.csv", "differs"),
+        ("figures/fig2.csv", "only at base"),
+        ("spectrum_q2/extra.json", "only here"),
+    ]
+
+
+@pytest.mark.parametrize("path,allow,expect", [
+    ("verify/verify.json", ["verify/verify.json"], True),
+    ("verify/verify.json", ["verify"], True),
+    ("verify", ["verify/"], True),
+    ("verify_more/verify.json", ["verify"], False),
+    ("figures/fig1.csv", [], False),
+])
+def test_allow_names_a_path_or_what_lies_under_it(path, allow, expect):
+    assert parent_diff.allowed(path, allow) is expect

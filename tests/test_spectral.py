@@ -1,4 +1,4 @@
-"""Tests for discretization, eigenvalue paths, extrapolation, and ladders."""
+"""Tests for discretization, eigenvalue paths, extrapolation, and partner pairing."""
 
 import json
 import math
@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal, eigvals, lapack
 
-from susywell import gates, spectral
+from susywell import gates, spectral, states
 from susywell.errors import ConvergenceFailure, InsufficientEigenvalues, SingularPoint
 from susywell.spectral import (
     RESIDUAL_TOL,
@@ -21,10 +21,10 @@ from susywell.spectral import (
     discretize,
     eigenvalues,
     isospectral_check,
-    remainder_spectrum,
     richardson_extrapolate,
     richardson_spectrum,
 )
+from susywell.states import remainder_spectrum
 from susywell.susy_core import (
     WELL_FAMILIES,
     Family,
@@ -364,7 +364,7 @@ class TestPredictedBrackets:
         exact = np.array([remainder_spectrum(m, k, alpha) for m in range(9)])
         if case == "alpha_ignored":
             # q0_spectra's guess from a ladder that steps by k instead of alpha
-            monkeypatch.setattr(spectral, "remainder_spectrum",
+            monkeypatch.setattr(states, "remainder_spectrum",
                                 lambda m, k_base=1.0, alpha=None: remainder_spectrum(m, k_base))
             primed = gates.q0_spectra(self.SPEC, counts=(8, 8), grid=2000)[0]
         else:
@@ -444,33 +444,6 @@ class TestConvergence:
         values = [2.5 - 4.0 * h ** 2 for h in spacings]
         assert richardson_extrapolate(spacings, values) == pytest.approx(2.5,
                                                                          abs=1e-12)
-
-
-class TestLadders:
-    @pytest.mark.parametrize("n,expect", [(0, 0), (1, 3), (4, 24)])
-    def test_analytic_levels(self, n, expect):
-        assert remainder_spectrum(n) == expect
-
-    @pytest.mark.parametrize("n,expect", [(0, 0.0), (1, 3.0), (3, 15.0)])
-    def test_remainder_partial_sums(self, n, expect):
-        assert remainder_spectrum(n, 1.0) == expect
-
-    @pytest.mark.parametrize("k,alpha", [(1.0, 0.5), (1.7, 1.7 / 3), (3.0, 0.75)])
-    def test_remainder_with_separate_step(self, k, alpha):
-        # telescoped sum of alpha (alpha + 2 k_j), k_j = k + (j-1) alpha
-        for n in range(12):
-            steps = sum(alpha * (alpha + 2 * (k + j * alpha)) for j in range(n))
-            assert remainder_spectrum(n, k, alpha) == pytest.approx(steps, rel=1e-13,
-                                                                    abs=1e-13)
-            assert remainder_spectrum(n, k, alpha) == pytest.approx((k + n * alpha) ** 2 - k ** 2)
-
-    def test_telescoping_is_exact(self):
-        for n in range(51):
-            assert remainder_spectrum(n, 1.0) == n * (n + 2)
-
-    def test_scaled_base(self):
-        # first step at k_base=2: a(a+2k) = 4 + 8 = 12
-        assert remainder_spectrum(1, 2.0) == pytest.approx(12.0)
 
 
 class TestIsospectral:

@@ -1,4 +1,5 @@
-"""Tests for ground states, densities, parity checks, and the residual probe."""
+"""Tests for ground states, ladder energies, densities, parity checks, and the
+residual probe."""
 
 import math
 from contextlib import nullcontext
@@ -7,11 +8,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from susywell import gates
 from susywell.errors import DomainViolation, SingularPoint, StepTooLarge
 from susywell.states import (
     eval_wavefunction,
     probability_density,
     pt_asymmetry,
+    remainder_spectrum,
     schrodinger_residual,
 )
 from susywell.susy_core import (
@@ -26,6 +29,11 @@ from susywell.susy_core import (
 ATOL = 1e-12
 DENSITY_TOL = 1e-12
 RESIDUAL_TOL = 1e-6
+PT_TOL = 1e-12
+
+# (k, alpha): two steps below k and two above
+STEPS = [(1.7, 0.5), (3.0, 1.0), (2.0, 3.1), (1.0, 2.0)]
+COUPLINGS = [0.0, 0.5, 2.0, 5.0]
 
 RESIDUAL_POINTS = {
     Family.COTANGENT_WELL: 1.0,
@@ -73,6 +81,83 @@ class TestClosedForms:
         mags_hi = [abs(eval_wavefunction(spec, math.pi - eps))
                    for eps in (1e-2, 1e-3, 1e-4)]
         assert mags_hi[2] < mags_hi[1] < mags_hi[0]
+
+
+def sample_points(spec):
+    """The PT centre and 41 points symmetric about it: the middle 60% of
+    the cell, or pi/(2 alpha) +- 2 on the line."""
+    cell = fundamental_cell(spec)
+    if cell is None:
+        centre = math.pi / (2 * spec.alpha)
+        return centre, centre + np.linspace(-2.0, 2.0, 41)
+    lo, hi = cell
+    pad = 0.2 * (hi - lo)
+    return 0.5 * (lo + hi), np.linspace(lo + pad, hi - pad, 41)
+
+
+def alpha_k_closed_form(spec, x):
+    # the ground states at alpha = k, envelope sin(kx) or cos(kx)
+    xs = np.asarray(x, dtype=np.float64)
+    k, q = spec.k, spec.q
+    if spec.family is Family.COTANGENT_WELL:
+        out = np.sin(k * xs) * np.exp(-1j * (q / k) * np.log(np.tan(0.5 * k * xs)))
+    elif spec.family is Family.TANGENT_WELL:
+        arg = (1.0 + np.sin(k * xs)) / np.cos(k * xs)
+        out = np.cos(k * xs) * np.exp(-1j * (q / k) * np.log(arg))
+    elif spec.family is Family.PLANE_RIGHT:
+        out = np.exp(1j * k * xs) * np.exp(-1j * (q / k) * np.exp(-1j * k * xs))
+    else:
+        out = np.exp(-1j * k * xs) * np.exp(1j * (q / k) * np.exp(1j * k * xs))
+    return out.item() if np.ndim(x) == 0 else out
+
+
+class TestEveryStep:
+    """psi = exp(-int W) at any alpha: envelope power k/alpha, phase q/alpha."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("k,alpha", STEPS)
+    def test_ground_state_solves_v1(self, family, k, alpha):
+        # the Richardson combination of two steps cancels the h^2 term
+        for q in COUPLINGS:
+            spec = SuperpotentialSpec(family, k, q, alpha)
+            xs = sample_points(spec)[1] if fundamental_cell(spec) else np.linspace(-2.0, 2.0, 41)
+            rich = (4 * schrodinger_residual(spec, 0.0, xs, h=1e-3)
+                    - schrodinger_residual(spec, 0.0, xs, h=2e-3)) / 3
+            assert np.max(np.abs(rich)) <= RESIDUAL_TOL, q
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("k,alpha", STEPS)
+    def test_ground_state_is_a_pt_eigenstate(self, family, k, alpha):
+        # conj psi(2 x0 - x) = lambda psi(x) with |lambda| = 1
+        for q in COUPLINGS:
+            spec = SuperpotentialSpec(family, k, q, alpha)
+            centre, xs = sample_points(spec)
+            psi = eval_wavefunction(spec, xs)
+            mirror = np.conj(eval_wavefunction(spec, 2 * centre - xs))
+            lam = np.vdot(psi, mirror) / np.vdot(psi, psi)
+            assert np.max(np.abs(mirror - lam * psi)) <= PT_TOL * np.max(np.abs(psi)), q
+            assert abs(abs(lam) - 1.0) <= PT_TOL, q
+
+    @pytest.mark.parametrize("family", WELL_FAMILIES)
+    @pytest.mark.parametrize("k,alpha", STEPS)
+    def test_density_ignores_the_coupling(self, family, k, alpha):
+        base = SuperpotentialSpec(family, k, 0.0, alpha)
+        xs = sample_points(base)[1]
+        rho0 = probability_density(base, xs)
+        for q in COUPLINGS[1:]:
+            rho = probability_density(SuperpotentialSpec(family, k, q, alpha), xs)
+            assert np.max(np.abs(rho - rho0)) <= gates.DENSITY_TOL, q
+
+    @pytest.mark.parametrize("family", list(Family))
+    @pytest.mark.parametrize("k", [0.5, 1.0, 1.7, 3.0])
+    def test_alpha_equal_k_keeps_its_bits(self, family, k):
+        # x ** 1.0 is exact, so the general forms reduce to these bit for bit
+        for q in COUPLINGS:
+            spec = SuperpotentialSpec(family, k, q)
+            xs = sample_points(spec)[1]
+            assert np.array_equal(eval_wavefunction(spec, xs), alpha_k_closed_form(spec, xs))
+            x0 = float(xs[7])
+            assert np.array_equal(eval_wavefunction(spec, x0), alpha_k_closed_form(spec, x0))
 
 
 class TestDensity:
@@ -168,18 +253,6 @@ class TestParity:
 
 
 class TestDomains:
-    @pytest.mark.parametrize("call", [
-        lambda spec: eval_wavefunction(spec, 1.0),
-        lambda spec: probability_density(spec, 1.0),
-        lambda spec: schrodinger_residual(spec, 0.0, 1.0),
-    ], ids=["wavefunction", "density", "residual"])
-    @pytest.mark.parametrize("family", [Family.COTANGENT_WELL, Family.PLANE_RIGHT])
-    def test_ground_states_need_alpha_equal_k(self, call, family):
-        # the closed forms are the alpha = k zero modes
-        with pytest.raises(ValueError, match="alpha = k"):
-            call(SuperpotentialSpec(family, 1.0, 2.0, alpha=0.5))
-
-
     def test_outside_cell_is_refused(self):
         spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
         with pytest.raises(DomainViolation):
@@ -193,3 +266,30 @@ class TestDomains:
             eval_wavefunction(spec, 0.0)
         with pytest.raises(SingularPoint):
             eval_wavefunction(spec, math.pi)
+
+
+class TestLadders:
+    @pytest.mark.parametrize("n,expect", [(0, 0), (1, 3), (4, 24)])
+    def test_analytic_levels(self, n, expect):
+        assert remainder_spectrum(n) == expect
+
+    @pytest.mark.parametrize("n,expect", [(0, 0.0), (1, 3.0), (3, 15.0)])
+    def test_remainder_partial_sums(self, n, expect):
+        assert remainder_spectrum(n, 1.0) == expect
+
+    @pytest.mark.parametrize("k,alpha", [(1.0, 0.5), (1.7, 1.7 / 3), (3.0, 0.75)])
+    def test_remainder_with_separate_step(self, k, alpha):
+        # telescoped sum of alpha (alpha + 2 k_j), k_j = k + (j-1) alpha
+        for n in range(12):
+            steps = sum(alpha * (alpha + 2 * (k + j * alpha)) for j in range(n))
+            assert remainder_spectrum(n, k, alpha) == pytest.approx(steps, rel=1e-13,
+                                                                    abs=1e-13)
+            assert remainder_spectrum(n, k, alpha) == pytest.approx((k + n * alpha) ** 2 - k ** 2)
+
+    def test_telescoping_is_exact(self):
+        for n in range(51):
+            assert remainder_spectrum(n, 1.0) == n * (n + 2)
+
+    def test_scaled_base(self):
+        # first step at k_base=2: a(a+2k) = 4 + 8 = 12
+        assert remainder_spectrum(1, 2.0) == pytest.approx(12.0)

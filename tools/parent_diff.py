@@ -1,0 +1,129 @@
+"""Compare what the CLI writes at a base commit and in this checkout.
+
+    python tools/parent_diff.py BASE [--allow PATH ...]
+
+BASE is any git revision of this repository. Its tree is exported with
+`git archive` into a temporary directory, which leaves the repository as it
+was. Every command of COMMANDS then runs in the exported tree and in this
+checkout as `python -m susywell.cli ...`, with PYTHONPATH=<tree>/src and
+PYTHONWARNINGS=error::RuntimeWarning, each into its own directory under one
+output root. Both trees write to the same paths, so an output that records
+a path reads the same in both.
+
+Every file that differs or exists in one tree only is reported by its path
+under the output root (for example `verify/verify.json`), and every command
+whose exit code differs by its name. The exit status is 1 if any reported
+difference is not allowed, else 0. `--allow PATH` allows the difference
+named PATH and every one under PATH/, so `--allow verify` allows the exit
+code and every file of the verify command.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CUSTOM_DOMAIN = "custom_domain.cfg"
+
+# the README commands, the q=0 spectra that CI reruns (the natural cell
+# takes the closed-form guess, a custom domain bisects), figures at
+# alpha != k and a plane sweep in json
+COMMANDS = (
+    ("figures", ["figures"]),
+    ("spectrum_q0", ["spectrum", "--q", "0", "--count", "4"]),
+    ("spectrum_q2", ["spectrum", "--q", "2"]),
+    ("verify", ["verify"]),
+    ("scatter_barrier", ["scatter", "--family", "barrier"]),
+    ("scatter_plane", ["scatter", "--family", "plane_right"]),
+    ("q0_guessed", ["spectrum", "--q", "0", "--k", "2", "--alpha", "0.5", "--count", "6"]),
+    ("q0_bisected", ["spectrum", "--q", "0", "--config", CUSTOM_DOMAIN]),
+    ("figures_alpha", ["figures", "--q", "0", "--k", "1.3", "--alpha", "0.5"]),
+    ("scatter_plane_left", ["scatter", "--family", "plane_left", "--format", "json"]),
+)
+
+
+def export(rev: str, dest: Path):
+    """Write the tree of rev into dest."""
+    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", rev], stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait():
+        raise SystemExit(f"git archive {rev} failed")
+
+
+def run_commands(src: Path, work: Path) -> dict[str, int]:
+    """Run COMMANDS against the package in src, writing under work/out.
+    Returns the exit code of each command by name."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="error::RuntimeWarning")
+    # an installed susywell must not stand in for the tree under test
+    found = subprocess.run([sys.executable, "-c", "import susywell; print(susywell.__file__)"],
+                           env=env, cwd=work, capture_output=True, text=True, check=True)
+    if not Path(found.stdout.strip()).is_relative_to(src):
+        raise SystemExit(f"susywell imports from {found.stdout.strip()}, not from {src}")
+    codes = {}
+    for name, args in COMMANDS:
+        proc = subprocess.run([sys.executable, "-m", "susywell.cli", *args,
+                               "--out", str(work / "out" / name)],
+                              env=env, cwd=work, capture_output=True)
+        codes[name] = proc.returncode
+    return codes
+
+
+def differences(base: Path, head: Path, base_codes, head_codes) -> list[tuple[str, str]]:
+    """(path, what differs) for every exit code and file that differs
+    between the output roots base and head."""
+    found = [(name, f"exit code {base_codes[name]} at base, {head_codes[name]} here")
+             for name, _ in COMMANDS if base_codes[name] != head_codes[name]]
+    files = {path.relative_to(root).as_posix()
+             for root in (base, head) for path in root.rglob("*") if path.is_file()}
+    for rel in sorted(files):
+        old, new = base / rel, head / rel
+        if not new.is_file():
+            found.append((rel, "only at base"))
+        elif not old.is_file():
+            found.append((rel, "only here"))
+        elif old.read_bytes() != new.read_bytes():
+            found.append((rel, "differs"))
+    return found
+
+
+def allowed(path: str, allow) -> bool:
+    return any(f"{path}/".startswith(f"{entry.rstrip('/')}/") for entry in allow)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", help="git revision to compare against")
+    parser.add_argument("--allow", action="append", default=[], metavar="PATH",
+                        help="a difference that is expected (repeatable)")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="parent_diff_") as tmp:
+        tmp = Path(tmp).resolve()
+        (tmp / CUSTOM_DOMAIN).write_text("x_min=0.3\nx_max=2.8\n")
+        (tmp / "tree").mkdir()
+        export(args.base, tmp / "tree")
+        codes = {}
+        for side, src in (("base", tmp / "tree" / "src"), ("head", ROOT / "src")):
+            codes[side] = run_commands(src, tmp)
+            shutil.move(tmp / "out", tmp / side)
+        found = differences(tmp / "base", tmp / "head", codes["base"], codes["head"])
+        for name, _ in COMMANDS:
+            written = sum(path.is_file() for path in (tmp / "head" / name).rglob("*"))
+            print(f"{name}: exit {codes['head'][name]}, {written} files")
+    for path, what in found:
+        print(f"{'allowed' if allowed(path, args.allow) else 'DIFF'}: {path}: {what}")
+    unexpected = sum(not allowed(path, args.allow) for path, _ in found)
+    print(f"{len(COMMANDS)} commands against {args.base}: {len(found)} differences, "
+          f"{unexpected} not allowed")
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
