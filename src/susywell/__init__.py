@@ -16,7 +16,6 @@ from .errors import (
     DegenerateMatch,
     DomainViolation,
     EvanescentOverflow,
-    InsufficientEigenvalues,
     SingularPoint,
     SliceTooCoarse,
     StepTooLarge,
@@ -47,12 +46,9 @@ from .states import (
 from .spectral import (
     DiscretizedHamiltonian,
     Grid1D,
-    IsospectralResult,
     SpectrumReport,
     discretize,
     eigenvalues,
-    isospectral_check,
-    richardson_extrapolate,
     richardson_spectrum,
 )
 from .scattering import (

@@ -24,7 +24,6 @@ from .errors import (
     DegenerateMatch,
     DomainViolation,
     EvanescentOverflow,
-    InsufficientEigenvalues,
     SingularPoint,
     SliceTooCoarse,
     StepTooLarge,
@@ -187,9 +186,9 @@ def _validate(cfg):
         raise ConfigError("alpha", "must be positive")
     if cfg.epsilon <= 0:
         raise ConfigError("epsilon", "must be positive")
-    # figures tabulates (epsilon, pi/k - epsilon); spectrum at q != 0 checks
-    # its own cell, and no other command reads epsilon
-    if cfg.command == "figures" and cfg.epsilon >= math.pi / cfg.k / 4:
+    # figures tabulates (epsilon, pi/max(k, alpha) - epsilon); spectrum at
+    # q != 0 checks its own cell, and no other command reads epsilon
+    if cfg.command == "figures" and cfg.epsilon >= math.pi / max(cfg.k, cfg.alpha or cfg.k) / 4:
         raise ConfigError("epsilon", "must lie in (0, cell/4)")
     if cfg.grid < 64:
         raise ConfigError("grid", "need at least 64 interior points")
@@ -395,7 +394,7 @@ def _write_sweep(cfg, results):
 # click wiring
 
 _CONVERGENCE_ERRORS = (ConvergenceFailure, SliceTooCoarse, EvanescentOverflow,
-                       DegenerateMatch, InsufficientEigenvalues)
+                       DegenerateMatch)
 _REQUEST_ERRORS = (SingularPoint, DomainViolation, StepTooLarge)
 
 

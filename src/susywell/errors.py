@@ -53,10 +53,6 @@ class ConvergenceFailure(SusywellError):
         super().__init__(message)
 
 
-class InsufficientEigenvalues(SusywellError):
-    """Not enough eigenvalues available to perform the requested pairing."""
-
-
 class EvanescentOverflow(SusywellError):
     """Exponential growth across a structure would overflow double precision:
     one slice with |Im z| above 700, or a product of slices, or its match to

@@ -30,11 +30,12 @@ grid to bisection; a bisected level that is not certified raises
 ConvergenceFailure. Either eigen path prepares one solver per grid
 (_shifted_solver): it looks up the LAPACK routines once, and the one
 off-diagonal band it is given also serves the Sturm counts and bisections
-of the symmetric path. Each solve is then one LAPACK gtsv call on
-diagonal - shift and a normalization; a shift on an exact eigenvalue, where
-gtsv meets a zero pivot, is solved again by gttrf with its small pivots
-raised, and a solution whose squared norm overflows is scaled by its
-largest entry before it is normalized.
+of the symmetric path, which call one stebz, also looked up once per grid.
+Each solve is then one LAPACK gtsv call on diagonal - shift and a
+normalization; a shift on an exact eigenvalue, where gtsv meets a zero
+pivot, is solved again by gttrf with its small pivots raised, and a
+solution whose squared norm overflows is scaled by its largest entry
+before it is normalized.
 
 The predictions of a richardson_spectrum ladder: its coarsest grid takes
 the guess of its caller, which for the q = 0 wells on their natural cell is
@@ -75,7 +76,7 @@ from functools import cached_property
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .errors import ConvergenceFailure, InsufficientEigenvalues
+from .errors import ConvergenceFailure
 from .serialize import json_text
 
 # residual gate, scaled by the matrix norm (see eigenvalues())
@@ -134,9 +135,6 @@ class DiscretizedHamiltonian:
         """eps max(1, ||H||_inf): the smallest pivot inverse iteration keeps
         and the accuracy to which a symmetric level is certified."""
         return float(np.finfo(np.float64).eps * max(1.0, self.norm_inf))
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return _matvec(self.diagonal, self.off_diagonal, v)
 
 
 def _matvec(diagonal: np.ndarray, off_diagonal: float, v: np.ndarray) -> np.ndarray:
@@ -264,12 +262,15 @@ def _symmetric_eigenpairs(ham: DiscretizedHamiltonian, count: int, guess=None, v
     counts; centres closer than 4 tol are located
     again at a sixteenth of their spacing, but not below 8 eps ||H||_inf.
     """
+    from scipy.linalg.lapack import get_lapack_funcs
+
     diagonal = np.ascontiguousarray(ham.diagonal.real)
     band = np.full(diagonal.size - 1, ham.off_diagonal)
     solve = _shifted_solver(diagonal, band, ham.pivot_floor)
+    (stebz,) = get_lapack_funcs(("stebz",), (diagonal,))
     if guess is not None:
         guess = np.asarray(guess, dtype=float)
-        cuts = _confirmed_cuts(diagonal, band, guess)
+        cuts = _confirmed_cuts(diagonal, band, guess, stebz)
         if cuts is not None:
             try:
                 return _certify(ham, solve, guess, np.concatenate(([-np.inf], cuts)), cuts,
@@ -278,11 +279,11 @@ def _symmetric_eigenpairs(ham: DiscretizedHamiltonian, count: int, guess=None, v
                 pass  # bisect this grid after all
     located = min(count + 1, ham.grid.n_interior)
     tol = BRACKET_TOL
-    centres = _bisect(diagonal, band, located, tol)
+    centres = _bisect(diagonal, band, located, tol, stebz)
     closest = np.min(np.diff(centres), initial=np.inf)
     if closest < 4 * tol:
         tol = max(closest / 16, 8 * ham.pivot_floor)
-        centres = _bisect(diagonal, band, located, tol)
+        centres = _bisect(diagonal, band, located, tol, stebz)
     return _certify(ham, solve, centres[:count], centres - tol, centres[:count] + tol)
 
 
@@ -364,7 +365,7 @@ def _resampled(vectors, grid: Grid1D):
         yield padded.take(left) * keep + padded.take(right) * weight
 
 
-def _confirmed_cuts(diagonal: np.ndarray, band: np.ndarray, guess: np.ndarray):
+def _confirmed_cuts(diagonal: np.ndarray, band: np.ndarray, guess: np.ndarray, stebz):
     """Cuts midway between consecutive predicted levels and half the last
     predicted spacing above the top one, or None unless the guess has at
     least two finite, increasing levels and the Sturm count of the top cut
@@ -380,9 +381,6 @@ def _confirmed_cuts(diagonal: np.ndarray, band: np.ndarray, guess: np.ndarray):
     spacing = np.diff(guess)
     if guess.size < 2 or not (np.all(np.isfinite(guess)) and np.all(spacing > 0)):
         return None
-    from scipy.linalg.lapack import get_lapack_funcs
-
-    (stebz,) = get_lapack_funcs(("stebz",), (diagonal,))
     bottom = float(np.min(diagonal)) - 2.0 * abs(float(band[0]))
     cuts = np.append(guess[:-1] + spacing / 2, guess[-1] + spacing[-1] / 2)
     top = cuts[-1]
@@ -394,20 +392,15 @@ def _confirmed_cuts(diagonal: np.ndarray, band: np.ndarray, guess: np.ndarray):
     return cuts
 
 
-def _bisect(diagonal: np.ndarray, band: np.ndarray, levels: int, tol: float):
+def _bisect(diagonal: np.ndarray, band: np.ndarray, levels: int, tol: float, stebz):
     """Centres of the `levels` lowest eigenvalues by Sturm bisection to tol,
-    band being the off-diagonal."""
-    from scipy.linalg import eigh_tridiagonal
-
-    try:
-        return eigh_tridiagonal(
-            diagonal, band, eigvals_only=True,
-            select="i", select_range=(0, levels - 1), tol=tol,
-        )
-    except LinAlgError as exc:
-        raise ConvergenceFailure(
-            f"tridiagonal bisection failed: {exc}", {"n": diagonal.size, "levels": levels}
-        ) from exc
+    band being the off-diagonal: one stebz call over the index range
+    1..levels, in ascending order."""
+    found, centres, *_, info = stebz(diagonal, band, 2, 0.0, 1.0, 1, levels, tol, "E")
+    if info:
+        raise ConvergenceFailure(f"tridiagonal bisection failed: stebz info {info}",
+                                 {"n": diagonal.size, "levels": levels})
+    return centres[:found]
 
 
 def _dense_eigenpairs(ham: DiscretizedHamiltonian, count: int):
@@ -438,7 +431,7 @@ def _dense_eigenpairs(ham: DiscretizedHamiltonian, count: int):
         vec = start
         for _ in range(2):
             vec = solve(shift, vec)
-        hv = ham.matvec(vec)
+        hv = _matvec(ham.diagonal, ham.off_diagonal, vec)
         # the Rayleigh quotient on the original H restores what the PT
         # projection of the diagonal dropped (to first order)
         w[j] = np.vdot(vec, hv)
@@ -539,18 +532,15 @@ def _start_vector(n: int) -> np.ndarray:
     return _START[:n]
 
 
-def richardson_extrapolate(spacings, values) -> float:
-    """Eliminate the h^2, h^4, ... error terms from grid-refined values.
+def _extrapolated(spacings, rows) -> list[float]:
+    """The h -> 0 limit of each row of grid-refined values, with the h^2,
+    h^4, ... error terms eliminated.
 
     Solves the small Vandermonde system value(h) = c0 + c2 h^2 + c4 h^4 + ...
-    exactly, so non-dyadic spacing ratios are handled without bias.
+    exactly, so non-dyadic spacing ratios are handled without bias; all rows
+    go through one stacked solve (row by row, the same LAPACK calls as one
+    row at a time).
     """
-    return _extrapolated(spacings, [values])[0]
-
-
-def _extrapolated(spacings, rows) -> list[float]:
-    """richardson_extrapolate of each row of values, all rows in one
-    stacked solve (row by row, the same LAPACK calls as one row at a time)."""
     hs = np.asarray(spacings, dtype=np.float64)
     vals = np.asarray(rows, dtype=np.float64)
     if vals.shape[1:] != hs.shape or hs.size < 2:
@@ -600,37 +590,10 @@ def richardson_spectrum(
 def _predicted_levels(spacings, reports, h: float) -> np.ndarray:
     """Real parts of the levels at spacing h: those of the last grid, or,
     after two grids, the fit c0 + c2 h^2 through the last two (the model of
-    richardson_extrapolate, evaluated at h instead of 0)."""
+    _extrapolated, evaluated at h instead of 0)."""
     last = reports[-1].eigenvalues.real
     if len(reports) == 1:
         return last
     h1, h2 = spacings[-2:]
     return last + (reports[-2].eigenvalues.real - last) * (h * h - h2 * h2) / (h1 * h1 - h2 * h2)
 
-
-@dataclass(frozen=True)
-class IsospectralResult:
-    matched: int
-    max_error: float
-
-
-def isospectral_check(
-    base: SpectrumReport, partner: SpectrumReport, shift: int = 1
-) -> IsospectralResult:
-    """Pair partner level j with base level j + shift and return the
-    largest |difference|; the caller holds it to its own bound.
-
-    Raises InsufficientEigenvalues when the base report is too short to
-    pair even one level.
-    """
-    n_base = len(base.eigenvalues)
-    n_partner = len(partner.eigenvalues)
-    matched = min(n_partner, n_base - shift)
-    if matched <= 0:
-        raise InsufficientEigenvalues(
-            f"cannot pair: base has {n_base} eigenvalues, shift {shift}"
-        )
-    diffs = np.abs(
-        partner.eigenvalues[:matched] - base.eigenvalues[shift : shift + matched]
-    )
-    return IsospectralResult(matched, float(np.max(diffs)))

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainViolation, SingularPoint
+from .errors import DomainViolation
 from .susy_core import (
     Family,
     Partner,
     SuperpotentialSpec,
     _check_step,
-    default_exclusion,
+    _guard_singularities,
     eval_partner,
     fundamental_cell,
 )
@@ -46,7 +46,7 @@ def eval_wavefunction(spec: SuperpotentialSpec, x):
 
     Raises DomainViolation outside the family's fundamental cell (where
     the principal log would cross a branch cut) and SingularPoint within
-    default_exclusion of the cell endpoints.
+    default_exclusion of a pole, as eval_partner does.
     """
     xs = np.asarray(x, dtype=np.float64)
     k, q, a = spec.k, spec.q, spec.alpha
@@ -67,13 +67,9 @@ def eval_wavefunction(spec: SuperpotentialSpec, x):
 
 
 def _require_inside(spec: SuperpotentialSpec, xs: np.ndarray):
+    _guard_singularities(spec, xs)
     lo, hi = fundamental_cell(spec)
     flat = np.atleast_1d(xs)
-    near = np.minimum(np.abs(flat - lo), np.abs(flat - hi)) < default_exclusion(spec)
-    if near.any():
-        xb = float(flat[near][0])
-        edge = lo if abs(xb - lo) < abs(xb - hi) else hi
-        raise SingularPoint(xb, edge)
     outside = (flat <= lo) | (flat >= hi)
     if outside.any():
         raise DomainViolation(float(flat[outside][0]), _LOG_DOMAINS[spec.family])

@@ -81,8 +81,8 @@ class SuperpotentialSpec:
 
 
 def default_exclusion(spec: SuperpotentialSpec) -> float:
-    """Singularity exclusion radius, 1e-6 of the cell width pi/k."""
-    return 1e-6 * math.pi / spec.k
+    """Singularity exclusion radius, 1e-6 of the cell width pi/alpha."""
+    return 1e-6 * math.pi / spec.alpha
 
 
 def _nearest_pole(spec: SuperpotentialSpec, xs):

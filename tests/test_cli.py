@@ -238,6 +238,10 @@ class TestConfigHandling:
         res = runner.invoke(main, ["figures", "--epsilon", "2.0",
                                    "--out", str(tmp_path)])
         assert res.exit_code == 3
+        # at alpha = 2k the table spans the pi/2 wide cell, a quarter of which is 0.39
+        res = runner.invoke(main, ["figures", "--alpha", "2", "--epsilon", "0.4",
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 3
 
     @pytest.mark.parametrize("args,code", [
         (["verify", "--epsilon", "1"], 0),
@@ -248,7 +252,7 @@ class TestConfigHandling:
         (["spectrum", "--q", "2", "--alpha", "2", "--epsilon", "0.5"], 3),
     ], ids=["verify", "scatter", "spectrum-q0", "spectrum-wide-cell", "spectrum-narrow-cell"])
     def test_epsilon_bound_only_where_read(self, runner, tmp_path, args, code):
-        # figures keeps the pi/(4k) bound (test_oversized_epsilon)
+        # figures keeps its pi/(4 max(k, alpha)) bound (test_oversized_epsilon)
         conf = tmp_path / "run.conf"
         conf.write_text("exploratory_grids=32,48,64\n")
         res = runner.invoke(main, [*args, "--config", str(conf), "--out", str(tmp_path)])

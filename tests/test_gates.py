@@ -1,7 +1,9 @@
 """Tests for the shared gates: each one fails when its claim is broken."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -27,11 +29,25 @@ def test_ground_state_residual_measures_the_claim_not_the_step():
 
 def test_spectrum_q0_fails_a_misaligned_ladder():
     v1, v2 = gates.q0_spectra(counts=(4, 3), grid=1000)
-    assert gates.spectrum_q0(v1, v2).passed
+    gate = gates.spectrum_q0(v1, v2)
+    assert gate.passed, gate.detail
+    assert gate.detail.endswith("over 3 levels")
     # V1 against itself is one level off everywhere: 3, 5, 7 apart
     gate = gates.spectrum_q0(v1, v1)
     assert not gate.passed
     assert "ladder 7.000e+00" in gate.detail
+    # V2 offset by 1: the V1 levels alone still pass, only the pairing fails
+    gate = gates.spectrum_q0(v1, replace(v2, eigenvalues=v2.eigenvalues + 1.0))
+    assert not gate.passed
+    assert gate.measured < gate.bound
+    assert "ladder 1.000e+00 over 3 levels" in gate.detail
+
+
+def test_spectrum_q0_fails_a_one_level_v1_without_raising():
+    v1, v2 = gates.q0_spectra(counts=(1, 1), grid=1000)
+    gate = gates.spectrum_q0(v1, v2)
+    assert not gate.passed
+    assert gate.detail.endswith("ladder inf over 0 levels")
 
 
 def test_spectrum_q0_scales_with_k():
@@ -55,6 +71,18 @@ def test_figure_tables_are_what_figures_writes(tmp_path):
     assert res.exit_code == 0, res.output
     for name, text in gates.figure_tables(1.5, 0.7, 1e-3).items():
         assert (tmp_path / name).read_text() == text
+
+
+def test_figure_tables_stay_inside_the_cell_at_alpha_above_k():
+    # at alpha = 2k the cotangent cell is (0, pi/2): the table ends epsilon
+    # before its wall instead of running through the pole at pi/2, where the
+    # cotangent V1 read -5.1e5
+    tables = gates.figure_tables(1.0, 2.0, 1e-3, 2.0)
+    rows = np.array([line.split(",") for line in tables["fig1.csv"].splitlines()[1:]],
+                    dtype=float)
+    assert rows[-1, 0] == math.pi / 2 - 1e-3
+    inside = (rows[:, 0] > rows[0, 0] + 0.1) & (rows[:, 0] < rows[-1, 0] - 0.1)
+    assert np.max(np.abs(rows[inside, 1] + 1j * rows[inside, 2])) < 1e3
 
 
 @pytest.mark.parametrize("k, alpha", [(1.0, None), (1.3, 0.5)])

@@ -46,6 +46,17 @@ def test_every_kind_of_difference_is_reported(roots):
     ]
 
 
+def test_a_failing_command_is_reported_even_when_base_fails_too(roots):
+    codes = dict(CODES, verify=1)
+    assert parent_diff.differences(*roots, codes, codes) == [
+        ("verify", "exit code 1 at base, 1 here"),
+    ]
+    # a command that failed at base and passes here is a difference as well
+    assert parent_diff.differences(*roots, codes, CODES) == [
+        ("verify", "exit code 1 at base, 0 here"),
+    ]
+
+
 @pytest.mark.parametrize("path,allow,expect", [
     ("verify/verify.json", ["verify/verify.json"], True),
     ("verify/verify.json", ["verify"], True),

@@ -1,4 +1,4 @@
-"""Tests for discretization, eigenvalue paths, extrapolation, and partner pairing."""
+"""Tests for discretization, eigenvalue paths and extrapolation."""
 
 import json
 import math
@@ -10,18 +10,18 @@ from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal, eigvals, lapack
 
 from susywell import gates, spectral, states
-from susywell.errors import ConvergenceFailure, InsufficientEigenvalues, SingularPoint
+from susywell.errors import ConvergenceFailure, SingularPoint
 from susywell.spectral import (
     RESIDUAL_TOL,
     Grid1D,
     _dense_eigenpairs,
+    _extrapolated,
+    _matvec,
     _pt_real_form,
     _shifted_solver,
     _tridiagonal_dense,
     discretize,
     eigenvalues,
-    isospectral_check,
-    richardson_extrapolate,
     richardson_spectrum,
 )
 from susywell.states import remainder_spectrum
@@ -194,16 +194,18 @@ class TestEigenvalues:
         assert vec.dtype == dtype
         assert np.all(np.isfinite(vec))
         assert np.linalg.norm(vec) == pytest.approx(1.0)
-        resid = np.linalg.norm(h.matvec(vec) - shift * vec) / h.norm_inf
+        resid = np.linalg.norm(_matvec(h.diagonal, h.off_diagonal, vec) - shift * vec) / h.norm_inf
         assert resid <= RESIDUAL_TOL
 
+    @pytest.mark.parametrize("guessed", [True, False], ids=["guessed", "bisected"])
     @pytest.mark.parametrize("q", [0.0, 1.0])
-    def test_lapack_routines_are_looked_up_once_per_grid(self, monkeypatch, q):
-        # a guessed symmetric call looks up stebz for its Sturm count and
-        # gtsv/gttrf/gttrs for its solver, the dense path its solver's three;
-        # neither looks them up again per solve, whatever the solve count
+    def test_lapack_routines_are_looked_up_once_per_grid(self, monkeypatch, q, guessed):
+        # a symmetric call looks up stebz once, for its Sturm count or its
+        # bisections alike, and gtsv/gttrf/gttrs for its solver, the dense
+        # path its solver's three; neither looks them up again per solve,
+        # whatever the solve count
         lookup = lapack.get_lapack_funcs
-        calls = {"lookups": 0, "solves": 0}
+        calls = {"lookups": 0, "stebz": 0, "solves": 0}
 
         def counted_solve(gtsv):
             def solve(*args, **kwargs):
@@ -213,6 +215,7 @@ class TestEigenvalues:
 
         def counted_lookup(names, *args, **kwargs):
             calls["lookups"] += 1
+            calls["stebz"] += names.count("stebz")
             funcs = lookup(names, *args, **kwargs)
             return [counted_solve(f) if name == "gtsv" else f for name, f in zip(names, funcs)]
 
@@ -222,13 +225,14 @@ class TestEigenvalues:
         ham = discretize(partner_field(spec, Partner.V1), Grid1D(lo + 0.05, hi - 0.05, 400))
         per_call = []
         for count in (2, 8):
-            calls.update(lookups=0, solves=0)
-            eigenvalues(ham, count, guess=[remainder_spectrum(m) for m in range(count)])
+            calls.update(lookups=0, stebz=0, solves=0)
+            guess = [remainder_spectrum(m) for m in range(count)] if guessed else None
+            eigenvalues(ham, count, guess=guess)
             per_call.append(dict(calls))
         assert per_call[0]["lookups"] == per_call[1]["lookups"]
         assert per_call[1]["solves"] > per_call[0]["solves"] >= 2
         if q == 0:
-            assert per_call[0]["lookups"] == 2
+            assert [(c["lookups"], c["stebz"]) for c in per_call] == [(2, 1), (2, 1)]
 
 
 class TestSymmetricCertificate:
@@ -436,45 +440,12 @@ class TestConvergence:
         spacings = [0.1, 0.05, 0.025]
         limit, c2, c4 = 7.25, 3.0, -11.0
         values = [limit + c2 * h ** 2 + c4 * h ** 4 for h in spacings]
-        assert richardson_extrapolate(spacings, values) == pytest.approx(limit,
-                                                                         abs=1e-12)
+        assert _extrapolated(spacings, [values])[0] == pytest.approx(limit, abs=1e-12)
 
     def test_extrapolate_handles_non_dyadic_ladder(self):
         spacings = [1.0 / 11, 1.0 / 17, 1.0 / 29]
         values = [2.5 - 4.0 * h ** 2 for h in spacings]
-        assert richardson_extrapolate(spacings, values) == pytest.approx(2.5,
-                                                                         abs=1e-12)
-
-
-class TestIsospectral:
-    def test_identical_reports(self):
-        rep = richardson_spectrum(flat, 0.0, math.pi, 3, (500, 1000))
-        res = isospectral_check(rep, rep, shift=0)
-        assert res.matched == 3
-        assert res.max_error == 0.0
-
-    def test_partner_ladder(self):
-        spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 0.0)
-        v1 = richardson_spectrum(partner_field(spec, Partner.V1), 0.0, math.pi,
-                                 4, ACCEPTANCE_GRIDS)
-        v2 = richardson_spectrum(partner_field(spec, Partner.V2), 0.0, math.pi,
-                                 3, ACCEPTANCE_GRIDS)
-        res = isospectral_check(v1, v2, shift=1)
-        assert res.max_error <= 1e-4
-        assert res.matched == 3
-
-    def test_offset_spectra_fail(self):
-        v1 = richardson_spectrum(flat, 0.0, math.pi, 4, (500, 1000))
-        v0 = richardson_spectrum(free, 0.0, math.pi, 4, (500, 1000))
-        res = isospectral_check(v1, v0, shift=0)
-        assert res.max_error == pytest.approx(1.0, abs=1e-2)
-
-    def test_insufficient_levels(self):
-        h = discretize(flat, Grid1D(0.0, math.pi, 500))
-        rep1 = eigenvalues(h, 1)
-        rep3 = eigenvalues(h, 3)
-        with pytest.raises(InsufficientEigenvalues):
-            isospectral_check(rep1, rep3, shift=1)
+        assert _extrapolated(spacings, [values])[0] == pytest.approx(2.5, abs=1e-12)
 
 
 class TestReportSerialization:

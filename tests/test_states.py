@@ -22,6 +22,8 @@ from susywell.susy_core import (
     Partner,
     SuperpotentialSpec,
     WELL_FAMILIES,
+    default_exclusion,
+    eval_partner,
     fundamental_cell,
     partner_field,
 )
@@ -266,6 +268,24 @@ class TestDomains:
             eval_wavefunction(spec, 0.0)
         with pytest.raises(SingularPoint):
             eval_wavefunction(spec, math.pi)
+
+    @pytest.mark.parametrize("family, x", [(Family.COTANGENT_WELL, 2 * math.pi),
+                                           (Family.TANGENT_WELL, 1.5 * math.pi)])
+    def test_a_pole_outside_the_cell_is_singular(self, family, x):
+        # the pole guard of eval_partner comes before the cell check
+        with pytest.raises(SingularPoint):
+            eval_wavefunction(SuperpotentialSpec(family, 1.0, 2.0), x)
+
+    @pytest.mark.parametrize("family", WELL_FAMILIES)
+    def test_exclusion_radius_follows_the_cell(self, family):
+        # the cell is pi/alpha wide: at k = 1e-6, alpha = 1 a radius of 1e-6 pi/k
+        # would cover all of it
+        spec = SuperpotentialSpec(family, 1e-6, 0.5, 1.0)
+        assert default_exclusion(spec) == 1e-6 * math.pi
+        lo, hi = fundamental_cell(spec)
+        mid = 0.5 * (lo + hi)
+        assert np.isfinite(eval_partner(spec, Partner.V1, mid))
+        assert np.isfinite(eval_wavefunction(spec, mid))
 
 
 class TestLadders:

@@ -12,7 +12,9 @@ a path reads the same in both.
 
 Every file that differs or exists in one tree only is reported by its path
 under the output root (for example `verify/verify.json`), and every command
-whose exit code differs by its name. The exit status is 1 if any reported
+whose exit code differs, or is not 0 in this checkout, by its name. With
+BASE = HEAD it is a rerun of the commands in fresh processes, which must
+exit 0 and write the same bytes twice. The exit status is 1 if any reported
 difference is not allowed, else 0. `--allow PATH` allows the difference
 named PATH and every one under PATH/, so `--allow verify` allows the exit
 code and every file of the verify command.
@@ -77,10 +79,11 @@ def run_commands(src: Path, work: Path) -> dict[str, int]:
 
 
 def differences(base: Path, head: Path, base_codes, head_codes) -> list[tuple[str, str]]:
-    """(path, what differs) for every exit code and file that differs
-    between the output roots base and head."""
+    """(path, what differs) for every exit code that differs or is not 0
+    at head, and every file that differs between the output roots base and
+    head."""
     found = [(name, f"exit code {base_codes[name]} at base, {head_codes[name]} here")
-             for name, _ in COMMANDS if base_codes[name] != head_codes[name]]
+             for name, _ in COMMANDS if base_codes[name] != head_codes[name] or head_codes[name]]
     files = {path.relative_to(root).as_posix()
              for root in (base, head) for path in root.rglob("*") if path.is_file()}
     for rel in sorted(files):
