@@ -116,7 +116,7 @@ CONFIG_KEYS = {
     "window_min": (_parse_float, None, None),
     "window_max": (_parse_float, None, None),
     "energies": (_list_of(_parse_float, "numbers"), (), None),
-    "slices": (_parse_int, 2000, None),
+    "slices": (_parse_int, scattering.START_SLICES, None),
     "barrier_v0": (_parse_float, 4.0, None),
     "barrier_width": (_parse_float, 1.0, None),
     "exploratory_grids": (_list_of(_parse_int, "integers"), (200, 400, 800), None),

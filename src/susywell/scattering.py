@@ -9,23 +9,30 @@ is the identity and adjacent structures compose by matrix product).
 Segments come in two kinds, both sliced by one loop: a ConstantSegment is
 one slice of its full width, whose propagator is entire in k^2 = E - V, so
 the E = V resonance goes through the sinc limit with no branch; a
-FieldSegment is an arbitrary complex profile taken as a product of thin
-constant slices at midpoint values. A block of SLICE_BLOCK slices is four
-complex arrays, the entries (p, q, r, s) of [[p, q], [r, s]]; neighbours are
-multiplied entry-wise, later slice on the left, in log2(m) levels, and each
-block's product is folded into one running 2x2 across all segments.
+FieldSegment is an arbitrary complex profile taken as a product of
+fourth-order Magnus steps. Each step of width w samples the field at the two
+Gauss nodes x_c -+ w / (2 sqrt 3) of its slice, so a segment of m slices
+samples it at 2m nodes, and propagates by exp(Omega) with
+Omega = [[delta, w], [-(E - Vbar) w, -delta]], Vbar the mean of the two
+values and delta = (sqrt(3) / 12) w^2 (V- - V+) (Blanes, Casas, Oteo & Ros,
+Phys. Rep. 470 (2009) 151). Omega is traceless, so every step is unimodular,
+and a ConstantSegment is the step with delta = 0. A block of SLICE_BLOCK
+slices is four complex arrays, the entries (p, q, r, s) of [[p, q], [r, s]];
+neighbours are multiplied entry-wise, later slice on the left, in log2(m)
+levels, and each block's product is folded into one running 2x2 across all
+segments.
 
-Every slice goes through one kernel with two ranges of u = k^2 w^2:
-|u| <= SERIES_MAX takes six-term series of cos and sinc in u, exact to
-rounding (truncation ~ 9e-18) and free of sqrt; plane slices at moderate
-q lie there. Thicker slices take np.cos and np.sin of z = sqrt(k^2) w,
-each refused with EvanescentOverflow above |Im z| = 700. transfer_matrix
-refuses the same way a running product, or its free-wave match, that
-leaves the double range, with the exponent summed over the slices so far.
+Every slice goes through one kernel with two ranges of u = z^2 = k^2 w^2 -
+delta^2: |u| <= SERIES_MAX takes six-term series of cos and sinc in u, exact
+to rounding (truncation ~ 9e-18) and free of sqrt; plane slices at moderate
+q lie there. Thicker slices take np.cos and np.sin of z, each refused with
+EvanescentOverflow above |Im z| = 700. transfer_matrix refuses the same way
+a running product, or its free-wave match, that leaves the double range,
+with the exponent summed over the slices so far.
 
-plane_partner_sweep samples the partner once per slice count: the midpoints
-depend only on the window and the count, so every energy of one sweep
-reuses the same values.
+plane_partner_sweep starts at START_SLICES and samples the partner once per
+slice count: the nodes depend only on the window and the count, so every
+energy of one sweep reuses the same values.
 
 Complex segment values model absorption/gain; |r|^2 + |t|^2 - 1 is
 reported per energy as flux_defect and vanishes only for real structures.
@@ -47,6 +54,8 @@ OVERFLOW_EXPONENT = 700.0
 _OVERFLOW_GROWTH = math.exp(OVERFLOW_EXPONENT)
 WRONSKIAN_TOL = 1e-12
 SLICE_BLOCK = 4096  # slices per block of the transfer_matrix loop
+# the slice count a FieldSegment, a plane sweep and the `slices` key start at
+START_SLICES = 512
 # plane_partner_sweep doubles the slice count at most MAX_DOUBLINGS times,
 # until T changes by at most STABILIZE_TOL
 STABILIZE_TOL = 1e-6
@@ -57,6 +66,10 @@ SERIES_MAX = 0.04
 # Horner coefficients of u^5 .. u^0: (-1)^n / (2n)! and (-1)^n / (2n + 1)!
 _COS_TERMS = tuple((-1) ** n / math.factorial(2 * n) for n in range(5, -1, -1))
 _SINC_TERMS = tuple((-1) ** n / math.factorial(2 * n + 1) for n in range(5, -1, -1))
+# the Gauss nodes of a slice sit _GAUSS_OFFSET slice widths from its centre;
+# delta = _MAGNUS_COUPLING w^2 (V- - V+)
+_GAUSS_OFFSET = 0.5 / math.sqrt(3.0)
+_MAGNUS_COUPLING = math.sqrt(3.0) / 12.0
 
 
 @dataclass(frozen=True)
@@ -66,8 +79,15 @@ class ConstantSegment:
 
 @dataclass(frozen=True)
 class FieldSegment:
+    """A complex profile field(x) taken as `slices` fourth-order Magnus steps.
+
+    field maps an array of points to one value per point; it is called on
+    the 2 * slices Gauss nodes of the segment, the left node of every slice
+    first.
+    """
+
     field: object
-    slices: int = 2000
+    slices: int = START_SLICES
 
     def __post_init__(self):
         if self.slices < 1:
@@ -109,44 +129,58 @@ def _series(u):
     return out
 
 
-def _trig(ksq, width: float):
-    """cos z and sinc z of z = sqrt(k^2) w, refusing |Im z| > OVERFLOW_EXPONENT."""
-    z = np.sqrt(ksq) * width
+def _trig(rate, width: float):
+    """cos z and sinc z of z = sqrt(rate) w, refusing |Im z| > OVERFLOW_EXPONENT."""
+    z = np.sqrt(rate) * width
     over = np.flatnonzero(np.abs(z.imag) > OVERFLOW_EXPONENT)
     if over.size:
         raise EvanescentOverflow(abs(z[over[0]].imag))
     return np.cos(z), np.sin(z) / z
 
 
-def _slice_entries(values, width: float, energy: float):
-    """Entries (p, q, r, s) of the constant-slice (psi, psi') matrices [[p, q], [r, s]].
+def _rates(values, width: float, energy: float, delta):
+    """k^2 = E - V per slice and the rate z^2 / w^2 = k^2 - (delta / w)^2 of
+    its step; with no delta the rate is k^2 itself, bit for bit."""
+    ksq = complex(energy) - np.asarray(values, dtype=np.complex128)
+    return ksq, ksq if delta is None else ksq - (delta / width) ** 2
 
-    p = s = cos(kw), q = w sinc(kw), r = -k^2 w sinc(kw), k^2 = E - V, one
-    slice per value. Entire in k^2: no branch choice, det = 1, and k -> 0
+
+def _slice_entries(values, width: float, energy: float, delta=None):
+    """Entries (p, q, r, s) of the slice (psi, psi') matrices [[p, q], [r, s]].
+
+    Each slice is exp(Omega), Omega = [[delta, w], [-k^2 w, -delta]] with
+    k^2 = E - V, one slice per value: p = cos z + delta sinc z,
+    q = w sinc z, r = -k^2 w sinc z, s = cos z - delta sinc z, with
+    z^2 = k^2 w^2 - delta^2. delta=None is the constant slice (delta = 0).
+    Entire in z^2: no branch choice, det = 1, and z -> 0 with no delta
     degenerates to the linear-solution pair [[1, w], [0, 1]] exactly.
 
-    Two ranges of u = k^2 w^2 = z^2, each evaluated at its own slices only:
+    Two ranges of u = z^2, each evaluated at its own slices only:
       |u| <= SERIES_MAX   cos z and sinc z as six-term series in u, exact to
                           rounding (truncation <= SERIES_MAX^6 / 12! ~ 9e-18);
                           no sqrt and no branch. Plane slices at moderate q
                           and the E = V resonance of a barrier take it.
-      |u| >  SERIES_MAX   np.cos and np.sin of z = sqrt(k^2) w (|z| > 0.2),
-                          with the EvanescentOverflow guard on |Im z|.
+      |u| >  SERIES_MAX   np.cos and np.sin of z = sqrt(z^2 / w^2) w
+                          (|z| > 0.2), with the EvanescentOverflow guard on
+                          |Im z|.
     """
-    ksq = complex(energy) - np.asarray(values, dtype=np.complex128)
-    u = ksq * (width * width)
+    ksq, rate = _rates(values, width, energy, delta)
+    u = rate * (width * width)
     thin = np.abs(u) <= SERIES_MAX
     if thin.all():
         cosz, sinc = _series(u)
     elif not thin.any():
-        cosz, sinc = _trig(ksq, width)
+        cosz, sinc = _trig(rate, width)
     else:
         thick = ~thin
         cosz, sinc = np.empty_like(u), np.empty_like(u)
-        cosz[thick], sinc[thick] = _trig(ksq[thick], width)
+        cosz[thick], sinc[thick] = _trig(rate[thick], width)
         cosz[thin], sinc[thin] = _series(u[thin])
     sfac = width * sinc
-    return cosz, sfac, -ksq * sfac, cosz
+    if delta is None:
+        return cosz, sfac, -ksq * sfac, cosz
+    tilt = delta * sinc
+    return cosz + tilt, sfac, -ksq * sfac, cosz - tilt
 
 
 def _ordered_product(p, q, r, s) -> tuple[complex, complex, complex, complex]:
@@ -171,24 +205,30 @@ def _ordered_product(p, q, r, s) -> tuple[complex, complex, complex, complex]:
 
 
 def _slice_values(segment, a: float, b: float):
-    """(values, width) of the slices of a segment on [a, b]: one slice for a
-    ConstantSegment, the field at the slice midpoints for a FieldSegment."""
+    """(values, width, delta) of the slices of a segment on [a, b]: one slice
+    with delta None for a ConstantSegment; for a FieldSegment the mean Vbar
+    of the field at each slice's two Gauss nodes and
+    delta = (sqrt(3) / 12) w^2 (V- - V+)."""
     if isinstance(segment, ConstantSegment):
-        return np.array([segment.value], dtype=np.complex128), b - a
+        return np.array([segment.value], dtype=np.complex128), b - a, None
     if not isinstance(segment, FieldSegment):
         raise TypeError(f"unknown segment kind {type(segment).__name__}")
-    width = (b - a) / segment.slices
-    mids = a + width * (np.arange(segment.slices) + 0.5)
-    values = np.asarray(segment.field(mids), dtype=np.complex128)
-    if values.shape != mids.shape:
-        raise ValueError("segment field must return one value per slice midpoint")
-    return values, width
+    m = segment.slices
+    width = (b - a) / m
+    centres = a + width * (np.arange(m) + 0.5)
+    offset = _GAUSS_OFFSET * width
+    nodes = np.concatenate([centres - offset, centres + offset])
+    values = np.asarray(segment.field(nodes), dtype=np.complex128)
+    if values.shape != nodes.shape:
+        raise ValueError("segment field must return one value per Gauss node")
+    lower, upper = values[:m], values[m:]
+    return 0.5 * (lower + upper), width, _MAGNUS_COUPLING * (width * width) * (lower - upper)
 
 
-def _exponent(values, width: float, energy: float) -> float:
-    """The evanescent exponent of a run of slices: the sum of their |Im z|,
-    z = sqrt(E - V) w."""
-    return float(np.sum(np.abs((np.sqrt(complex(energy) - values) * width).imag)))
+def _exponent(values, width: float, energy: float, delta) -> float:
+    """The evanescent exponent of a run of slices: the sum of their |Im z|."""
+    _, rate = _rates(values, width, energy, delta)
+    return float(np.sum(np.abs((np.sqrt(rate) * width).imag)))
 
 
 def _in_range(*entries) -> bool:
@@ -215,22 +255,23 @@ def transfer_matrix(potential: PiecewisePotential, energy: float) -> np.ndarray:
     bps = potential.breakpoints
     if 2.0 * k0 < WRONSKIAN_TOL:
         raise DegenerateMatch("Wronskian 2 k0", 2.0 * k0, WRONSKIAN_TOL, bps[0])
-    folded = []  # (values, width) of each block, so a refusal samples no field again
+    folded = []  # the slices of each block, so a refusal samples no field again
 
     def overflow():
-        return EvanescentOverflow(sum(_exponent(run, w, energy) for run, w in folded))
+        return EvanescentOverflow(sum(_exponent(*block) for block in folded))
 
     p, q, r, s = 1.0 + 0j, 0j, 0j, 1.0 + 0j
     for seg, a, b in zip(potential.segments, bps, bps[1:]):
-        values, width = _slice_values(seg, a, b)
+        values, width, delta = _slice_values(seg, a, b)
         for start in range(0, len(values), SLICE_BLOCK):
-            block = values[start:start + SLICE_BLOCK]
+            run = slice(start, start + SLICE_BLOCK)
+            block = (values[run], width, energy, None if delta is None else delta[run])
             # slices that each pass the |Im z| guard can still overflow
             # together; the check below refuses such a product instead of warning
             with np.errstate(over="ignore", invalid="ignore"):
-                bp, bq, br, bs = _ordered_product(*_slice_entries(block, width, energy))
+                bp, bq, br, bs = _ordered_product(*_slice_entries(*block))
             p, q, r, s = bp * p + bq * r, bp * q + bq * s, br * p + bs * r, br * q + bs * s
-            folded.append((block, width))
+            folded.append(block)
             if not _in_range(p, q, r, s):
                 raise overflow()
     first, last = bps[0], bps[-1]
@@ -324,14 +365,14 @@ def plane_partner_sweep(
     which: Partner,
     window: tuple[float, float],
     energies,
-    slices: int = 2000,
+    slices: int = START_SLICES,
 ) -> list[ScatteringResult]:
     """Scatter free waves across a windowed plane-family partner.
 
     The complex partner potential is embedded in [x_a, x_b] with V = 0
-    outside and integrated as thin constant slices; the slice count doubles
-    until T changes by <= STABILIZE_TOL, else SliceTooCoarse. The closed
-    -form plane states are never used as the free states outside.
+    outside and integrated as fourth-order Magnus slices; the slice count
+    doubles until T changes by <= STABILIZE_TOL, else SliceTooCoarse. The
+    closed-form plane states are never used as the free states outside.
     """
     if spec.family not in PLANE_FAMILIES:
         raise ValueError(f"sweep requires a plane family, got {spec.family}")
@@ -339,17 +380,17 @@ def plane_partner_sweep(
     if not x_a < x_b:
         raise ValueError(f"empty window [{x_a!r}, {x_b!r}]")
     field = partner_field(spec, which)
-    # the slice midpoints depend only on the window and the slice count, so
+    # the Gauss nodes depend only on the window and the slice count, so
     # every energy of the sweep reuses one sample of the partner per count;
     # sampling in SLICE_BLOCK chunks keeps the partner's temporaries as small
     # as the kernel's while the earlier samples are held
     samples = {}
 
-    def sampled(mids):
-        if len(mids) not in samples:
-            samples[len(mids)] = np.concatenate(
-                [field(mids[i:i + SLICE_BLOCK]) for i in range(0, len(mids), SLICE_BLOCK)])
-        return samples[len(mids)]
+    def sampled(nodes):
+        if len(nodes) not in samples:
+            samples[len(nodes)] = np.concatenate(
+                [field(nodes[i:i + SLICE_BLOCK]) for i in range(0, len(nodes), SLICE_BLOCK)])
+        return samples[len(nodes)]
 
     def result_at(m: int, energy: float) -> ScatteringResult:
         structure = PiecewisePotential((x_a, x_b), (FieldSegment(sampled, m),))

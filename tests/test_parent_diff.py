@@ -1,6 +1,7 @@
 """Tests for the comparison step of tools/parent_diff.py (no CLI runs)."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -66,3 +67,52 @@ def test_a_failing_command_is_reported_even_when_base_fails_too(roots):
 ])
 def test_allow_names_a_path_or_what_lies_under_it(path, allow, expect):
     assert parent_diff.allowed(path, allow) is expect
+
+
+SHA = "5eb2146cf7261c1be0c957efce3ea953231780fc"
+OTHER = "0123456789abcdef0123456789abcdef01234567"
+
+
+def test_the_allow_list_allows_only_against_its_own_base():
+    text = (f"# a comment\n\n{SHA} scatter_plane/scatter.csv\n"
+            f"{OTHER} verify\n{SHA}   scatter_plane_left/scatter.json  \n")
+    assert parent_diff.allow_listed(text, SHA) == [
+        "scatter_plane/scatter.csv", "scatter_plane_left/scatter.json"]
+    assert parent_diff.allow_listed(text, OTHER) == ["verify"]
+    assert parent_diff.allow_listed(text, "f" * 40) == []
+
+
+@pytest.mark.parametrize("line", [
+    "5eb2146 scatter_plane/scatter.csv",
+    f"{SHA}",
+    f"{SHA} scatter_plane/scatter.csv verify",
+    f"{SHA.upper()} verify",
+])
+def test_a_malformed_allow_list_entry_is_refused(line):
+    with pytest.raises(SystemExit, match=":2: expected"):
+        parent_diff.allow_listed(f"{OTHER} verify\n{line}\n", OTHER)
+
+
+def test_the_committed_allow_list_parses():
+    assert parent_diff.allow_listed(parent_diff.ALLOW_LIST.read_text(), "f" * 40) == []
+
+
+def test_an_entry_applies_when_base_resolves_to_its_sha(tmp_path, monkeypatch):
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",
+                               "-c", "user.email=t@example.com", *args],
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    git("init", "-q")
+    git("commit", "-q", "--allow-empty", "-m", "base")
+    base = git("rev-parse", "HEAD")
+    git("commit", "-q", "--allow-empty", "-m", "next")
+    monkeypatch.setattr(parent_diff, "ROOT", tmp_path)
+    text = f"{base} scatter_plane\n"
+    for rev in (base, base[:10], "HEAD~1"):
+        assert parent_diff.resolve(rev) == base
+        assert parent_diff.allow_listed(text, parent_diff.resolve(rev)) == ["scatter_plane"]
+    # a later base: the entry lapses
+    assert parent_diff.allow_listed(text, parent_diff.resolve("HEAD")) == []
+    with pytest.raises(SystemExit, match="names no commit"):
+        parent_diff.resolve("no-such-rev")

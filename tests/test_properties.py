@@ -98,8 +98,8 @@ def test_pt_symmetric_stack_obeys_generalized_unitarity(half, middle, energy):
 @pytest.mark.parametrize("k, q, alpha", [(1.0, 1.5, 1.0), (1.7, 0.8, 0.5), (2.0, 1.0, 3.1)])
 def test_plane_partner_obeys_generalized_unitarity(k, q, alpha, partner, family, slices):
     # a window centred at pi/(2 alpha), the plane partners' PT centre, is a
-    # PT-symmetric scatterer; its midpoint slices mirror each other, so
-    # |T - 1| = sqrt(R_L R_R) holds at any slice count
+    # PT-symmetric scatterer; the Gauss nodes of its slices mirror each
+    # other, so |T - 1| = sqrt(R_L R_R) holds at any slice count
     centre = np.pi / (2 * alpha)
     field = partner_field(SuperpotentialSpec(family, k, q, alpha), partner)
     structure = PiecewisePotential((centre - np.pi, centre + np.pi),
@@ -122,7 +122,7 @@ def test_field_segment_is_unimodular(field, slices, width, energy):
 @given(field=fields, left=st.integers(1, 5000), right=st.integers(1, 5000),
        width=widths, energy=energies)
 def test_split_field_segment_composes(field, left, right, width, energy):
-    # cut at a slice boundary: both halves see the same midpoints as the whole
+    # cut at a slice boundary: both halves see the same nodes as the whole
     cut = width * left / (left + right)
     whole = transfer_matrix(
         PiecewisePotential((0.0, width), (FieldSegment(field, left + right),)), energy)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
 from susywell.errors import DegenerateMatch, EvanescentOverflow, SliceTooCoarse
 from susywell.gates import ORACLE_TOL
@@ -44,25 +45,50 @@ def sliced(spec, window, slices):
     return PiecewisePotential(window, (FieldSegment(partner_field(spec, Partner.V1), slices),))
 
 
+def free_waves(k0, x):
+    """(psi, psi') matrix of the free waves e^{+-ik0 x} at x."""
+    e = cmath.exp(1j * k0 * x)
+    return np.array([[e, 1 / e], [1j * k0 * e, -1j * k0 / e]])
+
+
 def sequential_transfer_matrix(field, a, b, slices, energy):
-    """Reference: one scalar slice matrix at a time, later slices on the left,
-    matched to the free waves e^{+-ik0 x} at a and b by inverting their
-    (psi, psi') matrix."""
+    """Reference: one scalar Magnus step at a time, later slices on the left,
+    matched to the free waves at a and b by inverting their (psi, psi')
+    matrix. Slice i samples the field at its two Gauss nodes and takes
+    exp(Omega) = cos z + sinc z Omega, Omega = [[d, w], [-(E - Vbar) w, -d]],
+    d = sqrt(3) w^2 (V- - V+) / 12, z^2 = (E - Vbar) w^2 - d^2."""
     width = (b - a) / slices
-    values = field(a + width * (np.arange(slices) + 0.5))
     out = np.eye(2, dtype=complex)
-    for v in values:
-        ksq = energy - complex(v)
-        z = cmath.sqrt(ksq) * width
-        sfac = width * cmath.sin(z) / z
-        out = np.array([[cmath.cos(z), sfac], [-ksq * sfac, cmath.cos(z)]]) @ out
+    for i in range(slices):
+        centre = a + width * (i + 0.5)
+        lower, upper = (complex(v) for v in field(
+            np.array([centre - width / (2 * math.sqrt(3)), centre + width / (2 * math.sqrt(3))])))
+        ksq = energy - (lower + upper) / 2
+        d = math.sqrt(3) / 12 * width ** 2 * (lower - upper)
+        z = cmath.sqrt(ksq * width ** 2 - d ** 2)
+        sinc = cmath.sin(z) / z
+        omega = np.array([[d, width], [-ksq * width, -d]])
+        out = (cmath.cos(z) * np.eye(2) + sinc * omega) @ out
     k0 = math.sqrt(energy)
+    return np.linalg.inv(free_waves(k0, b)) @ out @ free_waves(k0, a)
 
-    def free(x):
-        e = cmath.exp(1j * k0 * x)
-        return np.array([[e, 1 / e], [1j * k0 * e, -1j * k0 / e]])
 
-    return np.linalg.inv(free(b)) @ out @ free(a)
+def midpoint_richardson(field, a, b, energy, slices):
+    """Reference (r, t) with no Gauss nodes: midpoint slices at slices and
+    slices / 2, products by np.matmul, extrapolated in h^2."""
+    amplitudes = []
+    for m in (slices // 2, slices):
+        width = (b - a) / m
+        ksq = energy - field(a + width * (np.arange(m) + 0.5))
+        z = np.sqrt(ksq) * width
+        sfac = width * np.sin(z) / z
+        mats = np.stack([np.cos(z), sfac, -ksq * sfac, np.cos(z)], axis=-1).reshape(m, 2, 2)
+        while len(mats) > 1:
+            mats = mats[1::2] @ mats[0::2]
+        k0 = math.sqrt(energy)
+        full = np.linalg.solve(free_waves(k0, b), mats[0] @ free_waves(k0, a))
+        amplitudes.append(np.array([-full[1, 0], 1.0]) / full[1, 1])
+    return (4 * amplitudes[1] - amplitudes[0]) / 3
 
 
 class TestTransferMatrix:
@@ -325,7 +351,7 @@ class TestFieldSegments:
             plane_partner_sweep(spec, Partner.V1, (0.0, 2 * math.pi), [0.25], slices=2000)
         assert err.value.exponent > 700.0
 
-    def test_slice_convergence_second_order(self):
+    def test_slice_convergence_fourth_order(self):
         spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0)
         field = partner_field(spec, Partner.V1)
 
@@ -333,12 +359,26 @@ class TestFieldSegments:
             pot = PiecewisePotential((0.0, 2.0), (FieldSegment(field, n),))
             return transmission_reflection(pot, 1.5).transmission
 
-        t_fine = t_at(6400)
-        e1 = abs(t_at(200) - t_fine)
-        e2 = abs(t_at(400) - t_fine)
-        e3 = abs(t_at(800) - t_fine)
-        assert 3.0 < e1 / e2 < 5.0
-        assert 3.0 < e2 / e3 < 5.5
+        t_fine = t_at(2560)
+        e1 = abs(t_at(20) - t_fine)
+        e2 = abs(t_at(40) - t_fine)
+        e3 = abs(t_at(80) - t_fine)
+        assert 14.0 < e1 / e2 < 18.0
+        assert 14.0 < e2 / e3 < 18.0
+
+    @pytest.mark.parametrize("values,series", [
+        ([2.0 + 0.5j, 1.5 - 0.2j, -1.0 + 1j], True),
+        ([-40.0 + 8j, 60.0 - 30j, 30.0], False),
+    ], ids=["series", "trig"])
+    def test_magnus_slice_is_the_exponential_of_omega(self, values, series):
+        width, energy = 0.1, 1.7
+        delta = np.array([0.01 - 0.02j, 0.03j, -0.005])
+        u = (energy - np.array(values)) * width ** 2 - delta ** 2
+        assert np.all((np.abs(u) <= SERIES_MAX) == series)
+        p, q, r, s = _slice_entries(values, width, energy, delta)
+        for i, (v, d) in enumerate(zip(values, delta)):
+            omega = np.array([[d, width], [-(energy - v) * width, -d]])
+            assert_allclose([[p[i], q[i]], [r[i], s[i]]], expm(omega), rtol=1e-14, atol=1e-14)
 
 
 class TestPlaneFamilySweep:
@@ -413,9 +453,22 @@ class TestPlaneFamilySweep:
             plane_partner_sweep(spec, Partner.V1, (0.0, 1.0), [1.0])
 
     def test_slice_too_coarse(self):
-        spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0)
+        # T still moves by about 1.6e-3 between 128 and 256 slices here
+        spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 10.0)
         with pytest.raises(SliceTooCoarse):
-            plane_partner_sweep(spec, Partner.V1, (0.0, 2 * math.pi), [1.0], slices=1)
+            plane_partner_sweep(spec, Partner.V1, (0.0, 2 * math.pi), [1000.0], slices=1)
+
+    @pytest.mark.parametrize("family", [Family.PLANE_RIGHT, Family.PLANE_LEFT])
+    def test_default_sweep_matches_a_midpoint_reference(self, family):
+        # the scatter defaults: k = 1, q = 1, partner V1, window (0, 2 pi)
+        spec = SuperpotentialSpec(family, 1.0, 1.0)
+        field = partner_field(spec, Partner.V1)
+        energies = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
+        window = (0.0, 2 * math.pi)
+        for res in plane_partner_sweep(spec, Partner.V1, window, energies):
+            r, t = midpoint_richardson(field, *window, res.energy, 2 ** 16)
+            assert abs(res.transmission - abs(t) ** 2) <= 1e-10
+            assert abs(res.reflection - abs(r) ** 2) <= 1e-8
 
 
 class TestSweepSerialization:

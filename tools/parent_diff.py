@@ -18,12 +18,19 @@ exit 0 and write the same bytes twice. The exit status is 1 if any reported
 difference is not allowed, else 0. `--allow PATH` allows the difference
 named PATH and every one under PATH/, so `--allow verify` allows the exit
 code and every file of the verify command.
+
+ALLOW_LIST (tools/parent_diff_allow.txt) allows the same way, one
+`<full base sha> <path>` per line; blank lines and lines starting with #
+are skipped. An entry applies only when BASE resolves to its sha, so a
+change that means to alter an output lists it against its own base commit,
+and the entry allows nothing once a later commit is the base.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -33,6 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 CUSTOM_DOMAIN = "custom_domain.cfg"
+ALLOW_LIST = ROOT / "tools" / "parent_diff_allow.txt"
 
 # the README commands, the q=0 spectra that CI reruns (the natural cell
 # takes the closed-form guess, a custom domain bisects), figures at
@@ -97,6 +105,30 @@ def differences(base: Path, head: Path, base_codes, head_codes) -> list[tuple[st
     return found
 
 
+def resolve(rev: str) -> str:
+    """The full sha of the commit that rev names."""
+    found = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet",
+                            f"{rev}^{{commit}}"], capture_output=True, text=True)
+    if found.returncode:
+        raise SystemExit(f"{rev} names no commit")
+    return found.stdout.strip()
+
+
+def allow_listed(text: str, sha: str) -> list[str]:
+    """The paths that the allow-list text allows when BASE resolves to sha."""
+    paths = []
+    for number, line in enumerate(text.splitlines(), 1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) != 2 or not re.fullmatch(r"[0-9a-f]{40}", fields[0]):
+            raise SystemExit(f"{ALLOW_LIST.name}:{number}: expected '<full base sha> <path>', "
+                             f"got {line!r}")
+        if fields[0] == sha:
+            paths.append(fields[1])
+    return paths
+
+
 def allowed(path: str, allow) -> bool:
     return any(f"{path}/".startswith(f"{entry.rstrip('/')}/") for entry in allow)
 
@@ -107,6 +139,10 @@ def main(argv=None) -> int:
     parser.add_argument("--allow", action="append", default=[], metavar="PATH",
                         help="a difference that is expected (repeatable)")
     args = parser.parse_args(argv)
+    listed = allow_listed(ALLOW_LIST.read_text(), resolve(args.base))
+    for path in listed:
+        print(f"{ALLOW_LIST.name} allows {path} against {args.base}")
+    allow = args.allow + listed
     with tempfile.TemporaryDirectory(prefix="parent_diff_") as tmp:
         tmp = Path(tmp).resolve()
         (tmp / CUSTOM_DOMAIN).write_text("x_min=0.3\nx_max=2.8\n")
@@ -121,8 +157,8 @@ def main(argv=None) -> int:
             written = sum(path.is_file() for path in (tmp / "head" / name).rglob("*"))
             print(f"{name}: exit {codes['head'][name]}, {written} files")
     for path, what in found:
-        print(f"{'allowed' if allowed(path, args.allow) else 'DIFF'}: {path}: {what}")
-    unexpected = sum(not allowed(path, args.allow) for path, _ in found)
+        print(f"{'allowed' if allowed(path, allow) else 'DIFF'}: {path}: {what}")
+    unexpected = sum(not allowed(path, allow) for path, _ in found)
     print(f"{len(COMMANDS)} commands against {args.base}: {len(found)} differences, "
           f"{unexpected} not allowed")
     return 1 if unexpected else 0
