@@ -54,6 +54,10 @@ PARTNER_TOKENS = {"v1": Partner.V1, "v2": Partner.V2}
 # stays fixed: 1 GiB admits n up to 5792.
 DENSE_MEMORY_LIMIT = 1 << 30
 
+# the default `scatter` energies, in units of |barrier_v0| or of k^2
+BARRIER_ENERGIES = (0.1, 0.25, 0.5, 0.75, 0.9, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0)
+PLANE_ENERGIES = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
+
 
 def _parse_float(key, raw):
     try:
@@ -70,15 +74,6 @@ def _parse_int(key, raw):
         return int(str(raw).strip())
     except ValueError:
         raise ConfigError(key, f"expected an integer, got {raw!r}") from None
-
-
-def _parse_bool(key, raw):
-    text = str(raw).strip().lower()
-    if text in ("true", "yes", "1", "on"):
-        return True
-    if text in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(key, f"expected true or false, got {raw!r}")
 
 
 def _list_of(parse, what):
@@ -106,9 +101,9 @@ CONFIG_KEYS = {
     "k": (_parse_float, 1.0, "Well depth scale."),
     "q": (_parse_float, 0.0, "Imaginary coupling."),
     "alpha": (_parse_float, None, "Ladder step, defaults to k."),
-    "epsilon": (_parse_float, 1e-3, "Edge truncation."),
-    "grid": (_parse_int, 4000, "Finest interior grid size."),
-    "count": (_parse_int, 4, "Number of levels."),
+    "epsilon": (_parse_float, gates.EPSILON, "Edge truncation."),
+    "grid": (_parse_int, gates.GRID, "Finest interior grid size."),
+    "count": (_parse_int, gates.COUNT, "Number of levels."),
     "out": (_parse_text, ".", "Output directory."),
     "format": (_parse_lower, "csv", "csv or json."),
     "x_min": (_parse_float, None, None),
@@ -116,17 +111,15 @@ CONFIG_KEYS = {
     "window_min": (_parse_float, None, None),
     "window_max": (_parse_float, None, None),
     "energies": (_list_of(_parse_float, "numbers"), (), None),
-    "slices": (_parse_int, scattering.START_SLICES, None),
-    "barrier_v0": (_parse_float, 4.0, None),
-    "barrier_width": (_parse_float, 1.0, None),
-    "exploratory_grids": (_list_of(_parse_int, "integers"), (200, 400, 800), None),
-    "negative_control": (_parse_bool, False, None),
+    "barrier_v0": (_parse_float, gates.BARRIER_V0, None),
+    "barrier_width": (_parse_float, gates.BARRIER_WIDTH, None),
+    "exploratory_grids": (_list_of(_parse_int, "integers"), gates.EXPLORATORY_GRIDS, None),
     "partner": (_parse_text, "v1", None),
 }
 
 _COMMAND_DEFAULTS = {
-    "figures": {"q": 2.0, "epsilon": 1e-3},
-    "spectrum": {"q": 0.0, "count": 4, "format": "json"},
+    "figures": {"q": gates.FIGURE_Q},
+    "spectrum": {"format": "json"},
     "verify": {"format": "json"},
     "scatter": {"q": 1.0, "family": "plane_right"},
 }
@@ -155,7 +148,8 @@ def load_config_file(path):
 
 
 def build_config(command, flags):
-    """Merge defaults, the config file, then explicit flags, and validate.
+    """Merge defaults, the config file, then explicit flags, fill in the
+    default `scatter` energies, and validate.
 
     The result has one attribute per CONFIG_KEYS key, plus `command` and
     `explicit`, the keys that the file or a flag set."""
@@ -167,6 +161,10 @@ def build_config(command, flags):
     for key, raw in [*from_file.items(), *from_flags.items()]:
         setattr(cfg, key, CONFIG_KEYS[key][0](key, raw))
     cfg.explicit = frozenset(from_file) | frozenset(from_flags)
+    if command == "scatter" and not cfg.energies:
+        scale, multiples = ((abs(cfg.barrier_v0), BARRIER_ENERGIES) if cfg.family == "barrier"
+                            else (cfg.k ** 2, PLANE_ENERGIES))
+        cfg.energies = tuple(m * scale for m in multiples)
     _validate(cfg)
     return cfg
 
@@ -199,8 +197,6 @@ def _validate(cfg):
     if cfg.command == "spectrum" and cfg.q == 0.0 and cfg.x_min is None and cfg.count < 2:
         raise ConfigError("count", "the q=0 ladder gate pairs V2 level j with V1 level j+1, "
                                    "so it needs at least 2 levels")
-    if cfg.slices < 1:
-        raise ConfigError("slices", "must be at least 1")
     if cfg.barrier_width <= 0:
         raise ConfigError("barrier_width", "must be positive")
     if cfg.format not in ("csv", "json"):
@@ -324,7 +320,7 @@ def _spectrum_exploratory(cfg, spec, lo, hi):
 def run_verify(cfg):
     """Run every gate, record the non-gating pole coupling and plane
     asymmetry, and write verify.json."""
-    checks = gates.verify_gates(cfg.negative_control, cfg.barrier_v0, cfg.barrier_width)
+    checks = gates.verify_gates()
     for gate in checks:
         click.echo(gate.line())
     exploratory = gates.exploratory_record()
@@ -352,10 +348,7 @@ def run_scatter(cfg):
 
 
 def _scatter_barrier(cfg):
-    v0 = cfg.barrier_v0
-    energies = cfg.energies or tuple(
-        m * abs(v0) for m in (0.1, 0.25, 0.5, 0.75, 0.9, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0))
-    results, checks = gates.barrier(v0, cfg.barrier_width, energies)
+    results, checks = gates.barrier(cfg.barrier_v0, cfg.barrier_width, cfg.energies)
     _write_sweep(cfg, results)
     for gate in checks:
         click.echo(gate.line())
@@ -368,10 +361,8 @@ def _scatter_plane(cfg):
         window = (cfg.window_min, cfg.window_max)
     else:
         window = (0.0, 2 * math.pi / cfg.k)
-    energies = cfg.energies or tuple(
-        m * cfg.k ** 2 for m in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0))
     results = scattering.plane_partner_sweep(spec, PARTNER_TOKENS[cfg.partner], window,
-                                             energies, slices=cfg.slices)
+                                             cfg.energies)
     _write_sweep(cfg, results)
     for res in results:
         click.echo(f"E={res.energy:g}: T={res.transmission:.6f} R={res.reflection:.6f} "

@@ -15,12 +15,11 @@ class SusywellError(Exception):
 class SingularPoint(SusywellError):
     """Evaluation requested within the exclusion radius of a pole."""
 
-    def __init__(self, x: float, singularity: float, message: str | None = None):
+    def __init__(self, x: float, singularity: float):
         self.x = x
         self.singularity = singularity
         super().__init__(
-            message
-            or f"evaluation at x={x!r} is within the exclusion radius of the "
+            f"evaluation at x={x!r} is within the exclusion radius of the "
             f"singular point {singularity!r}"
         )
 

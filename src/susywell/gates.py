@@ -52,6 +52,16 @@ ORACLE_TOL = 1e-8
 MIDPOINT_TOL = 1e-12
 
 EPS_SWEEP = (1e-2, 1e-3, 1e-4)
+# the defaults that the gates pin and `cli` reads: the finest q = 0 grid,
+# the level count, the exploratory grids, the barrier's height and width,
+# and the `figures` coupling and edge truncation
+GRID = 4000
+COUNT = 4
+EXPLORATORY_GRIDS = (200, 400, 800)
+BARRIER_V0 = 4.0
+BARRIER_WIDTH = 1.0
+FIGURE_Q = 2.0
+EPSILON = 1e-3
 BARRIER_MULTIPLES = (0.1, 0.5, 2.0, 5.0, 10.0)
 Q0_SPEC = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 0.0)
 Q2_SPEC = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
@@ -100,17 +110,15 @@ def _shape_samples(spec):
                       np.linspace(lo + edge, hi - edge, 1000))
 
 
-def shape_invariance(constraint_frequency=1.0):
+def shape_invariance():
     """V2(k; x) - V1(k + alpha; x) is the constant alpha (alpha + 2k) for
-    every family, q in {0, 1, 2, 5} and k in {1, 2, 3}. A constraint
-    frequency other than 1 detunes the remainder, and the gate must fail."""
+    every family, q in {0, 1, 2, 5} and k in {1, 2, 3}."""
     worst = mean_err = 0.0
     for fam in Family:
         for q in (0.0, 1.0, 2.0, 5.0):
             for k in (1.0, 2.0, 3.0):
                 spec = SuperpotentialSpec(fam, k, q)
-                res = susy_core.check_shape_invariance(
-                    spec, _shape_samples(spec), constraint_frequency=constraint_frequency)
+                res = susy_core.check_shape_invariance(spec, _shape_samples(spec))
                 target = spec.alpha * (spec.alpha + 2 * k)
                 worst = max(worst, res.max_abs_deviation)
                 mean_err = max(mean_err, abs(res.mean - target) / max(1.0, abs(target)))
@@ -193,7 +201,7 @@ def pt_symmetry_wells():
                 f"max asymmetry {worst:.3e}")
 
 
-def q0_spectra(spec=Q0_SPEC, cell=None, counts=(5, 4), grid=4000):
+def q0_spectra(spec=Q0_SPEC, cell=None, counts=(COUNT + 1, COUNT), grid=GRID):
     """Richardson spectra of V1 and V2, counts[0] and counts[1] levels, on
     the grids grid/4, grid/2 and grid of the natural cell, or of `cell`.
 
@@ -229,7 +237,7 @@ def spectrum_q0(v1, v2, k=1.0, alpha=None):
                 f"over {len(pairs)} levels")
 
 
-def barrier(v0=4.0, width=1.0, energies=()):
+def barrier(v0=BARRIER_V0, width=BARRIER_WIDTH, energies=()):
     """Sweep a square barrier (a well for v0 < 0) and gate the sweep: R + T = 1
     (flux_conservation) and T matches the closed form (barrier_oracle).
     Returns the scattering results and the two gates."""
@@ -276,7 +284,7 @@ def figure_determinism():
     """The figure tables of the `figures` defaults render byte-identically
     twice, their cotangent V1 is -q^2 - k^2 at the cell midpoint, and their
     q = 0 V1 column is exactly -k^2."""
-    k, q, epsilon = 1.0, 2.0, 1e-3
+    k, q, epsilon = 1.0, FIGURE_Q, EPSILON
     first, second = figure_tables(k, q, epsilon), figure_tables(k, q, epsilon)
     same = first == second
     spec = SuperpotentialSpec(Family.COTANGENT_WELL, k, q)
@@ -288,22 +296,21 @@ def figure_determinism():
                 f"q=0 column pinned at {-k * k:g}: {flat}")
 
 
-def verify_gates(negative_control=False, v0=4.0, width=1.0):
-    """All nine gates, in report order. negative_control detunes
-    shape_invariance, which must then fail."""
+def verify_gates():
+    """All nine gates, in report order."""
     return [
-        shape_invariance(2.0 if negative_control else 1.0),
+        shape_invariance(),
         negative_control_fails(),
         ground_state_residual(),
         density_equality(),
         pt_symmetry_wells(),
         spectrum_q0(*q0_spectra()),
-        *barrier(v0, width)[1],
+        *barrier()[1],
         figure_determinism(),
     ]
 
 
-def truncation_survey(spec=Q2_SPEC, cell=None, count=4, grids=(200, 400, 800),
+def truncation_survey(spec=Q2_SPEC, cell=None, count=COUNT, grids=EXPLORATORY_GRIDS,
                       eps_values=EPS_SWEEP):
     """Not a gate: Richardson spectra of V1 and V2 on the cell (the natural
     one by default) truncated by each of eps_values, recorded because at

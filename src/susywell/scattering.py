@@ -54,7 +54,7 @@ OVERFLOW_EXPONENT = 700.0
 _OVERFLOW_GROWTH = math.exp(OVERFLOW_EXPONENT)
 WRONSKIAN_TOL = 1e-12
 SLICE_BLOCK = 4096  # slices per block of the transfer_matrix loop
-# the slice count a FieldSegment, a plane sweep and the `slices` key start at
+# the slice count a FieldSegment and a plane sweep start at
 START_SLICES = 512
 # plane_partner_sweep doubles the slice count at most MAX_DOUBLINGS times,
 # until T changes by at most STABILIZE_TOL
@@ -365,14 +365,14 @@ def plane_partner_sweep(
     which: Partner,
     window: tuple[float, float],
     energies,
-    slices: int = START_SLICES,
 ) -> list[ScatteringResult]:
     """Scatter free waves across a windowed plane-family partner.
 
     The complex partner potential is embedded in [x_a, x_b] with V = 0
-    outside and integrated as fourth-order Magnus slices; the slice count
-    doubles until T changes by <= STABILIZE_TOL, else SliceTooCoarse. The
-    closed-form plane states are never used as the free states outside.
+    outside and integrated as fourth-order Magnus slices; the slice count,
+    from START_SLICES (read at each call), doubles until T changes by
+    <= STABILIZE_TOL, else SliceTooCoarse. The closed-form plane states are
+    never used as the free states outside.
     """
     if spec.family not in PLANE_FAMILIES:
         raise ValueError(f"sweep requires a plane family, got {spec.family}")
@@ -398,7 +398,7 @@ def plane_partner_sweep(
 
     out = []
     for energy in energies:
-        m = int(slices)
+        m = START_SLICES
         prev = result_at(m, float(energy))
         accepted = None
         change = math.inf

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import susywell.cli
-from susywell import gates, scattering, states
+from susywell import gates, scattering, states, susy_core
 from susywell.cli import main
 from susywell.serialize import json_text
 
@@ -206,6 +206,15 @@ class TestConfigHandling:
         res = runner.invoke(main, ["figures", "--config", str(conf)])
         assert res.exit_code == 3
 
+    @pytest.mark.parametrize("line", ["slices=1", "negative_control=true"])
+    def test_retired_keys_rejected(self, runner, tmp_path, line):
+        conf = tmp_path / "old.conf"
+        conf.write_text(line + "\n")
+        res = runner.invoke(main, ["verify", "--config", str(conf), "--out", str(tmp_path)])
+        assert res.exit_code == 3
+        assert "unknown config key" in res.output
+        assert not (tmp_path / "verify.json").exists()
+
     def test_malformed_line_rejected(self, runner, tmp_path):
         conf = tmp_path / "bad.conf"
         conf.write_text("just some words\n")
@@ -309,6 +318,21 @@ class TestConfigHandling:
         assert "energies" in res.output
         assert not (tmp_path / "scatter.csv").exists()
 
+    @pytest.mark.parametrize("argv,config", [
+        (["--family", "barrier"], "barrier_v0=0\n"),
+        (["--family", "plane_right", "--k", "1e-300"], ""),
+    ], ids=["zero-height-barrier", "plane-k-squared-underflows"])
+    def test_default_energies_are_checked(self, runner, tmp_path, argv, config):
+        # the default energies scale with |barrier_v0| or k^2, here all 0
+        conf = tmp_path / "run.conf"
+        conf.write_text(config)
+        res = runner.invoke(main, ["scatter", *argv, "--config", str(conf),
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 3, res.output
+        assert "config error: energies: scattering energies must be positive" in res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+
     def test_barrier_near_zero_energy_passes(self, runner, tmp_path):
         # t = 1/M22 keeps T accurate where det M / M22 lost it to cancellation
         conf = tmp_path / "run.conf"
@@ -396,16 +420,28 @@ class TestVerify:
         assert "INFO truncated-box spectra: susywell spectrum --family cotangent_well --q 2" \
             in res.output
 
-    def test_negative_control_flips_exit_code(self, runner, tmp_path):
-        conf = tmp_path / "broken.conf"
-        conf.write_text("negative_control=true\nout=%s\n" % tmp_path)
-        res = runner.invoke(main, ["verify", "--config", str(conf)])
+    def test_negative_control_flips_exit_code(self, runner, tmp_path, monkeypatch):
+        # every shape invariance check detuned to frequency 2
+        check = susy_core.check_shape_invariance
+        monkeypatch.setattr(susy_core, "check_shape_invariance",
+                            lambda spec, xs, constraint_frequency=1.0: check(spec, xs, 2.0))
+        res = runner.invoke(main, ["verify", "--out", str(tmp_path)])
         assert res.exit_code == 1
         report = read_json(tmp_path / "verify.json")
         assert report["passed"] is False
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["shape_invariance"]["passed"] is False
+        assert by_name["negative_control_fails"]["passed"] is True
 
+    def test_barrier_keys_leave_the_report_unchanged(self, runner, tmp_path):
+        # verify gates the default barrier; scatter --family barrier gates any other
+        conf = tmp_path / "run.conf"
+        conf.write_text("barrier_v0=0\nbarrier_width=7.5\n")
+        for out, extra in (("plain", []), ("keyed", ["--config", str(conf)])):
+            res = runner.invoke(main, ["verify", "--out", str(tmp_path / out), *extra])
+            assert res.exit_code == 0, res.output
+        assert (tmp_path / "plain" / "verify.json").read_bytes() == \
+            (tmp_path / "keyed" / "verify.json").read_bytes()
 
     def test_checks_carry_measured_and_bound(self, runner, tmp_path):
         res = runner.invoke(main, ["verify", "--out", str(tmp_path)])
@@ -463,6 +499,31 @@ class TestScatter:
                                    "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
         assert calls == ["plane_right"]
+
+    def test_pt_centred_window(self, runner, tmp_path):
+        # pi/2 -+ pi, centred where the plane partners are PT-symmetric
+        window = (math.pi / 2 - math.pi, math.pi / 2 + math.pi)
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"window_min={window[0]!r}\nwindow_max={window[1]!r}\n")
+        res = runner.invoke(main, ["scatter", "--family", "plane_right", "--config", str(conf),
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        spec = susy_core.SuperpotentialSpec(susy_core.Family.PLANE_RIGHT, 1.0, 1.0)
+        results = scattering.plane_partner_sweep(spec, susy_core.Partner.V1, window,
+                                                 susywell.cli.PLANE_ENERGIES)
+        assert (tmp_path / "scatter.csv").read_text() == scattering.sweep_csv(results)
+
+    @pytest.mark.parametrize("config", ["window_min=0\n", "window_max=6\n",
+                                        "window_min=2\nwindow_max=1\n"],
+                             ids=["min-only", "max-only", "reversed"])
+    def test_bad_window_refused(self, runner, tmp_path, config):
+        conf = tmp_path / "run.conf"
+        conf.write_text(config)
+        res = runner.invoke(main, ["scatter", "--family", "plane_right", "--config", str(conf),
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 3, res.output
+        assert "config error: window_min" in res.output
+        assert not (tmp_path / "scatter.csv").exists()
 
     def test_accumulated_overflow_exits_2(self, runner, tmp_path):
         res = runner.invoke(main, ["scatter", "--family", "plane_right", "--q", "200",

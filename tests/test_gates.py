@@ -7,14 +7,22 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from susywell import gates
+from susywell import gates, susy_core
 from susywell.cli import main
 from susywell.spectral import richardson_spectrum
 from susywell.susy_core import Family, Partner, SuperpotentialSpec, partner_field
 
 
-def test_detuned_remainder_fails_shape_invariance():
-    gate = gates.shape_invariance(constraint_frequency=2.0)
+def detune(monkeypatch):
+    """Make every shape invariance check use constraint frequency 2."""
+    check = susy_core.check_shape_invariance
+    monkeypatch.setattr(susy_core, "check_shape_invariance",
+                        lambda spec, xs, constraint_frequency=1.0: check(spec, xs, 2.0))
+
+
+def test_detuned_remainder_fails_shape_invariance(monkeypatch):
+    detune(monkeypatch)
+    gate = gates.shape_invariance()
     assert not gate.passed
     assert gate.measured > gate.bound
 

@@ -29,6 +29,11 @@ def roots(tmp_path):
     return base, head
 
 
+def test_twelve_commands_with_distinct_names():
+    names = [name for name, _ in parent_diff.COMMANDS]
+    assert len(names) == 12 == len(set(names))
+
+
 def test_identical_outputs_report_nothing(roots):
     assert parent_diff.differences(*roots, CODES, CODES) == []
 

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
+from susywell import scattering
 from susywell.errors import DegenerateMatch, EvanescentOverflow, SliceTooCoarse
 from susywell.gates import ORACLE_TOL
 from susywell.scattering import (
@@ -340,15 +341,16 @@ class TestFieldSegments:
         with pytest.raises(EvanescentOverflow):
             transfer_matrix(pot, 1.0)
 
-    def test_accumulated_overflow_guard(self):
+    def test_accumulated_overflow_guard(self, monkeypatch):
         # at q = 200 no slice reaches |Im z| = 700, but their product would
         # overflow: refused at the first slice count, with no RuntimeWarning
+        monkeypatch.setattr(scattering, "START_SLICES", 2000)
         spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 200.0)
         width = 2 * math.pi / 2000
         values = partner_field(spec, Partner.V1)(width * (np.arange(2000) + 0.5))
         assert np.max(np.abs((np.sqrt(0.25 - values) * width).imag)) < 1.0
         with pytest.raises(EvanescentOverflow) as err:
-            plane_partner_sweep(spec, Partner.V1, (0.0, 2 * math.pi), [0.25], slices=2000)
+            plane_partner_sweep(spec, Partner.V1, (0.0, 2 * math.pi), [0.25])
         assert err.value.exponent > 700.0
 
     def test_slice_convergence_fourth_order(self):
@@ -382,21 +384,21 @@ class TestFieldSegments:
 
 
 class TestPlaneFamilySweep:
-    def test_zero_coupling_reduces_to_constant_well(self):
+    def test_zero_coupling_reduces_to_constant_well(self, monkeypatch):
+        monkeypatch.setattr(scattering, "START_SLICES", 400)
         spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 0.0)
-        res = plane_partner_sweep(spec, Partner.V1, (0.0, 1.0), [1.0],
-                                  slices=400)[0]
+        res = plane_partner_sweep(spec, Partner.V1, (0.0, 1.0), [1.0])[0]
         ref = square_barrier_transmission(-1.0, 1.0, 1.0)
         assert res.transmission == pytest.approx(ref, rel=1e-6)
 
-    def test_complex_window_recorded_and_stable(self):
+    def test_complex_window_recorded_and_stable(self, monkeypatch):
         spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0)
-        res = plane_partner_sweep(spec, Partner.V1, (0.0, 2 * math.pi), [1.0],
-                                  slices=1000)[0]
+        monkeypatch.setattr(scattering, "START_SLICES", 1000)
+        res = plane_partner_sweep(spec, Partner.V1, (0.0, 2 * math.pi), [1.0])[0]
         assert res.flux_defect != 0.0
         assert math.isfinite(res.flux_defect)
-        again = plane_partner_sweep(spec, Partner.V1, (0.0, 2 * math.pi), [1.0],
-                                    slices=2000)[0]
+        monkeypatch.setattr(scattering, "START_SLICES", 2000)
+        again = plane_partner_sweep(spec, Partner.V1, (0.0, 2 * math.pi), [1.0])[0]
         assert res.transmission == pytest.approx(again.transmission, abs=2e-6)
 
     def test_left_right_equal_on_full_period_window(self):
@@ -452,11 +454,12 @@ class TestPlaneFamilySweep:
         with pytest.raises(ValueError):
             plane_partner_sweep(spec, Partner.V1, (0.0, 1.0), [1.0])
 
-    def test_slice_too_coarse(self):
+    def test_slice_too_coarse(self, monkeypatch):
         # T still moves by about 1.6e-3 between 128 and 256 slices here
+        monkeypatch.setattr(scattering, "START_SLICES", 1)
         spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 10.0)
         with pytest.raises(SliceTooCoarse):
-            plane_partner_sweep(spec, Partner.V1, (0.0, 2 * math.pi), [1000.0], slices=1)
+            plane_partner_sweep(spec, Partner.V1, (0.0, 2 * math.pi), [1000.0])
 
     @pytest.mark.parametrize("family", [Family.PLANE_RIGHT, Family.PLANE_LEFT])
     def test_default_sweep_matches_a_midpoint_reference(self, family):

@@ -29,6 +29,7 @@ and the entry allows nothing once a later commit is the base.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import shutil
@@ -40,11 +41,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 CUSTOM_DOMAIN = "custom_domain.cfg"
+PT_WINDOW = "pt_window.cfg"
 ALLOW_LIST = ROOT / "tools" / "parent_diff_allow.txt"
 
 # the README commands, the q=0 spectra that CI reruns (the natural cell
 # takes the closed-form guess, a custom domain bisects), figures at
-# alpha != k and a plane sweep in json
+# alpha != k, a plane sweep in json, a plane sweep on the PT-centred window
+# pi/2 -+ pi and a q=0 tangent-well spectrum
 COMMANDS = (
     ("figures", ["figures"]),
     ("spectrum_q0", ["spectrum", "--q", "0", "--count", "4"]),
@@ -56,6 +59,8 @@ COMMANDS = (
     ("q0_bisected", ["spectrum", "--q", "0", "--config", CUSTOM_DOMAIN]),
     ("figures_alpha", ["figures", "--q", "0", "--k", "1.3", "--alpha", "0.5"]),
     ("scatter_plane_left", ["scatter", "--family", "plane_left", "--format", "json"]),
+    ("scatter_pt_window", ["scatter", "--family", "plane_right", "--config", PT_WINDOW]),
+    ("spectrum_tangent", ["spectrum", "--family", "tangent_well", "--q", "0", "--count", "4"]),
 )
 
 
@@ -146,6 +151,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="parent_diff_") as tmp:
         tmp = Path(tmp).resolve()
         (tmp / CUSTOM_DOMAIN).write_text("x_min=0.3\nx_max=2.8\n")
+        (tmp / PT_WINDOW).write_text(f"window_min={-math.pi / 2!r}\n"
+                                     f"window_max={3 * math.pi / 2!r}\n")
         (tmp / "tree").mkdir()
         export(args.base, tmp / "tree")
         codes = {}
