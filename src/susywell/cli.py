@@ -148,8 +148,8 @@ def load_config_file(path):
 
 
 def build_config(command, flags):
-    """Merge defaults, the config file, then explicit flags, fill in the
-    default `scatter` energies, and validate.
+    """Merge defaults, the config file, then explicit flags, and validate,
+    which fills in the default `scatter` energies.
 
     The result has one attribute per CONFIG_KEYS key, plus `command` and
     `explicit`, the keys that the file or a flag set."""
@@ -161,15 +161,17 @@ def build_config(command, flags):
     for key, raw in [*from_file.items(), *from_flags.items()]:
         setattr(cfg, key, CONFIG_KEYS[key][0](key, raw))
     cfg.explicit = frozenset(from_file) | frozenset(from_flags)
-    if command == "scatter" and not cfg.energies:
-        scale, multiples = ((abs(cfg.barrier_v0), BARRIER_ENERGIES) if cfg.family == "barrier"
-                            else (cfg.k ** 2, PLANE_ENERGIES))
-        cfg.energies = tuple(m * scale for m in multiples)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg):
+    # the closed forms square k, q and alpha: a Python float ** raises there
+    for key in ("k", "q", "alpha"):
+        try:
+            (getattr(cfg, key) or 0.0) ** 2
+        except OverflowError:
+            raise ConfigError(key, "its square leaves the double range") from None
     if cfg.family != "barrier" and cfg.family not in FAMILY_TOKENS:
         raise ConfigError("family", f"unknown family {cfg.family!r}")
     if cfg.command in ("figures", "spectrum"):
@@ -229,6 +231,17 @@ def _validate(cfg):
         raise ConfigError("x_min", "domain must have positive width")
     if cfg.partner not in PARTNER_TOKENS:
         raise ConfigError("partner", "must be v1 or v2")
+    if cfg.command == "spectrum":
+        # the finest grid of the cell puts 2/h^2 on the diagonal
+        _, lo, hi = _natural_cell(cfg)
+        finest = cfg.grid if cfg.q == 0.0 else max(cfg.exploratory_grids)
+        if (hi - lo) / (finest + 1) < math.sqrt(2.0 / sys.float_info.max):
+            raise ConfigError("x_min" if cfg.x_min is not None else "alpha",
+                              f"{finest} points on ({lo!r}, {hi!r}) leave 2/h^2 out of range")
+    if cfg.command == "scatter" and not cfg.energies:
+        scale, multiples = ((abs(cfg.barrier_v0), BARRIER_ENERGIES) if cfg.family == "barrier"
+                            else (cfg.k ** 2, PLANE_ENERGIES))
+        cfg.energies = tuple(m * scale for m in multiples)
     for e in cfg.energies:
         if e <= 0:
             raise ConfigError("energies", "scattering energies must be positive")

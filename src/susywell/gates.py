@@ -20,6 +20,7 @@ attribute, as perfbench/tracing.py installs one, sees every call.
 
 from __future__ import annotations
 
+import io
 import math
 from typing import NamedTuple
 
@@ -50,6 +51,8 @@ FLUX_TOL = 1e-10
 ORACLE_TOL = 1e-8
 # V1 of the cotangent well at the cell midpoint against -q^2 - k^2
 MIDPOINT_TOL = 1e-12
+# figure tables: tangent columns against cotangent ones, over max(1, |cot|)
+TRANSLATION_TOL = 1e-11
 
 EPS_SWEEP = (1e-2, 1e-3, 1e-4)
 # the defaults that the gates pin and `cli` reads: the finest q = 0 grid,
@@ -257,33 +260,35 @@ def barrier(v0=BARRIER_V0, width=BARRIER_WIDTH, energies=()):
 
 
 def figure_tables(k, q, epsilon, alpha=None):
-    """fig1.csv and fig2.csv as text: V1 (fig1) and V2 (fig2) of both wells
-    on 1000 points of (epsilon, pi/max(k, alpha) - epsilon), which stays
-    inside the cotangent cell (0, pi/alpha), beside the q = 0 baselines
-    (fig1 the cotangent one, fig2 both). `figures` writes these tables and
-    figure_determinism renders them, so both see the same."""
+    """fig1.csv and fig2.csv, as `figures` writes them: V1 (fig1) and V2
+    (fig2) of both wells beside the q = 0 baselines (fig1 the cotangent one,
+    fig2 both) on 1000 points x of (epsilon, pi/max(k, alpha) - epsilon), each
+    well at x plus the lower end of its own cell. So the tangent columns repeat
+    the cotangent ones to roundoff: the translation check of figure_determinism."""
     xs = np.linspace(epsilon, math.pi / max(k, alpha or k) - epsilon, 1000)
     wells = [SuperpotentialSpec(fam, k, q, alpha) for fam in WELL_FAMILIES]
     bases = [SuperpotentialSpec(fam, k, 0.0, alpha) for fam in WELL_FAMILIES]
+    points = [xs + susy_core.fundamental_cell(spec)[0] for spec in wells]
     tables = {}
     for which, base_names in ((Partner.V1, ["V1_q0"]), (Partner.V2, ["V2_c_q0", "V2_t_q0"])):
         # Python floats: iterating the arrays would build a numpy scalar per number
         header, columns = ["x"], [xs.tolist()]
-        for spec, tag in zip(wells, ("c", "t")):
-            values = susy_core.eval_partner(spec, which, xs)
+        for spec, at, tag in zip(wells, points, ("c", "t")):
+            values = susy_core.eval_partner(spec, which, at)
             header += [f"{which.name}_{tag}_re", f"{which.name}_{tag}_im"]
             columns += [values.real.tolist(), values.imag.tolist()]
-        for spec, name in zip(bases, base_names):
+        for spec, at, name in zip(bases, points, base_names):
             header.append(name)
-            columns.append(susy_core.eval_partner(spec, which, xs).real.tolist())
+            columns.append(susy_core.eval_partner(spec, which, at).real.tolist())
         tables[f"fig{which.value}.csv"] = serialize.csv_text(header, zip(*columns))
     return tables
 
 
 def figure_determinism():
     """The figure tables of the `figures` defaults render byte-identically
-    twice, their cotangent V1 is -q^2 - k^2 at the cell midpoint, and their
-    q = 0 V1 column is exactly -k^2."""
+    twice, their cotangent V1 is -q^2 - k^2 at the cell midpoint, their
+    q = 0 V1 column is exactly -k^2, and every tangent column is finite and
+    within TRANSLATION_TOL of its cotangent column."""
     k, q, epsilon = 1.0, FIGURE_Q, EPSILON
     first, second = figure_tables(k, q, epsilon), figure_tables(k, q, epsilon)
     same = first == second
@@ -291,9 +296,20 @@ def figure_determinism():
     mid = abs(susy_core.eval_partner(spec, Partner.V1, math.pi / (2 * k)) + q * q + k * k)
     flat = all(float(line.split(",")[5]) == -k * k
                for line in first["fig1.csv"].splitlines()[1:])
-    return Gate("figure_determinism", same and mid < MIDPOINT_TOL and flat, mid, MIDPOINT_TOL,
+    gaps = []
+    for table in first.values():
+        names = table.partition("\n")[0].split(",")
+        columns = np.loadtxt(io.StringIO(table), delimiter=",", skiprows=1).T
+        for values, name in zip(columns, names):
+            if "_t_" in name:
+                cot = columns[names.index(name.replace("_t_", "_c_"))]
+                gaps.append(np.abs(values - cot) / np.maximum(1.0, np.abs(cot)))
+    shift = float(np.max(gaps))  # np.max keeps a nan, so a nan gap fails
+    passed = same and mid < MIDPOINT_TOL and flat and shift <= TRANSLATION_TOL
+    return Gate("figure_determinism", passed, mid, MIDPOINT_TOL,
                 f"reruns identical: {same}; midpoint V1 error {mid:.1e}; "
-                f"q=0 column pinned at {-k * k:g}: {flat}")
+                f"q=0 column pinned at {-k * k:g}: {flat}; "
+                f"tangent columns off the cotangent ones by {shift:.1e}")
 
 
 def verify_gates():

@@ -8,6 +8,10 @@ for the W of a SuperpotentialSpec at any step a = alpha > 0:
     plane, right    psi = exp(+ikx) exp{-i (q/a) exp(-iax)}
     plane, left     psi = exp(-ikx) exp{+i (q/a) exp(+iax)}
 
+Only the cotangent and right-plane states are written out (susy_core._twin):
+sin(t + pi/2) = cos t and tan(t/2 + pi/4) = (1 + sin t)/cos t, so the tangent
+state is the cotangent one at x + pi/(2a); the left plane's is the conjugate.
+
 For real q the q-dependent factor of the well states is a pure phase, so
 |psi|^2 is q-independent (powers of sin^2 / cos^2). Logarithms are taken on
 the principal branch only; evaluation refuses to leave the spec's
@@ -29,15 +33,18 @@ from .susy_core import (
     SuperpotentialSpec,
     _check_step,
     _guard_singularities,
+    _on_twin,
     eval_partner,
     fundamental_cell,
 )
 
-# why a well state is refused outside its cell
-_LOG_DOMAINS = {
-    Family.COTANGENT_WELL: "csc(alpha x) - cot(alpha x) > 0 only on (0, pi/alpha)",
-    Family.TANGENT_WELL: "sec(alpha x) + tan(alpha x) > 0 only on (-pi/2alpha, pi/2alpha)",
-}
+
+def _ground_state(twin: SuperpotentialSpec, ys: np.ndarray):
+    k, q, a = twin.k, twin.q, twin.alpha
+    if twin.family is Family.PLANE_RIGHT:
+        return np.exp(1j * k * ys) * np.exp(-1j * (q / a) * np.exp(-1j * a * ys))
+    # csc - cot = tan(ay/2), positive on the cell
+    return np.sin(a * ys) ** (k / a) * np.exp(-1j * (q / a) * np.log(np.tan(0.5 * a * ys)))
 
 
 def eval_wavefunction(spec: SuperpotentialSpec, x):
@@ -48,31 +55,15 @@ def eval_wavefunction(spec: SuperpotentialSpec, x):
     the principal log would cross a branch cut) and SingularPoint within
     default_exclusion of a pole, as eval_partner does.
     """
-    xs = np.asarray(x, dtype=np.float64)
-    k, q, a = spec.k, spec.q, spec.alpha
-    if spec.family is Family.PLANE_RIGHT:
-        out = np.exp(1j * k * xs) * np.exp(-1j * (q / a) * np.exp(-1j * a * xs))
-    elif spec.family is Family.PLANE_LEFT:
-        out = np.exp(-1j * k * xs) * np.exp(1j * (q / a) * np.exp(1j * a * xs))
-    else:
-        _require_inside(spec, xs)
-        if spec.family is Family.COTANGENT_WELL:
-            # csc - cot = tan(ax/2), positive on the cell
-            envelope, log_arg = np.sin(a * xs), np.tan(0.5 * a * xs)
-        else:
-            envelope = np.cos(a * xs)
-            log_arg = (1.0 + np.sin(a * xs)) / envelope  # sec + tan
-        out = envelope ** (k / a) * np.exp(-1j * (q / a) * np.log(log_arg))
-    return out.item() if np.ndim(x) == 0 else out
-
-
-def _require_inside(spec: SuperpotentialSpec, xs: np.ndarray):
-    _guard_singularities(spec, xs)
-    lo, hi = fundamental_cell(spec)
-    flat = np.atleast_1d(xs)
-    outside = (flat <= lo) | (flat >= hi)
-    if outside.any():
-        raise DomainViolation(float(flat[outside][0]), _LOG_DOMAINS[spec.family])
+    cell = fundamental_cell(spec)
+    if cell is not None:
+        xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        _guard_singularities(spec, xs)
+        outside = (xs <= cell[0]) | (xs >= cell[1])
+        if outside.any():
+            raise DomainViolation(float(xs[outside][0]), f"the log argument of the "
+                                  f"{spec.family.value} ground state is positive only on {cell}")
+    return _on_twin(spec, x, _ground_state)
 
 
 def probability_density(spec: SuperpotentialSpec, x):

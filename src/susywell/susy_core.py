@@ -10,6 +10,11 @@ constraint term of amplitude q (q = 0 recovers the ordinary real problem):
     plane, right     W(x) = -i k + q exp(-i alpha x)
     plane, left      W(x) = +i k + q exp(+i alpha x)
 
+Only the cotangent well and the right plane are written out (_twin). As
+tan t = -cot(t + pi/2) and sec t = csc(t + pi/2), the tangent well is the
+cotangent well at x + pi/(2 alpha), poles, cell and ground state included;
+the left plane is the complex conjugate of the right one.
+
 Partner potentials follow the usual factorization V_{1,2} = W^2 -/+ W'
 (upper sign is V1). The parameter step is alpha (defaults to k); stepping
 k -> k + alpha in V1 reproduces V2 up to the constant remainder
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,9 +80,7 @@ class SuperpotentialSpec:
 
     def shifted(self, steps: int = 1) -> "SuperpotentialSpec":
         """Spec with k advanced along the ladder: k -> k + steps*alpha."""
-        return SuperpotentialSpec(
-            self.family, self.k + steps * self.alpha, self.q, self.alpha
-        )
+        return replace(self, k=self.k + steps * self.alpha)
 
 
 def default_exclusion(spec: SuperpotentialSpec) -> float:
@@ -85,11 +88,22 @@ def default_exclusion(spec: SuperpotentialSpec) -> float:
     return 1e-6 * math.pi / spec.alpha
 
 
+def _twin(spec: SuperpotentialSpec):
+    """(twin, shift, conjugate): the spec's closed forms are the twin's at
+    x + shift, conjugated if conjugate is set. The tangent well is the
+    cotangent well at x + pi/(2 alpha), the left plane the conjugate of the
+    right one, and the other two families are their own twins."""
+    if spec.family is Family.TANGENT_WELL:
+        return replace(spec, family=Family.COTANGENT_WELL), math.pi / (2.0 * spec.alpha), False
+    if spec.family is Family.PLANE_LEFT:
+        return replace(spec, family=Family.PLANE_RIGHT), 0.0, True
+    return spec, 0.0, False
+
+
 def _nearest_pole(spec: SuperpotentialSpec, xs):
-    period = math.pi / spec.alpha
-    if spec.family is Family.COTANGENT_WELL:
-        return np.round(xs / period) * period
-    return (np.round(xs / period - 0.5) + 0.5) * period
+    # the twin's poles sit at multiples of pi/alpha
+    period, shift = math.pi / spec.alpha, _twin(spec)[1]
+    return np.round((xs + shift) / period) * period - shift
 
 
 def singularity_distance(spec: SuperpotentialSpec, x) -> np.ndarray:
@@ -123,28 +137,36 @@ def _guard_singularities(spec: SuperpotentialSpec, xs: np.ndarray):
         raise SingularPoint(xb, float(_nearest_pole(spec, xb)))
 
 
-def _scalar_like(x, values: np.ndarray):
-    # hand back a python complex when the caller passed a scalar
+def _on_twin(spec: SuperpotentialSpec, x, form):
+    """form(twin, x + shift), conjugated as _twin says, after the pole guard
+    at x. Scalar in, python complex out; arrays pass through."""
+    xs = np.asarray(x, dtype=np.float64)
+    _guard_singularities(spec, xs)
+    twin, shift, conjugate = _twin(spec)
+    values = form(twin, xs + shift)
+    values = np.conj(values) if conjugate else values
     return values.item() if np.ndim(x) == 0 else values
 
 
-def _constraint_terms(spec: SuperpotentialSpec, xs: np.ndarray, frequency: float):
-    """(f, f', sin(a x), cos(a x)) with a = frequency alpha, each trig
-    function evaluated once, f and f' real; the plane families give
-    (f, f', None, None), complex, from one exp(-/+ i a x)."""
-    a = frequency * spec.alpha
-    if spec.family in WELL_FAMILIES:
-        sin, cos = np.sin(a * xs), np.cos(a * xs)
-        if spec.family is Family.COTANGENT_WELL:
-            # d/dx [q csc(ax)] = -q a csc(ax) cot(ax)
-            return spec.q / sin, -spec.q * a * cos / sin ** 2, sin, cos
-        # d/dx [q sec(ax)] = q a sec(ax) tan(ax)
-        return spec.q / cos, spec.q * a * sin / cos ** 2, sin, cos
-    if spec.family is Family.PLANE_RIGHT:
-        wave = np.exp(-1j * a * xs)
-        return spec.q * wave, -1j * a * spec.q * wave, None, None
-    wave = np.exp(1j * a * xs)
-    return spec.q * wave, 1j * a * spec.q * wave, None, None
+def _constraint_terms(twin: SuperpotentialSpec, ys: np.ndarray, frequency: float):
+    """(f, f', sin(a y), cos(a y)) of a cotangent well, a = frequency alpha,
+    each trig function evaluated once, f and f' real; a right plane gives
+    (f, f', None, None), complex, from one exp(-i a y)."""
+    a = frequency * twin.alpha
+    if twin.family is Family.COTANGENT_WELL:
+        sin, cos = np.sin(a * ys), np.cos(a * ys)
+        # d/dy [q csc(ay)] = -q a csc(ay) cot(ay)
+        return twin.q / sin, -twin.q * a * cos / sin ** 2, sin, cos
+    wave = np.exp(-1j * a * ys)
+    return twin.q * wave, -1j * a * twin.q * wave, None, None
+
+
+def _superpotential(twin: SuperpotentialSpec, ys: np.ndarray):
+    """(W, W') of a cotangent well, -k cot(a y) + i f, or a right plane, -ik + f."""
+    f, fp, sin, cos = _constraint_terms(twin, ys, 1.0)
+    if twin.family is Family.COTANGENT_WELL:
+        return -twin.k * cos / sin + 1j * f, twin.k * twin.alpha / sin**2 + 1j * fp
+    return -1j * twin.k + f, fp
 
 
 def eval_superpotential(spec: SuperpotentialSpec, x):
@@ -152,76 +174,42 @@ def eval_superpotential(spec: SuperpotentialSpec, x):
 
     Raises SingularPoint within default_exclusion(spec) of a pole.
     """
-    xs = np.asarray(x, dtype=np.float64)
-    _guard_singularities(spec, xs)
-    k, a = spec.k, spec.alpha
-    if spec.family is Family.COTANGENT_WELL:
-        s = np.sin(a * xs)
-        w = -k * np.cos(a * xs) / s + 1j * spec.q / s
-    elif spec.family is Family.TANGENT_WELL:
-        c = np.cos(a * xs)
-        w = k * np.sin(a * xs) / c + 1j * spec.q / c
-    elif spec.family is Family.PLANE_RIGHT:
-        w = -1j * k + spec.q * np.exp(-1j * a * xs)
-    else:
-        w = 1j * k + spec.q * np.exp(1j * a * xs)
-    return _scalar_like(x, w + 0j)
+    return _on_twin(spec, x, lambda twin, ys: _superpotential(twin, ys)[0])
 
 
 def eval_superpotential_derivative(spec: SuperpotentialSpec, x):
     """Closed-form W'(x), used by the sign-convention identity V2 - V1 = 2W'."""
-    xs = np.asarray(x, dtype=np.float64)
-    _guard_singularities(spec, xs)
-    k, a = spec.k, spec.alpha
-    if spec.family is Family.COTANGENT_WELL:
-        s = np.sin(a * xs)
-        wp = k * a / s**2 - 1j * spec.q * a * np.cos(a * xs) / s**2
-    elif spec.family is Family.TANGENT_WELL:
-        c = np.cos(a * xs)
-        wp = k * a / c**2 + 1j * spec.q * a * np.sin(a * xs) / c**2
-    else:
-        wp = _constraint_terms(spec, xs, 1.0)[1]
-    return _scalar_like(x, wp + 0j)
+    return _on_twin(spec, x, lambda twin, ys: _superpotential(twin, ys)[1])
 
 
 def _partner_values(
-    spec: SuperpotentialSpec, which: Partner, xs: np.ndarray, frequency: float
+    twin: SuperpotentialSpec, which: Partner, ys: np.ndarray, frequency: float
 ) -> np.ndarray:
     """Expanded closed forms of V_{1,2} for arbitrary alpha and constraint.
 
-    Well families (f real, g = csc or sec, upper sign V1):
-        V_{1,2} = k(k -/+ alpha) g^2(alpha x) - k^2 - f^2 + i(-/+ f' + c),
-        with the trig cross term
-        c = -2k cot(alpha x) f   (cotangent)  or  c = +2k tan(alpha x) f   (tangent).
+    Cotangent well (f = q csc(alpha y) real, upper sign V1):
+        V_{1,2} = k(k -/+ alpha) csc^2(alpha y) - k^2 - f^2
+                  + i(-/+ f' - 2k cot(alpha y) f).
     Both parts are evaluated in float64 and written into one complex array;
     a zero imaginary part is +0, as complex arithmetic would leave it.
-    Plane families:
-        V_{1,2} = -k^2 + f^2 -/+ f' - 2ikf  (right; +2ikf for left).
+    Right plane (f = q exp(-i alpha y)):
+        V_{1,2} = -k^2 + f^2 -/+ f' - 2ikf.
     """
     sgn = -1.0 if which is Partner.V1 else 1.0  # sign in front of f' / alpha
-    k, alpha = spec.k, spec.alpha
-    f, fp, sin, cos = _constraint_terms(spec, xs, frequency)
-    # at a scalar x, f ** 2 of a 0-d array and of a numpy scalar can differ in the last bit
+    k, alpha = twin.k, twin.alpha
+    f, fp, sin, cos = _constraint_terms(twin, ys, frequency)
+    # at a scalar y, f ** 2 of a 0-d array and of a numpy scalar can differ in the last bit
     f = np.asarray(f)
-    if spec.family in WELL_FAMILIES:
+    if twin.family is Family.COTANGENT_WELL:
         if frequency != 1.0:
             # the negative control detunes the constraint, not the well
-            sin, cos = np.sin(alpha * xs), np.cos(alpha * xs)
-        # g = 1/s with s = sin or cos; the cross term is 2k (t/s) f
-        if spec.family is Family.COTANGENT_WELL:
-            s, t = sin, -cos
-        else:
-            s, t = cos, sin
-        g2 = 1.0 / s**2
-        cross = 2.0 * k * (t / s) * f
+            sin, cos = np.sin(alpha * ys), np.cos(alpha * ys)
         values = np.empty(f.shape, dtype=np.complex128)
-        values.real = k * (k + sgn * alpha) * g2 - k**2 - f**2
+        values.real = k * (k + sgn * alpha) * (1.0 / sin**2) - k**2 - f**2
         # + 0.0 turns -0 into +0 (at q = 0 the products are signed zeros)
-        values.imag = sgn * fp + cross + 0.0
+        values.imag = sgn * fp - 2.0 * k * (cos / sin) * f + 0.0
         return values
-    if spec.family is Family.PLANE_RIGHT:
-        return -(k**2) + f**2 - 2j * k * f + sgn * fp
-    return -(k**2) + f**2 + 2j * k * f + sgn * fp
+    return -(k**2) + f**2 - 2j * k * f + sgn * fp
 
 
 def eval_partner(spec: SuperpotentialSpec, which: Partner, x):
@@ -230,13 +218,10 @@ def eval_partner(spec: SuperpotentialSpec, which: Partner, x):
     At alpha = k the cotangent pair reduces to
         V1 = -q^2 csc^2(kx) - k^2 - i q k cot(kx) csc(kx)
         V2 = (2k^2 - q^2) csc^2(kx) - k^2 - 3 i q k cot(kx) csc(kx)
-    with the analogous sec/tan forms for the tangent well, and the plane
-    families give -k^2 + q^2 e^{-/+ 2ikx} + i q k (+/-1 - 2) e^{-/+ ikx}.
+    (the tangent pair is this one at x + pi/(2k)), and the right plane gives
+    -k^2 + q^2 e^{-2ikx} + i q k (+/-1 - 2) e^{-ikx}, the left one its conjugate.
     """
-    xs = np.asarray(x, dtype=np.float64)
-    _guard_singularities(spec, xs)
-    v = _partner_values(spec, which, xs, 1.0)
-    return _scalar_like(x, v)
+    return _on_twin(spec, x, lambda twin, ys: _partner_values(twin, which, ys, 1.0))
 
 
 def remainder(spec: SuperpotentialSpec, x, constraint_frequency: float = 1.0):
@@ -247,11 +232,9 @@ def remainder(spec: SuperpotentialSpec, x, constraint_frequency: float = 1.0):
     constraint_frequency breaks the cancellation; that path is the
     negative control used by the verification suite.
     """
-    xs = np.asarray(x, dtype=np.float64)
-    _guard_singularities(spec, xs)
-    v2 = _partner_values(spec, Partner.V2, xs, constraint_frequency)
-    v1_up = _partner_values(spec.shifted(), Partner.V1, xs, constraint_frequency)
-    return _scalar_like(x, v2 - v1_up)
+    return _on_twin(spec, x, lambda twin, ys: (
+        _partner_values(twin, Partner.V2, ys, constraint_frequency)
+        - _partner_values(twin.shifted(), Partner.V1, ys, constraint_frequency)))
 
 
 @dataclass(frozen=True)
@@ -301,9 +284,5 @@ def fundamental_cell(spec: SuperpotentialSpec) -> tuple[float, float] | None:
     (0, pi/alpha) for the cotangent well, (-pi/2alpha, pi/2alpha) for the
     tangent well; None for the plane families (entire line).
     """
-    if spec.family is Family.COTANGENT_WELL:
-        return (0.0, math.pi / spec.alpha)
-    if spec.family is Family.TANGENT_WELL:
-        half = math.pi / (2.0 * spec.alpha)
-        return (-half, half)
-    return None
+    shift = _twin(spec)[1]
+    return (0.0 - shift, math.pi / spec.alpha - shift) if spec.family in WELL_FAMILIES else None

@@ -333,6 +333,26 @@ class TestConfigHandling:
         assert isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("argv,config,key", [
+        (["scatter", "--family", "plane_right", "--k", "1e200"], "", "k"),
+        (["scatter", "--family", "plane_right", "--k", "1e200"], "energies=1,2\n", "k"),
+        (["spectrum", "--q", "0", "--k", "1e200"], "", "k"),
+        (["spectrum", "--q", "0", "--alpha", "1e200"], "", "alpha"),
+        (["spectrum", "--q", "1e200"], "", "q"),
+        (["spectrum", "--q", "0", "--k", "1e153", "--alpha", "1e153"], "", "alpha"),
+    ], ids=["plane-default-energies", "plane-explicit-energies", "q0-k", "q0-alpha",
+            "complex-q", "q0-spacing"])
+    def test_parameters_beyond_the_double_range(self, runner, tmp_path, argv, config, key):
+        # k ** 2, q ** 2 or alpha ** 2 would raise OverflowError, and at
+        # k = alpha = 1e153 the finest grid's 2/h^2 is inf
+        conf = tmp_path / "run.conf"
+        conf.write_text(config)
+        res = runner.invoke(main, [*argv, "--config", str(conf), "--out", str(tmp_path)])
+        assert res.exit_code == 3, res.output
+        assert f"config error: {key}: " in res.output
+        assert isinstance(res.exception, SystemExit)
+        assert os.listdir(tmp_path) == ["run.conf"]
+
     def test_barrier_near_zero_energy_passes(self, runner, tmp_path):
         # t = 1/M22 keeps T accurate where det M / M22 lost it to cancellation
         conf = tmp_path / "run.conf"

@@ -81,16 +81,31 @@ def test_figure_tables_are_what_figures_writes(tmp_path):
         assert (tmp_path / name).read_text() == text
 
 
-def test_figure_tables_stay_inside_the_cell_at_alpha_above_k():
+@pytest.mark.parametrize("alpha", [None, 2.0])
+def test_figure_tables_stay_inside_the_cell_of_each_well(alpha):
     # at alpha = 2k the cotangent cell is (0, pi/2): the table ends epsilon
     # before its wall instead of running through the pole at pi/2, where the
-    # cotangent V1 read -5.1e5
-    tables = gates.figure_tables(1.0, 2.0, 1e-3, 2.0)
+    # cotangent V1 read -5.1e5; the tangent well is taken at the same point
+    # of its own cell, where on the cotangent grid it read -1.6e6 beside its
+    # pole at pi/(2 alpha)
+    tables = gates.figure_tables(1.0, 2.0, 1e-3, alpha)
     rows = np.array([line.split(",") for line in tables["fig1.csv"].splitlines()[1:]],
                     dtype=float)
-    assert rows[-1, 0] == math.pi / 2 - 1e-3
+    assert rows[-1, 0] == math.pi / (alpha or 1.0) - 1e-3
     inside = (rows[:, 0] > rows[0, 0] + 0.1) & (rows[:, 0] < rows[-1, 0] - 0.1)
-    assert np.max(np.abs(rows[inside, 1] + 1j * rows[inside, 2])) < 1e3
+    for re, im in ((1, 2), (3, 4)):
+        assert np.max(np.abs(rows[inside, re] + 1j * rows[inside, im])) < 1e3
+
+
+def test_figure_determinism_fails_tangent_columns_off_their_cell(monkeypatch):
+    # every well tabulated on (epsilon, pi - epsilon), as before the tables
+    # took each well on its own cell: the tangent columns cross their pole
+    cell = susy_core.fundamental_cell
+    monkeypatch.setattr(susy_core, "fundamental_cell", lambda spec: (0.0, cell(spec)[1]))
+    gate = gates.figure_determinism()
+    assert not gate.passed
+    assert gate.measured < gate.bound
+    assert "tangent columns off the cotangent ones by" in gate.detail
 
 
 @pytest.mark.parametrize("k, alpha", [(1.0, None), (1.3, 0.5)])

@@ -46,9 +46,32 @@ def test_every_kind_of_difference_is_reported(roots):
     found = parent_diff.differences(base, head, CODES, head_codes)
     assert found == [
         ("verify", "exit code 0 at base, 1 here"),
-        ("figures/fig1.csv", "differs"),
+        ("figures/fig1.csv", "differs, largest relative difference 5.0e-01"),
         ("figures/fig2.csv", "only at base"),
         ("spectrum_q2/extra.json", "only here"),
+    ]
+
+
+@pytest.mark.parametrize("old,new,what", [
+    ("x,V\n0.5,-1.0e6\n", "x,V\n0.5,-1.000000000001e6\n", "largest relative difference 1.0e-12"),
+    ('{"a": [1.5, -2], "d": "gap 3.1e-12"}\n', '{"a": [1.5, -2], "d": "gap 3.3e-12"}\n',
+     "largest relative difference 6.1e-02"),
+    ("x,V\n0.5,1.0\n", "x,V\n0.5,1.0\n0.6,1.0\n", "structure differs"),
+    ('{"passed": true}\n', '{"passed": false}\n', "structure differs"),
+    ("x\n1\n", "x\n-1\n", "largest relative difference 2.0e+00"),
+], ids=["csv", "json-text", "extra-row", "json-flag", "sign"])
+def test_numeric_gap_of_a_differing_table(old, new, what):
+    # numbers in strings count too; anything else that moves is structure
+    assert parent_diff.numeric_gap(old, new) == what
+
+
+def test_only_tables_report_a_numeric_gap(roots):
+    base, head = roots
+    write(base, {"figures/notes.txt": "1.0\n", "verify/verify.json": '{"m": 2.0}\n'})
+    write(head, {"figures/notes.txt": "1.5\n", "verify/verify.json": '{"m": 2.5}\n'})
+    assert parent_diff.differences(base, head, CODES, CODES) == [
+        ("figures/notes.txt", "differs"),
+        ("verify/verify.json", "differs, largest relative difference 2.0e-01"),
     ]
 
 

@@ -38,6 +38,7 @@ from susywell.susy_core import (
     fundamental_cell,
     partner_field,
 )
+from susywell.states import eval_wavefunction
 
 # roundoff in det M and in matrix products grows like eps |M|^2, so the
 # tolerances scale with |M|^2; |V| <= 8 keeps Im sqrt(E - V) <= sqrt(8)
@@ -276,3 +277,52 @@ def test_factorized_partners_match_closed_forms(family, partner, k, q, ratio, u)
     sign = -1.0 if partner is Partner.V1 else 1.0
     gap = abs(w ** 2 + sign * wp - eval_partner(spec, partner, x))
     assert gap <= 32 * np.finfo(np.float64).eps * max(1.0, abs(w) ** 2 + abs(wp))
+
+
+def _tangent_well(k, q, a, x):
+    # the tangent well written out, W = k tan(ax) + i q sec(ax): W, W', and
+    # the size k(1 + |tan|) + |q sec| of the terms of W
+    tan, sec = np.tan(a * x), 1.0 / np.cos(a * x)
+    return (k * tan + 1j * q * sec, k * a * sec ** 2 + 1j * q * a * sec * tan,
+            k * (1.0 + abs(tan)) + abs(q * sec))
+
+
+def _left_plane(k, q, a, x):
+    # the left plane family written out, W = ik + q e^{+iax}: W, W', and the
+    # size k + |q| of the terms of W
+    wave = np.exp(1j * a * x)
+    return 1j * k + q * wave, 1j * a * q * wave, k + abs(q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from((Family.TANGENT_WELL, Family.PLANE_LEFT)),
+       k=st.floats(0.5, 3.0), q=st.floats(-3.0, 3.0), ratio=st.floats(0.25, 2.0),
+       u=st.floats(0.01, 0.99), cell=st.integers(-3, 3))
+def test_derived_families_match_their_written_out_forms(family, k, q, ratio, u, cell):
+    # the tangent well and the left plane are evaluated through their twins,
+    # the cotangent well at x + pi/(2 alpha) and the conjugate right plane;
+    # here they are compared with their own closed forms, at least 1% of the
+    # cell from a pole, to 1e-12 of the size of the terms that make them up
+    a = k * ratio
+    spec = SuperpotentialSpec(family, k, q, a)
+    period = np.pi / a
+    if family is Family.TANGENT_WELL:
+        x = period * (u - 0.5)
+        sin, cos = np.sin(a * x), np.cos(a * x)
+        # sec + tan = (1 + sin)/cos = cos/(1 - sin), each free of cancellation
+        # on its own half of the cell
+        log_arg = (1.0 + sin) / cos if sin >= 0 else cos / (1.0 - sin)
+        psi = cos ** (k / a) * np.exp(-1j * (q / a) * np.log(log_arg))
+        written_out = _tangent_well
+    else:
+        x = 4.0 * period * (u - 0.5)
+        psi = np.exp(-1j * k * x) * np.exp(1j * (q / a) * np.exp(1j * a * x))
+        written_out = _left_plane
+    assert abs(eval_wavefunction(spec, x) - psi) <= 1e-12 * abs(psi)
+    # W and the partners repeat from cell to cell
+    x += cell * period
+    w, wp, w_scale = written_out(k, q, a, x)
+    assert abs(eval_superpotential(spec, x) - w) <= 1e-12 * w_scale
+    v_scale = abs(w) ** 2 + abs(wp)
+    for partner, sign in ((Partner.V1, -1.0), (Partner.V2, 1.0)):
+        assert abs(eval_partner(spec, partner, x) - (w ** 2 + sign * wp)) <= 1e-12 * v_scale

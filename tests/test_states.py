@@ -153,13 +153,19 @@ class TestEveryStep:
     @pytest.mark.parametrize("family", list(Family))
     @pytest.mark.parametrize("k", [0.5, 1.0, 1.7, 3.0])
     def test_alpha_equal_k_keeps_its_bits(self, family, k):
-        # x ** 1.0 is exact, so the general forms reduce to these bit for bit
+        # x ** 1.0 is exact, so the general forms reduce to these bit for bit;
+        # the tangent state is the cotangent one at x + pi/(2k), and rounding
+        # that sum moves it by a few ulp
         for q in COUPLINGS:
             spec = SuperpotentialSpec(family, k, q)
             xs = sample_points(spec)[1]
-            assert np.array_equal(eval_wavefunction(spec, xs), alpha_k_closed_form(spec, xs))
             x0 = float(xs[7])
-            assert np.array_equal(eval_wavefunction(spec, x0), alpha_k_closed_form(spec, x0))
+            for x in (xs, x0):
+                got, want = eval_wavefunction(spec, x), alpha_k_closed_form(spec, x)
+                if family is Family.TANGENT_WELL:
+                    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14, q
+                else:
+                    assert np.array_equal(got, want), q
 
 
 class TestDensity:

@@ -13,6 +13,7 @@ from susywell.susy_core import (
     SuperpotentialSpec,
     WELL_FAMILIES,
     _constraint_terms,
+    _twin,
     check_shape_invariance,
     default_exclusion,
     eval_partner,
@@ -57,8 +58,11 @@ def difference_partner(spec, which, x, h):
 
 
 def constraint(spec, x):
-    # the amplitude f(x) in the imaginary part of W, at the physical frequency
-    return _constraint_terms(spec, np.asarray(x, dtype=np.float64), 1.0)[0].item()
+    # the amplitude f(x) in the imaginary part of W, at the physical frequency,
+    # of the written-out family that the spec is derived from
+    twin, shift, conjugate = _twin(spec)
+    f = _constraint_terms(twin, np.asarray(x + shift, dtype=np.float64), 1.0)[0].item()
+    return f.conjugate() if conjugate else f
 
 
 class TestSuperpotentialValues:

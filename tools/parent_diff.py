@@ -12,7 +12,10 @@ a path reads the same in both.
 
 Every file that differs or exists in one tree only is reported by its path
 under the output root (for example `verify/verify.json`), and every command
-whose exit code differs, or is not 0 in this checkout, by its name. With
+whose exit code differs, or is not 0 in this checkout, by its name. A .csv
+or .json file that differs also reports the largest relative difference
+between the numbers at the same position of its two versions, or that its
+structure differs (the text between the numbers, or their count). With
 BASE = HEAD it is a rerun of the commands in fresh processes, which must
 exit 0 and write the same bytes twice. The exit status is 1 if any reported
 difference is not allowed, else 0. `--allow PATH` allows the difference
@@ -106,8 +109,26 @@ def differences(base: Path, head: Path, base_codes, head_codes) -> list[tuple[st
         elif not old.is_file():
             found.append((rel, "only here"))
         elif old.read_bytes() != new.read_bytes():
-            found.append((rel, "differs"))
+            found.append((rel, f"differs, {numeric_gap(old.read_text(), new.read_text())}"
+                               if old.suffix in (".csv", ".json") else "differs"))
     return found
+
+
+# a decimal number, signed, with an optional exponent
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def numeric_gap(old: str, new: str) -> str:
+    """How far apart two texts that differ only in their numbers are: the
+    largest |a - b| / max(|a|, |b|) over the numbers at the same position,
+    or "structure differs" when the text around the numbers differs."""
+    old_text, new_text = NUMBER.split(old), NUMBER.split(new)
+    if old_text != new_text:
+        return "structure differs"
+    gap = max((abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0
+               for a, b in zip(map(float, NUMBER.findall(old)), map(float, NUMBER.findall(new)))),
+              default=0.0)
+    return f"largest relative difference {gap:.1e}"
 
 
 def resolve(rev: str) -> str:
