@@ -4,8 +4,8 @@ Four subcommands share one small flag set.  Everything more exotic (barrier
 geometry, energy lists, sweep windows, exploratory grid sizes) comes in
 through a flat key=value config file so the flag surface stays stable.
 
-Exit codes: 0 success, 1 a physics gate failed, 2 a solver did not converge,
-3 the configuration was invalid.
+Exit codes: 0 success, 1 a physics gate failed, 2 a solver did not converge
+(a ConvergenceFailure), 3 the request was refused (any other SusywellError).
 """
 
 from __future__ import annotations
@@ -18,16 +18,7 @@ from types import SimpleNamespace
 import click
 
 from . import gates, scattering, states
-from .errors import (
-    ConfigError,
-    ConvergenceFailure,
-    DegenerateMatch,
-    DomainViolation,
-    EvanescentOverflow,
-    SingularPoint,
-    SliceTooCoarse,
-    StepTooLarge,
-)
+from .errors import ConfigError, ConvergenceFailure, SusywellError
 from .scattering import (
     SWEEP_HEADER,
     WRONSKIAN_TOL,
@@ -120,7 +111,6 @@ CONFIG_KEYS = {
 _COMMAND_DEFAULTS = {
     "figures": {"q": gates.FIGURE_Q},
     "spectrum": {"format": "json"},
-    "verify": {"format": "json"},
     "scatter": {"q": 1.0, "family": "plane_right"},
 }
 
@@ -148,11 +138,12 @@ def load_config_file(path):
 
 
 def build_config(command, flags):
-    """Merge defaults, the config file, then explicit flags, and validate,
-    which fills in the default `scatter` energies.
+    """Merge defaults, the config file, then explicit flags, and validate.
 
-    The result has one attribute per CONFIG_KEYS key, plus `command` and
-    `explicit`, the keys that the file or a flag set."""
+    The result has one attribute per CONFIG_KEYS key (default `scatter`
+    energies filled in), `command`, `explicit` (the keys that the file or a
+    flag set) and `spec` (None for the barrier); a `spectrum` gets its
+    `cell`, at q != 0 its `eps_values`, and a plane `scatter` its `window`."""
     cfg = SimpleNamespace(command=command, **{key: spec[1] for key, spec in CONFIG_KEYS.items()})
     vars(cfg).update(_COMMAND_DEFAULTS.get(command, {}))
     from_file = load_config_file(flags["config"]) if flags.get("config") else {}
@@ -172,12 +163,11 @@ def _validate(cfg):
             (getattr(cfg, key) or 0.0) ** 2
         except OverflowError:
             raise ConfigError(key, "its square leaves the double range") from None
-    if cfg.family != "barrier" and cfg.family not in FAMILY_TOKENS:
+    fam = FAMILY_TOKENS.get(cfg.family)
+    if fam is None and cfg.family != "barrier":
         raise ConfigError("family", f"unknown family {cfg.family!r}")
-    if cfg.command in ("figures", "spectrum"):
-        fam = FAMILY_TOKENS.get(cfg.family)
-        if fam not in WELL_FAMILIES:
-            raise ConfigError("family", f"{cfg.command} needs a well family")
+    if cfg.command in ("figures", "spectrum") and fam not in WELL_FAMILIES:
+        raise ConfigError("family", f"{cfg.command} needs a well family")
     if cfg.command == "scatter" and cfg.family not in ("barrier", "plane_right", "plane_left"):
         raise ConfigError("family", "scatter needs barrier, plane_right or plane_left")
     if cfg.k <= 0:
@@ -203,6 +193,8 @@ def _validate(cfg):
         raise ConfigError("barrier_width", "must be positive")
     if cfg.format not in ("csv", "json"):
         raise ConfigError("format", "must be csv or json")
+    if cfg.command == "spectrum" and cfg.format != "json":
+        raise ConfigError("format", "spectrum reports are always json")
     if cfg.command == "spectrum" and cfg.q != 0.0:
         # the truncation survey is the only reader of exploratory_grids,
         # and it solves each grid with the dense eigensolver
@@ -231,13 +223,27 @@ def _validate(cfg):
         raise ConfigError("x_min", "domain must have positive width")
     if cfg.partner not in PARTNER_TOKENS:
         raise ConfigError("partner", "must be v1 or v2")
+    cfg.spec = None if fam is None else SuperpotentialSpec(fam, cfg.k, cfg.q, cfg.alpha)
     if cfg.command == "spectrum":
-        # the finest grid of the cell puts 2/h^2 on the diagonal
-        _, lo, hi = _natural_cell(cfg)
+        custom = cfg.x_min is not None
+        cfg.cell = (cfg.x_min, cfg.x_max) if custom else fundamental_cell(cfg.spec)
+        lo, hi = cfg.cell
+        # the finest grid of the cell puts 2/h^2 on the diagonal, and at q = 0
+        # Sturm bisection (LAPACK stebz) multiplies neighbouring diagonal
+        # entries: past (2/h^2)^2 it splits H into 1 x 1 blocks
         finest = cfg.grid if cfg.q == 0.0 else max(cfg.exploratory_grids)
-        if (hi - lo) / (finest + 1) < math.sqrt(2.0 / sys.float_info.max):
-            raise ConfigError("x_min" if cfg.x_min is not None else "alpha",
-                              f"{finest} points on ({lo!r}, {hi!r}) leave 2/h^2 out of range")
+        least, what = (((4.0 / sys.float_info.max) ** 0.25, "(2/h^2)^2") if cfg.q == 0.0
+                       else (math.sqrt(2.0 / sys.float_info.max), "2/h^2"))
+        if (hi - lo) / (finest + 1) < least:
+            raise ConfigError("x_min" if custom else "alpha",
+                              f"{finest} points on ({lo!r}, {hi!r}) leave {what} out of range")
+        if cfg.q != 0.0:
+            cfg.eps_values = (cfg.epsilon,) if "epsilon" in cfg.explicit else gates.EPS_SWEEP
+            if max(cfg.eps_values) >= (hi - lo) / 4:
+                raise ConfigError("epsilon", "truncation exceeds a quarter cell")
+    if cfg.command == "scatter" and fam is not None:
+        cfg.window = ((cfg.window_min, cfg.window_max) if cfg.window_min is not None
+                      else (0.0, 2 * math.pi / cfg.k))
     if cfg.command == "scatter" and not cfg.energies:
         scale, multiples = ((abs(cfg.barrier_v0), BARRIER_ENERGIES) if cfg.family == "barrier"
                             else (cfg.k ** 2, PLANE_ENERGIES))
@@ -271,34 +277,23 @@ def run_figures(cfg):
 # spectrum
 
 
-def _natural_cell(cfg):
-    spec = SuperpotentialSpec(FAMILY_TOKENS[cfg.family], cfg.k, cfg.q, cfg.alpha)
-    if cfg.x_min is not None:
-        return spec, cfg.x_min, cfg.x_max
-    lo, hi = fundamental_cell(spec)  # a well family, see _validate
-    return spec, lo, hi
-
-
 def run_spectrum(cfg):
-    if cfg.format != "json":
-        raise ConfigError("format", "spectrum reports are always json")
-    spec, lo, hi = _natural_cell(cfg)
     if cfg.q == 0.0:
-        return _spectrum_q0(cfg, spec, lo, hi)
-    _spectrum_exploratory(cfg, spec, lo, hi)
+        return _spectrum_q0(cfg)
+    _spectrum_exploratory(cfg)
     return True
 
 
-def _spectrum_q0(cfg, spec, lo, hi):
+def _spectrum_q0(cfg):
     """Real q=0 path: Richardson ladders of both partners, gated against the
     exact box levels (k + n alpha)^2 - k^2, which hold on the natural cell
     only; a custom x_min/x_max domain is recorded without a gate."""
-    v1, v2 = gates.q0_spectra(spec, (lo, hi), (cfg.count, cfg.count), cfg.grid)
+    v1, v2 = gates.q0_spectra(cfg.spec, cfg.cell, (cfg.count, cfg.count), cfg.grid)
     for name, rep in (("v1", v1), ("v2", v2)):
         write_text(_out_path(cfg, f"{name}_spectrum.json"), rep.to_json())
         click.echo(f"wrote {_out_path(cfg, f'{name}_spectrum.json')}")
     if cfg.x_min is not None:
-        click.echo(f"custom domain [{lo:g}, {hi:g}]: spectra recorded, not gated")
+        click.echo(f"custom domain [{cfg.x_min:g}, {cfg.x_max:g}]: spectra recorded, not gated")
         return True
     click.echo("level   raw            extrapolated   exact")
     for m in range(cfg.count):
@@ -310,13 +305,11 @@ def _spectrum_q0(cfg, spec, lo, hi):
     return gate.passed
 
 
-def _spectrum_exploratory(cfg, spec, lo, hi):
+def _spectrum_exploratory(cfg):
     """Complex q != 0 path: record spectra on shrinking edge truncations."""
-    eps_values = (cfg.epsilon,) if "epsilon" in cfg.explicit else gates.EPS_SWEEP
-    if max(eps_values) >= (hi - lo) / 4:
-        raise ConfigError("epsilon", "truncation exceeds a quarter cell")
     grids = sorted(cfg.exploratory_grids)
-    for eps, blocks in gates.truncation_survey(spec, (lo, hi), cfg.count, grids, eps_values):
+    for eps, blocks in gates.truncation_survey(cfg.spec, cfg.cell, cfg.count, grids,
+                                               cfg.eps_values):
         for name, block in blocks.items():
             click.echo(f"eps={eps:g} {name}: max |Im E| = {block['max_imag_overall']:.3e}")
         payload = {"family": cfg.family, "k": cfg.k, "q": cfg.q, "epsilon": eps,
@@ -369,12 +362,7 @@ def _scatter_barrier(cfg):
 
 
 def _scatter_plane(cfg):
-    spec = SuperpotentialSpec(FAMILY_TOKENS[cfg.family], cfg.k, cfg.q, cfg.alpha)
-    if cfg.window_min is not None:
-        window = (cfg.window_min, cfg.window_max)
-    else:
-        window = (0.0, 2 * math.pi / cfg.k)
-    results = scattering.plane_partner_sweep(spec, PARTNER_TOKENS[cfg.partner], window,
+    results = scattering.plane_partner_sweep(cfg.spec, PARTNER_TOKENS[cfg.partner], cfg.window,
                                              cfg.energies)
     _write_sweep(cfg, results)
     for res in results:
@@ -397,22 +385,16 @@ def _write_sweep(cfg, results):
 # ---------------------------------------------------------------------------
 # click wiring
 
-_CONVERGENCE_ERRORS = (ConvergenceFailure, SliceTooCoarse, EvanescentOverflow,
-                       DegenerateMatch)
-_REQUEST_ERRORS = (SingularPoint, DomainViolation, StepTooLarge)
-
-
 def _execute(command, impl, flags):
     try:
-        cfg = build_config(command, flags)
-        ok = impl(cfg)
+        ok = impl(build_config(command, flags))
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(3)
-    except _CONVERGENCE_ERRORS as exc:
+    except ConvergenceFailure as exc:
         click.echo(f"convergence failure: {exc}", err=True)
         sys.exit(2)
-    except _REQUEST_ERRORS as exc:
+    except SusywellError as exc:
         click.echo(f"invalid request: {exc}", err=True)
         sys.exit(3)
     sys.exit(0 if ok else 1)

@@ -3,6 +3,10 @@
 Every numerical guard raises one of these instead of letting NaN/inf
 propagate silently. Each carries enough context to report the offending
 input (position, step size, matrix size, ...).
+
+The CLI sets its exit code from two families: ConvergenceFailure and its
+subclasses (a solver could not reach its guard) exit 2, and any other
+SusywellError, ConfigError included, exits 3 (the request was refused).
 """
 
 from __future__ import annotations
@@ -45,14 +49,15 @@ class StepTooLarge(SusywellError):
 
 
 class ConvergenceFailure(SusywellError):
-    """Eigenvalue solver failed to converge or failed its residual gate."""
+    """A solver did not converge or failed its guard; scattering raises the
+    subclasses below."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         self.diagnostics = diagnostics or {}
         super().__init__(message)
 
 
-class EvanescentOverflow(SusywellError):
+class EvanescentOverflow(ConvergenceFailure):
     """Exponential growth across a structure would overflow double precision:
     one slice with |Im z| above 700, or a product of slices, or its match to
     the free waves, beyond e^700."""
@@ -65,7 +70,7 @@ class EvanescentOverflow(SusywellError):
         )
 
 
-class DegenerateMatch(SusywellError):
+class DegenerateMatch(ConvergenceFailure):
     """The free waves e^{+ik0 x}, e^{-ik0 x} outside a structure cannot be
     matched: their Wronskian 2 k0 is below its guard (E near 0), or the
     transfer-matrix entry M22 that r and t divide by vanishes."""
@@ -79,7 +84,7 @@ class DegenerateMatch(SusywellError):
         )
 
 
-class SliceTooCoarse(SusywellError):
+class SliceTooCoarse(ConvergenceFailure):
     """Thin-slice refinement failed to stabilize the transmission."""
 
     def __init__(self, energy: float, slices: int, change: float):

@@ -33,9 +33,9 @@ off-diagonal band it is given also serves the Sturm counts and bisections
 of the symmetric path, which call one stebz, also looked up once per grid.
 Each solve is then one LAPACK gtsv call on diagonal - shift and a
 normalization; a shift on an exact eigenvalue, where gtsv meets a zero
-pivot, is solved again by gttrf with its small pivots raised, and a
-solution whose squared norm overflows is scaled by its largest entry
-before it is normalized.
+pivot (or zgtsv returns nan), is solved again by gttrf with its small
+pivots raised, and a solution whose squared norm overflows is scaled by
+its largest entry before it is normalized.
 
 The predictions of a richardson_spectrum ladder: its coarsest grid takes
 the guess of its caller, which for the q = 0 wells on their natural cell is
@@ -232,7 +232,7 @@ def eigenvalues(ham: DiscretizedHamiltonian, count: int, *, guess=None,
     else:
         (w, resid), vecs = _dense_eigenpairs(ham, count), None
     scaled = resid / max(1.0, ham.norm_inf)
-    if np.any(scaled > RESIDUAL_TOL):
+    if not np.all(scaled <= RESIDUAL_TOL):  # a nan residual fails too
         worst = float(np.max(scaled))
         raise ConvergenceFailure(
             f"eigenpair residual {worst:.3e} exceeds gate {RESIDUAL_TOL:g}",
@@ -427,15 +427,17 @@ def _dense_eigenpairs(ham: DiscretizedHamiltonian, count: int):
     solve = _shifted_solver(ham.diagonal, band, ham.pivot_floor)
     w = np.empty(count, dtype=np.complex128)
     residuals = np.empty(count)
-    for j, shift in enumerate(wall[order]):
-        vec = start
-        for _ in range(2):
-            vec = solve(shift, vec)
-        hv = _matvec(ham.diagonal, ham.off_diagonal, vec)
-        # the Rayleigh quotient on the original H restores what the PT
-        # projection of the diagonal dropped (to first order)
-        w[j] = np.vdot(vec, hv)
-        residuals[j] = np.linalg.norm(hv - w[j] * vec)
+    # a norm that underflows or overflows fails the residual gate as nan or inf
+    with np.errstate(all="ignore"):
+        for j, shift in enumerate(wall[order]):
+            vec = start
+            for _ in range(2):
+                vec = solve(shift, vec)
+            hv = _matvec(ham.diagonal, ham.off_diagonal, vec)
+            # the Rayleigh quotient on the original H restores what the PT
+            # projection of the diagonal dropped (to first order)
+            w[j] = np.vdot(vec, hv)
+            residuals[j] = np.linalg.norm(hv - w[j] * vec)
     return w, residuals
 
 
@@ -477,9 +479,9 @@ def _shifted_solver(diagonal: np.ndarray, band: np.ndarray, pivot_floor: float):
     grid, and every solve reuses band.
 
     gtsv stops on an exactly zero pivot, as when the shift is an exact
-    eigenvalue. The solve is then redone by gttrf and gttrs with every pivot
-    below pivot_floor raised to that size, so that it amplifies the
-    eigenvector instead of failing.
+    eigenvalue, and zgtsv returns nan on a pivot whose |.|^2 underflows. The
+    solve is then redone by gttrf and gttrs with every pivot below
+    pivot_floor raised to that size, so that it amplifies the eigenvector.
     """
     from scipy.linalg.lapack import get_lapack_funcs
 
@@ -487,10 +489,13 @@ def _shifted_solver(diagonal: np.ndarray, band: np.ndarray, pivot_floor: float):
 
     def solve(shift, rhs: np.ndarray) -> np.ndarray:
         *_, vec, info = gtsv(band, diagonal - shift, band, rhs, overwrite_d=True)
-        if info > 0:
-            dl, d, du, du2, ipiv, _ = gttrf(band, diagonal - shift, band)
-            d[np.abs(d) < pivot_floor] = pivot_floor
-            vec, _ = gttrs(dl, d, du, du2, ipiv, rhs)
+        if info == 0:
+            vec = _normalized(vec)
+            if vec[0] == vec[0]:  # _normalized turns a non-finite solution into nan
+                return vec
+        dl, d, du, du2, ipiv, _ = gttrf(band, diagonal - shift, band)
+        d[np.abs(d) < pivot_floor] = pivot_floor
+        vec, _ = gttrs(dl, d, du, du2, ipiv, rhs)
         return _normalized(vec)
 
     return solve
@@ -539,12 +544,14 @@ def _extrapolated(spacings, rows) -> list[float]:
     Solves the small Vandermonde system value(h) = c0 + c2 h^2 + c4 h^4 + ...
     exactly, so non-dyadic spacing ratios are handled without bias; all rows
     go through one stacked solve (row by row, the same LAPACK calls as one
-    row at a time).
+    row at a time). The spacings are first scaled exactly by a power of two,
+    so that no power of h^2 leaves the double range; c0 keeps every bit.
     """
     hs = np.asarray(spacings, dtype=np.float64)
     vals = np.asarray(rows, dtype=np.float64)
     if vals.shape[1:] != hs.shape or hs.size < 2:
         raise ValueError("need matching spacing/value lists of length >= 2")
+    hs = np.ldexp(hs, -math.frexp(hs[0])[1])
     system = np.vander(hs**2, hs.size, increasing=True)
     stacked = np.broadcast_to(system, (len(vals), *system.shape))
     return np.linalg.solve(stacked, vals[..., None])[:, 0, 0].tolist()

@@ -86,6 +86,15 @@ class TestSpectrum:
         assert [ev[0] for ev in v2["eigenvalues"][:2]] == pytest.approx(
             [3.0, 8.0], abs=1e-3)
 
+    @pytest.mark.parametrize("k", ["1e70", "1e73"])
+    def test_gated_run_far_from_unit_scale(self, runner, tmp_path, k):
+        # unscaled, the extrapolation's system in h^2 (h below 1e-72) is singular
+        res = runner.invoke(main, ["spectrum", "--q", "0", "--k", k, "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert "PASS spectrum_q0" in res.output
+        for name in ("v1", "v2"):
+            assert "nan" not in (tmp_path / f"{name}_spectrum.json").read_text()
+
     def test_exact_levels_come_through_the_states_module(self, runner, tmp_path,
                                                          monkeypatch):
         # a patch of the module attribute reaches the printed table and the gate
@@ -340,16 +349,63 @@ class TestConfigHandling:
         (["spectrum", "--q", "0", "--alpha", "1e200"], "", "alpha"),
         (["spectrum", "--q", "1e200"], "", "q"),
         (["spectrum", "--q", "0", "--k", "1e153", "--alpha", "1e153"], "", "alpha"),
+        (["spectrum", "--q", "0", "--k", "1e74"], "", "alpha"),
     ], ids=["plane-default-energies", "plane-explicit-energies", "q0-k", "q0-alpha",
-            "complex-q", "q0-spacing"])
+            "complex-q", "q0-spacing", "q0-bisection"])
     def test_parameters_beyond_the_double_range(self, runner, tmp_path, argv, config, key):
-        # k ** 2, q ** 2 or alpha ** 2 would raise OverflowError, and at
-        # k = alpha = 1e153 the finest grid's 2/h^2 is inf
+        # k ** 2, q ** 2 or alpha ** 2 would raise OverflowError, at
+        # k = alpha = 1e153 the finest grid's 2/h^2 is inf, and at k = 1e74
+        # its (2/h^2)^2, which Sturm bisection forms, is inf
         conf = tmp_path / "run.conf"
         conf.write_text(config)
         res = runner.invoke(main, [*argv, "--config", str(conf), "--out", str(tmp_path)])
         assert res.exit_code == 3, res.output
         assert f"config error: {key}: " in res.output
+        assert isinstance(res.exception, SystemExit)
+        assert os.listdir(tmp_path) == ["run.conf"]
+
+    @pytest.mark.parametrize("argv,config,code,message", [
+        (["figures"], "k=abc\n", 3, "config error: k: "),
+        (["figures"], "q=nan\n", 3, "config error: q: "),
+        (["figures"], "grid=4000.5\n", 3, "config error: grid: "),
+        (["scatter", "--family", "barrier"], "energies=,\n", 3, "config error: energies: "),
+        (["figures", "--k", "-1"], "", 3, "config error: k: "),
+        (["figures", "--alpha", "0"], "", 3, "config error: alpha: "),
+        (["figures", "--epsilon", "0"], "", 3, "config error: epsilon: "),
+        (["figures", "--grid", "32"], "", 3, "config error: grid: "),
+        (["figures", "--count", "0"], "", 3, "config error: count: "),
+        (["scatter", "--family", "barrier"], "barrier_width=0\n", 3,
+         "config error: barrier_width: "),
+        (["scatter", "--family", "barrier", "--format", "xml"], "", 3, "config error: format: "),
+        (["spectrum", "--q", "2"], "exploratory_grids=8,32\n", 3,
+         "config error: exploratory_grids: "),
+        (["spectrum", "--q", "0"], "x_min=0.1\n", 3, "config error: x_min: "),
+        (["spectrum", "--q", "0"], "x_min=2\nx_max=1\n", 3, "config error: x_min: "),
+        (["scatter", "--family", "plane_right"], "partner=v3\n", 3, "config error: partner: "),
+        # the middle node of the coarsest grid, 1001 points on (-1, 1), is the pole at 0
+        (["spectrum", "--q", "0", "--grid", "4004", "--count", "2"], "x_min=-1\nx_max=1\n", 3,
+         "invalid request: evaluation at x="),
+        # EvanescentOverflow is a ConvergenceFailure
+        (["scatter", "--family", "plane_right", "--q", "200"], "", 2,
+         "convergence failure: evanescent exponent"),
+        # inverse iteration's vector underflows, and a nan residual fails the gate
+        (["spectrum", "--q", "2", "--k", "1e100", "--alpha", "1"], "", 2,
+         "convergence failure: eigenpair residual nan"),
+        (["spectrum", "--q", "2", "--k", "1e80", "--alpha", "1e80", "--epsilon", "1e-83"],
+         "exploratory_grids=32,48,64\n", 2, "convergence failure: "),
+    ], ids=["not-a-number", "not-finite", "not-an-integer", "empty-list", "k", "alpha",
+            "epsilon", "grid", "count", "barrier-width", "format", "exploratory-grid",
+            "x-min-alone", "x-min-above-x-max", "partner", "singular-point",
+            "evanescent-overflow", "nan-residual", "tiny-cell"])
+    def test_refusals_exit_by_their_error_family(self, runner, tmp_path, argv, config, code,
+                                                 message):
+        # ConfigError and any other SusywellError exit 3, ConvergenceFailure
+        # and its subclasses exit 2, and nothing is written either way
+        conf = tmp_path / "run.conf"
+        conf.write_text(config)
+        res = runner.invoke(main, [*argv, "--config", str(conf), "--out", str(tmp_path)])
+        assert res.exit_code == code, res.output
+        assert message in res.output
         assert isinstance(res.exception, SystemExit)
         assert os.listdir(tmp_path) == ["run.conf"]
 

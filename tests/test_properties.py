@@ -163,6 +163,13 @@ def test_dense_path_normalizes_an_overflowing_solution():
                                    1.2411808812401817e-280, 1e-4, 65)
 
 
+def test_dense_path_resolves_a_nan_solution():
+    # at a subnormal coupling zgtsv divides by a pivot whose squared modulus
+    # underflows and returns nan; the pivot-floor solve takes over
+    _check_against_complex_eigvals(Family.TANGENT_WELL, Partner.V1, 2.1949912301712757,
+                                   2.225073858507203e-309, 1e-4, 159)
+
+
 def _check_against_complex_eigvals(family, partner, k, q, edge, n):
     spec = SuperpotentialSpec(family, k, q)
     lo, hi = fundamental_cell(spec)

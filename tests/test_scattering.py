@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from susywell import scattering
+from susywell.cli import PLANE_ENERGIES
 from susywell.errors import DegenerateMatch, EvanescentOverflow, SliceTooCoarse
 from susywell.gates import ORACLE_TOL
 from susywell.scattering import (
@@ -390,6 +391,19 @@ class TestPlaneFamilySweep:
         res = plane_partner_sweep(spec, Partner.V1, (0.0, 1.0), [1.0])[0]
         ref = square_barrier_transmission(-1.0, 1.0, 1.0)
         assert res.transmission == pytest.approx(ref, rel=1e-6)
+
+    @pytest.mark.parametrize("family", [Family.PLANE_RIGHT, Family.PLANE_LEFT])
+    @pytest.mark.parametrize("partner", list(Partner))
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+    def test_zero_coupling_is_the_square_well_of_depth_k_squared(self, family, partner, k):
+        # at q = 0 both partners are -k^2 on the default window (0, 2 pi/k):
+        # the paper's square well, with its closed form T
+        spec = SuperpotentialSpec(family, k, 0.0)
+        window = (0.0, 2 * math.pi / k)
+        energies = [m * k * k for m in PLANE_ENERGIES]
+        for res in plane_partner_sweep(spec, partner, window, energies):
+            reference = square_barrier_transmission(-k * k, window[1], res.energy)
+            assert abs(res.transmission - reference) <= 1e-11
 
     def test_complex_window_recorded_and_stable(self, monkeypatch):
         spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0)

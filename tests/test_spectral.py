@@ -139,6 +139,15 @@ class TestEigenvalues:
         # on the well conditioned acceptance path the absolute form holds too
         assert np.all(rep.residuals <= 1e-8)
 
+    def test_nan_residual_fails_the_gate(self, monkeypatch):
+        # a vector whose norm underflowed to 0 leaves a nan residual
+        spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
+        h = discretize(partner_field(spec, Partner.V1), Grid1D(0.01, math.pi - 0.01, 64))
+        monkeypatch.setattr(spectral, "_dense_eigenpairs", lambda ham, count: (
+            np.zeros(count, dtype=complex), np.full(count, np.nan)))
+        with pytest.raises(ConvergenceFailure, match="residual nan exceeds"):
+            eigenvalues(h, 2)
+
     def test_count_bounds(self):
         h = discretize(free, Grid1D(0.0, math.pi, 32))
         with pytest.raises(ValueError):
@@ -446,6 +455,15 @@ class TestConvergence:
         spacings = [1.0 / 11, 1.0 / 17, 1.0 / 29]
         values = [2.5 - 4.0 * h ** 2 for h in spacings]
         assert _extrapolated(spacings, [values])[0] == pytest.approx(2.5, abs=1e-12)
+
+    @pytest.mark.parametrize("exponent", [-400, 400])
+    def test_extrapolate_is_scale_free(self, exponent):
+        # unscaled, the h^4 column of 2^-400 h underflows and that of 2^400 h
+        # overflows; a power of two scales each column exactly
+        spacings = [1.0 / 11, 1.0 / 17, 1.0 / 29]
+        rows = [[2.5 - 4.0 * h ** 2 + 9.0 * h ** 4 for h in spacings], [1.0, 2.0, 4.0]]
+        scaled = [math.ldexp(h, exponent) for h in spacings]
+        assert _extrapolated(scaled, rows) == _extrapolated(spacings, rows)
 
 
 class TestReportSerialization:
