@@ -246,7 +246,7 @@ def barrier(v0=BARRIER_V0, width=BARRIER_WIDTH, energies=()):
     Returns the scattering results and the two gates."""
     energies = energies or tuple(m * abs(v0) for m in BARRIER_MULTIPLES)
     pot = scattering.PiecewisePotential((0.0, width), (scattering.ConstantSegment(v0),))
-    results = [scattering.transmission_reflection(pot, energy) for energy in energies]
+    results = scattering.sweep(pot, energies)
     defect = max(abs(res.flux_defect) for res in results)
     refs = [scattering.square_barrier_transmission(v0, width, energy) for energy in energies]
     gap = max(abs(res.transmission - ref) / max(abs(ref), 1e-300)

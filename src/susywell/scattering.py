@@ -16,23 +16,33 @@ samples it at 2m nodes, and propagates by exp(Omega) with
 Omega = [[delta, w], [-(E - Vbar) w, -delta]], Vbar the mean of the two
 values and delta = (sqrt(3) / 12) w^2 (V- - V+) (Blanes, Casas, Oteo & Ros,
 Phys. Rep. 470 (2009) 151). Omega is traceless, so every step is unimodular,
-and a ConstantSegment is the step with delta = 0. A block of SLICE_BLOCK
-slices is four complex arrays, the entries (p, q, r, s) of [[p, q], [r, s]];
-neighbours are multiplied entry-wise, later slice on the left, in log2(m)
-levels, and each block's product is folded into one running 2x2 across all
-segments.
+and a ConstantSegment is the step with delta = 0.
+
+The loop takes a list of energies and samples each segment once for all of
+them. Its blocks hold at most SLICE_BLOCK slice-energy pairs:
+min(m, SLICE_BLOCK) slices of a segment for max(1, (SLICE_BLOCK - 1) // m)
+energies, fewer than SLICE_BLOCK pairs unless one row has that many, as four
+complex arrays of shape (energies, slices), the entries (p, q, r, s) of
+[[p, q], [r, s]]. So the memory of a call does not grow with its number of
+energies. Each row multiplies neighbours entry-wise, later slice on the
+left, in log2(m) levels, and folds its product into the running 2x2 of its
+energy across all segments. That is the order one energy alone takes, so
+each result is bit for bit the same whatever energies share its call.
+transfer_matrix and transmission_reflection are one-energy calls of the
+loop; sweep and plane_partner_sweep pass it many.
 
 Every slice goes through one kernel with two ranges of u = z^2 = k^2 w^2 -
 delta^2: |u| <= SERIES_MAX takes six-term series of cos and sinc in u, exact
 to rounding (truncation ~ 9e-18) and free of sqrt; plane slices at moderate
 q lie there. Thicker slices take np.cos and np.sin of z, each refused with
-EvanescentOverflow above |Im z| = 700. transfer_matrix refuses the same way
-a running product, or its free-wave match, that leaves the double range,
-with the exponent summed over the slices so far.
+EvanescentOverflow above |Im z| = 700. The loop refuses the same way, at
+that energy only, a running product, or its free-wave match, that leaves
+the double range, with the exponent summed over the slices so far.
 
-plane_partner_sweep starts at START_SLICES and samples the partner once per
-slice count: the nodes depend only on the window and the count, so every
-energy of one sweep reuses the same values.
+plane_partner_sweep starts at START_SLICES and, at each slice count,
+integrates every energy that has not yet settled in one call of the loop, so
+the partner is sampled once per count; an energy leaves the doubling loop as
+soon as its T settles.
 
 Complex segment values model absorption/gain; |r|^2 + |t|^2 - 1 is
 reported per energy as flux_defect and vanishes only for real structures.
@@ -53,7 +63,7 @@ from .susy_core import PLANE_FAMILIES, Partner, SuperpotentialSpec, partner_fiel
 OVERFLOW_EXPONENT = 700.0
 _OVERFLOW_GROWTH = math.exp(OVERFLOW_EXPONENT)
 WRONSKIAN_TOL = 1e-12
-SLICE_BLOCK = 4096  # slices per block of the transfer_matrix loop
+SLICE_BLOCK = 4096  # slice-energy pairs per block of the slice loop
 # the slice count a FieldSegment and a plane sweep start at
 START_SLICES = 512
 # plane_partner_sweep doubles the slice count at most MAX_DOUBLINGS times,
@@ -134,19 +144,23 @@ def _trig(rate, width: float):
     z = np.sqrt(rate) * width
     over = np.flatnonzero(np.abs(z.imag) > OVERFLOW_EXPONENT)
     if over.size:
-        raise EvanescentOverflow(abs(z[over[0]].imag))
+        raise EvanescentOverflow(abs(z.flat[over[0]].imag))
     return np.cos(z), np.sin(z) / z
 
 
-def _rates(values, width: float, energy: float, delta):
-    """k^2 = E - V per slice and the rate z^2 / w^2 = k^2 - (delta / w)^2 of
-    its step; with no delta the rate is k^2 itself, bit for bit."""
-    ksq = complex(energy) - np.asarray(values, dtype=np.complex128)
+def _rates(values, width: float, energies, delta):
+    """k^2 = E - V per energy and slice, and the rate z^2 / w^2 =
+    k^2 - (delta / w)^2 of its step; with no delta the rate is k^2 itself,
+    bit for bit. One energy gives one row per slice, an array of energies a
+    row per energy."""
+    ksq = (np.asarray(energies, dtype=np.complex128)[..., None]
+           - np.asarray(values, dtype=np.complex128))
     return ksq, ksq if delta is None else ksq - (delta / width) ** 2
 
 
-def _slice_entries(values, width: float, energy: float, delta=None):
-    """Entries (p, q, r, s) of the slice (psi, psi') matrices [[p, q], [r, s]].
+def _slice_entries(values, width: float, energies, delta=None):
+    """Entries (p, q, r, s) of the slice (psi, psi') matrices [[p, q], [r, s]],
+    one row per energy when energies is an array.
 
     Each slice is exp(Omega), Omega = [[delta, w], [-k^2 w, -delta]] with
     k^2 = E - V, one slice per value: p = cos z + delta sinc z,
@@ -164,7 +178,7 @@ def _slice_entries(values, width: float, energy: float, delta=None):
                           (|z| > 0.2), with the EvanescentOverflow guard on
                           |Im z|.
     """
-    ksq, rate = _rates(values, width, energy, delta)
+    ksq, rate = _rates(values, width, energies, delta)
     u = rate * (width * width)
     thin = np.abs(u) <= SERIES_MAX
     if thin.all():
@@ -179,29 +193,34 @@ def _slice_entries(values, width: float, energy: float, delta=None):
     sfac = width * sinc
     if delta is None:
         return cosz, sfac, -ksq * sfac, cosz
-    tilt = delta * sinc
+    # delta is given the shape of the block first: numpy multiplies a 1-D
+    # delta into a (1, 1) block without the fused multiply-add it uses for
+    # arrays of one shape, which would move the last bit of a one-slice row
+    tilt = np.broadcast_to(delta, sinc.shape) * sinc
     return cosz + tilt, sfac, -ksq * sfac, cosz - tilt
 
 
-def _ordered_product(p, q, r, s) -> tuple[complex, complex, complex, complex]:
-    """Entries of slice[-1] @ ... @ slice[0], reduced pairwise in log2(m) levels.
+def _ordered_product(p, q, r, s):
+    """Entries of slice[-1] @ ... @ slice[0] along the last axis, reduced
+    pairwise in log2(m) levels.
 
     Each level multiplies neighbours entry-wise, the later slice on the left;
     an odd last slice is carried to the next level unchanged.
     """
-    while len(p) > 1:
-        even = len(p) - len(p) % 2
-        a, b = slice(1, even, 2), slice(0, even, 2)
+    while p.shape[-1] > 1:
+        even = p.shape[-1] - p.shape[-1] % 2
+        a, b = (..., slice(1, even, 2)), (..., slice(0, even, 2))
         pair = (
             p[a] * p[b] + q[a] * r[b],
             p[a] * q[b] + q[a] * s[b],
             r[a] * p[b] + s[a] * r[b],
             r[a] * q[b] + s[a] * s[b],
         )
-        if even < len(p):
-            pair = tuple(np.append(new, old[even:]) for new, old in zip(pair, (p, q, r, s)))
+        if even < p.shape[-1]:
+            pair = tuple(np.concatenate((new, old[..., even:]), axis=-1)
+                         for new, old in zip(pair, (p, q, r, s)))
         p, q, r, s = pair
-    return complex(p[0]), complex(q[0]), complex(r[0]), complex(s[0])
+    return p[..., 0], q[..., 0], r[..., 0], s[..., 0]
 
 
 def _slice_values(segment, a: float, b: float):
@@ -238,6 +257,123 @@ def _in_range(*entries) -> bool:
     return sum(abs(v.real) + abs(v.imag) for v in entries) <= _OVERFLOW_GROWTH
 
 
+def _wavenumber(energy, left: float) -> tuple[float, float]:
+    """(E, k0 = sqrt(E)) of the free waves, for a finite E > 0 whose
+    Wronskian 2 k0 passes WRONSKIAN_TOL."""
+    energy = float(energy)
+    if not math.isfinite(energy) or energy <= 0.0:
+        raise ValueError(f"energy must be finite and positive, got {energy!r}")
+    k0 = math.sqrt(energy)
+    if 2.0 * k0 < WRONSKIAN_TOL:
+        raise DegenerateMatch("Wronskian 2 k0", 2.0 * k0, WRONSKIAN_TOL, left)
+    return energy, k0
+
+
+def _block_products(block, energies) -> list:
+    """Per energy, the ordered product (p, q, r, s) of a block's slices as
+    Python complex, or the EvanescentOverflow that one of its slices raises
+    there; rows that fail are found by taking the energies one at a time."""
+    values, width, delta = block
+    try:
+        # slices that each pass the |Im z| guard can still overflow together;
+        # the fold refuses such a product instead of warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            entries = _ordered_product(*_slice_entries(values, width, np.array(energies), delta))
+    except EvanescentOverflow as exc:
+        if len(energies) == 1:
+            return [exc]
+        return [out for energy in energies for out in _block_products(block, [energy])]
+    return list(zip(*(entry.tolist() for entry in entries)))
+
+
+def _transfer_matrices(potential: PiecewisePotential, energies) -> list:
+    """transfer_matrix at each energy, or the exception it raises there.
+
+    Every energy goes through the one slice loop of the module docstring. A
+    refusal ends the loop for its energy only: the others go on in the same
+    order, and a segment that cannot be sampled is the error of every energy
+    still integrating.
+    """
+    bps = potential.breakpoints
+    out = [None] * len(energies)
+    waves = {}  # E and k0 of every valid energy, by index
+    for i, energy in enumerate(energies):
+        try:
+            waves[i] = _wavenumber(energy, bps[0])
+        except (TypeError, ValueError, DegenerateMatch) as exc:
+            out[i] = exc
+    running = dict.fromkeys(waves, (1.0 + 0j, 0j, 0j, 1.0 + 0j))
+    folded = []  # the blocks so far, so a refusal samples no field again
+
+    def overflow(i):
+        return EvanescentOverflow(sum(_exponent(values, width, waves[i][0], delta)
+                                      for values, width, delta in folded))
+
+    for seg, a, b in zip(potential.segments, bps, bps[1:]):
+        if not running:
+            break
+        try:
+            values, width, delta = _slice_values(seg, a, b)
+        except Exception as exc:  # each energy still integrating would raise it
+            for i in running:
+                out[i] = exc
+            return out
+        # fewer than SLICE_BLOCK pairs per block unless one row has that
+        # many: a block of exactly 4096 pairs makes every temporary a 64 KiB
+        # chunk, whose free lets glibc hand the top of the heap back to the
+        # OS, and the next block faults it in again
+        rows = max(1, (SLICE_BLOCK - 1) // len(values))
+        for start in range(0, len(values), SLICE_BLOCK):
+            run = slice(start, start + SLICE_BLOCK)
+            block = (values[run], width, None if delta is None else delta[run])
+            folded.append(block)
+            live = list(running)
+            for first in range(0, len(live), rows):
+                group = live[first:first + rows]
+                for i, product in zip(group, _block_products(block, [waves[i][0] for i in group])):
+                    if isinstance(product, Exception):
+                        out[i] = product
+                        del running[i]
+                        continue
+                    bp, bq, br, bs = product
+                    p, q, r, s = running[i]
+                    running[i] = p, q, r, s = (bp * p + bq * r, bp * q + bq * s,
+                                               br * p + bs * r, br * q + bs * s)
+                    if not _in_range(p, q, r, s):
+                        out[i] = overflow(i)
+                        del running[i]
+    first, last = bps[0], bps[-1]
+    for i, (p, q, r, s) in running.items():
+        k0 = waves[i][1]
+        e_first = cmath.exp(1j * k0 * first)
+        e_last = cmath.exp(1j * k0 * last)
+        to_psi = np.array(
+            [[e_first, 1.0 / e_first], [1j * k0 * e_first, -1j * k0 / e_first]],
+            dtype=np.complex128,
+        )
+        from_psi = np.array(
+            [
+                [0.5 / e_last, 1.0 / (2j * k0 * e_last)],
+                [0.5 * e_last, -e_last / (2j * k0)],
+            ],
+            dtype=np.complex128,
+        )
+        # from_psi grows like 1/k0, so an in-range product can still overflow here
+        with np.errstate(over="ignore", invalid="ignore"):
+            matched = from_psi @ np.array([[p, q], [r, s]]) @ to_psi
+        out[i] = matched if _in_range(*matched.ravel().tolist()) else overflow(i)
+    return out
+
+
+def _raise_first(outcomes: list) -> list:
+    """outcomes, or the first exception among them: the one a loop over the
+    energies in order would raise."""
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
 def transfer_matrix(potential: PiecewisePotential, energy: float) -> np.ndarray:
     """2x2 matrix taking left (A, B) coefficients to right (A, B), det = 1.
 
@@ -248,52 +384,7 @@ def transfer_matrix(potential: PiecewisePotential, energy: float) -> np.ndarray:
     waves, is refused with EvanescentOverflow, the exponent summed over every
     slice folded so far.
     """
-    energy = float(energy)
-    if not math.isfinite(energy) or energy <= 0.0:
-        raise ValueError(f"energy must be finite and positive, got {energy!r}")
-    k0 = math.sqrt(energy)
-    bps = potential.breakpoints
-    if 2.0 * k0 < WRONSKIAN_TOL:
-        raise DegenerateMatch("Wronskian 2 k0", 2.0 * k0, WRONSKIAN_TOL, bps[0])
-    folded = []  # the slices of each block, so a refusal samples no field again
-
-    def overflow():
-        return EvanescentOverflow(sum(_exponent(*block) for block in folded))
-
-    p, q, r, s = 1.0 + 0j, 0j, 0j, 1.0 + 0j
-    for seg, a, b in zip(potential.segments, bps, bps[1:]):
-        values, width, delta = _slice_values(seg, a, b)
-        for start in range(0, len(values), SLICE_BLOCK):
-            run = slice(start, start + SLICE_BLOCK)
-            block = (values[run], width, energy, None if delta is None else delta[run])
-            # slices that each pass the |Im z| guard can still overflow
-            # together; the check below refuses such a product instead of warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                bp, bq, br, bs = _ordered_product(*_slice_entries(*block))
-            p, q, r, s = bp * p + bq * r, bp * q + bq * s, br * p + bs * r, br * q + bs * s
-            folded.append(block)
-            if not _in_range(p, q, r, s):
-                raise overflow()
-    first, last = bps[0], bps[-1]
-    e_first = cmath.exp(1j * k0 * first)
-    e_last = cmath.exp(1j * k0 * last)
-    to_psi = np.array(
-        [[e_first, 1.0 / e_first], [1j * k0 * e_first, -1j * k0 / e_first]],
-        dtype=np.complex128,
-    )
-    from_psi = np.array(
-        [
-            [0.5 / e_last, 1.0 / (2j * k0 * e_last)],
-            [0.5 * e_last, -e_last / (2j * k0)],
-        ],
-        dtype=np.complex128,
-    )
-    # from_psi grows like 1/k0, so an in-range product can still overflow here
-    with np.errstate(over="ignore", invalid="ignore"):
-        matched = from_psi @ np.array([[p, q], [r, s]]) @ to_psi
-    if not _in_range(*matched.ravel().tolist()):
-        raise overflow()
-    return matched
+    return _raise_first(_transfer_matrices(potential, [energy]))[0]
 
 
 @dataclass(frozen=True)
@@ -316,6 +407,24 @@ class ScatteringResult:
         return abs(self.t) ** 2
 
 
+def _scattering(potential: PiecewisePotential, energies) -> list:
+    """transmission_reflection at each energy, or the exception it raises there."""
+    out = []
+    for energy, m in zip(energies, _transfer_matrices(potential, energies)):
+        if isinstance(m, Exception):
+            out.append(m)
+            continue
+        if abs(m[1, 1]) < 1e-300:
+            out.append(DegenerateMatch("M22", m[1, 1], 1e-300, potential.breakpoints[-1]))
+            continue
+        r = -m[1, 0] / m[1, 1]
+        t = 1.0 / m[1, 1]
+        defect = abs(r) ** 2 + abs(t) ** 2 - 1.0
+        out.append(ScatteringResult(float(energy), complex(r), complex(t), float(defect),
+                                    complex(m[0, 1] / m[1, 1])))
+    return out
+
+
 def transmission_reflection(potential: PiecewisePotential, energy: float) -> ScatteringResult:
     """Amplitudes r = -M21/M22 and t = det M / M22 = 1/M22 for incidence from
     the left, and r_right = M12/M22 for incidence from the right.
@@ -324,14 +433,14 @@ def transmission_reflection(potential: PiecewisePotential, energy: float) -> Sca
     are unimodular), so t is not rebuilt from det M: its four entries grow
     like 1/k0, and as E -> 0 the determinant would come out of cancellation.
     """
-    m = transfer_matrix(potential, energy)
-    if abs(m[1, 1]) < 1e-300:
-        raise DegenerateMatch("M22", m[1, 1], 1e-300, potential.breakpoints[-1])
-    r = -m[1, 0] / m[1, 1]
-    t = 1.0 / m[1, 1]
-    defect = abs(r) ** 2 + abs(t) ** 2 - 1.0
-    return ScatteringResult(energy, complex(r), complex(t), float(defect),
-                            complex(m[0, 1] / m[1, 1]))
+    return _raise_first(_scattering(potential, [energy]))[0]
+
+
+def sweep(potential: PiecewisePotential, energies) -> list[ScatteringResult]:
+    """transmission_reflection at every energy, in order, through one call of
+    the slice loop; an energy that fails raises what transmission_reflection
+    raises there, the first such energy in order."""
+    return _raise_first(_scattering(potential, list(energies)))
 
 
 def square_barrier_transmission(v0: float, width: float, energy: float) -> float:
@@ -369,9 +478,16 @@ def plane_partner_sweep(
     """Scatter free waves across a windowed plane-family partner.
 
     The complex partner potential is embedded in [x_a, x_b] with V = 0
-    outside and integrated as fourth-order Magnus slices; the slice count,
-    from START_SLICES (read at each call), doubles until T changes by
-    <= STABILIZE_TOL, else SliceTooCoarse. The closed-form plane states are
+    outside and integrated as fourth-order Magnus slices. The slice count
+    starts at START_SLICES (read at each call) and doubles, at most
+    MAX_DOUBLINGS times. At each count every energy that has not settled goes
+    through one call of the slice loop, which samples the partner once and
+    holds at most SLICE_BLOCK slice-energy pairs per block. An energy settles
+    when its T changes by <= STABILIZE_TOL and leaves the loop then; one
+    still moving after the last count raises SliceTooCoarse with that count.
+    Results come back in the order of energies, each the same bit for bit as
+    a sweep of that energy alone, and a failure raises what the first
+    failing energy in that order raises. The closed-form plane states are
     never used as the free states outside.
     """
     if spec.family not in PLANE_FAMILIES:
@@ -380,40 +496,38 @@ def plane_partner_sweep(
     if not x_a < x_b:
         raise ValueError(f"empty window [{x_a!r}, {x_b!r}]")
     field = partner_field(spec, which)
-    # the Gauss nodes depend only on the window and the slice count, so
-    # every energy of the sweep reuses one sample of the partner per count;
-    # sampling in SLICE_BLOCK chunks keeps the partner's temporaries as small
-    # as the kernel's while the earlier samples are held
-    samples = {}
 
     def sampled(nodes):
-        if len(nodes) not in samples:
-            samples[len(nodes)] = np.concatenate(
-                [field(nodes[i:i + SLICE_BLOCK]) for i in range(0, len(nodes), SLICE_BLOCK)])
-        return samples[len(nodes)]
+        # in SLICE_BLOCK chunks, so the partner's temporaries stay as small as
+        # the kernel's
+        return np.concatenate(
+            [field(nodes[i:i + SLICE_BLOCK]) for i in range(0, len(nodes), SLICE_BLOCK)])
 
-    def result_at(m: int, energy: float) -> ScatteringResult:
+    energies = list(energies)
+    outcomes = [None] * len(energies)
+    previous, change = {}, {}  # T at the last count and its last change, by index
+    refining = list(range(len(energies)))
+    for doubling in range(MAX_DOUBLINGS + 2):
+        m = START_SLICES * 2 ** doubling
         structure = PiecewisePotential((x_a, x_b), (FieldSegment(sampled, m),))
-        return transmission_reflection(structure, energy)
-
-    out = []
-    for energy in energies:
-        m = START_SLICES
-        prev = result_at(m, float(energy))
-        accepted = None
-        change = math.inf
-        for _ in range(MAX_DOUBLINGS + 1):
-            nxt = result_at(2 * m, float(energy))
-            change = abs(nxt.transmission - prev.transmission)
-            if change <= STABILIZE_TOL:
-                accepted = nxt
-                break
-            m *= 2
-            prev = nxt
-        if accepted is None:
-            raise SliceTooCoarse(float(energy), 2 * m, change)
-        out.append(accepted)
-    return out
+        for i, res in zip(refining, _scattering(structure, [energies[i] for i in refining])):
+            if isinstance(res, Exception):
+                outcomes[i] = res
+                continue
+            if doubling:
+                change[i] = abs(res.transmission - previous[i])
+                if change[i] <= STABILIZE_TOL:
+                    outcomes[i] = res
+            previous[i] = res.transmission
+        failed = next((i for i, out in enumerate(outcomes) if isinstance(out, Exception)),
+                      len(outcomes))
+        # an energy after one that failed can no longer change what the sweep raises
+        refining = [i for i in refining if outcomes[i] is None and i < failed]
+        if not refining:
+            break
+    for i in refining:
+        outcomes[i] = SliceTooCoarse(float(energies[i]), m, change[i])
+    return _raise_first(outcomes)
 
 
 SWEEP_HEADER = ["energy", "r_re", "r_im", "t_re", "t_im", "R", "T", "flux_defect"]

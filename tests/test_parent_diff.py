@@ -29,9 +29,9 @@ def roots(tmp_path):
     return base, head
 
 
-def test_twelve_commands_with_distinct_names():
+def test_thirteen_commands_with_distinct_names():
     names = [name for name, _ in parent_diff.COMMANDS]
-    assert len(names) == 12 == len(set(names))
+    assert len(names) == 13 == len(set(names))
 
 
 def test_identical_outputs_report_nothing(roots):

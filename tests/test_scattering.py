@@ -2,9 +2,12 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
@@ -23,6 +26,7 @@ from susywell.scattering import (
     _slice_entries,
     plane_partner_sweep,
     square_barrier_transmission,
+    sweep,
     sweep_csv,
     transfer_matrix,
     transmission_reflection,
@@ -454,7 +458,7 @@ class TestPlaneFamilySweep:
         assert np.max(np.abs(ml - sx @ np.conj(mr) @ sx)) < 1e-12
 
     def test_shared_samples_leave_results_unchanged(self):
-        # one sweep reuses each slice count's partner sample across energies;
+        # one sweep integrates all its energies together at each slice count;
         # energies that double 0 to 3 times must match one-energy sweeps bit for bit
         spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.5)
         energies = [0.45, 0.6, 1.0, 1.2, 2.0]
@@ -469,11 +473,14 @@ class TestPlaneFamilySweep:
             plane_partner_sweep(spec, Partner.V1, (0.0, 1.0), [1.0])
 
     def test_slice_too_coarse(self, monkeypatch):
-        # T still moves by about 1.6e-3 between 128 and 256 slices here
+        # T still moves by about 1.6e-3 between 64 and 128 slices here, and
+        # 128 is the last count the sweep integrates
         monkeypatch.setattr(scattering, "START_SLICES", 1)
         spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 10.0)
-        with pytest.raises(SliceTooCoarse):
+        with pytest.raises(SliceTooCoarse) as exc:
             plane_partner_sweep(spec, Partner.V1, (0.0, 2 * math.pi), [1000.0])
+        assert exc.value.slices == 128
+        assert "after refining to 128 slices" in str(exc.value)
 
     @pytest.mark.parametrize("family", [Family.PLANE_RIGHT, Family.PLANE_LEFT])
     def test_default_sweep_matches_a_midpoint_reference(self, family):
@@ -486,6 +493,173 @@ class TestPlaneFamilySweep:
             r, t = midpoint_richardson(field, *window, res.energy, 2 ** 16)
             assert abs(res.transmission - abs(t) ** 2) <= 1e-10
             assert abs(res.reflection - abs(r) ** 2) <= 1e-8
+
+
+def outcome(call):
+    """(results, None) of call(), or (None, the exception it raised)."""
+    try:
+        return call(), None
+    except Exception as exc:  # the exception is the outcome
+        return None, exc
+
+
+def one_at_a_time(scatter, energies):
+    """The per-energy loop that a batch must reproduce: scatter(energy) for
+    each energy in order, stopping at the first that raises."""
+    return outcome(lambda: [scatter(energy) for energy in energies])
+
+
+def assert_same_outcome(got, want):
+    """The same results, or an exception of the same type and message."""
+    (results, exc), (ref_results, ref_exc) = got, want
+    assert results == ref_results
+    assert (type(exc), str(exc)) == (type(ref_exc), str(ref_exc))
+
+
+def doubling_reference(spec, which, window, energy):
+    """One energy of plane_partner_sweep as a loop of transmission_reflection
+    calls: START_SLICES slices, doubled until T changes by at most
+    STABILIZE_TOL, else SliceTooCoarse with the last count integrated."""
+    field = partner_field(spec, which)
+
+    def at(m):
+        return transmission_reflection(PiecewisePotential(window, (FieldSegment(field, m),)),
+                                       energy)
+
+    m = scattering.START_SLICES
+    prev = at(m)
+    for _ in range(scattering.MAX_DOUBLINGS + 1):
+        m *= 2
+        nxt = at(m)
+        change = abs(nxt.transmission - prev.transmission)
+        if change <= scattering.STABILIZE_TOL:
+            return nxt
+        prev = nxt
+    raise SliceTooCoarse(energy, m, change)
+
+
+# barrier energies: the series range about v0 and anywhere from near 0 to 40
+near_top = st.floats(-0.04, 0.04)
+far = st.floats(0.05, 40.0)
+
+
+class TestEnergyBatches:
+    @settings(max_examples=60, deadline=None)
+    @given(v0=st.floats(-8.0, 8.0), width=st.floats(0.3, 2.0),
+           picks=st.lists(st.one_of(st.tuples(st.just("near"), near_top),
+                                    st.tuples(st.just("far"), far)), min_size=1, max_size=12))
+    def test_barrier_sweep_is_the_one_energy_loop(self, v0, width, picks):
+        # unsorted, repeated, and series rows beside trig rows in one block
+        energies = [v0 + d / width ** 2 if kind == "near" else d for kind, d in picks]
+        energies = [e if e > 0.0 else 0.05 for e in energies] + energies[:2]
+        pot = barrier(v0, width)
+        assert_same_outcome(outcome(lambda: sweep(pot, energies)),
+                            one_at_a_time(lambda e: transmission_reflection(pot, e), energies))
+
+    def test_barrier_block_mixes_series_and_trig_rows(self):
+        energies = [4.0, 1.0, 4.01, 9.0, 3.99, 1.0]
+        series = [abs((e - 4.0) * 1.3 ** 2) <= SERIES_MAX for e in energies]
+        assert any(series) and not all(series)
+        pot = barrier(4.0, 1.3)
+        assert sweep(pot, energies) == [transmission_reflection(pot, e) for e in energies]
+
+    @settings(max_examples=20, deadline=None)
+    @given(slices=st.sampled_from([1, 3, SLICE_BLOCK - 1, SLICE_BLOCK + 1, 2 * SLICE_BLOCK + 1]),
+           v1=st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+           energies=st.lists(st.sampled_from([0.3, 1.0, 2.0, 2.01, 1.99, 7.5]), min_size=1,
+                             max_size=6))
+    def test_structure_sweep_is_the_one_energy_loop(self, slices, v1, energies):
+        # a multi-block fold between two slabs whose rows mix series (E near 2)
+        # and trig
+        def field(x):
+            return 1.0 + v1 * np.exp(1.3j * x)
+
+        pot = PiecewisePotential((0.0, 0.7, 2.0, 2.4),
+                                 (ConstantSegment(2.0), FieldSegment(field, slices),
+                                  ConstantSegment(-3.0 + 0.5j)))
+        assert_same_outcome(outcome(lambda: sweep(pot, energies)),
+                            one_at_a_time(lambda e: transmission_reflection(pot, e), energies))
+
+    @settings(max_examples=25, deadline=None)
+    @given(family=st.sampled_from([Family.PLANE_RIGHT, Family.PLANE_LEFT]),
+           partner=st.sampled_from(list(Partner)), q=st.sampled_from([0.5, 1.0, 1.5]),
+           energies=st.lists(st.sampled_from([0.3, 0.45, 1.0, 1.2, 2.5, 5.0]), min_size=1,
+                             max_size=6))
+    def test_plane_sweep_is_the_one_energy_loop(self, family, partner, q, energies):
+        spec = SuperpotentialSpec(family, 1.0, q)
+        window = (0.0, 2 * math.pi)
+        assert_same_outcome(
+            outcome(lambda: plane_partner_sweep(spec, partner, window, energies)),
+            one_at_a_time(lambda e: doubling_reference(spec, partner, window, e), energies))
+
+    def test_energies_settle_at_different_counts_in_input_order(self):
+        # on (0, 40 pi) at q = 2, E = 0.5 and 5 settle at 4096 slices and
+        # E = 2 at 8192: two doublings and a fold over two blocks of slices
+        spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 2.0)
+        window = (0.0, 40 * math.pi)
+        energies = [2.0, 5.0, 0.5, 2.0]
+        got = plane_partner_sweep(spec, Partner.V1, window, energies)
+        counts = {2.0: 8192, 5.0: 4096, 0.5: 4096}
+        assert got == [transmission_reflection(sliced(spec, window, counts[e]), e)
+                       for e in energies]
+        assert got == [doubling_reference(spec, Partner.V1, window, e) for e in energies]
+
+    @pytest.mark.parametrize("energies", [[1000.0, -1.0], [-2.0, 1000.0, -1.0],
+                                          [1000.0, float("nan")]])
+    def test_first_failing_energy_raises_in_a_plane_sweep(self, monkeypatch, energies):
+        # E = 1000 fails last in time (SliceTooCoarse at 128 slices) but
+        # first in order, so it is what the sweep raises
+        monkeypatch.setattr(scattering, "START_SLICES", 1)
+        spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 10.0)
+        window = (0.0, 2 * math.pi)
+        got = outcome(lambda: plane_partner_sweep(spec, Partner.V1, window, energies))
+        assert got[1] is not None
+        assert_same_outcome(
+            got, one_at_a_time(lambda e: doubling_reference(spec, Partner.V1, window, e),
+                               energies))
+
+    @pytest.mark.parametrize("energies", [[0.25, 0.5], [0.5, 0.25], [0.3, 0.25, 0.5]])
+    def test_first_overflowing_energy_raises_in_a_plane_sweep(self, energies):
+        # at q = 200 every energy overflows, each with its own exponent
+        spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 200.0)
+        window = (0.0, 2 * math.pi)
+        got = outcome(lambda: plane_partner_sweep(spec, Partner.V1, window, energies))
+        assert isinstance(got[1], EvanescentOverflow)
+        assert_same_outcome(
+            got, one_at_a_time(lambda e: doubling_reference(spec, Partner.V1, window, e),
+                               energies))
+
+    @pytest.mark.parametrize("v0,energies", [
+        (4.0, [2.0, 1e-30, -1.0]),
+        (4.0, [2.0, -1.0, 1e-30]),
+        (490100.0, [490101.0, 50.0, 490200.0, 20.0]),
+        (490100.0, [490101.0, 20.0, 490200.0, 50.0]),
+        (1e8, [3.0, 1.0]),
+    ])
+    def test_first_failing_energy_raises_in_a_structure_sweep(self, v0, energies):
+        # below E = 100 the 490100 slab passes |Im z| = 700 in some rows of
+        # a block and not in others
+        pot = barrier(v0, 1.0 if v0 < 1e8 else 100.0)
+        got = outcome(lambda: sweep(pot, energies))
+        assert got[1] is not None
+        assert_same_outcome(got, one_at_a_time(lambda e: transmission_reflection(pot, e),
+                                               energies))
+
+    def test_memory_does_not_grow_with_energies_times_slices(self):
+        spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0)
+
+        def peak(count):
+            energies = list(np.linspace(0.5, 5.0, count))
+            tracemalloc.start()
+            try:
+                plane_partner_sweep(spec, Partner.V1, (0.0, 2 * math.pi), energies)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # one array of 256 energies x 1024 slices would take 4 MiB; 248 more
+        # results take a few hundred bytes each
+        assert peak(256) - peak(8) < 256 * 1024
 
 
 class TestSweepSerialization:

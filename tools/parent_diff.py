@@ -45,12 +45,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 CUSTOM_DOMAIN = "custom_domain.cfg"
 PT_WINDOW = "pt_window.cfg"
+WIDE_WINDOW = "wide_window.cfg"
 ALLOW_LIST = ROOT / "tools" / "parent_diff_allow.txt"
 
 # the README commands, the q=0 spectra that CI reruns (the natural cell
 # takes the closed-form guess, a custom domain bisects), figures at
 # alpha != k, a plane sweep in json, a plane sweep on the PT-centred window
-# pi/2 -+ pi and a q=0 tangent-well spectrum
+# pi/2 -+ pi, a q=0 tangent-well spectrum, and a plane sweep on (0, 40 pi)
+# whose energies settle at 4096 and 8192 slices (the doubling loop and a
+# fold over two blocks of slices)
 COMMANDS = (
     ("figures", ["figures"]),
     ("spectrum_q0", ["spectrum", "--q", "0", "--count", "4"]),
@@ -64,6 +67,8 @@ COMMANDS = (
     ("scatter_plane_left", ["scatter", "--family", "plane_left", "--format", "json"]),
     ("scatter_pt_window", ["scatter", "--family", "plane_right", "--config", PT_WINDOW]),
     ("spectrum_tangent", ["spectrum", "--family", "tangent_well", "--q", "0", "--count", "4"]),
+    ("scatter_wide_window", ["scatter", "--family", "plane_right", "--q", "2",
+                             "--config", WIDE_WINDOW]),
 )
 
 
@@ -174,6 +179,8 @@ def main(argv=None) -> int:
         (tmp / CUSTOM_DOMAIN).write_text("x_min=0.3\nx_max=2.8\n")
         (tmp / PT_WINDOW).write_text(f"window_min={-math.pi / 2!r}\n"
                                      f"window_max={3 * math.pi / 2!r}\n")
+        (tmp / WIDE_WINDOW).write_text(f"window_min=0.0\nwindow_max={40 * math.pi!r}\n"
+                                       "energies=0.5,2.0,5.0\n")
         (tmp / "tree").mkdir()
         export(args.base, tmp / "tree")
         codes = {}
