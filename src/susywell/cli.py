@@ -157,8 +157,9 @@ def build_config(command, flags):
 
 
 def _validate(cfg):
-    # the closed forms square k, q and alpha: a Python float ** raises there
-    for key in ("k", "q", "alpha"):
+    # the closed forms square k, q and alpha, and the barrier oracle
+    # barrier_v0: a Python float ** raises there
+    for key in ("k", "q", "alpha", "barrier_v0"):
         try:
             (getattr(cfg, key) or 0.0) ** 2
         except OverflowError:

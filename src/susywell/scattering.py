@@ -35,9 +35,15 @@ Every slice goes through one kernel with two ranges of u = z^2 = k^2 w^2 -
 delta^2: |u| <= SERIES_MAX takes six-term series of cos and sinc in u, exact
 to rounding (truncation ~ 9e-18) and free of sqrt; plane slices at moderate
 q lie there. Thicker slices take np.cos and np.sin of z, each refused with
-EvanescentOverflow above |Im z| = 700. The loop refuses the same way, at
-that energy only, a running product, or its free-wave match, that leaves
-the double range, with the exponent summed over the slices so far.
+EvanescentOverflow above |Im z| = 700. The loop refuses the same way a
+running product, or its free-wave match, that leaves the double range, with
+the exponent summed over the slices so far.
+
+The loop fails fast: it validates every energy, then integrates, and raises
+the first refusal it meets, whatever its energy. sweep and
+plane_partner_sweep replay a batch that raises one energy at a time, in
+input order (_in_order), so a sweep raises what the first energy that fails
+alone raises; a passing sweep integrates each energy once.
 
 plane_partner_sweep starts at START_SLICES and, at each slice count,
 integrates every energy that has not yet settled in one call of the loop, so
@@ -64,7 +70,7 @@ OVERFLOW_EXPONENT = 700.0
 _OVERFLOW_GROWTH = math.exp(OVERFLOW_EXPONENT)
 WRONSKIAN_TOL = 1e-12
 SLICE_BLOCK = 4096  # slice-energy pairs per block of the slice loop
-# the slice count a FieldSegment and a plane sweep start at
+# the slice count a plane sweep starts at
 START_SLICES = 512
 # plane_partner_sweep doubles the slice count at most MAX_DOUBLINGS times,
 # until T changes by at most STABILIZE_TOL
@@ -97,7 +103,7 @@ class FieldSegment:
     """
 
     field: object
-    slices: int = START_SLICES
+    slices: int
 
     def __post_init__(self):
         if self.slices < 1:
@@ -144,7 +150,7 @@ def _trig(rate, width: float):
     z = np.sqrt(rate) * width
     over = np.flatnonzero(np.abs(z.imag) > OVERFLOW_EXPONENT)
     if over.size:
-        raise EvanescentOverflow(abs(z.flat[over[0]].imag))
+        raise EvanescentOverflow(float(abs(z.flat[over[0]].imag)))
     return np.cos(z), np.sin(z) / z
 
 
@@ -269,55 +275,20 @@ def _wavenumber(energy, left: float) -> tuple[float, float]:
     return energy, k0
 
 
-def _block_products(block, energies) -> list:
-    """Per energy, the ordered product (p, q, r, s) of a block's slices as
-    Python complex, or the EvanescentOverflow that one of its slices raises
-    there; rows that fail are found by taking the energies one at a time."""
-    values, width, delta = block
-    try:
-        # slices that each pass the |Im z| guard can still overflow together;
-        # the fold refuses such a product instead of warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            entries = _ordered_product(*_slice_entries(values, width, np.array(energies), delta))
-    except EvanescentOverflow as exc:
-        if len(energies) == 1:
-            return [exc]
-        return [out for energy in energies for out in _block_products(block, [energy])]
-    return list(zip(*(entry.tolist() for entry in entries)))
-
-
 def _transfer_matrices(potential: PiecewisePotential, energies) -> list:
-    """transfer_matrix at each energy, or the exception it raises there.
-
-    Every energy goes through the one slice loop of the module docstring. A
-    refusal ends the loop for its energy only: the others go on in the same
-    order, and a segment that cannot be sampled is the error of every energy
-    still integrating.
-    """
+    """transfer_matrix at each energy, all through the one slice loop of the
+    module docstring; the first refusal met raises, whatever its energy."""
     bps = potential.breakpoints
-    out = [None] * len(energies)
-    waves = {}  # E and k0 of every valid energy, by index
-    for i, energy in enumerate(energies):
-        try:
-            waves[i] = _wavenumber(energy, bps[0])
-        except (TypeError, ValueError, DegenerateMatch) as exc:
-            out[i] = exc
-    running = dict.fromkeys(waves, (1.0 + 0j, 0j, 0j, 1.0 + 0j))
+    waves = [_wavenumber(energy, bps[0]) for energy in energies]
+    running = [(1.0 + 0j, 0j, 0j, 1.0 + 0j)] * len(waves)
     folded = []  # the blocks so far, so a refusal samples no field again
 
-    def overflow(i):
-        return EvanescentOverflow(sum(_exponent(values, width, waves[i][0], delta)
+    def overflow(energy):
+        return EvanescentOverflow(sum(_exponent(values, width, energy, delta)
                                       for values, width, delta in folded))
 
     for seg, a, b in zip(potential.segments, bps, bps[1:]):
-        if not running:
-            break
-        try:
-            values, width, delta = _slice_values(seg, a, b)
-        except Exception as exc:  # each energy still integrating would raise it
-            for i in running:
-                out[i] = exc
-            return out
+        values, width, delta = _slice_values(seg, a, b)
         # fewer than SLICE_BLOCK pairs per block unless one row has that
         # many: a block of exactly 4096 pairs makes every temporary a 64 KiB
         # chunk, whose free lets glibc hand the top of the heap back to the
@@ -327,24 +298,21 @@ def _transfer_matrices(potential: PiecewisePotential, energies) -> list:
             run = slice(start, start + SLICE_BLOCK)
             block = (values[run], width, None if delta is None else delta[run])
             folded.append(block)
-            live = list(running)
-            for first in range(0, len(live), rows):
-                group = live[first:first + rows]
-                for i, product in zip(group, _block_products(block, [waves[i][0] for i in group])):
-                    if isinstance(product, Exception):
-                        out[i] = product
-                        del running[i]
-                        continue
-                    bp, bq, br, bs = product
+            for first in range(0, len(waves), rows):
+                group = np.array([energy for energy, _ in waves[first:first + rows]])
+                # slices that each pass the |Im z| guard can still overflow
+                # together; the fold refuses such a product instead of warning
+                with np.errstate(over="ignore", invalid="ignore"):
+                    entries = _ordered_product(*_slice_entries(block[0], width, group, block[2]))
+                for i, (bp, bq, br, bs) in enumerate(zip(*(e.tolist() for e in entries)), first):
                     p, q, r, s = running[i]
                     running[i] = p, q, r, s = (bp * p + bq * r, bp * q + bq * s,
                                                br * p + bs * r, br * q + bs * s)
                     if not _in_range(p, q, r, s):
-                        out[i] = overflow(i)
-                        del running[i]
+                        raise overflow(waves[i][0])
     first, last = bps[0], bps[-1]
-    for i, (p, q, r, s) in running.items():
-        k0 = waves[i][1]
+    out = []
+    for (energy, k0), (p, q, r, s) in zip(waves, running):
         e_first = cmath.exp(1j * k0 * first)
         e_last = cmath.exp(1j * k0 * last)
         to_psi = np.array(
@@ -361,17 +329,24 @@ def _transfer_matrices(potential: PiecewisePotential, energies) -> list:
         # from_psi grows like 1/k0, so an in-range product can still overflow here
         with np.errstate(over="ignore", invalid="ignore"):
             matched = from_psi @ np.array([[p, q], [r, s]]) @ to_psi
-        out[i] = matched if _in_range(*matched.ravel().tolist()) else overflow(i)
+        if not _in_range(*matched.ravel().tolist()):
+            raise overflow(energy)
+        out.append(matched)
     return out
 
 
-def _raise_first(outcomes: list) -> list:
-    """outcomes, or the first exception among them: the one a loop over the
-    energies in order would raise."""
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-    return outcomes
+def _in_order(batch, energies) -> list:
+    """batch(energies), where batch maps a list of energies to one result
+    each. If it raises, each energy is run alone, in order, so the first
+    energy that fails alone raises: a result is the same bit for bit in any
+    batch, so that is what a loop over the energies would raise."""
+    energies = list(energies)
+    try:
+        return batch(energies)
+    except Exception:
+        if len(energies) < 2:
+            raise
+    return [out for energy in energies for out in batch([energy])]
 
 
 def transfer_matrix(potential: PiecewisePotential, energy: float) -> np.ndarray:
@@ -384,7 +359,7 @@ def transfer_matrix(potential: PiecewisePotential, energy: float) -> np.ndarray:
     waves, is refused with EvanescentOverflow, the exponent summed over every
     slice folded so far.
     """
-    return _raise_first(_transfer_matrices(potential, [energy]))[0]
+    return _transfer_matrices(potential, [energy])[0]
 
 
 @dataclass(frozen=True)
@@ -408,15 +383,11 @@ class ScatteringResult:
 
 
 def _scattering(potential: PiecewisePotential, energies) -> list:
-    """transmission_reflection at each energy, or the exception it raises there."""
+    """transmission_reflection at each energy, raising the first refusal met."""
     out = []
     for energy, m in zip(energies, _transfer_matrices(potential, energies)):
-        if isinstance(m, Exception):
-            out.append(m)
-            continue
         if abs(m[1, 1]) < 1e-300:
-            out.append(DegenerateMatch("M22", m[1, 1], 1e-300, potential.breakpoints[-1]))
-            continue
+            raise DegenerateMatch("M22", m[1, 1], 1e-300, potential.breakpoints[-1])
         r = -m[1, 0] / m[1, 1]
         t = 1.0 / m[1, 1]
         defect = abs(r) ** 2 + abs(t) ** 2 - 1.0
@@ -433,14 +404,14 @@ def transmission_reflection(potential: PiecewisePotential, energy: float) -> Sca
     are unimodular), so t is not rebuilt from det M: its four entries grow
     like 1/k0, and as E -> 0 the determinant would come out of cancellation.
     """
-    return _raise_first(_scattering(potential, [energy]))[0]
+    return _scattering(potential, [energy])[0]
 
 
 def sweep(potential: PiecewisePotential, energies) -> list[ScatteringResult]:
     """transmission_reflection at every energy, in order, through one call of
-    the slice loop; an energy that fails raises what transmission_reflection
-    raises there, the first such energy in order."""
-    return _raise_first(_scattering(potential, list(energies)))
+    the slice loop; a failure raises what the first energy that fails alone
+    raises (_in_order)."""
+    return _in_order(lambda batch: _scattering(potential, batch), energies)
 
 
 def square_barrier_transmission(v0: float, width: float, energy: float) -> float:
@@ -486,9 +457,10 @@ def plane_partner_sweep(
     when its T changes by <= STABILIZE_TOL and leaves the loop then; one
     still moving after the last count raises SliceTooCoarse with that count.
     Results come back in the order of energies, each the same bit for bit as
-    a sweep of that energy alone, and a failure raises what the first
-    failing energy in that order raises. The closed-form plane states are
-    never used as the free states outside.
+    a sweep of that energy alone. A batch that raises is replayed one energy
+    at a time (_in_order), so a failure raises what the first energy that
+    fails alone raises. The closed-form plane states are never used as the
+    free states outside.
     """
     if spec.family not in PLANE_FAMILIES:
         raise ValueError(f"sweep requires a plane family, got {spec.family}")
@@ -503,31 +475,25 @@ def plane_partner_sweep(
         return np.concatenate(
             [field(nodes[i:i + SLICE_BLOCK]) for i in range(0, len(nodes), SLICE_BLOCK)])
 
-    energies = list(energies)
-    outcomes = [None] * len(energies)
-    previous, change = {}, {}  # T at the last count and its last change, by index
-    refining = list(range(len(energies)))
-    for doubling in range(MAX_DOUBLINGS + 2):
-        m = START_SLICES * 2 ** doubling
-        structure = PiecewisePotential((x_a, x_b), (FieldSegment(sampled, m),))
-        for i, res in zip(refining, _scattering(structure, [energies[i] for i in refining])):
-            if isinstance(res, Exception):
-                outcomes[i] = res
-                continue
-            if doubling:
-                change[i] = abs(res.transmission - previous[i])
-                if change[i] <= STABILIZE_TOL:
-                    outcomes[i] = res
-            previous[i] = res.transmission
-        failed = next((i for i, out in enumerate(outcomes) if isinstance(out, Exception)),
-                      len(outcomes))
-        # an energy after one that failed can no longer change what the sweep raises
-        refining = [i for i in refining if outcomes[i] is None and i < failed]
-        if not refining:
-            break
-    for i in refining:
-        outcomes[i] = SliceTooCoarse(float(energies[i]), m, change[i])
-    return _raise_first(outcomes)
+    def settled(batch):
+        results = [None] * len(batch)
+        previous, change = {}, {}  # T at the last count and its last change, by index
+        refining = range(len(batch))
+        for doubling in range(MAX_DOUBLINGS + 2):
+            m = START_SLICES * 2 ** doubling
+            structure = PiecewisePotential((x_a, x_b), (FieldSegment(sampled, m),))
+            for i, res in zip(refining, _scattering(structure, [batch[i] for i in refining])):
+                if doubling:
+                    change[i] = abs(res.transmission - previous[i])
+                    if change[i] <= STABILIZE_TOL:
+                        results[i] = res
+                previous[i] = res.transmission
+            refining = [i for i in refining if results[i] is None]
+            if not refining:
+                return results
+        raise SliceTooCoarse(float(batch[refining[0]]), m, change[refining[0]])
+
+    return _in_order(settled, energies)
 
 
 SWEEP_HEADER = ["energy", "r_re", "r_im", "t_re", "t_im", "R", "T", "flux_defect"]

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -619,6 +620,44 @@ class TestScatter:
         assert "convergence failure: evanescent exponent" in res.output
         assert isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("config", [
+        "barrier_v0=1e155\nbarrier_width=1e-155\n",
+        "barrier_v0=1e200\nbarrier_width=1e-200\n",
+        "barrier_v0=-1e200\nbarrier_width=1e-200\n",
+    ], ids=["1e155", "1e200", "-1e200"])
+    def test_barrier_height_beyond_the_double_range(self, runner, tmp_path, config):
+        # the closed-form oracle squares barrier_v0, which would raise
+        # OverflowError: a refusal, not a failed gate
+        conf = tmp_path / "run.conf"
+        conf.write_text(config)
+        res = runner.invoke(main, ["scatter", "--family", "barrier", "--config", str(conf),
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 3, res.output
+        assert "config error: barrier_v0: its square leaves the double range" in res.output
+        assert isinstance(res.exception, SystemExit)
+        assert os.listdir(tmp_path) == ["run.conf"]
+
+    def test_barrier_height_whose_square_is_in_range_passes(self, runner, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("barrier_v0=1e154\nbarrier_width=1e-154\n")
+        res = runner.invoke(main, ["scatter", "--family", "barrier", "--config", str(conf),
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert "PASS flux_conservation" in res.output
+        assert "PASS barrier_oracle" in res.output
+
+    def test_slice_overflow_message_prints_a_plain_number(self, runner, tmp_path):
+        # the first default energy, 0.1 barrier_v0, has kappa w = sqrt(0.9e100),
+        # which fails the one-slice |Im z| guard
+        conf = tmp_path / "run.conf"
+        conf.write_text("barrier_v0=1e100\n")
+        res = runner.invoke(main, ["scatter", "--family", "barrier", "--config", str(conf),
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        exponent = re.search(r"evanescent exponent (\S+) exceeds", res.output).group(1)
+        assert float(exponent) == pytest.approx(math.sqrt(0.9e100))
+        assert "np.float64" not in res.output
 
     def test_well_family_refused(self, runner, tmp_path):
         res = runner.invoke(main, ["scatter", "--family", "cotangent_well",

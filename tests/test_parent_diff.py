@@ -11,7 +11,7 @@ _SPEC = importlib.util.spec_from_file_location("parent_diff", _PATH)
 parent_diff = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(parent_diff)
 
-CODES = {name: 0 for name, _ in parent_diff.COMMANDS}
+CODES = {name: expected for name, _, expected in parent_diff.COMMANDS}
 
 
 def write(root, files):
@@ -29,9 +29,13 @@ def roots(tmp_path):
     return base, head
 
 
-def test_thirteen_commands_with_distinct_names():
-    names = [name for name, _ in parent_diff.COMMANDS]
-    assert len(names) == 13 == len(set(names))
+def test_fifteen_commands_with_distinct_names():
+    names = [name for name, _, _ in parent_diff.COMMANDS]
+    assert len(names) == 15 == len(set(names))
+    # the two refused sweeps are expected to exit 2, every other command 0
+    assert {name for name, _, code in parent_diff.COMMANDS if code} == {
+        "scatter_unsettled", "scatter_overflowing"}
+    assert CODES["scatter_unsettled"] == CODES["scatter_overflowing"] == 2
 
 
 def test_identical_outputs_report_nothing(roots):
@@ -84,6 +88,24 @@ def test_a_failing_command_is_reported_even_when_base_fails_too(roots):
     assert parent_diff.differences(*roots, codes, CODES) == [
         ("verify", "exit code 1 at base, 0 here"),
     ]
+
+
+def test_an_expected_nonzero_exit_is_not_reported(roots):
+    # the refused sweeps exit 2 at base and here, as they must
+    assert parent_diff.differences(*roots, CODES, CODES) == []
+    # exiting 0 instead is a difference, even when base did the same
+    passed = dict(CODES, scatter_unsettled=0)
+    assert parent_diff.differences(*roots, passed, passed) == [
+        ("scatter_unsettled", "exit code 0 at base, 0 here"),
+    ]
+
+
+def test_a_stderr_difference_is_reported(roots):
+    base, head = roots
+    stderr = f"scatter_overflowing/{parent_diff.STDERR}"
+    write(base, {stderr: "evanescent exponent 799.98783983669\n"})
+    write(head, {stderr: "evanescent exponent 799.98833985131\n"})
+    assert parent_diff.differences(base, head, CODES, CODES) == [(stderr, "differs")]
 
 
 @pytest.mark.parametrize("path,allow,expect", [

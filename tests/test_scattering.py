@@ -158,6 +158,15 @@ class TestTransferMatrix:
         with pytest.raises(EvanescentOverflow):
             transfer_matrix(wide, 1.0)
 
+    def test_slice_guard_reports_a_python_float(self):
+        # the exponent of one slice over the guard is a float, so the message
+        # reads like the summed ones, not np.float64(...)
+        with pytest.raises(EvanescentOverflow) as err:
+            transfer_matrix(barrier(1e200, 1.0), 1.0)
+        assert type(err.value.exponent) is float
+        assert err.value.exponent == pytest.approx(1e100)
+        assert "np.float64" not in str(err.value)
+
     @pytest.mark.parametrize("first,second", [
         (ConstantSegment(160001.0), ConstantSegment(160001.0)),
         (FieldSegment(lambda x: np.full(np.shape(x), 160001.0), 7), ConstantSegment(160001.0)),
@@ -644,6 +653,35 @@ class TestEnergyBatches:
         assert got[1] is not None
         assert_same_outcome(got, one_at_a_time(lambda e: transmission_reflection(pot, e),
                                                energies))
+
+    def test_a_passing_plane_sweep_integrates_each_energy_once(self, monkeypatch):
+        # the scatter defaults settle at 512 against 1024 slices: 7 energies
+        # x (512 + 1024) slice-energy pairs, and no replay
+        pairs = []
+        entries = scattering._slice_entries
+
+        def counted(*args):
+            out = entries(*args)
+            pairs.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(scattering, "_slice_entries", counted)
+        spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0)
+        plane_partner_sweep(spec, Partner.V1, (0.0, 2 * math.pi), PLANE_ENERGIES)
+        assert sum(pairs) == 7 * (512 + 1024) == 10752
+
+    def test_a_passing_barrier_sweep_calls_the_kernel_once(self, monkeypatch):
+        calls = []
+        entries = scattering._slice_entries
+
+        def counted(*args):
+            calls.append(args)
+            return entries(*args)
+
+        monkeypatch.setattr(scattering, "_slice_entries", counted)
+        results = sweep(barrier(), [0.4, 1.0, 2.0, 4.0, 6.0, 9.0])
+        assert len(results) == 6
+        assert len(calls) == 1
 
     def test_memory_does_not_grow_with_energies_times_slices(self):
         spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0)

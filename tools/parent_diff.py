@@ -7,20 +7,22 @@ BASE is any git revision of this repository. Its tree is exported with
 was. Every command of COMMANDS then runs in the exported tree and in this
 checkout as `python -m susywell.cli ...`, with PYTHONPATH=<tree>/src and
 PYTHONWARNINGS=error::RuntimeWarning, each into its own directory under one
-output root. Both trees write to the same paths, so an output that records
-a path reads the same in both.
+output root, where its stderr is saved as `stderr.txt` beside its outputs.
+Both trees write to the same paths, so an output that records a path reads
+the same in both.
 
 Every file that differs or exists in one tree only is reported by its path
 under the output root (for example `verify/verify.json`), and every command
-whose exit code differs, or is not 0 in this checkout, by its name. A .csv
-or .json file that differs also reports the largest relative difference
-between the numbers at the same position of its two versions, or that its
-structure differs (the text between the numbers, or their count). With
-BASE = HEAD it is a rerun of the commands in fresh processes, which must
-exit 0 and write the same bytes twice. The exit status is 1 if any reported
-difference is not allowed, else 0. `--allow PATH` allows the difference
-named PATH and every one under PATH/, so `--allow verify` allows the exit
-code and every file of the verify command.
+whose exit code differs, or is not the code it expects in this checkout, by
+its name. A .csv or .json file that differs also reports the largest
+relative difference between the numbers at the same position of its two
+versions, or that its structure differs (the text between the numbers, or
+their count). With BASE = HEAD it is a rerun of the commands in fresh
+processes, which must exit as expected and write the same bytes twice. The
+exit status is 1 if any reported difference is not allowed, else 0.
+`--allow PATH` allows the difference named PATH and every one under PATH/,
+so `--allow verify` allows the exit code and every file of the verify
+command.
 
 ALLOW_LIST (tools/parent_diff_allow.txt) allows the same way, one
 `<full base sha> <path>` per line; blank lines and lines starting with #
@@ -46,6 +48,9 @@ ROOT = Path(__file__).resolve().parent.parent
 CUSTOM_DOMAIN = "custom_domain.cfg"
 PT_WINDOW = "pt_window.cfg"
 WIDE_WINDOW = "wide_window.cfg"
+UNSETTLED = "unsettled.cfg"
+OVERFLOWING = "overflowing.cfg"
+STDERR = "stderr.txt"
 ALLOW_LIST = ROOT / "tools" / "parent_diff_allow.txt"
 
 # the README commands, the q=0 spectra that CI reruns (the natural cell
@@ -53,22 +58,31 @@ ALLOW_LIST = ROOT / "tools" / "parent_diff_allow.txt"
 # alpha != k, a plane sweep in json, a plane sweep on the PT-centred window
 # pi/2 -+ pi, a q=0 tangent-well spectrum, and a plane sweep on (0, 40 pi)
 # whose energies settle at 4096 and 8192 slices (the doubling loop and a
-# fold over two blocks of slices)
+# fold over two blocks of slices). Then two plane sweeps that are refused
+# (exit 2), each with two failing energies whose messages differ, so the
+# stderr shows which is reported first: at q = 20, E = 50 never settles and
+# neither does E = 60; at q = 200, E = 0.3 and 0.25 overflow with different
+# exponents. (name, arguments, expected exit code) each.
 COMMANDS = (
-    ("figures", ["figures"]),
-    ("spectrum_q0", ["spectrum", "--q", "0", "--count", "4"]),
-    ("spectrum_q2", ["spectrum", "--q", "2"]),
-    ("verify", ["verify"]),
-    ("scatter_barrier", ["scatter", "--family", "barrier"]),
-    ("scatter_plane", ["scatter", "--family", "plane_right"]),
-    ("q0_guessed", ["spectrum", "--q", "0", "--k", "2", "--alpha", "0.5", "--count", "6"]),
-    ("q0_bisected", ["spectrum", "--q", "0", "--config", CUSTOM_DOMAIN]),
-    ("figures_alpha", ["figures", "--q", "0", "--k", "1.3", "--alpha", "0.5"]),
-    ("scatter_plane_left", ["scatter", "--family", "plane_left", "--format", "json"]),
-    ("scatter_pt_window", ["scatter", "--family", "plane_right", "--config", PT_WINDOW]),
-    ("spectrum_tangent", ["spectrum", "--family", "tangent_well", "--q", "0", "--count", "4"]),
+    ("figures", ["figures"], 0),
+    ("spectrum_q0", ["spectrum", "--q", "0", "--count", "4"], 0),
+    ("spectrum_q2", ["spectrum", "--q", "2"], 0),
+    ("verify", ["verify"], 0),
+    ("scatter_barrier", ["scatter", "--family", "barrier"], 0),
+    ("scatter_plane", ["scatter", "--family", "plane_right"], 0),
+    ("q0_guessed", ["spectrum", "--q", "0", "--k", "2", "--alpha", "0.5", "--count", "6"], 0),
+    ("q0_bisected", ["spectrum", "--q", "0", "--config", CUSTOM_DOMAIN], 0),
+    ("figures_alpha", ["figures", "--q", "0", "--k", "1.3", "--alpha", "0.5"], 0),
+    ("scatter_plane_left", ["scatter", "--family", "plane_left", "--format", "json"], 0),
+    ("scatter_pt_window", ["scatter", "--family", "plane_right", "--config", PT_WINDOW], 0),
+    ("spectrum_tangent", ["spectrum", "--family", "tangent_well", "--q", "0", "--count", "4"],
+     0),
     ("scatter_wide_window", ["scatter", "--family", "plane_right", "--q", "2",
-                             "--config", WIDE_WINDOW]),
+                             "--config", WIDE_WINDOW], 0),
+    ("scatter_unsettled", ["scatter", "--family", "plane_right", "--q", "20",
+                           "--config", UNSETTLED], 2),
+    ("scatter_overflowing", ["scatter", "--family", "plane_right", "--q", "200",
+                             "--config", OVERFLOWING], 2),
 )
 
 
@@ -83,7 +97,8 @@ def export(rev: str, dest: Path):
 
 def run_commands(src: Path, work: Path) -> dict[str, int]:
     """Run COMMANDS against the package in src, writing under work/out.
-    Returns the exit code of each command by name."""
+    Returns the exit code of each command by name; each command's stderr is
+    saved as STDERR in its output directory."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="error::RuntimeWarning")
     # an installed susywell must not stand in for the tree under test
     found = subprocess.run([sys.executable, "-c", "import susywell; print(susywell.__file__)"],
@@ -91,20 +106,23 @@ def run_commands(src: Path, work: Path) -> dict[str, int]:
     if not Path(found.stdout.strip()).is_relative_to(src):
         raise SystemExit(f"susywell imports from {found.stdout.strip()}, not from {src}")
     codes = {}
-    for name, args in COMMANDS:
-        proc = subprocess.run([sys.executable, "-m", "susywell.cli", *args,
-                               "--out", str(work / "out" / name)],
+    for name, args, _ in COMMANDS:
+        out = work / "out" / name
+        proc = subprocess.run([sys.executable, "-m", "susywell.cli", *args, "--out", str(out)],
                               env=env, cwd=work, capture_output=True)
         codes[name] = proc.returncode
+        out.mkdir(parents=True, exist_ok=True)
+        (out / STDERR).write_bytes(proc.stderr)
     return codes
 
 
 def differences(base: Path, head: Path, base_codes, head_codes) -> list[tuple[str, str]]:
-    """(path, what differs) for every exit code that differs or is not 0
-    at head, and every file that differs between the output roots base and
-    head."""
+    """(path, what differs) for every exit code that differs or is not the
+    expected one at head, and every file that differs between the output
+    roots base and head."""
     found = [(name, f"exit code {base_codes[name]} at base, {head_codes[name]} here")
-             for name, _ in COMMANDS if base_codes[name] != head_codes[name] or head_codes[name]]
+             for name, _, expected in COMMANDS
+             if base_codes[name] != head_codes[name] or head_codes[name] != expected]
     files = {path.relative_to(root).as_posix()
              for root in (base, head) for path in root.rglob("*") if path.is_file()}
     for rel in sorted(files):
@@ -181,6 +199,8 @@ def main(argv=None) -> int:
                                      f"window_max={3 * math.pi / 2!r}\n")
         (tmp / WIDE_WINDOW).write_text(f"window_min=0.0\nwindow_max={40 * math.pi!r}\n"
                                        "energies=0.5,2.0,5.0\n")
+        (tmp / UNSETTLED).write_text("energies=0.5,50,2,60\n")
+        (tmp / OVERFLOWING).write_text("energies=0.3,0.25,0.5\n")
         (tmp / "tree").mkdir()
         export(args.base, tmp / "tree")
         codes = {}
@@ -188,8 +208,9 @@ def main(argv=None) -> int:
             codes[side] = run_commands(src, tmp)
             shutil.move(tmp / "out", tmp / side)
         found = differences(tmp / "base", tmp / "head", codes["base"], codes["head"])
-        for name, _ in COMMANDS:
-            written = sum(path.is_file() for path in (tmp / "head" / name).rglob("*"))
+        for name, _, _ in COMMANDS:
+            written = sum(path.is_file() and path.name != STDERR
+                          for path in (tmp / "head" / name).rglob("*"))
             print(f"{name}: exit {codes['head'][name]}, {written} files")
     for path, what in found:
         print(f"{'allowed' if allowed(path, allow) else 'DIFF'}: {path}: {what}")
