@@ -157,13 +157,13 @@ def build_config(command, flags):
 
 
 def _validate(cfg):
-    # the closed forms square k, q and alpha, and the barrier oracle
-    # barrier_v0: a Python float ** raises there
-    for key in ("k", "q", "alpha", "barrier_v0"):
-        try:
-            (getattr(cfg, key) or 0.0) ** 2
-        except OverflowError:
-            raise ConfigError(key, "its square leaves the double range") from None
+    # the closed forms square k, q and alpha, the barrier oracle barrier_v0
+    # and barrier_width, and the slices their width (the window's below):
+    # each square must be finite; x * x is inf where a float ** would raise
+    for key in ("k", "q", "alpha", "barrier_v0", "barrier_width"):
+        value = getattr(cfg, key) or 0.0
+        if not math.isfinite(value * value):
+            raise ConfigError(key, "its square leaves the double range")
     fam = FAMILY_TOKENS.get(cfg.family)
     if fam is None and cfg.family != "barrier":
         raise ConfigError("family", f"unknown family {cfg.family!r}")
@@ -218,6 +218,9 @@ def _validate(cfg):
         raise ConfigError("window_min", "window_min and window_max go together")
     if cfg.window_min is not None and cfg.window_min >= cfg.window_max:
         raise ConfigError("window_min", "window must have positive width")
+    width = cfg.window_max - cfg.window_min if cfg.window_min is not None else 0.0
+    if not math.isfinite(width * width):
+        raise ConfigError("window_min", "the square of the window width leaves the double range")
     if (cfg.x_min is None) != (cfg.x_max is None):
         raise ConfigError("x_min", "x_min and x_max go together")
     if cfg.x_min is not None and cfg.x_min >= cfg.x_max:
@@ -257,9 +260,11 @@ def _validate(cfg):
                                           f"2 sqrt(E) is below {WRONSKIAN_TOL:g}")
 
 
-def _out_path(cfg, name):
+def _write(cfg, name, text):
     os.makedirs(cfg.out, exist_ok=True)
-    return os.path.join(cfg.out, name)
+    path = os.path.join(cfg.out, name)
+    write_text(path, text)
+    click.echo(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +274,7 @@ def _out_path(cfg, name):
 def run_figures(cfg):
     """Write fig1.csv / fig2.csv: both well potentials plus real baselines."""
     for name, text in gates.figure_tables(cfg.k, cfg.q, cfg.epsilon, cfg.alpha).items():
-        write_text(_out_path(cfg, name), text)
-        click.echo(f"wrote {_out_path(cfg, name)}")
+        _write(cfg, name, text)
     return True
 
 
@@ -279,10 +283,7 @@ def run_figures(cfg):
 
 
 def run_spectrum(cfg):
-    if cfg.q == 0.0:
-        return _spectrum_q0(cfg)
-    _spectrum_exploratory(cfg)
-    return True
+    return _spectrum_q0(cfg) if cfg.q == 0.0 else _spectrum_exploratory(cfg)
 
 
 def _spectrum_q0(cfg):
@@ -291,8 +292,7 @@ def _spectrum_q0(cfg):
     only; a custom x_min/x_max domain is recorded without a gate."""
     v1, v2 = gates.q0_spectra(cfg.spec, cfg.cell, (cfg.count, cfg.count), cfg.grid)
     for name, rep in (("v1", v1), ("v2", v2)):
-        write_text(_out_path(cfg, f"{name}_spectrum.json"), rep.to_json())
-        click.echo(f"wrote {_out_path(cfg, f'{name}_spectrum.json')}")
+        _write(cfg, f"{name}_spectrum.json", rep.to_json())
     if cfg.x_min is not None:
         click.echo(f"custom domain [{cfg.x_min:g}, {cfg.x_max:g}]: spectra recorded, not gated")
         return True
@@ -315,9 +315,8 @@ def _spectrum_exploratory(cfg):
             click.echo(f"eps={eps:g} {name}: max |Im E| = {block['max_imag_overall']:.3e}")
         payload = {"family": cfg.family, "k": cfg.k, "q": cfg.q, "epsilon": eps,
                    "count": cfg.count, "grids": grids, **blocks}
-        path = _out_path(cfg, f"spectrum_eps_{eps:.0e}.json")
-        write_text(path, json_text(payload) + "\n")
-        click.echo(f"wrote {path}")
+        _write(cfg, f"spectrum_eps_{eps:.0e}.json", json_text(payload) + "\n")
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +336,7 @@ def run_verify(cfg):
     passed = all(gate.passed for gate in checks)
     report = {"passed": passed, "checks": [gate._asdict() for gate in checks],
               "exploratory": exploratory}
-    path = _out_path(cfg, "verify.json")
-    write_text(path, json_text(report) + "\n")
-    click.echo(f"wrote {path}")
+    _write(cfg, "verify.json", json_text(report) + "\n")
     click.echo("verify: PASS" if passed else "verify: FAIL")
     return passed
 
@@ -349,38 +346,25 @@ def run_verify(cfg):
 
 
 def run_scatter(cfg):
+    """Sweep the barrier, gated against its closed form, or a plane partner,
+    recorded; write the sweep, then print each gate or each energy."""
+    checks = ()
     if cfg.family == "barrier":
-        return _scatter_barrier(cfg)
-    return _scatter_plane(cfg)
-
-
-def _scatter_barrier(cfg):
-    results, checks = gates.barrier(cfg.barrier_v0, cfg.barrier_width, cfg.energies)
-    _write_sweep(cfg, results)
-    for gate in checks:
-        click.echo(gate.line())
-    return all(gate.passed for gate in checks)
-
-
-def _scatter_plane(cfg):
-    results = scattering.plane_partner_sweep(cfg.spec, PARTNER_TOKENS[cfg.partner], cfg.window,
-                                             cfg.energies)
-    _write_sweep(cfg, results)
-    for res in results:
-        click.echo(f"E={res.energy:g}: T={res.transmission:.6f} R={res.reflection:.6f} "
-                   f"defect={res.flux_defect:.3e}")
-    return True
-
-
-def _write_sweep(cfg, results):
+        results, checks = gates.barrier(cfg.barrier_v0, cfg.barrier_width, cfg.energies)
+        lines = [gate.line() for gate in checks]
+    else:
+        results = scattering.plane_partner_sweep(cfg.spec, PARTNER_TOKENS[cfg.partner],
+                                                 cfg.window, cfg.energies)
+        lines = [f"E={res.energy:g}: T={res.transmission:.6f} R={res.reflection:.6f} "
+                 f"defect={res.flux_defect:.3e}" for res in results]
     if cfg.format == "json":
         payload = [dict(zip(SWEEP_HEADER, row)) for row in sweep_rows(results)]
-        path = _out_path(cfg, "scatter.json")
-        write_text(path, json_text({"rows": payload}) + "\n")
+        _write(cfg, "scatter.json", json_text({"rows": payload}) + "\n")
     else:
-        path = _out_path(cfg, "scatter.csv")
-        write_text(path, sweep_csv(results))
-    click.echo(f"wrote {path}")
+        _write(cfg, "scatter.csv", sweep_csv(results))
+    for line in lines:
+        click.echo(line)
+    return all(gate.passed for gate in checks)
 
 
 # ---------------------------------------------------------------------------
@@ -402,16 +386,28 @@ def _execute(command, impl, flags):
 
 
 def shared_options(fn):
-    fn = click.option("--config", type=click.Path(), default=None,
+    fn = click.option("--config", default=None,
                       help="Flat key=value file, flags win over it.")(fn)
-    for key, (parser, _, help_text) in reversed(CONFIG_KEYS.items()):
+    # each value reaches its CONFIG_KEYS parser as text, so a malformed
+    # flag is refused as the same value in a config file is
+    for key, (_, _, help_text) in reversed(CONFIG_KEYS.items()):
         if help_text is not None:
-            kind = {_parse_float: float, _parse_int: int}.get(parser)
-            fn = click.option(f"--{key}", type=kind, default=None, help=help_text)(fn)
+            fn = click.option(f"--{key}", default=None, help=help_text)(fn)
     return fn
 
 
-@click.group()
+class _RefusingGroup(click.Group):
+    # a usage error of a subcommand (an unknown flag or subcommand, a flag
+    # without its value) is a refused request: exit 3, not click's 2
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = 3
+            raise
+
+
+@click.group(cls=_RefusingGroup)
 def main():
     """Complex supersymmetric well toolkit."""
 

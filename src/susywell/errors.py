@@ -52,10 +52,6 @@ class ConvergenceFailure(SusywellError):
     """A solver did not converge or failed its guard; scattering raises the
     subclasses below."""
 
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        self.diagnostics = diagnostics or {}
-        super().__init__(message)
-
 
 class EvanescentOverflow(ConvergenceFailure):
     """Exponential growth across a structure would overflow double precision:

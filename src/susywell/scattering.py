@@ -156,23 +156,23 @@ def _trig(rate, width: float):
 
 def _rates(values, width: float, energies, delta):
     """k^2 = E - V per energy and slice, and the rate z^2 / w^2 =
-    k^2 - (delta / w)^2 of its step; with no delta the rate is k^2 itself,
-    bit for bit. One energy gives one row per slice, an array of energies a
-    row per energy."""
+    k^2 - (delta / w)^2 of its step; at delta = 0 the rate is k^2 itself,
+    bit for bit, and so it is at w = 0, where delta = O(w^2). One energy
+    gives one row per slice, an array of energies a row per energy."""
     ksq = (np.asarray(energies, dtype=np.complex128)[..., None]
            - np.asarray(values, dtype=np.complex128))
-    return ksq, ksq if delta is None else ksq - (delta / width) ** 2
+    return ksq, ksq - (delta / width) ** 2 if width else ksq
 
 
-def _slice_entries(values, width: float, energies, delta=None):
+def _slice_entries(values, width: float, energies, delta=0.0):
     """Entries (p, q, r, s) of the slice (psi, psi') matrices [[p, q], [r, s]],
     one row per energy when energies is an array.
 
     Each slice is exp(Omega), Omega = [[delta, w], [-k^2 w, -delta]] with
     k^2 = E - V, one slice per value: p = cos z + delta sinc z,
     q = w sinc z, r = -k^2 w sinc z, s = cos z - delta sinc z, with
-    z^2 = k^2 w^2 - delta^2. delta=None is the constant slice (delta = 0).
-    Entire in z^2: no branch choice, det = 1, and z -> 0 with no delta
+    z^2 = k^2 w^2 - delta^2. A constant slice has delta = 0: p = cos z + 0.
+    Entire in z^2: no branch choice, det = 1, and z -> 0 at delta = 0
     degenerates to the linear-solution pair [[1, w], [0, 1]] exactly.
 
     Two ranges of u = z^2, each evaluated at its own slices only:
@@ -197,8 +197,6 @@ def _slice_entries(values, width: float, energies, delta=None):
         cosz[thick], sinc[thick] = _trig(rate[thick], width)
         cosz[thin], sinc[thin] = _series(u[thin])
     sfac = width * sinc
-    if delta is None:
-        return cosz, sfac, -ksq * sfac, cosz
     # delta is given the shape of the block first: numpy multiplies a 1-D
     # delta into a (1, 1) block without the fused multiply-add it uses for
     # arrays of one shape, which would move the last bit of a one-slice row
@@ -231,11 +229,11 @@ def _ordered_product(p, q, r, s):
 
 def _slice_values(segment, a: float, b: float):
     """(values, width, delta) of the slices of a segment on [a, b]: one slice
-    with delta None for a ConstantSegment; for a FieldSegment the mean Vbar
+    with delta = 0 for a ConstantSegment; for a FieldSegment the mean Vbar
     of the field at each slice's two Gauss nodes and
     delta = (sqrt(3) / 12) w^2 (V- - V+)."""
     if isinstance(segment, ConstantSegment):
-        return np.array([segment.value], dtype=np.complex128), b - a, None
+        return np.array([segment.value], dtype=np.complex128), b - a, np.zeros(1, np.complex128)
     if not isinstance(segment, FieldSegment):
         raise TypeError(f"unknown segment kind {type(segment).__name__}")
     m = segment.slices
@@ -296,7 +294,7 @@ def _transfer_matrices(potential: PiecewisePotential, energies) -> list:
         rows = max(1, (SLICE_BLOCK - 1) // len(values))
         for start in range(0, len(values), SLICE_BLOCK):
             run = slice(start, start + SLICE_BLOCK)
-            block = (values[run], width, None if delta is None else delta[run])
+            block = (values[run], width, delta[run])
             folded.append(block)
             for first in range(0, len(waves), rows):
                 group = np.array([energy for energy, _ in waves[first:first + rows]])

@@ -234,11 +234,9 @@ def eigenvalues(ham: DiscretizedHamiltonian, count: int, *, guess=None,
     scaled = resid / max(1.0, ham.norm_inf)
     if not np.all(scaled <= RESIDUAL_TOL):  # a nan residual fails too
         worst = float(np.max(scaled))
-        raise ConvergenceFailure(
-            f"eigenpair residual {worst:.3e} exceeds gate {RESIDUAL_TOL:g}",
-            {"n": n, "count": count, "residuals": resid.tolist(),
-             "method": "symmetric" if ham.is_real else "dense"},
-        )
+        method = "symmetric" if ham.is_real else "dense"
+        raise ConvergenceFailure(f"eigenpair residual {worst:.3e} exceeds gate "
+                                 f"{RESIDUAL_TOL:g} ({method} path, n = {n})")
     return SpectrumReport(
         eigenvalues=w,
         max_imag=float(np.max(np.abs(w.imag))),
@@ -337,12 +335,9 @@ def _certify(ham: DiscretizedHamiltonian, solve, shifts, lower, upper, vectors=N
                 shift = rho
         else:
             raise ConvergenceFailure(
-                f"level {j} not certified after {MAX_SOLVES} inverse iteration solves",
-                {"n": n, "count": count, "level": j,
-                 "bracket": [float(lower[j]), float(upper[j])],
-                 "rayleigh_quotient": rho, "residual": resid, "gap": gap,
-                 "method": "symmetric"},
-            )
+                f"level {j} not certified after {MAX_SOLVES} inverse iteration solves "
+                f"(n = {n}, bracket [{float(lower[j])!r}, {float(upper[j])!r}], "
+                f"Rayleigh quotient {rho!r}, residual {resid!r}, gap {float(gap)!r})")
         w[j] = rho
         residuals[j] = resid
         eigenvectors.append(vec)
@@ -398,8 +393,8 @@ def _bisect(diagonal: np.ndarray, band: np.ndarray, levels: int, tol: float, ste
     1..levels, in ascending order."""
     found, centres, *_, info = stebz(diagonal, band, 2, 0.0, 1.0, 1, levels, tol, "E")
     if info:
-        raise ConvergenceFailure(f"tridiagonal bisection failed: stebz info {info}",
-                                 {"n": diagonal.size, "levels": levels})
+        raise ConvergenceFailure(f"tridiagonal bisection of {levels} levels failed "
+                                 f"(n = {diagonal.size}): stebz info {info}")
     return centres[:found]
 
 
@@ -418,9 +413,7 @@ def _dense_eigenpairs(ham: DiscretizedHamiltonian, count: int):
     try:
         wall = eigvals(dense, overwrite_a=True, check_finite=False)
     except LinAlgError as exc:
-        raise ConvergenceFailure(
-            f"dense eigensolver failed: {exc}", {"n": n, "count": count}
-        ) from exc
+        raise ConvergenceFailure(f"dense eigensolver failed (n = {n}): {exc}") from exc
     order = np.lexsort((wall.imag, wall.real))[:count]
     start = _start_vector(n)
     band = np.full(n - 1, ham.off_diagonal, dtype=ham.diagonal.dtype)

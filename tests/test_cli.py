@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -410,6 +411,43 @@ class TestConfigHandling:
         assert isinstance(res.exception, SystemExit)
         assert os.listdir(tmp_path) == ["run.conf"]
 
+    @pytest.mark.parametrize("argv,message", [
+        (["spectrum", "--k", "abc"], "config error: k: expected a number, got 'abc'"),
+        (["spectrum", "--count", "2.5"], "config error: count: expected an integer, got '2.5'"),
+    ], ids=["not-a-number", "not-an-integer"])
+    def test_malformed_flags_are_refused_as_config_values(self, runner, tmp_path, argv,
+                                                          message):
+        # a flag value reaches the CONFIG_KEYS parser that reads the same key
+        # from a config file: exit 3, not click's usage exit 2
+        res = runner.invoke(main, [*argv, "--out", str(tmp_path)])
+        assert res.exit_code == 3, res.output
+        assert message in res.output
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--bogus", "1"],
+        ["spectrum", "--k"],
+        ["bogus"],
+    ], ids=["unknown-flag", "flag-without-value", "unknown-subcommand"])
+    def test_usage_errors_are_refused(self, runner, argv):
+        # exit 2 means that a solver did not converge
+        res = runner.invoke(main, argv)
+        assert res.exit_code == 3, res.output
+        assert "Error: " in res.output
+
+    def test_usage_error_keeps_its_exit_code_in_process(self):
+        # standalone_mode=False hands the error to the caller, as perfbench meets it
+        with pytest.raises(click.UsageError) as caught:
+            main.main(args=["spectrum", "--bogus", "1"], standalone_mode=False)
+        assert caught.value.exit_code == 3
+
+    def test_help_exits_0(self, runner):
+        assert runner.invoke(main, ["--help"]).exit_code == 0
+        res = runner.invoke(main, ["spectrum", "--help"])
+        assert res.exit_code == 0
+        # every flag is taken as text and parsed by its CONFIG_KEYS parser
+        assert "--k TEXT" in res.output and "--count TEXT" in res.output
+
     def test_barrier_near_zero_energy_passes(self, runner, tmp_path):
         # t = 1/M22 keeps T accurate where det M / M22 lost it to cancellation
         conf = tmp_path / "run.conf"
@@ -601,6 +639,33 @@ class TestScatter:
         assert res.exit_code == 3, res.output
         assert "config error: window_min" in res.output
         assert not (tmp_path / "scatter.csv").exists()
+
+    @pytest.mark.parametrize("family,config,key", [
+        ("barrier", "barrier_v0=1\nbarrier_width=1e200\nenergies=1\n",
+         "barrier_width: its square"),
+        ("plane_right", "window_min=0\nwindow_max=1e200\n", "window_min: the square"),
+        ("plane_right", "window_min=0\nwindow_max=1e155\n", "window_min: the square"),
+        ("plane_left", "window_min=-1e308\nwindow_max=1e308\n", "window_min: the square"),
+    ], ids=["barrier-1e200", "window-1e200", "window-1e155", "window-inf"])
+    def test_width_whose_square_leaves_the_double_range_is_refused(self, runner, tmp_path,
+                                                                  family, config, key):
+        # the slices square their width; a width of 2e308 is inf itself
+        conf = tmp_path / "run.conf"
+        conf.write_text(config)
+        res = runner.invoke(main, ["scatter", "--family", family, "--config", str(conf),
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 3, res.output
+        assert f"config error: {key} " in res.output
+        assert "leaves the double range" in res.output
+        assert os.listdir(tmp_path) == ["run.conf"]
+
+    def test_barrier_width_whose_square_is_in_range_passes(self, runner, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("barrier_v0=1\nbarrier_width=1e154\nenergies=1\n")
+        res = runner.invoke(main, ["scatter", "--family", "barrier", "--config", str(conf),
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert "PASS barrier_oracle" in res.output
 
     def test_accumulated_overflow_exits_2(self, runner, tmp_path):
         res = runner.invoke(main, ["scatter", "--family", "plane_right", "--q", "200",

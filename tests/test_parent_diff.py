@@ -29,9 +29,9 @@ def roots(tmp_path):
     return base, head
 
 
-def test_fifteen_commands_with_distinct_names():
+def test_sixteen_commands_with_distinct_names():
     names = [name for name, _, _ in parent_diff.COMMANDS]
-    assert len(names) == 15 == len(set(names))
+    assert len(names) == 16 == len(set(names))
     # the two refused sweeps are expected to exit 2, every other command 0
     assert {name for name, _, code in parent_diff.COMMANDS if code} == {
         "scatter_unsettled", "scatter_overflowing"}

@@ -451,6 +451,22 @@ class TestPlaneFamilySweep:
         tr = transmission_reflection(
             sliced(right, (math.pi / k - b, math.pi / k - a), 1000), 1.7)
         assert abs(tl.transmission - tr.transmission) < 1e-12
+        # on the PT-centred window pi/2 -+ pi, its own mirror image, the
+        # sweeps of the two families agree: T, and R from the left of one
+        # family against R from the right of the other (|dT| <= 2.7e-12 and
+        # 5.0e-13 max(1, R) at k = alpha = 1)
+        window = (-math.pi / 2, 3 * math.pi / 2)
+        for q in (0.5, 1.0, 1.5):
+            specs = [SuperpotentialSpec(fam, k, q) for fam in (Family.PLANE_LEFT,
+                                                               Family.PLANE_RIGHT)]
+            for which in Partner:
+                lefts, rights = (plane_partner_sweep(spec, which, window, PLANE_ENERGIES)
+                                 for spec in specs)
+                for res_l, res_r in zip(lefts, rights):
+                    assert abs(res_l.transmission - res_r.transmission) < 1e-10
+                    for one, other in ((res_l, res_r), (res_r, res_l)):
+                        gap = abs(one.reflection - abs(other.r_right) ** 2)
+                        assert gap < 1e-10 * max(1.0, one.reflection)
 
     def test_conjugate_matrix_relation(self):
         # V_L = conj(V_R) pointwise, so conjugating the ODE swaps the

@@ -48,6 +48,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CUSTOM_DOMAIN = "custom_domain.cfg"
 PT_WINDOW = "pt_window.cfg"
 WIDE_WINDOW = "wide_window.cfg"
+OFFCENTRE = "offcentre.cfg"
 UNSETTLED = "unsettled.cfg"
 OVERFLOWING = "overflowing.cfg"
 STDERR = "stderr.txt"
@@ -56,9 +57,11 @@ ALLOW_LIST = ROOT / "tools" / "parent_diff_allow.txt"
 # the README commands, the q=0 spectra that CI reruns (the natural cell
 # takes the closed-form guess, a custom domain bisects), figures at
 # alpha != k, a plane sweep in json, a plane sweep on the PT-centred window
-# pi/2 -+ pi, a q=0 tangent-well spectrum, and a plane sweep on (0, 40 pi)
+# pi/2 -+ pi, a q=0 tangent-well spectrum, a plane sweep on (0, 40 pi)
 # whose energies settle at 4096 and 8192 slices (the doubling loop and a
-# fold over two blocks of slices). Then two plane sweeps that are refused
+# fold over two blocks of slices), and a q=1 spectrum on the off-centre
+# domain (0.3, 2.8), whose diagonals are not PT-symmetric and so take the
+# complex dense solve. Then two plane sweeps that are refused
 # (exit 2), each with two failing energies whose messages differ, so the
 # stderr shows which is reported first: at q = 20, E = 50 never settles and
 # neither does E = 60; at q = 200, E = 0.3 and 0.25 overflow with different
@@ -79,6 +82,7 @@ COMMANDS = (
      0),
     ("scatter_wide_window", ["scatter", "--family", "plane_right", "--q", "2",
                              "--config", WIDE_WINDOW], 0),
+    ("spectrum_offcentre", ["spectrum", "--q", "1", "--config", OFFCENTRE], 0),
     ("scatter_unsettled", ["scatter", "--family", "plane_right", "--q", "20",
                            "--config", UNSETTLED], 2),
     ("scatter_overflowing", ["scatter", "--family", "plane_right", "--q", "200",
@@ -199,6 +203,7 @@ def main(argv=None) -> int:
                                      f"window_max={3 * math.pi / 2!r}\n")
         (tmp / WIDE_WINDOW).write_text(f"window_min=0.0\nwindow_max={40 * math.pi!r}\n"
                                        "energies=0.5,2.0,5.0\n")
+        (tmp / OFFCENTRE).write_text("x_min=0.3\nx_max=2.8\nexploratory_grids=64,96,128\n")
         (tmp / UNSETTLED).write_text("energies=0.5,50,2,60\n")
         (tmp / OVERFLOWING).write_text("energies=0.3,0.25,0.5\n")
         (tmp / "tree").mkdir()
