@@ -324,18 +324,20 @@ def _spectrum_exploratory(cfg):
 
 
 def run_verify(cfg):
-    """Run every gate, record the non-gating pole coupling and plane
-    asymmetry, and write verify.json."""
-    checks = gates.verify_gates()
-    for gate in checks:
+    """Run every gate of gates.CHECKS, record the claims they cover, the
+    non-gating pole coupling and plane asymmetry, and write verify.json."""
+    claimed = gates.verify_gates()
+    for _, gate in claimed:
         click.echo(gate.line())
     exploratory = gates.exploratory_record()
     for line in exploratory["notes"]:
         click.echo(f"INFO {line}")
 
-    passed = all(gate.passed for gate in checks)
-    report = {"passed": passed, "checks": [gate._asdict() for gate in checks],
-              "exploratory": exploratory}
+    passed = all(gate.passed for _, gate in claimed)
+    claims = {key: {"statement": text, "checks": [g.name for c, g in claimed if c == key]}
+              for key, text in gates.CLAIMS.items()}
+    report = {"passed": passed, "checks": [gate._asdict() for _, gate in claimed],
+              "claims": claims, "exploratory": exploratory}
     _write(cfg, "verify.json", json_text(report) + "\n")
     click.echo("verify: PASS" if passed else "verify: FAIL")
     return passed
@@ -397,8 +399,15 @@ def shared_options(fn):
 
 
 class _RefusingGroup(click.Group):
-    # a usage error of a subcommand (an unknown flag or subcommand, a flag
-    # without its value) is a refused request: exit 3, not click's 2
+    # a usage error (an unknown flag or subcommand, a flag without its value,
+    # no subcommand) is a refused request: exit 3, not click's 2
+    def parse_args(self, ctx, args):
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:
+            exc.exit_code = 3
+            raise
+
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)

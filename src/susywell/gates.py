@@ -2,11 +2,11 @@
 
 A gate checks one claim and returns a Gate: its name, whether it passed,
 the measured value of its headline condition, the bound that value is held
-to, and a detail line with every number the gate looked at. `verify` runs
-all nine and writes them to verify.json, `spectrum --q 0` and `scatter
---family barrier` judge their own output with spectrum_q0 and barrier, and
-tests/test_acceptance.py runs the same functions. A bound changed here
-changes it everywhere.
+to, and a detail line with every number the gate looked at. `verify` and
+tests/test_acceptance.py run the table CHECKS, which also gives the paper
+claim that each check supports; `spectrum --q 0` and `scatter --family
+barrier` judge their own output with spectrum_q0 and barrier. A bound
+changed here changes it everywhere.
 
 Where a gate has several conditions, `passed` needs all of them, and
 `measured` and `bound` report the headline one. The measured deviation of
@@ -21,13 +21,14 @@ attribute, as perfbench/tracing.py installs one, sees every call.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from . import scattering, serialize, spectral, states, susy_core
-from .susy_core import WELL_FAMILIES, Family, Partner, SuperpotentialSpec
+from .susy_core import PLANE_FAMILIES, WELL_FAMILIES, Family, Partner, SuperpotentialSpec
 
 # remainder V2(k) - V1(k + alpha): deviation from its mean (absolute), and
 # the error of the mean relative to max(1, |alpha (alpha + 2k)|)
@@ -49,6 +50,7 @@ EXTRAPOLATED_TOL = 1e-6
 LADDER_TOL = 1e-4
 FLUX_TOL = 1e-10
 ORACLE_TOL = 1e-8
+INTERTWINING_TOL = 1e-6
 # V1 of the cotangent well at the cell midpoint against -q^2 - k^2
 MIDPOINT_TOL = 1e-12
 # figure tables: tangent columns against cotangent ones, over max(1, |cot|)
@@ -259,6 +261,38 @@ def barrier(v0=BARRIER_V0, width=BARRIER_WIDTH, energies=()):
     )
 
 
+def _carried(spec, x, k0):
+    """Lam = [[W, 1], [W^2 - k0^2, W]] at x in the basis of e^{-+i k0 x}."""
+    w, wave = susy_core.eval_superpotential(spec, x), np.exp(1j * k0 * x)
+    waves = np.array([[wave, 1 / wave], [1j * k0 * wave, -1j * k0 / wave]])
+    return np.linalg.solve(waves, np.array([[w, 1], [w * w - k0 * k0, w]]) @ waves)
+
+
+def partner_intertwining():
+    """A = d/dx + W takes V1 solutions to V2 ones, so the (psi, psi')
+    propagators across a window (a, b) obey P2 = Lam(b) P1 Lam(a)^-1, and a V1
+    sweep (r, t, r_right, det M = 1) predicts V2's r and t, each to within
+    INTERTWINING_TOL max(1, |r|, |t|): both plane families, k = 1, q in
+    {0.5, 1, 2}, windows (0, 2 pi) and pi/2 -+ pi, E/k^2 in {0.25, 0.5, 1,
+    1.5, 2, 5}. Not 3: there kappa = sqrt(E + k^2) = 2 is the Bragg point
+    4 alpha/2, where a sweep with q flipped meets the identity to 8e-12."""
+    gaps = []
+    windows = ((0.0, 2 * math.pi), (-math.pi / 2, 3 * math.pi / 2))
+    for fam, q, window in itertools.product(PLANE_FAMILIES, (0.5, 1.0, 2.0), windows):
+        spec = SuperpotentialSpec(fam, 1.0, q)
+        for one, two in zip(*(scattering.plane_partner_sweep(
+                spec, which, window, (0.25, 0.5, 1.0, 1.5, 2.0, 5.0)) for which in Partner)):
+            m22, k0 = 1 / one.t, math.sqrt(one.energy)
+            m12, m21 = one.r_right * m22, -one.r * m22
+            m2 = (_carried(spec, window[1], k0) @ [[(1 + m12 * m21) / m22, m12], [m21, m22]]
+                  @ np.linalg.inv(_carried(spec, window[0], k0)))
+            gap = max(abs(-m2[1, 0] / m2[1, 1] - two.r), abs(1 / m2[1, 1] - two.t))
+            gaps.append(gap / max(1.0, abs(two.r), abs(two.t)))
+    worst = float(np.max(gaps))  # np.max keeps a nan, so a nan gap fails
+    return Gate("partner_intertwining", bool(worst < INTERTWINING_TOL), worst, INTERTWINING_TOL,
+                f"{len(gaps)} plane points, E = 3k^2 (Bragg) left out: max gap {worst:.3e}")
+
+
 def figure_tables(k, q, epsilon, alpha=None):
     """fig1.csv and fig2.csv, as `figures` writes them: V1 (fig1) and V2
     (fig2) of both wells beside the q = 0 baselines (fig1 the cotangent one,
@@ -312,18 +346,25 @@ def figure_determinism():
                 f"tangent columns off the cotangent ones by {shift:.1e}")
 
 
-def verify_gates():
-    """All nine gates, in report order."""
-    return [
-        shape_invariance(),
-        negative_control_fails(),
-        ground_state_residual(),
-        density_equality(),
-        pt_symmetry_wells(),
-        spectrum_q0(*q0_spectra()),
-        *barrier()[1],
-        figure_determinism(),
-    ]
+# the paper's claims, and "method" for the solvers and outputs themselves
+CLAIMS = {"a": "the partners are complex",
+          "b": "the partners are isospectral, with real energies",
+          "c": "PT symmetry is unbroken only for the bound states",
+          "method": "the solvers and outputs themselves are right"}
+
+# verify's checks in report order: its claim, and a callable giving its Gate(s)
+CHECKS = (("b", shape_invariance), ("b", negative_control_fails), ("b", ground_state_residual),
+          ("a", density_equality), ("a", pt_symmetry_wells),
+          ("b", lambda: spectrum_q0(*q0_spectra())),
+          ("method", lambda: barrier()[1]), ("method", figure_determinism),
+          ("b", partner_intertwining))
+
+
+def verify_gates(checks=CHECKS):
+    """(claim, gate) for every gate of checks, in order. A Gate is a tuple
+    too, so a callable's one Gate is told from its Gates by type."""
+    return [(claim, gate) for claim, run in checks for out in [run()]
+            for gate in ([out] if isinstance(out, Gate) else out)]
 
 
 def truncation_survey(spec=Q2_SPEC, cell=None, count=COUNT, grids=EXPLORATORY_GRIDS,

@@ -175,7 +175,7 @@ class TestSpectrum:
 
     def test_survey_writes_what_the_acceptance_survey_records(self, runner, tmp_path):
         # the default sweep of three truncations, finest grid 64 whatever the
-        # order of the list; V1 is the survey of acceptance criterion 9
+        # order of the list; V1 is the survey that the acceptance test checks
         conf = tmp_path / "run.conf"
         conf.write_text("exploratory_grids=64,32,48\n")
         res = runner.invoke(main, ["spectrum", "--family", "cotangent_well", "--q", "2",
@@ -428,17 +428,24 @@ class TestConfigHandling:
         ["spectrum", "--bogus", "1"],
         ["spectrum", "--k"],
         ["bogus"],
-    ], ids=["unknown-flag", "flag-without-value", "unknown-subcommand"])
+        ["--bogus"],
+    ], ids=["unknown-flag", "flag-without-value", "unknown-subcommand", "unknown-group-flag"])
     def test_usage_errors_are_refused(self, runner, argv):
         # exit 2 means that a solver did not converge
         res = runner.invoke(main, argv)
         assert res.exit_code == 3, res.output
         assert "Error: " in res.output
 
-    def test_usage_error_keeps_its_exit_code_in_process(self):
+    def test_no_subcommand_shows_help_and_is_refused(self, runner):
+        res = runner.invoke(main, [])
+        assert res.exit_code == 3, res.output
+        assert "Commands:" in res.output
+
+    @pytest.mark.parametrize("args", [["spectrum", "--bogus", "1"], ["--bogus"]])
+    def test_usage_error_keeps_its_exit_code_in_process(self, args):
         # standalone_mode=False hands the error to the caller, as perfbench meets it
         with pytest.raises(click.UsageError) as caught:
-            main.main(args=["spectrum", "--bogus", "1"], standalone_mode=False)
+            main.main(args=args, standalone_mode=False)
         assert caught.value.exit_code == 3
 
     def test_help_exits_0(self, runner):
@@ -565,9 +572,22 @@ class TestVerify:
         assert [c["name"] for c in report["checks"]] == [
             "shape_invariance", "negative_control_fails", "ground_state_residual",
             "density_equality", "pt_symmetry_wells", "spectrum_q0",
-            "flux_conservation", "barrier_oracle", "figure_determinism"]
+            "flux_conservation", "barrier_oracle", "figure_determinism",
+            "partner_intertwining"]
         for check in report["checks"]:
             assert math.isfinite(check["measured"]) and math.isfinite(check["bound"])
+
+    def test_claims_name_every_check_once(self, runner, tmp_path):
+        res = runner.invoke(main, ["verify", "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        report = read_json(tmp_path / "verify.json")
+        claims = report["claims"]
+        assert list(claims) == ["a", "b", "c", "method"]
+        named = [name for claim in claims.values() for name in claim["checks"]]
+        assert sorted(named) == sorted(c["name"] for c in report["checks"])
+        # nothing checks claim (c) yet, and passed: true does not cover it
+        assert claims["c"]["checks"] == []
+        assert all(claim["statement"] for claim in claims.values())
 
 
 class TestScatter:

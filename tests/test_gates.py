@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from susywell import gates, susy_core
+from susywell import gates, scattering, susy_core
 from susywell.cli import main
 from susywell.spectral import richardson_spectrum
 from susywell.susy_core import Family, Partner, SuperpotentialSpec, partner_field
@@ -71,6 +71,24 @@ def test_barrier_gates_judge_the_given_energies():
     assert [res.energy for res in results] == [0.5, 4.0, 9.0]
     assert flux.passed and oracle.passed
     assert (flux.bound, oracle.bound) == (gates.FLUX_TOL, gates.ORACLE_TOL)
+
+
+def test_partner_intertwining_passes_at_the_defaults():
+    gate = gates.partner_intertwining()
+    assert gate.passed is True, gate.detail
+    assert type(gate.measured) is float and gate.measured < 1e-8
+    assert gate.bound == gates.INTERTWINING_TOL
+    assert gate.detail.startswith("72 plane points")
+
+
+def test_partner_intertwining_fails_a_sweep_with_q_flipped(monkeypatch):
+    # V flipped inside the sweep, W left alone: V2 no longer intertwines with V1
+    field = susy_core.partner_field
+    monkeypatch.setattr(scattering, "partner_field",
+                        lambda spec, which: field(replace(spec, q=-spec.q), which))
+    gate = gates.partner_intertwining()
+    assert gate.passed is False
+    assert gate.measured > 1.0
 
 
 def test_figure_tables_are_what_figures_writes(tmp_path):

@@ -1,0 +1,118 @@
+"""Mutants of the layers, each run against gates.verify_gates().
+
+A mutant is a monkeypatch of one module attribute. One that changes the
+physics must fail a gate or raise ConvergenceFailure. Known survivors are
+strict xfails, each naming the check that would kill it; an equivalent
+mutant, one that no check can see, is listed with its reason.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from susywell import gates, scattering, spectral, states, susy_core
+from susywell.errors import ConvergenceFailure
+from susywell.susy_core import Partner
+
+
+def flip_q_in_sweep(mp):
+    # the potential of a plane sweep only; W keeps its q
+    field = susy_core.partner_field
+    mp.setattr(scattering, "partner_field",
+               lambda spec, which: field(replace(spec, q=-spec.q), which))
+
+
+def drop_magnus_tilt(mp):
+    mp.setattr(scattering, "_MAGNUS_COUPLING", 0.0)
+
+
+def flip_r_right(mp):
+    scatter = scattering._scattering
+    mp.setattr(scattering, "_scattering", lambda potential, energies: [
+        replace(res, r_right=-res.r_right) for res in scatter(potential, energies)])
+
+
+def left_endpoint_slices(mp):
+    # a field slice takes the field at its left end, with no Magnus tilt
+    slice_values = scattering._slice_values
+
+    def left(segment, a, b):
+        if not isinstance(segment, scattering.FieldSegment):
+            return slice_values(segment, a, b)
+        width = (b - a) / segment.slices
+        values = segment.field(a + width * np.arange(segment.slices))
+        return np.asarray(values, dtype=np.complex128), width, np.zeros(segment.slices)
+    mp.setattr(scattering, "_slice_values", left)
+
+
+def swap_partners(mp):
+    field = susy_core.partner_field
+    mp.setattr(susy_core, "partner_field",
+               lambda spec, which: field(spec, Partner(3 - which.value)))
+
+
+def shift_ladder(mp):
+    level = states.remainder_spectrum
+    mp.setattr(states, "remainder_spectrum", lambda n, k, alpha=None: level(n + 1, k, alpha))
+
+
+def detune_constraint(mp):
+    check = susy_core.check_shape_invariance
+    mp.setattr(susy_core, "check_shape_invariance",
+               lambda spec, xs, constraint_frequency=1.0: check(spec, xs, 2.0))
+
+
+def two_term_richardson(mp):
+    # the h^2 term eliminated from the last two grids, the h^4 term left in
+    extrapolated = spectral._extrapolated
+    mp.setattr(spectral, "_extrapolated",
+               lambda spacings, rows: extrapolated(spacings[-2:], [r[-2:] for r in rows]))
+
+
+def conjugate_dense_levels(mp):
+    dense = spectral._dense_eigenpairs
+    mp.setattr(spectral, "_dense_eigenpairs",
+               lambda ham, count: (lambda w, res: (np.conj(w), res))(*dense(ham, count)))
+
+
+def flip_q_everywhere(mp):
+    twin = susy_core._twin
+    mp.setattr(susy_core, "_twin", lambda spec: twin(replace(spec, q=-spec.q)))
+
+
+def failures():
+    """The names of the gates of verify_gates() that fail, or of the
+    ConvergenceFailure that it raises."""
+    try:
+        return [gate.name for _, gate in gates.verify_gates() if not gate.passed]
+    except ConvergenceFailure as exc:
+        return [type(exc).__name__]
+
+
+@pytest.mark.parametrize("mutant, killer", [
+    (flip_q_in_sweep, "partner_intertwining"),
+    (drop_magnus_tilt, "partner_intertwining"),
+    (flip_r_right, "partner_intertwining"),
+    (left_endpoint_slices, "SliceTooCoarse"),
+    (swap_partners, "spectrum_q0"),
+    (shift_ladder, "spectrum_q0"),
+    (detune_constraint, "shape_invariance"),
+    pytest.param(two_term_richardson, None, marks=pytest.mark.xfail(strict=True, reason=(
+        "survives: the q = 0 levels extrapolate to 6.6e-11 (1.0e-11 from three terms), "
+        "inside the 1e-6 bound; a spectrum_q0 extrapolated bound below 6e-11 kills it"))),
+    pytest.param(conjugate_dense_levels, None, marks=pytest.mark.xfail(strict=True, reason=(
+        "survives: verify solves no q != 0 spectrum; a gate on one would kill it"))),
+])
+def test_mutant_is_killed(monkeypatch, mutant, killer):
+    mutant(monkeypatch)
+    failed = failures()
+    assert failed
+    assert killer is None or killer in failed, failed
+
+
+def test_a_global_q_flip_is_equivalent(monkeypatch):
+    # V(x; -q) = conj V(x; q) for the wells and V_R(x; -q) = V_R(x + pi/alpha; q)
+    # for the planes, so no check of a spectrum or of a sweep can see it
+    flip_q_everywhere(monkeypatch)
+    assert failures() == []
