@@ -30,7 +30,6 @@ from .susy_core import (
     default_exclusion,
     eval_partner,
     eval_superpotential,
-    eval_superpotential_derivative,
     fundamental_cell,
     partner_field,
     remainder,
@@ -59,8 +58,6 @@ from .scattering import (
     plane_partner_sweep,
     square_barrier_transmission,
     sweep_csv,
-    transfer_matrix,
-    transmission_reflection,
 )
 
 __version__ = "0.1.0"

@@ -28,8 +28,7 @@ energies. Each row multiplies neighbours entry-wise, later slice on the
 left, in log2(m) levels, and folds its product into the running 2x2 of its
 energy across all segments. That is the order one energy alone takes, so
 each result is bit for bit the same whatever energies share its call.
-transfer_matrix and transmission_reflection are one-energy calls of the
-loop; sweep and plane_partner_sweep pass it many.
+sweep and plane_partner_sweep are the public ways into it.
 
 Every slice goes through one kernel with two ranges of u = z^2 = k^2 w^2 -
 delta^2: |u| <= SERIES_MAX takes six-term series of cos and sinc in u, exact
@@ -274,8 +273,10 @@ def _wavenumber(energy, left: float) -> tuple[float, float]:
 
 
 def _transfer_matrices(potential: PiecewisePotential, energies) -> list:
-    """transfer_matrix at each energy, all through the one slice loop of the
-    module docstring; the first refusal met raises, whatever its energy."""
+    """The matrix M taking left (A, B) coefficients to right (A, B), det M = 1,
+    at each finite energy E > 0 (free waves of k0 = sqrt(E) outside), all
+    through the one slice loop of the module docstring; the first refusal
+    met raises, whatever its energy."""
     bps = potential.breakpoints
     waves = [_wavenumber(energy, bps[0]) for energy in energies]
     running = [(1.0 + 0j, 0j, 0j, 1.0 + 0j)] * len(waves)
@@ -347,19 +348,6 @@ def _in_order(batch, energies) -> list:
     return [out for energy in energies for out in batch([energy])]
 
 
-def transfer_matrix(potential: PiecewisePotential, energy: float) -> np.ndarray:
-    """2x2 matrix taking left (A, B) coefficients to right (A, B), det = 1.
-
-    Requires a finite energy E > 0; the free waves outside have k0 = sqrt(E).
-    The slices of all segments are multiplied SLICE_BLOCK at a time and each
-    block is folded into one running product, later blocks on the left. A
-    running product that leaves the double range, or its match to the free
-    waves, is refused with EvanescentOverflow, the exponent summed over every
-    slice folded so far.
-    """
-    return _transfer_matrices(potential, [energy])[0]
-
-
 @dataclass(frozen=True)
 class ScatteringResult:
     """Left-incidence r and t at one energy, with the right-incidence
@@ -381,7 +369,10 @@ class ScatteringResult:
 
 
 def _scattering(potential: PiecewisePotential, energies) -> list:
-    """transmission_reflection at each energy, raising the first refusal met."""
+    """r = -M21/M22, t = det M / M22 = 1/M22 and r_right = M12/M22 of the
+    matrix M at each energy, raising the first refusal met. det M = 1 by
+    construction, so t is not rebuilt from entries that grow like 1/k0 and
+    cancel as E -> 0."""
     out = []
     for energy, m in zip(energies, _transfer_matrices(potential, energies)):
         if abs(m[1, 1]) < 1e-300:
@@ -394,20 +385,9 @@ def _scattering(potential: PiecewisePotential, energies) -> list:
     return out
 
 
-def transmission_reflection(potential: PiecewisePotential, energy: float) -> ScatteringResult:
-    """Amplitudes r = -M21/M22 and t = det M / M22 = 1/M22 for incidence from
-    the left, and r_right = M12/M22 for incidence from the right.
-
-    det M = 1 holds by construction (every slice and the free-wave matching
-    are unimodular), so t is not rebuilt from det M: its four entries grow
-    like 1/k0, and as E -> 0 the determinant would come out of cancellation.
-    """
-    return _scattering(potential, [energy])[0]
-
-
 def sweep(potential: PiecewisePotential, energies) -> list[ScatteringResult]:
-    """transmission_reflection at every energy, in order, through one call of
-    the slice loop; a failure raises what the first energy that fails alone
+    """The ScatteringResult of every energy, in order, through one call of the
+    slice loop; a failure raises what the first energy that fails alone
     raises (_in_order)."""
     return _in_order(lambda batch: _scattering(potential, batch), energies)
 

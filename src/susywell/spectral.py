@@ -45,10 +45,12 @@ grid takes the levels that the coarser grids predict for it (see
 _predicted_levels), and each of its levels starts inverse iteration from
 the coarser grid's eigenvector of that level, interpolated onto the new
 nodes. Bisected levels, on the coarsest grid or after a refuted
-prediction, start from one seeded random vector, drawn once. No prediction can change a level: the certificate holds
-whatever the cell's start and shift, so a returned level is within
-eps max(1, ||H||_inf) of the matrix level, guessed or bisected, and a
-wrong prediction only costs the bisection it was meant to save.
+prediction, start from the seeded draw default_rng(0).standard_normal(n),
+as do the levels of the dense path, so reruns agree. No prediction can
+change a level: the certificate holds whatever the cell's start and shift,
+so a returned level is within eps max(1, ||H||_inf) of the matrix level,
+guessed or bisected, and a wrong prediction only costs the bisection it
+was meant to save.
 
 Complex diagonals take the dense path, which is validated against the
 symmetric path on real cases. It uses PT symmetry when the diagonal has it.
@@ -291,7 +293,8 @@ def _certify(ham: DiscretizedHamiltonian, solve, shifts, lower, upper, vectors=N
     below upper[j - 1] and above lower[j + 1] (inf where there is none);
     inverse iteration on level j solves with solve, the grid's
     _shifted_solver, and starts from the shift shifts[j] and from vectors[j]
-    resampled onto the grid, or the seeded _start_vector without vectors.
+    resampled onto the grid, or without vectors from the seeded draw
+    default_rng(0).standard_normal(n), so reruns agree.
 
     If rho_j lies in its bracket and |r|^2 <= eps ||H|| gap, gap > eps ||H||
     being the distance from rho_j to the neighbouring edges, then |r| < gap,
@@ -314,7 +317,8 @@ def _certify(ham: DiscretizedHamiltonian, solve, shifts, lower, upper, vectors=N
     floor = ham.pivot_floor
     below = np.concatenate(([-np.inf], upper[:count - 1]))
     above = np.concatenate((lower[1:], [np.inf]))[:count]
-    starts = [_start_vector(n)] * count if vectors is None else _resampled(vectors, ham.grid)
+    starts = ([np.random.default_rng(0).standard_normal(n)] * count if vectors is None
+              else _resampled(vectors, ham.grid))
     w = np.empty(count)
     residuals = np.empty(count)
     eigenvectors = []
@@ -415,7 +419,7 @@ def _dense_eigenpairs(ham: DiscretizedHamiltonian, count: int):
     except LinAlgError as exc:
         raise ConvergenceFailure(f"dense eigensolver failed (n = {n}): {exc}") from exc
     order = np.lexsort((wall.imag, wall.real))[:count]
-    start = _start_vector(n)
+    start = np.random.default_rng(0).standard_normal(n)
     band = np.full(n - 1, ham.off_diagonal, dtype=ham.diagonal.dtype)
     solve = _shifted_solver(ham.diagonal, band, ham.pivot_floor)
     w = np.empty(count, dtype=np.complex128)
@@ -514,20 +518,6 @@ def _normalized(vec: np.ndarray) -> np.ndarray:
         norm = _norm(vec)
     vec /= norm
     return vec
-
-
-_START = np.empty(0)
-
-
-def _start_vector(n: int) -> np.ndarray:
-    """The first n entries of the seeded draw default_rng(0).standard_normal,
-    read-only. A prefix of a longer draw equals the length-n draw, so the
-    longest draw so far serves every smaller n, and reruns agree."""
-    global _START
-    if _START.size < n:
-        _START = np.random.default_rng(0).standard_normal(n)
-        _START.flags.writeable = False
-    return _START[:n]
 
 
 def _extrapolated(spacings, rows) -> list[float]:

@@ -78,9 +78,9 @@ class SuperpotentialSpec:
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha!r}")
 
-    def shifted(self, steps: int = 1) -> "SuperpotentialSpec":
-        """Spec with k advanced along the ladder: k -> k + steps*alpha."""
-        return replace(self, k=self.k + steps * self.alpha)
+    def shifted(self) -> "SuperpotentialSpec":
+        """Spec one step up the ladder: k -> k + alpha."""
+        return replace(self, k=self.k + self.alpha)
 
 
 def default_exclusion(spec: SuperpotentialSpec) -> float:
@@ -162,11 +162,11 @@ def _constraint_terms(twin: SuperpotentialSpec, ys: np.ndarray, frequency: float
 
 
 def _superpotential(twin: SuperpotentialSpec, ys: np.ndarray):
-    """(W, W') of a cotangent well, -k cot(a y) + i f, or a right plane, -ik + f."""
-    f, fp, sin, cos = _constraint_terms(twin, ys, 1.0)
+    """W of a cotangent well, -k cot(a y) + i f, or a right plane, -ik + f."""
+    f, _, sin, cos = _constraint_terms(twin, ys, 1.0)
     if twin.family is Family.COTANGENT_WELL:
-        return -twin.k * cos / sin + 1j * f, twin.k * twin.alpha / sin**2 + 1j * fp
-    return -1j * twin.k + f, fp
+        return -twin.k * cos / sin + 1j * f
+    return -1j * twin.k + f
 
 
 def eval_superpotential(spec: SuperpotentialSpec, x):
@@ -174,12 +174,7 @@ def eval_superpotential(spec: SuperpotentialSpec, x):
 
     Raises SingularPoint within default_exclusion(spec) of a pole.
     """
-    return _on_twin(spec, x, lambda twin, ys: _superpotential(twin, ys)[0])
-
-
-def eval_superpotential_derivative(spec: SuperpotentialSpec, x):
-    """Closed-form W'(x), used by the sign-convention identity V2 - V1 = 2W'."""
-    return _on_twin(spec, x, lambda twin, ys: _superpotential(twin, ys)[1])
+    return _on_twin(spec, x, _superpotential)
 
 
 def _partner_values(

@@ -1,0 +1,43 @@
+"""Every name the package exports has a caller in the program itself."""
+
+import ast
+from pathlib import Path
+
+import susywell
+
+PACKAGE = Path(susywell.__file__).parent
+
+
+def exported() -> list[str]:
+    """The names that susywell/__init__.py imports from its modules."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def referenced(tree) -> set[str]:
+    """The names of the Name and Attribute nodes of tree, each counted only
+    outside the function or class that defines that name."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in inside:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_export_has_a_caller_outside_init():
+    # a public name that only its own unit test calls is deleted, not kept
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            used |= referenced(ast.parse(path.read_text()))
+    assert [name for name in exported() if name not in used] == []

@@ -24,12 +24,11 @@ from susywell.scattering import (
     SWEEP_HEADER,
     _series,
     _slice_entries,
+    _transfer_matrices,
     plane_partner_sweep,
     square_barrier_transmission,
     sweep,
     sweep_csv,
-    transfer_matrix,
-    transmission_reflection,
 )
 from susywell.susy_core import Family, Partner, SuperpotentialSpec, partner_field
 
@@ -100,7 +99,7 @@ def midpoint_richardson(field, a, b, energy, slices):
 class TestTransferMatrix:
     def test_empty_structure_is_identity(self):
         pot = PiecewisePotential((0.0, 2.0), (ConstantSegment(0.0),))
-        m = transfer_matrix(pot, 3.7)
+        m = _transfer_matrices(pot, [3.7])[0]
         assert np.max(np.abs(m - np.eye(2))) < MATRIX_TOL
 
     def test_zero_width_propagator_is_identity(self):
@@ -111,7 +110,7 @@ class TestTransferMatrix:
 
     def test_unimodular(self):
         for E in (0.5, 1.0, 7.3):
-            m = transfer_matrix(barrier(), E)
+            m = _transfer_matrices(barrier(), [E])[0]
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
             assert abs(det - 1.0) < MATRIX_TOL
 
@@ -121,27 +120,26 @@ class TestTransferMatrix:
         both = PiecewisePotential((0.0, 1.0, 2.5),
                                   (ConstantSegment(2.0), ConstantSegment(-1.0)))
         E = 5.0
-        combined = transfer_matrix(right, E) @ transfer_matrix(left, E)
-        assert np.max(np.abs(combined - transfer_matrix(both, E))) < MATRIX_TOL
+        combined = _transfer_matrices(right, [E])[0] @ _transfer_matrices(left, [E])[0]
+        assert np.max(np.abs(combined - _transfer_matrices(both, [E])[0])) < MATRIX_TOL
 
     def test_translation_only_shifts_phases(self):
         # |T| of a shifted copy of the structure is unchanged
         E = 2.0
-        base = transmission_reflection(barrier(), E)
-        moved = transmission_reflection(
-            PiecewisePotential((10.0, 11.0), (ConstantSegment(4.0),)), E)
+        base = sweep(barrier(), [E])[0]
+        moved = sweep(PiecewisePotential((10.0, 11.0), (ConstantSegment(4.0),)), [E])[0]
         assert moved.transmission == pytest.approx(base.transmission, abs=1e-12)
         assert moved.reflection == pytest.approx(base.reflection, abs=1e-12)
 
     @pytest.mark.parametrize("energy", [-0.5, 0.0, math.nan])
     def test_nonpositive_or_nan_energy_refused(self, energy):
         with pytest.raises(ValueError):
-            transfer_matrix(barrier(), energy)
+            _transfer_matrices(barrier(), [energy])[0]
 
     def test_vanishing_free_wave_wronskian(self):
         # E = 1e-30 puts 2 k0 = 2e-15 below WRONSKIAN_TOL
         with pytest.raises(DegenerateMatch):
-            transmission_reflection(barrier(), 1e-30)
+            sweep(barrier(), [1e-30])[0]
 
     def test_ascending_breakpoints_enforced(self):
         with pytest.raises(ValueError):
@@ -156,13 +154,13 @@ class TestTransferMatrix:
     def test_evanescent_overflow_guard(self):
         wide = PiecewisePotential((0.0, 100.0), (ConstantSegment(1e8),))
         with pytest.raises(EvanescentOverflow):
-            transfer_matrix(wide, 1.0)
+            _transfer_matrices(wide, [1.0])[0]
 
     def test_slice_guard_reports_a_python_float(self):
         # the exponent of one slice over the guard is a float, so the message
         # reads like the summed ones, not np.float64(...)
         with pytest.raises(EvanescentOverflow) as err:
-            transfer_matrix(barrier(1e200, 1.0), 1.0)
+            _transfer_matrices(barrier(1e200, 1.0), [1.0])[0]
         assert type(err.value.exponent) is float
         assert err.value.exponent == pytest.approx(1e100)
         assert "np.float64" not in str(err.value)
@@ -178,7 +176,7 @@ class TestTransferMatrix:
         # both (a RuntimeWarning would fail the test, see pyproject.toml)
         pot = PiecewisePotential((0.0, 1.0, 2.0), (first, second))
         with pytest.raises(EvanescentOverflow) as err:
-            transfer_matrix(pot, 1.0)
+            _transfer_matrices(pot, [1.0])[0]
         assert err.value.exponent == pytest.approx(800.0)
 
     def test_overflow_in_free_wave_match(self):
@@ -186,13 +184,13 @@ class TestTransferMatrix:
         # free waves multiplies by ~1/k0 = 1e10: refused, with no RuntimeWarning
         pot = PiecewisePotential((0.0, 1.0), (ConstantSegment(690.0 ** 2),))
         with pytest.raises(EvanescentOverflow) as err:
-            transfer_matrix(pot, 1e-20)
+            _transfer_matrices(pot, [1e-20])[0]
         assert err.value.exponent == pytest.approx(690.0)
 
     def test_unknown_segment_kind_refused(self):
         pot = PiecewisePotential((0.0, 1.0), (4.0,))
         with pytest.raises(TypeError):
-            transfer_matrix(pot, 1.0)
+            _transfer_matrices(pot, [1.0])[0]
 
 
 class TestSliceKernel:
@@ -229,27 +227,26 @@ class TestSliceKernel:
 class TestBarrierOracle:
     def test_free_space(self):
         pot = PiecewisePotential((0.0, 1.0), (ConstantSegment(0.0),))
-        res = transmission_reflection(pot, 1.0)
+        res = sweep(pot, [1.0])[0]
         assert abs(res.r) < MATRIX_TOL
         assert abs(res.t - 1.0) < MATRIX_TOL
         assert abs(res.flux_defect) < MATRIX_TOL
 
     def test_tunneling_value(self):
-        res = transmission_reflection(barrier(4.0, 1.0), 1.0)
+        res = sweep(barrier(4.0, 1.0), [1.0])[0]
         assert res.transmission == pytest.approx(T_TUNNEL_V4_A1_E1,
                                                  rel=ORACLE_RTOL)
         assert square_barrier_transmission(4.0, 1.0, 1.0) == pytest.approx(
             T_TUNNEL_V4_A1_E1, rel=1e-12)
 
     def test_well_value(self):
-        res = transmission_reflection(
-            PiecewisePotential((0.0, 1.0), (ConstantSegment(-5.0),)), 2.0)
+        res = sweep(PiecewisePotential((0.0, 1.0), (ConstantSegment(-5.0),)), [2.0])[0]
         assert res.transmission == pytest.approx(T_WELL_V5_A1_E2, rel=ORACLE_RTOL)
         assert abs(res.flux_defect) < 1e-10
 
     def test_resonance_branch(self):
         # E = V0 goes through the sinc limit in both code paths
-        res = transmission_reflection(barrier(4.0, 1.0), 4.0)
+        res = sweep(barrier(4.0, 1.0), [4.0])[0]
         assert res.transmission == pytest.approx(T_RESONANCE_V4_A1, abs=1e-12)
         assert square_barrier_transmission(4.0, 1.0, 4.0) == pytest.approx(
             T_RESONANCE_V4_A1, abs=1e-12)
@@ -266,7 +263,7 @@ class TestBarrierOracle:
         E = 4.0 + math.pi ** 2
         assert square_barrier_transmission(4.0, 1.0, E) == pytest.approx(1.0,
                                                                          abs=1e-12)
-        res = transmission_reflection(barrier(4.0, 1.0), E)
+        res = sweep(barrier(4.0, 1.0), [E])[0]
         assert res.transmission == pytest.approx(1.0, abs=1e-10)
 
     def test_deep_tunneling_branch(self):
@@ -285,7 +282,7 @@ class TestBarrierOracle:
     def test_flux_and_oracle_sweep(self, mult):
         v0, width = 4.0, 1.0
         energy = mult * v0
-        res = transmission_reflection(barrier(v0, width), energy)
+        res = sweep(barrier(v0, width), [energy])[0]
         assert abs(res.flux_defect) < 1e-10
         ref = square_barrier_transmission(v0, width, energy)
         assert res.transmission == pytest.approx(ref, rel=ORACLE_RTOL)
@@ -294,7 +291,7 @@ class TestBarrierOracle:
     def test_oracle_near_zero_energy(self, energy):
         # the entries of M grow like 1/k0; t = 1/M22 does not rebuild
         # det M = 1 from them by cancellation
-        res = transmission_reflection(barrier(4.0, 1.0), energy)
+        res = sweep(barrier(4.0, 1.0), [energy])[0]
         ref = square_barrier_transmission(4.0, 1.0, energy)
         assert abs(res.transmission - ref) / ref < ORACLE_TOL
         assert abs(res.flux_defect) < 1e-10
@@ -303,7 +300,7 @@ class TestBarrierOracle:
         pot = PiecewisePotential((0.0, 1.0, 2.0),
                                  (ConstantSegment(3.0), ConstantSegment(-1.0)))
         for E in (0.4, 1.1, 6.0):
-            res = transmission_reflection(pot, E)
+            res = sweep(pot, [E])[0]
             assert abs(res.flux_defect) < 1e-10
 
     def test_oracle_input_validation(self):
@@ -321,27 +318,29 @@ class TestFieldSegments:
         def field(x):
             return np.full(np.shape(x), value, dtype=complex)
 
-        const = transfer_matrix(PiecewisePotential((0.2, 0.2 + width), (ConstantSegment(value),)),
-                                energy)
-        one = transfer_matrix(PiecewisePotential((0.2, 0.2 + width), (FieldSegment(field, 1),)),
-                              energy)
+        window = (0.2, 0.2 + width)
+        const = _transfer_matrices(PiecewisePotential(window, (ConstantSegment(value),)),
+                                   [energy])[0]
+        one = _transfer_matrices(PiecewisePotential(window, (FieldSegment(field, 1),)),
+                                 [energy])[0]
         assert np.array_equal(const, one)
 
     def test_thin_slices_match_exact_constant(self):
-        const = transfer_matrix(barrier(2.5, 1.3), 1.0)
+        const = _transfer_matrices(barrier(2.5, 1.3), [1.0])[0]
 
         def field(x):
             return np.full_like(np.asarray(x, dtype=float), 2.5, dtype=complex)
 
-        sliced = transfer_matrix(
-            PiecewisePotential((0.0, 1.3), (FieldSegment(field, 500),)), 1.0)
+        sliced = _transfer_matrices(
+            PiecewisePotential((0.0, 1.3), (FieldSegment(field, 500),)), [1.0])[0]
         assert np.max(np.abs(const - sliced)) < 1e-10
 
     @pytest.mark.parametrize("slices", [1, 2, 3, SLICE_BLOCK - 1, SLICE_BLOCK,
                                         SLICE_BLOCK + 1, 2 * SLICE_BLOCK + 1])
     def test_batched_product_matches_sequential_loop(self, slices):
         field = partner_field(SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0), Partner.V1)
-        got = transfer_matrix(PiecewisePotential((0.0, 2.0), (FieldSegment(field, slices),)), 1.5)
+        got = _transfer_matrices(
+            PiecewisePotential((0.0, 2.0), (FieldSegment(field, slices),)), [1.5])[0]
         ref = sequential_transfer_matrix(field, 0.0, 2.0, slices, 1.5)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -353,7 +352,7 @@ class TestFieldSegments:
         pot = PiecewisePotential((0.0, 100.0),
                                  (FieldSegment(field, 2 * SLICE_BLOCK + 1),))
         with pytest.raises(EvanescentOverflow):
-            transfer_matrix(pot, 1.0)
+            _transfer_matrices(pot, [1.0])[0]
 
     def test_accumulated_overflow_guard(self, monkeypatch):
         # at q = 200 no slice reaches |Im z| = 700, but their product would
@@ -373,7 +372,7 @@ class TestFieldSegments:
 
         def t_at(n):
             pot = PiecewisePotential((0.0, 2.0), (FieldSegment(field, n),))
-            return transmission_reflection(pot, 1.5).transmission
+            return sweep(pot, [1.5])[0].transmission
 
         t_fine = t_at(2560)
         e1 = abs(t_at(20) - t_fine)
@@ -436,8 +435,8 @@ class TestPlaneFamilySweep:
         right = SuperpotentialSpec(Family.PLANE_RIGHT, k, 1.0)
         window = (-math.pi / k, math.pi / k)
         for E in (0.5, 1.7):
-            tl = transmission_reflection(sliced(left, window, 40000), E)
-            tr = transmission_reflection(sliced(right, window, 40000), E)
+            tl = sweep(sliced(left, window, 40000), [E])[0]
+            tr = sweep(sliced(right, window, 40000), [E])[0]
             assert abs(tl.transmission - tr.transmission) < 1e-8
 
     def test_left_right_mirrored_windows_agree_exactly(self):
@@ -447,9 +446,8 @@ class TestPlaneFamilySweep:
         left = SuperpotentialSpec(Family.PLANE_LEFT, k, 1.0)
         right = SuperpotentialSpec(Family.PLANE_RIGHT, k, 1.0)
         a, b = 0.3, 2.2
-        tl = transmission_reflection(sliced(left, (a, b), 1000), 1.7)
-        tr = transmission_reflection(
-            sliced(right, (math.pi / k - b, math.pi / k - a), 1000), 1.7)
+        tl = sweep(sliced(left, (a, b), 1000), [1.7])[0]
+        tr = sweep(sliced(right, (math.pi / k - b, math.pi / k - a), 1000), [1.7])[0]
         assert abs(tl.transmission - tr.transmission) < 1e-12
         # on the PT-centred window pi/2 -+ pi, its own mirror image, the
         # sweeps of the two families agree: T, and R from the left of one
@@ -476,10 +474,10 @@ class TestPlaneFamilySweep:
                               Partner.V1)
         left = partner_field(SuperpotentialSpec(Family.PLANE_LEFT, 1.0, 1.0),
                              Partner.V1)
-        mr = transfer_matrix(
-            PiecewisePotential((-1.0, 1.0), (FieldSegment(right, 3000),)), 0.5)
-        ml = transfer_matrix(
-            PiecewisePotential((-1.0, 1.0), (FieldSegment(left, 3000),)), 0.5)
+        mr = _transfer_matrices(
+            PiecewisePotential((-1.0, 1.0), (FieldSegment(right, 3000),)), [0.5])[0]
+        ml = _transfer_matrices(
+            PiecewisePotential((-1.0, 1.0), (FieldSegment(left, 3000),)), [0.5])[0]
         assert np.max(np.abs(ml - sx @ np.conj(mr) @ sx)) < 1e-12
 
     def test_shared_samples_leave_results_unchanged(self):
@@ -542,14 +540,13 @@ def assert_same_outcome(got, want):
 
 
 def doubling_reference(spec, which, window, energy):
-    """One energy of plane_partner_sweep as a loop of transmission_reflection
-    calls: START_SLICES slices, doubled until T changes by at most
-    STABILIZE_TOL, else SliceTooCoarse with the last count integrated."""
+    """One energy of plane_partner_sweep as a loop of one-energy sweeps:
+    START_SLICES slices, doubled until T changes by at most STABILIZE_TOL,
+    else SliceTooCoarse with the last count integrated."""
     field = partner_field(spec, which)
 
     def at(m):
-        return transmission_reflection(PiecewisePotential(window, (FieldSegment(field, m),)),
-                                       energy)
+        return sweep(PiecewisePotential(window, (FieldSegment(field, m),)), [energy])[0]
 
     m = scattering.START_SLICES
     prev = at(m)
@@ -579,14 +576,14 @@ class TestEnergyBatches:
         energies = [e if e > 0.0 else 0.05 for e in energies] + energies[:2]
         pot = barrier(v0, width)
         assert_same_outcome(outcome(lambda: sweep(pot, energies)),
-                            one_at_a_time(lambda e: transmission_reflection(pot, e), energies))
+                            one_at_a_time(lambda e: sweep(pot, [e])[0], energies))
 
     def test_barrier_block_mixes_series_and_trig_rows(self):
         energies = [4.0, 1.0, 4.01, 9.0, 3.99, 1.0]
         series = [abs((e - 4.0) * 1.3 ** 2) <= SERIES_MAX for e in energies]
         assert any(series) and not all(series)
         pot = barrier(4.0, 1.3)
-        assert sweep(pot, energies) == [transmission_reflection(pot, e) for e in energies]
+        assert sweep(pot, energies) == [sweep(pot, [e])[0] for e in energies]
 
     @settings(max_examples=20, deadline=None)
     @given(slices=st.sampled_from([1, 3, SLICE_BLOCK - 1, SLICE_BLOCK + 1, 2 * SLICE_BLOCK + 1]),
@@ -603,7 +600,7 @@ class TestEnergyBatches:
                                  (ConstantSegment(2.0), FieldSegment(field, slices),
                                   ConstantSegment(-3.0 + 0.5j)))
         assert_same_outcome(outcome(lambda: sweep(pot, energies)),
-                            one_at_a_time(lambda e: transmission_reflection(pot, e), energies))
+                            one_at_a_time(lambda e: sweep(pot, [e])[0], energies))
 
     @settings(max_examples=25, deadline=None)
     @given(family=st.sampled_from([Family.PLANE_RIGHT, Family.PLANE_LEFT]),
@@ -625,8 +622,7 @@ class TestEnergyBatches:
         energies = [2.0, 5.0, 0.5, 2.0]
         got = plane_partner_sweep(spec, Partner.V1, window, energies)
         counts = {2.0: 8192, 5.0: 4096, 0.5: 4096}
-        assert got == [transmission_reflection(sliced(spec, window, counts[e]), e)
-                       for e in energies]
+        assert got == [sweep(sliced(spec, window, counts[e]), [e])[0] for e in energies]
         assert got == [doubling_reference(spec, Partner.V1, window, e) for e in energies]
 
     @pytest.mark.parametrize("energies", [[1000.0, -1.0], [-2.0, 1000.0, -1.0],
@@ -667,8 +663,7 @@ class TestEnergyBatches:
         pot = barrier(v0, 1.0 if v0 < 1e8 else 100.0)
         got = outcome(lambda: sweep(pot, energies))
         assert got[1] is not None
-        assert_same_outcome(got, one_at_a_time(lambda e: transmission_reflection(pot, e),
-                                               energies))
+        assert_same_outcome(got, one_at_a_time(lambda e: sweep(pot, [e])[0], energies))
 
     def test_a_passing_plane_sweep_integrates_each_energy_once(self, monkeypatch):
         # the scatter defaults settle at 512 against 1024 slices: 7 energies
@@ -718,8 +713,7 @@ class TestEnergyBatches:
 
 class TestSweepSerialization:
     def test_header_and_shape(self):
-        res = [transmission_reflection(barrier(), E) for E in (0.4, 2.0)]
-        text = sweep_csv(res)
+        text = sweep_csv(sweep(barrier(), [0.4, 2.0]))
         lines = text.splitlines()
         assert lines[0] == ",".join(SWEEP_HEADER)
         assert len(lines) == 3
@@ -727,12 +721,10 @@ class TestSweepSerialization:
         assert "\r" not in text
 
     def test_byte_determinism(self):
-        res = [transmission_reflection(barrier(), E) for E in (0.4, 2.0)]
-        assert sweep_csv(res) == sweep_csv(
-            [transmission_reflection(barrier(), E) for E in (0.4, 2.0)])
+        assert sweep_csv(sweep(barrier(), [0.4, 2.0])) == sweep_csv(sweep(barrier(), [0.4, 2.0]))
 
     def test_roundtrip_values(self):
-        res = [transmission_reflection(barrier(), 2.0)]
+        res = sweep(barrier(), [2.0])
         row = sweep_csv(res).splitlines()[1].split(",")
         assert float(row[0]) == 2.0
         assert float(row[6]) == res[0].transmission

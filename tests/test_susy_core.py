@@ -1,5 +1,6 @@
 """Tests for the superpotential layer: closed forms, partners, the ladder."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from susywell.susy_core import (
     default_exclusion,
     eval_partner,
     eval_superpotential,
-    eval_superpotential_derivative,
     fundamental_cell,
     pole_coupling,
     remainder,
@@ -49,10 +49,15 @@ def constancy_bound(res):
     return max(1e-10 * abs(res.mean), 1e-12)
 
 
+def difference_derivative(spec, x, h=1e-6):
+    # W' by central difference of eval_superpotential, step h, exact to O(h^2)
+    return (eval_superpotential(spec, x + h) - eval_superpotential(spec, x - h)) / (2 * h)
+
+
 def difference_partner(spec, which, x, h):
     # W^2 -/+ W' with W' by central difference, step h: an independent
-    # reference for the closed forms of eval_partner, exact to O(h^2)
-    wp = (eval_superpotential(spec, x + h) - eval_superpotential(spec, x - h)) / (2 * h)
+    # reference for the closed forms of eval_partner
+    wp = difference_derivative(spec, x, h)
     sign = -1.0 if which is Partner.V1 else 1.0
     return eval_superpotential(spec, x) ** 2 + sign * wp
 
@@ -91,17 +96,6 @@ class TestSuperpotentialValues:
         val = eval_superpotential(SuperpotentialSpec(Family.PLANE_LEFT, 1.0, 1.0), 0.0)
         assert_allclose([val.real, val.imag], [1.0, 1.0], atol=ATOL)
 
-    @pytest.mark.parametrize("family", ALL_FAMILIES)
-    @pytest.mark.parametrize("alpha", [None, 0.6])
-    def test_derivative_matches_central_difference(self, family, alpha):
-        # alpha != k too: the plane partners share W' with _partner_values,
-        # so this difference quotient is its independent reference
-        spec = SuperpotentialSpec(family, 1.0, 1.5, alpha)
-        xs = samples_for(spec)[::20]
-        h = 1e-6
-        fd = (eval_superpotential(spec, xs + h) - eval_superpotential(spec, xs - h)) / (2 * h)
-        assert_allclose(eval_superpotential_derivative(spec, xs), fd, atol=1e-7)
-
 
 class TestPartnerValues:
     def test_flat_well_everywhere(self):
@@ -138,12 +132,14 @@ class TestPartnerValues:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("q", [0.0, 1.0, 2.5])
-    def test_difference_is_twice_w_prime(self, family, q):
-        spec = SuperpotentialSpec(family, 1.0, q)
+    @pytest.mark.parametrize("alpha", [None, 0.6])
+    def test_difference_is_twice_w_prime(self, family, q, alpha):
+        # the sign convention V2 - V1 = 2W', with W' by central difference,
+        # at alpha = k and alpha != k
+        spec = SuperpotentialSpec(family, 1.0, q, alpha)
         xs = samples_for(spec)
-        wp = eval_superpotential_derivative(spec, xs)
         diff = eval_partner(spec, Partner.V2, xs) - eval_partner(spec, Partner.V1, xs)
-        assert_allclose(diff, 2.0 * wp, atol=IDENTITY_TOL)
+        assert_allclose(diff, 2.0 * difference_derivative(spec, xs), atol=1e-7)
 
     @pytest.mark.parametrize("family", WELL_FAMILIES)
     @pytest.mark.parametrize("which", list(Partner))
@@ -338,11 +334,10 @@ class TestGuardsAndGeometry:
         assert fundamental_cell(SuperpotentialSpec(Family.PLANE_LEFT, 1.0, 0.0)) is None
 
     def test_shifted_spec_climbs_ladder(self):
-        spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
-        up = spec.shifted(2)
-        assert up.k == pytest.approx(3.0)
-        assert up.q == spec.q
-        assert up.alpha == spec.alpha
+        # each step is k -> k + alpha, with q and alpha kept
+        spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0, 0.75)
+        assert spec.shifted() == dataclasses.replace(spec, k=1.75)
+        assert spec.shifted().shifted() == dataclasses.replace(spec, k=2.5)
 
 
 class TestPoleCoupling:
