@@ -10,17 +10,7 @@ Modules:
   cli         reproducible figure/spectrum/verify/scatter commands
 """
 
-from .errors import (
-    ConfigError,
-    ConvergenceFailure,
-    DegenerateMatch,
-    DomainViolation,
-    EvanescentOverflow,
-    SingularPoint,
-    SliceTooCoarse,
-    StepTooLarge,
-    SusywellError,
-)
+from .errors import ConfigError, ConvergenceFailure, SusywellError
 from .susy_core import (
     Family,
     Partner,

@@ -33,10 +33,10 @@ sweep and plane_partner_sweep are the public ways into it.
 Every slice goes through one kernel with two ranges of u = z^2 = k^2 w^2 -
 delta^2: |u| <= SERIES_MAX takes six-term series of cos and sinc in u, exact
 to rounding (truncation ~ 9e-18) and free of sqrt; plane slices at moderate
-q lie there. Thicker slices take np.cos and np.sin of z, each refused with
-EvanescentOverflow above |Im z| = 700. The loop refuses the same way a
-running product, or its free-wave match, that leaves the double range, with
-the exponent summed over the slices so far.
+q lie there. Thicker slices take np.cos and np.sin of z, each refused as an
+evanescent overflow (a ConvergenceFailure) above |Im z| = 700. The loop
+refuses the same way a running product, or its free-wave match, that leaves
+the double range, with the exponent summed over the slices so far.
 
 The loop fails fast: it validates every energy, then integrates, and raises
 the first refusal it meets, whatever its energy. sweep and
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMatch, EvanescentOverflow, SliceTooCoarse
+from .errors import ConvergenceFailure
 from .serialize import csv_text
 from .susy_core import PLANE_FAMILIES, Partner, SuperpotentialSpec, partner_field
 
@@ -149,7 +149,7 @@ def _trig(rate, width: float):
     z = np.sqrt(rate) * width
     over = np.flatnonzero(np.abs(z.imag) > OVERFLOW_EXPONENT)
     if over.size:
-        raise EvanescentOverflow(float(abs(z.flat[over[0]].imag)))
+        raise _overflow(float(abs(z.flat[over[0]].imag)))
     return np.cos(z), np.sin(z) / z
 
 
@@ -180,8 +180,8 @@ def _slice_entries(values, width: float, energies, delta=0.0):
                           no sqrt and no branch. Plane slices at moderate q
                           and the E = V resonance of a barrier take it.
       |u| >  SERIES_MAX   np.cos and np.sin of z = sqrt(z^2 / w^2) w
-                          (|z| > 0.2), with the EvanescentOverflow guard on
-                          |Im z|.
+                          (|z| > 0.2), with the overflow guard of _trig
+                          on |Im z|.
     """
     ksq, rate = _rates(values, width, energies, delta)
     u = rate * (width * width)
@@ -248,9 +248,26 @@ def _slice_values(segment, a: float, b: float):
 
 
 def _exponent(values, width: float, energy: float, delta) -> float:
-    """The evanescent exponent of a run of slices: the sum of their |Im z|."""
-    _, rate = _rates(values, width, energy, delta)
-    return float(np.sum(np.abs((np.sqrt(rate) * width).imag)))
+    """The evanescent exponent of a run of slices: the sum of their |Im z|,
+    inf when a rate leaves the double range (its sum would read nan)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, rate = _rates(values, width, energy, delta)
+        total = float(np.sum(np.abs((np.sqrt(rate) * width).imag)))
+    return math.inf if math.isnan(total) else total
+
+
+def _overflow(exponent: float) -> ConvergenceFailure:
+    """The refusal of a transfer matrix whose evanescent exponent is over
+    the guard."""
+    return ConvergenceFailure(f"evanescent exponent {exponent!r} exceeds the overflow guard: "
+                              "the transfer matrix would leave the double range")
+
+
+def _degenerate(what: str, value, bound: float, where: float) -> ConvergenceFailure:
+    """The refusal of a free-wave match at x = where whose quantity `what`
+    is below its bound."""
+    return ConvergenceFailure(f"free-wave matching at x={where!r} is degenerate: "
+                              f"{what} = {value!r} is below {bound:g}")
 
 
 def _in_range(*entries) -> bool:
@@ -268,7 +285,7 @@ def _wavenumber(energy, left: float) -> tuple[float, float]:
         raise ValueError(f"energy must be finite and positive, got {energy!r}")
     k0 = math.sqrt(energy)
     if 2.0 * k0 < WRONSKIAN_TOL:
-        raise DegenerateMatch("Wronskian 2 k0", 2.0 * k0, WRONSKIAN_TOL, left)
+        raise _degenerate("Wronskian 2 k0", 2.0 * k0, WRONSKIAN_TOL, left)
     return energy, k0
 
 
@@ -283,8 +300,8 @@ def _transfer_matrices(potential: PiecewisePotential, energies) -> list:
     folded = []  # the blocks so far, so a refusal samples no field again
 
     def overflow(energy):
-        return EvanescentOverflow(sum(_exponent(values, width, energy, delta)
-                                      for values, width, delta in folded))
+        return _overflow(sum(_exponent(values, width, energy, delta)
+                             for values, width, delta in folded))
 
     for seg, a, b in zip(potential.segments, bps, bps[1:]):
         values, width, delta = _slice_values(seg, a, b)
@@ -376,7 +393,7 @@ def _scattering(potential: PiecewisePotential, energies) -> list:
     out = []
     for energy, m in zip(energies, _transfer_matrices(potential, energies)):
         if abs(m[1, 1]) < 1e-300:
-            raise DegenerateMatch("M22", m[1, 1], 1e-300, potential.breakpoints[-1])
+            raise _degenerate("M22", m[1, 1], 1e-300, potential.breakpoints[-1])
         r = -m[1, 0] / m[1, 1]
         t = 1.0 / m[1, 1]
         defect = abs(r) ** 2 + abs(t) ** 2 - 1.0
@@ -433,7 +450,8 @@ def plane_partner_sweep(
     through one call of the slice loop, which samples the partner once and
     holds at most SLICE_BLOCK slice-energy pairs per block. An energy settles
     when its T changes by <= STABILIZE_TOL and leaves the loop then; one
-    still moving after the last count raises SliceTooCoarse with that count.
+    still moving after the last count raises ConvergenceFailure naming that
+    count.
     Results come back in the order of energies, each the same bit for bit as
     a sweep of that energy alone. A batch that raises is replayed one energy
     at a time (_in_order), so a failure raises what the first energy that
@@ -469,7 +487,9 @@ def plane_partner_sweep(
             refining = [i for i in refining if results[i] is None]
             if not refining:
                 return results
-        raise SliceTooCoarse(float(batch[refining[0]]), m, change[refining[0]])
+        i = refining[0]
+        raise ConvergenceFailure(f"transmission at E={float(batch[i])!r} still changes by "
+                                 f"{change[i]!r} after refining to {m} slices")
 
     return _in_order(settled, energies)
 

@@ -17,7 +17,8 @@ inverse iteration (below) then puts a level in every cell, so each cell
 holds exactly one, and the level in cell j is level j. A wrong prediction
 leaves some cell empty, and the level of an empty cell cannot be certified. Without a prediction, or
 when the count or a certificate refutes it, Sturm bisection (stebz) to the
-coarse width BRACKET_TOL places each level, and the level above them, in a
+coarse width BRACKET_TOL, or 8 eps ||H||_inf where that is wider (stebz
+resolves no finer), places each level, and the level above them, in a
 bracket. Inverse iteration starts from the predicted level or the bracket
 midpoint and then shifts to the latest Rayleigh quotient while that stays
 in the bracket. It stops when the Rayleigh quotient lies in its bracket,
@@ -151,7 +152,7 @@ def discretize(potential, grid: Grid1D) -> DiscretizedHamiltonian:
     """Sample the potential on the interior nodes and build H.
 
     Endpoints are never evaluated; a node inside a pole's exclusion radius
-    surfaces as SingularPoint from the potential callable itself.
+    surfaces as the SusywellError of the potential callable itself.
     """
     xs = grid.points
     values = np.asarray(potential(xs), dtype=np.complex128)
@@ -256,11 +257,12 @@ def _symmetric_eigenpairs(ham: DiscretizedHamiltonian, count: int, guess=None, v
     A guess whose top cut the Sturm count confirms gives level j the cell
     between cuts j and j + 1, counted from 1 (level 0's cell is unbounded
     below), and _certify proves that each cell holds its level, starting
-    inverse iteration from vectors when given. Otherwise
-    bisection places level j within tol/2 of its centre c_j, so the bracket
-    [c_j - tol, c_j + tol] holds it with room for the rounding of the Sturm
-    counts; centres closer than 4 tol are located
-    again at a sixteenth of their spacing, but not below 8 eps ||H||_inf.
+    inverse iteration from vectors when given. Otherwise bisection to
+    tol = max(BRACKET_TOL, 8 eps ||H||_inf) places level j within tol/2 of
+    its centre c_j, so the bracket [c_j - tol, c_j + tol] holds it with
+    room for the rounding of the Sturm counts; centres closer than 4 tol
+    are located again at a sixteenth of their spacing, but not below
+    8 eps ||H||_inf.
     """
     from scipy.linalg.lapack import get_lapack_funcs
 
@@ -278,7 +280,7 @@ def _symmetric_eigenpairs(ham: DiscretizedHamiltonian, count: int, guess=None, v
             except ConvergenceFailure:
                 pass  # bisect this grid after all
     located = min(count + 1, ham.grid.n_interior)
-    tol = BRACKET_TOL
+    tol = max(BRACKET_TOL, 8 * ham.pivot_floor)
     centres = _bisect(diagonal, band, located, tol, stebz)
     closest = np.min(np.diff(centres), initial=np.inf)
     if closest < 4 * tol:

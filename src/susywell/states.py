@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainViolation
+from .errors import SusywellError
 from .susy_core import (
     Family,
     Partner,
@@ -51,9 +51,9 @@ def eval_wavefunction(spec: SuperpotentialSpec, x):
     """psi(x), complex, unnormalized. Scalar in, scalar out; arrays pass
     through.
 
-    Raises DomainViolation outside the family's fundamental cell (where
-    the principal log would cross a branch cut) and SingularPoint within
-    default_exclusion of a pole, as eval_partner does.
+    Raises SusywellError outside the family's fundamental cell (where the
+    principal log would cross a branch cut) and within default_exclusion
+    of a pole, as eval_partner does.
     """
     cell = fundamental_cell(spec)
     if cell is not None:
@@ -61,8 +61,8 @@ def eval_wavefunction(spec: SuperpotentialSpec, x):
         _guard_singularities(spec, xs)
         outside = (xs <= cell[0]) | (xs >= cell[1])
         if outside.any():
-            raise DomainViolation(float(xs[outside][0]), f"the log argument of the "
-                                  f"{spec.family.value} ground state is positive only on {cell}")
+            raise SusywellError(f"x={float(xs[outside][0])!r}: the log argument of the "
+                                f"{spec.family.value} ground state is positive only on {cell}")
     return _on_twin(spec, x, _ground_state)
 
 
@@ -89,7 +89,7 @@ def schrodinger_residual(spec: SuperpotentialSpec, energy: complex, x, h: float 
 
     psi'' by the three-point central difference with step h; the defect is
     divided by max(|psi(x)|, 1e-30). Decays as O(h^2) where psi is smooth.
-    Raises StepTooLarge when h exceeds 1/10 of the distance to a pole.
+    Raises SusywellError when h exceeds 1/10 of the distance to a pole.
     """
     xs = np.asarray(x, dtype=np.float64)
     _check_step(spec, xs, h)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import SingularPoint, StepTooLarge
+from .errors import SusywellError
 
 
 class Family(enum.Enum):
@@ -120,12 +120,13 @@ def singularity_distance(spec: SuperpotentialSpec, x) -> np.ndarray:
 
 def _check_step(spec: SuperpotentialSpec, xs: np.ndarray, h: float):
     """Refuse a central-difference step h <= 0 (ValueError), or one above
-    1/10 of the distance from xs to the nearest pole (StepTooLarge)."""
+    1/10 of the distance from xs to the nearest pole (SusywellError)."""
     if h <= 0:
         raise ValueError(f"step h must be positive, got {h!r}")
     dist = float(np.min(singularity_distance(spec, xs), initial=np.inf))
     if h > dist / 10.0:
-        raise StepTooLarge(h, dist)
+        raise SusywellError(f"step h={h!r} exceeds 1/10 of the distance {dist!r} to the "
+                            "nearest singularity")
 
 
 def _guard_singularities(spec: SuperpotentialSpec, xs: np.ndarray):
@@ -134,7 +135,8 @@ def _guard_singularities(spec: SuperpotentialSpec, xs: np.ndarray):
     bad = np.atleast_1d(singularity_distance(spec, xs) < default_exclusion(spec))
     if bad.any():
         xb = float(np.atleast_1d(xs)[bad][0])
-        raise SingularPoint(xb, float(_nearest_pole(spec, xb)))
+        raise SusywellError(f"evaluation at x={xb!r} is within the exclusion radius of the "
+                            f"singular point {float(_nearest_pole(spec, xb))!r}")
 
 
 def _on_twin(spec: SuperpotentialSpec, x, form):
@@ -172,7 +174,7 @@ def _superpotential(twin: SuperpotentialSpec, ys: np.ndarray):
 def eval_superpotential(spec: SuperpotentialSpec, x):
     """Value of W(x) for the family, complex.
 
-    Raises SingularPoint within default_exclusion(spec) of a pole.
+    Raises SusywellError within default_exclusion(spec) of a pole.
     """
     return _on_twin(spec, x, _superpotential)
 

@@ -1,9 +1,11 @@
 """Every name the package exports has a caller in the program itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import susywell
+from susywell import errors
 
 PACKAGE = Path(susywell.__file__).parent
 
@@ -32,6 +34,23 @@ def referenced(tree) -> set[str]:
 
     visit(tree, frozenset())
     return found
+
+
+def error_classes(module) -> set[str]:
+    """The names of the exception classes that module defines or holds."""
+    return {name for name, value in vars(module).items()
+            if isinstance(value, type) and issubclass(value, BaseException)}
+
+
+def test_one_error_class_per_way_a_run_ends():
+    # ConvergenceFailure exits 2, ConfigError and any other SusywellError 3
+    assert error_classes(errors) == {"SusywellError", "ConvergenceFailure", "ConfigError"}
+    assert error_classes(susywell) == error_classes(errors)
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"susywell.{path.stem}".removesuffix(".__init__"))
+        defined = {name for name in error_classes(module)
+                   if getattr(module, name).__module__ == module.__name__}
+        assert defined <= (error_classes(errors) if module is errors else set()), path.name
 
 
 def test_every_export_has_a_caller_outside_init():

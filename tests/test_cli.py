@@ -151,6 +151,16 @@ class TestSpectrum:
         for name in ("v1", "v2"):
             assert len(read_json(tmp_path / f"{name}_spectrum.json")["eigenvalues"]) == 4
 
+    def test_narrow_custom_domain_is_solved(self, runner, tmp_path):
+        # a box 1e-4 wide: eps ||H||_inf of its grids is above the 1e-2
+        # bracket width that bisection would otherwise ask stebz for
+        conf = tmp_path / "run.conf"
+        conf.write_text("x_min=0.5\nx_max=0.5001\n")
+        res = runner.invoke(main, ["spectrum", "--q", "0", "--config", str(conf),
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert "recorded, not gated" in res.output
+
     def test_natural_cell_stays_gated(self, runner, tmp_path):
         res = runner.invoke(main, ["spectrum", "--q", "0", "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
@@ -387,7 +397,7 @@ class TestConfigHandling:
         # the middle node of the coarsest grid, 1001 points on (-1, 1), is the pole at 0
         (["spectrum", "--q", "0", "--grid", "4004", "--count", "2"], "x_min=-1\nx_max=1\n", 3,
          "invalid request: evaluation at x="),
-        # EvanescentOverflow is a ConvergenceFailure
+        # an evanescent overflow is a ConvergenceFailure
         (["scatter", "--family", "plane_right", "--q", "200"], "", 2,
          "convergence failure: evanescent exponent"),
         # inverse iteration's vector underflows, and a nan residual fails the gate
@@ -693,6 +703,16 @@ class TestScatter:
         assert res.exit_code == 2, res.output
         assert "convergence failure: evanescent exponent" in res.output
         assert "exceeds the overflow guard" in res.output
+
+    def test_coupling_whose_rates_overflow_exits_2(self, runner, tmp_path):
+        # q^2 is in range, but the squared Magnus tilt of the refused slices
+        # is not: the refusal still names a number, with no RuntimeWarning
+        res = runner.invoke(main, ["scatter", "--family", "plane_right", "--q", "1e80",
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit)
+        exponent = re.search(r"evanescent exponent (\S+) exceeds", res.output).group(1)
+        assert float(exponent) > 700.0
 
     def test_free_wave_match_overflow_exits_2(self, runner, tmp_path):
         # kappa w = 690 passes the slice guards, but the match to the free

@@ -6,6 +6,7 @@ strict xfails, each naming the check that would kill it; an equivalent
 mutant, one that no check can see, is listed with its reason.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -81,20 +82,25 @@ def flip_q_everywhere(mp):
     mp.setattr(susy_core, "_twin", lambda spec: twin(replace(spec, q=-spec.q)))
 
 
+# the refusal of a plane sweep whose transmission never settles
+UNSETTLED = r"transmission at E=\S+ still changes by \S+ after refining to \d+ slices"
+
+
 def failures():
     """The names of the gates of verify_gates() that fail, or of the
-    ConvergenceFailure that it raises."""
+    ConvergenceFailure that it raises: "unsettled_slices" when its message
+    is UNSETTLED, else the message itself."""
     try:
         return [gate.name for _, gate in gates.verify_gates() if not gate.passed]
     except ConvergenceFailure as exc:
-        return [type(exc).__name__]
+        return ["unsettled_slices" if re.fullmatch(UNSETTLED, str(exc)) else str(exc)]
 
 
 @pytest.mark.parametrize("mutant, killer", [
     (flip_q_in_sweep, "partner_intertwining"),
     (drop_magnus_tilt, "partner_intertwining"),
     (flip_r_right, "partner_intertwining"),
-    (left_endpoint_slices, "SliceTooCoarse"),
+    (left_endpoint_slices, "unsettled_slices"),
     (swap_partners, "spectrum_q0"),
     (shift_ladder, "spectrum_q0"),
     (detune_constraint, "shape_invariance"),

@@ -3,6 +3,7 @@
 import importlib.util
 import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -98,6 +99,26 @@ def test_an_expected_nonzero_exit_is_not_reported(roots):
     assert parent_diff.differences(*roots, passed, passed) == [
         ("scatter_unsettled", "exit code 0 at base, 0 here"),
     ]
+
+
+def test_commands_run_with_one_blas_thread(tmp_path, monkeypatch):
+    # the bytes of a complex spectrum depend on the BLAS thread count, so
+    # both trees run at one thread whatever the caller's environment says
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in blas:
+        monkeypatch.setenv(var, "4")
+    src = tmp_path / "src"
+    envs = []
+
+    def run(args, env, **kwargs):
+        envs.append(env)
+        return subprocess.CompletedProcess(args, 0, stdout=f"{src}/susywell/__init__.py\n",
+                                           stderr=b"")
+
+    monkeypatch.setattr(parent_diff, "subprocess", SimpleNamespace(run=run))
+    parent_diff.run_commands(src, tmp_path)
+    assert len(envs) == 1 + len(parent_diff.COMMANDS)
+    assert all(env[var] == "1" for env in envs for var in blas)
 
 
 def test_a_stderr_difference_is_reported(roots):

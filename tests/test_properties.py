@@ -1,14 +1,16 @@
 """Property tests: transfer-matrix invariants over random complex structures,
 the PT-real dense eigen path over random complex wells, the certified
 symmetric eigen path over random real wells, with and without a prediction
-of the levels and with any start vectors, and the factorized partners W^2 -/+ W' over
-random superpotentials."""
+of the levels and with any start vectors, the bisected levels of flat boxes
+of any width, and the factorized partners W^2 -/+ W' over random
+superpotentials."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, eigvals
 
@@ -26,6 +28,7 @@ from susywell.spectral import (
     _tridiagonal_dense,
     discretize,
     eigenvalues,
+    richardson_spectrum,
 )
 from susywell.susy_core import (
     WELL_FAMILIES,
@@ -261,6 +264,28 @@ def test_symmetric_levels_match_full_bisection_for_any_prediction(
                       vectors=_start_vectors(ham, count, start, seed))
     bound = 4 * np.finfo(np.float64).eps * ham.norm_inf
     assert np.max(np.abs(rep.eigenvalues.real - levels[:count])) <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.floats(0.5, 2.0), log_width=st.floats(-7.0, 0.0), place=st.floats(0.0, 1.0))
+@example(k=1.0, log_width=-4.0, place=0.0)
+def test_bisected_levels_of_a_flat_box_are_exact(k, log_width, place):
+    # at q = 0 and alpha = k, V1 = -k^2 on the cotangent cell, so on a box of
+    # width w inside it the levels of an n-point grid, h = w / (n + 1), are
+    # (4 / h^2) sin^2(m pi / (2 (n + 1))) - k^2; a custom domain gets no
+    # prediction, so its coarsest grid bisects at any eps ||H||_inf
+    cell = math.pi / k
+    width = 10.0 ** log_width
+    x_min = cell * (0.05 + 0.9 * place) - width * place
+    field = partner_field(SuperpotentialSpec(Family.COTANGENT_WELL, k, 0.0), Partner.V1)
+    count = 4
+    report = richardson_spectrum(field, x_min, x_min + width, count, (64, 96, 128), guess=None)
+    m = np.arange(1, count + 1)
+    for rep in report.per_grid:
+        grid = Grid1D(x_min, x_min + width, rep.grid_sizes_used[0])
+        exact = 4 / grid.spacing ** 2 * np.sin(m * np.pi / (2 * (grid.n_interior + 1))) ** 2
+        bound = 4 * np.finfo(np.float64).eps * discretize(field, grid).norm_inf
+        assert np.max(np.abs(rep.eigenvalues.real - (exact - k * k))) <= bound
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal, eigvals, lapack
 
 from susywell import gates, spectral, states
-from susywell.errors import ConvergenceFailure, SingularPoint
+from susywell.errors import ConvergenceFailure, SusywellError
 from susywell.spectral import (
     RESIDUAL_TOL,
     Grid1D,
@@ -91,7 +91,7 @@ class TestDiscretize:
         # 32 subintervals of [0, pi] put a node exactly on the interior pole
         field = partner_field(SuperpotentialSpec(Family.TANGENT_WELL, 1.0, 1.0),
                               Partner.V1)
-        with pytest.raises(SingularPoint):
+        with pytest.raises(SusywellError, match="within the exclusion radius"):
             discretize(field, Grid1D(0.0, math.pi, 31))
 
     def test_nonfinite_potential_is_refused(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from susywell.errors import SingularPoint
+from susywell.errors import SusywellError
 from susywell.susy_core import (
     Family,
     Partner,
@@ -27,6 +27,8 @@ from susywell.susy_core import (
 
 ATOL = 1e-12
 IDENTITY_TOL = 1e-10
+# the phrase of the pole refusal, a SusywellError
+POLE = "within the exclusion radius of the singular point"
 
 ALL_FAMILIES = tuple(Family)
 
@@ -305,14 +307,14 @@ class TestShapeInvariance:
 class TestGuardsAndGeometry:
     def test_singular_point_at_cell_edge(self):
         spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 1.0)
-        with pytest.raises(SingularPoint):
+        with pytest.raises(SusywellError, match=POLE):
             eval_superpotential(spec, 0.0)
-        with pytest.raises(SingularPoint):
+        with pytest.raises(SusywellError, match=POLE):
             eval_partner(spec, Partner.V1, math.pi)
 
     def test_singular_point_at_tangent_pole(self):
         spec = SuperpotentialSpec(Family.TANGENT_WELL, 1.0, 1.0)
-        with pytest.raises(SingularPoint):
+        with pytest.raises(SusywellError, match=POLE):
             eval_superpotential(spec, math.pi / 2)
 
     def test_exclusion_radius_scales_with_k(self):

@@ -5,9 +5,11 @@
 BASE is any git revision of this repository. Its tree is exported with
 `git archive` into a temporary directory, which leaves the repository as it
 was. Every command of COMMANDS then runs in the exported tree and in this
-checkout as `python -m susywell.cli ...`, with PYTHONPATH=<tree>/src and
-PYTHONWARNINGS=error::RuntimeWarning, each into its own directory under one
-output root, where its stderr is saved as `stderr.txt` beside its outputs.
+checkout as `python -m susywell.cli ...`, with PYTHONPATH=<tree>/src,
+PYTHONWARNINGS=error::RuntimeWarning and one BLAS thread (the bytes of a
+complex spectrum depend on the thread count), each into its own directory
+under one output root, where its stderr is saved as `stderr.txt` beside its
+outputs.
 Both trees write to the same paths, so an output that records a path reads
 the same in both.
 
@@ -103,7 +105,8 @@ def run_commands(src: Path, work: Path) -> dict[str, int]:
     """Run COMMANDS against the package in src, writing under work/out.
     Returns the exit code of each command by name; each command's stderr is
     saved as STDERR in its output directory."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="error::RuntimeWarning")
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="error::RuntimeWarning",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     # an installed susywell must not stand in for the tree under test
     found = subprocess.run([sys.executable, "-c", "import susywell; print(susywell.__file__)"],
                            env=env, cwd=work, capture_output=True, text=True, check=True)
