@@ -28,6 +28,5 @@ class ConvergenceFailure(SusywellError):
 class ConfigError(SusywellError):
     """Invalid run configuration (bad key, value, or combination)."""
 
-    def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(f"{field}: {message}")
+    def __init__(self, key: str, message: str):
+        super().__init__(f"{key}: {message}")

@@ -21,12 +21,12 @@ and a ConstantSegment is the step with delta = 0.
 The loop takes a list of energies and samples each segment once for all of
 them. Its blocks hold at most SLICE_BLOCK slice-energy pairs:
 min(m, SLICE_BLOCK) slices of a segment for max(1, (SLICE_BLOCK - 1) // m)
-energies, fewer than SLICE_BLOCK pairs unless one row has that many, as four
-complex arrays of shape (energies, slices), the entries (p, q, r, s) of
-[[p, q], [r, s]]. So the memory of a call does not grow with its number of
-energies. Each row multiplies neighbours entry-wise, later slice on the
-left, in log2(m) levels, and folds its product into the running 2x2 of its
-energy across all segments. That is the order one energy alone takes, so
+energies, fewer than SLICE_BLOCK pairs unless one row has that many, as one
+complex array of shape (2, 2, energies, slices) that stacks the slice
+matrices. So the memory of a call does not grow with its number of energies.
+Each row multiplies neighbours, later slice on the left, one broadcast 2x2
+product per level in log2(m) levels, and folds its product into the running
+2x2 of its energy across all segments. That is the order one energy alone takes, so
 each result is bit for bit the same whatever energies share its call.
 sweep and plane_partner_sweep are the public ways into it.
 
@@ -78,9 +78,10 @@ MAX_DOUBLINGS = 6
 # a slice with |k^2 w^2| <= SERIES_MAX takes the six-term series of cos and
 # sinc, whose truncation SERIES_MAX^6 / 12! ~ 9e-18 is below rounding
 SERIES_MAX = 0.04
-# Horner coefficients of u^5 .. u^0: (-1)^n / (2n)! and (-1)^n / (2n + 1)!
-_COS_TERMS = tuple((-1) ** n / math.factorial(2 * n) for n in range(5, -1, -1))
-_SINC_TERMS = tuple((-1) ** n / math.factorial(2 * n + 1) for n in range(5, -1, -1))
+# Horner coefficients of u^5 .. u^0, one row per power: (-1)^n / (2n)! of
+# cos and (-1)^n / (2n + 1)! of sinc
+_SERIES_TERMS = np.array([[(-1) ** n / math.factorial(2 * n + j) for j in (0, 1)]
+                          for n in range(5, -1, -1)], dtype=np.complex128)
 # the Gauss nodes of a slice sit _GAUSS_OFFSET slice widths from its centre;
 # delta = _MAGNUS_COUPLING w^2 (V- - V+)
 _GAUSS_OFFSET = 0.5 / math.sqrt(3.0)
@@ -132,25 +133,25 @@ class PiecewisePotential:
 
 
 def _series(u):
-    """cos z and sinc z of z^2 = u: six terms each, by Horner's rule in u."""
-    out = []
-    for terms in (_COS_TERMS, _SINC_TERMS):
-        acc = u * terms[0]
-        for term in terms[1:-1]:
-            acc += term
-            acc *= u
-        acc += terms[-1]
-        out.append(acc)
-    return out
+    """cos z and sinc z of z^2 = u, stacked on a new first axis: six terms
+    each, by Horner's rule in u."""
+    terms = _SERIES_TERMS.reshape(_SERIES_TERMS.shape + (1,) * u.ndim)
+    acc = u * terms[0]
+    for term in terms[1:-1]:
+        acc += term
+        acc *= u
+    acc += terms[-1]
+    return acc
 
 
 def _trig(rate, width: float):
-    """cos z and sinc z of z = sqrt(rate) w, refusing |Im z| > OVERFLOW_EXPONENT."""
+    """cos z and sinc z of z = sqrt(rate) w, stacked on a new first axis,
+    refusing |Im z| > OVERFLOW_EXPONENT."""
     z = np.sqrt(rate) * width
     over = np.flatnonzero(np.abs(z.imag) > OVERFLOW_EXPONENT)
     if over.size:
         raise _overflow(float(abs(z.flat[over[0]].imag)))
-    return np.cos(z), np.sin(z) / z
+    return np.array([np.cos(z), np.sin(z) / z])
 
 
 def _rates(values, width: float, energies, delta):
@@ -164,8 +165,8 @@ def _rates(values, width: float, energies, delta):
 
 
 def _slice_entries(values, width: float, energies, delta=0.0):
-    """Entries (p, q, r, s) of the slice (psi, psi') matrices [[p, q], [r, s]],
-    one row per energy when energies is an array.
+    """The slice (psi, psi') matrices [[p, q], [r, s]] as one array of shape
+    (2, 2, slices), or (2, 2, energies, slices) when energies is an array.
 
     Each slice is exp(Omega), Omega = [[delta, w], [-k^2 w, -delta]] with
     k^2 = E - V, one slice per value: p = cos z + delta sinc z,
@@ -191,39 +192,34 @@ def _slice_entries(values, width: float, energies, delta=0.0):
     elif not thin.any():
         cosz, sinc = _trig(rate, width)
     else:
-        thick = ~thin
-        cosz, sinc = np.empty_like(u), np.empty_like(u)
-        cosz[thick], sinc[thick] = _trig(rate[thick], width)
-        cosz[thin], sinc[thin] = _series(u[thin])
+        trig = np.empty((2,) + u.shape, dtype=u.dtype)
+        trig[:, ~thin] = _trig(rate[~thin], width)
+        trig[:, thin] = _series(u[thin])
+        cosz, sinc = trig
     sfac = width * sinc
     # delta is given the shape of the block first: numpy multiplies a 1-D
     # delta into a (1, 1) block without the fused multiply-add it uses for
     # arrays of one shape, which would move the last bit of a one-slice row
     tilt = np.broadcast_to(delta, sinc.shape) * sinc
-    return cosz + tilt, sfac, -ksq * sfac, cosz - tilt
+    return np.array([[cosz + tilt, sfac], [-ksq * sfac, cosz - tilt]])
 
 
-def _ordered_product(p, q, r, s):
-    """Entries of slice[-1] @ ... @ slice[0] along the last axis, reduced
-    pairwise in log2(m) levels.
+def _ordered_product(entries):
+    """slice[-1] @ ... @ slice[0] of a stack of 2x2 matrices of shape
+    (2, 2, ..., slices), reduced pairwise along the last axis in log2(m)
+    levels; the product has shape (2, 2, ...).
 
-    Each level multiplies neighbours entry-wise, the later slice on the left;
-    an odd last slice is carried to the next level unchanged.
+    Each level multiplies neighbours, the later slice on the left; an odd
+    last slice is carried to the next level unchanged.
     """
-    while p.shape[-1] > 1:
-        even = p.shape[-1] - p.shape[-1] % 2
-        a, b = (..., slice(1, even, 2)), (..., slice(0, even, 2))
-        pair = (
-            p[a] * p[b] + q[a] * r[b],
-            p[a] * q[b] + q[a] * s[b],
-            r[a] * p[b] + s[a] * r[b],
-            r[a] * q[b] + s[a] * s[b],
-        )
-        if even < p.shape[-1]:
-            pair = tuple(np.concatenate((new, old[..., even:]), axis=-1)
-                         for new, old in zip(pair, (p, q, r, s)))
-        p, q, r, s = pair
-    return p[..., 0], q[..., 0], r[..., 0], s[..., 0]
+    while entries.shape[-1] > 1:
+        even = entries.shape[-1] - entries.shape[-1] % 2
+        a, b = entries[..., 1:even:2], entries[..., 0:even:2]
+        pair = a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
+        if even < entries.shape[-1]:
+            pair = np.concatenate((pair, entries[..., even:]), axis=-1)
+        entries = pair
+    return entries[..., 0]
 
 
 def _slice_values(segment, a: float, b: float):
@@ -306,9 +302,9 @@ def _transfer_matrices(potential: PiecewisePotential, energies) -> list:
     for seg, a, b in zip(potential.segments, bps, bps[1:]):
         values, width, delta = _slice_values(seg, a, b)
         # fewer than SLICE_BLOCK pairs per block unless one row has that
-        # many: a block of exactly 4096 pairs makes every temporary a 64 KiB
-        # chunk, whose free lets glibc hand the top of the heap back to the
-        # OS, and the next block faults it in again
+        # many: a block of exactly 4096 pairs makes each one-entry temporary a
+        # 64 KiB chunk, whose free lets glibc hand the top of the heap back to
+        # the OS, and the next block faults it in again
         rows = max(1, (SLICE_BLOCK - 1) // len(values))
         for start in range(0, len(values), SLICE_BLOCK):
             run = slice(start, start + SLICE_BLOCK)
@@ -319,8 +315,9 @@ def _transfer_matrices(potential: PiecewisePotential, energies) -> list:
                 # slices that each pass the |Im z| guard can still overflow
                 # together; the fold refuses such a product instead of warning
                 with np.errstate(over="ignore", invalid="ignore"):
-                    entries = _ordered_product(*_slice_entries(block[0], width, group, block[2]))
-                for i, (bp, bq, br, bs) in enumerate(zip(*(e.tolist() for e in entries)), first):
+                    product = _ordered_product(_slice_entries(block[0], width, group, block[2]))
+                for i, matrix in enumerate(product.transpose(2, 0, 1).tolist(), first):
+                    (bp, bq), (br, bs) = matrix
                     p, q, r, s = running[i]
                     running[i] = p, q, r, s = (bp * p + bq * r, bp * q + bq * s,
                                                br * p + bs * r, br * q + bs * s)
@@ -393,7 +390,7 @@ def _scattering(potential: PiecewisePotential, energies) -> list:
     out = []
     for energy, m in zip(energies, _transfer_matrices(potential, energies)):
         if abs(m[1, 1]) < 1e-300:
-            raise _degenerate("M22", m[1, 1], 1e-300, potential.breakpoints[-1])
+            raise _degenerate("M22", complex(m[1, 1]), 1e-300, potential.breakpoints[-1])
         r = -m[1, 0] / m[1, 1]
         t = 1.0 / m[1, 1]
         defect = abs(r) ** 2 + abs(t) ** 2 - 1.0

@@ -32,7 +32,6 @@ from .susy_core import (
     Partner,
     SuperpotentialSpec,
     _check_step,
-    _guard_singularities,
     _on_twin,
     eval_partner,
     fundamental_cell,
@@ -56,14 +55,17 @@ def eval_wavefunction(spec: SuperpotentialSpec, x):
     of a pole, as eval_partner does.
     """
     cell = fundamental_cell(spec)
-    if cell is not None:
+
+    def in_cell(twin, ys):
+        # _on_twin calls this after its pole guard at x
         xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        _guard_singularities(spec, xs)
-        outside = (xs <= cell[0]) | (xs >= cell[1])
-        if outside.any():
-            raise SusywellError(f"x={float(xs[outside][0])!r}: the log argument of the "
+        outside = xs[(xs <= cell[0]) | (xs >= cell[1])] if cell else ()
+        if len(outside):
+            raise SusywellError(f"x={float(outside[0])!r}: the log argument of the "
                                 f"{spec.family.value} ground state is positive only on {cell}")
-    return _on_twin(spec, x, _ground_state)
+        return _ground_state(twin, ys)
+
+    return _on_twin(spec, x, in_cell)
 
 
 def probability_density(spec: SuperpotentialSpec, x):

@@ -122,10 +122,10 @@ def _check_step(spec: SuperpotentialSpec, xs: np.ndarray, h: float):
     """Refuse a central-difference step h <= 0 (ValueError), or one above
     1/10 of the distance from xs to the nearest pole (SusywellError)."""
     if h <= 0:
-        raise ValueError(f"step h must be positive, got {h!r}")
+        raise ValueError(f"step h must be positive, got {float(h)!r}")
     dist = float(np.min(singularity_distance(spec, xs), initial=np.inf))
     if h > dist / 10.0:
-        raise SusywellError(f"step h={h!r} exceeds 1/10 of the distance {dist!r} to the "
+        raise SusywellError(f"step h={float(h)!r} exceeds 1/10 of the distance {dist!r} to the "
                             "nearest singularity")
 
 

@@ -23,6 +23,7 @@ from susywell.scattering import (
     SERIES_MAX,
     SLICE_BLOCK,
     SWEEP_HEADER,
+    _ordered_product,
     _series,
     _slice_entries,
     _transfer_matrices,
@@ -156,6 +157,16 @@ class TestTransferMatrix:
         assert str(err.value) == ("free-wave matching at x=0.0 is degenerate: "
                                   "Wronskian 2 k0 = 2e-15 is below 1e-12")
 
+    def test_vanishing_m22_prints_a_python_complex(self, monkeypatch):
+        # no structure reaches |M22| < 1e-300 (det M = 1, M22 = 1/t), so the
+        # matrix is given
+        matrix = np.array([[1.0, 0.0], [0.0, 1e-310]], dtype=np.complex128)
+        monkeypatch.setattr(scattering, "_transfer_matrices", lambda pot, energies: [matrix])
+        with pytest.raises(ConvergenceFailure) as err:
+            sweep(barrier(), [1.0])
+        assert str(err.value) == ("free-wave matching at x=1.0 is degenerate: "
+                                  "M22 = (1e-310+0j) is below 1e-300")
+
     def test_ascending_breakpoints_enforced(self):
         with pytest.raises(ValueError):
             PiecewisePotential((0.0, 0.0), (ConstantSegment(1.0),))
@@ -229,13 +240,28 @@ class TestSliceKernel:
         u = np.abs((energy - values) * width ** 2)
         assert np.any(u <= SERIES_MAX) and np.any(u > 10.0)
         for i, entries in enumerate(alone):
-            assert [e[i] for e in block] == [e[0] for e in entries]
+            assert block[..., i].tolist() == entries[..., 0].tolist()
 
     def test_resonance_slice_is_exact(self):
         # E = V: the linear-solution pair, exactly
         w = 0.37
         m = np.reshape(_slice_entries([4.0], w, 4.0), (2, 2))
         assert np.array_equal(m, np.array([[1.0, w], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("slices", [1, 11, 12])
+    @pytest.mark.parametrize("energies", [(), (3,)], ids=["one energy", "energy axis"])
+    def test_ordered_product_is_the_sequential_left_product(self, slices, energies):
+        # random unimodular 2x2 matrices; 11 and 12 carry an odd slice at some level
+        rng = np.random.default_rng(slices)
+        shape = (*energies, slices, 2, 2)
+        mats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        mats /= np.sqrt(np.linalg.det(mats))[..., None, None]
+        want = np.eye(2)
+        for m in np.moveaxis(mats, -3, 0):
+            want = m @ want
+        got = _ordered_product(np.moveaxis(mats, (-2, -1), (0, 1)))
+        assert got.shape == (2, 2, *energies)
+        assert_allclose(np.moveaxis(got, (0, 1), (-2, -1)), want, rtol=1e-12)
 
 
 class TestBarrierOracle:
@@ -404,10 +430,10 @@ class TestFieldSegments:
         delta = np.array([0.01 - 0.02j, 0.03j, -0.005])
         u = (energy - np.array(values)) * width ** 2 - delta ** 2
         assert np.all((np.abs(u) <= SERIES_MAX) == series)
-        p, q, r, s = _slice_entries(values, width, energy, delta)
+        slices = _slice_entries(values, width, energy, delta)
         for i, (v, d) in enumerate(zip(values, delta)):
             omega = np.array([[d, width], [-(energy - v) * width, -d]])
-            assert_allclose([[p[i], q[i]], [r[i], s[i]]], expm(omega), rtol=1e-14, atol=1e-14)
+            assert_allclose(slices[..., i], expm(omega), rtol=1e-14, atol=1e-14)
 
 
 class TestPlaneFamilySweep:
@@ -690,7 +716,7 @@ class TestEnergyBatches:
 
         def counted(*args):
             out = entries(*args)
-            pairs.append(out[0].size)
+            pairs.append(out[0, 0].size)
             return out
 
         monkeypatch.setattr(scattering, "_slice_entries", counted)

@@ -238,6 +238,13 @@ class TestResidual:
         with outcome:
             schrodinger_residual(SuperpotentialSpec(family, 1.0, 1.0), 0.0, x, h=h)
 
+    def test_step_refusal_prints_python_numbers(self):
+        spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 1.0)
+        with pytest.raises(SusywellError) as err:
+            schrodinger_residual(spec, 0.0, np.float64(0.01), h=np.float64(0.005))
+        assert str(err.value) == ("step h=0.005 exceeds 1/10 of the distance 0.01 to the "
+                                  "nearest singularity")
+
 
 class TestParity:
     @pytest.mark.parametrize("q", [1.0, 2.0])
