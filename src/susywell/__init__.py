@@ -41,10 +41,8 @@ from .spectral import (
     richardson_spectrum,
 )
 from .scattering import (
-    ConstantSegment,
-    FieldSegment,
-    PiecewisePotential,
     ScatteringResult,
+    Slab,
     plane_partner_sweep,
     square_barrier_transmission,
     sweep_csv,

@@ -241,6 +241,17 @@ def _validate(cfg):
         if (hi - lo) / (finest + 1) < least:
             raise ConfigError("x_min" if custom else "alpha",
                               f"{finest} points on ({lo!r}, {hi!r}) leave {what} out of range")
+        # a level is certified when its gap passes eps max(1, ||H||_inf), and
+        # 2/h^2 <= ||H||_inf, so no level of a ladder whose first spacing
+        # alpha (alpha + 2k) is at most twice eps max(1, 2/h^2) can be
+        if cfg.q == 0.0 and not custom:
+            alpha, h = cfg.alpha or cfg.k, (hi - lo) / (finest + 1)
+            spacing = alpha * (alpha + 2.0 * cfg.k)
+            floor = 2.0 * sys.float_info.epsilon * max(1.0, 2.0 / (h * h))
+            if spacing <= floor:
+                raise ConfigError("k", f"the first ladder spacing {spacing!r} is at most "
+                                       f"2 eps max(1, 2/h^2) = {floor!r}: no level can be "
+                                       "certified")
         if cfg.q != 0.0:
             cfg.eps_values = (cfg.epsilon,) if "epsilon" in cfg.explicit else gates.EPS_SWEEP
             if max(cfg.eps_values) >= (hi - lo) / 4:

@@ -247,8 +247,8 @@ def barrier(v0=BARRIER_V0, width=BARRIER_WIDTH, energies=()):
     (flux_conservation) and T matches the closed form (barrier_oracle).
     Returns the scattering results and the two gates."""
     energies = energies or tuple(m * abs(v0) for m in BARRIER_MULTIPLES)
-    pot = scattering.PiecewisePotential((0.0, width), (scattering.ConstantSegment(v0),))
-    results = scattering.sweep(pot, energies)
+    slab = scattering.Slab(lambda x: np.full(x.shape, v0), 0.0, width)
+    results = scattering.sweep(slab, energies)
     defect = max(abs(res.flux_defect) for res in results)
     refs = [scattering.square_barrier_transmission(v0, width, energy) for energy in energies]
     gap = max(abs(res.transmission - ref) / max(abs(ref), 1e-300)

@@ -1,34 +1,32 @@
-"""Transfer-matrix scattering across piecewise 1-D structures.
+"""Transfer-matrix scattering across one slab of a 1-D complex field.
 
-A structure is a list of breakpoints with one segment per interval and
-V = 0 outside. The matrix maps plane-wave coefficients
-(A, B) of A e^{+ik0 x} + B e^{-ik0 x} on the left of the structure to the
-coefficients on the right (global phase convention, so an empty structure
-is the identity and adjacent structures compose by matrix product).
+A Slab is a field V(x) on [a, b] with V = 0 outside, taken as a product of
+fourth-order Magnus steps. The matrix maps plane-wave coefficients
+(A, B) of A e^{+ik0 x} + B e^{-ik0 x} on the left of the slab to the
+coefficients on the right (global phase convention, so a slab of V = 0 is
+the identity and two slabs that meet compose by matrix product).
 
-Segments come in two kinds, both sliced by one loop: a ConstantSegment is
-one slice of its full width, whose propagator is entire in k^2 = E - V, so
-the E = V resonance goes through the sinc limit with no branch; a
-FieldSegment is an arbitrary complex profile taken as a product of
-fourth-order Magnus steps. Each step of width w samples the field at the two
-Gauss nodes x_c -+ w / (2 sqrt 3) of its slice, so a segment of m slices
-samples it at 2m nodes, and propagates by exp(Omega) with
+Each step of width w samples the field at the two Gauss nodes
+x_c -+ w / (2 sqrt 3) of its slice, so a slab of m slices samples it at 2m
+nodes, and propagates by exp(Omega) with
 Omega = [[delta, w], [-(E - Vbar) w, -delta]], Vbar the mean of the two
 values and delta = (sqrt(3) / 12) w^2 (V- - V+) (Blanes, Casas, Oteo & Ros,
-Phys. Rep. 470 (2009) 151). Omega is traceless, so every step is unimodular,
-and a ConstantSegment is the step with delta = 0.
+Phys. Rep. 470 (2009) 151). Omega is traceless, so every step is
+unimodular. A constant field at one slice has delta = 0: its propagator is
+entire in k^2 = E - V, so the E = V resonance of a square barrier goes
+through the sinc limit with no branch.
 
-The loop takes a list of energies and samples each segment once for all of
+The loop takes a list of energies and samples the slab once for all of
 them. Its blocks hold at most SLICE_BLOCK slice-energy pairs:
-min(m, SLICE_BLOCK) slices of a segment for max(1, (SLICE_BLOCK - 1) // m)
+min(m, SLICE_BLOCK) slices for max(1, (SLICE_BLOCK - 1) // m)
 energies, fewer than SLICE_BLOCK pairs unless one row has that many, as one
 complex array of shape (2, 2, energies, slices) that stacks the slice
 matrices. So the memory of a call does not grow with its number of energies.
 Each row multiplies neighbours, later slice on the left, one broadcast 2x2
 product per level in log2(m) levels, and folds its product into the running
-2x2 of its energy across all segments. That is the order one energy alone takes, so
-each result is bit for bit the same whatever energies share its call.
-sweep and plane_partner_sweep are the public ways into it.
+2x2 of its energy across the blocks. That is the order one energy alone
+takes, so each result is bit for bit the same whatever energies share its
+call. sweep and plane_partner_sweep are the public ways into it.
 
 Every slice goes through one kernel with two ranges of u = z^2 = k^2 w^2 -
 delta^2: |u| <= SERIES_MAX takes six-term series of cos and sinc in u, exact
@@ -49,15 +47,15 @@ integrates every energy that has not yet settled in one call of the loop, so
 the partner is sampled once per count; an energy leaves the doubling loop as
 soon as its T settles.
 
-Complex segment values model absorption/gain; |r|^2 + |t|^2 - 1 is
-reported per energy as flux_defect and vanishes only for real structures.
+Complex field values model absorption/gain; |r|^2 + |t|^2 - 1 is
+reported per energy as flux_defect and vanishes only for real fields.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,10 +76,10 @@ MAX_DOUBLINGS = 6
 # a slice with |k^2 w^2| <= SERIES_MAX takes the six-term series of cos and
 # sinc, whose truncation SERIES_MAX^6 / 12! ~ 9e-18 is below rounding
 SERIES_MAX = 0.04
-# Horner coefficients of u^5 .. u^0, one row per power: (-1)^n / (2n)! of
-# cos and (-1)^n / (2n + 1)! of sinc
-_SERIES_TERMS = np.array([[(-1) ** n / math.factorial(2 * n + j) for j in (0, 1)]
-                          for n in range(5, -1, -1)], dtype=np.complex128)
+# Horner coefficients of u^5 .. u^0, one (cos, sinc) pair of Python complex
+# numbers per power: (-1)^n / (2n)! of cos and (-1)^n / (2n + 1)! of sinc
+_SERIES_TERMS = tuple(tuple(complex((-1) ** n / math.factorial(2 * n + j)) for j in (0, 1))
+                      for n in range(5, -1, -1))
 # the Gauss nodes of a slice sit _GAUSS_OFFSET slice widths from its centre;
 # delta = _MAGNUS_COUPLING w^2 (V- - V+)
 _GAUSS_OFFSET = 0.5 / math.sqrt(3.0)
@@ -89,59 +87,42 @@ _MAGNUS_COUPLING = math.sqrt(3.0) / 12.0
 
 
 @dataclass(frozen=True)
-class ConstantSegment:
-    value: complex
-
-
-@dataclass(frozen=True)
-class FieldSegment:
-    """A complex profile field(x) taken as `slices` fourth-order Magnus steps.
+class Slab:
+    """A complex profile field(x) on [a, b], V = 0 outside, taken as `slices`
+    fourth-order Magnus steps.
 
     field maps an array of points to one value per point; it is called on
-    the 2 * slices Gauss nodes of the segment, the left node of every slice
-    first.
+    the 2 * slices Gauss nodes of the slab, the left node of every slice
+    first, SLICE_BLOCK nodes at a time.
     """
 
     field: object
-    slices: int
+    a: float
+    b: float
+    slices: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "b", float(self.b))
+        if not self.a < self.b:
+            raise ValueError(f"empty interval [{self.a!r}, {self.b!r}]")
         if self.slices < 1:
             raise ValueError(f"slices must be >= 1, got {self.slices!r}")
 
 
-@dataclass(frozen=True)
-class PiecewisePotential:
-    """breakpoints (strictly ascending) and one segment per interval."""
-
-    breakpoints: tuple[float, ...]
-    segments: tuple
-
-    def __post_init__(self):
-        bp = tuple(float(b) for b in self.breakpoints)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "segments", tuple(self.segments))
-        if len(bp) < 2:
-            raise ValueError("need at least two breakpoints")
-        if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
-            raise ValueError("breakpoints must be strictly ascending")
-        if len(self.segments) != len(bp) - 1:
-            raise ValueError(
-                f"{len(bp)} breakpoints require {len(bp) - 1} segments, "
-                f"got {len(self.segments)}"
-            )
-
-
 def _series(u):
     """cos z and sinc z of z^2 = u, stacked on a new first axis: six terms
-    each, by Horner's rule in u."""
-    terms = _SERIES_TERMS.reshape(_SERIES_TERMS.shape + (1,) * u.ndim)
-    acc = u * terms[0]
-    for term in terms[1:-1]:
-        acc += term
-        acc *= u
-    acc += terms[-1]
-    return acc
+    each, by Horner's rule in u. Each row adds its own Python complex
+    coefficient, and both rows take one broadcast multiply by u per power,
+    which keeps the rounding of a one-slice row that of a longer one."""
+    out = np.empty((2,) + u.shape, dtype=np.complex128)
+    for acc, term in zip(out, _SERIES_TERMS[0]):
+        acc.fill(term)
+    for terms in _SERIES_TERMS[1:]:
+        out *= u
+        for acc, term in zip(out, terms):
+            acc += term
+    return out
 
 
 def _trig(rate, width: float):
@@ -196,12 +177,16 @@ def _slice_entries(values, width: float, energies, delta=0.0):
         trig[:, ~thin] = _trig(rate[~thin], width)
         trig[:, thin] = _series(u[thin])
         cosz, sinc = trig
-    sfac = width * sinc
+    out = np.empty((2, 2) + u.shape, dtype=np.complex128)
+    sfac = np.multiply(width, sinc, out=out[0, 1])
     # delta is given the shape of the block first: numpy multiplies a 1-D
     # delta into a (1, 1) block without the fused multiply-add it uses for
     # arrays of one shape, which would move the last bit of a one-slice row
     tilt = np.broadcast_to(delta, sinc.shape) * sinc
-    return np.array([[cosz + tilt, sfac], [-ksq * sfac, cosz - tilt]])
+    np.add(cosz, tilt, out=out[0, 0])
+    np.multiply(-ksq, sfac, out=out[1, 0])
+    np.subtract(cosz, tilt, out=out[1, 1])
+    return out
 
 
 def _ordered_product(entries):
@@ -215,30 +200,31 @@ def _ordered_product(entries):
     while entries.shape[-1] > 1:
         even = entries.shape[-1] - entries.shape[-1] % 2
         a, b = entries[..., 1:even:2], entries[..., 0:even:2]
-        pair = a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
+        pair = a[:, 0, None] * b[None, 0]
+        pair += a[:, 1, None] * b[None, 1]
         if even < entries.shape[-1]:
             pair = np.concatenate((pair, entries[..., even:]), axis=-1)
         entries = pair
     return entries[..., 0]
 
 
-def _slice_values(segment, a: float, b: float):
-    """(values, width, delta) of the slices of a segment on [a, b]: one slice
-    with delta = 0 for a ConstantSegment; for a FieldSegment the mean Vbar
-    of the field at each slice's two Gauss nodes and
-    delta = (sqrt(3) / 12) w^2 (V- - V+)."""
-    if isinstance(segment, ConstantSegment):
-        return np.array([segment.value], dtype=np.complex128), b - a, np.zeros(1, np.complex128)
-    if not isinstance(segment, FieldSegment):
-        raise TypeError(f"unknown segment kind {type(segment).__name__}")
-    m = segment.slices
-    width = (b - a) / m
-    centres = a + width * (np.arange(m) + 0.5)
+def _slice_values(slab: Slab):
+    """(values, width, delta) of the slices of a slab: the mean Vbar of the
+    field at each slice's two Gauss nodes and
+    delta = (sqrt(3) / 12) w^2 (V- - V+). The field is sampled SLICE_BLOCK
+    nodes at a time, so its temporaries stay as small as the kernel's."""
+    m = slab.slices
+    width = (slab.b - slab.a) / m
+    centres = slab.a + width * (np.arange(m) + 0.5)
     offset = _GAUSS_OFFSET * width
     nodes = np.concatenate([centres - offset, centres + offset])
-    values = np.asarray(segment.field(nodes), dtype=np.complex128)
-    if values.shape != nodes.shape:
-        raise ValueError("segment field must return one value per Gauss node")
+    values = np.empty(2 * m, dtype=np.complex128)
+    for start in range(0, 2 * m, SLICE_BLOCK):
+        chunk = nodes[start:start + SLICE_BLOCK]
+        sampled = np.asarray(slab.field(chunk), dtype=np.complex128)
+        if sampled.shape != chunk.shape:
+            raise ValueError("slab field must return one value per Gauss node")
+        values[start:start + SLICE_BLOCK] = sampled
     lower, upper = values[:m], values[m:]
     return 0.5 * (lower + upper), width, _MAGNUS_COUPLING * (width * width) * (lower - upper)
 
@@ -285,13 +271,12 @@ def _wavenumber(energy, left: float) -> tuple[float, float]:
     return energy, k0
 
 
-def _transfer_matrices(potential: PiecewisePotential, energies) -> list:
+def _transfer_matrices(slab: Slab, energies) -> list:
     """The matrix M taking left (A, B) coefficients to right (A, B), det M = 1,
     at each finite energy E > 0 (free waves of k0 = sqrt(E) outside), all
     through the one slice loop of the module docstring; the first refusal
     met raises, whatever its energy."""
-    bps = potential.breakpoints
-    waves = [_wavenumber(energy, bps[0]) for energy in energies]
+    waves = [_wavenumber(energy, slab.a) for energy in energies]
     running = [(1.0 + 0j, 0j, 0j, 1.0 + 0j)] * len(waves)
     folded = []  # the blocks so far, so a refusal samples no field again
 
@@ -299,35 +284,33 @@ def _transfer_matrices(potential: PiecewisePotential, energies) -> list:
         return _overflow(sum(_exponent(values, width, energy, delta)
                              for values, width, delta in folded))
 
-    for seg, a, b in zip(potential.segments, bps, bps[1:]):
-        values, width, delta = _slice_values(seg, a, b)
-        # fewer than SLICE_BLOCK pairs per block unless one row has that
-        # many: a block of exactly 4096 pairs makes each one-entry temporary a
-        # 64 KiB chunk, whose free lets glibc hand the top of the heap back to
-        # the OS, and the next block faults it in again
-        rows = max(1, (SLICE_BLOCK - 1) // len(values))
-        for start in range(0, len(values), SLICE_BLOCK):
-            run = slice(start, start + SLICE_BLOCK)
-            block = (values[run], width, delta[run])
-            folded.append(block)
-            for first in range(0, len(waves), rows):
-                group = np.array([energy for energy, _ in waves[first:first + rows]])
-                # slices that each pass the |Im z| guard can still overflow
-                # together; the fold refuses such a product instead of warning
-                with np.errstate(over="ignore", invalid="ignore"):
-                    product = _ordered_product(_slice_entries(block[0], width, group, block[2]))
-                for i, matrix in enumerate(product.transpose(2, 0, 1).tolist(), first):
-                    (bp, bq), (br, bs) = matrix
-                    p, q, r, s = running[i]
-                    running[i] = p, q, r, s = (bp * p + bq * r, bp * q + bq * s,
-                                               br * p + bs * r, br * q + bs * s)
-                    if not _in_range(p, q, r, s):
-                        raise overflow(waves[i][0])
-    first, last = bps[0], bps[-1]
+    values, width, delta = _slice_values(slab)
+    # fewer than SLICE_BLOCK pairs per block unless one row has that
+    # many: a block of exactly 4096 pairs makes each one-entry temporary a
+    # 64 KiB chunk, whose free lets glibc hand the top of the heap back to
+    # the OS, and the next block faults it in again
+    rows = max(1, (SLICE_BLOCK - 1) // len(values))
+    for start in range(0, len(values), SLICE_BLOCK):
+        run = slice(start, start + SLICE_BLOCK)
+        block = (values[run], width, delta[run])
+        folded.append(block)
+        for first in range(0, len(waves), rows):
+            group = np.array([energy for energy, _ in waves[first:first + rows]])
+            # slices that each pass the |Im z| guard can still overflow
+            # together; the fold refuses such a product instead of warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                product = _ordered_product(_slice_entries(block[0], width, group, block[2]))
+            for i, matrix in enumerate(product.transpose(2, 0, 1).tolist(), first):
+                (bp, bq), (br, bs) = matrix
+                p, q, r, s = running[i]
+                running[i] = p, q, r, s = (bp * p + bq * r, bp * q + bq * s,
+                                           br * p + bs * r, br * q + bs * s)
+                if not _in_range(p, q, r, s):
+                    raise overflow(waves[i][0])
     out = []
     for (energy, k0), (p, q, r, s) in zip(waves, running):
-        e_first = cmath.exp(1j * k0 * first)
-        e_last = cmath.exp(1j * k0 * last)
+        e_first = cmath.exp(1j * k0 * slab.a)
+        e_last = cmath.exp(1j * k0 * slab.b)
         to_psi = np.array(
             [[e_first, 1.0 / e_first], [1j * k0 * e_first, -1j * k0 / e_first]],
             dtype=np.complex128,
@@ -382,15 +365,15 @@ class ScatteringResult:
         return abs(self.t) ** 2
 
 
-def _scattering(potential: PiecewisePotential, energies) -> list:
+def _scattering(slab: Slab, energies) -> list:
     """r = -M21/M22, t = det M / M22 = 1/M22 and r_right = M12/M22 of the
     matrix M at each energy, raising the first refusal met. det M = 1 by
     construction, so t is not rebuilt from entries that grow like 1/k0 and
     cancel as E -> 0."""
     out = []
-    for energy, m in zip(energies, _transfer_matrices(potential, energies)):
+    for energy, m in zip(energies, _transfer_matrices(slab, energies)):
         if abs(m[1, 1]) < 1e-300:
-            raise _degenerate("M22", complex(m[1, 1]), 1e-300, potential.breakpoints[-1])
+            raise _degenerate("M22", complex(m[1, 1]), 1e-300, slab.b)
         r = -m[1, 0] / m[1, 1]
         t = 1.0 / m[1, 1]
         defect = abs(r) ** 2 + abs(t) ** 2 - 1.0
@@ -399,11 +382,11 @@ def _scattering(potential: PiecewisePotential, energies) -> list:
     return out
 
 
-def sweep(potential: PiecewisePotential, energies) -> list[ScatteringResult]:
+def sweep(slab: Slab, energies) -> list[ScatteringResult]:
     """The ScatteringResult of every energy, in order, through one call of the
     slice loop; a failure raises what the first energy that fails alone
     raises (_in_order)."""
-    return _in_order(lambda batch: _scattering(potential, batch), energies)
+    return _in_order(lambda batch: _scattering(slab, batch), energies)
 
 
 def square_barrier_transmission(v0: float, width: float, energy: float) -> float:
@@ -440,15 +423,15 @@ def plane_partner_sweep(
 ) -> list[ScatteringResult]:
     """Scatter free waves across a windowed plane-family partner.
 
-    The complex partner potential is embedded in [x_a, x_b] with V = 0
-    outside and integrated as fourth-order Magnus slices. The slice count
-    starts at START_SLICES (read at each call) and doubles, at most
-    MAX_DOUBLINGS times. At each count every energy that has not settled goes
-    through one call of the slice loop, which samples the partner once and
-    holds at most SLICE_BLOCK slice-energy pairs per block. An energy settles
-    when its T changes by <= STABILIZE_TOL and leaves the loop then; one
-    still moving after the last count raises ConvergenceFailure naming that
-    count.
+    The complex partner potential is embedded in the window (a, b) with
+    V = 0 outside and integrated as one Slab of fourth-order Magnus slices.
+    The slice count starts at START_SLICES (read at each call) and doubles,
+    at most MAX_DOUBLINGS times. At each count every energy that has not
+    settled goes through one call of the slice loop, which samples the
+    partner once and holds at most SLICE_BLOCK slice-energy pairs per block.
+    An energy settles when its T changes by <= STABILIZE_TOL and leaves the
+    loop then; one still moving after the last count raises
+    ConvergenceFailure naming that count.
     Results come back in the order of energies, each the same bit for bit as
     a sweep of that energy alone. A batch that raises is replayed one energy
     at a time (_in_order), so a failure raises what the first energy that
@@ -457,16 +440,7 @@ def plane_partner_sweep(
     """
     if spec.family not in PLANE_FAMILIES:
         raise ValueError(f"sweep requires a plane family, got {spec.family}")
-    x_a, x_b = float(window[0]), float(window[1])
-    if not x_a < x_b:
-        raise ValueError(f"empty window [{x_a!r}, {x_b!r}]")
-    field = partner_field(spec, which)
-
-    def sampled(nodes):
-        # in SLICE_BLOCK chunks, so the partner's temporaries stay as small as
-        # the kernel's
-        return np.concatenate(
-            [field(nodes[i:i + SLICE_BLOCK]) for i in range(0, len(nodes), SLICE_BLOCK)])
+    slab = Slab(partner_field(spec, which), *window)
 
     def settled(batch):
         results = [None] * len(batch)
@@ -474,8 +448,8 @@ def plane_partner_sweep(
         refining = range(len(batch))
         for doubling in range(MAX_DOUBLINGS + 2):
             m = START_SLICES * 2 ** doubling
-            structure = PiecewisePotential((x_a, x_b), (FieldSegment(sampled, m),))
-            for i, res in zip(refining, _scattering(structure, [batch[i] for i in refining])):
+            at_m = _scattering(replace(slab, slices=m), [batch[i] for i in refining])
+            for i, res in zip(refining, at_m):
                 if doubling:
                     change[i] = abs(res.transmission - previous[i])
                     if change[i] <= STABILIZE_TOL:

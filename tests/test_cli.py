@@ -161,6 +161,20 @@ class TestSpectrum:
         assert res.exit_code == 0, res.output
         assert "recorded, not gated" in res.output
 
+    @pytest.mark.parametrize("k,code", [(1e-8, 3), (1.2e-8, 3), (1.3e-8, 0)])
+    def test_tiny_ladder_is_refused_only_below_the_certification_floor(self, runner,
+                                                                        tmp_path, k, code):
+        # the first spacing 3k^2 is at most 2 eps max(1, 2/h^2) = 2 eps up to
+        # k = 1.2e-8: no level could be certified, so the run is refused
+        res = runner.invoke(main, ["spectrum", "--q", "0", "--k", repr(k),
+                                   "--out", str(tmp_path)])
+        assert res.exit_code == code, res.output
+        if code:
+            assert "config error: k: the first ladder spacing" in res.output
+            assert os.listdir(tmp_path) == []
+        else:
+            assert "PASS spectrum_q0" in res.output
+
     def test_natural_cell_stays_gated(self, runner, tmp_path):
         res = runner.invoke(main, ["spectrum", "--q", "0", "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output

@@ -35,15 +35,11 @@ def flip_r_right(mp):
 
 
 def left_endpoint_slices(mp):
-    # a field slice takes the field at its left end, with no Magnus tilt
-    slice_values = scattering._slice_values
-
-    def left(segment, a, b):
-        if not isinstance(segment, scattering.FieldSegment):
-            return slice_values(segment, a, b)
-        width = (b - a) / segment.slices
-        values = segment.field(a + width * np.arange(segment.slices))
-        return np.asarray(values, dtype=np.complex128), width, np.zeros(segment.slices)
+    # a slice takes the field at its left end, with no Magnus tilt
+    def left(slab):
+        width = (slab.b - slab.a) / slab.slices
+        values = slab.field(slab.a + width * np.arange(slab.slices))
+        return np.asarray(values, dtype=np.complex128), width, np.zeros(slab.slices)
     mp.setattr(scattering, "_slice_values", left)
 
 

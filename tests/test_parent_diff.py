@@ -30,13 +30,14 @@ def roots(tmp_path):
     return base, head
 
 
-def test_sixteen_commands_with_distinct_names():
+def test_eighteen_commands_with_distinct_names():
     names = [name for name, _, _ in parent_diff.COMMANDS]
-    assert len(names) == 16 == len(set(names))
-    # the two refused sweeps are expected to exit 2, every other command 0
+    assert len(names) == 18 == len(set(names))
+    # the three refused sweeps are expected to exit 2, every other command 0
     assert {name for name, _, code in parent_diff.COMMANDS if code} == {
-        "scatter_unsettled", "scatter_overflowing"}
-    assert CODES["scatter_unsettled"] == CODES["scatter_overflowing"] == 2
+        "scatter_unsettled", "scatter_overflowing", "scatter_opaque_barrier"}
+    assert {CODES["scatter_unsettled"], CODES["scatter_overflowing"],
+            CODES["scatter_opaque_barrier"]} == {2}
 
 
 def test_identical_outputs_report_nothing(roots):

@@ -14,13 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, eigvals
 
-from susywell.scattering import (
-    ConstantSegment,
-    FieldSegment,
-    PiecewisePotential,
-    _transfer_matrices,
-    sweep,
-)
+from susywell.scattering import Slab, _transfer_matrices, sweep
 from susywell.spectral import (
     RESIDUAL_TOL,
     Grid1D,
@@ -69,26 +63,34 @@ def det(m):
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
+def stack(layers, width):
+    """A slab of one slice of the given width per layer whose field is that
+    layer's value on its slice: a stack of square layers, each an exact
+    constant step."""
+    levels = np.asarray(layers, dtype=complex)
+    return Slab(lambda x: levels[np.clip((x // width).astype(int), 0, len(levels) - 1)],
+                0.0, width * len(levels), len(levels))
+
+
 @settings(max_examples=60, deadline=None)
 @given(values=st.lists(coefficient, min_size=1, max_size=4), width=widths,
        energy=energies)
 def test_constant_stack_is_unimodular(values, width, energy):
-    bps = tuple(width * i for i in range(len(values) + 1))
-    m = _transfer_matrices(PiecewisePotential(bps, [ConstantSegment(v) for v in values]),
-                           [energy])[0]
+    m = _transfer_matrices(stack(values, width), [energy])[0]
     assert abs(det(m) - 1.0) < 1e-12 * max(1.0, np.max(np.abs(m)) ** 2)
 
 
 @settings(max_examples=60, deadline=None)
-@given(half=st.lists(st.tuples(coefficient, widths), min_size=1, max_size=3),
-       middle=st.none() | st.tuples(st.floats(-4.0, 4.0), widths), energy=energies)
-def test_pt_symmetric_stack_obeys_generalized_unitarity(half, middle, energy):
+@given(half=st.lists(st.tuples(coefficient, st.integers(1, 3)), min_size=1, max_size=3),
+       middle=st.none() | st.tuples(st.floats(-4.0, 4.0), st.integers(1, 3)), width=widths,
+       energy=energies)
+def test_pt_symmetric_stack_obeys_generalized_unitarity(half, middle, width, energy):
     # V(c - x) = conj V(c + x) gives |T - 1| = sqrt(R_L R_R)
-    # (Ge, Chong & Stone, PRA 85 (2012) 023802)
-    mirrored = [(value.conjugate(), width) for value, width in reversed(half)]
-    stack = half + ([middle] if middle else []) + mirrored
-    bps = tuple(np.concatenate([[0.0], np.cumsum([width for _, width in stack])]))
-    res = sweep(PiecewisePotential(bps, [ConstantSegment(v) for v, _ in stack]), [energy])[0]
+    # (Ge, Chong & Stone, PRA 85 (2012) 023802); a layer of n slices of the
+    # given width is n exact constant steps
+    mirrored = [(value.conjugate(), n) for value, n in reversed(half)]
+    layers = half + ([middle] if middle else []) + mirrored
+    res = sweep(stack([value for value, n in layers for _ in range(n)], width), [energy])[0]
     geometric = abs(res.r) * abs(res.r_right)
     gap = abs(abs(res.transmission - 1.0) - geometric)
     assert gap <= 1e-12 * max(1.0, res.transmission, geometric)
@@ -104,8 +106,7 @@ def test_plane_partner_obeys_generalized_unitarity(k, q, alpha, partner, family,
     # other, so |T - 1| = sqrt(R_L R_R) holds at any slice count
     centre = np.pi / (2 * alpha)
     field = partner_field(SuperpotentialSpec(family, k, q, alpha), partner)
-    structure = PiecewisePotential((centre - np.pi, centre + np.pi),
-                                   (FieldSegment(field, slices),))
+    structure = Slab(field, centre - np.pi, centre + np.pi, slices)
     for energy in (0.3, 0.8, 2.0, 4.0):
         res = sweep(structure, [energy])[0]
         gap = abs(abs(res.transmission - 1.0) - abs(res.r) * abs(res.r_right))
@@ -114,24 +115,20 @@ def test_plane_partner_obeys_generalized_unitarity(k, q, alpha, partner, family,
 
 @settings(max_examples=40, deadline=None)
 @given(field=fields, slices=st.integers(1, 5000), width=widths, energy=energies)
-def test_field_segment_is_unimodular(field, slices, width, energy):
-    m = _transfer_matrices(PiecewisePotential((0.0, width), (FieldSegment(field, slices),)),
-                           [energy])[0]
+def test_slab_is_unimodular(field, slices, width, energy):
+    m = _transfer_matrices(Slab(field, 0.0, width, slices), [energy])[0]
     assert abs(det(m) - 1.0) < 1e-11 * max(1.0, np.max(np.abs(m)) ** 2)
 
 
 @settings(max_examples=40, deadline=None)
 @given(field=fields, left=st.integers(1, 5000), right=st.integers(1, 5000),
        width=widths, energy=energies)
-def test_split_field_segment_composes(field, left, right, width, energy):
+def test_split_slab_composes(field, left, right, width, energy):
     # cut at a slice boundary: both halves see the same nodes as the whole
     cut = width * left / (left + right)
-    whole = _transfer_matrices(
-        PiecewisePotential((0.0, width), (FieldSegment(field, left + right),)), [energy])[0]
-    first = _transfer_matrices(
-        PiecewisePotential((0.0, cut), (FieldSegment(field, left),)), [energy])[0]
-    second = _transfer_matrices(
-        PiecewisePotential((cut, width), (FieldSegment(field, right),)), [energy])[0]
+    whole = _transfer_matrices(Slab(field, 0.0, width, left + right), [energy])[0]
+    first = _transfer_matrices(Slab(field, 0.0, cut, left), [energy])[0]
+    second = _transfer_matrices(Slab(field, cut, width, right), [energy])[0]
     scale = max(1.0, np.max(np.abs(first)) * np.max(np.abs(second)))
     assert np.max(np.abs(second @ first - whole)) < 1e-11 * scale
 
@@ -140,9 +137,8 @@ def test_split_field_segment_composes(field, left, right, width, energy):
 @given(field=fields, slices=st.integers(1, 3000), width=widths, energy=energies)
 def test_transmission_independent_of_incidence_side(field, slices, width, energy):
     # right incidence on V equals left incidence on the mirror image V(-x)
-    forward = PiecewisePotential((0.0, width), (FieldSegment(field, slices),))
-    mirror = PiecewisePotential((-width, 0.0),
-                                (FieldSegment(lambda x: field(-x), slices),))
+    forward = Slab(field, 0.0, width, slices)
+    mirror = Slab(lambda x: field(-x), -width, 0.0, slices)
     t_left = sweep(forward, [energy])[0].t
     t_right = sweep(mirror, [energy])[0].t
     assert abs(t_left - t_right) < 1e-9 * max(1.0, abs(t_left))

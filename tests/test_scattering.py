@@ -17,15 +17,14 @@ from susywell.cli import PLANE_ENERGIES
 from susywell.errors import ConvergenceFailure
 from susywell.gates import ORACLE_TOL
 from susywell.scattering import (
-    ConstantSegment,
-    FieldSegment,
-    PiecewisePotential,
     SERIES_MAX,
     SLICE_BLOCK,
     SWEEP_HEADER,
+    Slab,
     _ordered_product,
     _series,
     _slice_entries,
+    _slice_values,
     _transfer_matrices,
     plane_partner_sweep,
     square_barrier_transmission,
@@ -55,13 +54,28 @@ def overflow_exponent(exc) -> float:
     return float(OVERFLOW.fullmatch(str(exc)).group(1))
 
 
+def constant(value):
+    """The field V(x) = value."""
+    return lambda x: np.full(np.shape(x), value)
+
+
 def barrier(v0=4.0, width=1.0):
-    return PiecewisePotential((0.0, width), (ConstantSegment(v0),))
+    """The square barrier of height v0 on [0, width]: a constant field at one
+    slice, which is the exact step of a constant slab."""
+    return Slab(constant(v0), 0.0, width)
+
+
+def stepped(values, a, b):
+    """A slab on [a, b] of one slice per value whose field is that value on
+    its slice, so that it jumps on slice boundaries only."""
+    levels, width = np.asarray(values, dtype=complex), (b - a) / len(values)
+    return Slab(lambda x: levels[np.clip(((x - a) // width).astype(int), 0, len(levels) - 1)],
+                a, b, len(levels))
 
 
 def sliced(spec, window, slices):
-    """The V1 partner of spec on window as one FieldSegment, V = 0 outside."""
-    return PiecewisePotential(window, (FieldSegment(partner_field(spec, Partner.V1), slices),))
+    """The V1 partner of spec on window as one Slab, V = 0 outside."""
+    return Slab(partner_field(spec, Partner.V1), *window, slices)
 
 
 def free_waves(k0, x):
@@ -111,14 +125,13 @@ def midpoint_richardson(field, a, b, energy, slices):
 
 
 class TestTransferMatrix:
-    def test_empty_structure_is_identity(self):
-        pot = PiecewisePotential((0.0, 2.0), (ConstantSegment(0.0),))
-        m = _transfer_matrices(pot, [3.7])[0]
+    def test_zero_field_is_identity(self):
+        m = _transfer_matrices(Slab(constant(0.0), 0.0, 2.0), [3.7])[0]
         assert np.max(np.abs(m - np.eye(2))) < MATRIX_TOL
 
     def test_zero_width_propagator_is_identity(self):
-        # the container refuses degenerate breakpoints, but the slice
-        # kernel itself degrades continuously to the identity
+        # a Slab refuses an empty interval, but the slice kernel itself
+        # degrades continuously to the identity
         m = np.reshape(_slice_entries([4.0], 0.0, 1.0), (2, 2))
         assert np.max(np.abs(m - np.eye(2))) == 0.0
 
@@ -128,20 +141,22 @@ class TestTransferMatrix:
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
             assert abs(det - 1.0) < MATRIX_TOL
 
-    def test_composition(self):
-        left = PiecewisePotential((0.0, 1.0), (ConstantSegment(2.0),))
-        right = PiecewisePotential((1.0, 2.5), (ConstantSegment(-1.0),))
-        both = PiecewisePotential((0.0, 1.0, 2.5),
-                                  (ConstantSegment(2.0), ConstantSegment(-1.0)))
-        E = 5.0
-        combined = _transfer_matrices(right, [E])[0] @ _transfer_matrices(left, [E])[0]
-        assert np.max(np.abs(combined - _transfer_matrices(both, [E])[0])) < MATRIX_TOL
+    @pytest.mark.parametrize("energy", [0.4, 2.0, 5.0])
+    def test_composition(self, energy):
+        # a field that jumps from 2 to -1 on the boundary x = 1 of its slices
+        # against the two constant slabs on either side of it: the free-wave
+        # match at x = 1 cancels to rounding
+        both = stepped([2.0, 2.0, -1.0, -1.0], 0.0, 2.0)
+        left, right = Slab(constant(2.0), 0.0, 1.0, 2), Slab(constant(-1.0), 1.0, 2.0, 2)
+        whole = _transfer_matrices(both, [energy])[0]
+        combined = _transfer_matrices(right, [energy])[0] @ _transfer_matrices(left, [energy])[0]
+        assert np.max(np.abs(combined - whole)) <= 1e-14 * np.max(np.abs(whole))
 
     def test_translation_only_shifts_phases(self):
         # |T| of a shifted copy of the structure is unchanged
         E = 2.0
         base = sweep(barrier(), [E])[0]
-        moved = sweep(PiecewisePotential((10.0, 11.0), (ConstantSegment(4.0),)), [E])[0]
+        moved = sweep(Slab(constant(4.0), 10.0, 11.0), [E])[0]
         assert moved.transmission == pytest.approx(base.transmission, abs=1e-12)
         assert moved.reflection == pytest.approx(base.reflection, abs=1e-12)
 
@@ -167,18 +182,28 @@ class TestTransferMatrix:
         assert str(err.value) == ("free-wave matching at x=1.0 is degenerate: "
                                   "M22 = (1e-310+0j) is below 1e-300")
 
-    def test_ascending_breakpoints_enforced(self):
-        with pytest.raises(ValueError):
-            PiecewisePotential((0.0, 0.0), (ConstantSegment(1.0),))
-        with pytest.raises(ValueError):
-            PiecewisePotential((1.0, 0.5), (ConstantSegment(1.0),))
+    @pytest.mark.parametrize("a,b", [(0.0, 0.0), (1.0, 0.5), (0.0, math.nan)])
+    def test_empty_interval_refused(self, a, b):
+        with pytest.raises(ValueError, match="empty interval"):
+            Slab(constant(1.0), a, b)
 
-    def test_segment_count_enforced(self):
-        with pytest.raises(ValueError):
-            PiecewisePotential((0.0, 1.0, 2.0), (ConstantSegment(1.0),))
+    @pytest.mark.parametrize("slices", [0, -2])
+    def test_fewer_than_one_slice_refused(self, slices):
+        with pytest.raises(ValueError, match="slices must be >= 1"):
+            Slab(constant(1.0), 0.0, 1.0, slices)
+
+    @pytest.mark.parametrize("field,slices", [
+        (lambda x: 4.0, 3),
+        (lambda x: np.full((len(x), 2), 4.0), 3),
+        # right for every full chunk of SLICE_BLOCK nodes, short on the last
+        (lambda x: np.full(SLICE_BLOCK, 4.0), 2 * SLICE_BLOCK + 1),
+    ], ids=["scalar", "two-per-node", "last-chunk"])
+    def test_field_of_the_wrong_shape_refused(self, field, slices):
+        with pytest.raises(ValueError, match="one value per Gauss node"):
+            sweep(Slab(field, 0.0, 1.0, slices), [1.0])
 
     def test_evanescent_overflow_guard(self):
-        wide = PiecewisePotential((0.0, 100.0), (ConstantSegment(1e8),))
+        wide = Slab(constant(1e8), 0.0, 100.0)
         with pytest.raises(ConvergenceFailure, match=OVERFLOW.pattern):
             _transfer_matrices(wide, [1.0])[0]
 
@@ -190,32 +215,24 @@ class TestTransferMatrix:
         assert overflow_exponent(err.value) == pytest.approx(1e100)
         assert "np.float64" not in str(err.value)
 
-    @pytest.mark.parametrize("first,second", [
-        (ConstantSegment(160001.0), ConstantSegment(160001.0)),
-        (FieldSegment(lambda x: np.full(np.shape(x), 160001.0), 7), ConstantSegment(160001.0)),
-        (ConstantSegment(160001.0), FieldSegment(lambda x: np.full(np.shape(x), 160001.0), 7)),
-    ], ids=["constant-constant", "field-constant", "constant-field"])
-    def test_overflow_across_segments(self, first, second):
-        # kappa w = 400 per slab passes each slice's guard, but the product
-        # of the two would overflow: refused with the exponent summed over
-        # both (a RuntimeWarning would fail the test, see pyproject.toml)
-        pot = PiecewisePotential((0.0, 1.0, 2.0), (first, second))
+    @pytest.mark.parametrize("slices,folded", [(2, 2), (2 * SLICE_BLOCK + 1, 2 * SLICE_BLOCK)],
+                             ids=["one-block", "across-blocks"])
+    def test_overflow_across_slices(self, slices, folded):
+        # kappa = 400 on [0, 2] passes each slice's guard, but the product of
+        # the slices would overflow: refused with the exponent summed over
+        # the blocks folded so far (a RuntimeWarning would fail the test, see
+        # pyproject.toml), two slices in one block or the first two blocks
+        pot = Slab(constant(160001.0), 0.0, 2.0, slices)
         with pytest.raises(ConvergenceFailure) as err:
             _transfer_matrices(pot, [1.0])[0]
-        assert overflow_exponent(err.value) == pytest.approx(800.0)
+        assert overflow_exponent(err.value) == pytest.approx(800.0 * folded / slices)
 
     def test_overflow_in_free_wave_match(self):
         # kappa w = 690 passes the running-product guard, but matching to the
         # free waves multiplies by ~1/k0 = 1e10: refused, with no RuntimeWarning
-        pot = PiecewisePotential((0.0, 1.0), (ConstantSegment(690.0 ** 2),))
         with pytest.raises(ConvergenceFailure) as err:
-            _transfer_matrices(pot, [1e-20])[0]
+            _transfer_matrices(barrier(690.0 ** 2), [1e-20])[0]
         assert overflow_exponent(err.value) == pytest.approx(690.0)
-
-    def test_unknown_segment_kind_refused(self):
-        pot = PiecewisePotential((0.0, 1.0), (4.0,))
-        with pytest.raises(TypeError):
-            _transfer_matrices(pot, [1.0])[0]
 
 
 class TestSliceKernel:
@@ -228,6 +245,16 @@ class TestSliceKernel:
         cosz, sinc = _series(u)
         assert np.max(np.abs(cosz / np.cos(z) - 1.0)) <= 1e-15
         assert np.max(np.abs(sinc / (np.sin(z) / z) - 1.0)) <= 1e-15
+
+    def test_series_of_one_slice_is_its_row_of_a_batch(self):
+        # numpy rounds a complex multiply of one element otherwise than of
+        # many unless both take the same broadcast, so a one-slice row of a
+        # complex field must get the bits it gets in any batch
+        rng = np.random.default_rng(7)
+        u = SERIES_MAX / 2 * (rng.uniform(-1, 1, 64) + 1j * rng.uniform(-1, 1, 64))
+        batch = _series(u)
+        for i in range(len(u)):
+            assert _series(u[i:i + 1]).tolist() == batch[:, i:i + 1].tolist()
 
     def test_mixed_block_matches_single_slices(self):
         # thin slices (series) beside |u| >> 1 ones (trig) in one block,
@@ -266,8 +293,7 @@ class TestSliceKernel:
 
 class TestBarrierOracle:
     def test_free_space(self):
-        pot = PiecewisePotential((0.0, 1.0), (ConstantSegment(0.0),))
-        res = sweep(pot, [1.0])[0]
+        res = sweep(barrier(0.0), [1.0])[0]
         assert abs(res.r) < MATRIX_TOL
         assert abs(res.t - 1.0) < MATRIX_TOL
         assert abs(res.flux_defect) < MATRIX_TOL
@@ -280,7 +306,7 @@ class TestBarrierOracle:
             T_TUNNEL_V4_A1_E1, rel=1e-12)
 
     def test_well_value(self):
-        res = sweep(PiecewisePotential((0.0, 1.0), (ConstantSegment(-5.0),)), [2.0])[0]
+        res = sweep(barrier(-5.0), [2.0])[0]
         assert res.transmission == pytest.approx(T_WELL_V5_A1_E2, rel=ORACLE_RTOL)
         assert abs(res.flux_defect) < 1e-10
 
@@ -336,9 +362,8 @@ class TestBarrierOracle:
         assert abs(res.transmission - ref) / ref < ORACLE_TOL
         assert abs(res.flux_defect) < 1e-10
 
-    def test_two_segment_structure_conserves_flux(self):
-        pot = PiecewisePotential((0.0, 1.0, 2.0),
-                                 (ConstantSegment(3.0), ConstantSegment(-1.0)))
+    def test_stepped_slab_conserves_flux(self):
+        pot = stepped([3.0, -1.0], 0.0, 2.0)
         for E in (0.4, 1.1, 6.0):
             res = sweep(pot, [E])[0]
             assert abs(res.flux_defect) < 1e-10
@@ -350,47 +375,40 @@ class TestBarrierOracle:
             square_barrier_transmission(4.0, 1.0, 0.0)
 
 
-class TestFieldSegments:
+class TestMagnusSlices:
     @pytest.mark.parametrize("value,width,energy", [
         (4.0, 1.0, 1.0), (4.0, 0.1, 4.0), (2.5 + 1j, 1.3, 0.7), (-5.0, 0.05, 2.0)])
-    def test_constant_segment_is_one_field_slice(self, value, width, energy):
-        # both kinds go through the one slice loop: bit for bit the same
-        def field(x):
-            return np.full(np.shape(x), value, dtype=complex)
-
-        window = (0.2, 0.2 + width)
-        const = _transfer_matrices(PiecewisePotential(window, (ConstantSegment(value),)),
-                                   [energy])[0]
-        one = _transfer_matrices(PiecewisePotential(window, (FieldSegment(field, 1),)),
-                                 [energy])[0]
-        assert np.array_equal(const, one)
+    def test_constant_field_is_one_exact_step(self, value, width, energy):
+        # one slice of a constant field is the value itself with delta = 0,
+        # bit for bit, so its step is exp(Omega) of the constant slab
+        slab = Slab(constant(value), 0.2, 0.2 + width)
+        values, step, delta = _slice_values(slab)
+        assert values.tolist() == [value] and delta.tolist() == [0j]
+        assert step == slab.b - slab.a
+        omega = np.array([[0.0, step], [-(energy - value) * step, 0.0]])
+        want = np.linalg.inv(free_waves(math.sqrt(energy), slab.b)) @ expm(omega) @ free_waves(
+            math.sqrt(energy), slab.a)
+        assert_allclose(_transfer_matrices(slab, [energy])[0], want, rtol=1e-13, atol=1e-13)
 
     def test_thin_slices_match_exact_constant(self):
         const = _transfer_matrices(barrier(2.5, 1.3), [1.0])[0]
-
-        def field(x):
-            return np.full_like(np.asarray(x, dtype=float), 2.5, dtype=complex)
-
-        sliced = _transfer_matrices(
-            PiecewisePotential((0.0, 1.3), (FieldSegment(field, 500),)), [1.0])[0]
+        sliced = _transfer_matrices(Slab(constant(2.5 + 0j), 0.0, 1.3, 500), [1.0])[0]
         assert np.max(np.abs(const - sliced)) < 1e-10
 
     @pytest.mark.parametrize("slices", [1, 2, 3, SLICE_BLOCK - 1, SLICE_BLOCK,
                                         SLICE_BLOCK + 1, 2 * SLICE_BLOCK + 1])
     def test_batched_product_matches_sequential_loop(self, slices):
         field = partner_field(SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0), Partner.V1)
-        got = _transfer_matrices(
-            PiecewisePotential((0.0, 2.0), (FieldSegment(field, slices),)), [1.5])[0]
+        got = _transfer_matrices(Slab(field, 0.0, 2.0, slices), [1.5])[0]
         ref = sequential_transfer_matrix(field, 0.0, 2.0, slices, 1.5)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_evanescent_overflow_guard(self):
-        # one opaque slice in the last block is enough to refuse the segment
+        # one opaque slice in the last block is enough to refuse the slab
         def field(x):
             return np.where(x > 90.0, 1e12, 0.0)
 
-        pot = PiecewisePotential((0.0, 100.0),
-                                 (FieldSegment(field, 2 * SLICE_BLOCK + 1),))
+        pot = Slab(field, 0.0, 100.0, 2 * SLICE_BLOCK + 1)
         with pytest.raises(ConvergenceFailure, match=OVERFLOW.pattern):
             _transfer_matrices(pot, [1.0])[0]
 
@@ -411,8 +429,7 @@ class TestFieldSegments:
         field = partner_field(spec, Partner.V1)
 
         def t_at(n):
-            pot = PiecewisePotential((0.0, 2.0), (FieldSegment(field, n),))
-            return sweep(pot, [1.5])[0].transmission
+            return sweep(Slab(field, 0.0, 2.0, n), [1.5])[0].transmission
 
         t_fine = t_at(2560)
         e1 = abs(t_at(20) - t_fine)
@@ -514,10 +531,8 @@ class TestPlaneFamilySweep:
                               Partner.V1)
         left = partner_field(SuperpotentialSpec(Family.PLANE_LEFT, 1.0, 1.0),
                              Partner.V1)
-        mr = _transfer_matrices(
-            PiecewisePotential((-1.0, 1.0), (FieldSegment(right, 3000),)), [0.5])[0]
-        ml = _transfer_matrices(
-            PiecewisePotential((-1.0, 1.0), (FieldSegment(left, 3000),)), [0.5])[0]
+        mr = _transfer_matrices(Slab(right, -1.0, 1.0, 3000), [0.5])[0]
+        ml = _transfer_matrices(Slab(left, -1.0, 1.0, 3000), [0.5])[0]
         assert np.max(np.abs(ml - sx @ np.conj(mr) @ sx)) < 1e-12
 
     def test_shared_samples_leave_results_unchanged(self):
@@ -588,7 +603,7 @@ def doubling_reference(spec, which, window, energy):
     field = partner_field(spec, which)
 
     def at(m):
-        return sweep(PiecewisePotential(window, (FieldSegment(field, m),)), [energy])[0]
+        return sweep(Slab(field, *window, m), [energy])[0]
 
     m = scattering.START_SLICES
     prev = at(m)
@@ -633,15 +648,14 @@ class TestEnergyBatches:
            v1=st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
            energies=st.lists(st.sampled_from([0.3, 1.0, 2.0, 2.01, 1.99, 7.5]), min_size=1,
                              max_size=6))
-    def test_structure_sweep_is_the_one_energy_loop(self, slices, v1, energies):
-        # a multi-block fold between two slabs whose rows mix series (E near 2)
-        # and trig
+    def test_field_sweep_is_the_one_energy_loop(self, slices, v1, energies):
+        # a multi-block fold of a field that is flat at 2 on its left part, so
+        # that its rows mix series (E near 2) and trig
         def field(x):
-            return 1.0 + v1 * np.exp(1.3j * x)
+            return np.where(x < 0.7, 2.0, np.where(x < 2.0, 1.0 + v1 * np.exp(1.3j * x),
+                                                   -3.0 + 0.5j))
 
-        pot = PiecewisePotential((0.0, 0.7, 2.0, 2.4),
-                                 (ConstantSegment(2.0), FieldSegment(field, slices),
-                                  ConstantSegment(-3.0 + 0.5j)))
+        pot = Slab(field, 0.0, 2.4, slices)
         assert_same_outcome(outcome(lambda: sweep(pot, energies)),
                             one_at_a_time(lambda e: sweep(pot, [e])[0], energies))
 

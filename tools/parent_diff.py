@@ -53,6 +53,8 @@ WIDE_WINDOW = "wide_window.cfg"
 OFFCENTRE = "offcentre.cfg"
 UNSETTLED = "unsettled.cfg"
 OVERFLOWING = "overflowing.cfg"
+THIN_BARRIER = "thin_barrier.cfg"
+OPAQUE_BARRIER = "opaque_barrier.cfg"
 STDERR = "stderr.txt"
 ALLOW_LIST = ROOT / "tools" / "parent_diff_allow.txt"
 
@@ -63,11 +65,15 @@ ALLOW_LIST = ROOT / "tools" / "parent_diff_allow.txt"
 # whose energies settle at 4096 and 8192 slices (the doubling loop and a
 # fold over two blocks of slices), and a q=1 spectrum on the off-centre
 # domain (0.3, 2.8), whose diagonals are not PT-symmetric and so take the
-# complex dense solve. Then two plane sweeps that are refused
-# (exit 2), each with two failing energies whose messages differ, so the
-# stderr shows which is reported first: at q = 20, E = 50 never settles and
-# neither does E = 60; at q = 200, E = 0.3 and 0.25 overflow with different
-# exponents. (name, arguments, expected exit code) each.
+# complex dense solve, and a thin barrier in json (width 0.05, whose slab
+# takes the series branch of the slice kernel and, at E = 4 = V, the sinc
+# limit). Then three sweeps that are refused (exit 2). Two are plane sweeps,
+# each with two failing energies whose messages differ, so the stderr shows
+# which is reported first: at q = 20, E = 50 never settles and neither does
+# E = 60; at q = 200, E = 0.3 and 0.25 overflow with different exponents.
+# The third is a barrier of kappa w = 690 at E = 1e-20, which passes the
+# slice guard on the trig branch and overflows in the free-wave match.
+# (name, arguments, expected exit code) each.
 COMMANDS = (
     ("figures", ["figures"], 0),
     ("spectrum_q0", ["spectrum", "--q", "0", "--count", "4"], 0),
@@ -85,10 +91,14 @@ COMMANDS = (
     ("scatter_wide_window", ["scatter", "--family", "plane_right", "--q", "2",
                              "--config", WIDE_WINDOW], 0),
     ("spectrum_offcentre", ["spectrum", "--q", "1", "--config", OFFCENTRE], 0),
+    ("scatter_thin_barrier", ["scatter", "--family", "barrier", "--format", "json",
+                              "--config", THIN_BARRIER], 0),
     ("scatter_unsettled", ["scatter", "--family", "plane_right", "--q", "20",
                            "--config", UNSETTLED], 2),
     ("scatter_overflowing", ["scatter", "--family", "plane_right", "--q", "200",
                              "--config", OVERFLOWING], 2),
+    ("scatter_opaque_barrier", ["scatter", "--family", "barrier", "--config", OPAQUE_BARRIER],
+     2),
 )
 
 
@@ -209,6 +219,10 @@ def main(argv=None) -> int:
         (tmp / OFFCENTRE).write_text("x_min=0.3\nx_max=2.8\nexploratory_grids=64,96,128\n")
         (tmp / UNSETTLED).write_text("energies=0.5,50,2,60\n")
         (tmp / OVERFLOWING).write_text("energies=0.3,0.25,0.5\n")
+        (tmp / THIN_BARRIER).write_text("barrier_v0=4\nbarrier_width=0.05\n"
+                                        "energies=0.4,2,4,8,40\n")
+        (tmp / OPAQUE_BARRIER).write_text("barrier_v0=476100\nbarrier_width=1\n"
+                                          "energies=1e-20\n")
         (tmp / "tree").mkdir()
         export(args.base, tmp / "tree")
         codes = {}
