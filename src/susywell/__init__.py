@@ -5,7 +5,8 @@ Modules:
   states      closed-form ground states and ladder energies, densities,
               PT and residual checks
   spectral    finite-difference spectra, Richardson refinement
-  scattering  transfer matrices, thin-slice sweeps, barrier oracle
+  scattering  transfer matrices of the square barrier and the plane
+              partners (exact series), barrier oracle
   gates       the physics gates shared by the CLI and the acceptance test
   cli         reproducible figure/spectrum/verify/scatter commands
 """
@@ -42,7 +43,7 @@ from .spectral import (
 )
 from .scattering import (
     ScatteringResult,
-    Slab,
+    barrier_sweep,
     plane_partner_sweep,
     square_barrier_transmission,
     sweep_csv,

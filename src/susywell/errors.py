@@ -22,7 +22,8 @@ class SusywellError(Exception):
 class ConvergenceFailure(SusywellError):
     """A solver did not converge or failed its guard: an eigenpair not
     certified, a transfer matrix that would leave the double range, free
-    waves that cannot be matched, or a transmission that never settles."""
+    waves that cannot be matched, or a plane series that grows past its
+    guard."""
 
 
 class ConfigError(SusywellError):

@@ -1,51 +1,36 @@
-"""Transfer-matrix scattering across one slab of a 1-D complex field.
+"""Transfer-matrix scattering off a square barrier and a windowed plane partner.
 
-A Slab is a field V(x) on [a, b] with V = 0 outside, taken as a product of
-fourth-order Magnus steps. The matrix maps plane-wave coefficients
-(A, B) of A e^{+ik0 x} + B e^{-ik0 x} on the left of the slab to the
-coefficients on the right (global phase convention, so a slab of V = 0 is
-the identity and two slabs that meet compose by matrix product).
+Both scatterers have V = 0 outside a window [a, b]. Each path builds the
+(psi, psi') propagator P across its window at every energy, and one
+free-wave match turns P into the matrix M that maps the plane-wave
+coefficients (A, B) of A e^{+ik0 x} + B e^{-ik0 x} on the left of the
+window to the coefficients on the right (global phase convention, so V = 0
+gives the identity); r, t and r_right are read off M.
 
-Each step of width w samples the field at the two Gauss nodes
-x_c -+ w / (2 sqrt 3) of its slice, so a slab of m slices samples it at 2m
-nodes, and propagates by exp(Omega) with
-Omega = [[delta, w], [-(E - Vbar) w, -delta]], Vbar the mean of the two
-values and delta = (sqrt(3) / 12) w^2 (V- - V+) (Blanes, Casas, Oteo & Ros,
-Phys. Rep. 470 (2009) 151). Omega is traceless, so every step is
-unimodular. A constant field at one slice has delta = 0: its propagator is
-entire in k^2 = E - V, so the E = V resonance of a square barrier goes
-through the sinc limit with no branch.
+The square barrier, V = v0 on [0, w], is one constant step,
+P = [[cos z, w sinc z], [-k^2 w sinc z, cos z]] with k^2 = E - v0 and
+z = k w. P is entire in z^2 = u, so the E = v0 resonance goes through the
+sinc limit with no branch. Where |u| <= SERIES_MAX, cos z and sinc z are
+six-term series in u, exact to rounding (truncation ~ 9e-18) and free of
+sqrt; elsewhere they are np.cos and np.sin of z, and |Im z| above
+OVERFLOW_EXPONENT is refused as an evanescent overflow.
 
-The loop takes a list of energies and samples the slab once for all of
-them. Its blocks hold at most SLICE_BLOCK slice-energy pairs:
-min(m, SLICE_BLOCK) slices for max(1, (SLICE_BLOCK - 1) // m)
-energies, fewer than SLICE_BLOCK pairs unless one row has that many, as one
-complex array of shape (2, 2, energies, slices) that stacks the slice
-matrices. So the memory of a call does not grow with its number of energies.
-Each row multiplies neighbours, later slice on the left, one broadcast 2x2
-product per level in log2(m) levels, and folds its product into the running
-2x2 of its energy across the blocks. That is the order one energy alone
-takes, so each result is bit for bit the same whatever energies share its
-call. sweep and plane_partner_sweep are the public ways into it.
+A plane partner is V = -k^2 + v1 z + v2 z^2 with z = e^{i d alpha x}
+(susy_core.plane_coefficients). Its solutions are the entire series
+f_s = e^{i s kappa x} sum a_n z^n, s = +-1, kappa^2 = E + k^2, a_0 = 1 and
+a_n d n alpha (2 s kappa + d n alpha) = -(v1 a_{n-1} + v2 a_{n-2})
+(Gasymov, Funct. Anal. Appl. 14 (1980) 11), and P = F(b) F(a)^-1 with
+F = [[f+, f-], [f+', f-']]. At a Bragg point, kappa = n alpha / 2, one
+denominator vanishes; but P is entire in E, so it is taken at every energy
+as its mean over NODES points of a circle about E, rotated half a step so
+that no node is real. The sums carry about eps times the largest
+coefficient, so a series whose coefficients grow past SERIES_GROWTH is
+refused.
 
-Every slice goes through one kernel with two ranges of u = z^2 = k^2 w^2 -
-delta^2: |u| <= SERIES_MAX takes six-term series of cos and sinc in u, exact
-to rounding (truncation ~ 9e-18) and free of sqrt; plane slices at moderate
-q lie there. Thicker slices take np.cos and np.sin of z, each refused as an
-evanescent overflow (a ConvergenceFailure) above |Im z| = 700. The loop
-refuses the same way a running product, or its free-wave match, that leaves
-the double range, with the exponent summed over the slices so far.
-
-The loop fails fast: it validates every energy, then integrates, and raises
-the first refusal it meets, whatever its energy. sweep and
-plane_partner_sweep replay a batch that raises one energy at a time, in
-input order (_in_order), so a sweep raises what the first energy that fails
-alone raises; a passing sweep integrates each energy once.
-
-plane_partner_sweep starts at START_SLICES and, at each slice count,
-integrates every energy that has not yet settled in one call of the loop, so
-the partner is sampled once per count; an energy leaves the doubling loop as
-soon as its T settles.
+Either refusal is a ConvergenceFailure, and so is a transfer matrix, or
+its free-wave match, that leaves the double range. Each energy is judged
+on its own: a sweep raises the refusal of the first energy, in input
+order, that fails, as a loop over the energies would.
 
 Complex field values model absorption/gain; |r|^2 + |t|^2 - 1 is
 reported per energy as flux_defect and vanishes only for real fields.
@@ -55,66 +40,44 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceFailure
 from .serialize import csv_text
-from .susy_core import PLANE_FAMILIES, Partner, SuperpotentialSpec, partner_field
+from .susy_core import PLANE_FAMILIES, Partner, SuperpotentialSpec, plane_coefficients
 
 OVERFLOW_EXPONENT = 700.0
 _OVERFLOW_GROWTH = math.exp(OVERFLOW_EXPONENT)
 WRONSKIAN_TOL = 1e-12
-SLICE_BLOCK = 4096  # slice-energy pairs per block of the slice loop
-# the slice count a plane sweep starts at
-START_SLICES = 512
-# plane_partner_sweep doubles the slice count at most MAX_DOUBLINGS times,
-# until T changes by at most STABILIZE_TOL
-STABILIZE_TOL = 1e-6
-MAX_DOUBLINGS = 6
-# a slice with |k^2 w^2| <= SERIES_MAX takes the six-term series of cos and
-# sinc, whose truncation SERIES_MAX^6 / 12! ~ 9e-18 is below rounding
+# a barrier with |k^2 w^2| <= SERIES_MAX takes the six-term series of cos
+# and sinc, whose truncation SERIES_MAX^6 / 12! ~ 9e-18 is below rounding
 SERIES_MAX = 0.04
 # Horner coefficients of u^5 .. u^0, one (cos, sinc) pair of Python complex
 # numbers per power: (-1)^n / (2n)! of cos and (-1)^n / (2n + 1)! of sinc
 _SERIES_TERMS = tuple(tuple(complex((-1) ** n / math.factorial(2 * n + j)) for j in (0, 1))
                       for n in range(5, -1, -1))
-# the Gauss nodes of a slice sit _GAUSS_OFFSET slice widths from its centre;
-# delta = _MAGNUS_COUPLING w^2 (V- - V+)
-_GAUSS_OFFSET = 0.5 / math.sqrt(3.0)
-_MAGNUS_COUPLING = math.sqrt(3.0) / 12.0
-
-
-@dataclass(frozen=True)
-class Slab:
-    """A complex profile field(x) on [a, b], V = 0 outside, taken as `slices`
-    fourth-order Magnus steps.
-
-    field maps an array of points to one value per point; it is called on
-    the 2 * slices Gauss nodes of the slab, the left node of every slice
-    first, SLICE_BLOCK nodes at a time.
-    """
-
-    field: object
-    a: float
-    b: float
-    slices: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        if not self.a < self.b:
-            raise ValueError(f"empty interval [{self.a!r}, {self.b!r}]")
-        if self.slices < 1:
-            raise ValueError(f"slices must be >= 1, got {self.slices!r}")
+# the largest plane series coefficient accepted; a sum carries about eps
+# times it. At k = alpha = 1 on (0, 2 pi), V1 at q = 12 reaches at most
+# 1.4e7 over the scatter default energies, V1 at q = 20 passes 4e8 at each
+# of E = 0.5, 2, 50 and 60, and at q = 200 T would read 0 unguarded
+SERIES_GROWTH = 1e8
+# the nodes of the circle that a plane propagator is averaged over
+NODES = 16
+# plane series terms summed between two convergence checks
+_CHECK_EVERY = 8
+# energies whose series are summed together; each takes about 13 KB while
+# they are, so a sweep's memory does not grow with its number of energies
+_ENERGY_BLOCK = 8
+_CIRCLE = np.exp(2j * np.pi * (np.arange(NODES) + 0.5) / NODES)
 
 
 def _series(u):
     """cos z and sinc z of z^2 = u, stacked on a new first axis: six terms
     each, by Horner's rule in u. Each row adds its own Python complex
     coefficient, and both rows take one broadcast multiply by u per power,
-    which keeps the rounding of a one-slice row that of a longer one."""
+    which keeps the rounding of a one-energy row that of a longer one."""
     out = np.empty((2,) + u.shape, dtype=np.complex128)
     for acc, term in zip(out, _SERIES_TERMS[0]):
         acc.fill(term)
@@ -125,117 +88,115 @@ def _series(u):
     return out
 
 
-def _trig(rate, width: float):
-    """cos z and sinc z of z = sqrt(rate) w, stacked on a new first axis,
-    refusing |Im z| > OVERFLOW_EXPONENT."""
-    z = np.sqrt(rate) * width
-    over = np.flatnonzero(np.abs(z.imag) > OVERFLOW_EXPONENT)
-    if over.size:
-        raise _overflow(float(abs(z.flat[over[0]].imag)))
-    return np.array([np.cos(z), np.sin(z) / z])
+def _constant_steps(ksq, width: float):
+    """The (psi, psi') propagators [[cos z, w sinc z], [-k^2 w sinc z, cos z]]
+    across a constant V of width w, one per entry k^2 = E - V of the 1-D
+    array ksq, as one array of shape (2, 2, energies).
 
-
-def _rates(values, width: float, energies, delta):
-    """k^2 = E - V per energy and slice, and the rate z^2 / w^2 =
-    k^2 - (delta / w)^2 of its step; at delta = 0 the rate is k^2 itself,
-    bit for bit, and so it is at w = 0, where delta = O(w^2). One energy
-    gives one row per slice, an array of energies a row per energy."""
-    ksq = (np.asarray(energies, dtype=np.complex128)[..., None]
-           - np.asarray(values, dtype=np.complex128))
-    return ksq, ksq - (delta / width) ** 2 if width else ksq
-
-
-def _slice_entries(values, width: float, energies, delta=0.0):
-    """The slice (psi, psi') matrices [[p, q], [r, s]] as one array of shape
-    (2, 2, slices), or (2, 2, energies, slices) when energies is an array.
-
-    Each slice is exp(Omega), Omega = [[delta, w], [-k^2 w, -delta]] with
-    k^2 = E - V, one slice per value: p = cos z + delta sinc z,
-    q = w sinc z, r = -k^2 w sinc z, s = cos z - delta sinc z, with
-    z^2 = k^2 w^2 - delta^2. A constant slice has delta = 0: p = cos z + 0.
-    Entire in z^2: no branch choice, det = 1, and z -> 0 at delta = 0
-    degenerates to the linear-solution pair [[1, w], [0, 1]] exactly.
-
-    Two ranges of u = z^2, each evaluated at its own slices only:
+    Entire in z^2 = k^2 w^2: no branch choice, det = 1, and z = 0 is the
+    linear-solution pair [[1, w], [0, 1]] exactly. Two ranges of u = z^2,
+    each evaluated at its own energies only:
       |u| <= SERIES_MAX   cos z and sinc z as six-term series in u, exact to
                           rounding (truncation <= SERIES_MAX^6 / 12! ~ 9e-18);
-                          no sqrt and no branch. Plane slices at moderate q
-                          and the E = V resonance of a barrier take it.
-      |u| >  SERIES_MAX   np.cos and np.sin of z = sqrt(z^2 / w^2) w
-                          (|z| > 0.2), with the overflow guard of _trig
-                          on |Im z|.
+                          no sqrt and no branch. A thin barrier and the E = V
+                          resonance take it.
+      |u| >  SERIES_MAX   np.cos and np.sin of z = sqrt(k^2) w (|z| > 0.2).
     """
-    ksq, rate = _rates(values, width, energies, delta)
-    u = rate * (width * width)
+    u = ksq * (width * width)
     thin = np.abs(u) <= SERIES_MAX
-    if thin.all():
-        cosz, sinc = _series(u)
-    elif not thin.any():
-        cosz, sinc = _trig(rate, width)
-    else:
-        trig = np.empty((2,) + u.shape, dtype=u.dtype)
-        trig[:, ~thin] = _trig(rate[~thin], width)
-        trig[:, thin] = _series(u[thin])
-        cosz, sinc = trig
+    cos_sinc = np.empty((2,) + u.shape, dtype=np.complex128)
+    cos_sinc[:, thin] = _series(u[thin])
+    z = np.sqrt(ksq[~thin]) * width
+    cos_sinc[:, ~thin] = np.cos(z), np.sin(z) / z
     out = np.empty((2, 2) + u.shape, dtype=np.complex128)
-    sfac = np.multiply(width, sinc, out=out[0, 1])
-    # delta is given the shape of the block first: numpy multiplies a 1-D
-    # delta into a (1, 1) block without the fused multiply-add it uses for
-    # arrays of one shape, which would move the last bit of a one-slice row
-    tilt = np.broadcast_to(delta, sinc.shape) * sinc
-    np.add(cosz, tilt, out=out[0, 0])
+    out[0, 0] = out[1, 1] = cos_sinc[0]
+    sfac = np.multiply(width, cos_sinc[1], out=out[0, 1])
     np.multiply(-ksq, sfac, out=out[1, 0])
-    np.subtract(cosz, tilt, out=out[1, 1])
     return out
 
 
-def _ordered_product(entries):
-    """slice[-1] @ ... @ slice[0] of a stack of 2x2 matrices of shape
-    (2, 2, ..., slices), reduced pairwise along the last axis in log2(m)
-    levels; the product has shape (2, 2, ...).
-
-    Each level multiplies neighbours, the later slice on the left; an odd
-    last slice is carried to the next level unchanged.
-    """
-    while entries.shape[-1] > 1:
-        even = entries.shape[-1] - entries.shape[-1] % 2
-        a, b = entries[..., 1:even:2], entries[..., 0:even:2]
-        pair = a[:, 0, None] * b[None, 0]
-        pair += a[:, 1, None] * b[None, 1]
-        if even < entries.shape[-1]:
-            pair = np.concatenate((pair, entries[..., even:]), axis=-1)
-        entries = pair
-    return entries[..., 0]
-
-
-def _slice_values(slab: Slab):
-    """(values, width, delta) of the slices of a slab: the mean Vbar of the
-    field at each slice's two Gauss nodes and
-    delta = (sqrt(3) / 12) w^2 (V- - V+). The field is sampled SLICE_BLOCK
-    nodes at a time, so its temporaries stay as small as the kernel's."""
-    m = slab.slices
-    width = (slab.b - slab.a) / m
-    centres = slab.a + width * (np.arange(m) + 0.5)
-    offset = _GAUSS_OFFSET * width
-    nodes = np.concatenate([centres - offset, centres + offset])
-    values = np.empty(2 * m, dtype=np.complex128)
-    for start in range(0, 2 * m, SLICE_BLOCK):
-        chunk = nodes[start:start + SLICE_BLOCK]
-        sampled = np.asarray(slab.field(chunk), dtype=np.complex128)
-        if sampled.shape != chunk.shape:
-            raise ValueError("slab field must return one value per Gauss node")
-        values[start:start + SLICE_BLOCK] = sampled
-    lower, upper = values[:m], values[m:]
-    return 0.5 * (lower + upper), width, _MAGNUS_COUPLING * (width * width) * (lower - upper)
-
-
-def _exponent(values, width: float, energy: float, delta) -> float:
-    """The evanescent exponent of a run of slices: the sum of their |Im z|,
-    inf when a rate leaves the double range (its sum would read nan)."""
+def _barrier_steps(v0: float, width: float, energies):
+    """(steps, exponents) of the barrier V = v0 of the given width: the
+    constant step at each energy, shape (2, 2, energies), and its evanescent
+    exponent |Im z| (inf where it is nan). A step whose exponent is over
+    OVERFLOW_EXPONENT is not evaluated and reads 0."""
+    ksq = energies.astype(np.complex128) - v0
     with np.errstate(over="ignore", invalid="ignore"):
-        _, rate = _rates(values, width, energy, delta)
-        total = float(np.sum(np.abs((np.sqrt(rate) * width).imag)))
-    return math.inf if math.isnan(total) else total
+        exponents = np.abs((np.sqrt(ksq) * width).imag)
+    exponents[np.isnan(exponents)] = math.inf
+    steps = np.zeros((2, 2) + ksq.shape, dtype=np.complex128)
+    fits = exponents <= OVERFLOW_EXPONENT
+    steps[..., fits] = _constant_steps(ksq[fits], width)
+    return steps, exponents
+
+
+def _plane_steps(spec: SuperpotentialSpec, which: Partner, window, energies):
+    """(steps, growth) of a plane partner on window: P at each energy, shape
+    (2, 2, energies), and the largest |a_n| of its series (inf once one is
+    not finite).
+
+    The series are summed in the window's own coordinate y = x - a, so
+    z(a)^n is folded into v1 and v2, and z(b) / z(a) = e^{i d alpha L}, with
+    L = b - a. Each energy E takes the NODES nodes E + rho e^{i theta} of
+    its circle, rho = 0.05 kappa0 min(kappa0, 2 pi / L), kappa0^2 = E + k^2,
+    so the phase kappa L moves by at most 0.16 around the circle and
+    kappa^2 stays within 5% of kappa0^2; both signs of kappa share each
+    node. After every _CHECK_EVERY terms, an energy stops once the last two
+    |a_n| of each of its series are below eps times the largest |a| of that
+    series, or once its growth fails the guard; its coefficients are then
+    zero, so its sums do not depend on the energies beside it.
+    """
+    a, b = window
+    length = b - a
+    d, v1, v2 = plane_coefficients(spec, which)
+    step = d * spec.alpha
+    shift = cmath.exp(1j * step * a)
+    v1, v2 = -v1 * shift, -v2 * shift * shift
+    # z(b)^n / z(a)^n = e^{i n theta}; theta = head + tail, with n head exact
+    # for n < 2^29, as a rounded n theta would move the phase by n ulp(theta)
+    # and the large coefficients would carry that into the sums
+    theta = step * length
+    head = float(np.float32(theta))
+    tail = theta - head
+    kappa0 = np.sqrt(energies + spec.k ** 2)
+    radius = 0.05 * kappa0 * np.minimum(kappa0, 2.0 * math.pi / length)
+    kappa = np.sqrt(energies[:, None] + radius[:, None] * _CIRCLE + spec.k ** 2)
+    skappa = np.stack([kappa, -kappa], axis=1)  # s kappa: (energies, sign, node)
+    eps = np.finfo(np.float64).eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef, prev = np.ones_like(skappa), np.zeros_like(skappa)
+        # sum a_n and sum n a_n at y = 0, then at y = L (weighted by z^n)
+        sums = np.zeros((4,) + skappa.shape, dtype=np.complex128)
+        sums[0] = sums[2] = 1.0
+        peak = np.ones(skappa.shape)
+        live, first = np.ones(len(energies), dtype=bool), 1
+        while live.any():
+            ns = step * np.arange(first, first + _CHECK_EVERY)[:, None, None, None]
+            scales = 2.0 * skappa + ns
+            scales *= ns
+            for n, scale in enumerate(np.reciprocal(scales, out=scales), first):
+                coef, prev = (v1 * coef + v2 * prev) * scale, coef
+                wave = cmath.exp(1j * (n * head)) * cmath.exp(1j * (n * tail))
+                sums += coef * np.array([1.0, n, wave, n * wave])[:, None, None, None]
+                np.maximum(peak, np.abs(coef), out=peak)
+            first += _CHECK_EVERY
+            small = np.maximum(np.abs(coef), np.abs(prev)) <= eps * peak
+            live = ~small.all(axis=(1, 2)) & (peak.max(axis=(1, 2)) <= SERIES_GROWTH)
+            coef[~live] = prev[~live] = 0.0
+        # f and f' = i sum (s kappa + n d alpha) a_n z^n at y = 0 and y = L
+        f_a, n_a, f_b, n_b = sums
+        phase = np.exp(1j * skappa * length)
+        ga = 1j * (skappa * f_a + step * n_a)
+        gb = 1j * phase * (skappa * f_b + step * n_b)
+        fa, fb = f_a, phase * f_b
+        # F(b) adj F(a) / det F(a), with f+ at [:, 0] and f- at [:, 1]
+        steps = np.array([
+            [fb[:, 0] * ga[:, 1] - fb[:, 1] * ga[:, 0], fb[:, 1] * fa[:, 0] - fb[:, 0] * fa[:, 1]],
+            [gb[:, 0] * ga[:, 1] - gb[:, 1] * ga[:, 0], gb[:, 1] * fa[:, 0] - gb[:, 0] * fa[:, 1]],
+        ]) / (fa[:, 0] * ga[:, 1] - fa[:, 1] * ga[:, 0])
+    growth = peak.max(axis=(1, 2))
+    growth[np.isnan(growth)] = math.inf
+    return steps.mean(axis=-1), growth
 
 
 def _overflow(exponent: float) -> ConvergenceFailure:
@@ -243,6 +204,13 @@ def _overflow(exponent: float) -> ConvergenceFailure:
     the guard."""
     return ConvergenceFailure(f"evanescent exponent {exponent!r} exceeds the overflow guard: "
                               "the transfer matrix would leave the double range")
+
+
+def _unsummable(energy: float, growth: float) -> ConvergenceFailure:
+    """The refusal of a plane series whose coefficients grow past the guard."""
+    return ConvergenceFailure(f"plane series at E={energy!r} has a coefficient of {growth!r}, "
+                              f"past the guard {SERIES_GROWTH:g}: its sums would lose their "
+                              "digits to cancellation")
 
 
 def _degenerate(what: str, value, bound: float, where: float) -> ConvergenceFailure:
@@ -259,90 +227,25 @@ def _in_range(*entries) -> bool:
     return sum(abs(v.real) + abs(v.imag) for v in entries) <= _OVERFLOW_GROWTH
 
 
-def _wavenumber(energy, left: float) -> tuple[float, float]:
-    """(E, k0 = sqrt(E)) of the free waves, for a finite E > 0 whose
-    Wronskian 2 k0 passes WRONSKIAN_TOL."""
+def _free_wave(energy, left: float):
+    """(E, k0 = sqrt(E)) of the free waves for a finite E > 0 whose
+    Wronskian 2 k0 passes WRONSKIAN_TOL, else the refusal of E, returned
+    and not raised."""
     energy = float(energy)
     if not math.isfinite(energy) or energy <= 0.0:
-        raise ValueError(f"energy must be finite and positive, got {energy!r}")
+        return ValueError(f"energy must be finite and positive, got {energy!r}")
     k0 = math.sqrt(energy)
     if 2.0 * k0 < WRONSKIAN_TOL:
-        raise _degenerate("Wronskian 2 k0", 2.0 * k0, WRONSKIAN_TOL, left)
+        return _degenerate("Wronskian 2 k0", 2.0 * k0, WRONSKIAN_TOL, left)
     return energy, k0
 
 
-def _transfer_matrices(slab: Slab, energies) -> list:
-    """The matrix M taking left (A, B) coefficients to right (A, B), det M = 1,
-    at each finite energy E > 0 (free waves of k0 = sqrt(E) outside), all
-    through the one slice loop of the module docstring; the first refusal
-    met raises, whatever its energy."""
-    waves = [_wavenumber(energy, slab.a) for energy in energies]
-    running = [(1.0 + 0j, 0j, 0j, 1.0 + 0j)] * len(waves)
-    folded = []  # the blocks so far, so a refusal samples no field again
-
-    def overflow(energy):
-        return _overflow(sum(_exponent(values, width, energy, delta)
-                             for values, width, delta in folded))
-
-    values, width, delta = _slice_values(slab)
-    # fewer than SLICE_BLOCK pairs per block unless one row has that
-    # many: a block of exactly 4096 pairs makes each one-entry temporary a
-    # 64 KiB chunk, whose free lets glibc hand the top of the heap back to
-    # the OS, and the next block faults it in again
-    rows = max(1, (SLICE_BLOCK - 1) // len(values))
-    for start in range(0, len(values), SLICE_BLOCK):
-        run = slice(start, start + SLICE_BLOCK)
-        block = (values[run], width, delta[run])
-        folded.append(block)
-        for first in range(0, len(waves), rows):
-            group = np.array([energy for energy, _ in waves[first:first + rows]])
-            # slices that each pass the |Im z| guard can still overflow
-            # together; the fold refuses such a product instead of warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                product = _ordered_product(_slice_entries(block[0], width, group, block[2]))
-            for i, matrix in enumerate(product.transpose(2, 0, 1).tolist(), first):
-                (bp, bq), (br, bs) = matrix
-                p, q, r, s = running[i]
-                running[i] = p, q, r, s = (bp * p + bq * r, bp * q + bq * s,
-                                           br * p + bs * r, br * q + bs * s)
-                if not _in_range(p, q, r, s):
-                    raise overflow(waves[i][0])
-    out = []
-    for (energy, k0), (p, q, r, s) in zip(waves, running):
-        e_first = cmath.exp(1j * k0 * slab.a)
-        e_last = cmath.exp(1j * k0 * slab.b)
-        to_psi = np.array(
-            [[e_first, 1.0 / e_first], [1j * k0 * e_first, -1j * k0 / e_first]],
-            dtype=np.complex128,
-        )
-        from_psi = np.array(
-            [
-                [0.5 / e_last, 1.0 / (2j * k0 * e_last)],
-                [0.5 * e_last, -e_last / (2j * k0)],
-            ],
-            dtype=np.complex128,
-        )
-        # from_psi grows like 1/k0, so an in-range product can still overflow here
-        with np.errstate(over="ignore", invalid="ignore"):
-            matched = from_psi @ np.array([[p, q], [r, s]]) @ to_psi
-        if not _in_range(*matched.ravel().tolist()):
-            raise overflow(energy)
-        out.append(matched)
-    return out
-
-
-def _in_order(batch, energies) -> list:
-    """batch(energies), where batch maps a list of energies to one result
-    each. If it raises, each energy is run alone, in order, so the first
-    energy that fails alone raises: a result is the same bit for bit in any
-    batch, so that is what a loop over the energies would raise."""
-    energies = list(energies)
-    try:
-        return batch(energies)
-    except Exception:
-        if len(energies) < 2:
-            raise
-    return [out for energy in energies for out in batch([energy])]
+def _window(a, b) -> tuple[float, float]:
+    """(a, b) as floats, refusing an empty interval."""
+    a, b = float(a), float(b)
+    if not a < b:
+        raise ValueError(f"empty interval [{a!r}, {b!r}]")
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -365,28 +268,69 @@ class ScatteringResult:
         return abs(self.t) ** 2
 
 
-def _scattering(slab: Slab, energies) -> list:
-    """r = -M21/M22, t = det M / M22 = 1/M22 and r_right = M12/M22 of the
-    matrix M at each energy, raising the first refusal met. det M = 1 by
-    construction, so t is not rebuilt from entries that grow like 1/k0 and
-    cancel as E -> 0."""
+def _matched(step, a: float, b: float, k0: float):
+    """M = from_psi(b) P to_psi(a) of the propagator step = [[p, q], [r, s]]
+    across [a, b]: the matrix taking left (A, B) coefficients of the free
+    waves of k0 to right ones."""
+    e_first = cmath.exp(1j * k0 * a)
+    e_last = cmath.exp(1j * k0 * b)
+    to_psi = np.array(
+        [[e_first, 1.0 / e_first], [1j * k0 * e_first, -1j * k0 / e_first]],
+        dtype=np.complex128,
+    )
+    from_psi = np.array(
+        [
+            [0.5 / e_last, 1.0 / (2j * k0 * e_last)],
+            [0.5 * e_last, -e_last / (2j * k0)],
+        ],
+        dtype=np.complex128,
+    )
+    # from_psi grows like 1/k0, so an in-range P can still overflow here
+    with np.errstate(over="ignore", invalid="ignore"):
+        return from_psi @ np.array(step) @ to_psi
+
+
+def _sweep(window, energies, propagate, limit: float, refusal) -> list[ScatteringResult]:
+    """The ScatteringResult of every energy, in order, off a window whose
+    propagators and guard readings propagate(energies) returns.
+
+    An energy whose reading is over limit, or whose P or M leaves the
+    double range, raises refusal(E, reading). r = -M21/M22, t = 1/M22 and
+    r_right = M12/M22, as det M = 1, so t is not rebuilt from entries that
+    grow like 1/k0 and cancel as E -> 0. The energies are judged in input
+    order, so the first that fails raises."""
+    a, b = window
+    waves = [_free_wave(energy, a) for energy in energies]
+    steps, readings = propagate(np.array([w[0] for w in waves if not isinstance(w, Exception)]))
+    rows = zip(steps.transpose(2, 0, 1).tolist(), readings.tolist())
     out = []
-    for energy, m in zip(energies, _transfer_matrices(slab, energies)):
+    for wave in waves:
+        if isinstance(wave, Exception):
+            raise wave
+        (energy, k0), (step, reading) = wave, next(rows)
+        if not (reading <= limit and _in_range(*step[0], *step[1])):
+            raise refusal(energy, reading)
+        m = _matched(step, a, b, k0)
+        if not _in_range(*m.ravel().tolist()):
+            raise refusal(energy, reading)
         if abs(m[1, 1]) < 1e-300:
-            raise _degenerate("M22", complex(m[1, 1]), 1e-300, slab.b)
+            raise _degenerate("M22", complex(m[1, 1]), 1e-300, b)
         r = -m[1, 0] / m[1, 1]
         t = 1.0 / m[1, 1]
         defect = abs(r) ** 2 + abs(t) ** 2 - 1.0
-        out.append(ScatteringResult(float(energy), complex(r), complex(t), float(defect),
+        out.append(ScatteringResult(energy, complex(r), complex(t), float(defect),
                                     complex(m[0, 1] / m[1, 1])))
     return out
 
 
-def sweep(slab: Slab, energies) -> list[ScatteringResult]:
-    """The ScatteringResult of every energy, in order, through one call of the
-    slice loop; a failure raises what the first energy that fails alone
-    raises (_in_order)."""
-    return _in_order(lambda batch: _scattering(slab, batch), energies)
+def barrier_sweep(v0: float, width: float, energies) -> list[ScatteringResult]:
+    """The ScatteringResult of every energy off the square barrier V = v0 on
+    [0, width] (a well for v0 < 0), in order: one constant step each. An
+    evanescent exponent over OVERFLOW_EXPONENT, or a transfer matrix that
+    would leave the double range, is refused naming the exponent."""
+    window = _window(0.0, width)
+    return _sweep(window, energies, lambda batch: _barrier_steps(v0, window[1], batch),
+                  OVERFLOW_EXPONENT, lambda energy, exponent: _overflow(exponent))
 
 
 def square_barrier_transmission(v0: float, width: float, energy: float) -> float:
@@ -424,45 +368,26 @@ def plane_partner_sweep(
     """Scatter free waves across a windowed plane-family partner.
 
     The complex partner potential is embedded in the window (a, b) with
-    V = 0 outside and integrated as one Slab of fourth-order Magnus slices.
-    The slice count starts at START_SLICES (read at each call) and doubles,
-    at most MAX_DOUBLINGS times. At each count every energy that has not
-    settled goes through one call of the slice loop, which samples the
-    partner once and holds at most SLICE_BLOCK slice-energy pairs per block.
-    An energy settles when its T changes by <= STABILIZE_TOL and leaves the
-    loop then; one still moving after the last count raises
-    ConvergenceFailure naming that count.
-    Results come back in the order of energies, each the same bit for bit as
-    a sweep of that energy alone. A batch that raises is replayed one energy
-    at a time (_in_order), so a failure raises what the first energy that
-    fails alone raises. The closed-form plane states are never used as the
+    V = 0 outside, and its propagator is summed from the exact series of
+    the module docstring, _ENERGY_BLOCK energies at a time. Results come
+    back in the
+    order of energies, each the same whatever energies share its call. A
+    series that grows past SERIES_GROWTH, or whose coefficients stop being
+    finite, raises ConvergenceFailure; the first energy that fails, in
+    input order, raises. The closed-form plane states are never used as the
     free states outside.
     """
     if spec.family not in PLANE_FAMILIES:
         raise ValueError(f"sweep requires a plane family, got {spec.family}")
-    slab = Slab(partner_field(spec, which), *window)
+    window = _window(*window)
 
-    def settled(batch):
-        results = [None] * len(batch)
-        previous, change = {}, {}  # T at the last count and its last change, by index
-        refining = range(len(batch))
-        for doubling in range(MAX_DOUBLINGS + 2):
-            m = START_SLICES * 2 ** doubling
-            at_m = _scattering(replace(slab, slices=m), [batch[i] for i in refining])
-            for i, res in zip(refining, at_m):
-                if doubling:
-                    change[i] = abs(res.transmission - previous[i])
-                    if change[i] <= STABILIZE_TOL:
-                        results[i] = res
-                previous[i] = res.transmission
-            refining = [i for i in refining if results[i] is None]
-            if not refining:
-                return results
-        i = refining[0]
-        raise ConvergenceFailure(f"transmission at E={float(batch[i])!r} still changes by "
-                                 f"{change[i]!r} after refining to {m} slices")
+    def propagate(batch):
+        parts = [_plane_steps(spec, which, window, batch[i:i + _ENERGY_BLOCK])
+                 for i in range(0, max(len(batch), 1), _ENERGY_BLOCK)]
+        return (np.concatenate([steps for steps, _ in parts], axis=-1),
+                np.concatenate([growth for _, growth in parts]))
 
-    return _in_order(settled, energies)
+    return _sweep(window, energies, propagate, SERIES_GROWTH, _unsummable)
 
 
 SWEEP_HEADER = ["energy", "r_re", "r_im", "t_re", "t_im", "R", "T", "flux_defect"]

@@ -270,6 +270,21 @@ def pole_coupling(spec: SuperpotentialSpec) -> complex:
     return (spec.k - 1j * spec.q) * (spec.k - spec.alpha - 1j * spec.q) / spec.alpha**2
 
 
+def plane_coefficients(spec: SuperpotentialSpec, which: Partner) -> tuple[int, complex, complex]:
+    """(d, v1, v2) of a plane partner written V = -k^2 + v1 z + v2 z^2 with
+    z = e^{i d alpha x}. The right plane has d = -1, v2 = q^2, and
+    v1 = iq(alpha - 2k) for V1 and -iq(alpha + 2k) for V2, the expansion of
+    _partner_values; its conjugate twin, the left plane, has d = +1 and the
+    conjugate coefficients."""
+    if spec.family not in PLANE_FAMILIES:
+        raise ValueError(f"plane coefficients need a plane family, got {spec.family}")
+    twin, _, conjugate = _twin(spec)
+    k, q, alpha = twin.k, twin.q, twin.alpha
+    v1 = 1j * q * (alpha - 2.0 * k if which is Partner.V1 else -(alpha + 2.0 * k))
+    v2 = complex(q * q)
+    return (1, v1.conjugate(), v2.conjugate()) if conjugate else (-1, v1, v2)
+
+
 def partner_field(spec: SuperpotentialSpec, which: Partner):
     """V1 or V2 as a plain callable of position (scalar or array)."""
     return lambda x: eval_partner(spec, which, x)

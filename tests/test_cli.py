@@ -411,9 +411,9 @@ class TestConfigHandling:
         # the middle node of the coarsest grid, 1001 points on (-1, 1), is the pole at 0
         (["spectrum", "--q", "0", "--grid", "4004", "--count", "2"], "x_min=-1\nx_max=1\n", 3,
          "invalid request: evaluation at x="),
-        # an evanescent overflow is a ConvergenceFailure
+        # a plane series past its growth guard is a ConvergenceFailure
         (["scatter", "--family", "plane_right", "--q", "200"], "", 2,
-         "convergence failure: evanescent exponent"),
+         "convergence failure: plane series at E=0.25 has a coefficient of "),
         # inverse iteration's vector underflows, and a nan residual fails the gate
         (["spectrum", "--q", "2", "--k", "1e100", "--alpha", "1"], "", 2,
          "convergence failure: eigenpair residual nan"),
@@ -422,7 +422,7 @@ class TestConfigHandling:
     ], ids=["not-a-number", "not-finite", "not-an-integer", "empty-list", "k", "alpha",
             "epsilon", "grid", "count", "barrier-width", "format", "exploratory-grid",
             "x-min-alone", "x-min-above-x-max", "partner", "singular-point",
-            "evanescent-overflow", "nan-residual", "tiny-cell"])
+            "series-growth", "nan-residual", "tiny-cell"])
     def test_refusals_exit_by_their_error_family(self, runner, tmp_path, argv, config, code,
                                                  message):
         # ConfigError and any other SusywellError exit 3, ConvergenceFailure
@@ -693,7 +693,8 @@ class TestScatter:
     ], ids=["barrier-1e200", "window-1e200", "window-1e155", "window-inf"])
     def test_width_whose_square_leaves_the_double_range_is_refused(self, runner, tmp_path,
                                                                   family, config, key):
-        # the slices square their width; a width of 2e308 is inf itself
+        # the barrier step squares its width, and a plane window is held to
+        # the same range; a width of 2e308 is inf itself
         conf = tmp_path / "run.conf"
         conf.write_text(config)
         res = runner.invoke(main, ["scatter", "--family", family, "--config", str(conf),
@@ -711,25 +712,27 @@ class TestScatter:
         assert res.exit_code == 0, res.output
         assert "PASS barrier_oracle" in res.output
 
-    def test_accumulated_overflow_exits_2(self, runner, tmp_path):
+    def test_growing_series_exits_2(self, runner, tmp_path):
+        # at q = 200 the series coefficients pass 1e8, where T read 0 unguarded
         res = runner.invoke(main, ["scatter", "--family", "plane_right", "--q", "200",
                                    "--out", str(tmp_path)])
         assert res.exit_code == 2, res.output
-        assert "convergence failure: evanescent exponent" in res.output
-        assert "exceeds the overflow guard" in res.output
+        size = re.search(r"plane series at E=0.25 has a coefficient of (\S+), past the guard "
+                         r"1e\+08", res.output).group(1)
+        assert float(size) > 1e8
+        assert not (tmp_path / "scatter.csv").exists()
 
-    def test_coupling_whose_rates_overflow_exits_2(self, runner, tmp_path):
-        # q^2 is in range, but the squared Magnus tilt of the refused slices
-        # is not: the refusal still names a number, with no RuntimeWarning
+    def test_coupling_whose_series_overflows_exits_2(self, runner, tmp_path):
+        # q^2 is in range, but the series coefficients overflow: the refusal
+        # names inf, with no RuntimeWarning
         res = runner.invoke(main, ["scatter", "--family", "plane_right", "--q", "1e80",
                                    "--out", str(tmp_path)])
         assert res.exit_code == 2, res.output
         assert isinstance(res.exception, SystemExit)
-        exponent = re.search(r"evanescent exponent (\S+) exceeds", res.output).group(1)
-        assert float(exponent) > 700.0
+        assert "plane series at E=0.25 has a coefficient of inf, past the guard" in res.output
 
     def test_free_wave_match_overflow_exits_2(self, runner, tmp_path):
-        # kappa w = 690 passes the slice guards, but the match to the free
+        # kappa w = 690 passes the step guard, but the match to the free
         # waves at E = 1e-20 would overflow: a convergence failure, not a gate
         conf = tmp_path / "run.conf"
         conf.write_text("barrier_v0=476100\nbarrier_width=1\nenergies=1e-20\n")
@@ -768,7 +771,7 @@ class TestScatter:
 
     def test_slice_overflow_message_prints_a_plain_number(self, runner, tmp_path):
         # the first default energy, 0.1 barrier_v0, has kappa w = sqrt(0.9e100),
-        # which fails the one-slice |Im z| guard
+        # which fails the step's |Im z| guard
         conf = tmp_path / "run.conf"
         conf.write_text("barrier_v0=1e100\n")
         res = runner.invoke(main, ["scatter", "--family", "barrier", "--config", str(conf),

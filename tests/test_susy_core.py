@@ -20,6 +20,7 @@ from susywell.susy_core import (
     eval_partner,
     eval_superpotential,
     fundamental_cell,
+    plane_coefficients,
     pole_coupling,
     remainder,
     singularity_distance,
@@ -196,6 +197,22 @@ class TestPartnerValues:
         for which in Partner:
             assert_allclose(eval_partner(left, which, xs),
                             eval_partner(right, which, math.pi / k - xs), atol=ATOL)
+
+
+class TestPlaneCoefficients:
+    @pytest.mark.parametrize("family", [Family.PLANE_RIGHT, Family.PLANE_LEFT])
+    @pytest.mark.parametrize("which", list(Partner))
+    def test_polynomial_in_z_is_the_partner(self, family, which):
+        # V = -k^2 + v1 z + v2 z^2 with z = e^{i d alpha x}, at alpha != k
+        spec = SuperpotentialSpec(family, 1.3, -0.7, 0.6)
+        d, v1, v2 = plane_coefficients(spec, which)
+        z = np.exp(1j * d * spec.alpha * SAMPLES[family])
+        assert_allclose(-spec.k ** 2 + v1 * z + v2 * z * z,
+                        eval_partner(spec, which, SAMPLES[family]), atol=ATOL)
+
+    def test_wells_are_refused(self):
+        with pytest.raises(ValueError, match="plane family"):
+            plane_coefficients(SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 1.0), Partner.V1)
 
 
 class TestNumericCrossValidation:
