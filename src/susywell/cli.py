@@ -272,18 +272,11 @@ def _validate(cfg):
                                           f"2 sqrt(E) is below {WRONSKIAN_TOL:g}")
 
 
-def _echo(text, err=False):
-    """click.echo to the current sys.stdout or sys.stderr, named explicitly:
-    click's default stream lookup caches a wrapper per stream it meets and
-    keeps every redirected text stream (a StringIO) alive with it."""
-    click.echo(text, file=sys.stderr if err else sys.stdout)
-
-
 def _write(cfg, name, text):
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, name)
     write_text(path, text)
-    _echo(f"wrote {path}")
+    click.echo(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +306,15 @@ def _spectrum_q0(cfg):
     for name, rep in (("v1", v1), ("v2", v2)):
         _write(cfg, f"{name}_spectrum.json", rep.to_json())
     if cfg.x_min is not None:
-        _echo(f"custom domain [{cfg.x_min:g}, {cfg.x_max:g}]: spectra recorded, not gated")
+        click.echo(f"custom domain [{cfg.x_min:g}, {cfg.x_max:g}]: spectra recorded, not gated")
         return True
-    _echo("level   raw            extrapolated   exact")
+    click.echo("level   raw            extrapolated   exact")
     for m in range(cfg.count):
-        _echo(f"{m:5d}   {v1.eigenvalues[m].real:.10f}   "
+        click.echo(f"{m:5d}   {v1.eigenvalues[m].real:.10f}   "
                    f"{v1.richardson_estimates[m]:.10f}   "
                    f"{states.remainder_spectrum(m, cfg.k, cfg.alpha):.10f}")
     gate = gates.spectrum_q0(v1, v2, cfg.k, cfg.alpha)
-    _echo(gate.line())
+    click.echo(gate.line())
     return gate.passed
 
 
@@ -331,7 +324,7 @@ def _spectrum_exploratory(cfg):
     for eps, blocks in gates.truncation_survey(cfg.spec, cfg.cell, cfg.count, grids,
                                                cfg.eps_values):
         for name, block in blocks.items():
-            _echo(f"eps={eps:g} {name}: max |Im E| = {block['max_imag_overall']:.3e}")
+            click.echo(f"eps={eps:g} {name}: max |Im E| = {block['max_imag_overall']:.3e}")
         payload = {"family": cfg.family, "k": cfg.k, "q": cfg.q, "epsilon": eps,
                    "count": cfg.count, "grids": grids, **blocks}
         _write(cfg, f"spectrum_eps_{eps:.0e}.json", json_text(payload) + "\n")
@@ -347,10 +340,10 @@ def run_verify(cfg):
     non-gating pole coupling and plane asymmetry, and write verify.json."""
     claimed = gates.verify_gates()
     for _, gate in claimed:
-        _echo(gate.line())
+        click.echo(gate.line())
     exploratory = gates.exploratory_record()
     for line in exploratory["notes"]:
-        _echo(f"INFO {line}")
+        click.echo(f"INFO {line}")
 
     passed = all(gate.passed for _, gate in claimed)
     claims = {key: {"statement": text, "checks": [g.name for c, g in claimed if c == key]}
@@ -358,7 +351,7 @@ def run_verify(cfg):
     report = {"passed": passed, "checks": [gate._asdict() for _, gate in claimed],
               "claims": claims, "exploratory": exploratory}
     _write(cfg, "verify.json", json_text(report) + "\n")
-    _echo("verify: PASS" if passed else "verify: FAIL")
+    click.echo("verify: PASS" if passed else "verify: FAIL")
     return passed
 
 
@@ -384,7 +377,7 @@ def run_scatter(cfg):
     else:
         _write(cfg, "scatter.csv", sweep_csv(results))
     for line in lines:
-        _echo(line)
+        click.echo(line)
     return all(gate.passed for gate in checks)
 
 
@@ -395,13 +388,13 @@ def _execute(command, impl, flags):
     try:
         ok = impl(build_config(command, flags))
     except ConfigError as exc:
-        _echo(f"config error: {exc}", err=True)
+        click.echo(f"config error: {exc}", err=True)
         sys.exit(3)
     except ConvergenceFailure as exc:
-        _echo(f"convergence failure: {exc}", err=True)
+        click.echo(f"convergence failure: {exc}", err=True)
         sys.exit(2)
     except SusywellError as exc:
-        _echo(f"invalid request: {exc}", err=True)
+        click.echo(f"invalid request: {exc}", err=True)
         sys.exit(3)
     sys.exit(0 if ok else 1)
 

@@ -22,7 +22,7 @@ a_n d n alpha (2 s kappa + d n alpha) = -(v1 a_{n-1} + v2 a_{n-2})
 (Gasymov, Funct. Anal. Appl. 14 (1980) 11), and P = F(b) F(a)^-1 with
 F = [[f+, f-], [f+', f-']]. At a Bragg point, kappa = n alpha / 2, one
 denominator vanishes; but P is entire in E, so it is taken at every energy
-as its mean over NODES points of a circle about E, rotated half a step so
+as its mean over 16 nodes of a circle about E, rotated half a step so
 that no node is real. The sums carry about eps times the largest
 coefficient, so a series whose coefficients grow past SERIES_GROWTH is
 refused.
@@ -61,16 +61,19 @@ _SERIES_TERMS = tuple(tuple(complex((-1) ** n / math.factorial(2 * n + j)) for j
 # the largest plane series coefficient accepted; a sum carries about eps
 # times it. At k = alpha = 1 on (0, 2 pi), V1 at q = 12 reaches at most
 # 1.4e7 over the scatter default energies, V1 at q = 20 passes 4e8 at each
-# of E = 0.5, 2, 50 and 60, and at q = 200 T would read 0 unguarded
+# of E = 0.5, 2, 50 and 60, and at q = 200 T would read 0 unguarded. The
+# coefficients grow with |q| / alpha: on (0, 2 pi / k) at the default
+# energies every sweep with |q| <= 5 alpha passes, for alpha from 0.02 k to
+# 2 k, and |q| = 50 alpha is refused throughout
 SERIES_GROWTH = 1e8
-# the nodes of the circle that a plane propagator is averaged over
-NODES = 16
 # plane series terms summed between two convergence checks
 _CHECK_EVERY = 8
 # energies whose series are summed together; each takes about 13 KB while
 # they are, so a sweep's memory does not grow with its number of energies
 _ENERGY_BLOCK = 8
-_CIRCLE = np.exp(2j * np.pi * (np.arange(NODES) + 0.5) / NODES)
+# the 16 nodes of the unit circle that a plane propagator is averaged over,
+# rotated half a step so that none is real
+_CIRCLE = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
 
 
 def _series(u):
@@ -137,7 +140,7 @@ def _plane_steps(spec: SuperpotentialSpec, which: Partner, window, energies):
 
     The series are summed in the window's own coordinate y = x - a, so
     z(a)^n is folded into v1 and v2, and z(b) / z(a) = e^{i d alpha L}, with
-    L = b - a. Each energy E takes the NODES nodes E + rho e^{i theta} of
+    L = b - a. Each energy E takes the 16 nodes E + rho e^{i theta} of
     its circle, rho = 0.05 kappa0 min(kappa0, 2 pi / L), kappa0^2 = E + k^2,
     so the phase kappa L moves by at most 0.16 around the circle and
     kappa^2 stays within 5% of kappa0^2; both signs of kappa share each
@@ -210,7 +213,7 @@ def _unsummable(energy: float, growth: float) -> ConvergenceFailure:
     """The refusal of a plane series whose coefficients grow past the guard."""
     return ConvergenceFailure(f"plane series at E={energy!r} has a coefficient of {growth!r}, "
                               f"past the guard {SERIES_GROWTH:g}: its sums would lose their "
-                              "digits to cancellation")
+                              "digits to cancellation (the coefficients grow with |q| / alpha)")
 
 
 def _degenerate(what: str, value, bound: float, where: float) -> ConvergenceFailure:

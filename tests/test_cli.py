@@ -414,6 +414,10 @@ class TestConfigHandling:
         # a plane series past its growth guard is a ConvergenceFailure
         (["scatter", "--family", "plane_right", "--q", "200"], "", 2,
          "convergence failure: plane series at E=0.25 has a coefficient of "),
+        # the default q = 1 is 50 alpha at alpha = k / 50, past the |q| <= 5
+        # alpha that the series covers at the default energies
+        (["scatter", "--family", "plane_right", "--alpha", "0.02"], "", 2,
+         "convergence failure: plane series at E=0.25 has a coefficient of "),
         # inverse iteration's vector underflows, and a nan residual fails the gate
         (["spectrum", "--q", "2", "--k", "1e100", "--alpha", "1"], "", 2,
          "convergence failure: eigenpair residual nan"),
@@ -422,7 +426,7 @@ class TestConfigHandling:
     ], ids=["not-a-number", "not-finite", "not-an-integer", "empty-list", "k", "alpha",
             "epsilon", "grid", "count", "barrier-width", "format", "exploratory-grid",
             "x-min-alone", "x-min-above-x-max", "partner", "singular-point",
-            "series-growth", "nan-residual", "tiny-cell"])
+            "series-growth", "series-growth-small-alpha", "nan-residual", "tiny-cell"])
     def test_refusals_exit_by_their_error_family(self, runner, tmp_path, argv, config, code,
                                                  message):
         # ConfigError and any other SusywellError exit 3, ConvergenceFailure

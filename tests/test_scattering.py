@@ -62,13 +62,22 @@ SERIES_REFERENCE = {
     (RIGHT, V2, 1.7, 0.8, 0.5, (-1.0, 2.5), 0.3): (
         complex(-0.43278797589031154, 0.3903653292046738),
         complex(0.02615521932833653, -0.052098876107380045)),
+    # q = 20 alpha at alpha = k / 50, and q = 10 alpha at alpha = 2 k, where
+    # the slice sweep accepted r and t off by 2.2e-7
+    (RIGHT, V1, 1.0, 0.4, 0.02, (0.0, 2 * math.pi), 1.0): (
+        complex(-0.16982268170699502, -0.10339413068575873),
+        complex(-0.1290918691584962, 0.09464172252903517)),
+    (RIGHT, V2, 1.0, 20.0, 2.0, (0.0, 2 * math.pi), 1.0): (
+        complex(-0.9999065983870092, 0.09990144189631045),
+        complex(-9.174683606579964e-05, 0.00016995941268455986)),
 }
 
 # the whole messages of the scattering refusals, all ConvergenceFailure
 OVERFLOW = re.compile(r"evanescent exponent (\S+) exceeds the overflow guard: "
                       r"the transfer matrix would leave the double range")
 GROWTH = re.compile(r"plane series at E=(\S+) has a coefficient of (\S+), past the guard "
-                    r"1e\+08: its sums would lose their digits to cancellation")
+                    r"1e\+08: its sums would lose their digits to cancellation "
+                    r"\(the coefficients grow with \|q\| / alpha\)")
 
 
 def overflow_exponent(exc) -> float:
@@ -480,6 +489,19 @@ class TestSeriesGuard:
         with pytest.raises(ConvergenceFailure) as err:
             plane_partner_sweep(spec, Partner.V2, (0.0, 2 * math.pi), [1.0])
         assert growth(err.value) == (1.0, math.inf)
+
+    @pytest.mark.parametrize("family", [Family.PLANE_RIGHT, Family.PLANE_LEFT])
+    @pytest.mark.parametrize("alpha", [0.02, 0.2, 2.0])
+    def test_series_covers_q_up_to_five_alpha(self, alpha, family):
+        # the range the series gives up: the slice sweep it replaced settled
+        # every one of these sweeps, q = 50 alpha included
+        window = (0.0, 2 * math.pi)
+        for partner in Partner:
+            passing = SuperpotentialSpec(family, 1.0, 5 * alpha, alpha)
+            assert len(plane_partner_sweep(passing, partner, window, PLANE_ENERGIES)) == 7
+            refused = SuperpotentialSpec(family, 1.0, 50 * alpha, alpha)
+            with pytest.raises(ConvergenceFailure, match=GROWTH.pattern):
+                plane_partner_sweep(refused, partner, window, PLANE_ENERGIES)
 
     def test_guard_sits_between_q_12_and_q_20(self):
         window = (0.0, 2 * math.pi)
