@@ -272,11 +272,19 @@ def _validate(cfg):
                                           f"2 sqrt(E) is below {WRONSKIAN_TOL:g}")
 
 
+def _echo(text, err=False):
+    # the stream current at call time, passed in: click.echo with no file
+    # caches a wrapper per sys.stdout object it meets, and for a text
+    # stream the wrapper is the stream itself, so the cache keeps every
+    # stream that an in-process caller swaps in alive with its text
+    click.echo(text, file=sys.stderr if err else sys.stdout)
+
+
 def _write(cfg, name, text):
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, name)
     write_text(path, text)
-    click.echo(f"wrote {path}")
+    _echo(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +314,15 @@ def _spectrum_q0(cfg):
     for name, rep in (("v1", v1), ("v2", v2)):
         _write(cfg, f"{name}_spectrum.json", rep.to_json())
     if cfg.x_min is not None:
-        click.echo(f"custom domain [{cfg.x_min:g}, {cfg.x_max:g}]: spectra recorded, not gated")
+        _echo(f"custom domain [{cfg.x_min:g}, {cfg.x_max:g}]: spectra recorded, not gated")
         return True
-    click.echo("level   raw            extrapolated   exact")
+    _echo("level   raw            extrapolated   exact")
     for m in range(cfg.count):
-        click.echo(f"{m:5d}   {v1.eigenvalues[m].real:.10f}   "
-                   f"{v1.richardson_estimates[m]:.10f}   "
-                   f"{states.remainder_spectrum(m, cfg.k, cfg.alpha):.10f}")
+        _echo(f"{m:5d}   {v1.eigenvalues[m].real:.10f}   "
+              f"{v1.richardson_estimates[m]:.10f}   "
+              f"{states.remainder_spectrum(m, cfg.k, cfg.alpha):.10f}")
     gate = gates.spectrum_q0(v1, v2, cfg.k, cfg.alpha)
-    click.echo(gate.line())
+    _echo(gate.line())
     return gate.passed
 
 
@@ -324,7 +332,7 @@ def _spectrum_exploratory(cfg):
     for eps, blocks in gates.truncation_survey(cfg.spec, cfg.cell, cfg.count, grids,
                                                cfg.eps_values):
         for name, block in blocks.items():
-            click.echo(f"eps={eps:g} {name}: max |Im E| = {block['max_imag_overall']:.3e}")
+            _echo(f"eps={eps:g} {name}: max |Im E| = {block['max_imag_overall']:.3e}")
         payload = {"family": cfg.family, "k": cfg.k, "q": cfg.q, "epsilon": eps,
                    "count": cfg.count, "grids": grids, **blocks}
         _write(cfg, f"spectrum_eps_{eps:.0e}.json", json_text(payload) + "\n")
@@ -340,10 +348,10 @@ def run_verify(cfg):
     non-gating pole coupling and plane asymmetry, and write verify.json."""
     claimed = gates.verify_gates()
     for _, gate in claimed:
-        click.echo(gate.line())
+        _echo(gate.line())
     exploratory = gates.exploratory_record()
     for line in exploratory["notes"]:
-        click.echo(f"INFO {line}")
+        _echo(f"INFO {line}")
 
     passed = all(gate.passed for _, gate in claimed)
     claims = {key: {"statement": text, "checks": [g.name for c, g in claimed if c == key]}
@@ -351,7 +359,7 @@ def run_verify(cfg):
     report = {"passed": passed, "checks": [gate._asdict() for _, gate in claimed],
               "claims": claims, "exploratory": exploratory}
     _write(cfg, "verify.json", json_text(report) + "\n")
-    click.echo("verify: PASS" if passed else "verify: FAIL")
+    _echo("verify: PASS" if passed else "verify: FAIL")
     return passed
 
 
@@ -377,7 +385,7 @@ def run_scatter(cfg):
     else:
         _write(cfg, "scatter.csv", sweep_csv(results))
     for line in lines:
-        click.echo(line)
+        _echo(line)
     return all(gate.passed for gate in checks)
 
 
@@ -388,13 +396,13 @@ def _execute(command, impl, flags):
     try:
         ok = impl(build_config(command, flags))
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
+        _echo(f"config error: {exc}", err=True)
         sys.exit(3)
     except ConvergenceFailure as exc:
-        click.echo(f"convergence failure: {exc}", err=True)
+        _echo(f"convergence failure: {exc}", err=True)
         sys.exit(2)
     except SusywellError as exc:
-        click.echo(f"invalid request: {exc}", err=True)
+        _echo(f"invalid request: {exc}", err=True)
         sys.exit(3)
     sys.exit(0 if ok else 1)
 

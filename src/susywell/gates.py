@@ -102,6 +102,13 @@ class Gate(NamedTuple):
         return f"{'PASS' if self.passed else 'FAIL'} {self.name} ({self.detail})"
 
 
+def _worst(readings):
+    """The largest reading as a float, nan if any reading is nan: Python's
+    max and min drop a nan that is not their first argument, np.max keeps
+    it, and a nan then fails every `worst < bound`."""
+    return float(np.max(readings))
+
+
 def _shape_samples(spec):
     """1000 points of the cell padded by 1/50 of its width and 1000 padded
     by 0.05/k; on the line, 1000 points of [-3, 3] and of [-3/k, 3/k]."""
@@ -118,16 +125,17 @@ def _shape_samples(spec):
 def shape_invariance():
     """V2(k; x) - V1(k + alpha; x) is the constant alpha (alpha + 2k) for
     every family, q in {0, 1, 2, 5} and k in {1, 2, 3}."""
-    worst = mean_err = 0.0
+    deviations, mean_errs = [], []
     for fam in Family:
         for q in (0.0, 1.0, 2.0, 5.0):
             for k in (1.0, 2.0, 3.0):
                 spec = SuperpotentialSpec(fam, k, q)
                 res = susy_core.check_shape_invariance(spec, _shape_samples(spec))
                 target = spec.alpha * (spec.alpha + 2 * k)
-                worst = max(worst, res.max_abs_deviation)
-                mean_err = max(mean_err, abs(res.mean - target) / max(1.0, abs(target)))
-    passed = worst < SHAPE_TOL and mean_err < SHAPE_TOL
+                deviations.append(res.max_abs_deviation)
+                mean_errs.append(abs(res.mean - target) / max(1.0, abs(target)))
+    worst, mean_err = _worst(deviations), _worst(mean_errs)
+    passed = bool(worst < SHAPE_TOL and mean_err < SHAPE_TOL)
     return Gate("shape_invariance", passed, worst, SHAPE_TOL,
                 f"48 cases: max deviation {worst:.3e}, mean error {mean_err:.3e}")
 
@@ -152,7 +160,7 @@ def ground_state_residual():
     points 0.4 inside the cell (or across [-2, 2]), measured by the
     Richardson combination of two steps; and at alpha = k, q = 2 on the
     decay point the plain residual is of second order."""
-    worst, decay = 0.0, math.inf
+    residuals, steps = [], []
     for fam in Family:
         for alpha in (1.0, 2.0):
             cell = susy_core.fundamental_cell(SuperpotentialSpec(fam, 1.0, alpha=alpha))
@@ -161,10 +169,15 @@ def ground_state_residual():
                 spec = SuperpotentialSpec(fam, 1.0, q, alpha)
                 rich = (4 * _residual(spec, xs, RESIDUAL_STEP / 2)
                         - _residual(spec, xs, RESIDUAL_STEP)) / 3
-                worst = max(worst, float(np.max(np.abs(rich))))
+                residuals.append(np.abs(rich))
         spec, x0 = SuperpotentialSpec(fam, 1.0, 2.0), _DECAY_POINTS[fam]
-        decay = min(decay, abs(_residual(spec, x0, 1e-3)) / abs(_residual(spec, x0, 1e-4)))
-    return Gate("ground_state_residual", worst < RESIDUAL_TOL and decay > DECAY_MIN,
+        steps.append([abs(_residual(spec, x0, h)) for h in (1e-3, 1e-4)])
+    worst = _worst(residuals)
+    coarse, fine = np.array(steps).T
+    # the least ratio; two zero residuals give 0/0 = nan, which fails
+    with np.errstate(divide="ignore", invalid="ignore"):
+        decay = -_worst(-coarse / fine)
+    return Gate("ground_state_residual", bool(worst < RESIDUAL_TOL and decay > DECAY_MIN),
                 worst, RESIDUAL_TOL,
                 f"max residual {worst:.3e} by Richardson from h={RESIDUAL_STEP:g} and "
                 f"{RESIDUAL_STEP / 2:g}, decay ratio {decay:.0f} from h=1e-3 to 1e-4 "
@@ -174,7 +187,7 @@ def ground_state_residual():
 def density_equality():
     """|psi|^2 of both well ground states does not depend on q in {1, 2, 5},
     on the cell padded by 1/100 and by 1/1000 of its width."""
-    worst = 0.0
+    gaps = []
     for fam in WELL_FAMILIES:
         base = SuperpotentialSpec(fam, 1.0)
         lo, hi = susy_core.fundamental_cell(base)
@@ -184,15 +197,16 @@ def density_equality():
         rho0 = states.probability_density(base, xs)
         for q in (1.0, 2.0, 5.0):
             rho = states.probability_density(SuperpotentialSpec(fam, 1.0, q), xs)
-            worst = max(worst, float(np.max(np.abs(rho - rho0))))
-    return Gate("density_equality", worst < DENSITY_TOL, worst, DENSITY_TOL,
+            gaps.append(np.max(np.abs(rho - rho0)))
+    worst = _worst(gaps)
+    return Gate("density_equality", bool(worst < DENSITY_TOL), worst, DENSITY_TOL,
                 f"max gap {worst:.3e}")
 
 
 def pt_symmetry_wells():
     """V1 and V2 of both wells at q in {1, 2} are PT-symmetric about the
     cell midpoint, sampled on the middle 80% of the cell."""
-    worst = 0.0
+    asymmetries = []
     for fam in WELL_FAMILIES:
         lo, hi = susy_core.fundamental_cell(SuperpotentialSpec(fam, 1.0))
         span = hi - lo
@@ -201,8 +215,9 @@ def pt_symmetry_wells():
             spec = SuperpotentialSpec(fam, 1.0, q)
             for which in Partner:
                 field = susy_core.partner_field(spec, which)
-                worst = max(worst, states.pt_asymmetry(field, 0.5 * (lo + hi), window))
-    return Gate("pt_symmetry_wells", worst < ASYMMETRY_TOL, worst, ASYMMETRY_TOL,
+                asymmetries.append(states.pt_asymmetry(field, 0.5 * (lo + hi), window))
+    worst = _worst(asymmetries)
+    return Gate("pt_symmetry_wells", bool(worst < ASYMMETRY_TOL), worst, ASYMMETRY_TOL,
                 f"max asymmetry {worst:.3e}")
 
 
@@ -231,12 +246,12 @@ def spectrum_q0(v1, v2, k=1.0, alpha=None):
     too short to pair one level fail, with an infinite ladder error."""
     scale = max(1.0, k * k)
     exact = [states.remainder_spectrum(m, k, alpha) for m in range(len(v1.eigenvalues))]
-    raw = max(abs(ev.real - e) for ev, e in zip(v1.eigenvalues, exact))
-    rich = max(abs(est - e) for est, e in zip(v1.richardson_estimates, exact))
+    raw = _worst([abs(ev.real - e) for ev, e in zip(v1.eigenvalues, exact)])
+    rich = _worst([abs(est - e) for est, e in zip(v1.richardson_estimates, exact)])
     pairs = [abs(e2 - e1) for e2, e1 in zip(v2.eigenvalues, v1.eigenvalues[1:])]
-    ladder = max(pairs, default=math.inf)
+    ladder = _worst(pairs) if pairs else math.inf
     bound = EXTRAPOLATED_TOL * scale
-    passed = raw < RAW_TOL * scale and rich < bound and ladder <= LADDER_TOL * scale
+    passed = bool(raw < RAW_TOL * scale and rich < bound and ladder <= LADDER_TOL * scale)
     return Gate("spectrum_q0", passed, rich, bound,
                 f"raw {raw:.3e}, extrapolated {rich:.3e}, ladder {ladder:.3e} "
                 f"over {len(pairs)} levels")
@@ -249,10 +264,9 @@ def barrier(v0=BARRIER_V0, width=BARRIER_WIDTH, energies=()):
     energies = energies or tuple(m * abs(v0) for m in BARRIER_MULTIPLES)
     results = scattering.barrier_sweep(v0, width, energies)
     refs = [scattering.square_barrier_transmission(v0, width, energy) for energy in energies]
-    # np.max keeps a nan, so a nan reading fails
-    defect = float(np.max([abs(res.flux_defect) for res in results]))
-    gap = float(np.max([abs(res.transmission - ref) / max(abs(ref), 1e-300)
-                        for res, ref in zip(results, refs)]))
+    defect = _worst([abs(res.flux_defect) for res in results])
+    gap = _worst([abs(res.transmission - ref) / max(abs(ref), 1e-300)
+                  for res, ref in zip(results, refs)])
     return results, (
         Gate("flux_conservation", bool(defect < FLUX_TOL), defect, FLUX_TOL,
              f"max defect {defect:.3e}"),
@@ -286,9 +300,9 @@ def partner_intertwining():
             m12, m21 = one.r_right * m22, -one.r * m22
             m2 = (_carried(spec, window[1], k0) @ [[(1 + m12 * m21) / m22, m12], [m21, m22]]
                   @ np.linalg.inv(_carried(spec, window[0], k0)))
-            gap = max(abs(-m2[1, 0] / m2[1, 1] - two.r), abs(1 / m2[1, 1] - two.t))
+            gap = _worst([abs(-m2[1, 0] / m2[1, 1] - two.r), abs(1 / m2[1, 1] - two.t)])
             gaps.append(gap / max(1.0, abs(two.r), abs(two.t)))
-    worst = float(np.max(gaps))  # np.max keeps a nan, so a nan gap fails
+    worst = _worst(gaps)
     return Gate("partner_intertwining", bool(worst < INTERTWINING_TOL), worst, INTERTWINING_TOL,
                 f"{len(gaps)} plane points, E = 3k^2 (Bragg) left out: max gap {worst:.3e}")
 
@@ -338,8 +352,8 @@ def figure_determinism():
             if "_t_" in name:
                 cot = columns[names.index(name.replace("_t_", "_c_"))]
                 gaps.append(np.abs(values - cot) / np.maximum(1.0, np.abs(cot)))
-    shift = float(np.max(gaps))  # np.max keeps a nan, so a nan gap fails
-    passed = same and mid < MIDPOINT_TOL and flat and shift <= TRANSLATION_TOL
+    shift = _worst(gaps)
+    passed = bool(same and mid < MIDPOINT_TOL and flat and shift <= TRANSLATION_TOL)
     return Gate("figure_determinism", passed, mid, MIDPOINT_TOL,
                 f"reruns identical: {same}; midpoint V1 error {mid:.1e}; "
                 f"q=0 column pinned at {-k * k:g}: {flat}; "

@@ -1,6 +1,9 @@
 """End-to-end tests for the command line front end."""
 
+import contextlib
 import csv
+import gc
+import io
 import json
 import math
 import os
@@ -8,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 
 import click
 import pytest
@@ -547,6 +551,76 @@ def test_commands_without_spectra_load_no_scipy(tmp_path, argv):
     out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def run_in_process(argv):
+    """Run main in this process with fresh stdout and stderr sinks, as an
+    embedding caller does, after one run of argv that pays its lazy
+    imports: one of them (charset_normalizer, under scipy.linalg) keeps the
+    sys.stderr of its import in a logging handler, once per process.
+    Returns the exit code, the text of each sink and a weak reference to
+    each sink of the second run."""
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main.main(args=argv, standalone_mode=False)
+                code = None
+            except SystemExit as exc:
+                code = exc.code
+    return code, out.getvalue(), err.getvalue(), (weakref.ref(out), weakref.ref(err))
+
+
+def assert_collected(sinks):
+    # click.echo with no file caches a wrapper per sys.stdout object it
+    # meets, and for a text stream that wrapper is the stream itself, so
+    # every sink a caller swapped in stayed alive with its text
+    gc.collect()
+    assert [sink() for sink in sinks] == [None] * len(sinks)
+
+
+class TestInProcess:
+    def test_each_call_prints_to_its_own_sinks_and_holds_none(self, tmp_path):
+        (tmp_path / "grids.cfg").write_text("exploratory_grids=64,96\n")
+        runs = [
+            (["figures"], "fig1.csv"),
+            (["spectrum", "--q", "0", "--count", "2", "--grid", "400"], "extrapolated"),
+            (["spectrum", "--q", "2", "--config", str(tmp_path / "grids.cfg")],
+             "eps=0.0001 v2: max |Im E|"),
+            (["scatter", "--family", "barrier"], "PASS barrier_oracle"),
+            (["scatter", "--family", "plane_right"], "E=5: T="),
+        ]
+        sinks, texts = [], []
+        for argv, marker in runs:
+            code, out, err, refs = run_in_process(argv + ["--out", str(tmp_path / argv[0])])
+            assert code == 0, (argv, out, err)
+            assert marker in out and err == ""
+            sinks += refs
+            texts.append(out)
+        # no call's text reached another call's sink
+        for (_, marker), text in zip(runs, texts):
+            assert [marker in other for other in texts].count(True) == 1, marker
+        assert texts[0].count("wrote ") == 2
+        assert_collected(sinks)
+
+    @pytest.mark.parametrize("argv, config, code, message", [
+        (["scatter", "--family", "plane_right", "--q", "200"], None, 2,
+         "convergence failure: plane series at E=0.25"),
+        (["spectrum", "--k", "-1"], None, 3, "config error: k: must be positive"),
+        # the middle node of the coarsest grid, 1001 points on (-1, 1), is the pole at 0
+        (["spectrum", "--q", "0", "--grid", "4004", "--count", "2"], "x_min=-1\nx_max=1\n", 3,
+         "invalid request: evaluation at x="),
+    ], ids=["convergence-failure", "config-error", "invalid-request"])
+    def test_a_refusal_goes_to_the_stderr_of_its_call(self, tmp_path, argv, config, code,
+                                                       message):
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv = argv + ["--config", str(tmp_path / "run.cfg")]
+        got, out, err, sinks = run_in_process(argv + ["--out", str(tmp_path / "out")])
+        assert got == code, (out, err)
+        assert out == "" and err.startswith(message) and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        assert_collected(sinks)
 
 
 class TestVerify:

@@ -2,12 +2,13 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from susywell import gates, scattering, susy_core
+from susywell import gates, scattering, states, susy_core
 from susywell.cli import main
 from susywell.spectral import richardson_spectrum
 from susywell.susy_core import Family, Partner, SuperpotentialSpec, partner_field
@@ -90,6 +91,120 @@ def test_a_nan_at_a_later_energy_fails_the_barrier_gates(monkeypatch, field, val
     assert checks[index].passed is False
     assert math.isnan(checks[index].measured)
     assert checks[1 - index].passed is True
+
+
+def nan_at(array, index):
+    out = np.array(array, dtype=np.result_type(array, float))
+    out[index] = math.nan
+    return out
+
+
+def nan_on_call(monkeypatch, module, name, call, spoil):
+    """Replace module.name by a wrapper that hands its result of the given
+    call (counted from 1) through spoil; the other calls pass untouched."""
+    original, calls = getattr(module, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        out = original(*args, **kwargs)
+        return spoil(out) if len(calls) == call else out
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+@pytest.mark.parametrize("field, reading", [("max_abs_deviation", "max deviation nan"),
+                                            ("mean", "mean error nan")])
+def test_a_nan_in_a_later_case_fails_shape_invariance(monkeypatch, field, reading):
+    # Python's max drops a nan that is not its first argument; np.max keeps it
+    nan_on_call(monkeypatch, susy_core, "check_shape_invariance", 5,
+                lambda res: replace(res, **{field: math.nan}))
+    gate = gates.shape_invariance()
+    assert gate.passed is False
+    assert reading in gate.detail
+
+
+def test_a_nan_residual_in_a_later_case_fails_ground_state_residual(monkeypatch):
+    residual = states.schrodinger_residual
+
+    def with_nan(spec, energy, x, h=1e-4):
+        out = residual(spec, energy, x, h=h)
+        late = spec.family is Family.PLANE_LEFT and np.ndim(x) and h == gates.RESIDUAL_STEP / 2
+        return nan_at(out, 4) if late else out
+
+    monkeypatch.setattr(states, "schrodinger_residual", with_nan)
+    gate = gates.ground_state_residual()
+    assert gate.passed is False
+    assert math.isnan(gate.measured)
+
+
+def test_a_zero_over_zero_decay_fails_ground_state_residual(monkeypatch):
+    # both decay residuals of the last family vanish: their ratio 0/0 is no
+    # evidence of second order, so it must not pass as one
+    residual = states.schrodinger_residual
+
+    def vanishing(spec, energy, x, h=1e-4):
+        if spec.family is Family.PLANE_LEFT and np.ndim(x) == 0:
+            return 0j
+        return residual(spec, energy, x, h=h)
+
+    monkeypatch.setattr(states, "schrodinger_residual", vanishing)
+    gate = gates.ground_state_residual()
+    assert gate.passed is False
+    assert gate.measured < gate.bound
+    assert "decay ratio nan" in gate.detail
+
+
+def test_a_nan_density_in_a_later_case_fails_density_equality(monkeypatch):
+    nan_on_call(monkeypatch, states, "probability_density", 6, lambda rho: nan_at(rho, 10))
+    gate = gates.density_equality()
+    assert gate.passed is False
+    assert math.isnan(gate.measured)
+
+
+def test_a_nan_asymmetry_in_a_later_case_fails_pt_symmetry_wells(monkeypatch):
+    nan_on_call(monkeypatch, states, "pt_asymmetry", 3, lambda asym: math.nan)
+    gate = gates.pt_symmetry_wells()
+    assert gate.passed is False
+    assert math.isnan(gate.measured)
+
+
+def exact_q0_reports():
+    """Reports of V1 (4 levels) and V2 (3 levels) that hold the exact q = 0
+    ladder of k = alpha = 1, as spectrum_q0 reads them."""
+    exact = np.array([states.remainder_spectrum(m, 1.0) for m in range(4)])
+    return (SimpleNamespace(eigenvalues=exact.astype(complex), richardson_estimates=exact),
+            SimpleNamespace(eigenvalues=exact[1:].astype(complex)))
+
+
+@pytest.mark.parametrize("report, field, reading", [
+    (0, "eigenvalues", "raw nan"),
+    (0, "richardson_estimates", "extrapolated nan"),
+    (1, "eigenvalues", "ladder nan"),
+], ids=["raw", "extrapolated", "ladder"])
+def test_a_nan_at_a_later_level_fails_spectrum_q0(report, field, reading):
+    reports = exact_q0_reports()
+    gate = gates.spectrum_q0(*reports)
+    assert gate.passed is True, gate.detail
+    setattr(reports[report], field, nan_at(getattr(reports[report], field), 2))
+    gate = gates.spectrum_q0(*reports)
+    assert gate.passed is False
+    assert reading in gate.detail
+
+
+def test_a_nan_t_at_a_later_energy_fails_partner_intertwining(monkeypatch):
+    # a nan V2 t beside a finite r: the per-point max of the two must keep it
+    sweep = scattering.plane_partner_sweep
+
+    def with_nan(spec, which, window, energies):
+        results = sweep(spec, which, window, energies)
+        if which is Partner.V2 and spec.family is Family.PLANE_LEFT and spec.q == 2.0:
+            results[3] = replace(results[3], t=complex(math.nan, 0.0))
+        return results
+
+    monkeypatch.setattr(scattering, "plane_partner_sweep", with_nan)
+    gate = gates.partner_intertwining()
+    assert gate.passed is False
+    assert math.isnan(gate.measured)
 
 
 def test_partner_intertwining_passes_at_the_defaults():

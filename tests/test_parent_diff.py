@@ -113,8 +113,9 @@ def test_commands_run_with_one_blas_thread(tmp_path, monkeypatch):
 
     def run(args, env, **kwargs):
         envs.append(env)
-        return subprocess.CompletedProcess(args, 0, stdout=f"{src}/susywell/__init__.py\n",
-                                           stderr=b"")
+        # the import probe reads text, each command's output is saved as bytes
+        stdout = f"{src}/susywell/__init__.py\n" if kwargs.get("text") else b""
+        return subprocess.CompletedProcess(args, 0, stdout=stdout, stderr=b"")
 
     monkeypatch.setattr(parent_diff, "subprocess", SimpleNamespace(run=run))
     parent_diff.run_commands(src, tmp_path)
@@ -128,6 +129,31 @@ def test_a_stderr_difference_is_reported(roots):
     write(base, {stderr: "evanescent exponent 799.98783983669\n"})
     write(head, {stderr: "evanescent exponent 799.98833985131\n"})
     assert parent_diff.differences(base, head, CODES, CODES) == [(stderr, "differs")]
+
+
+def test_a_stdout_difference_is_reported(roots):
+    base, head = roots
+    stdout = f"scatter_barrier/{parent_diff.STDOUT}"
+    write(base, {stdout: "PASS flux_conservation (max defect 2.220e-16)\n"})
+    write(head, {stdout: "PASS flux_conservation (max defect 4.441e-16)\n"})
+    assert parent_diff.differences(base, head, CODES, CODES) == [(stdout, "differs")]
+
+
+def test_commands_save_their_stdout_and_stderr(tmp_path, monkeypatch):
+    src = tmp_path / "src"
+
+    def run(args, env, **kwargs):
+        if kwargs.get("text"):
+            return subprocess.CompletedProcess(args, 0, stdout=f"{src}/susywell/__init__.py\n")
+        return subprocess.CompletedProcess(args, 0, stdout=f"out of {args[3]}\n".encode(),
+                                           stderr=f"err of {args[3]}\n".encode())
+
+    monkeypatch.setattr(parent_diff, "subprocess", SimpleNamespace(run=run))
+    parent_diff.run_commands(src, tmp_path)
+    for name, args, _ in parent_diff.COMMANDS:
+        out = tmp_path / "out" / name
+        assert (out / parent_diff.STDOUT).read_text() == f"out of {args[0]}\n"
+        assert (out / parent_diff.STDERR).read_text() == f"err of {args[0]}\n"
 
 
 @pytest.mark.parametrize("path,allow,expect", [

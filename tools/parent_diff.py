@@ -8,8 +8,8 @@ was. Every command of COMMANDS then runs in the exported tree and in this
 checkout as `python -m susywell.cli ...`, with PYTHONPATH=<tree>/src,
 PYTHONWARNINGS=error::RuntimeWarning and one BLAS thread (the bytes of a
 complex spectrum depend on the thread count), each into its own directory
-under one output root, where its stderr is saved as `stderr.txt` beside its
-outputs.
+under one output root, where its stdout and stderr are saved as
+`stdout.txt` and `stderr.txt` beside its outputs and compared like them.
 Both trees write to the same paths, so an output that records a path reads
 the same in both.
 
@@ -55,6 +55,7 @@ UNSETTLED = "unsettled.cfg"
 OVERFLOWING = "overflowing.cfg"
 THIN_BARRIER = "thin_barrier.cfg"
 OPAQUE_BARRIER = "opaque_barrier.cfg"
+STDOUT = "stdout.txt"
 STDERR = "stderr.txt"
 ALLOW_LIST = ROOT / "tools" / "parent_diff_allow.txt"
 
@@ -112,8 +113,8 @@ def export(rev: str, dest: Path):
 
 def run_commands(src: Path, work: Path) -> dict[str, int]:
     """Run COMMANDS against the package in src, writing under work/out.
-    Returns the exit code of each command by name; each command's stderr is
-    saved as STDERR in its output directory."""
+    Returns the exit code of each command by name; each command's stdout
+    and stderr are saved as STDOUT and STDERR in its output directory."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="error::RuntimeWarning",
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     # an installed susywell must not stand in for the tree under test
@@ -128,6 +129,7 @@ def run_commands(src: Path, work: Path) -> dict[str, int]:
                               env=env, cwd=work, capture_output=True)
         codes[name] = proc.returncode
         out.mkdir(parents=True, exist_ok=True)
+        (out / STDOUT).write_bytes(proc.stdout)
         (out / STDERR).write_bytes(proc.stderr)
     return codes
 
@@ -230,7 +232,7 @@ def main(argv=None) -> int:
             shutil.move(tmp / "out", tmp / side)
         found = differences(tmp / "base", tmp / "head", codes["base"], codes["head"])
         for name, _, _ in COMMANDS:
-            written = sum(path.is_file() and path.name != STDERR
+            written = sum(path.is_file() and path.name not in (STDOUT, STDERR)
                           for path in (tmp / "head" / name).rglob("*"))
             print(f"{name}: exit {codes['head'][name]}, {written} files")
     for path, what in found:
