@@ -9,11 +9,10 @@ gives the identity); r, t and r_right are read off M.
 
 The square barrier, V = v0 on [0, w], is one constant step,
 P = [[cos z, w sinc z], [-k^2 w sinc z, cos z]] with k^2 = E - v0 and
-z = k w. P is entire in z^2 = u, so the E = v0 resonance goes through the
-sinc limit with no branch. Where |u| <= SERIES_MAX, cos z and sinc z are
-six-term series in u, exact to rounding (truncation ~ 9e-18) and free of
-sqrt; elsewhere they are np.cos and np.sin of z, and |Im z| above
-OVERFLOW_EXPONENT is refused as an evanescent overflow.
+z = k w. P is entire in z^2, so the E = v0 resonance goes through the
+sinc limit with no branch: cos z and sinc z are np.cos and np.sin of z at
+every energy, with sinc 0 = 1 exactly, and |Im z| above OVERFLOW_EXPONENT
+is refused as an evanescent overflow.
 
 A plane partner is V = -k^2 + v1 z + v2 z^2 with z = e^{i d alpha x}
 (susy_core.plane_coefficients). Its solutions are the entire series
@@ -51,13 +50,6 @@ from .susy_core import PLANE_FAMILIES, Partner, SuperpotentialSpec, plane_coeffi
 OVERFLOW_EXPONENT = 700.0
 _OVERFLOW_GROWTH = math.exp(OVERFLOW_EXPONENT)
 WRONSKIAN_TOL = 1e-12
-# a barrier with |k^2 w^2| <= SERIES_MAX takes the six-term series of cos
-# and sinc, whose truncation SERIES_MAX^6 / 12! ~ 9e-18 is below rounding
-SERIES_MAX = 0.04
-# Horner coefficients of u^5 .. u^0, one (cos, sinc) pair of Python complex
-# numbers per power: (-1)^n / (2n)! of cos and (-1)^n / (2n + 1)! of sinc
-_SERIES_TERMS = tuple(tuple(complex((-1) ** n / math.factorial(2 * n + j)) for j in (0, 1))
-                      for n in range(5, -1, -1))
 # the largest plane series coefficient accepted; a sum carries about eps
 # times it. At k = alpha = 1 on (0, 2 pi), V1 at q = 12 reaches at most
 # 1.4e7 over the scatter default energies, V1 at q = 20 passes 4e8 at each
@@ -76,44 +68,21 @@ _ENERGY_BLOCK = 8
 _CIRCLE = np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
 
 
-def _series(u):
-    """cos z and sinc z of z^2 = u, stacked on a new first axis: six terms
-    each, by Horner's rule in u. Each row adds its own Python complex
-    coefficient, and both rows take one broadcast multiply by u per power,
-    which keeps the rounding of a one-energy row that of a longer one."""
-    out = np.empty((2,) + u.shape, dtype=np.complex128)
-    for acc, term in zip(out, _SERIES_TERMS[0]):
-        acc.fill(term)
-    for terms in _SERIES_TERMS[1:]:
-        out *= u
-        for acc, term in zip(out, terms):
-            acc += term
-    return out
-
-
 def _constant_steps(ksq, width: float):
     """The (psi, psi') propagators [[cos z, w sinc z], [-k^2 w sinc z, cos z]]
     across a constant V of width w, one per entry k^2 = E - V of the 1-D
     array ksq, as one array of shape (2, 2, energies).
 
-    Entire in z^2 = k^2 w^2: no branch choice, det = 1, and z = 0 is the
-    linear-solution pair [[1, w], [0, 1]] exactly. Two ranges of u = z^2,
-    each evaluated at its own energies only:
-      |u| <= SERIES_MAX   cos z and sinc z as six-term series in u, exact to
-                          rounding (truncation <= SERIES_MAX^6 / 12! ~ 9e-18);
-                          no sqrt and no branch. A thin barrier and the E = V
-                          resonance take it.
-      |u| >  SERIES_MAX   np.cos and np.sin of z = sqrt(k^2) w (|z| > 0.2).
+    Entire in z^2 = k^2 w^2: no branch choice and det = 1. cos z and sinc z
+    are np.cos and np.sin(z) / z of z = sqrt(k^2) w, and sinc 0 = 1 is set,
+    not divided, so z = 0 (E = V, or w = 0) is the linear-solution pair
+    [[1, w], [0, 1]] exactly, with no warning.
     """
-    u = ksq * (width * width)
-    thin = np.abs(u) <= SERIES_MAX
-    cos_sinc = np.empty((2,) + u.shape, dtype=np.complex128)
-    cos_sinc[:, thin] = _series(u[thin])
-    z = np.sqrt(ksq[~thin]) * width
-    cos_sinc[:, ~thin] = np.cos(z), np.sin(z) / z
-    out = np.empty((2, 2) + u.shape, dtype=np.complex128)
-    out[0, 0] = out[1, 1] = cos_sinc[0]
-    sfac = np.multiply(width, cos_sinc[1], out=out[0, 1])
+    z = np.sqrt(ksq) * width
+    out = np.empty((2, 2) + z.shape, dtype=np.complex128)
+    out[0, 0] = out[1, 1] = np.cos(z)
+    sinc = np.divide(np.sin(z), z, out=np.ones_like(z), where=z != 0)
+    sfac = np.multiply(width, sinc, out=out[0, 1])
     np.multiply(-ksq, sfac, out=out[1, 0])
     return out
 

@@ -36,6 +36,36 @@ def test_ground_state_residual_measures_the_claim_not_the_step():
     assert gate.measured < 1e-2 * gate.bound
 
 
+def test_ground_state_residual_fails_a_state_of_the_other_q(monkeypatch):
+    # psi of -q does not solve the V1 of q
+    ground = states._ground_state
+    monkeypatch.setattr(states, "_ground_state",
+                        lambda twin, ys: ground(replace(twin, q=-twin.q), ys))
+    gate = gates.ground_state_residual()
+    assert gate.passed is False
+    assert gate.measured > gate.bound
+
+
+def test_density_equality_fails_a_q_dependent_modulus(monkeypatch):
+    wavefunction = states.eval_wavefunction
+    monkeypatch.setattr(states, "eval_wavefunction", lambda spec, x: (
+        wavefunction(spec, x) * np.exp(0.01 * spec.q * np.asarray(x))))
+    gate = gates.density_equality()
+    assert gate.passed is False
+    assert gate.measured > 0.1
+
+
+def test_pt_symmetry_wells_fails_a_field_off_its_centre(monkeypatch):
+    # each partner sampled 1e-3 to the right: its PT centre moves off the
+    # cell midpoint
+    field = susy_core.partner_field
+    monkeypatch.setattr(susy_core, "partner_field", lambda spec, which: (
+        lambda x: field(spec, which)(np.asarray(x) + 1e-3)))
+    gate = gates.pt_symmetry_wells()
+    assert gate.passed is False
+    assert gate.measured > 0.1
+
+
 def test_spectrum_q0_fails_a_misaligned_ladder():
     v1, v2 = gates.q0_spectra(counts=(4, 3), grid=1000)
     gate = gates.spectrum_q0(v1, v2)

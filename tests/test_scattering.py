@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
@@ -18,10 +18,8 @@ from susywell.errors import ConvergenceFailure
 from susywell.gates import ORACLE_TOL
 from susywell.scattering import (
     SERIES_GROWTH,
-    SERIES_MAX,
     SWEEP_HEADER,
     _constant_steps,
-    _series,
     barrier_sweep,
     plane_partner_sweep,
     square_barrier_transmission,
@@ -211,36 +209,34 @@ class TestTransferMatrix:
 
 
 class TestConstantStep:
-    def test_series_matches_numpy_trig(self):
-        # the real u axis on both sides of 0 and the circle |u| = SERIES_MAX
-        axis = np.geomspace(1e-12, SERIES_MAX, 200)
-        circle = SERIES_MAX * np.exp(2j * np.pi * np.arange(64) / 64)
-        u = np.concatenate([axis, -axis, circle]).astype(complex)
-        z = np.sqrt(u)
-        cosz, sinc = _series(u)
-        assert np.max(np.abs(cosz / np.cos(z) - 1.0)) <= 1e-15
-        assert np.max(np.abs(sinc / (np.sin(z) / z) - 1.0)) <= 1e-15
-
-    def test_series_of_one_energy_is_its_row_of_a_batch(self):
-        # numpy rounds a complex multiply of one element otherwise than of
-        # many unless both take the same broadcast, so a one-energy row of a
-        # complex field must get the bits it gets in any batch
-        rng = np.random.default_rng(7)
-        u = SERIES_MAX / 2 * (rng.uniform(-1, 1, 64) + 1j * rng.uniform(-1, 1, 64))
-        batch = _series(u)
-        for i in range(len(u)):
-            assert _series(u[i:i + 1]).tolist() == batch[:, i:i + 1].tolist()
+    @settings(max_examples=200, deadline=None)
+    @given(log_u=st.floats(-12.0, 3.0), phase=st.floats(-math.pi, math.pi),
+           log_width=st.floats(-3.0, 0.5))
+    @example(log_u=-math.inf, phase=0.0, log_width=0.0)  # E = V
+    def test_step_is_the_exponential_of_omega_at_any_u(self, log_u, phase, log_width):
+        # u = k^2 w^2 from 1e-12 to 1e3, across the old series cut at 0.04,
+        # held normwise on the dimensionless step diag(1, w) P diag(1, 1/w)
+        # to 1e-14 max(1, |z|): near a zero of sin z an entry's relative
+        # error is conditioning, and at |u| = 1e3 expm itself misses a
+        # 40-digit reference by up to 7e-14 (the kernel by 8e-15)
+        width = 10.0 ** log_width
+        ksq = 10.0 ** log_u * cmath.exp(1j * phase) / width ** 2
+        # an underflow of a tiny Im z is numpy's default "ignore"
+        with np.errstate(all="raise", under="ignore"):
+            got = step(0.0, width, ksq)
+        want = expm(np.array([[0.0, width], [-ksq * width, 0.0]]))
+        unit = np.array([[1.0, 1.0 / width], [width, 1.0]])
+        tol = 1e-14 * max(1.0, abs(cmath.sqrt(ksq) * width)) * np.max(np.abs(want * unit))
+        assert_allclose(got * unit, want * unit, rtol=0.0, atol=tol)
 
     def test_mixed_batch_matches_single_steps(self):
-        # thin steps (series) beside |u| >> 1 ones (trig) in one batch,
-        # E = V among them; no warning of any kind
+        # thin steps beside |u| >> 1 ones in one batch, E = V among them; no
+        # warning of any kind
         width, energy = 0.01, 2.0
         ksq = energy - np.array([2.0, 1e6, 2.5 + 1j, -1e6, 3.0 - 2e4j, 1.0, 2.0 + 1e5j])
         with np.errstate(all="raise"):
             batch = _constant_steps(ksq, width)
             alone = [_constant_steps(ksq[i:i + 1], width) for i in range(len(ksq))]
-        u = np.abs(ksq * width ** 2)
-        assert np.any(u <= SERIES_MAX) and np.any(u > 10.0)
         for i, entries in enumerate(alone):
             assert batch[..., i].tolist() == entries[..., 0].tolist()
 
@@ -265,9 +261,11 @@ class TestConstantStep:
         ([-40.0 + 8j, 60.0 - 30j, 30.0], False),
     ], ids=["series", "trig"])
     def test_step_is_the_exponential_of_omega(self, values, series):
+        # named for the sides of |u| = 0.04, where the kernel once took a
+        # series in u below and trig above
         width, energy = 0.1, 1.7
         ksq = energy - np.array(values)
-        assert np.all((np.abs(ksq * width ** 2) <= SERIES_MAX) == series)
+        assert np.all((np.abs(ksq * width ** 2) <= 0.04) == series)
         steps = _constant_steps(ksq, width)
         for i, k2 in enumerate(ksq):
             omega = np.array([[0.0, width], [-k2 * width, 0.0]])
@@ -294,7 +292,7 @@ class TestBarrierOracle:
         assert abs(res.flux_defect) < 1e-10
 
     def test_resonance_branch(self):
-        # E = V0 goes through the sinc limit in both code paths
+        # E = V0 goes through the sinc limit of the step and of the closed form
         res = barrier_sweep(4.0, 1.0, [4.0])[0]
         assert res.transmission == pytest.approx(T_RESONANCE_V4_A1, abs=1e-12)
         assert square_barrier_transmission(4.0, 1.0, 4.0) == pytest.approx(
@@ -534,7 +532,7 @@ def assert_same_outcome(got, want):
     assert (type(exc), str(exc)) == (type(ref_exc), str(ref_exc))
 
 
-# barrier energies: the series range about v0 and anywhere from near 0 to 40
+# barrier energies: |u| <= 0.04 about v0 and anywhere from near 0 to 40
 near_top = st.floats(-0.04, 0.04)
 far = st.floats(0.05, 40.0)
 
@@ -545,15 +543,17 @@ class TestEnergyBatches:
            picks=st.lists(st.one_of(st.tuples(st.just("near"), near_top),
                                     st.tuples(st.just("far"), far)), min_size=1, max_size=12))
     def test_barrier_sweep_is_the_one_energy_loop(self, v0, width, picks):
-        # unsorted, repeated, and series rows beside trig rows in one batch
+        # unsorted, repeated, and thin rows beside thick ones in one batch
         energies = [v0 + d / width ** 2 if kind == "near" else d for kind, d in picks]
         energies = [e if e > 0.0 else 0.05 for e in energies] + energies[:2]
         assert_same_outcome(outcome(lambda: barrier_sweep(v0, width, energies)),
                             one_at_a_time(lambda e: barrier_sweep(v0, width, [e])[0], energies))
 
     def test_barrier_batch_mixes_series_and_trig_rows(self):
+        # rows on both sides of |u| = 0.04, where the kernel once switched
+        # from a series in u to trig
         energies = [4.0, 1.0, 4.01, 9.0, 3.99, 1.0]
-        series = [abs((e - 4.0) * 1.3 ** 2) <= SERIES_MAX for e in energies]
+        series = [abs((e - 4.0) * 1.3 ** 2) <= 0.04 for e in energies]
         assert any(series) and not all(series)
         assert barrier_sweep(4.0, 1.3, energies) == [barrier_sweep(4.0, 1.3, [e])[0]
                                                       for e in energies]

@@ -65,14 +65,14 @@ ALLOW_LIST = ROOT / "tools" / "parent_diff_allow.txt"
 # pi/2 -+ pi, a q=0 tangent-well spectrum, a plane sweep on (0, 40 pi), 20
 # periods long, and a q=1 spectrum on the off-centre domain (0.3, 2.8),
 # whose diagonals are not PT-symmetric and so take the complex dense solve,
-# and a thin barrier in json (width 0.05, whose step takes the series branch
-# of the constant-step kernel and, at E = 4 = V, the sinc limit). Then three
-# sweeps that are refused (exit 2). Two are plane sweeps whose series grow
-# past their guard, each with several failing energies whose messages
-# differ, so the stderr shows which is reported first: at q = 20 all of
-# E = 0.5, 50, 2 and 60, at q = 200 all of E = 0.3, 0.25 and 0.5. The third
-# is a barrier of kappa w = 690 at E = 1e-20, which passes the step guard on
-# the trig branch and overflows in the free-wave match.
+# and a thin barrier in json (width 0.05, a thin constant step and, at
+# E = 4 = V, its sinc limit z = 0). Then three sweeps that are refused
+# (exit 2). Two are plane sweeps whose series grow past their guard, each
+# with several failing energies whose messages differ, so the stderr shows
+# which is reported first: at q = 20 all of E = 0.5, 50, 2 and 60, at
+# q = 200 all of E = 0.3, 0.25 and 0.5. The third is a barrier of
+# kappa w = 690 at E = 1e-20, which passes the step guard and overflows in
+# the free-wave match.
 # (name, arguments, expected exit code) each.
 COMMANDS = (
     ("figures", ["figures"], 0),
