@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 a physics gate failed, 2 a solver did not converge
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -86,7 +87,7 @@ def _parse_lower(key, raw):
 
 # key: (parser, default, help of its flag). Keys without a help text are
 # read from a config file only. Flags override the file, the file overrides
-# the per-command defaults below, and those override the defaults here.
+# the defaults of the command (COMMANDS), and those override the defaults here.
 CONFIG_KEYS = {
     "family": (_parse_text, "cotangent_well", "Potential family name."),
     "k": (_parse_float, 1.0, "Well depth scale."),
@@ -106,12 +107,6 @@ CONFIG_KEYS = {
     "barrier_width": (_parse_float, gates.BARRIER_WIDTH, None),
     "exploratory_grids": (_list_of(_parse_int, "integers"), gates.EXPLORATORY_GRIDS, None),
     "partner": (_parse_text, "v1", None),
-}
-
-_COMMAND_DEFAULTS = {
-    "figures": {"q": gates.FIGURE_Q},
-    "spectrum": {"format": "json"},
-    "scatter": {"q": 1.0, "family": "plane_right"},
 }
 
 
@@ -145,7 +140,7 @@ def build_config(command, flags):
     flag set) and `spec` (None for the barrier); a `spectrum` gets its
     `cell`, at q != 0 its `eps_values`, and a plane `scatter` its `window`."""
     cfg = SimpleNamespace(command=command, **{key: spec[1] for key, spec in CONFIG_KEYS.items()})
-    vars(cfg).update(_COMMAND_DEFAULTS.get(command, {}))
+    vars(cfg).update(COMMANDS[command][1])
     from_file = load_config_file(flags["config"]) if flags.get("config") else {}
     from_flags = {key: value for key, value in flags.items()
                   if key in CONFIG_KEYS and value is not None}
@@ -392,9 +387,21 @@ def run_scatter(cfg):
 # ---------------------------------------------------------------------------
 # click wiring
 
-def _execute(command, impl, flags):
+# name: (run, the defaults it sets over those of CONFIG_KEYS, help)
+COMMANDS = {
+    "figures": (run_figures, {"q": gates.FIGURE_Q},
+                "Tabulate both well potentials next to their real baselines."),
+    "spectrum": (run_spectrum, {"format": "json"},
+                 "Solve the box spectrum, gated for q=0, recorded for complex q."),
+    "verify": (run_verify, {}, "Run every physics gate and write verify.json."),
+    "scatter": (run_scatter, {"q": 1.0, "family": "plane_right"},
+                "Sweep transmission through a barrier or a travelling wave potential."),
+}
+
+
+def _execute(command, **flags):
     try:
-        ok = impl(build_config(command, flags))
+        ok = COMMANDS[command][0](build_config(command, flags))
     except ConfigError as exc:
         _echo(f"config error: {exc}", err=True)
         sys.exit(3)
@@ -441,32 +448,8 @@ def main():
     """Complex supersymmetric well toolkit."""
 
 
-@main.command()
-@shared_options
-def figures(**flags):
-    """Tabulate both well potentials next to their real baselines."""
-    _execute("figures", run_figures, flags)
-
-
-@main.command()
-@shared_options
-def spectrum(**flags):
-    """Solve the box spectrum, gated for q=0, recorded for complex q."""
-    _execute("spectrum", run_spectrum, flags)
-
-
-@main.command()
-@shared_options
-def verify(**flags):
-    """Run every physics gate and write verify.json."""
-    _execute("verify", run_verify, flags)
-
-
-@main.command()
-@shared_options
-def scatter(**flags):
-    """Sweep transmission through a barrier or a travelling wave potential."""
-    _execute("scatter", run_scatter, flags)
+for _name, (_, _, _help) in COMMANDS.items():
+    main.command(_name, help=_help)(shared_options(functools.partial(_execute, _name)))
 
 
 if __name__ == "__main__":

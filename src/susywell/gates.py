@@ -43,6 +43,8 @@ RESIDUAL_STEP = 2e-3
 DECAY_MIN = 10.0
 DENSITY_TOL = 1e-12
 ASYMMETRY_TOL = 1e-12
+# the PT asymmetry about the cell midpoint plus 1/100 of the cell must exceed this
+PT_CONTROL_MIN = 1.0
 # q = 0 box levels, each times max(1, k^2): raw finest grid, extrapolated,
 # and V2 level j against V1 level j + 1
 RAW_TOL = 1e-3
@@ -185,8 +187,10 @@ def ground_state_residual():
 
 
 def density_equality():
-    """|psi|^2 of both well ground states does not depend on q in {1, 2, 5},
-    on the cell padded by 1/100 and by 1/1000 of its width."""
+    """|psi|^2 of both well ground states at q in {0, 1, 2, 5} is its closed
+    form |sin alpha x|^(2k/alpha) (cotangent well) or |cos alpha x|^(2k/alpha)
+    (tangent well), and so does not depend on q, on the cell padded by 1/100
+    and by 1/1000 of its width."""
     gaps = []
     for fam in WELL_FAMILIES:
         base = SuperpotentialSpec(fam, 1.0)
@@ -194,10 +198,11 @@ def density_equality():
         span = hi - lo
         xs = np.union1d(np.linspace(lo + span / 100, hi - span / 100, 2000),
                         np.linspace(lo + span / 1000, hi - span / 1000, 2000))
-        rho0 = states.probability_density(base, xs)
-        for q in (1.0, 2.0, 5.0):
+        modulus = np.sin if fam is Family.COTANGENT_WELL else np.cos
+        exact = np.abs(modulus(base.alpha * xs)) ** (2 * base.k / base.alpha)
+        for q in (0.0, 1.0, 2.0, 5.0):
             rho = states.probability_density(SuperpotentialSpec(fam, 1.0, q), xs)
-            gaps.append(np.max(np.abs(rho - rho0)))
+            gaps.append(np.max(np.abs(rho - exact)))
     worst = _worst(gaps)
     return Gate("density_equality", bool(worst < DENSITY_TOL), worst, DENSITY_TOL,
                 f"max gap {worst:.3e}")
@@ -205,20 +210,27 @@ def density_equality():
 
 def pt_symmetry_wells():
     """V1 and V2 of both wells at q in {1, 2} are PT-symmetric about the
-    cell midpoint, sampled on the middle 80% of the cell."""
-    asymmetries = []
+    cell midpoint, sampled on the middle 80% of the cell, and, as a control
+    that a blind checker fails, far from PT-symmetric about the midpoint
+    plus 1/100 of the cell."""
+    asymmetries, controls = [], []
     for fam in WELL_FAMILIES:
         lo, hi = susy_core.fundamental_cell(SuperpotentialSpec(fam, 1.0))
-        span = hi - lo
+        span, mid = hi - lo, 0.5 * (lo + hi)
         window = np.linspace(lo + span / 10, hi - span / 10, 500)
         for q in (1.0, 2.0):
             spec = SuperpotentialSpec(fam, 1.0, q)
             for which in Partner:
                 field = susy_core.partner_field(spec, which)
-                asymmetries.append(states.pt_asymmetry(field, 0.5 * (lo + hi), window))
+                asymmetries.append(states.pt_asymmetry(field, mid, window))
+                controls.append(states.pt_asymmetry(field, mid + span / 100, window))
     worst = _worst(asymmetries)
-    return Gate("pt_symmetry_wells", bool(worst < ASYMMETRY_TOL), worst, ASYMMETRY_TOL,
-                f"max asymmetry {worst:.3e}")
+    # the least control reading; a nan fails
+    control = -_worst(np.negative(controls))
+    passed = bool(worst < ASYMMETRY_TOL and control > PT_CONTROL_MIN)
+    return Gate("pt_symmetry_wells", passed, worst, ASYMMETRY_TOL,
+                f"max asymmetry {worst:.3e}, off-centre control {control:.3e} "
+                f"(needs > {PT_CONTROL_MIN:g})")
 
 
 def q0_spectra(spec=Q0_SPEC, cell=None, counts=(COUNT + 1, COUNT), grid=GRID):

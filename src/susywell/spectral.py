@@ -5,29 +5,29 @@ implicit in the truncation. Both eigen paths locate the lowest levels,
 refine each one by O(n) inverse iteration on the tridiagonal H, and report
 its Rayleigh quotient on H; the residual gate is measured against H.
 
-Purely real diagonals take the symmetric path, which first puts each of
-the `count` lowest levels in a bracket that holds no other level. With a
-prediction of the levels, the brackets are the cells between cuts placed
-midway between consecutive predicted levels and half the last predicted
-spacing above the top one. One Sturm count at the top cut (LAPACK stebz
-over a value range, with a tolerance as wide as the range, so that it
-counts and does not bisect) must find exactly `count` levels below it, so
-the `count` cells hold `count` levels between them. The certificate of
-inverse iteration (below) then puts a level in every cell, so each cell
-holds exactly one, and the level in cell j is level j. A wrong prediction
-leaves some cell empty, and the level of an empty cell cannot be certified. Without a prediction, or
-when the count or a certificate refutes it, Sturm bisection (stebz) to the
-coarse width BRACKET_TOL, or 8 eps ||H||_inf where that is wider (stebz
-resolves no finer), places each level, and the level above them, in a
-bracket. Inverse iteration starts from the predicted level or the bracket
-midpoint and then shifts to the latest Rayleigh quotient while that stays
-in the bracket. It stops when the Rayleigh quotient lies in its bracket,
-the Kato-Temple bound |r|^2 / gap, with gap the distance to the
-neighbouring brackets, certifies it to eps ||H||_inf (Parlett, The
-Symmetric Eigenvalue Problem, 1998, sections 10.5-10.6), and the residual
-r has come down to the rounding level sqrt(n) eps ||H||_inf. A predicted
-bracket whose level is not certified within MAX_SOLVES solves sends the
-grid to bisection; a bisected level that is not certified raises
+Purely real diagonals take the symmetric path, which puts each of the
+`count` lowest levels in a cell between cuts, by one rule on every grid.
+With a prediction of the levels, the cuts lie midway between consecutive
+predicted levels and half the last predicted spacing above the top one,
+and one Sturm count at the top cut (LAPACK stebz over a value range, with
+a tolerance as wide as the range, so that it counts and does not bisect)
+must find exactly `count` levels below it. Without a prediction, or when
+the count or a certificate refutes it, one Sturm bisection (stebz) locates
+the `count + 1` lowest levels to 8 eps ||H||_inf, the finest width stebz
+resolves, and the cuts lie midway between consecutive located levels.
+Either way the `count` cells hold `count` levels between them. The
+certificate of inverse iteration (below) then puts a level in every cell,
+so each cell holds exactly one, and the level in cell j is level j. A
+wrong prediction leaves some cell empty, and the level of an empty cell
+cannot be certified. Inverse iteration starts from the predicted or
+located level and then shifts to the latest Rayleigh quotient while that
+stays in the cell. It stops when the Rayleigh quotient lies in its cell,
+the Kato-Temple bound |r|^2 / gap, with gap the distance to the nearer
+edge of the cell, certifies it to eps ||H||_inf (Parlett, The Symmetric
+Eigenvalue Problem, 1998, sections 10.5-10.6), and the residual r has come
+down to the rounding level sqrt(n) eps ||H||_inf. A predicted cell whose
+level is not certified within MAX_SOLVES solves sends the grid to
+bisection; a bisected level that is not certified raises
 ConvergenceFailure. Either eigen path prepares one solver per grid
 (_shifted_solver): it looks up the LAPACK routines once, and the one
 off-diagonal band it is given also serves the Sturm counts and bisections
@@ -87,8 +87,6 @@ RESIDUAL_TOL = 1e-8
 # a diagonal within this distance of its PT mirror, relative to max|d|, is
 # PT-symmetric (sampling a symmetric potential at mirrored nodes leaves ~1e-13)
 PT_TOL = 1e-11
-# absolute width to which Sturm bisection locates the symmetric levels
-BRACKET_TOL = 1e-2
 # inverse iteration solves allowed per symmetric level before it must be certified
 MAX_SOLVES = 6
 
@@ -217,7 +215,7 @@ def eigenvalues(ham: DiscretizedHamiltonian, count: int, *, guess=None,
     A purely real diagonal takes the certified symmetric path of
     _symmetric_eigenpairs, any other the dense path of _dense_eigenpairs.
     guess, `count` predicted levels, lets the symmetric path confirm
-    brackets by Sturm counts instead of bisecting for them, and vectors,
+    cells by a Sturm count instead of bisecting for them, and vectors,
     one start vector per level, starts inverse iteration on each predicted
     level (see _resampled: a vector may come from a grid of another size on
     the same interval); the dense path uses neither.
@@ -255,14 +253,12 @@ def _symmetric_eigenpairs(ham: DiscretizedHamiltonian, count: int, guess=None, v
     H, each certified to eps max(1, ||H||_inf) (see the module docstring).
 
     A guess whose top cut the Sturm count confirms gives level j the cell
-    between cuts j and j + 1, counted from 1 (level 0's cell is unbounded
-    below), and _certify proves that each cell holds its level, starting
-    inverse iteration from vectors when given. Otherwise bisection to
-    tol = max(BRACKET_TOL, 8 eps ||H||_inf) places level j within tol/2 of
-    its centre c_j, so the bracket [c_j - tol, c_j + tol] holds it with
-    room for the rounding of the Sturm counts; centres closer than 4 tol
-    are located again at a sixteenth of their spacing, but not below
-    8 eps ||H||_inf.
+    between cuts j - 1 and j (level 0's cell is unbounded below), and
+    _certify proves that each cell holds its level, starting inverse
+    iteration from vectors when given. Otherwise one bisection to
+    8 eps ||H||_inf locates the count + 1 lowest levels, the cuts go
+    midway between consecutive ones, and _certify starts level j from
+    located level j.
     """
     from scipy.linalg.lapack import get_lapack_funcs
 
@@ -275,50 +271,45 @@ def _symmetric_eigenpairs(ham: DiscretizedHamiltonian, count: int, guess=None, v
         cuts = _confirmed_cuts(diagonal, band, guess, stebz)
         if cuts is not None:
             try:
-                return _certify(ham, solve, guess, np.concatenate(([-np.inf], cuts)), cuts,
-                                vectors)
+                return _certify(ham, solve, guess, cuts, vectors)
             except ConvergenceFailure:
                 pass  # bisect this grid after all
-    located = min(count + 1, ham.grid.n_interior)
-    tol = max(BRACKET_TOL, 8 * ham.pivot_floor)
-    centres = _bisect(diagonal, band, located, tol, stebz)
-    closest = np.min(np.diff(centres), initial=np.inf)
-    if closest < 4 * tol:
-        tol = max(closest / 16, 8 * ham.pivot_floor)
-        centres = _bisect(diagonal, band, located, tol, stebz)
-    return _certify(ham, solve, centres[:count], centres - tol, centres[:count] + tol)
+    levels = _bisect(diagonal, band, min(count + 1, ham.grid.n_interior),
+                     8 * ham.pivot_floor, stebz)
+    return _certify(ham, solve, levels[:count], (levels[:-1] + levels[1:]) / 2)
 
 
-def _certify(ham: DiscretizedHamiltonian, solve, shifts, lower, upper, vectors=None):
+def _certify(ham: DiscretizedHamiltonian, solve, shifts, cuts, vectors=None):
     """(w, residuals, eigenvectors) of the levels j < len(shifts), level j
-    in its bracket [lower[j], upper[j]] and the other levels outside it,
-    below upper[j - 1] and above lower[j + 1] (inf where there is none);
-    inverse iteration on level j solves with solve, the grid's
-    _shifted_solver, and starts from the shift shifts[j] and from vectors[j]
-    resampled onto the grid, or without vectors from the seeded draw
-    default_rng(0).standard_normal(n), so reruns agree.
+    in its cell between cuts[j - 1] and cuts[j] (-inf below level 0, inf
+    above the last cut) and the other levels outside it; inverse iteration
+    on level j solves with solve, the grid's _shifted_solver, and starts
+    from the shift shifts[j] and from vectors[j] resampled onto the grid,
+    or without vectors from the seeded draw default_rng(0).standard_normal(n),
+    so reruns agree.
 
-    If rho_j lies in its bracket and |r|^2 <= eps ||H|| gap, gap > eps ||H||
-    being the distance from rho_j to the neighbouring edges, then |r| < gap,
-    so the level within |r| of rho_j is level j and no other level lies in
-    that interval; Kato-Temple then gives |lambda_j - rho_j| <= |r|^2 / gap.
-    The residual bound sqrt(n) eps ||H|| asks the same of the vector, which
-    the certificate alone accepts with a residual up to sqrt(eps ||H|| gap).
-    Raises ConvergenceFailure for a level not certified within MAX_SOLVES.
+    If rho_j lies in its cell and |r|^2 <= eps ||H|| gap, gap > eps ||H||
+    being the distance from rho_j to the nearer edge of the cell, then
+    |r| < gap, so the level within |r| of rho_j lies in the cell and no
+    other level lies in that interval; Kato-Temple then gives
+    |lambda_j - rho_j| <= |r|^2 / gap for that level. The residual bound
+    sqrt(n) eps ||H|| asks the same of the vector, which the certificate
+    alone accepts with a residual up to sqrt(eps ||H|| gap). Raises
+    ConvergenceFailure for a level not certified within MAX_SOLVES.
 
-    For the cells of a confirmed prediction, the one Sturm count at the top
-    cut says only that they hold len(shifts) levels between them, not one
-    each. The test above suffices: a certified cell holds a level within
-    |r| < gap of rho_j, so len(shifts) certified cells hold one level each,
-    and cell j holds level j. An empty cell cannot be certified, since a
-    residual below the gap would put a level inside it.
+    The cells need not be known to hold one level each. A certified cell
+    holds a level within |r| < gap of rho_j, so if len(shifts) certified
+    cells hold len(shifts) levels between them, as the one Sturm count at
+    the top cut of a prediction or a bisection of the lowest levels says,
+    they hold one level each, and cell j holds level j. An empty cell
+    cannot be certified, since a residual below the gap would put a level
+    inside it.
     """
     n = ham.grid.n_interior
     count = len(shifts)
     diagonal = ham.diagonal.real
     floor = ham.pivot_floor
-    below = np.concatenate(([-np.inf], upper[:count - 1]))
-    above = np.concatenate((lower[1:], [np.inf]))[:count]
+    edges = np.concatenate(([-np.inf], cuts, [np.inf]))
     starts = ([np.random.default_rng(0).standard_normal(n)] * count if vectors is None
               else _resampled(vectors, ham.grid))
     w = np.empty(count)
@@ -332,17 +323,15 @@ def _certify(ham: DiscretizedHamiltonian, solve, shifts, lower, upper, vectors=N
             rho = float(vec @ hv)
             hv -= rho * vec
             resid = math.sqrt(hv @ hv)
-            gap = min(rho - below[j], above[j] - rho)
-            in_bracket = lower[j] <= rho <= upper[j]
-            if (in_bracket and gap > floor and resid**2 <= floor * gap
-                    and resid <= math.sqrt(n) * floor):
+            gap = min(rho - edges[j], edges[j + 1] - rho)
+            if gap > floor and resid**2 <= floor * gap and resid <= math.sqrt(n) * floor:
                 break
-            if in_bracket:
+            if gap >= 0:  # rho lies in the cell
                 shift = rho
         else:
             raise ConvergenceFailure(
                 f"level {j} not certified after {MAX_SOLVES} inverse iteration solves "
-                f"(n = {n}, bracket [{float(lower[j])!r}, {float(upper[j])!r}], "
+                f"(n = {n}, cell [{float(edges[j])!r}, {float(edges[j + 1])!r}], "
                 f"Rayleigh quotient {rho!r}, residual {resid!r}, gap {float(gap)!r})")
         w[j] = rho
         residuals[j] = resid
@@ -394,14 +383,14 @@ def _confirmed_cuts(diagonal: np.ndarray, band: np.ndarray, guess: np.ndarray, s
 
 
 def _bisect(diagonal: np.ndarray, band: np.ndarray, levels: int, tol: float, stebz):
-    """Centres of the `levels` lowest eigenvalues by Sturm bisection to tol,
-    band being the off-diagonal: one stebz call over the index range
+    """The `levels` lowest eigenvalues by Sturm bisection to tol, band
+    being the off-diagonal: one stebz call over the index range
     1..levels, in ascending order."""
-    found, centres, *_, info = stebz(diagonal, band, 2, 0.0, 1.0, 1, levels, tol, "E")
+    found, located, *_, info = stebz(diagonal, band, 2, 0.0, 1.0, 1, levels, tol, "E")
     if info:
         raise ConvergenceFailure(f"tridiagonal bisection of {levels} levels failed "
                                  f"(n = {diagonal.size}): stebz info {info}")
-    return centres[:found]
+    return located[:found]
 
 
 def _dense_eigenpairs(ham: DiscretizedHamiltonian, count: int):

@@ -156,8 +156,8 @@ class TestSpectrum:
             assert len(read_json(tmp_path / f"{name}_spectrum.json")["eigenvalues"]) == 4
 
     def test_narrow_custom_domain_is_solved(self, runner, tmp_path):
-        # a box 1e-4 wide: eps ||H||_inf of its grids is above the 1e-2
-        # bracket width that bisection would otherwise ask stebz for
+        # a box 1e-4 wide: eps ||H||_inf of its grids is above 1e-2, and
+        # bisection to 8 eps ||H||_inf still separates its levels
         conf = tmp_path / "run.conf"
         conf.write_text("x_min=0.5\nx_max=0.5001\n")
         res = runner.invoke(main, ["spectrum", "--q", "0", "--config", str(conf),

@@ -198,6 +198,15 @@ def test_a_nan_asymmetry_in_a_later_case_fails_pt_symmetry_wells(monkeypatch):
     assert math.isnan(gate.measured)
 
 
+def test_a_nan_control_in_a_later_case_fails_pt_symmetry_wells(monkeypatch):
+    # call 4 is the off-centre control of the second partner
+    nan_on_call(monkeypatch, states, "pt_asymmetry", 4, lambda asym: math.nan)
+    gate = gates.pt_symmetry_wells()
+    assert gate.passed is False
+    assert gate.measured < gate.bound
+    assert "off-centre control nan" in gate.detail
+
+
 def exact_q0_reports():
     """Reports of V1 (4 levels) and V2 (3 levels) that hold the exact q = 0
     ladder of k = alpha = 1, as spectrum_q0 reads them."""

@@ -115,6 +115,11 @@ def q0_density(mp):
     mp.setattr(states, "probability_density", lambda spec, x: density(replace(spec, q=0.0), x))
 
 
+def unsquared_density(mp):
+    mp.setattr(states, "probability_density",
+               lambda spec, x: np.abs(states.eval_wavefunction(spec, x)))
+
+
 def detune_constraint(mp):
     check = susy_core.check_shape_invariance
     mp.setattr(susy_core, "check_shape_invariance",
@@ -165,17 +170,14 @@ def failures():
     (conjugate_v1, ("shape_invariance", "ground_state_residual")),
     # both decay residuals read 0, and their 0/0 ratio fails
     (zero_residual, "ground_state_residual"),
+    # the off-centre control reads 0 and fails
+    (zero_asymmetry, "pt_symmetry_wells"),
+    (unsquared_density, "density_equality"),
     pytest.param(two_term_richardson, None, marks=pytest.mark.xfail(strict=True, reason=(
         "survives: the q = 0 levels extrapolate to 6.6e-11 (1.0e-11 from three terms), "
         "inside the 1e-6 bound; a spectrum_q0 extrapolated bound below 6e-11 kills it"))),
     pytest.param(conjugate_dense_levels, None, marks=pytest.mark.xfail(strict=True, reason=(
         "survives: verify solves no q != 0 spectrum; a gate on one would kill it"))),
-    pytest.param(zero_asymmetry, None, marks=pytest.mark.xfail(strict=True, reason=(
-        "survives: pt_symmetry_wells trusts the checker it calls; a negative control "
-        "in the gate, the PT check of a well off its centre failing, kills it"))),
-    pytest.param(q0_density, None, marks=pytest.mark.xfail(strict=True, reason=(
-        "survives: density_equality compares two calls of the density it mutates; |psi|^2 "
-        "held in the gate to its closed form, a power of sin or cos, kills it"))),
 ], ids=lambda value: "+".join(value) if isinstance(value, tuple) else None)
 def test_mutant_is_killed(monkeypatch, mutant, killer):
     # killer names the gate, or a tuple the gates, that the mutant must fail
@@ -190,4 +192,11 @@ def test_a_global_q_flip_is_equivalent(monkeypatch):
     # V(x; -q) = conj V(x; q) for the wells and V_R(x; -q) = V_R(x + pi/alpha; q)
     # for the planes, so no check of a spectrum or of a sweep can see it
     flip_q_everywhere(monkeypatch)
+    assert failures() == []
+
+
+def test_the_q0_density_is_equivalent(monkeypatch):
+    # |psi|^2 does not depend on q, so the density of the q = 0 state is the
+    # density at every q, and density_equality reads the same closed form
+    q0_density(monkeypatch)
     assert failures() == []

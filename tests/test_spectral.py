@@ -362,11 +362,26 @@ class TestPredictedBrackets:
         assert bisections == []
         assert gates.spectrum_q0(v1, v2, spec.k, spec.alpha).passed
 
-    def test_custom_domain_ladder_bisects_its_first_grid(self, bisections):
-        spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 0.0)
-        gates.q0_spectra(spec, (0.3, 2.8), counts=(4, 4), grid=2000)
+    @pytest.mark.parametrize("k, cell, count, grid", [
+        (1.0, (0.3, 2.8), 4, 2000),
+        # close levels, about 3.5e-4 apart
+        (0.01, (10.0, 300.0), 8, 4000),
+    ])
+    def test_custom_domain_ladder_bisects_its_first_grid(self, bisections, k, cell, count,
+                                                         grid):
+        spec = SuperpotentialSpec(Family.COTANGENT_WELL, k, 0.0)
+        reports = gates.q0_spectra(spec, cell, counts=(count, count), grid=grid)
         # one bisection per partner's ladder, on its coarsest grid
         assert len(bisections) == 2
+        eps = np.finfo(np.float64).eps
+        for which, rep in zip(Partner, reports):
+            for n, grid_rep in zip((grid // 4, grid // 2, grid), rep.per_grid):
+                ham = discretize(partner_field(spec, which), Grid1D(*cell, n))
+                reference = eigh_tridiagonal(ham.diagonal.real, np.full(n - 1, ham.off_diagonal),
+                                             eigvals_only=True, select="i",
+                                             select_range=(0, count - 1))
+                assert (np.max(np.abs(grid_rep.eigenvalues.real - reference))
+                        <= 4 * eps * ham.norm_inf)
 
     @pytest.mark.parametrize("case", ["half_a_spacing_up", "skips_a_level", "alpha_ignored"])
     def test_wrong_ladder_guess_keeps_every_grid(self, bisections, monkeypatch, case):
