@@ -1,7 +1,7 @@
 """Complexified SUSY quantum mechanics for the 1-D square well and barrier.
 
 Modules:
-  susy_core   superpotential families, partner potentials, shape invariance
+  susy_core   superpotential families, partner potentials, the ladder step
   states      closed-form ground states and ladder energies, densities,
               PT and residual checks
   spectral    finite-difference spectra, Richardson refinement
@@ -15,15 +15,12 @@ from .errors import ConfigError, ConvergenceFailure, SusywellError
 from .susy_core import (
     Family,
     Partner,
-    ShapeInvarianceResult,
     SuperpotentialSpec,
-    check_shape_invariance,
     default_exclusion,
     eval_partner,
     eval_superpotential,
     fundamental_cell,
     partner_field,
-    remainder,
     singularity_distance,
 )
 from .states import (

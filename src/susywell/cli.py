@@ -46,8 +46,8 @@ PARTNER_TOKENS = {"v1": Partner.V1, "v2": Partner.V2}
 # stays fixed: 1 GiB admits n up to 5792.
 DENSE_MEMORY_LIMIT = 1 << 30
 
-# the default `scatter` energies, in units of |barrier_v0| or of k^2
-BARRIER_ENERGIES = (0.1, 0.25, 0.5, 0.75, 0.9, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0)
+# the default plane `scatter` energies, in units of k^2 (a barrier's are
+# gates.BARRIER_MULTIPLES, in units of |barrier_v0|)
 PLANE_ENERGIES = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
 
 
@@ -256,8 +256,8 @@ def _validate(cfg):
         cfg.window = ((cfg.window_min, cfg.window_max) if cfg.window_min is not None
                       else (0.0, 2 * math.pi / cfg.k))
     if cfg.command == "scatter" and not cfg.energies:
-        scale, multiples = ((abs(cfg.barrier_v0), BARRIER_ENERGIES) if cfg.family == "barrier"
-                            else (cfg.k ** 2, PLANE_ENERGIES))
+        scale, multiples = ((abs(cfg.barrier_v0), gates.BARRIER_MULTIPLES)
+                            if cfg.family == "barrier" else (cfg.k ** 2, PLANE_ENERGIES))
         cfg.energies = tuple(m * scale for m in multiples)
     for e in cfg.energies:
         if e <= 0:

@@ -18,7 +18,7 @@ the left plane is the complex conjugate of the right one.
 Partner potentials follow the usual factorization V_{1,2} = W^2 -/+ W'
 (upper sign is V1). The parameter step is alpha (defaults to k); stepping
 k -> k + alpha in V1 reproduces V2 up to the constant remainder
-alpha(alpha + 2k), which is what check_shape_invariance verifies.
+alpha(alpha + 2k), which gates.shape_invariance verifies.
 """
 
 from __future__ import annotations
@@ -150,11 +150,11 @@ def _on_twin(spec: SuperpotentialSpec, x, form):
     return values.item() if np.ndim(x) == 0 else values
 
 
-def _constraint_terms(twin: SuperpotentialSpec, ys: np.ndarray, frequency: float):
-    """(f, f', sin(a y), cos(a y)) of a cotangent well, a = frequency alpha,
-    each trig function evaluated once, f and f' real; a right plane gives
+def _constraint_terms(twin: SuperpotentialSpec, ys: np.ndarray):
+    """(f, f', sin(a y), cos(a y)) of a cotangent well, a = alpha, each trig
+    function evaluated once, f and f' real; a right plane gives
     (f, f', None, None), complex, from one exp(-i a y)."""
-    a = frequency * twin.alpha
+    a = twin.alpha
     if twin.family is Family.COTANGENT_WELL:
         sin, cos = np.sin(a * ys), np.cos(a * ys)
         # d/dy [q csc(ay)] = -q a csc(ay) cot(ay)
@@ -165,7 +165,7 @@ def _constraint_terms(twin: SuperpotentialSpec, ys: np.ndarray, frequency: float
 
 def _superpotential(twin: SuperpotentialSpec, ys: np.ndarray):
     """W of a cotangent well, -k cot(a y) + i f, or a right plane, -ik + f."""
-    f, _, sin, cos = _constraint_terms(twin, ys, 1.0)
+    f, _, sin, cos = _constraint_terms(twin, ys)
     if twin.family is Family.COTANGENT_WELL:
         return -twin.k * cos / sin + 1j * f
     return -1j * twin.k + f
@@ -179,9 +179,7 @@ def eval_superpotential(spec: SuperpotentialSpec, x):
     return _on_twin(spec, x, _superpotential)
 
 
-def _partner_values(
-    twin: SuperpotentialSpec, which: Partner, ys: np.ndarray, frequency: float
-) -> np.ndarray:
+def _partner_values(twin: SuperpotentialSpec, which: Partner, ys: np.ndarray) -> np.ndarray:
     """Expanded closed forms of V_{1,2} for arbitrary alpha and constraint.
 
     Cotangent well (f = q csc(alpha y) real, upper sign V1):
@@ -194,13 +192,10 @@ def _partner_values(
     """
     sgn = -1.0 if which is Partner.V1 else 1.0  # sign in front of f' / alpha
     k, alpha = twin.k, twin.alpha
-    f, fp, sin, cos = _constraint_terms(twin, ys, frequency)
+    f, fp, sin, cos = _constraint_terms(twin, ys)
     # at a scalar y, f ** 2 of a 0-d array and of a numpy scalar can differ in the last bit
     f = np.asarray(f)
     if twin.family is Family.COTANGENT_WELL:
-        if frequency != 1.0:
-            # the negative control detunes the constraint, not the well
-            sin, cos = np.sin(alpha * ys), np.cos(alpha * ys)
         values = np.empty(f.shape, dtype=np.complex128)
         values.real = k * (k + sgn * alpha) * (1.0 / sin**2) - k**2 - f**2
         # + 0.0 turns -0 into +0 (at q = 0 the products are signed zeros)
@@ -218,42 +213,7 @@ def eval_partner(spec: SuperpotentialSpec, which: Partner, x):
     (the tangent pair is this one at x + pi/(2k)), and the right plane gives
     -k^2 + q^2 e^{-2ikx} + i q k (+/-1 - 2) e^{-ikx}, the left one its conjugate.
     """
-    return _on_twin(spec, x, lambda twin, ys: _partner_values(twin, which, ys, 1.0))
-
-
-def remainder(spec: SuperpotentialSpec, x, constraint_frequency: float = 1.0):
-    """Shape-invariance remainder R(x) = V2(k; x) - V1(k + alpha; x).
-
-    For the physical constraint the x-dependent bracket cancels and
-    R = alpha(alpha + 2k) identically (= 3k^2 at alpha = k). A perturbed
-    constraint_frequency breaks the cancellation; that path is the
-    negative control used by the verification suite.
-    """
-    return _on_twin(spec, x, lambda twin, ys: (
-        _partner_values(twin, Partner.V2, ys, constraint_frequency)
-        - _partner_values(twin.shifted(), Partner.V1, ys, constraint_frequency)))
-
-
-@dataclass(frozen=True)
-class ShapeInvarianceResult:
-    """Constancy statistics of the remainder over a sample set."""
-
-    mean: complex
-    max_abs_deviation: float
-
-
-def check_shape_invariance(
-    spec: SuperpotentialSpec, sample_points, constraint_frequency: float = 1.0
-) -> ShapeInvarianceResult:
-    """Mean of R(x) over sample_points and its largest deviation from
-    it; the caller holds the deviation to its own bound (gates.SHAPE_TOL).
-    """
-    xs = np.asarray(sample_points, dtype=np.float64)
-    if xs.size == 0:
-        raise ValueError("sample_points must be non-empty")
-    r = np.asarray(remainder(spec, xs, constraint_frequency))
-    mean = complex(np.mean(r))
-    return ShapeInvarianceResult(mean, float(np.max(np.abs(r - mean))))
+    return _on_twin(spec, x, lambda twin, ys: _partner_values(twin, which, ys))
 
 
 def pole_coupling(spec: SuperpotentialSpec) -> complex:

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 import weakref
+from dataclasses import replace
 
 import click
 import pytest
@@ -631,7 +632,6 @@ class TestVerify:
         assert report["passed"] is True
         assert all(c["passed"] for c in report["checks"])
         names = {c["name"] for c in report["checks"]}
-        assert "negative_control_fails" in names
         assert "flux_conservation" in names
         # the truncated-box spectra come from `spectrum --q 2`, not verify
         exploratory = report["exploratory"]
@@ -645,17 +645,19 @@ class TestVerify:
             in res.output
 
     def test_negative_control_flips_exit_code(self, runner, tmp_path, monkeypatch):
-        # every shape invariance check detuned to frequency 2
-        check = susy_core.check_shape_invariance
-        monkeypatch.setattr(susy_core, "check_shape_invariance",
-                            lambda spec, xs, constraint_frequency=1.0: check(spec, xs, 2.0))
+        # every step up the ladder goes k -> k + 2 alpha
+        monkeypatch.setattr(susy_core.SuperpotentialSpec, "shifted",
+                            lambda spec: replace(spec, k=spec.k + 2 * spec.alpha))
         res = runner.invoke(main, ["verify", "--out", str(tmp_path)])
         assert res.exit_code == 1
         report = read_json(tmp_path / "verify.json")
         assert report["passed"] is False
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["shape_invariance"]["passed"] is False
-        assert by_name["negative_control_fails"]["passed"] is True
+        # the unshifted control takes no step and still reads above its minimum
+        control = float(re.search(r"unshifted control (\S+) \(needs > 1\)",
+                                  by_name["shape_invariance"]["detail"]).group(1))
+        assert control > gates.CONTROL_MIN
 
     def test_barrier_keys_leave_the_report_unchanged(self, runner, tmp_path):
         # verify gates the default barrier; scatter --family barrier gates any other
@@ -672,12 +674,13 @@ class TestVerify:
         assert res.exit_code == 0, res.output
         report = read_json(tmp_path / "verify.json")
         assert [c["name"] for c in report["checks"]] == [
-            "shape_invariance", "negative_control_fails", "ground_state_residual",
-            "density_equality", "pt_symmetry_wells", "spectrum_q0",
-            "flux_conservation", "barrier_oracle", "figure_determinism",
-            "partner_intertwining"]
+            "shape_invariance", "ground_state_residual", "density_equality",
+            "pt_symmetry_wells", "spectrum_q0", "flux_conservation", "barrier_oracle",
+            "figure_determinism", "partner_intertwining"]
         for check in report["checks"]:
             assert math.isfinite(check["measured"]) and math.isfinite(check["bound"])
+            # one report rule: a passing check measures below its bound
+            assert check["measured"] < check["bound"], check
 
     def test_claims_name_every_check_once(self, runner, tmp_path):
         res = runner.invoke(main, ["verify", "--out", str(tmp_path)])

@@ -14,15 +14,10 @@ from susywell.spectral import richardson_spectrum
 from susywell.susy_core import Family, Partner, SuperpotentialSpec, partner_field
 
 
-def detune(monkeypatch):
-    """Make every shape invariance check use constraint frequency 2."""
-    check = susy_core.check_shape_invariance
-    monkeypatch.setattr(susy_core, "check_shape_invariance",
-                        lambda spec, xs, constraint_frequency=1.0: check(spec, xs, 2.0))
-
-
 def test_detuned_remainder_fails_shape_invariance(monkeypatch):
-    detune(monkeypatch)
+    # every step up the ladder goes k -> k + 2 alpha
+    monkeypatch.setattr(SuperpotentialSpec, "shifted",
+                        lambda spec: replace(spec, k=spec.k + 2 * spec.alpha))
     gate = gates.shape_invariance()
     assert not gate.passed
     assert gate.measured > gate.bound
@@ -142,12 +137,15 @@ def nan_on_call(monkeypatch, module, name, call, spoil):
     monkeypatch.setattr(module, name, wrapper)
 
 
-@pytest.mark.parametrize("field, reading", [("max_abs_deviation", "max deviation nan"),
-                                            ("mean", "mean error nan")])
-def test_a_nan_in_a_later_case_fails_shape_invariance(monkeypatch, field, reading):
+@pytest.mark.parametrize("call, spoil, reading", [
+    (5, lambda spread: (spread[0], math.nan), "max deviation nan"),
+    (5, lambda spread: (math.nan, spread[1]), "mean error nan"),
+    # the 49th spread is the unshifted control's
+    (49, lambda spread: (spread[0], math.nan), "unshifted control nan"),
+], ids=["deviation", "mean", "control"])
+def test_a_nan_in_a_later_case_fails_shape_invariance(monkeypatch, call, spoil, reading):
     # Python's max drops a nan that is not its first argument; np.max keeps it
-    nan_on_call(monkeypatch, susy_core, "check_shape_invariance", 5,
-                lambda res: replace(res, **{field: math.nan}))
+    nan_on_call(monkeypatch, gates, "_spread", call, spoil)
     gate = gates.shape_invariance()
     assert gate.passed is False
     assert reading in gate.detail

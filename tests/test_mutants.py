@@ -96,8 +96,8 @@ def flip_ground_state_phase(mp):
 
 def conjugate_v1(mp):
     values = susy_core._partner_values
-    mp.setattr(susy_core, "_partner_values", lambda twin, which, ys, frequency: (
-        lambda v: np.conj(v) if which is Partner.V1 else v)(values(twin, which, ys, frequency)))
+    mp.setattr(susy_core, "_partner_values", lambda twin, which, ys: (
+        lambda v: np.conj(v) if which is Partner.V1 else v)(values(twin, which, ys)))
 
 
 def zero_residual(mp):
@@ -120,10 +120,15 @@ def unsquared_density(mp):
                lambda spec, x: np.abs(states.eval_wavefunction(spec, x)))
 
 
-def detune_constraint(mp):
-    check = susy_core.check_shape_invariance
-    mp.setattr(susy_core, "check_shape_invariance",
-               lambda spec, xs, constraint_frequency=1.0: check(spec, xs, 2.0))
+def wrong_rung(mp):
+    # the ladder steps k -> k + 2 alpha
+    mp.setattr(susy_core.SuperpotentialSpec, "shifted",
+               lambda spec: replace(spec, k=spec.k + 2 * spec.alpha))
+
+
+def blind_spread(mp):
+    # every set of values reads as constant, the unshifted control too
+    mp.setattr(gates, "_spread", lambda values: (complex(np.mean(values)), 0.0))
 
 
 def two_term_richardson(mp):
@@ -165,7 +170,9 @@ def failures():
     (conjugate_t, "partner_intertwining"),
     (swap_partners, "spectrum_q0"),
     (shift_ladder, "spectrum_q0"),
-    (detune_constraint, "shape_invariance"),
+    (wrong_rung, "shape_invariance"),
+    # the 48 remainders pass, and the unshifted control reads 0 and fails
+    (blind_spread, "shape_invariance"),
     (flip_ground_state_phase, "ground_state_residual"),
     (conjugate_v1, ("shape_invariance", "ground_state_residual")),
     # both decay residuals read 0, and their 0/0 ratio fails

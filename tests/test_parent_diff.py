@@ -30,9 +30,9 @@ def roots(tmp_path):
     return base, head
 
 
-def test_eighteen_commands_with_distinct_names():
+def test_twenty_two_commands_with_distinct_names():
     names = [name for name, _, _ in parent_diff.COMMANDS]
-    assert len(names) == 18 == len(set(names))
+    assert len(names) == 22 == len(set(names))
     # the three refused sweeps are expected to exit 2, every other command 0
     assert {name for name, _, code in parent_diff.COMMANDS if code} == {
         "scatter_unsettled", "scatter_overflowing", "scatter_opaque_barrier"}
