@@ -339,20 +339,17 @@ def _spectrum_exploratory(cfg):
 
 
 def run_verify(cfg):
-    """Run every gate of gates.CHECKS, record the claims they cover, the
-    non-gating pole coupling and plane asymmetry, and write verify.json."""
+    """Run every gate of gates.CHECKS, record the claims they cover, and
+    write verify.json."""
     claimed = gates.verify_gates()
     for _, gate in claimed:
         _echo(gate.line())
-    exploratory = gates.exploratory_record()
-    for line in exploratory["notes"]:
-        _echo(f"INFO {line}")
 
     passed = all(gate.passed for _, gate in claimed)
     claims = {key: {"statement": text, "checks": [g.name for c, g in claimed if c == key]}
               for key, text in gates.CLAIMS.items()}
     report = {"passed": passed, "checks": [gate._asdict() for _, gate in claimed],
-              "claims": claims, "exploratory": exploratory}
+              "claims": claims}
     _write(cfg, "verify.json", json_text(report) + "\n")
     _echo("verify: PASS" if passed else "verify: FAIL")
     return passed

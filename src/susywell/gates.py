@@ -44,7 +44,7 @@ RESIDUAL_STEP = 2e-3
 DECAY_MIN = 10.0
 DENSITY_TOL = 1e-12
 ASYMMETRY_TOL = 1e-12
-# the PT asymmetry about the cell midpoint plus 1/100 of the cell must exceed this
+# the PT asymmetry about each offset centre of pt_symmetry must exceed this
 PT_CONTROL_MIN = 1.0
 # q = 0 box levels, each times max(1, k^2): raw finest grid, extrapolated,
 # and V2 level j against V1 level j + 1
@@ -74,8 +74,6 @@ EPSILON = 1e-3
 BARRIER_MULTIPLES = (0.1, 0.25, 0.5, 0.75, 0.9, 1.1, 1.5, 2.0, 3.0, 5.0, 10.0)
 Q0_SPEC = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 0.0)
 Q2_SPEC = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
-# Re g below this, with V1 ~ g/d^2 near a wall, predicts fall to centre
-FALL_TO_CENTRE = -0.25
 
 # ground_state_residual samples 9 points of each family at alpha = k and 2k
 # and q = 1.5 and 2, and at alpha = k, q = 2 one interior point where it
@@ -212,29 +210,39 @@ def density_equality():
                 f"max gap {worst:.3e}")
 
 
-def pt_symmetry_wells():
-    """V1 and V2 of both wells at q in {1, 2} are PT-symmetric about the
-    cell midpoint, sampled on the middle 80% of the cell, and, as a control
-    that a blind checker fails, far from PT-symmetric about the midpoint
-    plus 1/100 of the cell."""
-    asymmetries, controls = [], []
+def pt_symmetry():
+    """V1 and V2 of both wells and both planes at q in {1, 2} are
+    PT-symmetric about their centre, and, as a control that a blind checker
+    fails, far from PT-symmetric about an offset centre. A well at k = 1 is
+    centred at its cell midpoint, sampled on the middle 80% of the cell and
+    offset by 1/100 of the cell; a plane at (k, alpha) in {(1, 1), (1.3, 0.7)}
+    is centred at pi/(2 alpha), sampled on one period about it and offset by
+    pi/(4 alpha)."""
+    cases = []
     for fam in WELL_FAMILIES:
         lo, hi = susy_core.fundamental_cell(SuperpotentialSpec(fam, 1.0))
         span, mid = hi - lo, 0.5 * (lo + hi)
-        window = np.linspace(lo + span / 10, hi - span / 10, 500)
+        cases.append((fam, 1.0, 1.0, mid, np.linspace(lo + span / 10, hi - span / 10, 500),
+                      mid + span / 100))
+    for fam, (k, alpha) in itertools.product(PLANE_FAMILIES, ((1.0, 1.0), (1.3, 0.7))):
+        centre, half = math.pi / (2 * alpha), math.pi / alpha
+        cases.append((fam, k, alpha, centre, np.linspace(centre - half, centre + half, 500),
+                      centre + half / 4))
+    asymmetries, controls = [], []
+    for fam, k, alpha, centre, window, offset in cases:
         for q in (1.0, 2.0):
-            spec = SuperpotentialSpec(fam, 1.0, q)
+            spec = SuperpotentialSpec(fam, k, q, alpha)
             for which in Partner:
                 field = susy_core.partner_field(spec, which)
-                asymmetries.append(states.pt_asymmetry(field, mid, window))
-                controls.append(states.pt_asymmetry(field, mid + span / 100, window))
+                asymmetries.append(states.pt_asymmetry(field, centre, window))
+                controls.append(states.pt_asymmetry(field, offset, window))
     worst = _worst(asymmetries)
     # the least control reading; a nan fails
     control = -_worst(np.negative(controls))
     passed = bool(worst < ASYMMETRY_TOL and control > PT_CONTROL_MIN)
-    return Gate("pt_symmetry_wells", passed, worst, ASYMMETRY_TOL,
-                f"max asymmetry {worst:.3e}, off-centre control {control:.3e} "
-                f"(needs > {PT_CONTROL_MIN:g})")
+    return Gate("pt_symmetry", passed, worst, ASYMMETRY_TOL,
+                f"{len(asymmetries)} partners: max asymmetry {worst:.3e}, off-centre control "
+                f"{control:.3e} (needs > {PT_CONTROL_MIN:g})")
 
 
 def q0_spectra(spec=Q0_SPEC, cell=None, counts=(COUNT + 1, COUNT), grid=GRID):
@@ -384,7 +392,7 @@ CLAIMS = {"a": "the partners are complex",
 
 # verify's checks in report order: its claim, and a callable giving its Gate(s)
 CHECKS = (("b", shape_invariance), ("b", ground_state_residual),
-          ("a", density_equality), ("a", pt_symmetry_wells),
+          ("a", density_equality), ("a", pt_symmetry),
           ("b", lambda: spectrum_q0(*q0_spectra())),
           ("method", lambda: barrier()[1]), ("method", figure_determinism),
           ("b", partner_intertwining))
@@ -401,9 +409,9 @@ def truncation_survey(spec=Q2_SPEC, cell=None, count=COUNT, grids=EXPLORATORY_GR
                       eps_values=EPS_SWEEP):
     """Not a gate: Richardson spectra of V1 and V2 on the cell (the natural
     one by default) truncated by each of eps_values, recorded because at
-    q != 0 they do not converge as the truncation shrinks (see
-    exploratory_record). Yields (eps, {"v1": block, "v2": block}) per
-    truncation as it is solved, each block a survey_payload."""
+    q != 0 they converge only slowly as the truncation shrinks. Yields
+    (eps, {"v1": block, "v2": block}) per truncation as it is solved, each
+    block a survey_payload."""
     lo, hi = cell or susy_core.fundamental_cell(spec)
     for eps in eps_values:
         yield eps, {
@@ -413,29 +421,3 @@ def truncation_survey(spec=Q2_SPEC, cell=None, count=COUNT, grids=EXPLORATORY_GR
             for which in Partner
         }
 
-
-def exploratory_record():
-    """Not a gate: the pole coupling g of V1 of the q = 2 cotangent well,
-    which says whether its truncated-box spectra can converge, and the PT
-    asymmetry of V1 of a plane partner about pi/(2 alpha), where both plane
-    families are PT-symmetric. `spectrum` records those spectra; a note
-    names the command."""
-    spec = Q2_SPEC
-    g = susy_core.pole_coupling(spec)
-    falls = g.real < FALL_TO_CENTRE
-    coupling = {"family": spec.family.value, "k": spec.k, "q": spec.q, "alpha": spec.alpha,
-                "lower_wall": [g.real, g.imag], "upper_wall": [g.real, -g.imag],
-                "re_g": g.real, "fall_to_centre": falls}
-    plane_spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0)
-    centre = math.pi / (2 * plane_spec.alpha)
-    plane = susy_core.partner_field(plane_spec, Partner.V1)
-    plane_asym = states.pt_asymmetry(plane, centre, centre + np.linspace(-2.0, 2.0, 500))
-    notes = [
-        f"V1 ~ g/d^2 at distance d from the walls: g = {g.real:g}{g.imag:+g}i at the lower "
-        f"wall, its conjugate at the upper; Re g {'<' if falls else '>='} {FALL_TO_CENTRE:g}, "
-        f"so fall to centre is {'predicted' if falls else 'not predicted'}",
-        f"truncated-box spectra: susywell spectrum --family {spec.family.value} --q {spec.q:g}",
-        f"plane family PT asymmetry about pi/(2 alpha) = {centre:.6f}: {plane_asym:.3e} "
-        f"(recorded, not gated)",
-    ]
-    return {"pole_coupling": coupling, "plane_asymmetry": plane_asym, "notes": notes}

@@ -216,20 +216,6 @@ def eval_partner(spec: SuperpotentialSpec, which: Partner, x):
     return _on_twin(spec, x, lambda twin, ys: _partner_values(twin, which, ys))
 
 
-def pole_coupling(spec: SuperpotentialSpec) -> complex:
-    """g in V1 ~ g / d^2 at distance d inside the lower wall of a well's
-    cell; the upper wall has conj(g).
-
-    g = (k - iq)(k - alpha - iq) / alpha^2 for both wells. Where Re g < -1/4
-    a Dirichlet wall at d = epsilon admits states with E ~ -1/epsilon^2
-    (fall to centre, Case, Phys. Rev. 80 (1950) 797), so box spectra do not
-    converge as the truncation shrinks.
-    """
-    if spec.family not in WELL_FAMILIES:
-        raise ValueError(f"pole coupling needs a well family, got {spec.family}")
-    return (spec.k - 1j * spec.q) * (spec.k - spec.alpha - 1j * spec.q) / spec.alpha**2
-
-
 def plane_coefficients(spec: SuperpotentialSpec, which: Partner) -> tuple[int, complex, complex]:
     """(d, v1, v2) of a plane partner written V = -k^2 + v1 z + v2 z^2 with
     z = e^{i d alpha x}. The right plane has d = -1, v2 = q^2, and

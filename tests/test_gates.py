@@ -1,5 +1,6 @@
 """Tests for the shared gates: each one fails when its claim is broken."""
 
+import itertools
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -11,7 +12,13 @@ from click.testing import CliRunner
 from susywell import gates, scattering, states, susy_core
 from susywell.cli import main
 from susywell.spectral import richardson_spectrum
-from susywell.susy_core import Family, Partner, SuperpotentialSpec, partner_field
+from susywell.susy_core import (
+    PLANE_FAMILIES,
+    Family,
+    Partner,
+    SuperpotentialSpec,
+    partner_field,
+)
 
 
 def test_detuned_remainder_fails_shape_invariance(monkeypatch):
@@ -50,13 +57,13 @@ def test_density_equality_fails_a_q_dependent_modulus(monkeypatch):
     assert gate.measured > 0.1
 
 
-def test_pt_symmetry_wells_fails_a_field_off_its_centre(monkeypatch):
+def test_pt_symmetry_fails_a_field_off_its_centre(monkeypatch):
     # each partner sampled 1e-3 to the right: its PT centre moves off the
     # cell midpoint
     field = susy_core.partner_field
     monkeypatch.setattr(susy_core, "partner_field", lambda spec, which: (
         lambda x: field(spec, which)(np.asarray(x) + 1e-3)))
-    gate = gates.pt_symmetry_wells()
+    gate = gates.pt_symmetry()
     assert gate.passed is False
     assert gate.measured > 0.1
 
@@ -189,17 +196,22 @@ def test_a_nan_density_in_a_later_case_fails_density_equality(monkeypatch):
     assert math.isnan(gate.measured)
 
 
-def test_a_nan_asymmetry_in_a_later_case_fails_pt_symmetry_wells(monkeypatch):
-    nan_on_call(monkeypatch, states, "pt_asymmetry", 3, lambda asym: math.nan)
-    gate = gates.pt_symmetry_wells()
+@pytest.mark.parametrize("call", [3, 47])
+def test_a_nan_asymmetry_in_a_later_case_fails_pt_symmetry(monkeypatch, call):
+    # call 3 is the asymmetry of a well partner, call 47 that of the last
+    # plane partner
+    nan_on_call(monkeypatch, states, "pt_asymmetry", call, lambda asym: math.nan)
+    gate = gates.pt_symmetry()
     assert gate.passed is False
     assert math.isnan(gate.measured)
 
 
-def test_a_nan_control_in_a_later_case_fails_pt_symmetry_wells(monkeypatch):
-    # call 4 is the off-centre control of the second partner
-    nan_on_call(monkeypatch, states, "pt_asymmetry", 4, lambda asym: math.nan)
-    gate = gates.pt_symmetry_wells()
+@pytest.mark.parametrize("call", [4, 48])
+def test_a_nan_control_in_a_later_case_fails_pt_symmetry(monkeypatch, call):
+    # call 4 is the off-centre control of the second well partner, call 48
+    # that of the last plane partner
+    nan_on_call(monkeypatch, states, "pt_asymmetry", call, lambda asym: math.nan)
+    gate = gates.pt_symmetry()
     assert gate.passed is False
     assert gate.measured < gate.bound
     assert "off-centre control nan" in gate.detail
@@ -315,9 +327,17 @@ def test_richardson_spectrum_keeps_grids_ascending():
     assert payload["richardson_real"] == list(rep.richardson_estimates)
 
 
-def test_plane_asymmetry_is_measured_about_the_pt_centre():
-    # both plane families are PT-symmetric about pi/(2 alpha); about x = 0
-    # the same partner reads 2.0
-    record = gates.exploratory_record()
-    assert record["plane_asymmetry"] < gates.ASYMMETRY_TOL
-    assert "pi/(2 alpha)" in record["notes"][-1]
+def test_pt_symmetry_measures_a_plane_about_its_pt_centre():
+    # both plane families are PT-symmetric about pi/(2 alpha), where
+    # pt_symmetry reads them; about x = 0 V1 of plane_right at k = q = 1
+    # reads 2.0
+    for family, (k, alpha), q, which in itertools.product(
+            PLANE_FAMILIES, ((1.0, 1.0), (1.3, 0.7)), (1.0, 2.0), Partner):
+        centre = math.pi / (2 * alpha)
+        window = centre + np.linspace(-math.pi / alpha, math.pi / alpha, 500)
+        field = partner_field(SuperpotentialSpec(family, k, q, alpha), which)
+        assert states.pt_asymmetry(field, centre, window) < 1e-13
+    field = partner_field(SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0), Partner.V1)
+    window = math.pi / 2 + np.linspace(-math.pi, math.pi, 500)
+    assert states.pt_asymmetry(field, 0.0, window) == pytest.approx(2.0, rel=1e-12)
+    assert gates.pt_symmetry().detail.startswith("24 partners")

@@ -109,6 +109,14 @@ def zero_asymmetry(mp):
     mp.setattr(states, "pt_asymmetry", lambda field, center, sample_points: 0.0)
 
 
+def quarter_period_plane_field(mp):
+    # a plane partner read at x + pi/(4 alpha); the wells untouched
+    field = susy_core.partner_field
+    mp.setattr(susy_core, "partner_field", lambda spec, which: (
+        lambda x: field(spec, which)(np.asarray(x) + np.pi / (4 * spec.alpha)))
+        if spec.family in susy_core.PLANE_FAMILIES else field(spec, which))
+
+
 def q0_density(mp):
     # |psi|^2 of the q = 0 state whatever q the spec holds
     density = states.probability_density
@@ -178,7 +186,9 @@ def failures():
     # both decay residuals read 0, and their 0/0 ratio fails
     (zero_residual, "ground_state_residual"),
     # the off-centre control reads 0 and fails
-    (zero_asymmetry, "pt_symmetry_wells"),
+    (zero_asymmetry, "pt_symmetry"),
+    # the plane partners read off their PT centre
+    (quarter_period_plane_field, "pt_symmetry"),
     (unsquared_density, "density_equality"),
     pytest.param(two_term_richardson, None, marks=pytest.mark.xfail(strict=True, reason=(
         "survives: the q = 0 levels extrapolate to 6.6e-11 (1.0e-11 from three terms), "

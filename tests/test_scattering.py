@@ -207,6 +207,12 @@ class TestTransferMatrix:
             barrier_sweep(690.0 ** 2, 1.0, [1e-20])
         assert overflow_exponent(err.value) == pytest.approx(690.0)
 
+    def test_range_guard_sums_both_parts(self):
+        # each part alone is under the guard, their sum is over it
+        growth = scattering._OVERFLOW_GROWTH
+        assert scattering._in_range(complex(0.75 * growth, 0.75 * growth)) is False
+        assert scattering._in_range(complex(0.5 * growth, 0.5 * growth)) is True
+
 
 class TestConstantStep:
     @settings(max_examples=200, deadline=None)

@@ -20,7 +20,6 @@ from susywell.susy_core import (
     eval_superpotential,
     fundamental_cell,
     plane_coefficients,
-    pole_coupling,
     singularity_distance,
 )
 
@@ -371,22 +370,18 @@ class TestGuardsAndGeometry:
 
 class TestPoleCoupling:
     @pytest.mark.parametrize("family", WELL_FAMILIES)
-    @pytest.mark.parametrize("k,q,alpha,lower", [
+    @pytest.mark.parametrize("k,q,alpha,g", [
         (1.0, 2.0, 1.0, -4 - 2j),
         (1.7, 0.5, 0.5, 7.16 - 5.8j),
         (3.0, 1.0, 1.0, 5 - 5j),
     ])
-    def test_closed_form_matches_the_wall_limit(self, family, k, q, alpha, lower):
+    def test_closed_form_matches_the_wall_limit(self, family, k, q, alpha, g):
+        # V1 ~ g/d^2 at distance d inside the lower wall, conj(g) inside the
+        # upper one, with g = (k - iq)(k - alpha - iq)/alpha^2, up to O(d^2)
+        # relative: no 1/d term at either wall
         spec = SuperpotentialSpec(family, k, q, alpha)
-        g = pole_coupling(spec)
-        assert g == pytest.approx(lower, rel=1e-12)
         lo, hi = fundamental_cell(spec)
         d = 1e-5
-        # V1 ~ g/d^2 up to O(d^2) relative: no 1/d term at either wall
         assert d * d * eval_partner(spec, Partner.V1, lo + d) == pytest.approx(g, rel=1e-8)
         assert d * d * eval_partner(spec, Partner.V1, hi - d) == pytest.approx(
             g.conjugate(), rel=1e-8)
-
-    def test_plane_family_refused(self):
-        with pytest.raises(ValueError):
-            pole_coupling(SuperpotentialSpec(Family.PLANE_RIGHT, 1.0, 1.0))
