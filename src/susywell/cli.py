@@ -133,12 +133,12 @@ def load_config_file(path):
 
 
 def build_config(command, flags):
-    """Merge defaults, the config file, then explicit flags, and validate.
+    """Merge defaults, the config file, then the flags set, and validate.
 
     The result has one attribute per CONFIG_KEYS key (default `scatter`
-    energies filled in), `command`, `explicit` (the keys that the file or a
-    flag set) and `spec` (None for the barrier); a `spectrum` gets its
-    `cell`, at q != 0 its `eps_values`, and a plane `scatter` its `window`."""
+    energies filled in), `command` and `spec` (None for the barrier); a
+    `spectrum` gets its `cell`, untruncated, and its `grids`, coarsest
+    first, and a plane `scatter` its `window`."""
     cfg = SimpleNamespace(command=command, **{key: spec[1] for key, spec in CONFIG_KEYS.items()})
     vars(cfg).update(COMMANDS[command][1])
     from_file = load_config_file(flags["config"]) if flags.get("config") else {}
@@ -146,7 +146,6 @@ def build_config(command, flags):
                   if key in CONFIG_KEYS and value is not None}
     for key, raw in [*from_file.items(), *from_flags.items()]:
         setattr(cfg, key, CONFIG_KEYS[key][0](key, raw))
-    cfg.explicit = frozenset(from_file) | frozenset(from_flags)
     _validate(cfg)
     return cfg
 
@@ -181,8 +180,6 @@ def _validate(cfg):
         raise ConfigError("grid", "need at least 64 interior points")
     if cfg.count < 1:
         raise ConfigError("count", "must be at least 1")
-    if cfg.count > cfg.grid // 4:
-        raise ConfigError("count", "coarsest grid cannot resolve that many levels")
     if cfg.command == "spectrum" and cfg.q == 0.0 and cfg.x_min is None and cfg.count < 2:
         raise ConfigError("count", "the q=0 ladder gate pairs V2 level j with V1 level j+1, "
                                    "so it needs at least 2 levels")
@@ -192,24 +189,25 @@ def _validate(cfg):
         raise ConfigError("format", "must be csv or json")
     if cfg.command == "spectrum" and cfg.format != "json":
         raise ConfigError("format", "spectrum reports are always json")
+    if cfg.command == "spectrum":
+        # at q != 0 the exploratory grids, which nothing else reads, each
+        # solved by the dense eigensolver
+        cfg.grids = ((cfg.grid // 4, cfg.grid // 2, cfg.grid) if cfg.q == 0.0
+                     else tuple(sorted(cfg.exploratory_grids)))
     if cfg.command == "spectrum" and cfg.q != 0.0:
-        # the truncation survey is the only reader of exploratory_grids,
-        # and it solves each grid with the dense eigensolver
-        grids = cfg.exploratory_grids
-        if any(g < 16 for g in grids):
+        if cfg.grids[0] < 16:
             raise ConfigError("exploratory_grids", "each grid needs at least 16 points")
-        if len(grids) < 2 or len(set(grids)) < len(grids):
+        if len(cfg.grids) < 2 or len(set(cfg.grids)) < len(cfg.grids):
             raise ConfigError("exploratory_grids", "need at least two grid sizes, all different")
-        if cfg.count > min(grids):
-            raise ConfigError("count", f"the smallest exploratory grid, {min(grids)}, "
-                                       f"cannot resolve {cfg.count} levels")
-        largest = max(grids)
-        dense_bytes = 32 * largest ** 2
+        dense_bytes = 32 * cfg.grids[-1] ** 2
         if dense_bytes > DENSE_MEMORY_LIMIT:
             raise ConfigError("exploratory_grids",
-                              f"grid {largest} is charged {dense_bytes / 2**30:.1f} GiB "
+                              f"grid {cfg.grids[-1]} is charged {dense_bytes / 2**30:.1f} GiB "
                               f"(32 n^2 bytes) for the dense eigensolver, over the "
                               f"{DENSE_MEMORY_LIMIT / 2**30:g} GiB limit")
+    if cfg.command == "spectrum" and cfg.count > cfg.grids[0]:
+        raise ConfigError("count", f"the coarsest grid, {cfg.grids[0]}, "
+                                   f"cannot resolve {cfg.count} levels")
     if (cfg.window_min is None) != (cfg.window_max is None):
         raise ConfigError("window_min", "window_min and window_max go together")
     if cfg.window_min is not None and cfg.window_min >= cfg.window_max:
@@ -231,27 +229,26 @@ def _validate(cfg):
         # the finest grid of the cell puts 2/h^2 on the diagonal, and at q = 0
         # Sturm bisection (LAPACK stebz) multiplies neighbouring diagonal
         # entries: past (2/h^2)^2 it splits H into 1 x 1 blocks
-        finest = cfg.grid if cfg.q == 0.0 else max(cfg.exploratory_grids)
+        h = (hi - lo) / (cfg.grids[-1] + 1)
         least, what = (((4.0 / sys.float_info.max) ** 0.25, "(2/h^2)^2") if cfg.q == 0.0
                        else (math.sqrt(2.0 / sys.float_info.max), "2/h^2"))
-        if (hi - lo) / (finest + 1) < least:
+        if h < least:
             raise ConfigError("x_min" if custom else "alpha",
-                              f"{finest} points on ({lo!r}, {hi!r}) leave {what} out of range")
+                              f"{cfg.grids[-1]} points on ({lo!r}, {hi!r}) leave {what} "
+                              "out of range")
         # a level is certified when its gap passes eps max(1, ||H||_inf), and
         # 2/h^2 <= ||H||_inf, so no level of a ladder whose first spacing
         # alpha (alpha + 2k) is at most twice eps max(1, 2/h^2) can be
         if cfg.q == 0.0 and not custom:
-            alpha, h = cfg.alpha or cfg.k, (hi - lo) / (finest + 1)
+            alpha = cfg.alpha or cfg.k
             spacing = alpha * (alpha + 2.0 * cfg.k)
             floor = 2.0 * sys.float_info.epsilon * max(1.0, 2.0 / (h * h))
             if spacing <= floor:
                 raise ConfigError("k", f"the first ladder spacing {spacing!r} is at most "
                                        f"2 eps max(1, 2/h^2) = {floor!r}: no level can be "
                                        "certified")
-        if cfg.q != 0.0:
-            cfg.eps_values = (cfg.epsilon,) if "epsilon" in cfg.explicit else gates.EPS_SWEEP
-            if max(cfg.eps_values) >= (hi - lo) / 4:
-                raise ConfigError("epsilon", "truncation exceeds a quarter cell")
+        if cfg.q != 0.0 and cfg.epsilon >= (hi - lo) / 4:
+            raise ConfigError("epsilon", "truncation exceeds a quarter cell")
     if cfg.command == "scatter" and fam is not None:
         cfg.window = ((cfg.window_min, cfg.window_max) if cfg.window_min is not None
                       else (0.0, 2 * math.pi / cfg.k))
@@ -305,7 +302,7 @@ def _spectrum_q0(cfg):
     """Real q=0 path: Richardson ladders of both partners, gated against the
     exact box levels (k + n alpha)^2 - k^2, which hold on the natural cell
     only; a custom x_min/x_max domain is recorded without a gate."""
-    v1, v2 = gates.q0_spectra(cfg.spec, cfg.cell, (cfg.count, cfg.count), cfg.grid)
+    v1, v2 = gates.box_spectra(cfg.spec, cfg.cell, (cfg.count, cfg.count), cfg.grids)
     for name, rep in (("v1", v1), ("v2", v2)):
         _write(cfg, f"{name}_spectrum.json", rep.to_json())
     if cfg.x_min is not None:
@@ -322,15 +319,17 @@ def _spectrum_q0(cfg):
 
 
 def _spectrum_exploratory(cfg):
-    """Complex q != 0 path: record spectra on shrinking edge truncations."""
-    grids = sorted(cfg.exploratory_grids)
-    for eps, blocks in gates.truncation_survey(cfg.spec, cfg.cell, cfg.count, grids,
-                                               cfg.eps_values):
-        for name, block in blocks.items():
-            _echo(f"eps={eps:g} {name}: max |Im E| = {block['max_imag_overall']:.3e}")
-        payload = {"family": cfg.family, "k": cfg.k, "q": cfg.q, "epsilon": eps,
-                   "count": cfg.count, "grids": grids, **blocks}
-        _write(cfg, f"spectrum_eps_{eps:.0e}.json", json_text(payload) + "\n")
+    """Complex q != 0 path: record, ungated, the spectra of the cell cut
+    short by epsilon at each wall; a survey over epsilon is one run each."""
+    eps, (lo, hi) = cfg.epsilon, cfg.cell
+    reports = gates.box_spectra(cfg.spec, (lo + eps, hi - eps), (cfg.count, cfg.count),
+                                cfg.grids)
+    blocks = {which.name.lower(): rep.survey_payload() for which, rep in zip(Partner, reports)}
+    for name, block in blocks.items():
+        _echo(f"eps={eps:g} {name}: max |Im E| = {block['max_imag_overall']:.3e}")
+    payload = {"family": cfg.family, "k": cfg.k, "q": cfg.q, "epsilon": eps,
+               "count": cfg.count, "grids": cfg.grids, **blocks}
+    _write(cfg, f"spectrum_eps_{eps:.0e}.json", json_text(payload) + "\n")
     return True
 
 

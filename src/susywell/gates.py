@@ -59,7 +59,6 @@ MIDPOINT_TOL = 1e-12
 # figure tables: tangent columns against cotangent ones, over max(1, |cot|)
 TRANSLATION_TOL = 1e-11
 
-EPS_SWEEP = (1e-2, 1e-3, 1e-4)
 # the defaults that the gates pin and `cli` reads: the finest q = 0 grid,
 # the level count, the exploratory grids, the barrier's height and width,
 # the `figures` coupling and edge truncation, and the barrier energies in
@@ -245,16 +244,17 @@ def pt_symmetry():
                 f"{control:.3e} (needs > {PT_CONTROL_MIN:g})")
 
 
-def q0_spectra(spec=Q0_SPEC, cell=None, counts=(COUNT + 1, COUNT), grid=GRID):
+def box_spectra(spec=Q0_SPEC, cell=None, counts=(COUNT + 1, COUNT),
+                grids=(GRID // 4, GRID // 2, GRID)):
     """Richardson spectra of V1 and V2, counts[0] and counts[1] levels, on
-    the grids grid/4, grid/2 and grid of the natural cell, or of `cell`.
+    the grids of the natural cell, or of `cell`.
 
     On the natural cell the coarsest grid is handed the ladder that
     spectrum_q0 gates, V1 level m at (k + m alpha)^2 - k^2 and V2 level m at
-    V1 level m + 1, as its guess; any other cell is bisected."""
+    V1 level m + 1, as its guess; any other cell, such as the cell truncated
+    by epsilon that `spectrum` records at q != 0, is bisected."""
     natural = susy_core.fundamental_cell(spec)
     lo, hi = cell or natural
-    grids = (grid // 4, grid // 2, grid)
     return tuple(
         spectral.richardson_spectrum(
             susy_core.partner_field(spec, which), lo, hi, n, grids,
@@ -393,7 +393,7 @@ CLAIMS = {"a": "the partners are complex",
 # verify's checks in report order: its claim, and a callable giving its Gate(s)
 CHECKS = (("b", shape_invariance), ("b", ground_state_residual),
           ("a", density_equality), ("a", pt_symmetry),
-          ("b", lambda: spectrum_q0(*q0_spectra())),
+          ("b", lambda: spectrum_q0(*box_spectra())),
           ("method", lambda: barrier()[1]), ("method", figure_determinism),
           ("b", partner_intertwining))
 
@@ -403,21 +403,3 @@ def verify_gates(checks=CHECKS):
     too, so a callable's one Gate is told from its Gates by type."""
     return [(claim, gate) for claim, run in checks for out in [run()]
             for gate in ([out] if isinstance(out, Gate) else out)]
-
-
-def truncation_survey(spec=Q2_SPEC, cell=None, count=COUNT, grids=EXPLORATORY_GRIDS,
-                      eps_values=EPS_SWEEP):
-    """Not a gate: Richardson spectra of V1 and V2 on the cell (the natural
-    one by default) truncated by each of eps_values, recorded because at
-    q != 0 they converge only slowly as the truncation shrinks. Yields
-    (eps, {"v1": block, "v2": block}) per truncation as it is solved, each
-    block a survey_payload."""
-    lo, hi = cell or susy_core.fundamental_cell(spec)
-    for eps in eps_values:
-        yield eps, {
-            which.name.lower(): spectral.richardson_spectrum(
-                susy_core.partner_field(spec, which), lo + eps, hi - eps, count, grids,
-            ).survey_payload()
-            for which in Partner
-        }
-

@@ -3,7 +3,7 @@
 Numbers are written with 17 significant digits (%.17g), which round-trips
 IEEE doubles exactly; keys are sorted; line endings are LF. The stdlib json
 module formats floats by shortest repr, so a small emitter is used instead
-to keep the byte-level contract explicit.
+to pin the bytes of every number.
 """
 
 from __future__ import annotations

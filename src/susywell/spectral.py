@@ -41,7 +41,7 @@ its largest entry before it is normalized.
 The predictions of a richardson_spectrum ladder: its coarsest grid takes
 the guess of its caller, which for the q = 0 wells on their natural cell is
 the closed-form ladder (k + m alpha)^2 - k^2 of states.remainder_spectrum
-(gates.q0_spectra); a custom domain gives none and bisects. Each finer
+(gates.box_spectra); any other cell gives none and bisects. Each finer
 grid takes the levels that the coarser grids predict for it (see
 _predicted_levels), and each of its levels starts inverse iteration from
 the coarser grid's eigenvector of that level, interpolated onto the new

@@ -126,7 +126,9 @@ class TestSpectrum:
             assert set(block) == {"per_grid", "richardson_real",
                                   "max_imag_overall"}
             assert len(block["per_grid"]) == 3
-        # v1 is PT-broken; the lowest v2 levels are the real 3, 8, 15, 24
+        # the complex v1 levels come from the Dirichlet truncation, not the
+        # physics: a Frobenius wall puts them on the real ladder, to 3.8e-5 at
+        # q = 2 (ROADMAP item 3); the lowest v2 levels are the real 3, 8, 15, 24
         assert payload["v1"]["max_imag_overall"] > 0.0
         assert payload["v2"]["max_imag_overall"] < 1e-6
 
@@ -202,21 +204,30 @@ class TestSpectrum:
             sizes = [g["grid_sizes_used"] for g in payload[name]["per_grid"]]
             assert sizes == [[32], [48], [64]]
 
-    def test_survey_writes_what_the_acceptance_survey_records(self, runner, tmp_path):
-        # the default sweep of three truncations, finest grid 64 whatever the
-        # order of the list; V1 is the survey that the acceptance test checks
+    def test_default_epsilon_is_one_truncation(self, runner, tmp_path):
+        # without --epsilon the run solves the one cell truncated by the
+        # default 1e-3, byte for byte the run that sets it, and writes what
+        # box_spectra solves there, finest grid 64 whatever the order of the list
         conf = tmp_path / "run.conf"
         conf.write_text("exploratory_grids=64,32,48\n")
-        res = runner.invoke(main, ["spectrum", "--family", "cotangent_well", "--q", "2",
-                                   "--config", str(conf), "--out", str(tmp_path)])
-        assert res.exit_code == 0, res.output
-        assert len(list(tmp_path.glob("spectrum_eps_*.json"))) == 3
-        for eps, blocks in gates.truncation_survey(grids=(32, 48, 64)):
-            payload = read_json(tmp_path / f"spectrum_eps_{eps:.0e}.json")
-            assert {name: payload[name] for name in blocks} == json.loads(json_text(blocks))
-            assert payload["v1"]["per_grid"][-1]["grid_sizes_used"] == [64]
-            assert (f"eps={eps:g} v1: max |Im E| = "
-                    f"{blocks['v1']['max_imag_overall']:.3e}") in res.output
+        runs = {}
+        for name, flags in (("default", []), ("set", ["--epsilon", "1e-3"])):
+            res = runner.invoke(main, ["spectrum", "--family", "cotangent_well", "--q", "2",
+                                       *flags, "--config", str(conf),
+                                       "--out", str(tmp_path / name)])
+            assert res.exit_code == 0, res.output
+            assert [p.name for p in (tmp_path / name).iterdir()] == ["spectrum_eps_1e-03.json"]
+            runs[name] = res.output, (tmp_path / name / "spectrum_eps_1e-03.json").read_bytes()
+        assert runs["default"][1] == runs["set"][1]
+        lo, hi = susy_core.fundamental_cell(gates.Q2_SPEC)
+        reports = gates.box_spectra(gates.Q2_SPEC, (lo + 1e-3, hi - 1e-3),
+                                    (gates.COUNT, gates.COUNT), (32, 48, 64))
+        blocks = {name: rep.survey_payload() for name, rep in zip(("v1", "v2"), reports)}
+        payload = json.loads(runs["default"][1])
+        assert {name: payload[name] for name in blocks} == json.loads(json_text(blocks))
+        assert payload["v1"]["per_grid"][-1]["grid_sizes_used"] == [64]
+        assert (f"eps=0.001 v1: max |Im E| = "
+                f"{blocks['v1']['max_imag_overall']:.3e}") in runs["default"][0]
 
 
 class TestConfigHandling:
@@ -306,6 +317,22 @@ class TestConfigHandling:
         conf.write_text("exploratory_grids=32,48,64\n")
         res = runner.invoke(main, [*args, "--config", str(conf), "--out", str(tmp_path)])
         assert res.exit_code == code, res.output
+
+    @pytest.mark.parametrize("args,code", [
+        (["scatter", "--family", "barrier", "--count", "1001"], 0),
+        (["verify", "--count", "1001", "--grid", "64"], 0),
+        # the coarsest exploratory grid, 32, is the bound, not grid / 4 = 16
+        (["spectrum", "--q", "2", "--grid", "64", "--count", "20", "--epsilon", "1e-2"], 0),
+        (["spectrum", "--count", "100", "--grid", "256"], 3),
+    ], ids=["scatter", "verify", "spectrum-exploratory", "spectrum-q0"])
+    def test_count_bound_only_where_read(self, runner, tmp_path, args, code):
+        # only spectrum reads grid and count together, on its own grids
+        conf = tmp_path / "run.conf"
+        conf.write_text("exploratory_grids=32,48,64\n")
+        res = runner.invoke(main, [*args, "--config", str(conf), "--out", str(tmp_path)])
+        assert res.exit_code == code, res.output
+        if code:
+            assert "config error: count: the coarsest grid, 64, cannot resolve 100" in res.output
 
     def test_missing_config_file(self, runner, tmp_path):
         res = runner.invoke(main, ["figures",
@@ -587,7 +614,7 @@ class TestInProcess:
             (["figures"], "fig1.csv"),
             (["spectrum", "--q", "0", "--count", "2", "--grid", "400"], "extrapolated"),
             (["spectrum", "--q", "2", "--config", str(tmp_path / "grids.cfg")],
-             "eps=0.0001 v2: max |Im E|"),
+             "eps=0.001 v2: max |Im E|"),
             (["scatter", "--family", "barrier"], "PASS barrier_oracle"),
             (["scatter", "--family", "plane_right"], "E=5: T="),
         ]

@@ -69,7 +69,7 @@ def test_pt_symmetry_fails_a_field_off_its_centre(monkeypatch):
 
 
 def test_spectrum_q0_fails_a_misaligned_ladder():
-    v1, v2 = gates.q0_spectra(counts=(4, 3), grid=1000)
+    v1, v2 = gates.box_spectra(counts=(4, 3), grids=(250, 500, 1000))
     gate = gates.spectrum_q0(v1, v2)
     assert gate.passed, gate.detail
     assert gate.detail.endswith("over 3 levels")
@@ -85,7 +85,7 @@ def test_spectrum_q0_fails_a_misaligned_ladder():
 
 
 def test_spectrum_q0_fails_a_one_level_v1_without_raising():
-    v1, v2 = gates.q0_spectra(counts=(1, 1), grid=1000)
+    v1, v2 = gates.box_spectra(counts=(1, 1), grids=(250, 500, 1000))
     gate = gates.spectrum_q0(v1, v2)
     assert not gate.passed
     assert gate.detail.endswith("ladder inf over 0 levels")
@@ -93,7 +93,7 @@ def test_spectrum_q0_fails_a_one_level_v1_without_raising():
 
 def test_spectrum_q0_scales_with_k():
     spec = SuperpotentialSpec(Family.COTANGENT_WELL, 2.0, 0.0)
-    v1, v2 = gates.q0_spectra(spec, counts=(4, 4), grid=4000)
+    v1, v2 = gates.box_spectra(spec, counts=(4, 4), grids=(1000, 2000, 4000))
     gate = gates.spectrum_q0(v1, v2, k=2.0)
     assert gate.passed, gate.detail
     assert gate.bound == pytest.approx(4.0 * gates.EXTRAPOLATED_TOL)

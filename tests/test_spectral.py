@@ -358,7 +358,7 @@ class TestPredictedBrackets:
         # the closed-form ladder seeds the coarsest grid, the coarser grids
         # seed the finer ones
         spec = SuperpotentialSpec(family, 2.2, 0.0, 2.2 * ratio)
-        v1, v2 = gates.q0_spectra(spec, counts=(6, 6), grid=2000)
+        v1, v2 = gates.box_spectra(spec, counts=(6, 6), grids=(500, 1000, 2000))
         assert bisections == []
         assert gates.spectrum_q0(v1, v2, spec.k, spec.alpha).passed
 
@@ -370,7 +370,8 @@ class TestPredictedBrackets:
     def test_custom_domain_ladder_bisects_its_first_grid(self, bisections, k, cell, count,
                                                          grid):
         spec = SuperpotentialSpec(Family.COTANGENT_WELL, k, 0.0)
-        reports = gates.q0_spectra(spec, cell, counts=(count, count), grid=grid)
+        reports = gates.box_spectra(spec, cell, counts=(count, count),
+                                    grids=(grid // 4, grid // 2, grid))
         # one bisection per partner's ladder, on its coarsest grid
         assert len(bisections) == 2
         eps = np.finfo(np.float64).eps
@@ -391,10 +392,10 @@ class TestPredictedBrackets:
         grids = (500, 1000, 2000)
         exact = np.array([remainder_spectrum(m, k, alpha) for m in range(9)])
         if case == "alpha_ignored":
-            # q0_spectra's guess from a ladder that steps by k instead of alpha
+            # box_spectra's guess from a ladder that steps by k instead of alpha
             monkeypatch.setattr(states, "remainder_spectrum",
                                 lambda m, k_base=1.0, alpha=None: remainder_spectrum(m, k_base))
-            primed = gates.q0_spectra(self.SPEC, counts=(8, 8), grid=2000)[0]
+            primed = gates.box_spectra(self.SPEC, counts=(8, 8), grids=grids)[0]
         else:
             guess = {"half_a_spacing_up": exact[:8] + np.diff(exact) / 2,
                      "skips_a_level": np.delete(exact, 1)}[case]

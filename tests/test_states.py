@@ -1,6 +1,7 @@
 """Tests for ground states, ladder energies, densities, parity checks, and the
 residual probe."""
 
+import itertools
 import math
 from contextlib import nullcontext
 
@@ -224,6 +225,13 @@ class TestResidual:
     def test_wrong_energy_leaves_residual(self):
         spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 0.0)
         assert abs(schrodinger_residual(spec, 2.5, 1.0, h=1e-4)) > 1.0
+        # the defect of -psi'' + (V1 - E) psi is that at E = 0 less E psi,
+        # over |psi|; a residual of V1 + E would miss by 2 E = 5
+        for family, q in itertools.product(Family, (0.0, 2.0)):
+            spec, x = SuperpotentialSpec(family, 1.0, q), RESIDUAL_POINTS[family]
+            psi = eval_wavefunction(spec, x)
+            expected = schrodinger_residual(spec, 0.0, x) - 2.5 * psi / abs(psi)
+            assert abs(schrodinger_residual(spec, 2.5, x) - expected) < 1e-12, (family, q)
 
     @pytest.mark.parametrize("family,x,h,outcome", [
         (Family.COTANGENT_WELL, 0.005, 1e-3, pytest.raises(SusywellError, match=STEP)),
