@@ -66,8 +66,11 @@ and each selected level is refined by two steps of inverse iteration from
 its dense eigenvalue; the Rayleigh quotients restore what the PT projection
 of the diagonal dropped.
 
-scipy.linalg is imported by the functions that solve, not by the module, so
-importing susywell (or its CLI) loads no scipy until a spectrum is solved.
+The LAPACK routines come from scipy's compiled module scipy.linalg._flapack,
+which _lapack loads by its file on the first solve of a process, without
+the scipy.linalg package and the array-API, f2py and charset modules that
+its init imports. Importing susywell (or its CLI) loads no scipy until a
+spectrum is solved.
 """
 
 from __future__ import annotations
@@ -77,7 +80,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from numpy.linalg import LinAlgError
 
 from .errors import ConvergenceFailure
 from .serialize import json_text
@@ -260,12 +262,10 @@ def _symmetric_eigenpairs(ham: DiscretizedHamiltonian, count: int, guess=None, v
     midway between consecutive ones, and _certify starts level j from
     located level j.
     """
-    from scipy.linalg.lapack import get_lapack_funcs
-
     diagonal = np.ascontiguousarray(ham.diagonal.real)
     band = np.full(diagonal.size - 1, ham.off_diagonal)
     solve = _shifted_solver(diagonal, band, ham.pivot_floor)
-    (stebz,) = get_lapack_funcs(("stebz",), (diagonal,))
+    (stebz,) = _lapack("dstebz")
     if guess is not None:
         guess = np.asarray(guess, dtype=float)
         cuts = _confirmed_cuts(diagonal, band, guess, stebz)
@@ -399,16 +399,18 @@ def _dense_eigenpairs(ham: DiscretizedHamiltonian, count: int):
     see the module docstring) and refined by two steps of inverse iteration
     on H. Works for real diagonals too, which is how it is cross-validated
     against the symmetric solver."""
-    from scipy.linalg import eigvals
-
     n = ham.grid.n_interior
     dense = _pt_real_form(ham)
     if dense is None:
         dense = _tridiagonal_dense(ham.diagonal, ham.off_diagonal)
-    try:
-        wall = eigvals(dense, overwrite_a=True, check_finite=False)
-    except LinAlgError as exc:
-        raise ConvergenceFailure(f"dense eigensolver failed (n = {n}): {exc}") from exc
+    # what scipy.linalg.eigvals does: geev in place, no eigenvectors
+    prefix = "z" if np.iscomplexobj(dense) else "d"
+    geev, geev_lwork = _lapack(prefix + "geev", prefix + "geev_lwork")
+    lwork = int(geev_lwork(n, compute_vl=0, compute_vr=0)[0].real)
+    *w, _, _, info = geev(dense, lwork=lwork, compute_vl=0, compute_vr=0, overwrite_a=1)
+    if info:
+        raise ConvergenceFailure(f"dense eigensolver failed (n = {n}): geev info {info}")
+    wall = w[0] if prefix == "z" else w[0] + 1j * w[1]
     order = np.lexsort((wall.imag, wall.real))[:count]
     start = np.random.default_rng(0).standard_normal(n)
     band = np.full(n - 1, ham.off_diagonal, dtype=ham.diagonal.dtype)
@@ -471,9 +473,8 @@ def _shifted_solver(diagonal: np.ndarray, band: np.ndarray, pivot_floor: float):
     solve is then redone by gttrf and gttrs with every pivot below
     pivot_floor raised to that size, so that it amplifies the eigenvector.
     """
-    from scipy.linalg.lapack import get_lapack_funcs
-
-    gtsv, gttrf, gttrs = get_lapack_funcs(("gtsv", "gttrf", "gttrs"), (diagonal,))
+    prefix = "z" if np.iscomplexobj(diagonal) else "d"
+    gtsv, gttrf, gttrs = _lapack(prefix + "gtsv", prefix + "gttrf", prefix + "gttrs")
 
     def solve(shift, rhs: np.ndarray) -> np.ndarray:
         *_, vec, info = gtsv(band, diagonal - shift, band, rhs, overwrite_d=True)
@@ -487,6 +488,35 @@ def _shifted_solver(diagonal: np.ndarray, band: np.ndarray, pivot_floor: float):
         return _normalized(vec)
 
     return solve
+
+
+def _lapack(*names):
+    """The named routines of scipy.linalg._flapack (dgtsv, zgeev, ...).
+
+    The first call of a process loads that compiled module by its file,
+    after the top-level scipy package (its platform init), and registers it
+    in sys.modules under its own name, so that a later import of
+    scipy.linalg reuses it. The scipy.linalg package itself is not
+    imported: its init loads some 90 modules that no solve uses.
+    """
+    import sys
+
+    flapack = sys.modules.get("scipy.linalg._flapack")
+    if flapack is None:
+        import os
+        from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+        from importlib.util import module_from_spec, spec_from_loader
+
+        import scipy
+
+        stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+        path = next(stem + suffix for suffix in EXTENSION_SUFFIXES
+                    if os.path.exists(stem + suffix))
+        loader = ExtensionFileLoader("scipy.linalg._flapack", path)
+        flapack = module_from_spec(spec_from_loader(loader.name, loader))
+        loader.exec_module(flapack)
+        sys.modules[loader.name] = flapack
+    return tuple(getattr(flapack, name) for name in names)
 
 
 def _norm(vec: np.ndarray) -> float:

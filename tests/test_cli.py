@@ -19,7 +19,7 @@ import pytest
 from click.testing import CliRunner
 
 import susywell.cli
-from susywell import gates, scattering, states, susy_core
+from susywell import gates, scattering, spectral, states, susy_core
 from susywell.cli import main
 from susywell.serialize import json_text
 
@@ -203,6 +203,24 @@ class TestSpectrum:
         for name in ("v1", "v2"):
             sizes = [g["grid_sizes_used"] for g in payload[name]["per_grid"]]
             assert sizes == [[32], [48], [64]]
+
+    def test_failed_dense_solve_exits_2(self, runner, tmp_path, monkeypatch):
+        # geev reporting info 1 on the real PT form is a convergence failure
+        lookup = spectral._lapack
+
+        def failing(*args, **kwargs):
+            return (*lookup("dgeev")[0](*args, **kwargs)[:-1], 1)
+
+        monkeypatch.setattr(spectral, "_lapack", lambda *names: tuple(
+            failing if name == "dgeev" else f for name, f in zip(names, lookup(*names))))
+        conf = tmp_path / "run.conf"
+        conf.write_text("exploratory_grids=64,96\n")
+        res = runner.invoke(main, ["spectrum", "--q", "2", "--config", str(conf),
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2, res.output
+        assert "convergence failure: dense eigensolver failed (n = 64): geev info 1" \
+            in res.output
+        assert not (tmp_path / "out").exists()
 
     def test_default_epsilon_is_one_truncation(self, runner, tmp_path):
         # without --epsilon the run solves the one cell truncated by the
@@ -581,21 +599,44 @@ def test_commands_without_spectra_load_no_scipy(tmp_path, argv):
     assert out.stdout.splitlines()[-1] == "[]"
 
 
+def test_spectra_load_lapack_without_the_scipy_linalg_package(tmp_path):
+    # a fresh interpreter, since under pytest the tests import scipy.linalg
+    # first: the solves load scipy.linalg._flapack on its own, and a later
+    # import of scipy.linalg reuses that module
+    src = os.path.dirname(os.path.dirname(susywell.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    (tmp_path / "grids.cfg").write_text("exploratory_grids=64,96\n")
+    runs = [["spectrum", "--q", "0", "--grid", "400", "--count", "2"],
+            ["spectrum", "--q", "2", "--config", str(tmp_path / "grids.cfg")]]
+    code = ("import sys\n"
+            "from susywell import spectral\n"
+            "from susywell.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    try:\n"
+            "        main(argv + ['--out', sys.argv[1]], standalone_mode=False)\n"
+            "    except SystemExit as exc:\n"
+            "        assert exc.code == 0, argv\n"
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.linalg._flapack', 'numpy.f2py',\n"
+            "                         'charset_normalizer') if m in sys.modules))\n"
+            "import scipy.linalg\n"
+            "print(scipy.linalg.lapack.dgtsv is spectral._lapack('dgtsv')[0])")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                         capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.splitlines()[-2:] == ["['scipy.linalg._flapack']", "True"]
+
+
 def run_in_process(argv):
-    """Run main in this process with fresh stdout and stderr sinks, as an
-    embedding caller does, after one run of argv that pays its lazy
-    imports: one of them (charset_normalizer, under scipy.linalg) keeps the
-    sys.stderr of its import in a logging handler, once per process.
-    Returns the exit code, the text of each sink and a weak reference to
-    each sink of the second run."""
-    for _ in range(2):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                main.main(args=argv, standalone_mode=False)
-                code = None
-            except SystemExit as exc:
-                code = exc.code
+    """Run main once in this process with fresh stdout and stderr sinks, as
+    an embedding caller does. Returns the exit code, the text of each sink
+    and a weak reference to each sink."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main.main(args=argv, standalone_mode=False)
+            code = None
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue(), (weakref.ref(out), weakref.ref(err))
 
 

@@ -148,6 +148,21 @@ class TestEigenvalues:
         with pytest.raises(ConvergenceFailure, match="residual nan exceeds"):
             eigenvalues(h, 2)
 
+    def test_failed_dense_solve_raises(self, monkeypatch):
+        # geev reporting info > 0 (QR not converged) is a ConvergenceFailure
+        lookup = spectral._lapack
+
+        def failing(*args, **kwargs):
+            return (*lookup("dgeev")[0](*args, **kwargs)[:-1], 1)
+
+        monkeypatch.setattr(spectral, "_lapack", lambda *names: tuple(
+            failing if name == "dgeev" else f for name, f in zip(names, lookup(*names))))
+        spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, 2.0)
+        h = discretize(partner_field(spec, Partner.V1), Grid1D(0.01, math.pi - 0.01, 64))
+        with pytest.raises(ConvergenceFailure,
+                           match=r"dense eigensolver failed \(n = 64\): geev info 1$"):
+            eigenvalues(h, 2)
+
     def test_count_bounds(self):
         h = discretize(free, Grid1D(0.0, math.pi, 32))
         with pytest.raises(ValueError):
@@ -211,9 +226,9 @@ class TestEigenvalues:
     def test_lapack_routines_are_looked_up_once_per_grid(self, monkeypatch, q, guessed):
         # a symmetric call looks up stebz once, for its Sturm count or its
         # bisections alike, and gtsv/gttrf/gttrs for its solver, the dense
-        # path its solver's three; neither looks them up again per solve,
-        # whatever the solve count
-        lookup = lapack.get_lapack_funcs
+        # path geev and its solver's three; neither looks them up again per
+        # solve, whatever the solve count
+        lookup = spectral._lapack
         calls = {"lookups": 0, "stebz": 0, "solves": 0}
 
         def counted_solve(gtsv):
@@ -222,13 +237,14 @@ class TestEigenvalues:
                 return gtsv(*args, **kwargs)
             return solve
 
-        def counted_lookup(names, *args, **kwargs):
+        def counted_lookup(*names):
             calls["lookups"] += 1
-            calls["stebz"] += names.count("stebz")
-            funcs = lookup(names, *args, **kwargs)
-            return [counted_solve(f) if name == "gtsv" else f for name, f in zip(names, funcs)]
+            calls["stebz"] += names.count("dstebz")
+            funcs = lookup(*names)
+            return tuple(counted_solve(f) if name in ("dgtsv", "zgtsv") else f
+                         for name, f in zip(names, funcs))
 
-        monkeypatch.setattr(lapack, "get_lapack_funcs", counted_lookup)
+        monkeypatch.setattr(spectral, "_lapack", counted_lookup)
         spec = SuperpotentialSpec(Family.COTANGENT_WELL, 1.0, q)
         lo, hi = fundamental_cell(spec)
         ham = discretize(partner_field(spec, Partner.V1), Grid1D(lo + 0.05, hi - 0.05, 400))
