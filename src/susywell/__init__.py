@@ -7,8 +7,10 @@ Modules:
   spectral    finite-difference spectra, Richardson refinement
   scattering  transfer matrices of the square barrier and the plane
               partners (exact series), barrier oracle
-  gates       the physics gates shared by the CLI and the acceptance test
-  cli         reproducible figure/spectrum/verify/scatter commands
+  gates       the physics gates shared by the CLI and the acceptance test,
+              and the figure tables
+  cli         reproducible figure/spectrum/verify/scatter commands; it
+              renders the spectrum and sweep files
 """
 
 from .errors import ConfigError, ConvergenceFailure, SusywellError
@@ -43,7 +45,6 @@ from .scattering import (
     barrier_sweep,
     plane_partner_sweep,
     square_barrier_transmission,
-    sweep_csv,
 )
 
 __version__ = "0.1.0"

@@ -20,13 +20,8 @@ import click
 
 from . import gates, scattering, states
 from .errors import ConfigError, ConvergenceFailure, SusywellError
-from .scattering import (
-    SWEEP_HEADER,
-    WRONSKIAN_TOL,
-    sweep_csv,
-    sweep_rows,
-)
-from .serialize import json_text, write_text
+from .scattering import WRONSKIAN_TOL
+from .serialize import csv_text, json_text, write_text
 from .susy_core import (
     Family,
     Partner,
@@ -49,6 +44,9 @@ DENSE_MEMORY_LIMIT = 1 << 30
 # the default plane `scatter` energies, in units of k^2 (a barrier's are
 # gates.BARRIER_MULTIPLES, in units of |barrier_v0|)
 PLANE_ENERGIES = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
+
+# the columns of a `scatter` sweep, one row per energy in csv and json alike
+SWEEP_HEADER = ("energy", "r_re", "r_im", "t_re", "t_im", "R", "T", "flux_defect")
 
 
 def _parse_float(key, raw):
@@ -228,14 +226,17 @@ def _validate(cfg):
         lo, hi = cfg.cell
         # the finest grid of the cell puts 2/h^2 on the diagonal, and at q = 0
         # Sturm bisection (LAPACK stebz) multiplies neighbouring diagonal
-        # entries: past (2/h^2)^2 it splits H into 1 x 1 blocks
+        # entries: past (2/h^2)^2 it splits H into 1 x 1 blocks. Each grid
+        # also squares its own h, and on a wide cell the coarsest grid's h^2
+        # leaves the double range
         h = (hi - lo) / (cfg.grids[-1] + 1)
+        coarse = (hi - lo) / (cfg.grids[0] + 1)
         least, what = (((4.0 / sys.float_info.max) ** 0.25, "(2/h^2)^2") if cfg.q == 0.0
                        else (math.sqrt(2.0 / sys.float_info.max), "2/h^2"))
-        if h < least:
+        if h < least or not math.isfinite(coarse * coarse):
+            n, what = (cfg.grids[-1], what) if h < least else (cfg.grids[0], "h^2")
             raise ConfigError("x_min" if custom else "alpha",
-                              f"{cfg.grids[-1]} points on ({lo!r}, {hi!r}) leave {what} "
-                              "out of range")
+                              f"{n} points on ({lo!r}, {hi!r}) leave {what} out of range")
         # a level is certified when its gap passes eps max(1, ||H||_inf), and
         # 2/h^2 <= ||H||_inf, so no level of a ladder whose first spacing
         # alpha (alpha + 2k) is at most twice eps max(1, 2/h^2) can be
@@ -304,7 +305,7 @@ def _spectrum_q0(cfg):
     only; a custom x_min/x_max domain is recorded without a gate."""
     v1, v2 = gates.box_spectra(cfg.spec, cfg.cell, (cfg.count, cfg.count), cfg.grids)
     for name, rep in (("v1", v1), ("v2", v2)):
-        _write(cfg, f"{name}_spectrum.json", rep.to_json())
+        _write(cfg, f"{name}_spectrum.json", json_text(spectrum_payload(rep)) + "\n")
     if cfg.x_min is not None:
         _echo(f"custom domain [{cfg.x_min:g}, {cfg.x_max:g}]: spectra recorded, not gated")
         return True
@@ -324,13 +325,33 @@ def _spectrum_exploratory(cfg):
     eps, (lo, hi) = cfg.epsilon, cfg.cell
     reports = gates.box_spectra(cfg.spec, (lo + eps, hi - eps), (cfg.count, cfg.count),
                                 cfg.grids)
-    blocks = {which.name.lower(): rep.survey_payload() for which, rep in zip(Partner, reports)}
+    blocks = {which.name.lower(): survey_payload(rep) for which, rep in zip(Partner, reports)}
     for name, block in blocks.items():
         _echo(f"eps={eps:g} {name}: max |Im E| = {block['max_imag_overall']:.3e}")
     payload = {"family": cfg.family, "k": cfg.k, "q": cfg.q, "epsilon": eps,
                "count": cfg.count, "grids": cfg.grids, **blocks}
     _write(cfg, f"spectrum_eps_{eps:.0e}.json", json_text(payload) + "\n")
     return True
+
+
+def spectrum_payload(rep):
+    """The json object of one SpectrumReport, its levels as [re, im] pairs."""
+    return {
+        "eigenvalues": [[ev.real, ev.imag] for ev in rep.eigenvalues],
+        "max_imag": rep.max_imag,
+        "grid_sizes_used": list(rep.grid_sizes_used),
+        "richardson_estimates": list(rep.richardson_estimates),
+    }
+
+
+def survey_payload(rep):
+    """The json object of one partner's q != 0 survey: every grid's
+    spectrum_payload, and the largest |Im E| over all grids."""
+    return {
+        "per_grid": [spectrum_payload(grid) for grid in rep.per_grid],
+        "richardson_real": list(rep.richardson_estimates),
+        "max_imag_overall": max(grid.max_imag for grid in rep.per_grid),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +395,16 @@ def run_scatter(cfg):
         payload = [dict(zip(SWEEP_HEADER, row)) for row in sweep_rows(results)]
         _write(cfg, "scatter.json", json_text({"rows": payload}) + "\n")
     else:
-        _write(cfg, "scatter.csv", sweep_csv(results))
+        _write(cfg, "scatter.csv", csv_text(SWEEP_HEADER, sweep_rows(results)))
     for line in lines:
         _echo(line)
     return all(gate.passed for gate in checks)
+
+
+def sweep_rows(results):
+    """The SWEEP_HEADER values of a sweep, one row per energy."""
+    return [[res.energy, res.r.real, res.r.imag, res.t.real, res.t.imag,
+             res.reflection, res.transmission, res.flux_defect] for res in results]
 
 
 # ---------------------------------------------------------------------------

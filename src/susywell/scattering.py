@@ -27,9 +27,10 @@ coefficient, so a series whose coefficients grow past SERIES_GROWTH is
 refused.
 
 Either refusal is a ConvergenceFailure, and so is a transfer matrix, or
-its free-wave match, that leaves the double range. Each energy is judged
-on its own: a sweep raises the refusal of the first energy, in input
-order, that fails, as a loop over the energies would.
+its free-wave match, that is not finite or leaves the double range once
+its guard has passed; that refusal names the energy. Each energy is
+judged on its own: a sweep raises the refusal of the first energy, in
+input order, that fails, as a loop over the energies would.
 
 Complex field values model absorption/gain; |r|^2 + |t|^2 - 1 is
 reported per energy as flux_defect and vanishes only for real fields.
@@ -44,7 +45,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure
-from .serialize import csv_text
 from .susy_core import PLANE_FAMILIES, Partner, SuperpotentialSpec, plane_coefficients
 
 OVERFLOW_EXPONENT = 700.0
@@ -128,7 +128,10 @@ def _plane_steps(spec: SuperpotentialSpec, which: Partner, window, energies):
     # for n < 2^29, as a rounded n theta would move the phase by n ulp(theta)
     # and the large coefficients would carry that into the sums
     theta = step * length
-    head = float(np.float32(theta))
+    # a theta past the float32 range splits into a non-finite phase, and
+    # so a transfer matrix that _sweep refuses
+    with np.errstate(over="ignore"):
+        head = float(np.float32(theta))
     tail = theta - head
     kappa0 = np.sqrt(energies + spec.k ** 2)
     radius = 0.05 * kappa0 * np.minimum(kappa0, 2.0 * math.pi / length)
@@ -178,6 +181,12 @@ def _overflow(exponent: float) -> ConvergenceFailure:
                               "the transfer matrix would leave the double range")
 
 
+def _out_of_range(energy: float) -> ConvergenceFailure:
+    """The refusal of a P or M at E that its guard reading did not catch."""
+    return ConvergenceFailure(f"the transfer matrix at E={energy!r} is not finite or leaves "
+                              "the double range")
+
+
 def _unsummable(energy: float, growth: float) -> ConvergenceFailure:
     """The refusal of a plane series whose coefficients grow past the guard."""
     return ConvergenceFailure(f"plane series at E={energy!r} has a coefficient of {growth!r}, "
@@ -223,7 +232,7 @@ def _window(a, b) -> tuple[float, float]:
 @dataclass(frozen=True)
 class ScatteringResult:
     """Left-incidence r and t at one energy, with the right-incidence
-    reflection r_right (not a SWEEP_HEADER column)."""
+    reflection r_right (not a column of the sweep files)."""
 
     energy: float
     r: complex
@@ -266,8 +275,9 @@ def _sweep(window, energies, propagate, limit: float, refusal) -> list[Scatterin
     """The ScatteringResult of every energy, in order, off a window whose
     propagators and guard readings propagate(energies) returns.
 
-    An energy whose reading is over limit, or whose P or M leaves the
-    double range, raises refusal(E, reading). r = -M21/M22, t = 1/M22 and
+    An energy whose reading is over limit raises refusal(E, reading), and
+    one whose P or M is not finite or leaves the double range raises
+    _out_of_range(E). r = -M21/M22, t = 1/M22 and
     r_right = M12/M22, as det M = 1, so t is not rebuilt from entries that
     grow like 1/k0 and cancel as E -> 0. The energies are judged in input
     order, so the first that fails raises."""
@@ -280,11 +290,13 @@ def _sweep(window, energies, propagate, limit: float, refusal) -> list[Scatterin
         if isinstance(wave, Exception):
             raise wave
         (energy, k0), (step, reading) = wave, next(rows)
-        if not (reading <= limit and _in_range(*step[0], *step[1])):
+        if not reading <= limit:
             raise refusal(energy, reading)
+        if not _in_range(*step[0], *step[1]):
+            raise _out_of_range(energy)
         m = _matched(step, a, b, k0)
         if not _in_range(*m.ravel().tolist()):
-            raise refusal(energy, reading)
+            raise _out_of_range(energy)
         if abs(m[1, 1]) < 1e-300:
             raise _degenerate("M22", complex(m[1, 1]), 1e-300, b)
         r = -m[1, 0] / m[1, 1]
@@ -298,8 +310,9 @@ def _sweep(window, energies, propagate, limit: float, refusal) -> list[Scatterin
 def barrier_sweep(v0: float, width: float, energies) -> list[ScatteringResult]:
     """The ScatteringResult of every energy off the square barrier V = v0 on
     [0, width] (a well for v0 < 0), in order: one constant step each. An
-    evanescent exponent over OVERFLOW_EXPONENT, or a transfer matrix that
-    would leave the double range, is refused naming the exponent."""
+    evanescent exponent over OVERFLOW_EXPONENT is refused naming the
+    exponent, and a transfer matrix that would leave the double range
+    naming the energy."""
     window = _window(0.0, width)
     return _sweep(window, energies, lambda batch: _barrier_steps(v0, window[1], batch),
                   OVERFLOW_EXPONENT, lambda energy, exponent: _overflow(exponent))
@@ -360,28 +373,3 @@ def plane_partner_sweep(
                 np.concatenate([growth for _, growth in parts]))
 
     return _sweep(window, energies, propagate, SERIES_GROWTH, _unsummable)
-
-
-SWEEP_HEADER = ["energy", "r_re", "r_im", "t_re", "t_im", "R", "T", "flux_defect"]
-
-
-def sweep_rows(results) -> list[list[float]]:
-    """The SWEEP_HEADER values of a sweep, one row per energy."""
-    return [
-        [
-            res.energy,
-            res.r.real,
-            res.r.imag,
-            res.t.real,
-            res.t.imag,
-            res.reflection,
-            res.transmission,
-            res.flux_defect,
-        ]
-        for res in results
-    ]
-
-
-def sweep_csv(results) -> str:
-    """CSV serialization of a sweep: one row per energy, LF endings."""
-    return csv_text(SWEEP_HEADER, sweep_rows(results))

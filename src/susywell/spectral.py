@@ -82,7 +82,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceFailure
-from .serialize import json_text
 
 # residual gate, scaled by the matrix norm (see eigenvalues())
 RESIDUAL_TOL = 1e-8
@@ -187,26 +186,6 @@ class SpectrumReport:
     scaled_residuals: np.ndarray = field(default_factory=lambda: np.empty(0))
     per_grid: tuple["SpectrumReport", ...] = ()
     vectors: tuple[np.ndarray, ...] | None = field(default=None, repr=False, compare=False)
-
-    def to_payload(self) -> dict:
-        return {
-            "eigenvalues": [[ev.real, ev.imag] for ev in self.eigenvalues],
-            "max_imag": self.max_imag,
-            "grid_sizes_used": list(self.grid_sizes_used),
-            "richardson_estimates": list(self.richardson_estimates),
-        }
-
-    def to_json(self) -> str:
-        return json_text(self.to_payload()) + "\n"
-
-    def survey_payload(self) -> dict:
-        """Every grid's payload, the extrapolated real parts, and the largest
-        |Im E| over all grids."""
-        return {
-            "per_grid": [rep.to_payload() for rep in self.per_grid],
-            "richardson_real": list(self.richardson_estimates),
-            "max_imag_overall": max(rep.max_imag for rep in self.per_grid),
-        }
 
 
 def eigenvalues(ham: DiscretizedHamiltonian, count: int, *, guess=None,

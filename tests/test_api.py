@@ -1,8 +1,11 @@
-"""Every name the package exports has a caller in the program itself."""
+"""Every name the package exports has a caller in the program itself, and
+the physics layers import none of the modules that judge or write them."""
 
 import ast
 import importlib
 from pathlib import Path
+
+import pytest
 
 import susywell
 from susywell import errors
@@ -60,3 +63,26 @@ def test_every_export_has_a_caller_outside_init():
         if path.name != "__init__.py":
             used |= referenced(ast.parse(path.read_text()))
     assert [name for name in exported() if name not in used] == []
+
+
+def package_imports(tree) -> set[str]:
+    """The susywell modules that tree imports anywhere, by their short names,
+    whether relatively (from .x, from . import x) or by the package name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["susywell" if node.level else "", node.module]))
+            dotted = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found |= {name.split(".")[1] for name in dotted if name.startswith("susywell.")}
+    return found
+
+
+@pytest.mark.parametrize("layer", ["susy_core", "states", "spectral", "scattering"])
+def test_layers_return_results_and_write_no_files(layer):
+    # gates judges the layers' results and cli renders them into files
+    tree = ast.parse((PACKAGE / f"{layer}.py").read_text())
+    assert package_imports(tree) & {"serialize", "gates", "cli"} == set()

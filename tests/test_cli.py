@@ -21,7 +21,7 @@ from click.testing import CliRunner
 import susywell.cli
 from susywell import gates, scattering, spectral, states, susy_core
 from susywell.cli import main
-from susywell.serialize import json_text
+from susywell.serialize import csv_text, json_text
 
 FLUX_TOL = 1e-10
 
@@ -240,7 +240,8 @@ class TestSpectrum:
         lo, hi = susy_core.fundamental_cell(gates.Q2_SPEC)
         reports = gates.box_spectra(gates.Q2_SPEC, (lo + 1e-3, hi - 1e-3),
                                     (gates.COUNT, gates.COUNT), (32, 48, 64))
-        blocks = {name: rep.survey_payload() for name, rep in zip(("v1", "v2"), reports)}
+        blocks = {name: susywell.cli.survey_payload(rep)
+                  for name, rep in zip(("v1", "v2"), reports)}
         payload = json.loads(runs["default"][1])
         assert {name: payload[name] for name in blocks} == json.loads(json_text(blocks))
         assert payload["v1"]["per_grid"][-1]["grid_sizes_used"] == [64]
@@ -426,12 +427,15 @@ class TestConfigHandling:
         (["spectrum", "--q", "1e200"], "", "q"),
         (["spectrum", "--q", "0", "--k", "1e153", "--alpha", "1e153"], "", "alpha"),
         (["spectrum", "--q", "0", "--k", "1e74"], "", "alpha"),
+        (["spectrum", "--q", "1", "--alpha", "1e-300"], "", "alpha"),
+        (["spectrum", "--q", "0", "--alpha", "1e-300"], "x_min=1\nx_max=1e300\n", "x_min"),
     ], ids=["plane-default-energies", "plane-explicit-energies", "q0-k", "q0-alpha",
-            "complex-q", "q0-spacing", "q0-bisection"])
+            "complex-q", "q0-spacing", "q0-bisection", "wide-cell", "wide-custom-domain"])
     def test_parameters_beyond_the_double_range(self, runner, tmp_path, argv, config, key):
         # k ** 2, q ** 2 or alpha ** 2 would raise OverflowError, at
-        # k = alpha = 1e153 the finest grid's 2/h^2 is inf, and at k = 1e74
-        # its (2/h^2)^2, which Sturm bisection forms, is inf
+        # k = alpha = 1e153 the finest grid's 2/h^2 is inf, at k = 1e74
+        # its (2/h^2)^2, which Sturm bisection forms, is inf, and on a cell
+        # 3e300 (or 1e300) wide the coarsest grid's h ** 2 would raise
         conf = tmp_path / "run.conf"
         conf.write_text(config)
         res = runner.invoke(main, [*argv, "--config", str(conf), "--out", str(tmp_path)])
@@ -473,10 +477,16 @@ class TestConfigHandling:
          "convergence failure: eigenpair residual nan"),
         (["spectrum", "--q", "2", "--k", "1e80", "--alpha", "1e80", "--epsilon", "1e-83"],
          "exploratory_grids=32,48,64\n", 2, "convergence failure: "),
+        # alpha L = 6e158 leaves the float32 range of the phase split: the
+        # transfer matrix is nan while the series guard reads 1.0
+        (["scatter", "--family", "plane_right", "--k", "1e-8", "--q", "1e150", "--alpha",
+          "1e150"], "", 2, "convergence failure: the transfer matrix at "
+         "E=2.5000000000000003e-17 is not finite or leaves the double range"),
     ], ids=["not-a-number", "not-finite", "not-an-integer", "empty-list", "k", "alpha",
             "epsilon", "grid", "count", "barrier-width", "format", "exploratory-grid",
             "x-min-alone", "x-min-above-x-max", "partner", "singular-point",
-            "series-growth", "series-growth-small-alpha", "nan-residual", "tiny-cell"])
+            "series-growth", "series-growth-small-alpha", "nan-residual", "tiny-cell",
+            "plane-phase-past-float32"])
     def test_refusals_exit_by_their_error_family(self, runner, tmp_path, argv, config, code,
                                                  message):
         # ConfigError and any other SusywellError exit 3, ConvergenceFailure
@@ -812,7 +822,23 @@ class TestScatter:
         spec = susy_core.SuperpotentialSpec(susy_core.Family.PLANE_RIGHT, 1.0, 1.0)
         results = scattering.plane_partner_sweep(spec, susy_core.Partner.V1, window,
                                                  susywell.cli.PLANE_ENERGIES)
-        assert (tmp_path / "scatter.csv").read_text() == scattering.sweep_csv(results)
+        assert (tmp_path / "scatter.csv").read_text() == csv_text(
+            susywell.cli.SWEEP_HEADER, susywell.cli.sweep_rows(results))
+
+    def test_csv_and_json_hold_the_same_header_and_numbers(self, runner, tmp_path):
+        # both formats of one plane sweep, whose r and t are complex
+        for fmt in ("csv", "json"):
+            res = runner.invoke(main, ["scatter", "--family", "plane_right", "--format", fmt,
+                                       "--out", str(tmp_path)])
+            assert res.exit_code == 0, res.output
+        header, *lines = (tmp_path / "scatter.csv").read_text().splitlines()
+        header = header.split(",")
+        rows = read_json(tmp_path / "scatter.json")["rows"]
+        assert header == list(susywell.cli.SWEEP_HEADER)
+        assert [sorted(row) for row in rows] == [sorted(header)] * len(lines)
+        assert [[float(v) for v in line.split(",")] for line in lines] == [
+            [row[name] for name in header] for row in rows]
+        assert any(row["r_im"] != 0.0 for row in rows)
 
     @pytest.mark.parametrize("config", ["window_min=0\n", "window_max=6\n",
                                         "window_min=2\nwindow_max=1\n"],
@@ -881,7 +907,9 @@ class TestScatter:
         res = runner.invoke(main, ["scatter", "--family", "barrier", "--config", str(conf),
                                    "--out", str(tmp_path)])
         assert res.exit_code == 2, res.output
-        assert "convergence failure: evanescent exponent" in res.output
+        assert ("convergence failure: the transfer matrix at E=1e-20 is not finite or leaves "
+                "the double range") in res.output
+        assert "evanescent exponent" not in res.output
         assert isinstance(res.exception, SystemExit)
         assert "Traceback" not in res.output
 

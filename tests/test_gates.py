@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from susywell import gates, scattering, states, susy_core
-from susywell.cli import main
+from susywell.cli import main, survey_payload
 from susywell.spectral import richardson_spectrum
 from susywell.susy_core import (
     PLANE_FAMILIES,
@@ -322,7 +322,7 @@ def test_richardson_spectrum_keeps_grids_ascending():
     assert rep.grid_sizes_used == (32, 48, 64)
     assert [r.grid_sizes_used for r in rep.per_grid] == [(32,), (48,), (64,)]
     assert (rep.eigenvalues == rep.per_grid[-1].eigenvalues).all()
-    payload = rep.survey_payload()
+    payload = survey_payload(rep)
     assert payload["max_imag_overall"] == max(r.max_imag for r in rep.per_grid)
     assert payload["richardson_real"] == list(rep.richardson_estimates)
 

@@ -30,14 +30,17 @@ def roots(tmp_path):
     return base, head
 
 
-def test_twenty_two_commands_with_distinct_names():
+def test_twenty_three_commands_with_distinct_names():
     names = [name for name, _, _ in parent_diff.COMMANDS]
-    assert len(names) == 22 == len(set(names))
-    # the three refused sweeps are expected to exit 2, every other command 0
+    assert len(names) == 23 == len(set(names))
+    # the three refused sweeps are expected to exit 2, the refused wide
+    # cell 3, every other command 0
     assert {name for name, _, code in parent_diff.COMMANDS if code} == {
-        "scatter_unsettled", "scatter_overflowing", "scatter_opaque_barrier"}
+        "scatter_unsettled", "scatter_overflowing", "scatter_opaque_barrier",
+        "spectrum_wide_cell"}
     assert {CODES["scatter_unsettled"], CODES["scatter_overflowing"],
             CODES["scatter_opaque_barrier"]} == {2}
+    assert CODES["spectrum_wide_cell"] == 3
 
 
 def test_identical_outputs_report_nothing(roots):

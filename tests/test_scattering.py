@@ -13,18 +13,17 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from susywell import scattering
-from susywell.cli import PLANE_ENERGIES
+from susywell.cli import PLANE_ENERGIES, SWEEP_HEADER, sweep_rows
 from susywell.errors import ConvergenceFailure
 from susywell.gates import ORACLE_TOL
 from susywell.scattering import (
     SERIES_GROWTH,
-    SWEEP_HEADER,
     _constant_steps,
     barrier_sweep,
     plane_partner_sweep,
     square_barrier_transmission,
-    sweep_csv,
 )
+from susywell.serialize import csv_text
 from susywell.susy_core import Family, Partner, SuperpotentialSpec, partner_field
 
 MATRIX_TOL = 1e-10
@@ -73,6 +72,8 @@ SERIES_REFERENCE = {
 # the whole messages of the scattering refusals, all ConvergenceFailure
 OVERFLOW = re.compile(r"evanescent exponent (\S+) exceeds the overflow guard: "
                       r"the transfer matrix would leave the double range")
+OUT_OF_RANGE = ("the transfer matrix at E={energy!r} is not finite or leaves the double "
+                "range")
 GROWTH = re.compile(r"plane series at E=(\S+) has a coefficient of (\S+), past the guard "
                     r"1e\+08: its sums would lose their digits to cancellation "
                     r"\(the coefficients grow with \|q\| / alpha\)")
@@ -202,10 +203,21 @@ class TestTransferMatrix:
 
     def test_overflow_in_free_wave_match(self):
         # kappa w = 690 passes the step guard, but matching to the free
-        # waves multiplies by ~1/k0 = 1e10: refused, with no RuntimeWarning
+        # waves multiplies by ~1/k0 = 1e10: refused naming the energy, not
+        # the guard that passed, with no RuntimeWarning
         with pytest.raises(ConvergenceFailure) as err:
             barrier_sweep(690.0 ** 2, 1.0, [1e-20])
-        assert overflow_exponent(err.value) == pytest.approx(690.0)
+        assert type(err.value) is ConvergenceFailure
+        assert str(err.value) == OUT_OF_RANGE.format(energy=1e-20)
+
+    def test_plane_phase_past_float32_is_refused_as_out_of_range(self):
+        # alpha L = 6e158 splits into a non-finite phase, so P is nan while
+        # the series stays at 1: refused naming the energy, not the growth
+        # guard, with no RuntimeWarning
+        spec = SuperpotentialSpec(Family.PLANE_RIGHT, 1e-8, 1e150, 1e150)
+        with pytest.raises(ConvergenceFailure) as err:
+            plane_partner_sweep(spec, Partner.V1, (0.0, 2 * math.pi / 1e-8), [2.5e-17])
+        assert str(err.value) == OUT_OF_RANGE.format(energy=2.5e-17)
 
     def test_range_guard_sums_both_parts(self):
         # each part alone is under the guard, their sum is over it
@@ -667,6 +679,11 @@ class TestEnergyBatches:
         # the series of all 256 energies at once would take 3.3 MB; 248 more
         # results take a few hundred bytes each
         assert peak(256) - peak(8) < 256 * 1024
+
+
+def sweep_csv(results) -> str:
+    """The text that `scatter` writes for a sweep in csv."""
+    return csv_text(SWEEP_HEADER, sweep_rows(results))
 
 
 class TestSweepSerialization:

@@ -10,7 +10,9 @@ from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal, eigvals, lapack
 
 from susywell import gates, spectral, states
+from susywell.cli import spectrum_payload
 from susywell.errors import ConvergenceFailure, SusywellError
+from susywell.serialize import json_text
 from susywell.spectral import (
     RESIDUAL_TOL,
     Grid1D,
@@ -498,10 +500,15 @@ class TestConvergence:
         assert _extrapolated(scaled, rows) == _extrapolated(spacings, rows)
 
 
+def report_json(rep) -> str:
+    """The text that `spectrum` writes for rep."""
+    return json_text(spectrum_payload(rep)) + "\n"
+
+
 class TestReportSerialization:
     def test_schema_keys(self):
         rep = richardson_spectrum(flat, 0.0, math.pi, 2, (500, 1000))
-        payload = json.loads(rep.to_json())
+        payload = json.loads(report_json(rep))
         assert set(payload) == {"eigenvalues", "max_imag", "grid_sizes_used",
                                 "richardson_estimates"}
         assert payload["grid_sizes_used"] == [500, 1000]
@@ -510,9 +517,9 @@ class TestReportSerialization:
     def test_byte_determinism(self):
         rep = richardson_spectrum(flat, 0.0, math.pi, 2, (500, 1000))
         again = richardson_spectrum(flat, 0.0, math.pi, 2, (500, 1000))
-        assert rep.to_json() == again.to_json()
+        assert report_json(rep) == report_json(again)
 
     def test_roundtrip_precision(self):
         rep = eigenvalues(discretize(flat, Grid1D(0.0, math.pi, 500)), 1)
-        payload = json.loads(rep.to_json())
+        payload = json.loads(report_json(rep))
         assert payload["eigenvalues"][0][0] == rep.eigenvalues[0].real

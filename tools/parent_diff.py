@@ -72,9 +72,11 @@ ALLOW_LIST = ROOT / "tools" / "parent_diff_allow.txt"
 # which is reported first: at q = 20 all of E = 0.5, 50, 2 and 60, at
 # q = 200 all of E = 0.3, 0.25 and 0.5. The third is a barrier of
 # kappa w = 690 at E = 1e-20, which passes the step guard and overflows in
-# the free-wave match. Last, the help of each subcommand, so that a change
-# to any help text shows as a stdout difference (bare `--help` exits 3
-# with the appended --out, so it is left out).
+# the free-wave match. Then a q=1 spectrum on the cell of alpha = 1e-300,
+# whose h^2 leaves the double range, refused (exit 3). Last, the help of
+# each subcommand, so that a change to any help text shows as a stdout
+# difference (bare `--help` exits 3 with the appended --out, so it is left
+# out).
 # (name, arguments, expected exit code) each.
 COMMANDS = (
     ("figures", ["figures"], 0),
@@ -101,6 +103,7 @@ COMMANDS = (
                              "--config", OVERFLOWING], 2),
     ("scatter_opaque_barrier", ["scatter", "--family", "barrier", "--config", OPAQUE_BARRIER],
      2),
+    ("spectrum_wide_cell", ["spectrum", "--q", "1", "--alpha", "1e-300"], 3),
     ("figures_help", ["figures", "--help"], 0),
     ("spectrum_help", ["spectrum", "--help"], 0),
     ("verify_help", ["verify", "--help"], 0),
